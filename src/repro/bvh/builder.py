@@ -6,10 +6,21 @@ algorithm here, plus a cheaper median-split builder used by tests and by
 very small scenes.  The binary tree produced here is then collapsed to a
 6-wide BVH by :mod:`repro.bvh.wide`.
 
-The build operates on numpy arrays of primitive bounds/centroids so the
-binning passes are vectorized — scene construction is off the critical
-path of the paper's experiments but still needs to handle tens of
-thousands of triangles quickly in pure Python.
+The build is level-synchronous: every open node of one tree level is
+bounded, binned, costed and partitioned by one set of segmented numpy
+calls (``reduceat`` for node bounds, ``bincount`` and ``minimum.at`` over
+``node * bins + bin`` for the bins, ``accumulate``/``cumsum`` along the
+bin axis for the sweep, and a stable ``argsort`` on ``(node, side)`` for
+the partition), so the number of numpy calls grows with the tree's depth
+rather than its node count.  Each node's split depends only on its own
+primitives in their order, so the tree is the one a node-at-a-time
+build makes, tie rules included: the first cheapest bin of an axis, a
+lower axis on equal cost, axes of zero centroid extent skipped, then
+the median split and, failing that, halving.
+
+Node bounds are plain ``float`` tuples (via ``tolist``), like the rest
+of :mod:`repro.geometry`; numpy scalars would make every pickled BVH
+slower to store and load.
 """
 
 from __future__ import annotations
@@ -115,46 +126,94 @@ def build_binary_bvh(
     )
     if len(np.unique(arrays.prim_ids)) != n:
         raise ValueError("triangle primitive_ids must be unique")
-    return _build(arrays, np.arange(n), config)
+    return _build_levels(arrays, config)
 
 
-def _build(
-    arrays: _BuildArrays, all_indices: np.ndarray, config: BuildConfig
-) -> BinaryNode:
-    """Iterative top-down build (explicit stack; trees can be deep)."""
-    root = BinaryNode(bounds=AABB.empty())
-    stack: List[Tuple[BinaryNode, np.ndarray]] = [(root, all_indices)]
-    while stack:
-        node, indices = stack.pop()
-        node.bounds = AABB(
-            tuple(arrays.lo[indices].min(axis=0)),
-            tuple(arrays.hi[indices].max(axis=0)),
+def _build_levels(arrays: _BuildArrays, config: BuildConfig) -> BinaryNode:
+    """Top-down build, one tree level per iteration.
+
+    ``order`` lists the primitive indices of every open node of the
+    current level, node after node, and ``sizes`` gives each node's
+    count.  Every node's result depends only on its own primitives (in
+    their order), so building a level at a time yields the same tree
+    as building one node at a time.
+    """
+    root = None
+    parents: List[BinaryNode] = []
+    order = np.arange(len(arrays.prim_ids))
+    sizes = np.array([len(order)])
+    while True:
+        starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+        lo = np.minimum.reduceat(arrays.lo[order], starts).tolist()
+        hi = np.maximum.reduceat(arrays.hi[order], starts).tolist()
+        nodes = [
+            BinaryNode(bounds=AABB(tuple(node_lo), tuple(node_hi)))
+            for node_lo, node_hi in zip(lo, hi)
+        ]
+        if root is None:
+            root = nodes[0]
+        for parent, left, right in zip(parents, nodes[::2], nodes[1::2]):
+            parent.left = left
+            parent.right = right
+        leaf = sizes <= config.max_leaf_size
+        if leaf.any():
+            prim_ids = arrays.prim_ids[order].tolist()
+            for segment in np.flatnonzero(leaf).tolist():
+                start = int(starts[segment])
+                nodes[segment].primitive_ids = tuple(
+                    prim_ids[start:start + int(sizes[segment])]
+                )
+        if leaf.all():
+            return root
+        inner = ~leaf
+        order = order[np.repeat(inner, sizes)]
+        sizes = sizes[inner]
+        parents = [node for node, keep in zip(nodes, inner.tolist()) if keep]
+        order, left_sizes = _split_level(arrays, order, sizes, config)
+        sizes = np.stack((left_sizes, sizes - left_sizes), axis=1).ravel()
+
+
+def _split_level(
+    arrays: _BuildArrays,
+    order: np.ndarray,
+    sizes: np.ndarray,
+    config: BuildConfig,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Split every open node of a level in two.
+
+    Returns the level's primitive order regrouped so each node's left
+    child's primitives come before its right child's, and the left
+    children's sizes.  Nodes that the SAH cannot split (and every node
+    under ``strategy="median"``) take the median split; when that fails
+    too, the node is halved so the build always terminates.
+    """
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    segment = np.repeat(np.arange(len(sizes)), sizes)
+    if config.strategy == "sah":
+        axis, split_bin, bins = _sah_level(
+            arrays, order, segment, starts, config.bin_count
         )
-        if len(indices) <= config.max_leaf_size:
-            node.primitive_ids = tuple(
-                int(pid) for pid in arrays.prim_ids[indices]
-            )
-            continue
-        split = _choose_split(arrays, indices, config)
-        if split is None:
-            # Degenerate spatial distribution: halve arbitrarily so the
-            # build always terminates.
+        chosen = bins[axis[segment], np.arange(len(order))]
+        right = (chosen > split_bin[segment]) & (axis[segment] >= 0)
+        # A finite SAH cost has primitives on both sides, so the SAH
+        # partition never leaves a child empty.
+        left_sizes = np.bincount(segment[~right], minlength=len(sizes))
+        order = order[np.argsort(segment * 2 + right, kind="stable")]
+        fallback = np.flatnonzero(axis < 0).tolist()
+    else:
+        left_sizes = np.zeros(len(sizes), dtype=np.int64)
+        fallback = range(len(sizes))
+    for node in fallback:
+        start, stop = int(starts[node]), int(starts[node] + sizes[node])
+        indices = order[start:stop]
+        halves = _median_split(arrays, indices)
+        if halves is None:
+            # Degenerate spatial distribution: halve arbitrarily.
             mid = len(indices) // 2
-            split = (indices[:mid], indices[mid:])
-        left_indices, right_indices = split
-        node.left = BinaryNode(bounds=AABB.empty())
-        node.right = BinaryNode(bounds=AABB.empty())
-        stack.append((node.left, left_indices))
-        stack.append((node.right, right_indices))
-    return root
-
-
-def _choose_split(
-    arrays: _BuildArrays, indices: np.ndarray, config: BuildConfig
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    if config.strategy == "median":
-        return _median_split(arrays, indices)
-    return _sah_split(arrays, indices, config)
+            halves = (indices[:mid], indices[mid:])
+        order[start:stop] = np.concatenate(halves)
+        left_sizes[node] = len(halves[0])
+    return order, left_sizes
 
 
 def _median_split(
@@ -171,67 +230,82 @@ def _median_split(
     return indices[order[:mid]], indices[order[mid:]]
 
 
-def _sah_split(
-    arrays: _BuildArrays, indices: np.ndarray, config: BuildConfig
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Binned SAH split: minimize ``A_L*N_L + A_R*N_R`` over bin planes.
+def _sah_level(
+    arrays: _BuildArrays,
+    order: np.ndarray,
+    segment: np.ndarray,
+    starts: np.ndarray,
+    n_bins: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Binned SAH over every node of a level at once.
 
-    Falls back to a median split when all centroids coincide or binning
-    produces an empty side.
+    Per node, each axis with nonzero centroid extent is cut into
+    ``n_bins`` bins, and the plane after bin ``i`` costs
+    ``A_L*N_L + A_R*N_R`` (half surface areas times primitive counts).
+    The cheapest plane of an axis is its first minimum; a later axis
+    replaces it only when strictly cheaper.  Returns per node the best
+    axis (-1 when no plane has a finite cost) and bin, plus every
+    primitive's bin along each axis, shape ``(3, len(order))``.
     """
-    n_bins = config.bin_count
-    centroids = arrays.centroid[indices]
-    lo_bound = centroids.min(axis=0)
-    extent = centroids.max(axis=0) - lo_bound
-    best: Optional[Tuple[float, int, int]] = None  # (cost, axis, bin)
-    bin_cache = {}
+    n_nodes = len(starts)
+    centroids = arrays.centroid[order]
+    # Bin bounds accumulate one coordinate at a time: ``ufunc.at`` on a
+    # contiguous 1-D target is several times faster than on rows.
+    prim_lo = arrays.lo[order].T.copy()
+    prim_hi = arrays.hi[order].T.copy()
+    lo_bound = np.minimum.reduceat(centroids, starts)
+    extent = np.maximum.reduceat(centroids, starts) - lo_bound
+    best_cost = np.full(n_nodes, np.inf)
+    best_axis = np.full(n_nodes, -1)
+    best_bin = np.zeros(n_nodes, dtype=np.int64)
+    bins = np.empty((3, len(order)), dtype=np.int64)
+    rows = np.arange(n_nodes)
     for axis in range(3):
-        if extent[axis] <= 0.0:
-            continue
-        scale = n_bins / extent[axis]
-        bin_idx = np.minimum(
-            ((centroids[:, axis] - lo_bound[axis]) * scale).astype(np.int64),
+        live = extent[:, axis] > 0.0
+        scale = n_bins / np.where(live, extent[:, axis], 1.0)
+        bins[axis] = np.minimum(
+            ((centroids[:, axis] - lo_bound[segment, axis]) * scale[segment])
+            .astype(np.int64),
             n_bins - 1,
         )
-        bin_cache[axis] = bin_idx
-        counts = np.bincount(bin_idx, minlength=n_bins)
-        bin_lo = np.full((n_bins, 3), np.inf)
-        bin_hi = np.full((n_bins, 3), -np.inf)
-        np.minimum.at(bin_lo, bin_idx, arrays.lo[indices])
-        np.maximum.at(bin_hi, bin_idx, arrays.hi[indices])
-        # Prefix/suffix running bounds over the bins, fully vectorized.
-        left_area = _half_areas(
-            np.minimum.accumulate(bin_lo, axis=0),
-            np.maximum.accumulate(bin_hi, axis=0),
+        key = segment * n_bins + bins[axis]
+        counts = np.bincount(key, minlength=n_nodes * n_bins)
+        counts = counts.reshape(n_nodes, n_bins)
+        bin_lo = np.full((3, n_nodes * n_bins), np.inf)
+        bin_hi = np.full((3, n_nodes * n_bins), -np.inf)
+        for dim in range(3):
+            np.minimum.at(bin_lo[dim], key, prim_lo[dim])
+            np.maximum.at(bin_hi[dim], key, prim_hi[dim])
+        bin_lo = bin_lo.reshape(3, n_nodes, n_bins)
+        bin_hi = bin_hi.reshape(3, n_nodes, n_bins)
+        # Extents of the running boxes from the left (index 0) and from
+        # the right (index 1), then their half surface areas; empty
+        # running boxes have -inf extents and count as zero area.
+        ext = np.stack((
+            np.maximum.accumulate(bin_hi, axis=2)
+            - np.minimum.accumulate(bin_lo, axis=2),
+            np.maximum.accumulate(bin_hi[..., ::-1], axis=2)[..., ::-1]
+            - np.minimum.accumulate(bin_lo[..., ::-1], axis=2)[..., ::-1],
+        ))
+        ext = np.where(np.isfinite(ext) & (ext > 0.0), ext, 0.0)
+        area = (
+            ext[:, 0] * ext[:, 1]
+            + ext[:, 1] * ext[:, 2]
+            + ext[:, 2] * ext[:, 0]
         )
-        right_area = _half_areas(
-            np.minimum.accumulate(bin_lo[::-1], axis=0)[::-1],
-            np.maximum.accumulate(bin_hi[::-1], axis=0)[::-1],
-        )
-        left_count = np.cumsum(counts)
-        right_count = np.cumsum(counts[::-1])[::-1]
+        left_count = np.cumsum(counts, axis=1)
+        right_count = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
         cost = (
-            left_area[:-1] * left_count[:-1]
-            + right_area[1:] * right_count[1:]
+            area[0, :, :-1] * left_count[:, :-1]
+            + area[1, :, 1:] * right_count[:, 1:]
         )
-        cost[(left_count[:-1] == 0) | (right_count[1:] == 0)] = np.inf
-        i = int(np.argmin(cost))
-        if np.isfinite(cost[i]) and (best is None or cost[i] < best[0]):
-            best = (float(cost[i]), axis, i)
-    if best is None:
-        return _median_split(arrays, indices)
-    _, axis, split_bin = best
-    mask = bin_cache[axis] <= split_bin
-    left_indices = indices[mask]
-    right_indices = indices[~mask]
-    if not len(left_indices) or not len(right_indices):
-        return _median_split(arrays, indices)
-    return left_indices, right_indices
-
-
-def _half_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Half surface areas for a (bins, 3) stack of boxes; empty boxes -> 0."""
-    ext = hi - lo
-    # Empty running boxes have -inf extents; clamp them to zero area.
-    ext = np.where(np.isfinite(ext) & (ext > 0.0), ext, 0.0)
-    return ext[:, 0] * ext[:, 1] + ext[:, 1] * ext[:, 2] + ext[:, 2] * ext[:, 0]
+        cost[(left_count[:, :-1] == 0) | (right_count[:, 1:] == 0)] = np.inf
+        split_bin = np.argmin(cost, axis=1)
+        axis_cost = cost[rows, split_bin]
+        # Infinite costs never pass the strict test, so an axis only
+        # wins with a finite cost, and a tie keeps the lower axis.
+        better = live & (axis_cost < best_cost)
+        best_cost[better] = axis_cost[better]
+        best_axis[better] = axis
+        best_bin[better] = split_bin[better]
+    return best_axis, best_bin, bins

@@ -488,6 +488,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(f"size:            {info['size_bytes'] / 1024.0:.1f} KiB")
     for kind, count in sorted(info["per_kind"].items()):
         print(f"  {kind + ':':<16}{count}")
+    if info["stale_entries"]:
+        print(f"stale:           {info['stale_entries']} entries of other "
+              f"schema versions, {info['stale_bytes'] / 1024.0:.1f} KiB "
+              f"(repro cache clear removes them)")
     return 0
 
 

@@ -436,14 +436,28 @@ def get_decomposition(
             components["treelet_bytes"] = treelet_bytes
             components["formation"] = strategy
             fingerprint = cache.fingerprint("decomposition", components)
-            decomposition = cache.load("decomposition", fingerprint)
+            # The entry holds no BVH: the memoized one is re-attached,
+            # so a warm decomposition shares it instead of a copy.
+            payload = cache.load("decomposition", fingerprint)
+            if payload is not None:
+                max_bytes, treelets, assignment = payload
+                decomposition = TreeletDecomposition(
+                    bvh=get_bvh(scene_name, scale),
+                    max_bytes=max_bytes,
+                    treelets=treelets,
+                    assignment=assignment,
+                )
         if decomposition is None:
             BUILD_COUNTS["decomposition"] += 1
             decomposition = form_treelets(
                 get_bvh(scene_name, scale), treelet_bytes, strategy
             )
             if cache is not None:
-                cache.store("decomposition", fingerprint, decomposition)
+                cache.store("decomposition", fingerprint, (
+                    decomposition.max_bytes,
+                    decomposition.treelets,
+                    decomposition.assignment,
+                ))
         _DECOMP_CACHE[key] = decomposition
     return _DECOMP_CACHE[key]
 

@@ -37,11 +37,11 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 #: Bump to invalidate every previously stored artifact (schema change,
 #: serialization change, or a semantic change to any builder).
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Artifact kinds the pipeline spills (one subdirectory each).
 ARTIFACT_KINDS = ("bvh", "rays", "traces", "decomposition")
@@ -140,11 +140,20 @@ class ArtifactCache:
 
     # -- maintenance ----------------------------------------------------
 
+    def _entry_paths(self) -> Tuple[List[Path], List[Path]]:
+        """Stored files of the current schema version, and of any
+        other (stale) version."""
+        current = set(self.version_dir.rglob("*.pkl"))
+        stale = [p for p in self.root.rglob("*.pkl") if p not in current]
+        return list(current), stale
+
     def entries(self) -> int:
-        return sum(1 for _ in self.root.rglob("*.pkl"))
+        """Entries of the current schema version."""
+        return len(self._entry_paths()[0])
 
     def size_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.root.rglob("*.pkl"))
+        """Bytes of the current schema version's entries."""
+        return sum(p.stat().st_size for p in self._entry_paths()[0])
 
     def clear(self) -> int:
         """Remove every stored entry (all schema versions); returns the
@@ -171,18 +180,21 @@ class ArtifactCache:
 
     def describe(self) -> Dict[str, object]:
         """Summary document for ``repro cache info``."""
-        per_kind = {
-            kind: sum(
-                1 for _ in (self.version_dir / kind).rglob("*.pkl")
-            ) if (self.version_dir / kind).exists() else 0
-            for kind in ARTIFACT_KINDS
-        }
+        current, stale = self._entry_paths()
+        per_kind = {kind: 0 for kind in ARTIFACT_KINDS}
+        for path in current:
+            kind = path.relative_to(self.version_dir).parts[0]
+            per_kind[kind] = per_kind.get(kind, 0) + 1
         return {
             "root": str(self.root),
             "schema_version": CACHE_SCHEMA_VERSION,
-            "entries": self.entries(),
-            "size_bytes": self.size_bytes(),
+            "entries": len(current),
+            "size_bytes": sum(p.stat().st_size for p in current),
             "per_kind": per_kind,
+            # Files of other schema versions: never addressed again,
+            # reclaimed by ``repro cache clear``.
+            "stale_entries": len(stale),
+            "stale_bytes": sum(p.stat().st_size for p in stale),
         }
 
 

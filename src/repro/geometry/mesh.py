@@ -48,10 +48,14 @@ class Mesh:
         return int(len(self.faces))
 
     def triangles(self, id_offset: int = 0) -> List[Triangle]:
-        """Materialize :class:`Triangle` objects with sequential ids."""
+        """Materialize :class:`Triangle` objects with sequential ids.
+
+        Vertices go through ``tolist`` so every component is a plain
+        ``float``, as :mod:`repro.geometry.vec` promises.
+        """
         tris = []
-        verts = self.vertices
-        for i, (a, b, c) in enumerate(self.faces):
+        verts = self.vertices.tolist()
+        for i, (a, b, c) in enumerate(self.faces.tolist()):
             tris.append(
                 Triangle(
                     tuple(verts[a]),
@@ -67,7 +71,7 @@ class Mesh:
             return AABB.empty()
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
-        return AABB(tuple(lo), tuple(hi))
+        return AABB(tuple(lo.tolist()), tuple(hi.tolist()))
 
     def translated(self, offset: Vec3) -> "Mesh":
         return Mesh(self.vertices + np.asarray(offset), self.faces.copy(), self.name)

@@ -141,6 +141,22 @@ class TestArtifactCache:
         assert info["per_kind"]["traces"] == 0
         assert info["size_bytes"] > 0
 
+    def test_other_schema_versions_count_as_stale(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cache.store("bvh", cache.fingerprint("bvh", {"i": 1}), [1])
+        stale = tmp_path / "v1" / "bvh" / "ab" / ("ab" + "0" * 62 + ".pkl")
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"x" * 100)
+        info = cache.describe()
+        assert info["entries"] == cache.entries() == 1
+        assert info["size_bytes"] == cache.size_bytes()
+        assert info["size_bytes"] == cache.path_for(
+            "bvh", cache.fingerprint("bvh", {"i": 1})).stat().st_size
+        assert info["per_kind"]["bvh"] == 1
+        assert info["stale_entries"] == 1
+        assert info["stale_bytes"] == 100
+        assert cache.clear() == 2  # clear reclaims every version
+
     def test_global_activation(self, tmp_path):
         assert get_artifact_cache() is None
         active = set_artifact_cache(tmp_path)
@@ -195,6 +211,26 @@ class TestPipelineSpill:
         # Old entries are no longer addressed: the trace (and the
         # BVH/rays it needs) had to be rebuilt.
         assert build_counts()["traces"] == 1
+
+    def test_v1_entries_are_not_addressed_by_v2(self, tmp_path, monkeypatch):
+        # v2 stores decompositions without their BVH; an entry written
+        # by v1 (which held the BVH) must never be loaded as a v2 one.
+        assert CACHE_SCHEMA_VERSION == 2
+        cache = set_artifact_cache(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.exec.cache.CACHE_SCHEMA_VERSION", 1)
+            get_traces("WKND", SMOKE, "treelet", 512)
+        v1_entries = sum(1 for _ in (tmp_path / "v1").rglob("*.pkl"))
+        assert v1_entries == 4  # bvh, rays, decomposition, traces
+        clear_caches()
+        reset_build_counts()
+        get_traces("WKND", SMOKE, "treelet", 512)
+        assert build_counts()["bvh"] == 1
+        assert build_counts()["decomposition"] == 1
+        assert build_counts()["traces"] == 1
+        info = cache.describe()
+        assert info["entries"] == cache.entries() == 4
+        assert info["stale_entries"] == v1_entries
 
     def test_cache_off_builds_normally(self):
         get_traces("WKND", SMOKE, "dfs", 512)
@@ -371,8 +407,16 @@ class TestCacheCli:
         assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert str(tmp_path) in out
+        assert "stale" not in out
+        stale = tmp_path / "v1" / "rays" / "00" / ("0" * 64 + ".pkl")
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"x")
+        assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "entries:         1" in out
+        assert "stale:           1 entries" in out
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
-        assert "removed 1" in capsys.readouterr().out
+        assert "removed 2" in capsys.readouterr().out
         assert cache.entries() == 0
 
     def test_sweep_jobs_flag(self, tmp_path, capsys):

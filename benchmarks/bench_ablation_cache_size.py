@@ -8,7 +8,7 @@ prefetching is a latency tool, not a capacity tool.
 
 from dataclasses import replace
 
-from repro import BASELINE, TREELET_PREFETCH, run_experiment
+from repro import BASELINE, TREELET_PREFETCH, run
 from repro.core.config import CacheConfig
 from repro.core.report import geomean
 
@@ -30,10 +30,8 @@ def run_ablation() -> dict:
         gains = []
         miss_rates = []
         for scene in scenes:
-            base = run_experiment(scene, BASELINE, scale, gpu_config=gpu)
-            pref = run_experiment(
-                scene, TREELET_PREFETCH, scale, gpu_config=gpu
-            )
+            base = run(scene, BASELINE, scale, gpu_config=gpu)
+            pref = run(scene, TREELET_PREFETCH, scale, gpu_config=gpu)
             gains.append(base.cycles / pref.cycles)
             miss_rates.append(base.stats.l1_breakdown()["misses"])
             rows_by_scene[scene].append(round(gains[-1], 3))

@@ -9,7 +9,7 @@ the cost of a transfer step on every first use.
 
 from dataclasses import replace
 
-from repro import BASELINE, TREELET_PREFETCH, run_experiment
+from repro import BASELINE, TREELET_PREFETCH, run
 from repro.core.report import geomean
 
 from common import active_scale, bench_scenes, once, print_figure, record
@@ -22,12 +22,10 @@ def run_ablation() -> dict:
     rows = []
     l1_gains, stream_gains = [], []
     for scene in bench_scenes():
-        base = run_experiment(scene, BASELINE, scale)
-        l1_pref = run_experiment(scene, TREELET_PREFETCH, scale)
-        stream_base = run_experiment(
-            scene, BASELINE, scale, gpu_config=stream_gpu
-        )
-        stream_pref = run_experiment(
+        base = run(scene, BASELINE, scale)
+        l1_pref = run(scene, TREELET_PREFETCH, scale)
+        stream_base = run(scene, BASELINE, scale, gpu_config=stream_gpu)
+        stream_pref = run(
             scene, TREELET_PREFETCH, scale, gpu_config=stream_gpu
         )
         l1_gain = base.cycles / l1_pref.cycles

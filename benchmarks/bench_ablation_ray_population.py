@@ -9,7 +9,7 @@ incoherent population it was designed for.
 
 from dataclasses import replace
 
-from repro import BASELINE, TREELET_PREFETCH, run_experiment
+from repro import BASELINE, TREELET_PREFETCH, run
 from repro.core.report import geomean
 
 from common import active_scale, bench_scenes, once, print_figure, record
@@ -26,12 +26,10 @@ def run_ablation() -> dict:
     gains = {"primary_only": [], "with_secondary": []}
     for scene in scenes:
         gpu = full_scale.gpu_config()
-        base_p = run_experiment(scene, BASELINE, primary_scale, gpu_config=gpu)
-        pref_p = run_experiment(
-            scene, TREELET_PREFETCH, primary_scale, gpu_config=gpu
-        )
-        base_f = run_experiment(scene, BASELINE, full_scale)
-        pref_f = run_experiment(scene, TREELET_PREFETCH, full_scale)
+        base_p = run(scene, BASELINE, primary_scale, gpu_config=gpu)
+        pref_p = run(scene, TREELET_PREFETCH, primary_scale, gpu_config=gpu)
+        base_f = run(scene, BASELINE, full_scale)
+        pref_f = run(scene, TREELET_PREFETCH, full_scale)
         gain_p = base_p.cycles / pref_p.cycles
         gain_f = base_f.cycles / pref_f.cycles
         gains["primary_only"].append(gain_p)

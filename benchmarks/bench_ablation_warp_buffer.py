@@ -10,7 +10,7 @@ the prefetcher's advantage.
 
 from dataclasses import replace
 
-from repro import BASELINE, TREELET_PREFETCH, run_experiment
+from repro import BASELINE, TREELET_PREFETCH, run
 from repro.core.report import geomean
 
 from common import active_scale, bench_scenes, once, print_figure, record
@@ -28,10 +28,8 @@ def run_ablation() -> dict:
         gains = []
         base_cycles = []
         for scene in scenes:
-            base = run_experiment(scene, BASELINE, scale, gpu_config=gpu)
-            pref = run_experiment(
-                scene, TREELET_PREFETCH, scale, gpu_config=gpu
-            )
+            base = run(scene, BASELINE, scale, gpu_config=gpu)
+            pref = run(scene, TREELET_PREFETCH, scale, gpu_config=gpu)
             gain = base.cycles / pref.cycles
             gains.append(gain)
             base_cycles.append(base.cycles)

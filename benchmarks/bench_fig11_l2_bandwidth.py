@@ -5,7 +5,7 @@ bandwidth sits below ALWAYS; the paper uses this to show the heuristics
 do reduce overfetch even though ALWAYS still wins on performance.
 """
 
-from repro import BASELINE, run_experiment
+from repro import BASELINE, run
 from repro.core.report import geomean
 
 from bench_fig10_heuristics import HEURISTICS, technique_for
@@ -21,8 +21,8 @@ def run_fig11() -> dict:
         label = heuristic.label()
         ratios = {}
         for scene in scenes:
-            base = run_experiment(scene, BASELINE, scale)
-            pref = run_experiment(scene, technique_for(heuristic), scale)
+            base = run(scene, BASELINE, scale)
+            pref = run(scene, technique_for(heuristic), scale)
             # Normalized L2 bandwidth: bytes/cycle vs the baseline.
             ratios[scene] = (
                 pref.stats.l2_bandwidth / base.stats.l2_bandwidth

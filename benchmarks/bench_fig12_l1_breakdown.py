@@ -6,7 +6,7 @@ pending hits, and misses.  The paper's claim: ALWAYS produces a much
 larger prefetch-hit share than the throttled heuristics.
 """
 
-from repro import BASELINE, run_experiment
+from repro import BASELINE, run
 from bench_fig10_heuristics import HEURISTICS, technique_for
 from common import active_scale, bench_scenes, once, print_figure, record
 
@@ -23,9 +23,9 @@ def run_fig12() -> dict:
                   "pending_hits": [], "misses": []}
         for scene in scenes:
             if heuristic is None:
-                result = run_experiment(scene, BASELINE, scale)
+                result = run(scene, BASELINE, scale)
             else:
-                result = run_experiment(scene, technique_for(heuristic), scale)
+                result = run(scene, technique_for(heuristic), scale)
             for key, value in result.stats.l1_breakdown().items():
                 shares[key].append(value)
         mean = {k: sum(v) / len(v) for k, v in shares.items()}

@@ -16,7 +16,7 @@ packed-vs-strided ratio, which is config-internal.
 
 from dataclasses import replace
 
-from repro import Technique, run_experiment
+from repro import Technique, run
 from repro.core.config import DramConfig
 from repro.core.report import geomean
 
@@ -53,8 +53,8 @@ def run_fig15() -> dict:
     rows = []
     ratios = []
     for scene in bench_scenes():
-        packed = run_experiment(scene, PACKED, scale, gpu_config=gpu)
-        strided = run_experiment(scene, STRIDED, scale, gpu_config=gpu)
+        packed = run(scene, PACKED, scale, gpu_config=gpu)
+        strided = run(scene, STRIDED, scale, gpu_config=gpu)
         ratio = packed.cycles / strided.cycles
         ratios.append(ratio)
         rows.append(

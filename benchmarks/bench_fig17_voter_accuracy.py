@@ -5,7 +5,7 @@ with an exact full majority 91.2% of the time in the paper, with the
 loss concentrated where rays spread across many treelets.
 """
 
-from repro import Technique, run_experiment
+from repro import Technique, run
 
 from common import active_scale, bench_scenes, once, print_figure, record
 
@@ -30,7 +30,7 @@ def run_fig17() -> dict:
     for scene in scenes:
         accuracies = {}
         for latency in LATENCIES:
-            result = run_experiment(scene, technique_for(latency), scale)
+            result = run(scene, technique_for(latency), scale)
             accuracies[str(latency)] = result.stats.voter_accuracy
         payload[scene] = accuracies
         rows.append(

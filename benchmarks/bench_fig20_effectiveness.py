@@ -8,7 +8,7 @@ for improvement").
 
 from dataclasses import replace
 
-from repro import TREELET_PREFETCH, run_experiment
+from repro import TREELET_PREFETCH, run
 
 from common import active_scale, bench_scenes, once, print_figure, record
 
@@ -22,7 +22,7 @@ def run_fig20() -> dict:
     payload = {}
     rows = []
     for scene in scenes:
-        result = run_experiment(scene, CONFIG, scale)
+        result = run(scene, CONFIG, scale)
         fractions = result.stats.effectiveness.fractions()
         payload[scene] = fractions
         rows.append(

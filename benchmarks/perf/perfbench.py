@@ -4,7 +4,7 @@ Four phases, each timing one stage of the evaluation pipeline in
 isolation (``run_bench.py`` is the CLI driver):
 
 * ``trace``  — trace generation: the vectorized forest driver vs the
-  scalar oracle over a 13-config-per-scene workload (dfs + 4 treelet
+  scalar reference over a 13-config-per-scene workload (dfs + 4 treelet
   budgets x 3 deferred orders).  This is the tentpole number: the
   committed ``BENCH_trace.json`` at default scale must show >= 5x.
 * ``build``  — cold artifact construction (scene, BVH, decomposition).

@@ -14,15 +14,15 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 
-from repro import BASELINE, DEFAULT, TREELET_PREFETCH, Technique, run_experiment, speedup
+from repro import BASELINE, DEFAULT, TREELET_PREFETCH, Technique, run
 from repro.core import banner, format_table
 from repro.prefetch import PrefetchHeuristic
 
 
 def evaluate(scene: str, technique: Technique):
-    base = run_experiment(scene, BASELINE, DEFAULT)
-    result = run_experiment(scene, technique, DEFAULT)
-    return speedup(base, result), result
+    base = run(scene, BASELINE, DEFAULT)
+    result = run(scene, technique, DEFAULT)
+    return result.speedup_over(base), result
 
 
 def main() -> None:

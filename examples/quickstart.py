@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import BASELINE, DEFAULT, TREELET_PREFETCH, run_experiment, speedup
+from repro import BASELINE, DEFAULT, TREELET_PREFETCH, run
 from repro.core import banner, format_series
 
 
@@ -22,19 +22,19 @@ def main() -> None:
     print(banner(f"Treelet prefetching quickstart — scene {scene}"))
 
     print("\n[1/3] Baseline RT unit (DFS traversal, no prefetching)...")
-    base = run_experiment(scene, BASELINE, DEFAULT)
+    base = run(scene, BASELINE, DEFAULT)
     print(f"      {base.stats.cycles} cycles, "
           f"{base.stats.visits_completed} node visits, "
           f"avg BVH load latency {base.stats.avg_node_demand_latency:.0f} cyc")
 
     print("\n[2/3] Treelet traversal + treelet prefetcher (ALWAYS, PMR)...")
-    pref = run_experiment(scene, TREELET_PREFETCH, DEFAULT)
+    pref = run(scene, TREELET_PREFETCH, DEFAULT)
     print(f"      {pref.stats.cycles} cycles, "
           f"{pref.stats.prefetches_issued} prefetch lines issued, "
           f"avg BVH load latency {pref.stats.avg_node_demand_latency:.0f} cyc")
 
     print("\n[3/3] Comparison")
-    gain = speedup(base, pref)
+    gain = pref.speedup_over(base)
     latency_cut = 1 - (
         pref.stats.avg_node_demand_latency / base.stats.avg_node_demand_latency
     )

@@ -27,7 +27,6 @@ from .core import (
     Technique,
     default_config,
     paper_config,
-    run_experiment,
     scale_from_env,
     speedup,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "paper_config",
     "parse_technique",
     "run",
-    "run_experiment",
     "scale_from_env",
     "speedup",
     "sweep",

@@ -13,10 +13,8 @@ Entry points::
 
 Techniques are accepted as :class:`~repro.core.Technique` objects or
 spec strings (see :func:`parse_technique`); scales as
-:class:`~repro.core.Scale` objects or names.  The legacy entry points
-(``core.pipeline.run_experiment``, ``core.sweeps.run_sweep``,
-``exec.run_sweep_parallel``) remain as deprecation shims that forward
-here — results are identical.  See ``docs/api.md``.
+:class:`~repro.core.Scale` objects or names.  This is the only entry
+point for evaluations.  See ``docs/api.md``.
 """
 
 from .facade import RunRequest, RunResult, SweepRequest, compare, run, sweep

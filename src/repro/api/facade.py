@@ -1,13 +1,10 @@
 """The ``repro.api`` facade: run / sweep / compare, with typed requests.
 
-One front door for evaluating techniques, replacing the scattered entry
-points that each grew their own keyword surface
-(``core.pipeline.run_experiment``, ``core.sweeps.run_sweep``,
-``exec.run_sweep_parallel`` — all kept as thin deprecation shims that
-forward here).  The facade accepts techniques as objects **or** spec
-strings (:func:`repro.api.parse_technique`) and scales as objects or
-names, and it owns the fast paths: serial sweeps batch all missing
-trace generation through the vectorized forest driver
+The only front door for evaluating techniques.  The facade accepts
+techniques as objects **or** spec strings
+(:func:`repro.api.parse_technique`) and scales as objects or names, and
+it owns the fast paths: serial sweeps batch all missing trace
+generation through one vectorized forest traversal
 (:func:`repro.core.pipeline.prewarm_traces`), parallel sweeps fan
 evaluations across the :mod:`repro.exec` worker pool.  Results are
 bit-identical whichever path runs.
@@ -21,9 +18,7 @@ from typing import Dict, Iterable, List, Optional, Union
 from ..core.pipeline import (
     BASELINE,
     DEFAULT,
-    FULL,
-    PAPER,
-    SMOKE,
+    SCALES,
     ExperimentResult,
     Scale,
     Technique,
@@ -34,13 +29,6 @@ from ..core.sweeps import SceneOutcome, SweepResult
 from ..obs.spans import span as _span
 from .techniques import _suggest, parse_technique, technique_to_spec
 
-_SCALES_BY_NAME: Dict[str, Scale] = {
-    "smoke": SMOKE,
-    "default": DEFAULT,
-    "full": FULL,
-    "paper": PAPER,
-}
-
 TechniqueLike = Union[Technique, str]
 ScaleLike = Union[Scale, str]
 
@@ -49,9 +37,9 @@ def _coerce_scale(scale: ScaleLike) -> Scale:
     if isinstance(scale, Scale):
         return scale
     try:
-        return _SCALES_BY_NAME[scale.strip().lower()]
+        return SCALES[scale.strip().lower()]
     except (AttributeError, KeyError):
-        known = ", ".join(_SCALES_BY_NAME)
+        known = ", ".join(SCALES)
         raise ValueError(f"unknown scale {scale!r} (known: {known})")
 
 
@@ -117,7 +105,7 @@ def _check_str(data: dict, key: str, what: str,
 
 
 _RUN_WIRE_FIELDS = (
-    "scene", "technique", "scale", "workload", "cache", "trace_backend",
+    "scene", "technique", "scale", "workload", "cache",
 )
 
 
@@ -127,10 +115,8 @@ class RunRequest:
 
     ``technique`` and ``scale`` accept spec strings (resolved with
     :func:`parse_technique` / by scale name) or the objects themselves.
-    ``cache=False`` bypasses the in-process result memoizer;
-    ``trace_backend`` forces "vectorized" or "scalar" trace generation
-    for this run (they are bit-identical; None uses the process
-    default).  ``workload`` picks the ray population: "render" (the paper's
+    ``cache=False`` bypasses the in-process result memoizer.
+    ``workload`` picks the ray population: "render" (the paper's
     camera + secondary rays) or a :mod:`repro.queries` workload
     ("knn"/"containment", which require a matching query scene).
 
@@ -147,7 +133,6 @@ class RunRequest:
     gpu_config: Optional[object] = None
     cache: bool = True
     observer: Optional[object] = None
-    trace_backend: Optional[str] = None
 
     def to_dict(self) -> dict:
         """The JSON-safe form of this request (defaults elided).
@@ -171,8 +156,6 @@ class RunRequest:
             doc["workload"] = _coerce_workload(self.workload)
         if not self.cache:
             doc["cache"] = False
-        if self.trace_backend is not None:
-            doc["trace_backend"] = self.trace_backend
         return doc
 
     @classmethod
@@ -187,7 +170,7 @@ class RunRequest:
         """
         data = _check_fields(payload, _RUN_WIRE_FIELDS, ignore, "RunRequest")
         _check_str(data, "scene", "RunRequest", required=True)
-        for key in ("technique", "scale", "workload", "trace_backend"):
+        for key in ("technique", "scale", "workload"):
             _check_str(data, key, "RunRequest")
         if "cache" in data and not isinstance(data["cache"], bool):
             raise ValueError(
@@ -324,14 +307,11 @@ def run(
     gpu_config=None,
     cache: bool = True,
     observer=None,
-    trace_backend: Optional[str] = None,
 ) -> RunResult:
     """Evaluate one technique on one scene; the front door for single runs.
 
     Accepts either positional ``(scene, technique, scale)`` arguments or
-    a single :class:`RunRequest`.  Returns a :class:`RunResult` whose
-    ``stats`` are bit-identical to the deprecated
-    ``core.pipeline.run_experiment`` path.
+    a single :class:`RunRequest`.
     """
     if isinstance(scene, RunRequest):
         request = scene
@@ -344,26 +324,10 @@ def run(
             gpu_config=gpu_config,
             cache=cache,
             observer=observer,
-            trace_backend=trace_backend,
         )
     resolved_technique = _coerce_technique(request.technique)
     resolved_scale = _coerce_scale(request.scale)
     resolved_workload = _coerce_workload(request.workload)
-    if request.trace_backend is not None:
-        # Generate (or reuse) the traces with the requested backend
-        # before the experiment asks for them.
-        from ..core.pipeline import get_traces
-
-        get_traces(
-            request.scene,
-            resolved_scale,
-            resolved_technique.traversal,
-            resolved_technique.treelet_bytes,
-            resolved_technique.deferred_order,
-            resolved_technique.formation,
-            backend=request.trace_backend,
-            workload=resolved_workload,
-        )
     with _span(
         "api.run",
         scene=request.scene,

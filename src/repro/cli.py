@@ -44,9 +44,7 @@ demand-latency and prefetch-timeliness histograms).  ``sweep`` takes
 ``--jobs N`` to fan evaluations across worker processes, and
 ``run``/``sweep``/``trace`` take ``--cache-dir`` to persist built
 BVHs/rays/traces between invocations (``REPRO_CACHE_DIR`` works too;
-see ``docs/execution.md``).  ``run``/``sweep``/``trace`` take
-``--trace-backend {vectorized,scalar}`` to pick the trace-generation
-kernels (bit-identical results; see ``docs/performance.md``).
+see ``docs/execution.md``).
 
 All heavy options map one-to-one onto :class:`repro.core.Technique`;
 ``--technique SPEC`` sets them all at once from a spec string.  The
@@ -60,22 +58,13 @@ import json
 import sys
 from typing import List, Optional
 
-from . import (
-    BASELINE,
-    DEFAULT,
-    FULL,
-    PAPER,
-    SMOKE,
-    Technique,
-    speedup,
-)
+from . import BASELINE, Technique, speedup
 from .api import describe_techniques, parse_technique, technique_fields
 from .api.facade import run as api_run
 from .api.facade import sweep as api_sweep
 from .bvh import compute_tree_stats
-from .core import TRACE_BACKENDS
 from .core import banner, format_series, format_table, geomean
-from .core.pipeline import get_bvh, get_decomposition
+from .core.pipeline import SCALES, get_bvh, get_decomposition
 from .prefetch import PrefetchHeuristic
 from .render import RenderConfig, render
 from .scenes import (
@@ -85,8 +74,6 @@ from .scenes import (
     build_scene,
     scene_registry,
 )
-
-_SCALES = {"smoke": SMOKE, "default": DEFAULT, "full": FULL, "paper": PAPER}
 
 #: Everything `run`/`sweep`/`queries` accept as a scene: the rendering
 #: evaluation set plus the query-workload scenes.
@@ -156,23 +143,6 @@ def _activate_cache(args: argparse.Namespace):
     return set_artifact_cache(path) if path else None
 
 
-def _add_backend_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace-backend", choices=list(TRACE_BACKENDS), default=None,
-        help="trace-generation kernels for this invocation "
-             "(bit-identical results; default: $REPRO_TRACE_BACKEND "
-             "or vectorized)",
-    )
-
-
-def _activate_backend(args: argparse.Namespace) -> None:
-    backend = getattr(args, "trace_backend", None)
-    if backend:
-        from .core import set_trace_backend
-
-        set_trace_backend(backend)
-
-
 def _technique_from_args(args: argparse.Namespace) -> Technique:
     if getattr(args, "technique", None):
         try:
@@ -201,7 +171,7 @@ def _technique_from_args(args: argparse.Namespace) -> Technique:
 
 def _cmd_scenes(args: argparse.Namespace) -> int:
     if getattr(args, "scenes_action", "budgets") == "list":
-        scale = _SCALES[getattr(args, "scale", "default")]
+        scale = SCALES[getattr(args, "scale", "default")]
         rows = []
         for name, kind, budget in scene_registry():
             scene = build_scene(name, scale.scene_scale)
@@ -228,7 +198,7 @@ def _cmd_techniques(_args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     bvh = get_bvh(args.scene, scale)
     stats = compute_tree_stats(bvh)
     decomposition = get_decomposition(args.scene, scale, args.treelet_bytes)
@@ -289,11 +259,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_impl(args: argparse.Namespace) -> int:
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     technique = _technique_from_args(args)
     workload = getattr(args, "workload", "render")
     _activate_cache(args)
-    _activate_backend(args)
     base = api_run(args.scene, BASELINE, scale, workload=workload).experiment
     if args.report:
         result, observer = _observed_run(args.scene, technique, scale,
@@ -340,14 +309,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_impl(args: argparse.Namespace) -> int:
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     technique = _technique_from_args(args)
     workload = getattr(args, "workload", "render")
     scenes = args.scenes or None
     if scenes is None and workload == "render":
         scenes = list(ALL_SCENES)
     _activate_cache(args)
-    _activate_backend(args)
     # The facade owns the fast paths: --jobs > 1 fans evaluations
     # across workers, serial sweeps batch trace generation through the
     # vectorized forest driver.  (--report runs re-simulate with an
@@ -421,10 +389,9 @@ def _cmd_sweep_impl(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import Observer, write_chrome_trace
 
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     technique = _technique_from_args(args)
     _activate_cache(args)
-    _activate_backend(args)
     observer = Observer(max_events=args.max_events)
     result = api_run(
         args.scene, technique, scale, observer=observer
@@ -517,7 +484,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=cache_dir,
         drain_timeout_s=args.drain_timeout_s,
     )
-    _activate_backend(args)
 
     async def main_async() -> None:
         service = SimulationService(config)
@@ -715,7 +681,7 @@ def _cmd_queries(args: argparse.Namespace) -> int:
     from .queries import verify_workload
     from .scenes import SCENE_KINDS
 
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     technique = _technique_from_args(args)
     workload = args.workload
     if workload is None:
@@ -724,7 +690,6 @@ def _cmd_queries(args: argparse.Namespace) -> int:
         kind = SCENE_KINDS.get(args.scene)
         workload = "knn" if kind == "points" else "containment"
     _activate_cache(args)
-    _activate_backend(args)
     verification = verify_workload(
         args.scene, scale, workload, technique=technique
     )
@@ -765,7 +730,7 @@ def _cmd_queries(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    scale = _SCALES[args.scale]
+    scale = SCALES[args.scale]
     scene = build_scene(args.scene, scale.scene_scale)
     bvh = get_bvh(args.scene, scale)
     image = render(
@@ -804,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
              "budgets; 'list' prints the full registry — rendering + "
              "query scenes — with kind and built triangle count",
     )
-    scenes.add_argument("--scale", choices=list(_SCALES), default="default",
+    scenes.add_argument("--scale", choices=list(SCALES), default="default",
                         help="scale at which `list` builds each scene")
 
     sub.add_parser(
@@ -814,12 +779,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="BVH/treelet stats for a scene")
     stats.add_argument("scene", choices=list(ALL_SCENES))
-    stats.add_argument("--scale", choices=list(_SCALES), default="default")
+    stats.add_argument("--scale", choices=list(SCALES), default="default")
     stats.add_argument("--treelet-bytes", type=int, default=512)
 
     run = sub.add_parser("run", help="one technique vs baseline on a scene")
     run.add_argument("scene", choices=list(_RUNNABLE_SCENES))
-    run.add_argument("--scale", choices=list(_SCALES), default="default")
+    run.add_argument("--scale", choices=list(SCALES), default="default")
     run.add_argument("--workload", choices=list(_WORKLOADS),
                      default="render",
                      help="ray workload: render (camera rays), knn, or "
@@ -832,11 +797,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="record phase spans (repro.spans/1) here")
     _add_technique_args(run)
     _add_cache_args(run)
-    _add_backend_args(run)
 
     sweep = sub.add_parser("sweep", help="one technique across scenes")
     sweep.add_argument("--scenes", nargs="*", choices=list(_RUNNABLE_SCENES))
-    sweep.add_argument("--scale", choices=list(_SCALES), default="default")
+    sweep.add_argument("--scale", choices=list(SCALES), default="default")
     sweep.add_argument("--workload", choices=list(_WORKLOADS),
                        default="render",
                        help="ray workload; with no --scenes, query "
@@ -852,13 +816,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record phase spans (repro.spans/1) here")
     _add_technique_args(sweep)
     _add_cache_args(sweep)
-    _add_backend_args(sweep)
 
     trace = sub.add_parser(
         "trace", help="trace one run; export Perfetto/Chrome JSON"
     )
     trace.add_argument("scene", choices=list(ALL_SCENES))
-    trace.add_argument("--scale", choices=list(_SCALES), default="default")
+    trace.add_argument("--scale", choices=list(SCALES), default="default")
     trace.add_argument("--out", default="trace.json",
                        help="Chrome trace-event output path")
     trace.add_argument("--report",
@@ -867,7 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retained-event cap (excess is dropped)")
     _add_technique_args(trace)
     _add_cache_args(trace)
-    _add_backend_args(trace)
 
     cache = sub.add_parser(
         "cache", help="inspect or clear the persistent artifact cache"
@@ -903,7 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--drain-timeout-s", type=float, default=60.0,
                        help="max wait for in-flight jobs on SIGTERM")
     _add_cache_args(serve)
-    _add_backend_args(serve)
 
     loadgen = sub.add_parser(
         "loadgen", help="open-loop Poisson load generator for `repro serve`"
@@ -923,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--technique", metavar="SPEC",
                          default="treelet-prefetch",
                          help="technique spec sent with every request")
-    loadgen.add_argument("--scale", choices=list(_SCALES), default="smoke")
+    loadgen.add_argument("--scale", choices=list(SCALES), default="smoke")
     loadgen.add_argument("--seed", type=int, default=0,
                          help="arrival-process RNG seed")
     loadgen.add_argument("--arrival", choices=["poisson", "uniform"],
@@ -1019,16 +980,15 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None,
                          help="query workload (default: inferred from the "
                               "scene kind)")
-    queries.add_argument("--scale", choices=list(_SCALES), default="smoke")
+    queries.add_argument("--scale", choices=list(SCALES), default="smoke")
     queries.add_argument("--json", action="store_true",
                          help="print a machine-readable summary")
     _add_technique_args(queries)
     _add_cache_args(queries)
-    _add_backend_args(queries)
 
     rend = sub.add_parser("render", help="render a scene frame")
     rend.add_argument("scene", choices=list(ALL_SCENES))
-    rend.add_argument("--scale", choices=list(_SCALES), default="default")
+    rend.add_argument("--scale", choices=list(SCALES), default="default")
     rend.add_argument("--size", type=int, default=48)
     rend.add_argument("--output", help="write a PGM file here")
 

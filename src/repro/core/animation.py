@@ -96,7 +96,7 @@ def run_animation(
 ) -> AnimationResult:
     """Render ``config.frames`` frames back-to-back through one GPU.
 
-    Unlike :func:`repro.core.run_experiment` (cold caches per run), the
+    Unlike :func:`repro.api.run` (cold caches per run), the
     GPU model persists across frames; frame 0 pays the cold-cache cost
     and later frames run against warm caches.
     """

@@ -1,10 +1,11 @@
 """End-to-end pipeline: scene -> BVH -> treelets -> traces -> timing sim.
 
-This is the library's main entry point.  A :class:`Technique` names one
+The machinery behind :mod:`repro.api`.  A :class:`Technique` names one
 point in the paper's design space (traversal algorithm, memory layout,
 prefetcher, heuristic, scheduler, voter, treelet size);
-:func:`run_experiment` evaluates it on one scene and returns timing,
-memory, power, and traversal statistics.
+:func:`repro.api.run` evaluates it on one scene (through
+:func:`_run_experiment`) and returns timing, memory, power, and
+traversal statistics.
 
 All heavyweight intermediate artifacts (built scenes, BVHs, ray
 populations, traces, decompositions) are memoized per process so a
@@ -47,9 +48,12 @@ from ..traversal import (
     RayTrace,
     TraversalSummary,
     summarize_traces,
+    traverse_forest_jobs,
+)
+# Unused here; benchmarks/suite/layers.py times them by patching this module.
+from ..traversal import (  # noqa: F401
     traverse_dfs_batch,
     traverse_dfs_packet,
-    traverse_forest_jobs,
     traverse_two_stack_batch,
     traverse_two_stack_packet,
 )
@@ -187,42 +191,17 @@ FULL = Scale("full", scene_scale=1.0, width=32, height=32)
 PAPER = Scale("paper", scene_scale=1.0, width=32, height=32)
 
 
+#: Every named scale, by name: the one registry the CLI, the api, the
+#: service and ``REPRO_SCALE`` resolve names against.
+SCALES: Dict[str, Scale] = {
+    scale.name: scale for scale in (SMOKE, DEFAULT, FULL, PAPER)
+}
+
+
 def scale_from_env(default: Scale = DEFAULT) -> Scale:
     """Pick the scale from ``REPRO_SCALE`` (smoke/default/full/paper)."""
     name = os.environ.get("REPRO_SCALE", "").strip().lower()
-    return {
-        "smoke": SMOKE,
-        "default": DEFAULT,
-        "full": FULL,
-        "paper": PAPER,
-    }.get(name, default)
-
-
-#: Trace-generation backends.  Both emit bit-identical ``RayTrace``
-#: lists (same visit order, test counts, and hits); "vectorized" is the
-#: numpy packet driver, "scalar" the pure-Python reference it is
-#: verified against.
-TRACE_BACKENDS = ("vectorized", "scalar")
-
-_TRACE_BACKEND_OVERRIDE: Optional[str] = None
-
-
-def set_trace_backend(backend: Optional[str]) -> None:
-    """Force a trace backend for this process (None reverts to the
-    ``REPRO_TRACE_BACKEND`` environment default)."""
-    global _TRACE_BACKEND_OVERRIDE
-    if backend is not None and backend not in TRACE_BACKENDS:
-        raise ValueError(f"unknown trace backend {backend!r}")
-    _TRACE_BACKEND_OVERRIDE = backend
-
-
-def trace_backend_from_env() -> str:
-    """The active trace backend: :func:`set_trace_backend` override,
-    else ``REPRO_TRACE_BACKEND``, else "vectorized"."""
-    if _TRACE_BACKEND_OVERRIDE is not None:
-        return _TRACE_BACKEND_OVERRIDE
-    name = os.environ.get("REPRO_TRACE_BACKEND", "").strip().lower()
-    return name if name in TRACE_BACKENDS else "vectorized"
+    return SCALES.get(name, default)
 
 
 @dataclass
@@ -471,9 +450,7 @@ def _trace_key(
     formation: str,
     workload: str = "render",
 ) -> tuple:
-    """Memoizer key for one trace set.  Deliberately backend-agnostic:
-    both backends produce bit-identical traces, so a cache entry is
-    valid whichever backend built it."""
+    """Memoizer key for one trace set."""
     return (
         scene_name,
         scale.scene_scale,
@@ -498,7 +475,7 @@ def _trace_fingerprint(
     formation: str,
     workload: str = "render",
 ) -> str:
-    """On-disk fingerprint for one trace set (backend-agnostic too)."""
+    """On-disk fingerprint for one trace set."""
     components = _cache_components(scene_name, scale)
     components.update(_raygen_components(scale, workload))
     components["traversal"] = traversal
@@ -516,91 +493,44 @@ def get_traces(
     treelet_bytes: int,
     deferred_order: str = "nearest",
     formation: str = "bfs",
-    backend: Optional[str] = None,
     workload: str = "render",
 ) -> List[RayTrace]:
     """Functional traversal traces (the timing model's input).
 
-    ``backend`` selects how the traces are generated — "vectorized"
-    (numpy packet driver, the default via ``REPRO_TRACE_BACKEND``) or
-    "scalar" (the pure-Python oracle).  The two are bit-identical, so
-    neither the memoizer key nor the artifact-cache fingerprint
-    includes the backend.  ``workload`` selects the ray population:
-    "render" (camera + secondary) or a query workload compiled by
-    :mod:`repro.queries`; traces come back in ray-population order, so
-    query decode can map them positionally.
+    A memo lookup; a missing set is built by :func:`prewarm_traces`.
+    ``workload`` selects the ray population: "render" (camera +
+    secondary) or a query workload compiled by :mod:`repro.queries`;
+    traces come back in ray-population order, so query decode can map
+    them positionally.
     """
     key = _trace_key(
         scene_name, scale, traversal, treelet_bytes, deferred_order,
         formation, workload,
     )
     if key not in _TRACE_CACHE:
-        if backend is None:
-            backend = trace_backend_from_env()
-        elif backend not in TRACE_BACKENDS:
-            raise ValueError(f"unknown trace backend {backend!r}")
-        cache = _artifact_cache()
-        traces = None
-        fingerprint = None
-        if cache is not None:
-            fingerprint = _trace_fingerprint(
-                cache, scene_name, scale, traversal, treelet_bytes,
-                deferred_order, formation, workload,
-            )
-            traces = cache.load("traces", fingerprint)
-        if traces is None:
-            BUILD_COUNTS["traces"] += 1
-            bvh = get_bvh(scene_name, scale)
-            rays = [
-                ray.clone()
-                for ray in get_rays(scene_name, scale, workload)
-            ]
-            if traversal == "dfs":
-                if backend == "vectorized":
-                    traces = traverse_dfs_packet(rays, bvh)
-                else:
-                    traces = traverse_dfs_batch(rays, bvh)
-            else:
-                decomposition = get_decomposition(
-                    scene_name, scale, treelet_bytes, formation
-                )
-                if backend == "vectorized":
-                    traces = traverse_two_stack_packet(
-                        rays, bvh, decomposition, deferred_order
-                    )
-                else:
-                    traces = traverse_two_stack_batch(
-                        rays, bvh, decomposition, deferred_order
-                    )
-            if cache is not None:
-                cache.store("traces", fingerprint, traces)
-        _TRACE_CACHE[key] = traces
+        technique = Technique(
+            traversal=traversal,
+            deferred_order=deferred_order,
+            treelet_bytes=treelet_bytes,
+            formation=formation,
+        )
+        prewarm_traces([(scene_name, technique, workload)], scale)
     return _TRACE_CACHE[key]
 
 
-def prewarm_traces(
-    pairs,
-    scale: Scale,
-    backend: Optional[str] = None,
-) -> int:
-    """Batch-generate traces for many ``(scene_name, technique)`` pairs.
+def prewarm_traces(pairs, scale: Scale) -> int:
+    """Build the traces of many ``(scene_name, technique)`` pairs.
 
     Each pair may also be a ``(scene_name, technique, workload)``
     triple; plain pairs mean the "render" workload.
 
-    With the vectorized backend every missing trace set rides in one
-    merged ray forest (:func:`repro.traversal.traverse_forest_jobs`),
-    so the fixed per-iteration numpy dispatch cost is paid once for the
-    whole batch instead of once per (scene, technique) — this is the
-    fast path sweeps use before assembling results.  Results land in
-    the in-process memoizer and the artifact cache exactly as if
-    :func:`get_traces` had produced them one by one (they are
-    bit-identical).  Returns the number of trace sets actually built.
+    Every missing trace set rides in one merged ray forest
+    (:func:`repro.traversal.traverse_forest_jobs`), so the fixed
+    per-iteration numpy dispatch cost is paid once for the whole batch
+    instead of once per (scene, technique).  Results land in the
+    in-process memoizer and the artifact cache.  Returns the number of
+    trace sets actually built.
     """
-    if backend is None:
-        backend = trace_backend_from_env()
-    elif backend not in TRACE_BACKENDS:
-        raise ValueError(f"unknown trace backend {backend!r}")
     specs: Dict[tuple, tuple] = {}
     for pair in pairs:
         scene_name, technique = pair[0], pair[1]
@@ -622,24 +552,18 @@ def prewarm_traces(
     for key, spec in specs.items():
         if key in _TRACE_CACHE:
             continue
+        fingerprint = None
         if cache is not None:
             fingerprint = _trace_fingerprint(cache, spec[0], scale, *spec[1:])
             traces = cache.load("traces", fingerprint)
             if traces is not None:
                 _TRACE_CACHE[key] = traces
                 continue
-        missing.append((key, spec))
+        missing.append((key, spec, fingerprint))
     if not missing:
         return 0
-    if backend != "vectorized":
-        for _, spec in missing:
-            get_traces(
-                spec[0], scale, *spec[1:-1], backend=backend,
-                workload=spec[-1],
-            )
-        return len(missing)
     jobs = []
-    for _, spec in missing:
+    for _, spec, _ in missing:
         scene_name, traversal, treelet_bytes, order, formation, workload = spec
         bvh = get_bvh(scene_name, scale)
         rays = [
@@ -652,11 +576,10 @@ def prewarm_traces(
         )
         jobs.append((bvh, rays, decomposition, order))
     outputs = traverse_forest_jobs(jobs)
-    for (key, spec), traces in zip(missing, outputs):
+    for (key, _, fingerprint), traces in zip(missing, outputs):
         BUILD_COUNTS["traces"] += 1
         _TRACE_CACHE[key] = traces
         if cache is not None:
-            fingerprint = _trace_fingerprint(cache, spec[0], scale, *spec[1:])
             cache.store("traces", fingerprint, traces)
     return len(missing)
 
@@ -868,36 +791,6 @@ def _run_experiment(
     if memoizable:
         _RESULT_CACHE[cache_key] = result
     return result
-
-
-def run_experiment(
-    scene_name: str,
-    technique: Technique = BASELINE,
-    scale: Scale = DEFAULT,
-    gpu_config: Optional[GpuConfig] = None,
-    use_cache: bool = True,
-    observer=None,
-) -> ExperimentResult:
-    """Deprecated alias for :func:`repro.api.run` (same results).
-
-    Kept as a thin shim for existing callers; new code should use the
-    :mod:`repro.api` facade.
-    """
-    from .deprecation import warn_once
-
-    warn_once(
-        "repro.core.pipeline.run_experiment",
-        "repro.core.pipeline.run_experiment is deprecated; "
-        "use repro.api.run",
-    )
-    return _run_experiment(
-        scene_name,
-        technique,
-        scale,
-        gpu_config=gpu_config,
-        use_cache=use_cache,
-        observer=observer,
-    )
 
 
 def speedup(baseline: ExperimentResult, candidate: ExperimentResult) -> float:

@@ -1,24 +1,15 @@
-"""Sweep helpers: evaluate techniques across scenes and summarize.
+"""Sweep results: one technique against a baseline across scenes.
 
-The benchmark harness and the CLI both need "run technique T across
-scene set S against the baseline and aggregate" — this module is that
-shared machinery, exposed as a public API so downstream users can build
-their own experiments.
+:func:`repro.api.sweep` and :func:`repro.api.compare` return these;
+they aggregate per-scene outcomes into gmean speedup and power ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-from .pipeline import (
-    BASELINE,
-    DEFAULT,
-    ExperimentResult,
-    Scale,
-    Technique,
-    speedup,
-)
+from .pipeline import ExperimentResult, Technique, speedup
 from .report import geomean
 
 
@@ -87,51 +78,3 @@ class SweepResult:
             return None
         return min(self.outcomes, key=lambda s: self.outcomes[s].speedup)
 
-
-def run_sweep(
-    technique: Technique,
-    scenes: Iterable[str],
-    scale: Scale = DEFAULT,
-    baseline: Technique = BASELINE,
-    jobs: int = 1,
-    progress=None,
-) -> SweepResult:
-    """Deprecated alias for :func:`repro.api.sweep` (same results)."""
-    from .deprecation import warn_once
-
-    warn_once(
-        "repro.core.sweeps.run_sweep",
-        "repro.core.sweeps.run_sweep is deprecated; use repro.api.sweep",
-    )
-    from ..api import sweep
-
-    return sweep(
-        technique,
-        scenes,
-        scale,
-        baseline=baseline,
-        jobs=jobs,
-        progress=progress,
-    )
-
-
-def compare_techniques(
-    techniques: Dict[str, Technique],
-    scenes: Iterable[str],
-    scale: Scale = DEFAULT,
-    jobs: int = 1,
-    progress=None,
-) -> Dict[str, SweepResult]:
-    """Deprecated alias for :func:`repro.api.compare` (same results)."""
-    from .deprecation import warn_once
-
-    warn_once(
-        "repro.core.sweeps.compare_techniques",
-        "repro.core.sweeps.compare_techniques is deprecated; "
-        "use repro.api.compare",
-    )
-    from ..api import compare
-
-    return compare(
-        techniques, scenes, scale, jobs=jobs, progress=progress
-    )

@@ -12,11 +12,11 @@ Two pieces:
 
 Typical use::
 
-    from repro.core import TREELET_PREFETCH, SMOKE, run_sweep
+    from repro.api import sweep
     from repro.exec import set_artifact_cache
 
     set_artifact_cache("results/cache")          # optional, persistent
-    sweep = run_sweep(TREELET_PREFETCH, ["WKND", "SHIP"], SMOKE, jobs=4)
+    result = sweep("treelet-prefetch", ["WKND", "SHIP"], "smoke", jobs=4)
 
 See ``docs/execution.md`` for the cache layout and invalidation rules.
 """
@@ -35,13 +35,11 @@ from .cache import (
 from .executor import (
     ExecutionReport,
     Job,
-    compare_techniques_parallel,
     execute_jobs,
     metrics_progress,
     prewarm_replay_jobs,
     prewarm_replays,
     prewarm_results,
-    run_sweep_parallel,
 )
 
 __all__ = [
@@ -53,7 +51,6 @@ __all__ = [
     "ExecutionReport",
     "Job",
     "cache_dir_from_env",
-    "compare_techniques_parallel",
     "default_cache_dir",
     "execute_jobs",
     "get_artifact_cache",
@@ -61,6 +58,5 @@ __all__ = [
     "prewarm_replay_jobs",
     "prewarm_replays",
     "prewarm_results",
-    "run_sweep_parallel",
     "set_artifact_cache",
 ]

@@ -1,7 +1,7 @@
 """Parallel sweep executor: fan (scene, technique, scale) jobs across
 worker processes with deterministic merging.
 
-Every job is one :func:`repro.core.pipeline.run_experiment` call.  The
+Every job is one :func:`repro.core.pipeline._run_experiment` call.  The
 simulation is deterministic, so a worker produces :class:`SimStats`
 bit-for-bit identical to the serial path; the executor only changes
 *where* jobs run, never *what* they compute.  Results are merged in
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.pipeline import (
-    BASELINE,
     DEFAULT,
     ExperimentResult,
     Scale,
@@ -371,60 +370,3 @@ def prewarm_replays(
     ]
     return prewarm_replay_jobs(batch, workers=jobs, **options)
 
-
-def run_sweep_parallel(
-    technique: Technique,
-    scenes: Iterable[str],
-    scale: Scale = DEFAULT,
-    baseline: Technique = BASELINE,
-    jobs: int = 2,
-    **options,
-):
-    """Deprecated alias for ``repro.api.sweep(..., jobs=N)`` (same
-    results)."""
-    from ..core.deprecation import warn_once
-
-    warn_once(
-        "repro.exec.run_sweep_parallel",
-        "repro.exec.run_sweep_parallel is deprecated; "
-        "use repro.api.sweep(..., jobs=N)",
-    )
-    from ..api import sweep
-
-    return sweep(
-        technique,
-        list(scenes),
-        scale,
-        baseline=baseline,
-        jobs=max(jobs, 2),
-        **options,
-    )
-
-
-def compare_techniques_parallel(
-    techniques: Dict[str, Technique],
-    scenes: Iterable[str],
-    scale: Scale = DEFAULT,
-    baseline: Technique = BASELINE,
-    jobs: int = 2,
-    **options,
-):
-    """Deprecated alias for ``repro.api.compare(..., jobs=N)`` (same
-    results)."""
-    from ..core.deprecation import warn_once
-
-    warn_once(
-        "repro.exec.compare_techniques_parallel",
-        "repro.exec.compare_techniques_parallel is deprecated; "
-        "use repro.api.compare(..., jobs=N)",
-    )
-    from ..api import compare
-
-    return compare(
-        techniques,
-        list(scenes),
-        scale,
-        baseline=baseline,
-        jobs=max(jobs, 2),
-        **options,
-    )

@@ -12,12 +12,11 @@ Three layers:
 
 Typical use::
 
-    from repro import run_experiment, TREELET_PREFETCH, SMOKE
+    from repro.api import run
     from repro.obs import Observer, write_chrome_trace
 
     observer = Observer()
-    result = run_experiment("WKND", TREELET_PREFETCH, SMOKE,
-                            observer=observer)
+    result = run("WKND", "treelet-prefetch", "smoke", observer=observer)
     write_chrome_trace("trace.json", observer.bus, observer.metrics)
 
 Attaching an observer never changes simulation results (enforced by

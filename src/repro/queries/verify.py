@@ -1,8 +1,8 @@
 """End-to-end verification: traversal-decoded answers vs brute force.
 
 This is the correctness gate for the whole query stack: compile the
-plan, run real traversal through the pipeline (honoring the process
-trace-backend selection), decode, and demand *exact* equality with the
+plan, run real traversal through the pipeline, decode, and demand
+*exact* equality with the
 exhaustive reference.  The CLI (``repro queries``), the test suite, and
 ``bench_queries --check`` all funnel through :func:`verify_workload`.
 """
@@ -10,7 +10,7 @@ exhaustive reference.  The CLI (``repro queries``), the test suite, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .brute import brute_containment, brute_knn
 from .decode import decode_results
@@ -38,7 +38,6 @@ def verify_workload(
     scale,
     workload: str,
     technique=None,
-    trace_backend: Optional[str] = None,
     max_examples: int = 5,
 ) -> QueryVerification:
     """Check decoded traversal answers against brute force, exactly.
@@ -62,7 +61,6 @@ def verify_workload(
         technique.treelet_bytes,
         technique.deferred_order,
         technique.formation,
-        backend=trace_backend,
         workload=workload,
     )
     decoded = decode_results(plan, scene, bvh, traces)

@@ -284,23 +284,6 @@ class SubmitRequest:
         )
 
 
-def _scales():
-    from ..core.pipeline import DEFAULT, FULL, PAPER, SMOKE
-
-    return {"smoke": SMOKE, "default": DEFAULT, "full": FULL, "paper": PAPER}
-
-
-def _coerce_scale(name) -> Scale:
-    if isinstance(name, Scale):
-        return name
-    scales = _scales()
-    try:
-        return scales[str(name).strip().lower()]
-    except KeyError:
-        known = ", ".join(scales)
-        raise ServeError(400, f"unknown scale {name!r} (known: {known})")
-
-
 def _coerce_technique(spec) -> Technique:
     from ..api import parse_technique
 
@@ -507,7 +490,7 @@ _SERVE_SWEEP_FIELDS = ("schema", "deadline_s", "wait")
 
 #: Facade fields that are runtime knobs, not wire-transportable work:
 #: the service rejects them instead of silently ignoring them.
-_SERVER_SIDE_FIELDS = ("cache", "trace_backend")
+_SERVER_SIDE_FIELDS = ("cache",)
 
 
 def _reject_server_side_fields(payload: dict) -> None:
@@ -532,6 +515,7 @@ def normalize_run(payload: dict) -> RunSpec:
     # near-miss suggestions) and the technique/scale values — the
     # service no longer keeps a parallel copy of that logic.
     from ..api import RunRequest as ApiRunRequest
+    from ..api.facade import _coerce_scale
 
     try:
         request = ApiRunRequest.from_dict(
@@ -558,6 +542,7 @@ def normalize_sweep(payload: dict) -> SweepSpec:
     if "technique" not in payload:
         raise ServeError(400, "missing required field 'technique'")
     from ..api import SweepRequest as ApiSweepRequest
+    from ..api.facade import _coerce_scale
 
     try:
         request = ApiSweepRequest.from_dict(

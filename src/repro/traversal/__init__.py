@@ -15,7 +15,6 @@ from .vectorized import (
     ray_triangle_test_batch,
     traverse_dfs_packet,
     traverse_forest_jobs,
-    traverse_packet_jobs,
     traverse_two_stack_packet,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "traverse_dfs_batch",
     "traverse_dfs_packet",
     "traverse_forest_jobs",
-    "traverse_packet_jobs",
     "traverse_two_stack",
     "traverse_two_stack_batch",
     "traverse_two_stack_packet",

@@ -25,10 +25,10 @@ primitive-test counts, same hits, bit-for-bit.  That holds because
 * the ``0 * inf`` slab edge case follows the fixed scalar semantics
   (see :func:`.intersect.ray_aabb_test`).
 
-The scalar path stays available as the oracle via
-``trace_backend="scalar"`` (see :func:`repro.core.pipeline.get_traces`);
-the golden tests in ``tests/test_vectorized.py`` assert equality on
-every library scene.
+The scalar traversal stays as the reference the packet kernels are
+checked against: the golden tests in ``tests/test_vectorized.py`` assert
+equality on every library scene.  The pipeline builds every trace set
+through :func:`traverse_forest_jobs`.
 """
 
 from __future__ import annotations
@@ -903,7 +903,7 @@ def _finish_lane_scalar(
 
     Identical statement-for-statement to :func:`.dfs.traverse_dfs` /
     :func:`.two_stack.traverse_two_stack` from the current state
-    onward, so equality with the oracle is by construction.
+    onward, so equality with the reference is by construction.
     """
     nodes = bvh.nodes
     triangles = bvh.triangles
@@ -1003,32 +1003,6 @@ def _traverse_packets(
             traces,
         )
     return traces
-
-
-def traverse_packet_jobs(
-    bvh: FlatBVH,
-    jobs: Sequence[Tuple[Sequence[Ray], Optional[TreeletDecomposition], str]],
-    packet_size: int = DEFAULT_PACKET_SIZE,
-) -> List[List[RayTrace]]:
-    """Traverse several configurations over one tree in shared packets.
-
-    ``jobs`` is a sequence of ``(rays, decomposition, deferred_order)``
-    tuples — ``decomposition=None`` means plain DFS (``deferred_order``
-    is then ignored).  Each job gets the exact traces (and ray ``t_max``
-    mutations) its standalone ``traverse_dfs_packet`` /
-    ``traverse_two_stack_packet`` call would produce: lanes never
-    interact, so batching only changes how the fixed per-iteration
-    numpy dispatch cost is amortized.  Callers must pass a separate
-    ray list per job (rays are mutated by early termination).
-
-    This is the fast path for trace generation across a technique
-    sweep: one scene's DFS baseline and every two-stack variant ride
-    in the same packets.
-    """
-    return traverse_forest_jobs(
-        [(bvh, rays, dec, order) for rays, dec, order in jobs],
-        packet_size=packet_size,
-    )
 
 
 def traverse_forest_jobs(

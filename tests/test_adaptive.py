@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import SMOKE, Technique, run_experiment
+from repro import SMOKE, Technique, run
 from repro.prefetch import AdaptiveConfig, AdaptiveThrottle, EffectivenessCounts
 
 
@@ -89,7 +89,7 @@ class TestIntegration:
             traversal="treelet", layout="treelet", prefetch="treelet",
             adaptive=True,
         )
-        result = run_experiment("SHIP", technique, SMOKE)
+        result = run("SHIP", technique, SMOKE)
         assert result.cycles > 0
 
     def test_adaptive_requires_treelet_prefetch(self):
@@ -104,7 +104,7 @@ class TestIntegration:
             traversal="treelet", layout="treelet", prefetch="treelet",
             adaptive=True,
         )
-        a = run_experiment("BUNNY", always, SMOKE)
-        b = run_experiment("BUNNY", adaptive, SMOKE)
+        a = run("BUNNY", always, SMOKE)
+        b = run("BUNNY", adaptive, SMOKE)
         # The throttle can only reduce (or match) issued prefetches.
         assert b.stats.prefetches_issued <= a.stats.prefetches_issued

@@ -1,10 +1,8 @@
-"""The repro.api facade: run/sweep/compare, technique specs, and the
-deprecation shims over the legacy entry points.
+"""The repro.api facade: run/sweep/compare, technique specs and the
+request wire format.
 
-The redesign's contract: every legacy path (``run_experiment``,
-``core.sweeps.run_sweep``, ``exec.run_sweep_parallel``) warns but
-returns results identical to the facade, and technique spec strings
-resolve to exactly the Technique objects the presets/fields describe.
+Technique spec strings resolve to exactly the Technique objects the
+presets/fields describe, and retired runtime knobs are rejected loudly.
 """
 
 import dataclasses
@@ -33,6 +31,9 @@ from repro.core import (
 )
 from repro.core.pipeline import _run_experiment
 from repro.obs import simstats_to_dict
+
+#: Wire fields of runtime knobs that no longer exist.
+RETIRED_FIELDS = ("replay_backend", "trace_backend")
 
 
 class TestParseTechnique:
@@ -158,11 +159,6 @@ class TestRun:
         assert result.technique is BASELINE
         assert result.cycles > 0
 
-    def test_run_trace_backends_agree(self):
-        vec = run("WKND", "baseline", SMOKE, trace_backend="vectorized")
-        sca = run("WKND", "baseline", SMOKE, trace_backend="scalar")
-        assert simstats_to_dict(vec.stats) == simstats_to_dict(sca.stats)
-
     def test_unknown_scale_raises(self):
         with pytest.raises(ValueError, match="unknown scale"):
             run("WKND", "baseline", "galactic")
@@ -257,16 +253,19 @@ class TestWireRoundTrip:
             SweepRequest.from_dict({"technique": "baseline",
                                     "scene": ["WKND"]})
 
-    def test_retired_engine_field_is_rejected(self):
-        # There is one replay engine, so there is nothing to select: a
-        # request naming an engine fails loudly instead of being ignored.
-        wire = {"scene": "WKND", "replay_backend": "scalar"}
-        with pytest.raises(ValueError, match="replay_backend"):
+    @pytest.mark.parametrize("field", RETIRED_FIELDS)
+    def test_retired_engine_field_is_rejected(self, field):
+        # There is one replay engine and one way to build traces, so
+        # there is nothing to select: a request naming an engine fails loudly
+        # instead of being ignored.
+        wire = {"scene": "WKND", field: "scalar"}
+        with pytest.raises(ValueError, match=field):
             RunRequest.from_dict(wire)
         with pytest.raises(TypeError):
-            run("WKND", "baseline", SMOKE, replay_backend="scalar")
+            run("WKND", "baseline", SMOKE, **{field: "scalar"})
 
-    def test_serve_rejects_retired_engine_field_with_400(self):
+    @pytest.mark.parametrize("field", RETIRED_FIELDS)
+    def test_serve_rejects_retired_engine_field_with_400(self, field):
         from repro.serve.protocol import ServeError, normalize_run
 
         with pytest.raises(ServeError) as excinfo:
@@ -274,10 +273,20 @@ class TestWireRoundTrip:
                 "schema": "repro.serve/1",
                 "scene": "WKND",
                 "scale": "smoke",
-                "replay_backend": "batched",
+                field: "scalar",
             })
         assert excinfo.value.status == 400
-        assert "replay_backend" in str(excinfo.value)
+        assert field in str(excinfo.value)
+
+    def test_serve_resolves_scale_through_the_registry(self):
+        from repro.serve.protocol import ServeError, normalize_run
+
+        spec = normalize_run({"scene": "WKND", "scale": " Smoke"})
+        assert spec.scale is SMOKE
+        with pytest.raises(ServeError) as excinfo:
+            normalize_run({"scene": "WKND", "scale": "galactic"})
+        assert excinfo.value.status == 400
+        assert "unknown scale" in str(excinfo.value)
 
     def test_bad_values_fail_eagerly(self):
         with pytest.raises(ValueError, match="scene"):
@@ -302,72 +311,3 @@ class TestWireRoundTrip:
             rebuilt = technique_to_spec(technique)
             assert parse_technique(rebuilt) == technique
 
-
-class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def _fresh_warnings(self):
-        # The shims warn once per process; forget earlier firings so
-        # each test observes its own warning.
-        from repro.core import deprecation
-
-        deprecation.reset()
-        yield
-        deprecation.reset()
-
-    def test_shims_warn_once_per_process(self):
-        import warnings
-
-        from repro.core.sweeps import run_sweep
-
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            run_sweep(TREELET_PREFETCH, ["WKND"], SMOKE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_sweep(TREELET_PREFETCH, ["WKND"], SMOKE)  # silent now
-
-    def test_facade_never_warns(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run("WKND", TREELET_PREFETCH, SMOKE)
-            sweep(TREELET_PREFETCH, ["WKND"], SMOKE)
-            compare({"ours": TREELET_PREFETCH}, ["WKND"], SMOKE)
-
-    def test_run_experiment_warns_and_matches(self):
-        from repro import run_experiment
-
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            legacy = run_experiment("WKND", TREELET_PREFETCH, SMOKE)
-        facade = run("WKND", TREELET_PREFETCH, SMOKE)
-        assert simstats_to_dict(legacy.stats) == simstats_to_dict(
-            facade.stats
-        )
-
-    def test_run_sweep_warns_and_matches(self):
-        from repro.core.sweeps import run_sweep
-
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            legacy = run_sweep(TREELET_PREFETCH, ["WKND"], SMOKE)
-        facade = sweep(TREELET_PREFETCH, ["WKND"], SMOKE)
-        assert legacy.speedups() == facade.speedups()
-
-    def test_compare_techniques_warns_and_matches(self):
-        from repro.core.sweeps import compare_techniques
-
-        with pytest.warns(DeprecationWarning, match="repro.api.compare"):
-            legacy = compare_techniques(
-                {"ours": TREELET_PREFETCH}, ["WKND"], SMOKE
-            )
-        facade = compare({"ours": TREELET_PREFETCH}, ["WKND"], SMOKE)
-        assert legacy["ours"].speedups() == facade["ours"].speedups()
-
-    def test_parallel_shims_warn_and_match(self):
-        from repro.exec import run_sweep_parallel
-
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            legacy = run_sweep_parallel(
-                TREELET_PREFETCH, ["WKND", "SHIP"], SMOKE, jobs=2
-            )
-        facade = sweep(TREELET_PREFETCH, ["WKND", "SHIP"], SMOKE)
-        assert legacy.speedups() == facade.speedups()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import BASELINE, SMOKE, TREELET_PREFETCH, run_experiment
+from repro import BASELINE, SMOKE, TREELET_PREFETCH, run
 from repro.core import build_gpu_model
 from repro.gpusim import TimelineSampler
 
@@ -15,7 +15,7 @@ class TestBuildGpuModel:
         assert stats.visits_completed == sum(len(t.visits) for t in traces)
 
     def test_matches_run_experiment(self):
-        reference = run_experiment("WKND", TREELET_PREFETCH, SMOKE)
+        reference = run("WKND", TREELET_PREFETCH, SMOKE)
         model, _, _, _ = build_gpu_model("WKND", TREELET_PREFETCH, SMOKE)
         stats = model.run()
         assert stats.cycles == reference.stats.cycles

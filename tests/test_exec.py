@@ -1,7 +1,7 @@
 """Tests for repro.exec: the parallel sweep executor and the persistent
 artifact cache.
 
-The acceptance bar (ISSUE 2): ``run_sweep(..., jobs=2)`` must produce
+The acceptance bar: ``repro.api.sweep(..., jobs=2)`` must produce
 ``SimStats`` bit-for-bit identical to the serial path, a warm on-disk
 cache must let a second invocation skip *all* artifact reconstruction
 (asserted via the pipeline's build counters), and a worker that raises
@@ -14,14 +14,8 @@ import pickle
 import pytest
 
 from repro import BASELINE, SMOKE, TREELET_PREFETCH
-from repro.core import (
-    build_counts,
-    clear_caches,
-    compare_techniques,
-    reset_build_counts,
-    run_experiment,
-    run_sweep,
-)
+from repro.api import compare, run, sweep
+from repro.core import build_counts, clear_caches, reset_build_counts
 from repro.core.pipeline import get_traces
 from repro.exec import (
     ArtifactCache,
@@ -179,13 +173,13 @@ class TestPipelineSpill:
 
     def test_warm_cache_skips_all_reconstruction(self, tmp_path):
         cache = set_artifact_cache(tmp_path)
-        cold = run_sweep(TREELET_PREFETCH, SCENES, SMOKE)
+        cold = sweep(TREELET_PREFETCH, SCENES, SMOKE)
         assert any(build_counts().values())
         assert cache.stats.stores >= 1
 
         clear_caches()
         reset_build_counts()
-        warm = run_sweep(TREELET_PREFETCH, SCENES, SMOKE)
+        warm = sweep(TREELET_PREFETCH, SCENES, SMOKE)
         # Every artifact came off disk: nothing was rebuilt — scenes
         # included, since BVH/ray loads never touch the mesh.
         assert build_counts() == {
@@ -305,7 +299,7 @@ class TestExecuteJobs:
 
     def test_pool_produces_identical_stats(self):
         serial = {
-            scene: run_experiment(scene, TREELET_PREFETCH, SMOKE)
+            scene: run(scene, TREELET_PREFETCH, SMOKE)
             for scene in SCENES
         }
         clear_caches()
@@ -327,7 +321,7 @@ class TestExecuteJobs:
         assert report.worker_failures >= 2
         assert report.retried >= 1
         assert report.inprocess_fallbacks == 2
-        serial = {s: run_experiment(s, BASELINE, SMOKE) for s in SCENES}
+        serial = {s: run(s, BASELINE, SMOKE) for s in SCENES}
         for scene, result in zip(SCENES, results):
             assert result.stats == serial[scene].stats
 
@@ -344,9 +338,9 @@ class TestExecuteJobs:
 
 class TestParallelSweeps:
     def test_run_sweep_jobs2_bit_identical(self):
-        serial = run_sweep(TREELET_PREFETCH, SCENES, SMOKE)
+        serial = sweep(TREELET_PREFETCH, SCENES, SMOKE)
         clear_caches()
-        parallel = run_sweep(TREELET_PREFETCH, SCENES, SMOKE, jobs=2)
+        parallel = sweep(TREELET_PREFETCH, SCENES, SMOKE, jobs=2)
         assert parallel.scenes == serial.scenes
         for scene in SCENES:
             assert (
@@ -363,11 +357,11 @@ class TestParallelSweeps:
             parallel.outcomes[SCENES[0]].candidate.stats
         ) == pickle.dumps(serial.outcomes[SCENES[0]].candidate.stats)
 
-    def test_compare_techniques_parallel_matches_serial(self):
+    def test_compare_parallel_matches_serial(self):
         techniques = {"full": TREELET_PREFETCH}
-        serial = compare_techniques(techniques, ["WKND"], SMOKE)
+        serial = compare(techniques, ["WKND"], SMOKE)
         clear_caches()
-        parallel = compare_techniques(techniques, ["WKND"], SMOKE, jobs=2)
+        parallel = compare(techniques, ["WKND"], SMOKE, jobs=2)
         assert set(parallel) == set(serial)
         assert (
             parallel["full"].outcomes["WKND"].candidate.stats
@@ -382,19 +376,19 @@ class TestParallelSweeps:
         assert key in pipeline._RESULT_CACHE
         # The follow-up serial call is a pure memo lookup.
         assert (
-            run_experiment("WKND", BASELINE, SMOKE)
+            run("WKND", BASELINE, SMOKE).experiment
             is pipeline._RESULT_CACHE[key]
         )
 
     def test_workers_share_disk_cache(self, tmp_path):
         cache = set_artifact_cache(tmp_path)
-        run_sweep(TREELET_PREFETCH, SCENES, SMOKE, jobs=2)
+        sweep(TREELET_PREFETCH, SCENES, SMOKE, jobs=2)
         # The pool initializer pointed every worker at tmp_path, so the
         # artifacts are on disk for the *parent* to reload cold.
         assert cache.entries() >= 1
         clear_caches()
         reset_build_counts()
-        run_sweep(TREELET_PREFETCH, SCENES, SMOKE)
+        sweep(TREELET_PREFETCH, SCENES, SMOKE)
         assert not any(build_counts().values())
 
 

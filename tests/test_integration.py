@@ -15,8 +15,7 @@ from repro import (
     TREELET_PREFETCH,
     TREELET_TRAVERSAL_ONLY,
     Technique,
-    run_experiment,
-    speedup,
+    run,
 )
 from repro.core.pipeline import DEFAULT, get_traces
 from repro.power import evaluate_power
@@ -30,7 +29,7 @@ class TestWorkConservation:
 
     @pytest.mark.parametrize("scene", SCENES)
     def test_visits_match_traces(self, scene):
-        result = run_experiment(scene, TREELET_PREFETCH, SMOKE)
+        result = run(scene, TREELET_PREFETCH, SMOKE)
         traces = get_traces(scene, SMOKE, "treelet", 512)
         assert result.stats.visits_completed == sum(
             len(t.visits) for t in traces
@@ -38,44 +37,44 @@ class TestWorkConservation:
 
     @pytest.mark.parametrize("scene", SCENES)
     def test_baseline_never_prefetches(self, scene):
-        result = run_experiment(scene, BASELINE, SMOKE)
+        result = run(scene, BASELINE, SMOKE)
         assert result.stats.prefetches_issued == 0
         assert result.stats.effectiveness.issued == 0
 
     @pytest.mark.parametrize("scene", SCENES)
     def test_prefetch_issues_requests(self, scene):
-        result = run_experiment(scene, TREELET_PREFETCH, SMOKE)
+        result = run(scene, TREELET_PREFETCH, SMOKE)
         assert result.stats.prefetches_issued > 0
         assert result.stats.effectiveness.issued > 0
 
 
 class TestHeadlineShapes:
     def test_prefetch_beats_traversal_only_on_medium_scene(self):
-        trav = run_experiment("BUNNY", TREELET_TRAVERSAL_ONLY, SMOKE)
-        pref = run_experiment("BUNNY", TREELET_PREFETCH, SMOKE)
+        trav = run("BUNNY", TREELET_TRAVERSAL_ONLY, SMOKE)
+        pref = run("BUNNY", TREELET_PREFETCH, SMOKE)
         assert pref.cycles <= trav.cycles
 
     def test_prefetch_reduces_node_latency(self):
-        base = run_experiment("BUNNY", BASELINE, SMOKE)
-        pref = run_experiment("BUNNY", TREELET_PREFETCH, SMOKE)
+        base = run("BUNNY", BASELINE, SMOKE)
+        pref = run("BUNNY", TREELET_PREFETCH, SMOKE)
         assert (
             pref.stats.avg_node_demand_latency
             < base.stats.avg_node_demand_latency
         )
 
     def test_prefetch_raises_l2_traffic(self):
-        base = run_experiment("BUNNY", BASELINE, SMOKE)
-        pref = run_experiment("BUNNY", TREELET_PREFETCH, SMOKE)
+        base = run("BUNNY", BASELINE, SMOKE)
+        pref = run("BUNNY", TREELET_PREFETCH, SMOKE)
         assert pref.stats.l2_bytes >= base.stats.l2_bytes
 
     def test_power_roughly_flat(self):
-        base = run_experiment("BUNNY", BASELINE, SMOKE)
-        pref = run_experiment("BUNNY", TREELET_PREFETCH, SMOKE)
+        base = run("BUNNY", BASELINE, SMOKE)
+        pref = run("BUNNY", TREELET_PREFETCH, SMOKE)
         ratio = pref.power.avg_power / base.power.avg_power
         assert 0.8 <= ratio <= 1.3
 
     def test_voter_decisions_recorded(self):
-        pref = run_experiment("BUNNY", TREELET_PREFETCH, SMOKE)
+        pref = run("BUNNY", TREELET_PREFETCH, SMOKE)
         assert pref.stats.voter_decisions > 0
         assert pref.stats.voter_accuracy == 1.0  # full voter default
 
@@ -91,7 +90,7 @@ class TestTechniqueMatrix:
             prefetch="treelet",
             scheduler=scheduler,
         )
-        assert run_experiment("SHIP", technique, SMOKE).cycles > 0
+        assert run("SHIP", technique, SMOKE).cycles > 0
 
     @pytest.mark.parametrize(
         "heuristic",
@@ -109,7 +108,7 @@ class TestTechniqueMatrix:
             prefetch="treelet",
             heuristic=heuristic,
         )
-        assert run_experiment("SHIP", technique, SMOKE).cycles > 0
+        assert run("SHIP", technique, SMOKE).cycles > 0
 
     @pytest.mark.parametrize("treelet_bytes", [256, 512, 1024, 2048])
     def test_treelet_sizes(self, treelet_bytes):
@@ -119,7 +118,7 @@ class TestTechniqueMatrix:
             prefetch="treelet",
             treelet_bytes=treelet_bytes,
         )
-        assert run_experiment("SHIP", technique, SMOKE).cycles > 0
+        assert run("SHIP", technique, SMOKE).cycles > 0
 
     @pytest.mark.parametrize("latency", [0, 32, 128])
     def test_voter_latencies(self, latency):
@@ -130,13 +129,13 @@ class TestTechniqueMatrix:
             voter_mode="pseudo",
             voter_latency=latency,
         )
-        result = run_experiment("SHIP", technique, SMOKE)
+        result = run("SHIP", technique, SMOKE)
         assert result.cycles > 0
         assert 0.0 <= result.stats.voter_accuracy <= 1.0
 
     @pytest.mark.parametrize("kind", ["mta", "stride", "stream", "ghb"])
     def test_baseline_prefetchers(self, kind):
-        assert run_experiment("SHIP", Technique(prefetch=kind), SMOKE).cycles > 0
+        assert run("SHIP", Technique(prefetch=kind), SMOKE).cycles > 0
 
 
 class TestCrossTechniqueInvariants:
@@ -152,7 +151,7 @@ class TestCrossTechniqueInvariants:
                 )
 
     def test_voter_latency_degrades_or_equals(self):
-        fast = run_experiment(
+        fast = run(
             "BUNNY",
             Technique(
                 traversal="treelet",
@@ -162,7 +161,7 @@ class TestCrossTechniqueInvariants:
             ),
             SMOKE,
         )
-        slow = run_experiment(
+        slow = run(
             "BUNNY",
             Technique(
                 traversal="treelet",

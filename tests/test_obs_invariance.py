@@ -16,7 +16,7 @@ import json
 import pytest
 
 from conftest import SINGLE_RUN_CASES, assert_golden, golden_model
-from repro import BASELINE, SMOKE, TREELET_PREFETCH, run_experiment
+from repro import BASELINE, SMOKE, TREELET_PREFETCH, run
 from repro.cli import main
 from repro.obs import Observer, build_run_report, to_chrome_trace
 
@@ -25,9 +25,9 @@ TECHNIQUES = {"baseline": BASELINE, "treelet-prefetch": TREELET_PREFETCH}
 
 
 def _observed_pair(scene, technique):
-    plain = run_experiment(scene, technique, SMOKE, use_cache=False)
+    plain = run(scene, technique, SMOKE, cache=False)
     observer = Observer()
-    traced = run_experiment(scene, technique, SMOKE, observer=observer)
+    traced = run(scene, technique, SMOKE, observer=observer)
     return plain, traced, observer
 
 
@@ -227,13 +227,9 @@ class TestSpanInvariance:
     def test_simstats_bit_identical_with_spans_active(self, scene, name):
         from repro.obs import collect
 
-        plain = run_experiment(
-            scene, TECHNIQUES[name], SMOKE, use_cache=False
-        )
+        plain = run(scene, TECHNIQUES[name], SMOKE, cache=False)
         with collect(process="invariance") as collector:
-            spanned = run_experiment(
-                scene, TECHNIQUES[name], SMOKE, use_cache=False
-            )
+            spanned = run(scene, TECHNIQUES[name], SMOKE, cache=False)
         assert dataclasses.asdict(spanned.stats) == dataclasses.asdict(
             plain.stats
         )
@@ -251,7 +247,7 @@ class TestSpanInvariance:
             # The BENCH_e2e workload: cold treelet-prefetch evaluation.
             clear_caches()
             start = time.perf_counter()
-            run_experiment("WKND", TREELET_PREFETCH, SMOKE)
+            run("WKND", TREELET_PREFETCH, SMOKE)
             return time.perf_counter() - start
 
         def best_of(fn, repeats=3):

@@ -8,9 +8,8 @@ from repro import (
     TREELET_PREFETCH,
     TREELET_TRAVERSAL_ONLY,
     Technique,
-    run_experiment,
+    run,
     scale_from_env,
-    speedup,
 )
 from repro.core.pipeline import (
     DEFAULT,
@@ -134,37 +133,37 @@ class TestWorkloadCaching:
 
 class TestRunExperiment:
     def test_baseline_runs(self):
-        result = run_experiment("WKND", BASELINE, SMOKE)
+        result = run("WKND", BASELINE, SMOKE)
         assert result.cycles > 0
         assert result.stats.visits_completed > 0
         assert result.treelet_count == 0
 
     def test_treelet_runs_have_decomposition(self):
-        result = run_experiment("WKND", TREELET_PREFETCH, SMOKE)
+        result = run("WKND", TREELET_PREFETCH, SMOKE)
         assert result.treelet_count > 0
         assert result.stats.prefetches_issued >= 0
 
     def test_result_cache_hit(self):
-        a = run_experiment("WKND", BASELINE, SMOKE)
-        b = run_experiment("WKND", BASELINE, SMOKE)
-        assert a is b
+        a = run("WKND", BASELINE, SMOKE)
+        b = run("WKND", BASELINE, SMOKE)
+        assert a.experiment is b.experiment
 
     def test_use_cache_false_reruns(self):
-        a = run_experiment("WKND", BASELINE, SMOKE)
-        b = run_experiment("WKND", BASELINE, SMOKE, use_cache=False)
-        assert a is not b
+        a = run("WKND", BASELINE, SMOKE)
+        b = run("WKND", BASELINE, SMOKE, cache=False)
+        assert a.experiment is not b.experiment
         assert a.cycles == b.cycles  # deterministic
 
     def test_speedup_helper(self):
-        base = run_experiment("WKND", BASELINE, SMOKE)
-        pref = run_experiment("WKND", TREELET_PREFETCH, SMOKE)
-        assert speedup(base, pref) == pytest.approx(
+        base = run("WKND", BASELINE, SMOKE)
+        pref = run("WKND", TREELET_PREFETCH, SMOKE)
+        assert pref.speedup_over(base) == pytest.approx(
             base.cycles / pref.cycles
         )
 
     def test_traversal_only_differs_from_baseline(self):
-        base = run_experiment("WKND", BASELINE, SMOKE)
-        trav = run_experiment("WKND", TREELET_TRAVERSAL_ONLY, SMOKE)
+        base = run("WKND", BASELINE, SMOKE)
+        trav = run("WKND", TREELET_TRAVERSAL_ONLY, SMOKE)
         assert trav.technique.prefetch is None
         assert trav.traversal.total_nodes != 0
         assert base.stats.prefetches_issued == 0
@@ -176,11 +175,11 @@ class TestRunExperiment:
             prefetch="treelet",
             heuristic=PrefetchHeuristic("popularity", threshold=0.25),
         )
-        result = run_experiment("WKND", technique, SMOKE)
+        result = run("WKND", technique, SMOKE)
         assert result.cycles > 0
 
     def test_mta_prefetch_runs(self):
-        result = run_experiment("WKND", Technique(prefetch="mta"), SMOKE)
+        result = run("WKND", Technique(prefetch="mta"), SMOKE)
         assert result.cycles > 0
 
     def test_mapping_modes_run(self):
@@ -191,7 +190,7 @@ class TestRunExperiment:
                 prefetch="treelet",
                 mapping_mode=mode,
             )
-            result = run_experiment("WKND", technique, SMOKE)
+            result = run("WKND", technique, SMOKE)
             assert result.cycles > 0
 
     def test_strided_layout_runs(self):
@@ -201,5 +200,5 @@ class TestRunExperiment:
             layout_stride=256,
             prefetch="treelet",
         )
-        result = run_experiment("WKND", technique, SMOKE)
+        result = run("WKND", technique, SMOKE)
         assert result.cycles > 0

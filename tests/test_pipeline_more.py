@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro import BASELINE, SMOKE, TREELET_PREFETCH, Technique, run_experiment
+from repro import BASELINE, SMOKE, TREELET_PREFETCH, Technique, run
 from repro.cli import main
 from repro.core.pipeline import (
     _BVH_CACHE,
@@ -18,18 +18,18 @@ from repro.core.pipeline import (
 class TestCacheClearing:
     def test_clear_caches_drops_everything(self):
         get_bvh("WKND", SMOKE)
-        run_experiment("WKND", BASELINE, SMOKE)
+        run("WKND", BASELINE, SMOKE)
         assert _BVH_CACHE and _RESULT_CACHE
         clear_caches()
         assert not _BVH_CACHE and not _RESULT_CACHE
         # And everything rebuilds cleanly afterwards.
-        result = run_experiment("WKND", BASELINE, SMOKE)
+        result = run("WKND", BASELINE, SMOKE)
         assert result.cycles > 0
 
     def test_results_identical_across_cache_clear(self):
-        first = run_experiment("WKND", TREELET_PREFETCH, SMOKE)
+        first = run("WKND", TREELET_PREFETCH, SMOKE)
         clear_caches()
-        second = run_experiment("WKND", TREELET_PREFETCH, SMOKE)
+        second = run("WKND", TREELET_PREFETCH, SMOKE)
         assert first.cycles == second.cycles
         assert first.stats.prefetches_issued == second.stats.prefetches_issued
 
@@ -43,7 +43,7 @@ class TestFormationKnob:
             prefetch="treelet",
             formation=strategy,
         )
-        result = run_experiment("SHIP", technique, SMOKE)
+        result = run("SHIP", technique, SMOKE)
         assert result.cycles > 0
         assert result.treelet_count > 0
 
@@ -54,7 +54,7 @@ class TestFormationKnob:
 
 class TestStallAccounting:
     def test_busy_plus_stall_bounded_by_cycles(self):
-        result = run_experiment("BUNNY", BASELINE, SMOKE)
+        result = run("BUNNY", BASELINE, SMOKE)
         stats = result.stats
         n_sms = SMOKE.gpu_config().n_sms
         assert stats.busy_cycles + stats.stall_cycles <= stats.cycles * n_sms
@@ -62,12 +62,12 @@ class TestStallAccounting:
 
     def test_baseline_is_latency_bound(self):
         """The paper's premise: the baseline RT unit mostly stalls."""
-        result = run_experiment("BUNNY", BASELINE, SMOKE)
+        result = run("BUNNY", BASELINE, SMOKE)
         assert result.stats.stall_fraction > 0.5
 
     def test_prefetching_reduces_stalls(self):
-        base = run_experiment("BUNNY", BASELINE, SMOKE)
-        pref = run_experiment("BUNNY", TREELET_PREFETCH, SMOKE)
+        base = run("BUNNY", BASELINE, SMOKE)
+        pref = run("BUNNY", TREELET_PREFETCH, SMOKE)
         assert pref.stats.stall_cycles <= base.stats.stall_cycles * 1.1
 
 

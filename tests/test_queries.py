@@ -1,8 +1,9 @@
 """Tests for repro.queries: kNN + containment as ray populations.
 
 The load-bearing guarantee is *exactness*: decoded traversal answers
-must equal brute force on every generated scene, under both trace
-backends and both traversal kinds.  The rest covers the generators'
+must equal brute force on every generated scene, under both traversal
+kinds (the packet traces equal the scalar reference's on query rays,
+``tests/test_vectorized.py``).  The rest covers the generators'
 geometric invariants, compiler determinism, pipeline cache keying, the
 serve wire protocol, and the CLI surface.
 """
@@ -155,10 +156,9 @@ class TestExactness:
     """The headline guarantee: traversal == brute force, exactly."""
 
     @pytest.mark.parametrize("scene_name", QUERY_SCENES)
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
-    def test_exact_vs_brute_force(self, scene_name, backend):
+    def test_exact_vs_brute_force(self, scene_name):
         verification = verify_workload(
-            scene_name, SMOKE, _workload(scene_name), trace_backend=backend
+            scene_name, SMOKE, _workload(scene_name)
         )
         assert verification.exact, verification.examples
 

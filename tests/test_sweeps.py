@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro import BASELINE, SMOKE, TREELET_PREFETCH, Technique
-from repro.core import SweepResult, compare_techniques, run_sweep
+from repro import BASELINE, SMOKE, TREELET_PREFETCH, Technique, api
+from repro.core import SweepResult
 
 SCENES = ["WKND", "SHIP"]
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    return run_sweep(TREELET_PREFETCH, SCENES, SMOKE)
+    return api.sweep(TREELET_PREFETCH, SCENES, SMOKE)
 
 
 class TestRunSweep:
@@ -37,7 +37,7 @@ class TestRunSweep:
         assert sweep.gmean_power_ratio > 0
 
     def test_baseline_vs_itself_is_one(self):
-        result = run_sweep(BASELINE, ["WKND"], SMOKE, baseline=BASELINE)
+        result = api.sweep(BASELINE, ["WKND"], SMOKE, baseline=BASELINE)
         assert result.speedups()["WKND"] == pytest.approx(1.0)
 
     def test_empty_sweep(self):
@@ -54,7 +54,7 @@ class TestRunSweep:
 
 class TestCompareTechniques:
     def test_labels_preserved(self):
-        results = compare_techniques(
+        results = api.compare(
             {
                 "traversal-only": Technique(
                     traversal="treelet", layout="treelet"

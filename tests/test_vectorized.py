@@ -1,10 +1,12 @@
-"""Golden equality tests: vectorized packet traversal vs the scalar oracle.
+"""Golden equality tests: vectorized packet traversal vs the scalar reference.
 
 The vectorized backend's contract is *bit identity*, not approximate
 agreement — every trace, visit sequence, hit record, and mutated ray
 interval must equal what the scalar reference produces.  These tests
 pin that contract with randomized kernel inputs, the full 16-scene
-library, multi-job packets, merged forests, and end-to-end SimStats.
+library and the query scenes' ray populations, multi-job packets,
+merged forests, the pipeline's own trace generation, and end-to-end
+SimStats.
 """
 
 import random
@@ -21,11 +23,12 @@ from repro.core.pipeline import (
     get_bvh,
     get_decomposition,
     get_rays,
+    get_traces,
     prewarm_traces,
-    set_trace_backend,
 )
 from repro.geometry import AABB, Ray, Triangle
-from repro.scenes import ALL_SCENES
+from repro.queries.workloads import WORKLOAD_SCENE_KIND
+from repro.scenes import ALL_SCENES, QUERY_SCENES, SCENE_KINDS
 from repro.traversal import (
     traverse_dfs_batch,
     traverse_forest_jobs,
@@ -37,9 +40,19 @@ from repro.traversal.vectorized import (
     ray_aabb_test_batch,
     ray_triangle_test_batch,
     traverse_dfs_packet,
-    traverse_packet_jobs,
     traverse_two_stack_packet,
 )
+
+#: Scene kind -> the query workload whose rays it answers.
+_QUERY_WORKLOAD = {kind: name for name, kind in WORKLOAD_SCENE_KIND.items()}
+
+
+def _workload(scene):
+    """The ray population a scene is checked on: render rays for the
+    library scenes, the query rays of its workload for query scenes."""
+    if scene in QUERY_SCENES:
+        return _QUERY_WORKLOAD[SCENE_KINDS[scene]]
+    return "render"
 
 
 def trace_signature(trace):
@@ -208,21 +221,21 @@ class TestSlabNanRegression:
         assert list(t_far) == [2.0, 2.0]
 
 
-@pytest.mark.parametrize("scene", ALL_SCENES)
+@pytest.mark.parametrize("scene", ALL_SCENES + QUERY_SCENES)
 class TestSceneGoldenEquality:
     """Vectorized traces are bit-identical to scalar on every library
-    scene (the tentpole acceptance criterion)."""
+    scene, and on the query rays of every query scene."""
 
     def test_dfs_traces_identical(self, scene):
         bvh = get_bvh(scene, SMOKE)
-        rays = get_rays(scene, SMOKE)
+        rays = get_rays(scene, SMOKE, _workload(scene))
         scalar = traverse_dfs_batch([r.clone() for r in rays], bvh)
         vector = traverse_dfs_packet([r.clone() for r in rays], bvh)
         assert_traces_equal(vector, scalar)
 
     def test_two_stack_traces_identical(self, scene):
         bvh = get_bvh(scene, SMOKE)
-        rays = get_rays(scene, SMOKE)
+        rays = get_rays(scene, SMOKE, _workload(scene))
         decomposition = get_decomposition(scene, SMOKE, 512)
         scalar = traverse_two_stack_batch(
             [r.clone() for r in rays], bvh, decomposition, "nearest"
@@ -256,11 +269,11 @@ class TestPacketShapes:
         bvh = get_bvh("BUNNY", SMOKE)
         rays = get_rays("BUNNY", SMOKE)
         decomposition = get_decomposition("BUNNY", SMOKE, 512)
-        jobs = [([r.clone() for r in rays], None, "nearest")] + [
-            ([r.clone() for r in rays], decomposition, order)
+        jobs = [(bvh, [r.clone() for r in rays], None, "nearest")] + [
+            (bvh, [r.clone() for r in rays], decomposition, order)
             for order in DEFERRED_ORDERS
         ]
-        outputs = traverse_packet_jobs(bvh, jobs, packet_size=13)
+        outputs = traverse_forest_jobs(jobs, packet_size=13)
         expected = [traverse_dfs_batch([r.clone() for r in rays], bvh)] + [
             traverse_two_stack_batch(
                 [r.clone() for r in rays], bvh, decomposition, order
@@ -306,40 +319,67 @@ class TestPacketShapes:
 
 
 class TestBackendEndToEnd:
+    """The pipeline's trace generation (``prewarm_traces`` through
+    ``traverse_forest_jobs``) against the scalar reference."""
+
+    @staticmethod
+    def _reference(scene, technique):
+        bvh = get_bvh(scene, SMOKE)
+        rays = [r.clone() for r in get_rays(scene, SMOKE)]
+        if technique.traversal == "dfs":
+            return traverse_dfs_batch(rays, bvh)
+        decomposition = get_decomposition(
+            scene, SMOKE, technique.treelet_bytes, technique.formation
+        )
+        return traverse_two_stack_batch(
+            rays, bvh, decomposition, technique.deferred_order
+        )
+
     def test_simstats_identical_across_backends(self):
+        from repro.gpusim import GpuModel
         from repro.obs import simstats_to_dict
 
-        stats = {}
-        for backend in ("scalar", "vectorized"):
-            clear_caches()
-            set_trace_backend(backend)
-            try:
-                result = _run_experiment("WKND", TREELET_PREFETCH, SMOKE)
-            finally:
-                set_trace_backend(None)
-            stats[backend] = simstats_to_dict(result.stats)
         clear_caches()
-        assert stats["scalar"] == stats["vectorized"]
+        technique = TREELET_PREFETCH
+        bvh = get_bvh("WKND", SMOKE)
+        decomposition = get_decomposition(
+            "WKND", SMOKE, technique.treelet_bytes, technique.formation
+        )
+        layout = pipeline._build_layout(technique, bvh, decomposition)
+        gpu = SMOKE.gpu_config()
+        model = GpuModel(
+            gpu,
+            scheduler_policy=technique.scheduler,
+            prefetcher_factory=pipeline._prefetcher_factory(
+                technique, gpu, layout, decomposition
+            ),
+        )
+        model.load(self._reference("WKND", technique), bvh, layout)
+        reference = simstats_to_dict(model.run())
+        result = _run_experiment("WKND", technique, SMOKE, use_cache=False)
+        clear_caches()
+        assert simstats_to_dict(result.stats) == reference
 
     def test_prewarm_traces_matches_get_traces(self):
-        from repro.core.pipeline import get_traces
-
         clear_caches()
-        built = prewarm_traces([("WKND", TREELET_PREFETCH)], SMOKE)
-        assert built == 1
-        warm = get_traces(
-            "WKND", SMOKE, TREELET_PREFETCH.traversal,
-            TREELET_PREFETCH.treelet_bytes,
-            TREELET_PREFETCH.deferred_order, TREELET_PREFETCH.formation,
+        techniques = (pipeline.BASELINE, TREELET_PREFETCH)
+        built = prewarm_traces(
+            [("WKND", technique) for technique in techniques], SMOKE
         )
-        # Drop only the trace memoizer: the scene's ray list (and its
-        # globally-counted ray ids) must stay identical for the rebuild.
-        pipeline._TRACE_CACHE.clear()
-        cold = get_traces(
-            "WKND", SMOKE, TREELET_PREFETCH.traversal,
-            TREELET_PREFETCH.treelet_bytes,
-            TREELET_PREFETCH.deferred_order, TREELET_PREFETCH.formation,
-            backend="scalar",
-        )
-        assert_traces_equal(warm, cold)
+        assert built == 2
+        for technique in techniques:
+            args = (
+                "WKND", SMOKE, technique.traversal, technique.treelet_bytes,
+                technique.deferred_order, technique.formation,
+            )
+            warm = get_traces(*args)
+            # Drop only the trace memoizer: the scene's ray list (and
+            # its globally-counted ray ids) must stay identical for the
+            # rebuild, which get_traces does on its own.
+            pipeline._TRACE_CACHE.clear()
+            cold = get_traces(*args)
+            assert cold is not warm
+            reference = self._reference("WKND", technique)
+            assert_traces_equal(warm, reference)
+            assert_traces_equal(cold, reference)
         clear_caches()

@@ -43,10 +43,6 @@ def _coerce_scale(scale: ScaleLike) -> Scale:
         raise ValueError(f"unknown scale {scale!r} (known: {known})")
 
 
-def _coerce_technique(technique: TechniqueLike) -> Technique:
-    return parse_technique(technique)
-
-
 def _default_scenes(workload: str = "render") -> List[str]:
     from ..scenes import ALL_SCENES, SCENE_KINDS, QUERY_SCENES
 
@@ -64,8 +60,23 @@ def _coerce_workload(workload: str) -> str:
     return validate_workload(workload)
 
 
-def _scale_name(scale: ScaleLike) -> str:
-    return _coerce_scale(scale).name
+def _check_scenes(scenes: Iterable[str], workload: str) -> tuple:
+    """Canonicalise scene names (strip + upper) and check that each one
+    exists and can run ``workload``."""
+    from ..queries.workloads import check_scene_workload
+    from ..scenes import ALL_SCENES, QUERY_SCENES
+
+    known = (*ALL_SCENES, *QUERY_SCENES)
+    canonical = []
+    for name in scenes:
+        scene = name.strip().upper()
+        if scene not in known:
+            raise ValueError(
+                f"unknown scene {name!r} (known: {', '.join(known)})"
+            )
+        check_scene_workload(scene, workload)
+        canonical.append(scene)
+    return tuple(canonical)
 
 
 def _check_fields(payload: dict, known: tuple, ignore: tuple,
@@ -150,7 +161,7 @@ class RunRequest:
         doc: Dict[str, object] = {
             "scene": self.scene,
             "technique": technique_to_spec(self.technique),
-            "scale": _scale_name(self.scale),
+            "scale": _coerce_scale(self.scale).name,
         }
         if self.workload != "render":
             doc["workload"] = _coerce_workload(self.workload)
@@ -165,8 +176,11 @@ class RunRequest:
 
         Unknown keys raise ``ValueError`` with a near-miss suggestion;
         ``ignore`` names transport-level keys a carrier protocol layers
-        on top (they are skipped, not errors).  Technique and scale are
-        validated eagerly so a bad spec fails here, not mid-run.
+        on top (they are skipped, not errors).  Everything is validated
+        here, not mid-run: the scene name is canonicalised and must
+        exist and suit the workload, and the technique and scale are
+        kept as the resolved objects, so the parsed request is complete
+        and hashable.
         """
         data = _check_fields(payload, _RUN_WIRE_FIELDS, ignore, "RunRequest")
         _check_str(data, "scene", "RunRequest", required=True)
@@ -177,11 +191,15 @@ class RunRequest:
                 "RunRequest field 'cache' must be a boolean, "
                 f"got {type(data['cache']).__name__}"
             )
-        request = cls(**data)
-        _coerce_technique(request.technique)
-        _coerce_scale(request.scale)
-        _coerce_workload(request.workload)
-        return request
+        workload = _coerce_workload(data.get("workload", "render"))
+        (scene,) = _check_scenes((data["scene"],), workload)
+        return cls(
+            scene=scene,
+            technique=parse_technique(data.get("technique", BASELINE)),
+            scale=_coerce_scale(data.get("scale", DEFAULT)),
+            workload=workload,
+            cache=data.get("cache", True),
+        )
 
 
 _SWEEP_WIRE_FIELDS = (
@@ -211,7 +229,7 @@ class SweepRequest:
     def to_dict(self) -> dict:
         doc: Dict[str, object] = {
             "technique": technique_to_spec(self.technique),
-            "scale": _scale_name(self.scale),
+            "scale": _coerce_scale(self.scale).name,
         }
         if self.workload != "render":
             doc["workload"] = _coerce_workload(self.workload)
@@ -227,6 +245,9 @@ class SweepRequest:
     @classmethod
     def from_dict(cls, payload: dict, *,
                   ignore: tuple = ()) -> "SweepRequest":
+        """Parse a :meth:`to_dict` document, validated as
+        :meth:`RunRequest.from_dict` validates; an explicit ``scenes``
+        list must be non-empty."""
         data = _check_fields(
             payload, _SWEEP_WIRE_FIELDS, ignore, "SweepRequest"
         )
@@ -234,26 +255,29 @@ class SweepRequest:
         _check_str(data, "baseline", "SweepRequest")
         _check_str(data, "scale", "SweepRequest")
         _check_str(data, "workload", "SweepRequest")
-        if "scenes" in data:
-            scenes = data["scenes"]
-            if (not isinstance(scenes, (list, tuple))
+        workload = _coerce_workload(data.get("workload", "render"))
+        scenes = data.get("scenes")
+        if scenes is not None:
+            if (not isinstance(scenes, (list, tuple)) or not scenes
                     or not all(isinstance(s, str) for s in scenes)):
                 raise ValueError(
-                    "SweepRequest field 'scenes' must be a list of "
-                    "scene names"
+                    "SweepRequest field 'scenes' must be a non-empty "
+                    "list of scene names"
                 )
-            data["scenes"] = tuple(scenes)
-        if "jobs" in data:
-            if not isinstance(data["jobs"], int) or data["jobs"] < 1:
-                raise ValueError(
-                    "SweepRequest field 'jobs' must be a positive integer"
-                )
-        request = cls(**data)
-        _coerce_technique(request.technique)
-        _coerce_technique(request.baseline)
-        _coerce_scale(request.scale)
-        _coerce_workload(request.workload)
-        return request
+            scenes = _check_scenes(scenes, workload)
+        jobs = data.get("jobs", 1)
+        if not isinstance(jobs, int) or jobs < 1:
+            raise ValueError(
+                "SweepRequest field 'jobs' must be a positive integer"
+            )
+        return cls(
+            technique=parse_technique(data["technique"]),
+            scenes=scenes,
+            scale=_coerce_scale(data.get("scale", DEFAULT)),
+            workload=workload,
+            baseline=parse_technique(data.get("baseline", BASELINE)),
+            jobs=jobs,
+        )
 
 
 @dataclass
@@ -313,19 +337,11 @@ def run(
     Accepts either positional ``(scene, technique, scale)`` arguments or
     a single :class:`RunRequest`.
     """
-    if isinstance(scene, RunRequest):
-        request = scene
-    else:
-        request = RunRequest(
-            scene=scene,
-            technique=technique,
-            scale=scale,
-            workload=workload,
-            gpu_config=gpu_config,
-            cache=cache,
-            observer=observer,
-        )
-    resolved_technique = _coerce_technique(request.technique)
+    request = scene if isinstance(scene, RunRequest) else RunRequest(
+        scene=scene, technique=technique, scale=scale, workload=workload,
+        gpu_config=gpu_config, cache=cache, observer=observer,
+    )
+    resolved_technique = parse_technique(request.technique)
     resolved_scale = _coerce_scale(request.scale)
     resolved_workload = _coerce_workload(request.workload)
     with _span(
@@ -351,6 +367,28 @@ def run(
         experiment=experiment,
         workload=resolved_workload,
     )
+
+
+def _prewarm(techniques: List[Technique], scenes: List[str], scale: Scale,
+             workload: str, jobs: int, progress) -> None:
+    """Warm every (scene, technique) experiment a sweep will read.
+
+    Traces ride one vectorized forest pass in this process; with
+    ``jobs > 1`` the replays then fan across the worker pool.
+    """
+    if not scenes:
+        return
+    if jobs > 1:
+        from ..exec.executor import prewarm_replays
+
+        prewarm_replays(techniques, scenes, scale, jobs=jobs,
+                        progress=progress, workload=workload)
+    else:
+        prewarm_traces(
+            [(scene, technique, workload)
+             for scene in scenes for technique in techniques],
+            scale,
+        )
 
 
 def sweep(
@@ -385,8 +423,8 @@ def sweep(
         workload = request.workload
         baseline = request.baseline
         jobs = request.jobs
-    resolved = _coerce_technique(technique)
-    base = _coerce_technique(baseline)
+    resolved = parse_technique(technique)
+    base = parse_technique(baseline)
     resolved_scale = _coerce_scale(scale)
     resolved_workload = _coerce_workload(workload)
     scene_list = (
@@ -401,24 +439,8 @@ def sweep(
         jobs=jobs,
         workload=resolved_workload,
     ):
-        if jobs > 1 and scene_list:
-            from ..exec.executor import prewarm_replays
-
-            # Traces ride one vectorized forest pass in this process;
-            # only the replays fan across the worker pool.
-            prewarm_replays(
-                [base, resolved], scene_list, resolved_scale,
-                jobs=jobs, progress=progress, workload=resolved_workload,
-            )
-        elif scene_list:
-            prewarm_traces(
-                [
-                    (scene, candidate, resolved_workload)
-                    for scene in scene_list
-                    for candidate in (base, resolved)
-                ],
-                resolved_scale,
-            )
+        _prewarm([base, resolved], scene_list, resolved_scale,
+                 resolved_workload, jobs, progress)
         result = SweepResult(technique=resolved)
         for scene in scene_list:
             result.outcomes[scene] = SceneOutcome(
@@ -451,32 +473,19 @@ def compare(
     (technique, scene) pair across one worker pool.
     """
     resolved = {
-        label: _coerce_technique(technique)
+        label: parse_technique(technique)
         for label, technique in techniques.items()
     }
-    base = _coerce_technique(baseline)
+    base = parse_technique(baseline)
     resolved_scale = _coerce_scale(scale)
     resolved_workload = _coerce_workload(workload)
     scene_list = (
         list(scenes) if scenes is not None
         else _default_scenes(resolved_workload)
     )
-    if jobs > 1 and scene_list and resolved:
-        from ..exec.executor import prewarm_replays
-
-        prewarm_replays(
-            [base, *resolved.values()], scene_list, resolved_scale,
-            jobs=jobs, progress=progress, workload=resolved_workload,
-        )
-    elif scene_list and resolved:
-        prewarm_traces(
-            [
-                (scene, candidate, resolved_workload)
-                for scene in scene_list
-                for candidate in (base, *resolved.values())
-            ],
-            resolved_scale,
-        )
+    if resolved:
+        _prewarm([base, *resolved.values()], scene_list, resolved_scale,
+                 resolved_workload, jobs, progress)
     return {
         label: sweep(
             technique, scene_list, resolved_scale, baseline=base,

@@ -62,11 +62,10 @@ from .protocol import (
     PROTOCOL_SCHEMA,
     QUEUED,
     RUNNING,
-    RunSpec,
     SCHEMA_HEADER,
     ServeError,
+    ServedJob,
     SubmitRequest,
-    SweepSpec,
     TERMINAL_STATES,
     TIMEOUT,
     WireError,
@@ -104,7 +103,6 @@ __all__ = [
     "Response",
     "ResultLRU",
     "RouterConfig",
-    "RunSpec",
     "SCENARIO_SCHEMA",
     "SCHEMA_HEADER",
     "SLOTarget",
@@ -114,9 +112,9 @@ __all__ = [
     "ServeClient",
     "ServeConfig",
     "ServeError",
+    "ServedJob",
     "SimulationService",
     "SubmitRequest",
-    "SweepSpec",
     "TERMINAL_STATES",
     "TIMEOUT",
     "TransportError",

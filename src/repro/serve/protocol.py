@@ -8,7 +8,13 @@ tests all consume these shapes instead of hand-rolled dicts:
 * :class:`SubmitRequest` — the ``POST /v1/run`` / ``POST /v1/sweep``
   request body (client side constructs it, ``to_wire()`` stamps the
   schema version);
+* :class:`ServedJob` — a validated submission: the parsed
+  :class:`repro.api.RunRequest` / :class:`repro.api.SweepRequest` plus
+  the serving envelope (``deadline_s``, ``wait``, and the run-only
+  ``baseline`` flag);
 * :class:`JobDocument` — the job status/result/cancel response;
+* :func:`sweep_document` — the one builder of a sweep result, used by
+  the service and by the router when it merges per-replica parts;
 * :class:`ErrorDocument` — every error response, any status;
 * :func:`ensure_request_schema` — server-side version check: a payload
   stamped with an unknown or mismatched ``schema`` is answered with a
@@ -18,14 +24,15 @@ Every HTTP response (service and router, JSON and text) additionally
 carries the protocol version in the ``X-Repro-Schema`` header — see
 :mod:`repro.serve.http`.
 
-Everything the HTTP layer accepts is validated here, *before* a job is
-admitted — an invalid scene, technique spec, or scale never reaches the
-scheduler.  Normalization reuses the exact front doors the rest of the
-codebase uses (:meth:`repro.api.RunRequest.from_dict`,
-:func:`repro.api.parse_technique`, the scale registry), so a served
-request and a direct :func:`repro.api.run` call resolve to the same
-:class:`~repro.core.Technique` / :class:`~repro.core.Scale` objects and
-therefore the same bit-identical results.
+There is one request model.  :func:`normalize_run` /
+:func:`normalize_sweep` hand the body to the api's own
+``RunRequest.from_dict`` / ``SweepRequest.from_dict``, which validate
+the field names, the scene, technique, scale and workload and the
+scene/workload pairing, so an invalid request is a 400 before a job is
+admitted and a served request resolves to the same objects, and the
+same bit-identical results, as a direct :func:`repro.api.run` call.
+Serve adds only its envelope fields and refuses the api's runtime
+knobs ``cache`` and ``jobs``.
 
 Job lifecycle::
 
@@ -43,10 +50,11 @@ never need locks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.pipeline import BASELINE, Scale, Technique, speedup
+from ..api.facade import RunRequest, SweepRequest, _default_scenes
+from ..core.pipeline import BASELINE, Technique
 from ..core.report import geomean
 from ..obs.report import simstats_to_dict
 
@@ -106,8 +114,6 @@ def ensure_request_schema(payload: dict) -> None:
     """Server-side version gate: a request body stamped with a schema
     other than ``repro.serve/1`` gets a structured 400 (the stamp is
     optional — unstamped bodies are accepted as the current version)."""
-    if not isinstance(payload, dict):
-        return
     schema = payload.get("schema")
     if schema is not None and schema != PROTOCOL_SCHEMA:
         raise ServeError(
@@ -267,54 +273,6 @@ class SubmitRequest:
             doc["wait"] = True
         return doc
 
-    @classmethod
-    def from_wire(cls, kind: str, payload: dict) -> "SubmitRequest":
-        _check_wire_schema(payload, what="submit request")
-        scenes = payload.get("scenes")
-        return cls(
-            kind=kind,
-            scene=payload.get("scene"),
-            scenes=tuple(scenes) if scenes is not None else None,
-            technique=payload.get("technique", "baseline"),
-            scale=payload.get("scale", "default"),
-            workload=payload.get("workload", "render"),
-            baseline=payload.get("baseline"),
-            deadline_s=payload.get("deadline_s"),
-            wait=bool(payload.get("wait", False)),
-        )
-
-
-def _coerce_technique(spec) -> Technique:
-    from ..api import parse_technique
-
-    try:
-        return parse_technique(spec)
-    except (ValueError, TypeError) as exc:
-        raise ServeError(400, f"bad technique: {exc}")
-
-
-def _coerce_scene(name) -> str:
-    from ..scenes import ALL_SCENES, QUERY_SCENES
-
-    scene = str(name).strip().upper()
-    if scene not in ALL_SCENES and scene not in QUERY_SCENES:
-        known = ", ".join((*ALL_SCENES, *QUERY_SCENES))
-        raise ServeError(400, f"unknown scene {name!r} (known: {known})")
-    return scene
-
-
-def _check_workload(scene: str, workload: str) -> str:
-    """Validate the workload name and its scene-kind compatibility
-    (400 for both, so clients hear about a bad pairing at submit time,
-    not from a failed job)."""
-    from ..queries.workloads import check_scene_workload
-
-    try:
-        check_scene_workload(scene, workload)
-    except (ValueError, TypeError) as exc:
-        raise ServeError(400, str(exc))
-    return workload
-
 
 def _coerce_deadline(payload: dict) -> Optional[float]:
     raw = payload.get("deadline_s")
@@ -329,157 +287,136 @@ def _coerce_deadline(payload: dict) -> Optional[float]:
     return deadline
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """A validated ``POST /v1/run`` request."""
+def sweep_document(technique: Optional[str], scale: Optional[str],
+                   workload: str, scenes: Dict[str, dict]) -> dict:
+    """The one builder of a served sweep result: the per-scene entries
+    and the gmean of their speedups, in the order ``scenes`` is given
+    (the service passes request order, the router the merged scenes
+    sorted)."""
+    speedups = [entry["speedup"] for entry in scenes.values()]
+    doc = {
+        "kind": "sweep",
+        "technique": technique,
+        "scale": scale,
+        "gmean_speedup": geomean(speedups) if speedups else 1.0,
+        "scenes": scenes,
+    }
+    if workload != "render":
+        doc["workload"] = workload
+    return doc
 
-    scene: str
-    technique: Technique
-    scale: Scale
-    include_baseline: bool = False
+
+@dataclass(frozen=True)
+class ServedJob:
+    """A validated submission: the api request plus its serving envelope.
+
+    ``request`` is a parsed :class:`~repro.api.RunRequest` (``/v1/run``)
+    or :class:`~repro.api.SweepRequest` (``/v1/sweep``).  The envelope is
+    ``deadline_s``, ``wait``, and, for runs only, ``baseline`` (also
+    replay the baseline and report the speedup).  Everything the
+    scheduler and service need is derived here.
+    """
+
+    request: Union[RunRequest, SweepRequest]
     deadline_s: Optional[float] = None
-    workload: str = "render"
+    wait: bool = False
+    baseline: bool = False
+
+    @property
+    def kind(self) -> str:
+        return "run" if isinstance(self.request, RunRequest) else "sweep"
 
     @property
     def cache_key(self) -> tuple:
-        return ("run", self.scene, repr(self.technique), self.scale.name,
-                self.include_baseline, self.workload)
+        """The result-LRU key."""
+        return (self.request, self.baseline)
+
+    @property
+    def scenes(self) -> Tuple[str, ...]:
+        request = self.request
+        if self.kind == "run":
+            return (request.scene,)
+        if request.scenes is not None:
+            return request.scenes
+        return tuple(_default_scenes(request.workload))
+
+    def _experiments(self) -> List[Tuple[str, Technique]]:
+        request = self.request
+        if self.kind == "run":
+            techniques = (request.technique,)
+            if self.baseline:
+                techniques += (BASELINE,)
+        else:
+            techniques = (request.baseline, request.technique)
+        return [(scene, technique) for scene in self.scenes
+                for technique in techniques]
 
     def trace_pairs(self) -> List[tuple]:
         """(scene, technique, workload) triples whose traces this job
         will need — the scheduler coalesces these across the whole
         batch."""
-        pairs = [(self.scene, self.technique, self.workload)]
-        if self.include_baseline:
-            pairs.append((self.scene, BASELINE, self.workload))
-        return pairs
+        return [(scene, technique, self.request.workload)
+                for scene, technique in self._experiments()]
 
     def exec_jobs(self) -> list:
         from ..exec.executor import Job
 
-        jobs = [Job(self.scene, self.technique, self.scale,
-                    workload=self.workload)]
-        if self.include_baseline:
-            jobs.append(Job(self.scene, BASELINE, self.scale,
-                            workload=self.workload))
-        return jobs
+        return [Job(scene, technique, self.request.scale,
+                    workload=self.request.workload)
+                for scene, technique in self._experiments()]
 
     def describe(self) -> dict:
-        doc = {
-            "kind": "run",
-            "scene": self.scene,
-            "technique": self.technique.label(),
-            "scale": self.scale.name,
-        }
-        if self.workload != "render":
-            doc["workload"] = self.workload
-        if self.include_baseline:
+        """The lossless ``request`` echo: the api request's wire form
+        plus the envelope fields that are set."""
+        doc = {"kind": self.kind, **self.request.to_dict()}
+        if self.baseline:
             doc["baseline"] = True
         if self.deadline_s is not None:
             doc["deadline_s"] = self.deadline_s
+        if self.wait:
+            doc["wait"] = True
         return doc
 
     def evaluate(self) -> dict:
         """Run the request and build its result document.
 
-        Artifacts and (usually) the experiment itself are already warm:
-        the scheduler prewarms traces for the whole batch and, with a
-        worker pool, seeds the result memoizer before this is called.
+        Artifacts and (usually) the experiments themselves are already
+        warm: the scheduler prewarms traces for the whole batch and,
+        with a worker pool, seeds the result memoizer before this is
+        called.
         """
-        from ..api import run as api_run
+        from ..api import run, sweep
 
-        result = api_run(self.scene, self.technique, self.scale,
-                         workload=self.workload)
+        request = self.request
+        if self.kind == "sweep":
+            outcome = sweep(request)
+            scenes = {}
+            for scene in self.scenes:
+                pair = outcome.outcomes[scene]
+                scenes[scene] = {
+                    "baseline_cycles": pair.baseline.cycles,
+                    "cycles": pair.candidate.cycles,
+                    "speedup": pair.speedup,
+                }
+            return sweep_document(outcome.technique.label(),
+                                  request.scale.name, request.workload,
+                                  scenes)
+        result = run(request)
         doc = {
             "kind": "run",
-            "scene": self.scene,
-            "technique": self.technique.label(),
-            "scale": self.scale.name,
+            "scene": result.scene,
+            "technique": result.technique.label(),
+            "scale": result.scale.name,
             "cycles": result.cycles,
             "stats": simstats_to_dict(result.stats),
         }
-        if self.workload != "render":
-            doc["workload"] = self.workload
-        if self.include_baseline:
-            base = api_run(self.scene, BASELINE, self.scale,
-                           workload=self.workload)
+        if result.workload != "render":
+            doc["workload"] = result.workload
+        if self.baseline:
+            base = run(replace(request, technique=BASELINE))
             doc["baseline_cycles"] = base.cycles
-            doc["speedup"] = speedup(base.experiment, result.experiment)
+            doc["speedup"] = result.speedup_over(base)
             doc["baseline_stats"] = simstats_to_dict(base.stats)
-        return doc
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated ``POST /v1/sweep`` request."""
-
-    technique: Technique
-    scenes: Tuple[str, ...]
-    scale: Scale
-    baseline: Technique = BASELINE
-    deadline_s: Optional[float] = None
-    workload: str = "render"
-
-    @property
-    def cache_key(self) -> tuple:
-        return ("sweep", self.scenes, repr(self.technique),
-                repr(self.baseline), self.scale.name, self.workload)
-
-    def trace_pairs(self) -> List[tuple]:
-        return [
-            (scene, technique, self.workload)
-            for scene in self.scenes
-            for technique in (self.baseline, self.technique)
-        ]
-
-    def exec_jobs(self) -> list:
-        from ..exec.executor import Job
-
-        return [
-            Job(scene, technique, self.scale, workload=self.workload)
-            for scene in self.scenes
-            for technique in (self.baseline, self.technique)
-        ]
-
-    def describe(self) -> dict:
-        doc = {
-            "kind": "sweep",
-            "technique": self.technique.label(),
-            "scenes": list(self.scenes),
-            "scale": self.scale.name,
-        }
-        if self.workload != "render":
-            doc["workload"] = self.workload
-        if self.deadline_s is not None:
-            doc["deadline_s"] = self.deadline_s
-        return doc
-
-    def evaluate(self) -> dict:
-        from ..api import sweep as api_sweep
-
-        outcome = api_sweep(
-            self.technique, list(self.scenes), self.scale,
-            baseline=self.baseline, workload=self.workload,
-        )
-        gains = {}
-        scenes_doc = {}
-        for scene in self.scenes:
-            pair = outcome.outcomes[scene]
-            gains[scene] = pair.speedup
-            scenes_doc[scene] = {
-                "baseline_cycles": pair.baseline.cycles,
-                "cycles": pair.candidate.cycles,
-                "speedup": pair.speedup,
-            }
-        doc = {
-            "kind": "sweep",
-            "technique": self.technique.label(),
-            "scale": self.scale.name,
-            "gmean_speedup": geomean(list(gains.values())) if gains else 1.0,
-            "scenes": scenes_doc,
-        }
-        if self.workload != "render":
-            doc["workload"] = self.workload
         return doc
 
 
@@ -490,10 +427,14 @@ _SERVE_SWEEP_FIELDS = ("schema", "deadline_s", "wait")
 
 #: Facade fields that are runtime knobs, not wire-transportable work:
 #: the service rejects them instead of silently ignoring them.
-_SERVER_SIDE_FIELDS = ("cache",)
+_SERVER_SIDE_FIELDS = ("cache", "jobs")
 
 
-def _reject_server_side_fields(payload: dict) -> None:
+def _normalize(request_type, payload: dict, query: Optional[dict],
+               required: str, envelope: tuple) -> ServedJob:
+    if not isinstance(payload, dict):
+        raise ServeError(400, "request body must be a JSON object")
+    ensure_request_schema(payload)
     for name in _SERVER_SIDE_FIELDS:
         if name in payload:
             raise ServeError(
@@ -502,83 +443,34 @@ def _reject_server_side_fields(payload: dict) -> None:
                 "configure it on the server instead "
                 "(CLI flag or REPRO_* environment variable)",
             )
-
-
-def normalize_run(payload: dict) -> RunSpec:
-    if not isinstance(payload, dict):
-        raise ServeError(400, "request body must be a JSON object")
-    ensure_request_schema(payload)
-    _reject_server_side_fields(payload)
-    if "scene" not in payload:
-        raise ServeError(400, "missing required field 'scene'")
-    # The facade's own wire schema validates field names (with
-    # near-miss suggestions) and the technique/scale values — the
-    # service no longer keeps a parallel copy of that logic.
-    from ..api import RunRequest as ApiRunRequest
-    from ..api.facade import _coerce_scale
-
+    if required not in payload:
+        raise ServeError(400, f"missing required field {required!r}")
     try:
-        request = ApiRunRequest.from_dict(
-            payload, ignore=_SERVE_RUN_FIELDS
-        )
+        request = request_type.from_dict(payload, ignore=envelope)
     except (ValueError, TypeError) as exc:
         raise ServeError(400, str(exc))
-    scene = _coerce_scene(request.scene)
-    return RunSpec(
-        scene=scene,
-        technique=_coerce_technique(request.technique),
-        scale=_coerce_scale(request.scale),
-        include_baseline=bool(payload.get("baseline", False)),
+    wait = bool(payload.get("wait")) or (query or {}).get("wait", "") in (
+        "1", "true", "yes"
+    )
+    return ServedJob(
+        request=request,
         deadline_s=_coerce_deadline(payload),
-        workload=_check_workload(scene, request.workload),
+        wait=wait,
+        baseline=(request_type is RunRequest
+                  and bool(payload.get("baseline", False))),
     )
 
 
-def normalize_sweep(payload: dict) -> SweepSpec:
-    if not isinstance(payload, dict):
-        raise ServeError(400, "request body must be a JSON object")
-    ensure_request_schema(payload)
-    _reject_server_side_fields(payload)
-    if "technique" not in payload:
-        raise ServeError(400, "missing required field 'technique'")
-    from ..api import SweepRequest as ApiSweepRequest
-    from ..api.facade import _coerce_scale
+def normalize_run(payload: dict, query: Optional[dict] = None) -> ServedJob:
+    """Validate a ``POST /v1/run`` body (``query`` may carry ``wait``)."""
+    return _normalize(RunRequest, payload, query, "scene", _SERVE_RUN_FIELDS)
 
-    try:
-        request = ApiSweepRequest.from_dict(
-            payload, ignore=_SERVE_SWEEP_FIELDS
-        )
-    except (ValueError, TypeError) as exc:
-        raise ServeError(400, str(exc))
-    scenes = request.scenes
-    if scenes is None:
-        if request.workload != "render":
-            from ..queries.workloads import WORKLOAD_SCENE_KIND
-            from ..scenes import QUERY_SCENES, SCENE_KINDS
 
-            kind = WORKLOAD_SCENE_KIND.get(request.workload)
-            scenes = tuple(
-                name for name in QUERY_SCENES
-                if SCENE_KINDS.get(name) == kind
-            )
-        else:
-            from ..scenes import ALL_SCENES
-
-            scenes = tuple(ALL_SCENES)
-    if not scenes:
-        raise ServeError(400, "'scenes' must be a non-empty list")
-    coerced = tuple(_coerce_scene(scene) for scene in scenes)
-    workload = request.workload
-    for scene in coerced:
-        workload = _check_workload(scene, workload)
-    return SweepSpec(
-        technique=_coerce_technique(request.technique),
-        scenes=coerced,
-        scale=_coerce_scale(request.scale),
-        baseline=_coerce_technique(request.baseline),
-        deadline_s=_coerce_deadline(payload),
-        workload=workload,
-    )
+def normalize_sweep(payload: dict,
+                    query: Optional[dict] = None) -> ServedJob:
+    """Validate a ``POST /v1/sweep`` body (``query`` may carry ``wait``)."""
+    return _normalize(SweepRequest, payload, query, "technique",
+                      _SERVE_SWEEP_FIELDS)
 
 
 @dataclass
@@ -586,7 +478,7 @@ class JobRecord:
     """One admitted job, from queue to terminal state."""
 
     id: str
-    spec: object  # RunSpec | SweepSpec
+    served: ServedJob
     state: str = QUEUED
     created_unix: float = field(default_factory=time.time)
     submitted: float = field(default_factory=time.monotonic)
@@ -605,8 +497,8 @@ class JobRecord:
     finalizers: List = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.deadline is None and self.spec.deadline_s is not None:
-            self.deadline = self.submitted + self.spec.deadline_s
+        if self.deadline is None and self.served.deadline_s is not None:
+            self.deadline = self.submitted + self.served.deadline_s
 
     @property
     def terminal(self) -> bool:
@@ -661,7 +553,7 @@ class JobRecord:
         return JobDocument(
             id=self.id,
             state=self.state,
-            request=self.spec.describe(),
+            request=self.served.describe(),
             created_unix=self.created_unix,
             cached=self.cached,
             trace_id=self.trace_id,

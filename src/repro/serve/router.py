@@ -48,7 +48,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.report import geomean
 from ..obs import MetricRegistry
 from ..obs import spans as _sp
 from .client import AsyncServeClient, Response
@@ -62,11 +61,13 @@ from .protocol import (
     QUEUED,
     RUNNING,
     ServeError,
+    ServedJob,
     TERMINAL_STATES,
     TIMEOUT,
     WireError,
     normalize_run,
     normalize_sweep,
+    sweep_document,
 )
 
 ROUTER_NAME = "repro-serve-router"
@@ -392,11 +393,11 @@ class SceneShardRouter:
     # Job bookkeeping.
     # ------------------------------------------------------------------
 
-    def _new_job(self, kind: str, parts: List[Tuple[str, str]],
-                 request: dict) -> RouterJob:
+    def _new_job(self, served: ServedJob,
+                 parts: List[Tuple[str, str]]) -> RouterJob:
         self._counter += 1
-        job = RouterJob(id=f"r{self._counter:06d}", kind=kind,
-                        parts=parts, request=request)
+        job = RouterJob(id=f"r{self._counter:06d}", kind=served.kind,
+                        parts=parts, request=served.describe())
         self.jobs[job.id] = job
         self._order.append(job.id)
         while len(self._order) > max(self.config.job_history, 1):
@@ -499,12 +500,6 @@ class SceneShardRouter:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _wants_wait(query: dict, payload: dict) -> bool:
-        return bool(payload.get("wait")) or query.get("wait", "") in (
-            "1", "true", "yes"
-        )
-
-    @staticmethod
     def _trace_headers(document) -> dict:
         if isinstance(document, dict) and document.get("trace_id"):
             return {"X-Repro-Trace-Id": document["trace_id"]}
@@ -512,10 +507,10 @@ class SceneShardRouter:
 
     async def _submit_run(self, query: dict,
                           payload: dict) -> Tuple[int, dict, dict]:
-        spec = normalize_run(payload)  # full validation at the edge
-        wait = self._wants_wait(query, payload)
-        key = self._scene_key(spec.scene, spec.scale.name)
-        path = "/v1/run?wait=1" if wait else "/v1/run"
+        served = normalize_run(payload, query)  # full validation at the edge
+        request = served.request
+        key = self._scene_key(request.scene, request.scale.name)
+        path = "/v1/run?wait=1" if served.wait else "/v1/run"
         replica, response = await self._dispatch(
             key, [key], "POST", path, payload
         )
@@ -524,25 +519,22 @@ class SceneShardRouter:
             # Replica-side 4xx (bad request, shed): pass through.
             return response.status, document, {}
         remote = JobDocument.from_wire(document)
-        job = self._new_job("run", [(replica.address, remote.id)],
-                            spec.describe())
-        merged = dict(document)
-        merged["id"] = job.id
-        merged["replica"] = replica.address
+        job = self._new_job(served, [(replica.address, remote.id)])
+        merged = self._run_document(job, replica.address, document)
         return response.status, merged, self._trace_headers(merged)
 
     async def _submit_sweep(self, query: dict,
                             payload: dict) -> Tuple[int, dict, dict]:
-        spec = normalize_sweep(payload)
-        wait = self._wants_wait(query, payload)
-        groups = self._group_scenes(spec.scenes, spec.scale.name)
-        path = "/v1/sweep?wait=1" if wait else "/v1/sweep"
+        served = normalize_sweep(payload, query)
+        scale_name = served.request.scale.name
+        groups = self._group_scenes(served.scenes, scale_name)
+        path = "/v1/sweep?wait=1" if served.wait else "/v1/sweep"
 
         async def submit_group(scenes: List[str]):
             sub_payload = dict(payload)
             sub_payload["scenes"] = scenes
-            key = self._scene_key(scenes[0], spec.scale.name)
-            scene_keys = [self._scene_key(scene, spec.scale.name)
+            key = self._scene_key(scenes[0], scale_name)
+            scene_keys = [self._scene_key(scene, scale_name)
                           for scene in scenes]
             return await self._dispatch(
                 key, scene_keys, "POST", path, sub_payload
@@ -576,7 +568,7 @@ class SceneShardRouter:
             raise ServeError(
                 502, "sweep failed on every replica: " + "; ".join(failures)
             )
-        job = self._new_job("sweep", parts, spec.describe())
+        job = self._new_job(served, parts)
         if failures:
             # Partial admission: surface as a failed job document.
             merged = self._merge_sweep_documents(job, part_documents)
@@ -602,6 +594,12 @@ class SceneShardRouter:
                 return QUEUED
             return RUNNING
         return DONE
+
+    @staticmethod
+    def _run_document(job: RouterJob, address: str, document: dict) -> dict:
+        """A routed run's job document: the replica's, under the
+        router's job id."""
+        return {**document, "id": job.id, "replica": address}
 
     def _merge_sweep_documents(
         self, job: RouterJob,
@@ -644,24 +642,16 @@ class SceneShardRouter:
         if merged["state"] == DONE and all(
             isinstance(result, dict) for result in results
         ):
-            merged["result"] = self._merge_sweep_results(results)
+            scenes: dict = {}
+            for result in results:
+                scenes.update(result.get("scenes", {}))
+            first = results[0]
+            merged["result"] = sweep_document(
+                first.get("technique"), first.get("scale"),
+                first.get("workload", "render"),
+                {name: scenes[name] for name in sorted(scenes)},
+            )
         return merged
-
-    @staticmethod
-    def _merge_sweep_results(results: List[dict]) -> dict:
-        scenes: dict = {}
-        for result in results:
-            scenes.update(result.get("scenes", {}))
-        ordered = {name: scenes[name] for name in sorted(scenes)}
-        speedups = [entry["speedup"] for entry in ordered.values()]
-        first = results[0]
-        return {
-            "kind": "sweep",
-            "technique": first.get("technique"),
-            "scale": first.get("scale"),
-            "gmean_speedup": geomean(speedups) if speedups else 1.0,
-            "scenes": ordered,
-        }
 
     # ------------------------------------------------------------------
     # Job status / cancel / trace across parts.
@@ -713,12 +703,9 @@ class SceneShardRouter:
             job, lambda client, remote_id: client.job(remote_id)
         )
         if job.kind == "run":
-            address, document = parts[0]
-            merged = dict(document)
-            merged["id"] = job.id
-            merged["replica"] = address
-            return 200, merged, self._trace_headers(merged)
-        merged = self._merge_sweep_documents(job, parts)
+            merged = self._run_document(job, *parts[0])
+        else:
+            merged = self._merge_sweep_documents(job, parts)
         return 200, merged, self._trace_headers(merged)
 
     async def _cancel(self, job: RouterJob) -> Tuple[int, dict, dict]:
@@ -726,11 +713,7 @@ class SceneShardRouter:
             job, lambda client, remote_id: client.cancel(remote_id)
         )
         if job.kind == "run":
-            address, document = parts[0]
-            merged = dict(document)
-            merged["id"] = job.id
-            merged["replica"] = address
-            return 200, merged, {}
+            return 200, self._run_document(job, *parts[0]), {}
         return 200, self._merge_sweep_documents(job, parts), {}
 
     async def _job_trace(self, job: RouterJob,

@@ -295,7 +295,7 @@ class MicroBatchScheduler:
                     )
                 try:
                     with _sp.span("serve.execute", job=job.id):
-                        result = job.spec.evaluate()
+                        result = job.served.evaluate()
                     state, error = protocol.DONE, None
                     if job.expired():
                         # Finished, but past its deadline: report
@@ -318,18 +318,21 @@ class MicroBatchScheduler:
             if token is not None:
                 _sp.deactivate(token)
 
+    @staticmethod
+    def _live(batch: List[JobRecord]) -> List[JobRecord]:
+        return [job for job in batch
+                if not (job.cancel_requested or job.expired())]
+
     def _prewarm(self, batch: List[JobRecord]) -> None:
         """One ``prewarm_traces`` call per scale: the whole batch's
         missing trace sets ride a single vectorized forest pass."""
         from ..core.pipeline import prewarm_traces
 
         pairs_by_scale = {}
-        for job in batch:
-            if job.cancel_requested or job.expired():
-                continue
-            scale = job.spec.scale
+        for job in self._live(batch):
+            scale = job.served.request.scale
             pairs_by_scale.setdefault(scale.name, (scale, []))[1].extend(
-                job.spec.trace_pairs()
+                job.served.trace_pairs()
             )
         for scale, pairs in pairs_by_scale.values():
             try:
@@ -346,11 +349,8 @@ class MicroBatchScheduler:
         pool fan-out plus result seeding in one call."""
         from ..exec.executor import prewarm_replay_jobs
 
-        exec_jobs = []
-        for job in batch:
-            if job.cancel_requested or job.expired():
-                continue
-            exec_jobs.extend(job.spec.exec_jobs())
+        exec_jobs = [exec_job for job in self._live(batch)
+                     for exec_job in job.served.exec_jobs()]
         if len(exec_jobs) < 2:
             return
         try:
@@ -388,4 +388,4 @@ class MicroBatchScheduler:
             and result is not None
             and self.result_cache is not None
         ):
-            self.result_cache.put(job.spec.cache_key, result)
+            self.result_cache.put(job.served.cache_key, result)

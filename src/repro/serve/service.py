@@ -16,9 +16,9 @@ Endpoints::
 
 Submission semantics:
 
-* a repeat request (same normalized scene/technique/scale) is answered
-  **synchronously** from the LRU result cache — 200, ``cached: true``,
-  no queue admission;
+* a repeat request (an equal parsed api request and baseline flag) is
+  answered **synchronously** from the LRU result cache — 200,
+  ``cached: true``, no queue admission;
 * ``"wait": true`` (or ``?wait=1``) holds the response open until the
   job reaches a terminal state — the loadgen uses this to measure
   end-to-end latency;
@@ -41,7 +41,7 @@ from ..obs import spans as _sp
 from . import protocol
 from .cache import ResultLRU
 from .http import SERVER_NAME, read_request, respond
-from .protocol import JobRecord, ServeError
+from .protocol import JobRecord, ServeError, ServedJob
 from .scheduler import MicroBatchScheduler
 
 
@@ -173,10 +173,10 @@ class SimulationService:
     # Job bookkeeping (event-loop thread only).
     # ------------------------------------------------------------------
 
-    def _new_job(self, spec) -> JobRecord:
+    def _new_job(self, served: ServedJob) -> JobRecord:
         self._counter += 1
         job = JobRecord(
-            id=f"j{self._counter:06d}", spec=spec,
+            id=f"j{self._counter:06d}", served=served,
             done_event=asyncio.Event(),
         )
         if job.deadline is None and self.config.default_deadline_s:
@@ -187,7 +187,7 @@ class SimulationService:
         # changes).  Children — queue.wait, serve.batch, exec.job and
         # the pipeline phases — parent onto it via SpanContext.
         root = self.spans.begin(
-            "request", args={"job": job.id, **spec.describe()}
+            "request", args={"job": job.id, **served.describe()}
         )
         job.trace_id = root.trace_id
         job.span_id = root.span_id
@@ -286,13 +286,13 @@ class SimulationService:
         if path == "/metrics" and method == "GET":
             return self._metrics_response(query)
         if path == "/v1/run" and method == "POST":
-            spec = protocol.normalize_run(payload or {})
+            served = protocol.normalize_run(payload or {}, query)
             self.metrics.counter("serve.requests_run").inc()
-            return await self._submit(spec, query, payload or {})
+            return await self._submit(served)
         if path == "/v1/sweep" and method == "POST":
-            spec = protocol.normalize_sweep(payload or {})
+            served = protocol.normalize_sweep(payload or {}, query)
             self.metrics.counter("serve.requests_sweep").inc()
-            return await self._submit(spec, query, payload or {})
+            return await self._submit(served)
         if path.startswith("/v1/jobs/"):
             return await self._route_jobs(method, path, query)
         if path in ("/healthz", "/metrics", "/v1/run", "/v1/sweep"):
@@ -387,16 +387,12 @@ class SimulationService:
     # Submission.
     # ------------------------------------------------------------------
 
-    async def _submit(self, spec, query: dict,
-                      payload: dict) -> Tuple[int, dict, dict]:
+    async def _submit(self, served: ServedJob) -> Tuple[int, dict, dict]:
         self.metrics.counter("serve.requests_total").inc()
-        wait = bool(payload.get("wait")) or query.get("wait", "") in (
-            "1", "true", "yes"
-        )
-        cached = self.cache.get(spec.cache_key)
+        cached = self.cache.get(served.cache_key)
         if cached is not None:
             self.metrics.counter("serve.cache_hits").inc()
-            job = self._new_job(spec)
+            job = self._new_job(served)
             job.cached = True
             job.finalize(protocol.DONE, result=cached)
             return 200, job.as_document(), self._trace_headers(job)
@@ -416,10 +412,10 @@ class SimulationService:
                 "retry later",
                 {"Retry-After": str(int(self.config.retry_after_s) or 1)},
             )
-        job = self._new_job(spec)
+        job = self._new_job(served)
         self.queue.put_nowait(job)
         self.metrics.counter("serve.jobs_admitted").inc()
-        if not wait:
+        if not served.wait:
             return 202, job.as_document(), self._trace_headers(job)
         timeout = job.remaining()
         if timeout is not None:

@@ -281,8 +281,8 @@ class TestWireRoundTrip:
     def test_serve_resolves_scale_through_the_registry(self):
         from repro.serve.protocol import ServeError, normalize_run
 
-        spec = normalize_run({"scene": "WKND", "scale": " Smoke"})
-        assert spec.scale is SMOKE
+        served = normalize_run({"scene": "WKND", "scale": " Smoke"})
+        assert served.request.scale is SMOKE
         with pytest.raises(ServeError) as excinfo:
             normalize_run({"scene": "WKND", "scale": "galactic"})
         assert excinfo.value.status == 400

@@ -64,6 +64,15 @@ class TestRunRequestWorkload:
                 "scale": "smoke", "workloads": "knn",
             })
 
+    def test_scene_is_checked_at_parse_time(self):
+        with pytest.raises(ValueError, match="unknown scene"):
+            RunRequest.from_dict({"scene": "NOPE", "workload": "knn"})
+        with pytest.raises(ValueError, match="needs a 'amr' scene"):
+            RunRequest.from_dict({"scene": "PTSUNI",
+                                  "workload": "containment"})
+        assert RunRequest.from_dict({"scene": " ptsuni ",
+                                     "workload": "knn"}).scene == "PTSUNI"
+
 
 class TestSweepRequestWorkload:
     def test_roundtrip(self):
@@ -93,3 +102,15 @@ class TestSweepRequestWorkload:
                 "technique": "baseline", "scale": "smoke",
                 "workload": "containement",
             })
+
+    def test_scenes_are_checked_at_parse_time(self):
+        with pytest.raises(ValueError, match="unknown scene"):
+            SweepRequest.from_dict({"technique": "baseline",
+                                    "scenes": ["PTSUNI", "NOPE"],
+                                    "workload": "knn"})
+        with pytest.raises(ValueError, match="needs a 'amr' scene"):
+            SweepRequest.from_dict({"technique": "baseline",
+                                    "scenes": ["PTSUNI"],
+                                    "workload": "containment"})
+        with pytest.raises(ValueError, match="non-empty"):
+            SweepRequest.from_dict({"technique": "baseline", "scenes": []})

@@ -265,30 +265,30 @@ class TestServeProtocol:
     def test_normalize_run_roundtrips_workload(self):
         from repro.serve.protocol import normalize_run
 
-        spec = normalize_run({
+        served = normalize_run({
             "schema": "repro.serve/1",
             "scene": "PTSUNI",
             "technique": "treelet-prefetch",
             "scale": "smoke",
             "workload": "knn",
         })
-        assert spec.workload == "knn"
-        assert spec.describe()["workload"] == "knn"
-        assert spec.cache_key[-1] == "knn"
-        assert all(len(entry) == 3 for entry in spec.trace_pairs())
-        assert all(job.workload == "knn" for job in spec.exec_jobs())
+        assert served.request.workload == "knn"
+        assert served.describe()["workload"] == "knn"
+        assert served.cache_key == (served.request, False)
+        assert all(len(entry) == 3 for entry in served.trace_pairs())
+        assert all(job.workload == "knn" for job in served.exec_jobs())
 
     def test_normalize_run_defaults_to_render(self):
         from repro.serve.protocol import normalize_run
 
-        spec = normalize_run({
+        served = normalize_run({
             "schema": "repro.serve/1",
             "scene": "WKND",
             "technique": "baseline",
             "scale": "smoke",
         })
-        assert spec.workload == "render"
-        assert "workload" not in spec.describe()
+        assert served.request.workload == "render"
+        assert "workload" not in served.describe()
 
     def test_normalize_run_rejects_mismatch(self):
         from repro.serve.protocol import ServeError, normalize_run
@@ -306,17 +306,17 @@ class TestServeProtocol:
     def test_normalize_sweep_defaults_scenes_by_workload(self):
         from repro.serve.protocol import normalize_sweep
 
-        spec = normalize_sweep({
+        served = normalize_sweep({
             "schema": "repro.serve/1",
             "technique": "treelet-prefetch",
             "scale": "smoke",
             "workload": "containment",
         })
-        assert spec.scenes == ("AMRTWO",)
-        assert spec.workload == "containment"
+        assert served.scenes == ("AMRTWO",)
+        assert served.request.workload == "containment"
 
     def test_submit_request_wire_roundtrip(self):
-        from repro.serve.protocol import SubmitRequest
+        from repro.serve.protocol import SubmitRequest, normalize_run
 
         request = SubmitRequest(
             kind="run", scene="PTSCLU", technique="baseline",
@@ -324,12 +324,33 @@ class TestServeProtocol:
         )
         wire = request.to_wire()
         assert wire["workload"] == "knn"
-        parsed = SubmitRequest.from_wire("run", wire)
-        assert parsed.workload == "knn"
+        assert normalize_run(wire).request.workload == "knn"
         # Default workload stays off the wire.
         assert "workload" not in SubmitRequest(
             kind="run", scene="WKND"
         ).to_wire()
+
+    def test_request_echo_is_the_api_wire_form(self):
+        from repro.serve.protocol import normalize_run
+
+        served = normalize_run({
+            "scene": "wknd",
+            "technique": "treelet-prefetch,treelet_bytes=8192",
+            "scale": "smoke",
+            "baseline": True,
+            "deadline_s": 5,
+        }, {"wait": "1"})
+        assert served.describe() == {
+            "kind": "run",
+            **served.request.to_dict(),
+            "baseline": True,
+            "deadline_s": 5.0,
+            "wait": True,
+        }
+        assert served.describe()["scene"] == "WKND"
+        assert served.describe()["technique"] == (
+            "treelet-prefetch,treelet_bytes=8192"
+        )
 
     def test_scenario_mix_carries_workload(self):
         from repro.serve.scenarios import Scenario

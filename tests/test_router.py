@@ -140,13 +140,18 @@ class TestRouting:
             expected, sort_keys=True
         )
 
-    def test_sweep_splits_per_scene_and_merges(self, fleet):
+    @pytest.mark.parametrize("workload,scenes", [
+        ("render", ["WKND", "SHIP", "SPNZA"]),
+        ("knn", ["PTSUNI", "PTSCLU"]),
+    ], ids=["render", "knn"])
+    def test_sweep_splits_per_scene_and_merges(self, fleet, workload,
+                                               scenes):
         from repro.api import sweep as api_sweep
 
-        scenes = ["WKND", "SHIP", "SPNZA"]
         response = fleet.client.submit(
             SubmitRequest(kind="sweep", scenes=tuple(scenes),
-                          technique="treelet-prefetch", scale="smoke"),
+                          technique="treelet-prefetch", scale="smoke",
+                          workload=workload),
             wait=True, timeout=300.0,
         )
         assert response.status == 200
@@ -154,7 +159,9 @@ class TestRouting:
         assert doc["state"] == "done"
         result = doc["result"]
         assert sorted(result["scenes"]) == sorted(scenes)
-        direct = api_sweep("treelet-prefetch", scenes, "smoke")
+        assert result.get("workload", "render") == workload
+        direct = api_sweep("treelet-prefetch", scenes, "smoke",
+                           workload=workload)
         assert result["gmean_speedup"] == pytest.approx(
             direct.gmean_speedup
         )

@@ -506,14 +506,18 @@ class TestHttpSurface:
         )
         assert status == 200 and doc["state"] == "done"
 
-    def test_server_side_field_in_wire_request_is_400(self, serve_factory):
+    @pytest.mark.parametrize("path,field,body", [
+        ("/v1/run", "cache", {"scene": "WKND", "cache": False}),
+        ("/v1/sweep", "jobs",
+         {"technique": "baseline", "scenes": ["WKND"], "jobs": 2}),
+    ], ids=["run-cache", "sweep-jobs"])
+    def test_server_side_field_in_wire_request_is_400(
+        self, serve_factory, path, field, body
+    ):
         handle = serve_factory()
-        status, _headers, doc = handle.post(
-            "/v1/run",
-            {"scene": "WKND", "scale": "smoke", "cache": False},
-        )
+        status, _headers, doc = handle.post(path, {"scale": "smoke", **body})
         assert status == 400
-        assert "cache" in doc["error"]
+        assert field in doc["error"]
 
     def test_unknown_field_suggests_near_miss(self, serve_factory):
         handle = serve_factory()

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.core import pipeline
+from repro.core.memo import MEMO
 from repro.core.pipeline import (
     BASELINE,
     DEFAULT,
@@ -309,7 +309,7 @@ def bench_replay(
 
     def replay(workload):
         def run_replay():
-            pipeline._RESULT_CACHE.clear()
+            MEMO.clear("result")
             for scene, technique in workload:
                 _run_experiment(scene, technique, scale)
 
@@ -327,12 +327,12 @@ def bench_replay(
     }
 
     def replay_serial():
-        pipeline._RESULT_CACHE.clear()
+        MEMO.clear("result")
         for scene, technique in pairs:
             _run_experiment(scene, technique, scale)
 
     def replay_parallel():
-        pipeline._RESULT_CACHE.clear()
+        MEMO.clear("result")
         prewarm_replays(
             [BASELINE, TREELET_PREFETCH], scenes, scale, jobs=parallel_jobs
         )

@@ -126,7 +126,7 @@ class RunRequest:
 
     ``technique`` and ``scale`` accept spec strings (resolved with
     :func:`parse_technique` / by scale name) or the objects themselves.
-    ``cache=False`` bypasses the in-process result memoizer.
+    ``cache=False`` bypasses the in-process result memo.
     ``workload`` picks the ray population: "render" (the paper's
     camera + secondary rays) or a :mod:`repro.queries` workload
     ("knn"/"containment", which require a matching query scene).

@@ -15,17 +15,15 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..geometry import add, sub
-from ..gpusim import GpuModel
-from ..scenes import Camera, build_scene, generate_rays
+from ..scenes import Camera, generate_rays
 from ..traversal import traverse_dfs_batch, traverse_two_stack_batch
 from .pipeline import (
     DEFAULT,
     Scale,
     Technique,
-    _build_layout,
-    _prefetcher_factory,
-    get_bvh,
-    get_decomposition,
+    _model,
+    _tree,
+    get_scene,
 )
 
 
@@ -101,24 +99,9 @@ def run_animation(
     and later frames run against warm caches.
     """
     config = config or AnimationConfig()
-    scene = build_scene(scene_name, scale.scene_scale)
-    bvh = get_bvh(scene_name, scale)
-    decomposition = (
-        get_decomposition(
-            scene_name, scale, technique.treelet_bytes, technique.formation
-        )
-        if technique.uses_treelets
-        else None
-    )
-    layout = _build_layout(technique, bvh, decomposition)
-    gpu = scale.gpu_config()
-    model = GpuModel(
-        gpu,
-        scheduler_policy=technique.scheduler,
-        prefetcher_factory=_prefetcher_factory(
-            technique, gpu, layout, decomposition
-        ),
-    )
+    scene = get_scene(scene_name, scale)
+    bvh, decomposition, layout = _tree(scene_name, technique, scale)
+    model = _model(scale.gpu_config(), technique, layout, decomposition)
     frame_cycles: List[int] = []
     for frame in range(config.frames):
         camera = orbit_camera(

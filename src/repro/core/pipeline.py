@@ -7,16 +7,22 @@ prefetcher, heuristic, scheduler, voter, treelet size);
 :func:`_run_experiment`) and returns timing, memory, power, and
 traversal statistics.
 
-All heavyweight intermediate artifacts (built scenes, BVHs, ray
-populations, traces, decompositions) are memoized per process so a
-parameter sweep over one scene pays scene/BVH construction once.
+Every intermediate artifact (built scenes, BVHs, ray populations,
+query plans, treelet decompositions, traces) and every result is
+memoized in the one bounded process-wide LRU
+(:data:`repro.core.memo.MEMO`), so a parameter sweep over one scene
+pays scene/BVH construction once.  An artifact's memo key is the same
+fingerprint it has in the on-disk artifact cache
+(:mod:`repro.exec.cache`), which the memo falls back to before
+building; a result's key is :meth:`Job.key`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
+from typing import Dict, List, Optional
 
 from ..bvh import (
     BuildConfig,
@@ -66,6 +72,7 @@ from ..treelet import (
     treelet_layout,
 )
 from .config import GpuConfig, default_config, paper_config, smoke_config
+from .memo import MEMO
 
 TRAVERSAL_KINDS = ("dfs", "treelet")
 LAYOUT_KINDS = ("dfs", "treelet")
@@ -225,54 +232,69 @@ class ExperimentResult:
 # Memoized workload construction.
 # ---------------------------------------------------------------------------
 
-_SCENE_CACHE: Dict[Tuple[str, float], object] = {}
-_BVH_CACHE: Dict[Tuple[str, float], FlatBVH] = {}
-_RAY_CACHE: Dict[Tuple[str, float, int, int, bool, str], List[Ray]] = {}
-_DECOMP_CACHE: Dict[Tuple[str, float, int, str], TreeletDecomposition] = {}
-_TRACE_CACHE: Dict[tuple, List[RayTrace]] = {}
-_RESULT_CACHE: Dict[tuple, ExperimentResult] = {}
-#: Compiled query plans (rays + decode mapping) per
-#: (scene, scene_scale, n_queries, workload).  Compilation is cheap and
-#: deterministic, so plans are process-local only — no disk artifact.
-_QUERY_PLAN_CACHE: Dict[tuple, object] = {}
+#: Build parameters matching Embree's *effective* shape: the node format
+#: is 6-wide (Figure 6) but real Embree trees fill ~3 child slots on
+#: average, giving the Table 2 depth range.  Small leaves keep per-ray
+#: visit counts in the paper's regime.
+DEFAULT_BUILD = BuildConfig(max_leaf_size=2)
+DEFAULT_BRANCHING = 3
 
-#: Count of heavyweight artifacts actually *constructed* this process
-#: (in-memory or on-disk cache hits do not count).  The repro.exec
-#: tests assert a warm artifact cache keeps these at zero.
-BUILD_COUNTS: Dict[str, int] = {
-    "scene": 0,
-    "bvh": 0,
-    "rays": 0,
-    "traces": 0,
-    "decomposition": 0,
-}
-
-
-def reset_build_counts() -> None:
-    for key in BUILD_COUNTS:
-        BUILD_COUNTS[key] = 0
+#: The artifact kinds :func:`build_counts` reports.
+COUNTED_KINDS = (
+    "scene", "bvh", "rays", "query_plan", "decomposition", "traces",
+)
 
 
 def build_counts() -> Dict[str, int]:
-    """Snapshot of :data:`BUILD_COUNTS` (artifacts constructed so far)."""
-    return dict(BUILD_COUNTS)
+    """Artifacts constructed per kind since :func:`reset_build_counts`
+    (memo hits and artifact-cache loads do not count)."""
+    return {kind: MEMO.count("builds", kind) for kind in COUNTED_KINDS}
+
+
+def reset_build_counts() -> None:
+    """Zero every counter of :data:`~repro.core.memo.MEMO`."""
+    MEMO.reset_counts()
+
+
+def clear_caches() -> None:
+    """Drop every memoized scene, artifact, result and forest context.
+
+    The on-disk artifact cache (:mod:`repro.exec.cache`), when active,
+    survives and reloads them.
+    """
+    MEMO.clear()
+
+
+def _exec_cache():
+    """:mod:`repro.exec.cache`, imported lazily: :mod:`repro.exec`
+    depends on this module, so the dependency must not exist at import
+    time."""
+    from ..exec import cache
+
+    return cache
 
 
 def _artifact_cache():
-    """The process-wide on-disk artifact cache, or None when disabled.
-
-    Imported lazily: :mod:`repro.exec` depends on this module, so the
-    dependency must not exist at import time.
-    """
-    from ..exec.cache import get_artifact_cache
-
-    return get_artifact_cache()
+    """The process-wide on-disk artifact cache, or None when disabled."""
+    return _exec_cache().get_artifact_cache()
 
 
-def _cache_components(scene_name: str, scale: Scale) -> Dict[str, object]:
-    """Fingerprint components every derived artifact depends on."""
-    from dataclasses import asdict
+def _fingerprint(kind: str, components: Dict[str, object]) -> str:
+    return _exec_cache().fingerprint(kind, components)
 
+
+# One function per artifact kind names its inputs.  Its fingerprint is
+# the artifact's key in both tiers: the memo's and the disk cache's.
+
+
+def _scene_key(scene_name: str, scale: Scale) -> str:
+    return _fingerprint(
+        "scene", {"scene": scene_name, "scene_scale": scale.scene_scale}
+    )
+
+
+def _bvh_inputs(scene_name: str, scale: Scale) -> Dict[str, object]:
+    """What a BVH depends on; every artifact derived from it too."""
     return {
         "scene": scene_name,
         "scene_scale": scale.scene_scale,
@@ -281,11 +303,8 @@ def _cache_components(scene_name: str, scale: Scale) -> Dict[str, object]:
     }
 
 
-def _raygen_components(
-    scale: Scale, workload: str = "render"
-) -> Dict[str, object]:
-    from dataclasses import asdict
-
+def _population_inputs(scale: Scale, workload: str) -> Dict[str, object]:
+    """What a ray population depends on, besides the scene."""
     if workload == "render":
         # Unchanged for render so existing cached artifacts stay valid.
         return {"raygen": asdict(scale.raygen())}
@@ -301,47 +320,88 @@ def _raygen_components(
     }
 
 
-#: Build parameters matching Embree's *effective* shape: the node format
-#: is 6-wide (Figure 6) but real Embree trees fill ~3 child slots on
-#: average, giving the Table 2 depth range.  Small leaves keep per-ray
-#: visit counts in the paper's regime.
-DEFAULT_BUILD = BuildConfig(max_leaf_size=2)
-DEFAULT_BRANCHING = 3
+def _bvh_key(scene_name: str, scale: Scale) -> str:
+    return _fingerprint("bvh", _bvh_inputs(scene_name, scale))
+
+
+def _rays_key(scene_name: str, scale: Scale) -> str:
+    return _fingerprint("rays", {
+        **_bvh_inputs(scene_name, scale),
+        **_population_inputs(scale, "render"),
+    })
+
+
+def _query_plan_key(scene_name: str, scale: Scale, workload: str) -> str:
+    return _fingerprint("query_plan", {
+        "scene": scene_name,
+        "scene_scale": scale.scene_scale,
+        **_population_inputs(scale, workload),
+    })
+
+
+def _decomposition_key(
+    scene_name: str, scale: Scale, treelet_bytes: int, strategy: str
+) -> str:
+    return _fingerprint("decomposition", {
+        **_bvh_inputs(scene_name, scale),
+        "treelet_bytes": treelet_bytes,
+        "formation": strategy,
+    })
+
+
+def _traces_key(
+    scene_name: str, scale: Scale, technique: Technique, workload: str
+) -> str:
+    """Only the treelet traversal depends on treelet parameters."""
+    components = {
+        **_bvh_inputs(scene_name, scale),
+        **_population_inputs(scale, workload),
+        "traversal": technique.traversal,
+    }
+    if technique.traversal == "treelet":
+        components["treelet_bytes"] = technique.treelet_bytes
+        components["deferred_order"] = technique.deferred_order
+        components["formation"] = technique.formation
+    return _fingerprint("traces", components)
+
+
+@dataclass(frozen=True)
+class Job:
+    """One (scene, technique, scale, workload) evaluation."""
+
+    scene: str
+    technique: Technique
+    scale: Scale
+    workload: str = "render"
+
+    def key(self) -> tuple:
+        """The memo key of this evaluation's result: the whole
+        :class:`Scale`, so two scales sharing a name never share it."""
+        return (self.scene, self.technique, self.scale, self.workload)
 
 
 def get_scene(scene_name: str, scale: Scale):
     """The built scene, memoized per (name, scale) like every other
     artifact so one (scene, scale) pays construction exactly once."""
-    key = (scene_name, scale.scene_scale)
-    if key not in _SCENE_CACHE:
-        BUILD_COUNTS["scene"] += 1
-        _SCENE_CACHE[key] = build_scene(scene_name, scale.scene_scale)
-    return _SCENE_CACHE[key]
+    return MEMO.get_or_build(
+        "scene",
+        _scene_key(scene_name, scale),
+        lambda: build_scene(scene_name, scale.scene_scale),
+    )
 
 
 def get_bvh(scene_name: str, scale: Scale) -> FlatBVH:
-    key = (scene_name, scale.scene_scale)
-    if key not in _BVH_CACHE:
-        cache = _artifact_cache()
-        bvh = None
-        fingerprint = None
-        if cache is not None:
-            fingerprint = cache.fingerprint(
-                "bvh", _cache_components(scene_name, scale)
-            )
-            bvh = cache.load("bvh", fingerprint)
-        if bvh is None:
-            BUILD_COUNTS["bvh"] += 1
-            bvh = build_wide_bvh(
-                get_scene(scene_name, scale).mesh.triangles(),
-                config=DEFAULT_BUILD,
-                branching_factor=DEFAULT_BRANCHING,
-                name=scene_name,
-            )
-            if cache is not None:
-                cache.store("bvh", fingerprint, bvh)
-        _BVH_CACHE[key] = bvh
-    return _BVH_CACHE[key]
+    return MEMO.get_or_build(
+        "bvh",
+        _bvh_key(scene_name, scale),
+        lambda: build_wide_bvh(
+            get_scene(scene_name, scale).mesh.triangles(),
+            config=DEFAULT_BUILD,
+            branching_factor=DEFAULT_BRANCHING,
+            name=scene_name,
+        ),
+        _artifact_cache(),
+    )
 
 
 def get_query_plan(scene_name: str, scale: Scale, workload: str):
@@ -352,17 +412,18 @@ def get_query_plan(scene_name: str, scale: Scale, workload: str):
     that sizes the render ray population), keeping smoke/default/full
     proportions meaningful across workloads.  Plans are pure functions
     of (scene, scale, workload), so decode can always recompute the
-    plan a trace set was compiled from.
+    plan a trace set was compiled from.  Compilation is cheap, so plans
+    are memoized in memory only — no disk artifact.
     """
     from ..queries import compile_queries
 
-    n_queries = scale.width * scale.height
-    key = (scene_name, scale.scene_scale, n_queries, workload)
-    if key not in _QUERY_PLAN_CACHE:
-        BUILD_COUNTS["rays"] += 1
-        scene = get_scene(scene_name, scale)
-        _QUERY_PLAN_CACHE[key] = compile_queries(scene, workload, n_queries)
-    return _QUERY_PLAN_CACHE[key]
+    return MEMO.get_or_build(
+        "query_plan",
+        _query_plan_key(scene_name, scale, workload),
+        lambda: compile_queries(
+            get_scene(scene_name, scale), workload, scale.width * scale.height
+        ),
+    )
 
 
 def get_rays(
@@ -370,33 +431,40 @@ def get_rays(
 ) -> List[Ray]:
     if workload != "render":
         return get_query_plan(scene_name, scale, workload).rays
-    key = (
-        scene_name,
-        scale.scene_scale,
-        scale.width,
-        scale.height,
-        scale.secondary,
-        workload,
+    return MEMO.get_or_build(
+        "rays",
+        _rays_key(scene_name, scale),
+        lambda: generate_rays(
+            get_scene(scene_name, scale).camera,
+            get_bvh(scene_name, scale),
+            scale.raygen(),
+        ),
+        _artifact_cache(),
     )
-    if key not in _RAY_CACHE:
-        cache = _artifact_cache()
-        rays = None
-        fingerprint = None
-        if cache is not None:
-            components = _cache_components(scene_name, scale)
-            components.update(_raygen_components(scale))
-            fingerprint = cache.fingerprint("rays", components)
-            rays = cache.load("rays", fingerprint)
-        if rays is None:
-            BUILD_COUNTS["rays"] += 1
-            bvh = get_bvh(scene_name, scale)
-            rays = generate_rays(
-                get_scene(scene_name, scale).camera, bvh, scale.raygen()
-            )
-            if cache is not None:
-                cache.store("rays", fingerprint, rays)
-        _RAY_CACHE[key] = rays
-    return _RAY_CACHE[key]
+
+
+def _decomposition_disk(scene_name: str, scale: Scale):
+    """The artifact cache as the disk tier of one scene's
+    decompositions, or None.  An entry holds no BVH: a load re-attaches
+    the memoized one, so a warm decomposition shares it, not a copy."""
+    cache = _artifact_cache()
+    if cache is None:
+        return None
+
+    def load(kind: str, key: str):
+        payload = cache.load(kind, key)
+        if payload is None:
+            return None
+        return TreeletDecomposition(get_bvh(scene_name, scale), *payload)
+
+    def store(kind: str, key: str, decomposition) -> None:
+        cache.store(kind, key, (
+            decomposition.max_bytes,
+            decomposition.treelets,
+            decomposition.assignment,
+        ))
+
+    return SimpleNamespace(load=load, store=store)
 
 
 def get_decomposition(
@@ -405,85 +473,51 @@ def get_decomposition(
     treelet_bytes: int,
     strategy: str = "bfs",
 ) -> TreeletDecomposition:
-    key = (scene_name, scale.scene_scale, treelet_bytes, strategy)
-    if key not in _DECOMP_CACHE:
-        cache = _artifact_cache()
-        decomposition = None
-        fingerprint = None
-        if cache is not None:
-            components = _cache_components(scene_name, scale)
-            components["treelet_bytes"] = treelet_bytes
-            components["formation"] = strategy
-            fingerprint = cache.fingerprint("decomposition", components)
-            # The entry holds no BVH: the memoized one is re-attached,
-            # so a warm decomposition shares it instead of a copy.
-            payload = cache.load("decomposition", fingerprint)
-            if payload is not None:
-                max_bytes, treelets, assignment = payload
-                decomposition = TreeletDecomposition(
-                    bvh=get_bvh(scene_name, scale),
-                    max_bytes=max_bytes,
-                    treelets=treelets,
-                    assignment=assignment,
-                )
-        if decomposition is None:
-            BUILD_COUNTS["decomposition"] += 1
-            decomposition = form_treelets(
-                get_bvh(scene_name, scale), treelet_bytes, strategy
-            )
-            if cache is not None:
-                cache.store("decomposition", fingerprint, (
-                    decomposition.max_bytes,
-                    decomposition.treelets,
-                    decomposition.assignment,
-                ))
-        _DECOMP_CACHE[key] = decomposition
-    return _DECOMP_CACHE[key]
-
-
-def _trace_key(
-    scene_name: str,
-    scale: Scale,
-    traversal: str,
-    treelet_bytes: int,
-    deferred_order: str,
-    formation: str,
-    workload: str = "render",
-) -> tuple:
-    """Memoizer key for one trace set."""
-    return (
-        scene_name,
-        scale.scene_scale,
-        scale.width,
-        scale.height,
-        scale.secondary,
-        traversal,
-        treelet_bytes if traversal == "treelet" else 0,
-        deferred_order if traversal == "treelet" else "",
-        formation if traversal == "treelet" else "",
-        workload,
+    return MEMO.get_or_build(
+        "decomposition",
+        _decomposition_key(scene_name, scale, treelet_bytes, strategy),
+        lambda: form_treelets(
+            get_bvh(scene_name, scale), treelet_bytes, strategy
+        ),
+        _decomposition_disk(scene_name, scale),
     )
 
 
-def _trace_fingerprint(
-    cache,
-    scene_name: str,
-    scale: Scale,
-    traversal: str,
-    treelet_bytes: int,
-    deferred_order: str,
-    formation: str,
-    workload: str = "render",
-) -> str:
-    """On-disk fingerprint for one trace set."""
-    components = _cache_components(scene_name, scale)
-    components.update(_raygen_components(scale, workload))
-    components["traversal"] = traversal
-    if traversal == "treelet":
-        components["treelet_bytes"] = treelet_bytes
-        components["deferred_order"] = deferred_order
-        components["formation"] = formation
-    return cache.fingerprint("traces", components)
+def _trace_job(scene_name: str, technique: Technique, workload: str,
+               scale: Scale) -> tuple:
+    """One :func:`traverse_forest_jobs` job; rays are cloned because
+    traversal mutates them."""
+    decomposition = (
+        get_decomposition(
+            scene_name, scale, technique.treelet_bytes, technique.formation
+        )
+        if technique.traversal == "treelet"
+        else None
+    )
+    rays = [ray.clone() for ray in get_rays(scene_name, scale, workload)]
+    return (
+        get_bvh(scene_name, scale), rays, decomposition,
+        technique.deferred_order,
+    )
+
+
+def _trace_sets(triples, scale: Scale) -> List[List[RayTrace]]:
+    """The trace sets of ``(scene_name, technique, workload)`` triples,
+    in order.  Every set missing from both tiers rides in one merged
+    ray forest (:func:`repro.traversal.traverse_forest_jobs`), so the
+    fixed per-iteration numpy dispatch cost is paid once for the whole
+    batch instead of once per (scene, technique)."""
+    keys = [_traces_key(scene, scale, technique, workload)
+            for scene, technique, workload in triples]
+    by_key = dict(zip(keys, triples))
+    return MEMO.get_or_build_all(
+        "traces",
+        keys,
+        lambda missing: traverse_forest_jobs(
+            [_trace_job(*by_key[key], scale) for key in missing]
+        ),
+        _artifact_cache(),
+    )
 
 
 def get_traces(
@@ -497,106 +531,34 @@ def get_traces(
 ) -> List[RayTrace]:
     """Functional traversal traces (the timing model's input).
 
-    A memo lookup; a missing set is built by :func:`prewarm_traces`.
     ``workload`` selects the ray population: "render" (camera +
     secondary) or a query workload compiled by :mod:`repro.queries`;
     traces come back in ray-population order, so query decode can map
     them positionally.
     """
-    key = _trace_key(
-        scene_name, scale, traversal, treelet_bytes, deferred_order,
-        formation, workload,
+    technique = Technique(
+        traversal=traversal,
+        deferred_order=deferred_order,
+        treelet_bytes=treelet_bytes,
+        formation=formation,
     )
-    if key not in _TRACE_CACHE:
-        technique = Technique(
-            traversal=traversal,
-            deferred_order=deferred_order,
-            treelet_bytes=treelet_bytes,
-            formation=formation,
-        )
-        prewarm_traces([(scene_name, technique, workload)], scale)
-    return _TRACE_CACHE[key]
+    return _trace_sets([(scene_name, technique, workload)], scale)[0]
 
 
 def prewarm_traces(pairs, scale: Scale) -> int:
-    """Build the traces of many ``(scene_name, technique)`` pairs.
+    """Build the traces of many ``(scene_name, technique)`` pairs in one
+    merged ray forest; returns the number of trace sets actually built.
 
     Each pair may also be a ``(scene_name, technique, workload)``
     triple; plain pairs mean the "render" workload.
-
-    Every missing trace set rides in one merged ray forest
-    (:func:`repro.traversal.traverse_forest_jobs`), so the fixed
-    per-iteration numpy dispatch cost is paid once for the whole batch
-    instead of once per (scene, technique).  Results land in the
-    in-process memoizer and the artifact cache.  Returns the number of
-    trace sets actually built.
     """
-    specs: Dict[tuple, tuple] = {}
-    for pair in pairs:
-        scene_name, technique = pair[0], pair[1]
-        workload = pair[2] if len(pair) > 2 else "render"
-        if technique.traversal == "treelet":
-            spec = (
-                scene_name,
-                "treelet",
-                technique.treelet_bytes,
-                technique.deferred_order,
-                technique.formation,
-                workload,
-            )
-        else:
-            spec = (scene_name, "dfs", 0, "nearest", "bfs", workload)
-        specs.setdefault(_trace_key(spec[0], scale, *spec[1:]), spec)
-    cache = _artifact_cache()
-    missing: List[tuple] = []
-    for key, spec in specs.items():
-        if key in _TRACE_CACHE:
-            continue
-        fingerprint = None
-        if cache is not None:
-            fingerprint = _trace_fingerprint(cache, spec[0], scale, *spec[1:])
-            traces = cache.load("traces", fingerprint)
-            if traces is not None:
-                _TRACE_CACHE[key] = traces
-                continue
-        missing.append((key, spec, fingerprint))
-    if not missing:
-        return 0
-    jobs = []
-    for _, spec, _ in missing:
-        scene_name, traversal, treelet_bytes, order, formation, workload = spec
-        bvh = get_bvh(scene_name, scale)
-        rays = [
-            ray.clone() for ray in get_rays(scene_name, scale, workload)
-        ]
-        decomposition = (
-            get_decomposition(scene_name, scale, treelet_bytes, formation)
-            if traversal == "treelet"
-            else None
-        )
-        jobs.append((bvh, rays, decomposition, order))
-    outputs = traverse_forest_jobs(jobs)
-    for (key, _, fingerprint), traces in zip(missing, outputs):
-        BUILD_COUNTS["traces"] += 1
-        _TRACE_CACHE[key] = traces
-        if cache is not None:
-            cache.store("traces", fingerprint, traces)
-    return len(missing)
-
-
-def clear_caches() -> None:
-    """Drop all memoized workload artifacts (tests use this).
-
-    Only in-memory memoizers are dropped; the on-disk artifact cache
-    (:mod:`repro.exec.cache`), when active, survives and reloads them.
-    """
-    _SCENE_CACHE.clear()
-    _BVH_CACHE.clear()
-    _RAY_CACHE.clear()
-    _DECOMP_CACHE.clear()
-    _TRACE_CACHE.clear()
-    _RESULT_CACHE.clear()
-    _QUERY_PLAN_CACHE.clear()
+    built = MEMO.count("builds", "traces")
+    _trace_sets(
+        [(pair[0], pair[1], pair[2] if len(pair) > 2 else "render")
+         for pair in pairs],
+        scale,
+    )
+    return MEMO.count("builds", "traces") - built
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +626,32 @@ def _prefetcher_factory(
     return lambda _sm: simple()
 
 
+def _tree(scene_name: str, technique: Technique, scale: Scale):
+    """``(bvh, decomposition, layout)`` of ``technique`` on a scene."""
+    bvh = get_bvh(scene_name, scale)
+    decomposition = (
+        get_decomposition(
+            scene_name, scale, technique.treelet_bytes, technique.formation
+        )
+        if technique.uses_treelets
+        else None
+    )
+    return bvh, decomposition, _build_layout(technique, bvh, decomposition)
+
+
+def _model(gpu: GpuConfig, technique: Technique, layout: NodeLayout,
+           decomposition: Optional[TreeletDecomposition],
+           **model_kwargs) -> GpuModel:
+    return GpuModel(
+        gpu,
+        scheduler_policy=technique.scheduler,
+        prefetcher_factory=_prefetcher_factory(
+            technique, gpu, layout, decomposition
+        ),
+        **model_kwargs,
+    )
+
+
 def build_gpu_model(
     scene_name: str,
     technique: Technique,
@@ -678,35 +666,10 @@ def build_gpu_model(
     timeline sampler, single-step, run frames).  Returns
     ``(model, traces, bvh, layout)``; call ``model.run()`` to simulate.
     """
-    from ..gpusim import GpuModel
-
     gpu = gpu_config or scale.gpu_config()
-    bvh = get_bvh(scene_name, scale)
-    decomposition = (
-        get_decomposition(
-            scene_name, scale, technique.treelet_bytes, technique.formation
-        )
-        if technique.uses_treelets
-        else None
-    )
-    layout = _build_layout(technique, bvh, decomposition)
-    traces = get_traces(
-        scene_name,
-        scale,
-        technique.traversal,
-        technique.treelet_bytes,
-        technique.deferred_order,
-        technique.formation,
-        workload=workload,
-    )
-    model = GpuModel(
-        gpu,
-        scheduler_policy=technique.scheduler,
-        prefetcher_factory=_prefetcher_factory(
-            technique, gpu, layout, decomposition
-        ),
-        **model_kwargs,
-    )
+    bvh, decomposition, layout = _tree(scene_name, technique, scale)
+    traces = _trace_sets([(scene_name, technique, workload)], scale)[0]
+    model = _model(gpu, technique, layout, decomposition, **model_kwargs)
     model.load(traces, bvh, layout)
     return model, traces, bvh, layout
 
@@ -728,55 +691,32 @@ def _run_experiment(
     the run (observed runs are never memoized, so the observer always
     sees a real simulation; attaching it does not change the results).
     ``workload`` picks the ray population ("render" or a
-    :mod:`repro.queries` workload) and is part of the memoizer key.
+    :mod:`repro.queries` workload) and is part of the result's memo key.
     """
     if workload != "render":
         from ..queries.workloads import check_scene_workload
 
         check_scene_workload(scene_name, workload)
-    cache_key = (scene_name, technique, scale.name, workload)
+    key = Job(scene_name, technique, scale, workload).key()
     memoizable = use_cache and gpu_config is None and observer is None
     with _span(
         "phase.cache_lookup", scene=scene_name, technique=technique.label()
     ) as lookup:
-        hit = memoizable and cache_key in _RESULT_CACHE
+        cached = MEMO.get("result", key) if memoizable else None
         if lookup is not None:
-            lookup.args["hit"] = hit
-    if hit:
-        return _RESULT_CACHE[cache_key]
+            lookup.args["hit"] = cached is not None
+    if cached is not None:
+        return cached
     gpu = gpu_config or scale.gpu_config()
     with _span("phase.scene_build", scene=scene_name, scale=scale.name):
-        bvh = get_bvh(scene_name, scale)
-        decomposition = (
-            get_decomposition(
-                scene_name, scale, technique.treelet_bytes,
-                technique.formation,
-            )
-            if technique.uses_treelets
-            else None
-        )
-        layout = _build_layout(technique, bvh, decomposition)
+        bvh, decomposition, layout = _tree(scene_name, technique, scale)
     with _span("phase.trace", scene=scene_name, scale=scale.name):
-        traces = get_traces(
-            scene_name,
-            scale,
-            technique.traversal,
-            technique.treelet_bytes,
-            technique.deferred_order,
-            technique.formation,
-            workload=workload,
-        )
+        traces = _trace_sets([(scene_name, technique, workload)], scale)[0]
     with _span(
         "phase.replay", scene=scene_name, technique=technique.label()
     ):
-        model = GpuModel(
-            gpu,
-            scheduler_policy=technique.scheduler,
-            prefetcher_factory=_prefetcher_factory(
-                technique, gpu, layout, decomposition
-            ),
-            observer=observer,
-        )
+        model = _model(gpu, technique, layout, decomposition,
+                       observer=observer)
         model.load(traces, bvh, layout)
         stats = model.run()
     result = ExperimentResult(
@@ -789,7 +729,7 @@ def _run_experiment(
         treelet_count=decomposition.treelet_count if decomposition else 0,
     )
     if memoizable:
-        _RESULT_CACHE[cache_key] = result
+        MEMO.put("result", key, result)
     return result
 
 

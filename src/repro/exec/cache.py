@@ -56,6 +56,18 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_SWITCH = "REPRO_CACHE"
 
 
+def fingerprint(kind: str, components: Dict[str, object]) -> str:
+    """SHA-256 over the canonical (sorted-key JSON) input document: an
+    artifact's name on disk and its key in :data:`repro.core.memo.MEMO`."""
+    document = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "kind": kind,
+        "inputs": components,
+    }
+    canonical = json.dumps(document, sort_keys=True, default=str)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 @dataclass
 class ArtifactCacheStats:
     """Per-process counters for one :class:`ArtifactCache`."""
@@ -78,16 +90,6 @@ class ArtifactCache:
     @property
     def version_dir(self) -> Path:
         return self.root / f"v{CACHE_SCHEMA_VERSION}"
-
-    def fingerprint(self, kind: str, components: Dict[str, object]) -> str:
-        """SHA-256 over the canonical (sorted-key JSON) input document."""
-        document = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "kind": kind,
-            "inputs": components,
-        }
-        canonical = json.dumps(document, sort_keys=True, default=str)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def path_for(self, kind: str, fingerprint: str) -> Path:
         return (

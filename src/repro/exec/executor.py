@@ -30,30 +30,17 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
+from ..core.memo import MEMO
 from ..core.pipeline import (
     DEFAULT,
     ExperimentResult,
+    Job,
     Scale,
     Technique,
     _run_experiment,
 )
 from ..obs import spans as _spans
 from .cache import get_artifact_cache, set_artifact_cache
-
-
-@dataclass(frozen=True)
-class Job:
-    """One (scene, technique, scale, workload) evaluation."""
-
-    scene: str
-    technique: Technique
-    scale: Scale
-    workload: str = "render"
-
-    def key(self):
-        # Must stay in lockstep with _run_experiment's memoizer key:
-        # prewarm helpers seed pipeline._RESULT_CACHE through it.
-        return (self.scene, self.technique, self.scale.name, self.workload)
 
 
 #: progress callback signature: (done, total, job, source) where source
@@ -132,7 +119,7 @@ def _run_job_traced(job: Job, ctx_dict: dict):
 
 
 def _mp_context():
-    """Fork when the platform has it (fast, inherits warm memoizers);
+    """Fork when the platform has it (fast, inherits the warm memo);
     spawn otherwise.  ``REPRO_MP_START`` overrides."""
     import multiprocessing
 
@@ -302,18 +289,20 @@ def prewarm_results(
     **options,
 ) -> List[ExperimentResult]:
     """Evaluate every (scene, technique) pair and seed the in-process
-    result memoizer, so subsequent serial code (sweep assembly, report
+    memo with the results, so subsequent serial code (sweep assembly, report
     loops, benchmarks) hits memory instead of re-simulating."""
-    from ..core import pipeline
-
     batch = [
         Job(scene=scene, technique=technique, scale=scale)
         for technique in techniques
         for scene in scenes
     ]
-    results = execute_jobs(batch, workers=jobs, **options)
-    for job, result in zip(batch, results):
-        pipeline._RESULT_CACHE.setdefault(job.key(), result)
+    return _memoized(batch, execute_jobs(batch, workers=jobs, **options))
+
+
+def _memoized(jobs: Sequence[Job], results: List[ExperimentResult]):
+    """Seed the in-process result memo with ``results``."""
+    for job, result in zip(jobs, results):
+        MEMO.put("result", job.key(), result)
     return results
 
 
@@ -327,10 +316,10 @@ def prewarm_replay_jobs(
     Trace generation is hoisted into the parent first — one
     :func:`repro.core.pipeline.prewarm_traces` call per distinct scale,
     so every missing trace set rides the vectorized forest driver once.
-    Fork-started workers then inherit the warm trace memoizer and spend
+    Fork-started workers then inherit the warm memoized traces and spend
     their time purely on simulation replay (spawn-started workers reload
     the traces from the shared artifact cache when one is active).
-    Results seed the in-process result memoizer exactly like
+    Results seed the in-process memo exactly like
     :func:`prewarm_results`, and ``options`` passes through to
     :func:`execute_jobs` (progress/metrics/timeouts/span shipping — the
     deterministic merge and fallback semantics are unchanged).
@@ -338,17 +327,14 @@ def prewarm_replay_jobs(
     from ..core import pipeline
 
     jobs = list(jobs)
-    by_scale: Dict[str, tuple] = {}
+    by_scale: Dict[Scale, list] = {}
     for job in jobs:
-        by_scale.setdefault(job.scale.name, (job.scale, []))[1].append(
+        by_scale.setdefault(job.scale, []).append(
             (job.scene, job.technique, job.workload)
         )
-    for scale, pairs in by_scale.values():
-        pipeline.prewarm_traces(pairs, scale)
-    results = execute_jobs(jobs, workers=workers, **options)
-    for job, result in zip(jobs, results):
-        pipeline._RESULT_CACHE.setdefault(job.key(), result)
-    return results
+    for scale, triples in by_scale.items():
+        pipeline.prewarm_traces(triples, scale)
+    return _memoized(jobs, execute_jobs(jobs, workers=workers, **options))
 
 
 def prewarm_replays(
@@ -362,7 +348,7 @@ def prewarm_replays(
     """:func:`prewarm_results` with the replay phase fanned out: traces
     for every (scene, technique) pair are batch-generated in the parent
     (one vectorized forest pass), then the replays fan across ``jobs``
-    worker processes and seed the in-process result memoizer."""
+    worker processes and seed the in-process memo."""
     batch = [
         Job(scene=scene, technique=technique, scale=scale, workload=workload)
         for technique in techniques

@@ -323,9 +323,6 @@ _QUERY_BUILDERS: Dict[str, Callable[[int, int], tuple]] = {
     "AMRTWO": amr_grid_two_level,
 }
 
-_SCENE_CACHE: Dict[Tuple[str, float], Scene] = {}
-
-
 def scene_names() -> List[str]:
     """All scene names, in the paper's Table 2 order."""
     return list(ALL_SCENES)
@@ -360,10 +357,8 @@ def frame_camera(bounds: AABB, fov_degrees: float = 60.0) -> Camera:
 
 
 def build_scene(name: str, scale: float = 1.0) -> Scene:
-    """Build (and cache) a named scene at the given triangle-budget scale."""
-    key = (name, scale)
-    if key in _SCENE_CACHE:
-        return _SCENE_CACHE[key]
+    """Build a named scene at the given triangle-budget scale (memoized
+    by :func:`repro.core.pipeline.get_scene`)."""
     if name not in _BUILDERS and name not in _QUERY_BUILDERS:
         known = sorted(_BUILDERS) + sorted(_QUERY_BUILDERS)
         raise KeyError(f"unknown scene {name!r}; choose from {known}")
@@ -374,16 +369,13 @@ def build_scene(name: str, scale: float = 1.0) -> Scene:
     if name in _QUERY_BUILDERS:
         budget = max(16, int(QUERY_SCENE_BUDGET[name] * scale))
         mesh, geometry = _QUERY_BUILDERS[name](budget, seed)
-        scene = Scene(
+        return Scene(
             name=name,
             mesh=mesh,
             camera=frame_camera(mesh.bounds()),
             kind=SCENE_KINDS[name],
             query=geometry,
         )
-    else:
-        budget = max(16, int(SCENE_TRIANGLE_BUDGET[name] * scale))
-        mesh = _BUILDERS[name](budget, seed)
-        scene = Scene(name=name, mesh=mesh, camera=frame_camera(mesh.bounds()))
-    _SCENE_CACHE[key] = scene
-    return scene
+    budget = max(16, int(SCENE_TRIANGLE_BUDGET[name] * scale))
+    mesh = _BUILDERS[name](budget, seed)
+    return Scene(name=name, mesh=mesh, camera=frame_camera(mesh.bounds()))

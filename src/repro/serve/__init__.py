@@ -35,7 +35,6 @@ and ``benchmarks/perf/servebench.py`` for the QPS-sweep benchmark that
 produces ``BENCH_serve.json``.
 """
 
-from .cache import ResultLRU
 from .client import (
     AsyncServeClient,
     Response,
@@ -101,7 +100,6 @@ __all__ = [
     "RequestOutcome",
     "RequestTemplate",
     "Response",
-    "ResultLRU",
     "RouterConfig",
     "SCENARIO_SCHEMA",
     "SCHEMA_HEADER",

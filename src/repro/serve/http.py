@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional, Tuple
+from typing import Awaitable, Callable, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from .protocol import PROTOCOL_SCHEMA, SCHEMA_HEADER, ServeError
+from .protocol import PROTOCOL_SCHEMA, SCHEMA_HEADER, ErrorDocument, ServeError
 
 SERVER_NAME = "repro-serve"
 
@@ -77,6 +77,11 @@ async def read_request(
     return method.upper(), parts.path, query, payload
 
 
+def trace_headers(trace_id: Optional[str]) -> dict:
+    """The ``X-Repro-Trace-Id`` header of a response, if it has one."""
+    return {"X-Repro-Trace-Id": trace_id} if trace_id else {}
+
+
 async def respond(
     writer: asyncio.StreamWriter,
     status: int,
@@ -116,3 +121,51 @@ async def respond(
         await writer.drain()
     except ConnectionError:
         pass
+
+
+async def serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    route: Callable[..., Awaitable[Tuple[int, object, dict]]],
+    *,
+    max_body_bytes: int,
+    server: str = SERVER_NAME,
+) -> None:
+    """Answer one connection: ``route(method, path, query, payload)``
+    gives ``(status, document, headers)``.  A :class:`ServeError`
+    becomes its error document and any other exception a 500, so a
+    handler bug never kills the server."""
+    try:
+        try:
+            method, path, query, payload = await read_request(
+                reader, max_body_bytes=max_body_bytes
+            )
+        except ServeError as exc:
+            await respond(writer, exc.status, exc.document(), exc.headers,
+                          server)
+            return
+        except (asyncio.IncompleteReadError, ConnectionError,
+                asyncio.TimeoutError, ValueError):
+            return  # malformed/aborted connection; nothing to answer
+        try:
+            status, document, headers = await route(
+                method, path, query, payload
+            )
+        except ServeError as exc:
+            status, document, headers = (
+                exc.status, exc.document(), exc.headers
+            )
+        except Exception as exc:  # noqa: BLE001 — never kill the server
+            status, document, headers = (
+                500,
+                ErrorDocument(
+                    error=f"{type(exc).__name__}: {exc}", status=500
+                ).to_wire(),
+                {},
+            )
+        await respond(writer, status, document, headers, server)
+    finally:
+        try:
+            writer.close()
+        except Exception:  # noqa: BLE001
+            pass

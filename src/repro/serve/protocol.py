@@ -382,7 +382,7 @@ class ServedJob:
 
         Artifacts and (usually) the experiments themselves are already
         warm: the scheduler prewarms traces for the whole batch and,
-        with a worker pool, seeds the result memoizer before this is
+        with a worker pool, seeds the memo with the results before this is
         called.
         """
         from ..api import run, sweep

@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Tuple
 from ..obs import MetricRegistry
 from ..obs import spans as _sp
 from .client import AsyncServeClient, Response
-from .http import read_request, respond
+from .http import serve_connection, trace_headers
 from .protocol import (
     CANCELLED,
     DONE,
@@ -422,43 +422,9 @@ class SceneShardRouter:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                method, path, query, payload = await read_request(
-                    reader, max_body_bytes=self.config.max_body_bytes
-                )
-            except ServeError as exc:
-                await respond(writer, exc.status, exc.document(),
-                              exc.headers, server=ROUTER_NAME)
-                return
-            except (asyncio.IncompleteReadError, ConnectionError,
-                    asyncio.TimeoutError, ValueError):
-                return
-            try:
-                status, document, headers = await self._route(
-                    method, path, query, payload
-                )
-            except ServeError as exc:
-                status, document, headers = (
-                    exc.status, exc.document(), exc.headers
-                )
-            except Exception as exc:  # noqa: BLE001 — never kill the router
-                from .protocol import ErrorDocument
-
-                status, document, headers = (
-                    500,
-                    ErrorDocument(
-                        error=f"{type(exc).__name__}: {exc}", status=500
-                    ).to_wire(),
-                    {},
-                )
-            await respond(writer, status, document, headers,
-                          server=ROUTER_NAME)
-        finally:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001
-                pass
+        await serve_connection(reader, writer, self._route,
+                               max_body_bytes=self.config.max_body_bytes,
+                               server=ROUTER_NAME)
 
     async def _route(self, method: str, path: str, query: dict,
                      payload: Optional[dict]) -> Tuple[int, object, dict]:
@@ -499,12 +465,6 @@ class SceneShardRouter:
     # Submission: runs route whole, sweeps split per scene.
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _trace_headers(document) -> dict:
-        if isinstance(document, dict) and document.get("trace_id"):
-            return {"X-Repro-Trace-Id": document["trace_id"]}
-        return {}
-
     async def _submit_run(self, query: dict,
                           payload: dict) -> Tuple[int, dict, dict]:
         served = normalize_run(payload, query)  # full validation at the edge
@@ -521,7 +481,7 @@ class SceneShardRouter:
         remote = JobDocument.from_wire(document)
         job = self._new_job(served, [(replica.address, remote.id)])
         merged = self._run_document(job, replica.address, document)
-        return response.status, merged, self._trace_headers(merged)
+        return response.status, merged, trace_headers(merged.get("trace_id"))
 
     async def _submit_sweep(self, query: dict,
                             payload: dict) -> Tuple[int, dict, dict]:
@@ -577,7 +537,7 @@ class SceneShardRouter:
             return 502, merged, {}
         merged = self._merge_sweep_documents(job, part_documents)
         status = 200 if merged["state"] in TERMINAL_STATES else 202
-        return status, merged, self._trace_headers(merged)
+        return status, merged, trace_headers(merged.get("trace_id"))
 
     # ------------------------------------------------------------------
     # Merging.
@@ -706,7 +666,7 @@ class SceneShardRouter:
             merged = self._run_document(job, *parts[0])
         else:
             merged = self._merge_sweep_documents(job, parts)
-        return 200, merged, self._trace_headers(merged)
+        return 200, merged, trace_headers(merged.get("trace_id"))
 
     async def _cancel(self, job: RouterJob) -> Tuple[int, dict, dict]:
         parts = await self._fetch_parts(

@@ -26,6 +26,15 @@ Submission semantics:
   header (open-loop clients back off instead of piling on);
 * during drain (SIGTERM/SIGINT) new submissions get 503 while queued
   and in-flight jobs run to completion.
+
+Caches, fastest first: the result cache (finished result documents,
+``ServeConfig.cache_entries`` entries); the process memo
+(:data:`repro.core.memo.MEMO`: results and the artifacts they were
+built from, ``MEMO_CAPACITY`` entries); and the on-disk artifact cache.
+The first two are instances of one bounded class,
+:class:`repro.core.memo.LRU`, so memory stays flat however many
+distinct requests arrive; ``/healthz`` reports both, as
+``result_cache`` and ``memo``.
 """
 
 from __future__ import annotations
@@ -36,11 +45,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..core.memo import LRU, MEMO
 from ..obs import MetricRegistry
 from ..obs import spans as _sp
 from . import protocol
-from .cache import ResultLRU
-from .http import SERVER_NAME, read_request, respond
+from .http import serve_connection, trace_headers
 from .protocol import JobRecord, ServeError, ServedJob
 from .scheduler import MicroBatchScheduler
 
@@ -73,7 +82,7 @@ class SimulationService:
                  metrics: Optional[MetricRegistry] = None) -> None:
         self.config = config or ServeConfig()
         self.metrics = metrics if metrics is not None else MetricRegistry()
-        self.cache = ResultLRU(self.config.cache_entries)
+        self.cache = LRU(self.config.cache_entries)
         # One collector for the whole service: request root spans,
         # scheduler batch spans, and spans shipped back from exec
         # workers all merge here (GET /v1/jobs/<id>/trace reads it).
@@ -221,6 +230,7 @@ class SimulationService:
             "inflight": self.scheduler.busy,
             "jobs": states,
             "result_cache": self.cache.info(),
+            "memo": MEMO.info(),
             # Execution provenance: how many worker processes the replay
             # phase fans across (1 = in-process serial; see
             # MicroBatchScheduler).
@@ -237,40 +247,8 @@ class SimulationService:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                method, path, query, payload = await read_request(
-                    reader, max_body_bytes=self.config.max_body_bytes
-                )
-            except ServeError as exc:
-                await respond(writer, exc.status, exc.document(),
-                              exc.headers)
-                return
-            except (asyncio.IncompleteReadError, ConnectionError,
-                    asyncio.TimeoutError, ValueError):
-                return  # malformed/aborted connection; nothing to answer
-            try:
-                status, document, headers = await self._route(
-                    method, path, query, payload
-                )
-            except ServeError as exc:
-                status, document, headers = (
-                    exc.status, exc.document(), exc.headers
-                )
-            except Exception as exc:  # noqa: BLE001 — never kill the server
-                status, document, headers = (
-                    500,
-                    protocol.ErrorDocument(
-                        error=f"{type(exc).__name__}: {exc}", status=500
-                    ).to_wire(),
-                    {},
-                )
-            await respond(writer, status, document, headers)
-        finally:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001
-                pass
+        await serve_connection(reader, writer, self._route,
+                               max_body_bytes=self.config.max_body_bytes)
 
     # ------------------------------------------------------------------
     # Routing.
@@ -389,13 +367,13 @@ class SimulationService:
 
     async def _submit(self, served: ServedJob) -> Tuple[int, dict, dict]:
         self.metrics.counter("serve.requests_total").inc()
-        cached = self.cache.get(served.cache_key)
+        cached = self.cache.get(served.kind, served.cache_key)
         if cached is not None:
             self.metrics.counter("serve.cache_hits").inc()
             job = self._new_job(served)
             job.cached = True
             job.finalize(protocol.DONE, result=cached)
-            return 200, job.as_document(), self._trace_headers(job)
+            return 200, job.as_document(), trace_headers(job.trace_id)
         self.metrics.counter("serve.cache_misses").inc()
         if self._draining:
             raise ServeError(
@@ -416,7 +394,7 @@ class SimulationService:
         self.queue.put_nowait(job)
         self.metrics.counter("serve.jobs_admitted").inc()
         if not served.wait:
-            return 202, job.as_document(), self._trace_headers(job)
+            return 202, job.as_document(), trace_headers(job.trace_id)
         timeout = job.remaining()
         if timeout is not None:
             timeout += 5.0  # grace for the scheduler to record the timeout
@@ -425,10 +403,5 @@ class SimulationService:
         except asyncio.TimeoutError:
             self._expire_if_due(job)
         status = 200 if job.terminal else 202
-        return status, job.as_document(), self._trace_headers(job)
+        return status, job.as_document(), trace_headers(job.trace_id)
 
-    @staticmethod
-    def _trace_headers(job: JobRecord) -> dict:
-        if job.trace_id is None:
-            return {}
-        return {"X-Repro-Trace-Id": job.trace_id}

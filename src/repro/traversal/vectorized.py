@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..bvh import MAX_CHILDREN, FlatBVH, bvh_arrays
+from ..core.memo import MEMO
 from ..geometry import Hit, Ray, rays_to_arrays
 from ..treelet import TreeletDecomposition
 from .intersect import _TRI_EPSILON, ray_aabb_test, ray_triangle_test
@@ -263,12 +264,6 @@ def _packet_statics(bvh: FlatBVH) -> _PacketTrees:
     return cached
 
 
-#: Memoized forest contexts, keyed by the identity of the tree tuple.
-#: Values keep strong references to the trees so the ids stay valid.
-_FOREST_CACHE: dict = {}
-_FOREST_CACHE_MAX = 4
-
-
 def _forest_statics(bvhs: Tuple[FlatBVH, ...]) -> _PacketTrees:
     """One merged :class:`_PacketTrees` over several trees.
 
@@ -280,10 +275,6 @@ def _forest_statics(bvhs: Tuple[FlatBVH, ...]) -> _PacketTrees:
     """
     import numpy as np
 
-    key = tuple(id(b) for b in bvhs)
-    hit = _FOREST_CACHE.get(key)
-    if hit is not None:
-        return hit[1]
     parts = [_packet_statics(b) for b in bvhs]
     ctx = _PacketTrees()
     ctx.trees = list(bvhs)
@@ -339,9 +330,6 @@ def _forest_statics(bvhs: Tuple[FlatBVH, ...]) -> _PacketTrees:
     for b in bvhs:
         triangles.extend(b.triangles)
     ctx.triangles = triangles
-    if len(_FOREST_CACHE) >= _FOREST_CACHE_MAX:
-        _FOREST_CACHE.pop(next(iter(_FOREST_CACHE)))
-    _FOREST_CACHE[key] = (bvhs, ctx)
     return ctx
 
 
@@ -1039,11 +1027,12 @@ def traverse_forest_jobs(
             tree_index[id(bvh)] = len(trees)
             trees.append(bvh)
     single_tree = len(trees) == 1
-    ctx = (
-        _packet_statics(trees[0])
-        if single_tree
-        else _forest_statics(tuple(trees))
-    )
+    # A forest is memoized under the identity of its trees; the entry
+    # holds the trees too, so the ids stay valid while it lives.
+    ctx = _packet_statics(trees[0]) if single_tree else MEMO.get_or_build(
+        "forest", tuple(map(id, trees)),
+        lambda: (trees, _forest_statics(tuple(trees))),
+    )[1]
     all_rays: List[Ray] = []
     job_of_lane_parts: List = []
     assign_list: List = []

@@ -18,6 +18,7 @@ from repro.core.pipeline import (
     get_decomposition,
 )
 from repro.exec import ArtifactCache, set_artifact_cache
+from repro.exec.cache import fingerprint
 from repro.scenes import ALL_SCENES, QUERY_SCENES, build_scene
 
 
@@ -64,9 +65,9 @@ def test_geometry_components_are_plain_floats(smoke_bvhs, name):
 @pytest.mark.parametrize("name", ["WKND", "SPNZA", "AMRTWO"])
 def test_bvh_round_trips_through_the_cache(tmp_path, smoke_bvhs, name):
     cache = ArtifactCache(tmp_path)
-    fingerprint = cache.fingerprint("bvh", {"scene": name})
-    cache.store("bvh", fingerprint, smoke_bvhs[name])
-    loaded = cache.load("bvh", fingerprint)
+    key = fingerprint("bvh", {"scene": name})
+    cache.store("bvh", key, smoke_bvhs[name])
+    loaded = cache.load("bvh", key)
     assert loaded is not smoke_bvhs[name]
     assert loaded == smoke_bvhs[name]
 

@@ -27,6 +27,7 @@ from repro.exec import (
     prewarm_results,
     set_artifact_cache,
 )
+from repro.exec.cache import fingerprint
 from repro.exec.executor import _run_job
 
 SCENES = ["WKND", "SHIP"]
@@ -79,20 +80,20 @@ class TestArtifactCache:
     def test_fingerprint_is_deterministic(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         components = {"scene": "WKND", "scale": 0.05, "bytes": 512}
-        assert cache.fingerprint("bvh", components) == cache.fingerprint(
+        assert fingerprint("bvh", components) == fingerprint(
             "bvh", dict(reversed(list(components.items())))
         )
 
     def test_fingerprint_varies_with_inputs_and_kind(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        base = cache.fingerprint("bvh", {"scene": "WKND"})
-        assert cache.fingerprint("bvh", {"scene": "SHIP"}) != base
-        assert cache.fingerprint("rays", {"scene": "WKND"}) != base
+        base = fingerprint("bvh", {"scene": "WKND"})
+        assert fingerprint("bvh", {"scene": "SHIP"}) != base
+        assert fingerprint("rays", {"scene": "WKND"}) != base
 
     def test_store_load_round_trip(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         payload = {"nodes": list(range(32)), "name": "x"}
-        fp = cache.fingerprint("bvh", {"scene": "X"})
+        fp = fingerprint("bvh", {"scene": "X"})
         path = cache.store("bvh", fp, payload)
         assert path.exists()
         assert f"v{CACHE_SCHEMA_VERSION}" in str(path)
@@ -107,7 +108,7 @@ class TestArtifactCache:
 
     def test_corrupt_entry_dropped(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        fp = cache.fingerprint("traces", {"scene": "X"})
+        fp = fingerprint("traces", {"scene": "X"})
         path = cache.store("traces", fp, [1, 2, 3])
         path.write_bytes(b"not a pickle")
         assert cache.load("traces", fp) is None
@@ -117,7 +118,7 @@ class TestArtifactCache:
     def test_clear_removes_everything(self, tmp_path):
         cache = ArtifactCache(tmp_path / "store")
         for i in range(3):
-            fp = cache.fingerprint("rays", {"i": i})
+            fp = fingerprint("rays", {"i": i})
             cache.store("rays", fp, [i])
         assert cache.entries() == 3
         assert cache.clear() == 3
@@ -126,8 +127,8 @@ class TestArtifactCache:
 
     def test_describe_counts_per_kind(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        cache.store("bvh", cache.fingerprint("bvh", {"i": 1}), [1])
-        cache.store("rays", cache.fingerprint("rays", {"i": 1}), [1])
+        cache.store("bvh", fingerprint("bvh", {"i": 1}), [1])
+        cache.store("rays", fingerprint("rays", {"i": 1}), [1])
         info = cache.describe()
         assert info["entries"] == 2
         assert info["per_kind"]["bvh"] == 1
@@ -137,7 +138,7 @@ class TestArtifactCache:
 
     def test_other_schema_versions_count_as_stale(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        cache.store("bvh", cache.fingerprint("bvh", {"i": 1}), [1])
+        cache.store("bvh", fingerprint("bvh", {"i": 1}), [1])
         stale = tmp_path / "v1" / "bvh" / "ab" / ("ab" + "0" * 62 + ".pkl")
         stale.parent.mkdir(parents=True)
         stale.write_bytes(b"x" * 100)
@@ -145,7 +146,7 @@ class TestArtifactCache:
         assert info["entries"] == cache.entries() == 1
         assert info["size_bytes"] == cache.size_bytes()
         assert info["size_bytes"] == cache.path_for(
-            "bvh", cache.fingerprint("bvh", {"i": 1})).stat().st_size
+            "bvh", fingerprint("bvh", {"i": 1})).stat().st_size
         assert info["per_kind"]["bvh"] == 1
         assert info["stale_entries"] == 1
         assert info["stale_bytes"] == 100
@@ -183,8 +184,8 @@ class TestPipelineSpill:
         # Every artifact came off disk: nothing was rebuilt — scenes
         # included, since BVH/ray loads never touch the mesh.
         assert build_counts() == {
-            "scene": 0, "bvh": 0, "rays": 0, "traces": 0,
-            "decomposition": 0,
+            "scene": 0, "bvh": 0, "rays": 0, "query_plan": 0,
+            "decomposition": 0, "traces": 0,
         }
         assert cache.stats.hits >= 1
         for scene in SCENES:
@@ -369,16 +370,15 @@ class TestParallelSweeps:
         )
 
     def test_prewarm_seeds_result_memoizer(self):
-        from repro.core import pipeline
+        from repro.core.memo import MEMO
 
         prewarm_results([BASELINE], ["WKND"], SMOKE, jobs=1)
-        key = ("WKND", BASELINE, SMOKE.name, "render")
-        assert key in pipeline._RESULT_CACHE
+        seeded = MEMO.get("result", Job("WKND", BASELINE, SMOKE).key())
+        assert seeded is not None
         # The follow-up serial call is a pure memo lookup.
-        assert (
-            run("WKND", BASELINE, SMOKE).experiment
-            is pipeline._RESULT_CACHE[key]
-        )
+        hits = MEMO.count("hits", "result")
+        assert run("WKND", BASELINE, SMOKE).experiment is seeded
+        assert MEMO.count("hits", "result") == hits + 1
 
     def test_workers_share_disk_cache(self, tmp_path):
         cache = set_artifact_cache(tmp_path)
@@ -397,7 +397,7 @@ class TestCacheCli:
         from repro.cli import main
 
         cache = ArtifactCache(tmp_path)
-        cache.store("bvh", cache.fingerprint("bvh", {"i": 1}), [1])
+        cache.store("bvh", fingerprint("bvh", {"i": 1}), [1])
         assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert str(tmp_path) in out

@@ -5,26 +5,50 @@ import json
 
 import pytest
 
+import gc
+import weakref
+
 from repro import BASELINE, SMOKE, TREELET_PREFETCH, Technique, run
 from repro.cli import main
+from repro.core.memo import MEMO
 from repro.core.pipeline import (
-    _BVH_CACHE,
-    _RESULT_CACHE,
+    Scale,
     clear_caches,
     get_bvh,
+    prewarm_traces,
 )
 
 
 class TestCacheClearing:
-    def test_clear_caches_drops_everything(self):
-        get_bvh("WKND", SMOKE)
-        run("WKND", BASELINE, SMOKE)
-        assert _BVH_CACHE and _RESULT_CACHE
+    def test_clear_caches_drops_everything(self, monkeypatch):
+        monkeypatch.setattr("repro.exec.cache._ACTIVE", None)
         clear_caches()
-        assert not _BVH_CACHE and not _RESULT_CACHE
+        prewarm_traces(
+            [(scene, TREELET_PREFETCH) for scene in ("WKND", "SHIP")], SMOKE
+        )
+        bvh = weakref.ref(get_bvh("SHIP", SMOKE))
+        run("WKND", BASELINE, SMOKE)
+        kinds = MEMO.info()["kinds"]
+        for kind in ("scene", "bvh", "rays", "decomposition", "traces",
+                     "forest", "result"):
+            assert kinds[kind]["entries"] > 0, kind
+        clear_caches()
+        assert len(MEMO) == 0
+        # Nothing else keeps a prewarmed tree alive: not the scene
+        # library, not the merged forest context.
+        gc.collect()
+        assert bvh() is None
         # And everything rebuilds cleanly afterwards.
         result = run("WKND", BASELINE, SMOKE)
         assert result.cycles > 0
+
+    def test_scales_sharing_a_name_do_not_share_results(self):
+        wide = Scale("smoke", scene_scale=0.05, width=16, height=16)
+        assert wide != SMOKE
+        run("WKND", BASELINE, wide)
+        memoized = run("WKND", BASELINE, SMOKE)
+        fresh = run("WKND", BASELINE, SMOKE, cache=False)
+        assert memoized.stats == fresh.stats
 
     def test_results_identical_across_cache_clear(self):
         first = run("WKND", TREELET_PREFETCH, SMOKE)

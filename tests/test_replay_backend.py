@@ -26,10 +26,17 @@ import pytest
 from conftest import (
     REPLAY_GOLDEN,
     REPLAY_PRESETS,
+    SINGLE_RUN_CASES,
     assert_golden,
     golden_model,
 )
-from repro.core.pipeline import SMOKE, TREELET_PREFETCH, build_gpu_model
+from repro.core.memo import MEMO
+from repro.core.pipeline import (
+    SMOKE,
+    TREELET_PREFETCH,
+    build_gpu_model,
+    clear_caches,
+)
 from repro.gpusim import SimulationLimitError
 from repro.scenes import ALL_SCENES
 
@@ -58,6 +65,17 @@ class TestGoldenBitIdentity:
     def test_four_sms(self, name):
         # Several DRAM misses land in one agenda bucket per cycle here.
         _check(f"sms4/CAR/{name}")
+
+    @pytest.mark.parametrize("key", SINGLE_RUN_CASES)
+    def test_one_entry_memo(self, key, monkeypatch):
+        """Eviction never moves a bit: with room for one entry, every
+        artifact is evicted by the next one and rebuilt on its next use."""
+        monkeypatch.setattr(MEMO, "capacity", 1)
+        clear_caches()
+        evictions = MEMO.count("evictions")
+        _check(key)
+        assert MEMO.count("evictions") > evictions
+        assert len(MEMO) == 1
 
 
 def _config(**overrides):

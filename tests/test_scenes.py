@@ -90,16 +90,21 @@ class TestSceneLibrary:
             build_scene("WKND", scale=0.0)
 
     def test_caching_returns_same_object(self):
-        assert build_scene("WKND", 0.2) is build_scene("WKND", 0.2)
+        from repro.core.pipeline import Scale, get_scene
+
+        scale = Scale("scene-test", scene_scale=0.2, width=8, height=8)
+        assert get_scene("WKND", scale) is get_scene("WKND", scale)
 
     def test_deterministic_across_cache_clear(self):
         import numpy as np
-        from repro.scenes import library
+        from repro.core.pipeline import Scale, clear_caches, get_scene
 
-        first = build_scene("SHIP", 0.3).mesh.vertices.copy()
-        library._SCENE_CACHE.clear()
-        second = build_scene("SHIP", 0.3).mesh.vertices
-        assert np.array_equal(first, second)
+        scale = Scale("scene-test", scene_scale=0.3, width=8, height=8)
+        first = get_scene("SHIP", scale)
+        clear_caches()
+        second = get_scene("SHIP", scale)
+        assert second is not first
+        assert np.array_equal(first.mesh.vertices, second.mesh.vertices)
 
 
 class TestRayGen:

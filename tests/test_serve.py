@@ -29,12 +29,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.memo import LRU
 from repro.serve import (
     LoadGenConfig,
     LoadReport,
     RequestOutcome,
     RequestTemplate,
-    ResultLRU,
     ServeClient,
     ServeConfig,
     SimulationService,
@@ -382,6 +382,18 @@ class TestHttpSurface:
         assert doc["queue_depth"] == 0
         assert "result_cache" in doc
 
+    def test_healthz_reports_the_bounded_memo(self, serve_factory):
+        handle = serve_factory()
+        handle.post("/v1/run?wait=1",
+                    {"scene": "WKND", "technique": "baseline",
+                     "scale": "smoke"})
+        _status, _headers, doc = handle.get("/healthz")
+        memo = doc["memo"]
+        assert 0 < memo["entries"] <= memo["capacity"]
+        for counter in ("hits", "misses", "evictions", "builds"):
+            assert counter in memo
+            assert all(counter in kind for kind in memo["kinds"].values())
+
     def test_metrics_shape(self, serve_factory):
         handle = serve_factory()
         handle.post("/v1/run?wait=1",
@@ -586,20 +598,20 @@ class TestLoadgen:
 
 class TestResultLRU:
     def test_eviction_is_strict_lru(self):
-        lru = ResultLRU(capacity=2)
-        lru.put(("a",), {"v": 1})
-        lru.put(("b",), {"v": 2})
-        assert lru.get(("a",)) == {"v": 1}  # refresh a
-        lru.put(("c",), {"v": 3})  # evicts b
-        assert lru.get(("b",)) is None
-        assert lru.get(("a",)) == {"v": 1}
-        assert lru.get(("c",)) == {"v": 3}
-        assert lru.evictions == 1
+        lru = LRU(capacity=2)
+        lru.put("document", ("a",), {"v": 1})
+        lru.put("document", ("b",), {"v": 2})
+        assert lru.get("document", ("a",)) == {"v": 1}  # refresh a
+        lru.put("document", ("c",), {"v": 3})  # evicts b
+        assert lru.get("document", ("b",)) is None
+        assert lru.get("document", ("a",)) == {"v": 1}
+        assert lru.get("document", ("c",)) == {"v": 3}
+        assert lru.count("evictions") == 1
 
     def test_zero_capacity_never_stores(self):
-        lru = ResultLRU(capacity=0)
-        lru.put(("a",), {"v": 1})
-        assert lru.get(("a",)) is None
+        lru = LRU(capacity=0)
+        lru.put("document", ("a",), {"v": 1})
+        assert lru.get("document", ("a",)) is None
         assert lru.info()["entries"] == 0
 
 

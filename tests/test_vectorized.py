@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import pipeline
+from repro.core.memo import MEMO
 from repro.core.pipeline import (
     SMOKE,
     TREELET_PREFETCH,
@@ -373,10 +374,10 @@ class TestBackendEndToEnd:
                 technique.deferred_order, technique.formation,
             )
             warm = get_traces(*args)
-            # Drop only the trace memoizer: the scene's ray list (and
+            # Drop only the memoized traces: the scene's ray list (and
             # its globally-counted ray ids) must stay identical for the
             # rebuild, which get_traces does on its own.
-            pipeline._TRACE_CACHE.clear()
+            MEMO.clear("traces")
             cold = get_traces(*args)
             assert cold is not warm
             reference = self._reference("WKND", technique)

@@ -11,7 +11,7 @@ from repro import Technique
 from repro.core.report import geomean
 from repro.prefetch import PrefetchHeuristic
 
-from common import bench_scenes, once, print_figure, record, run_pair
+from common import bench_scenes, print_figure, record, run_pair
 
 CONFIGS = {
     "ALWAYS": Technique(
@@ -74,8 +74,8 @@ def run_ablation() -> dict:
     return payload
 
 
-def test_ablation_adaptive(benchmark):
-    payload = once(benchmark, run_ablation)
+def test_ablation_adaptive():
+    payload = run_ablation()
     adaptive = payload["ADAPTIVE"]
     # The controller must stay within the envelope of its endpoints'
     # traffic while retaining a win.

@@ -11,7 +11,7 @@ from repro import BASELINE, TREELET_PREFETCH
 from repro.core import AnimationConfig, run_animation
 from repro.core.report import geomean
 
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 CONFIG = AnimationConfig(frames=4, orbit_degrees_per_frame=3.0)
 
@@ -63,7 +63,7 @@ def run_ablation() -> dict:
     return payload
 
 
-def test_ablation_animation(benchmark):
-    payload = once(benchmark, run_ablation)
+def test_ablation_animation():
+    payload = run_ablation()
     assert payload["gmean_cold_frame"] > 1.0
     assert payload["gmean_steady_state"] > 1.0

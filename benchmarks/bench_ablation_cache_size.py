@@ -12,7 +12,7 @@ from repro import BASELINE, TREELET_PREFETCH, run
 from repro.core.config import CacheConfig
 from repro.core.report import geomean
 
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 L1_SIZES_KB = [2, 8, 32, 256]
 
@@ -58,8 +58,8 @@ def run_ablation() -> dict:
     return payload
 
 
-def test_ablation_cache_size(benchmark):
-    payload = once(benchmark, run_ablation)
+def test_ablation_cache_size():
+    payload = run_ablation()
     # Bigger L1 -> lower baseline miss rate -> smaller prefetch win.
     assert (
         payload["256"]["mean_base_miss_rate"]

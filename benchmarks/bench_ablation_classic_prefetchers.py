@@ -9,7 +9,7 @@ running all four classic designs against the same baseline.
 from repro import TREELET_PREFETCH, Technique
 from repro.core.report import geomean
 
-from common import bench_scenes, once, print_figure, record, run_pair
+from common import bench_scenes, print_figure, record, run_pair
 
 KINDS = ["stride", "stream", "ghb", "mta"]
 
@@ -44,7 +44,7 @@ def run_ablation() -> dict:
     return payload
 
 
-def test_ablation_classic_prefetchers(benchmark):
-    payload = once(benchmark, run_ablation)
+def test_ablation_classic_prefetchers():
+    payload = run_ablation()
     for kind in KINDS:
         assert payload["treelet"] > payload[kind]

@@ -10,7 +10,7 @@ from repro.core.pipeline import get_traces
 from repro.core.report import geomean
 from repro.traversal import DEFERRED_ORDERS, summarize_traces
 
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 
 def run_ablation() -> dict:
@@ -47,8 +47,8 @@ def run_ablation() -> dict:
     return payload
 
 
-def test_ablation_deferred_order(benchmark):
-    payload = once(benchmark, run_ablation)
+def test_ablation_deferred_order():
+    payload = run_ablation()
     # Nearest-first must dominate the naive orders on traversal overhead.
     assert payload["nearest"] <= payload["lifo"]
     assert payload["nearest"] <= payload["fifo"]

@@ -12,7 +12,7 @@ from dataclasses import replace
 from repro import BASELINE, TREELET_PREFETCH, run
 from repro.core.report import geomean
 
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 
 def run_ablation() -> dict:
@@ -62,8 +62,8 @@ def run_ablation() -> dict:
     return payload
 
 
-def test_ablation_destination(benchmark):
-    payload = once(benchmark, run_ablation)
+def test_ablation_destination():
+    payload = run_ablation()
     # Both destinations must preserve the headline win, within a band.
     assert payload["gmean_l1"] > 1.0
     assert payload["gmean_stream"] > 1.0

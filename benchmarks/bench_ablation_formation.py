@@ -12,7 +12,7 @@ from repro import TREELET_PREFETCH
 from repro.core.report import geomean
 from repro.treelet import FORMATION_STRATEGIES
 
-from common import bench_scenes, once, print_figure, record, run_pair
+from common import bench_scenes, print_figure, record, run_pair
 
 
 def run_ablation() -> dict:
@@ -53,8 +53,8 @@ def run_ablation() -> dict:
     return payload
 
 
-def test_ablation_formation(benchmark):
-    payload = once(benchmark, run_ablation)
+def test_ablation_formation():
+    payload = run_ablation()
     # Every strategy preserves the overall win; the band stays tight
     # (formation order shifts prefetch order, not the mechanism).
     for strategy in FORMATION_STRATEGIES:

@@ -12,7 +12,7 @@ from dataclasses import replace
 from repro import BASELINE, TREELET_PREFETCH, run
 from repro.core.report import geomean
 
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 
 def run_ablation() -> dict:
@@ -62,7 +62,7 @@ def run_ablation() -> dict:
     return payload
 
 
-def test_ablation_ray_population(benchmark):
-    payload = once(benchmark, run_ablation)
+def test_ablation_ray_population():
+    payload = run_ablation()
     assert payload["gmean_primary_only"] > 1.0
     assert payload["gmean_with_secondary"] > 1.0

@@ -13,7 +13,7 @@ from dataclasses import replace
 from repro import BASELINE, TREELET_PREFETCH, run
 from repro.core.report import geomean
 
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 SIZES = [4, 8, 16, 32]
 
@@ -57,8 +57,8 @@ def run_ablation() -> dict:
     return payload
 
 
-def test_ablation_warp_buffer(benchmark):
-    payload = once(benchmark, run_ablation)
+def test_ablation_warp_buffer():
+    payload = run_ablation()
     # More resident warps means a faster baseline...
     assert (
         payload["32"]["mean_base_cycles"]

@@ -9,7 +9,7 @@ cuts the BVH access latency by 54% on average.
 from repro import TREELET_PREFETCH
 from repro.core.report import geomean
 
-from common import bench_scenes, once, print_figure, record, run_pair
+from common import bench_scenes, print_figure, record, run_pair
 
 
 def run_fig01() -> dict:
@@ -53,7 +53,7 @@ def run_fig01() -> dict:
     return payload
 
 
-def test_fig01_memory_stats(benchmark):
-    payload = once(benchmark, run_fig01)
+def test_fig01_memory_stats():
+    payload = run_fig01()
     # Prefetching must reduce average BVH demand latency overall.
     assert payload["gmean_latency_reduction"] > 0.0

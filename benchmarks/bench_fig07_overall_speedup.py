@@ -11,7 +11,6 @@ from repro.core.report import geomean
 
 from common import (
     bench_scenes,
-    once,
     print_figure,
     record,
     run_pair,
@@ -61,8 +60,8 @@ def run_fig07() -> dict:
     return payload
 
 
-def test_fig07_overall_speedup(benchmark):
-    payload = once(benchmark, run_fig07)
+def test_fig07_overall_speedup():
+    payload = run_fig07()
     assert payload["gmean_speedup"] > 1.05  # a clear overall win
     if shape_assertions_enabled():
         # WKND's tree fits in cache -> ~no benefit; power stays flat.

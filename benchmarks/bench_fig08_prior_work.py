@@ -9,7 +9,7 @@ treelet prefetcher.
 from repro import TREELET_PREFETCH, Technique
 from repro.core.report import geomean
 
-from common import bench_scenes, once, print_figure, record, run_pair
+from common import bench_scenes, print_figure, record, run_pair
 
 MTA = Technique(prefetch="mta")
 
@@ -57,8 +57,8 @@ def run_fig08() -> dict:
     return payload
 
 
-def test_fig08_prior_work(benchmark):
-    payload = once(benchmark, run_fig08)
+def test_fig08_prior_work():
+    payload = run_fig08()
     # The treelet prefetcher must clearly beat the stride-based MTA.
     assert payload["gmean_ours"] > payload["gmean_mta"]
     # MTA stays near-ineffective on pointer-chasing traversal.

@@ -11,7 +11,7 @@ from dataclasses import replace
 from repro import TREELET_PREFETCH, TREELET_TRAVERSAL_ONLY
 from repro.core.report import geomean
 
-from common import bench_scenes, once, print_figure, record, run_pair
+from common import bench_scenes, print_figure, record, run_pair
 
 PREFETCH_BASE_SCHED = replace(TREELET_PREFETCH, scheduler="baseline")
 
@@ -60,8 +60,8 @@ def run_fig09() -> dict:
     return payload
 
 
-def test_fig09_breakdown(benchmark):
-    payload = once(benchmark, run_fig09)
+def test_fig09_breakdown():
+    payload = run_fig09()
     # Traversal alone is roughly neutral; prefetching provides the win.
     assert 0.8 < payload["gmean_traversal_only"] < 1.15
     assert payload["gmean_total"] > payload["gmean_traversal_only"]

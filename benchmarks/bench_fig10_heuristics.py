@@ -10,7 +10,7 @@ from repro import Technique
 from repro.core.report import geomean
 from repro.prefetch import PrefetchHeuristic
 
-from common import bench_scenes, once, print_figure, record, run_pair
+from common import bench_scenes, print_figure, record, run_pair
 
 HEURISTICS = [
     PrefetchHeuristic("always"),
@@ -62,8 +62,8 @@ def run_fig10() -> dict:
     return payload
 
 
-def test_fig10_heuristics(benchmark):
-    payload = once(benchmark, run_fig10)
+def test_fig10_heuristics():
+    payload = run_fig10()
     always = payload["ALWAYS"]["gmean"]
     partial = payload["PARTIAL"]["gmean"]
     # ALWAYS is the best heuristic; PARTIAL trails it.

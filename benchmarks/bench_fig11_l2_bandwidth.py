@@ -9,7 +9,7 @@ from repro import BASELINE, run
 from repro.core.report import geomean
 
 from bench_fig10_heuristics import HEURISTICS, technique_for
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 
 def run_fig11() -> dict:
@@ -56,8 +56,8 @@ def run_fig11() -> dict:
     return payload
 
 
-def test_fig11_l2_bandwidth(benchmark):
-    payload = once(benchmark, run_fig11)
+def test_fig11_l2_bandwidth():
+    payload = run_fig11()
     always = payload["ALWAYS"]["gmean"]
     # Throttled heuristics generate no more L2 traffic than ALWAYS.
     assert payload["POPULARITY:0.75"]["gmean"] <= always + 0.05

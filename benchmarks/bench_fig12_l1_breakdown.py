@@ -8,7 +8,7 @@ larger prefetch-hit share than the throttled heuristics.
 
 from repro import BASELINE, run
 from bench_fig10_heuristics import HEURISTICS, technique_for
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 CONFIGS = [("Baseline", None)] + [(h.label(), h) for h in HEURISTICS]
 
@@ -50,8 +50,8 @@ def run_fig12() -> dict:
     return payload
 
 
-def test_fig12_l1_breakdown(benchmark):
-    payload = once(benchmark, run_fig12)
+def test_fig12_l1_breakdown():
+    payload = run_fig12()
     assert payload["Baseline"]["prefetch_hits"] == 0.0
     # ALWAYS brings in more prefetch hits than the strictest throttle.
     assert (

@@ -11,7 +11,7 @@ from dataclasses import replace
 from repro import TREELET_PREFETCH
 from repro.core.report import geomean
 
-from common import bench_scenes, once, print_figure, record, run_pair
+from common import bench_scenes, print_figure, record, run_pair
 
 SCHEDULERS = ["baseline", "omr", "pmr"]
 
@@ -46,8 +46,8 @@ def run_fig13() -> dict:
     return payload
 
 
-def test_fig13_schedulers(benchmark):
-    payload = once(benchmark, run_fig13)
+def test_fig13_schedulers():
+    payload = run_fig13()
     gmeans = [payload[p]["gmean"] for p in SCHEDULERS]
     # All three schedulers perform within a narrow band of each other.
     assert max(gmeans) - min(gmeans) < 0.15

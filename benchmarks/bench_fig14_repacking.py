@@ -15,7 +15,6 @@ from repro.core.report import geomean
 
 from common import (
     bench_scenes,
-    once,
     print_figure,
     record,
     run_pair,
@@ -67,8 +66,8 @@ def run_fig14() -> dict:
     return payload
 
 
-def test_fig14_repacking(benchmark):
-    payload = once(benchmark, run_fig14)
+def test_fig14_repacking():
+    payload = run_fig14()
     repacked = payload["Repacked"]["gmean"]
     loose = payload["LooseWait"]["gmean"]
     strict = payload["StrictWait"]["gmean"]

@@ -20,7 +20,7 @@ from repro import Technique, run
 from repro.core.config import DramConfig
 from repro.core.report import geomean
 
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 PACKED = Technique(
     traversal="treelet", layout="treelet", prefetch="treelet",
@@ -101,8 +101,8 @@ def run_fig15() -> dict:
     return payload
 
 
-def test_fig15_load_balancing(benchmark):
-    payload = once(benchmark, run_fig15)
+def test_fig15_load_balancing():
+    payload = run_fig15()
     scenes = [k for k in payload if isinstance(payload[k], dict)]
     mean_packed = sum(payload[s]["packed_imbalance"] for s in scenes) / len(scenes)
     mean_strided = sum(payload[s]["strided_imbalance"] for s in scenes) / len(scenes)

@@ -9,7 +9,7 @@ warp, 0 = ideal.  The paper finds 32 cycles costs ~1 point, 128 costs
 from repro import Technique
 from repro.core.report import geomean
 
-from common import bench_scenes, once, print_figure, record, run_pair
+from common import bench_scenes, print_figure, record, run_pair
 
 LATENCIES = [0, 32, 128, 512]
 
@@ -61,8 +61,8 @@ def run_fig16() -> dict:
     return payload
 
 
-def test_fig16_prefetcher_latency(benchmark):
-    payload = once(benchmark, run_fig16)
+def test_fig16_prefetcher_latency():
+    payload = run_fig16()
     # Speedup degrades monotonically-ish with voter latency; 512 is
     # clearly worse than ideal, while 32 stays close to ideal.
     ideal = payload["0"]["gmean"]

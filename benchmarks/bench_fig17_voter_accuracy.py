@@ -7,7 +7,7 @@ loss concentrated where rays spread across many treelets.
 
 from repro import Technique, run
 
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 LATENCIES = [0, 32, 128]
 
@@ -54,7 +54,7 @@ def run_fig17() -> dict:
     return payload
 
 
-def test_fig17_voter_accuracy(benchmark):
-    payload = once(benchmark, run_fig17)
+def test_fig17_voter_accuracy():
+    payload = run_fig17()
     # The pseudo voter must agree with the full voter most of the time.
     assert payload["mean"]["0"] > 0.6

@@ -8,7 +8,7 @@ performance at all.
 from repro import Technique
 from repro.core.report import geomean
 
-from common import bench_scenes, once, print_figure, record, run_pair
+from common import bench_scenes, print_figure, record, run_pair
 
 FULL = Technique(
     traversal="treelet", layout="treelet", prefetch="treelet",
@@ -53,7 +53,7 @@ def run_fig18() -> dict:
     return payload
 
 
-def test_fig18_voter_performance(benchmark):
-    payload = once(benchmark, run_fig18)
+def test_fig18_voter_performance():
+    payload = run_fig18()
     # Pseudo voter performs essentially identically to the full voter.
     assert abs(payload["gmean_pseudo"] - payload["gmean_full"]) < 0.08

@@ -7,7 +7,7 @@
 from repro import Technique
 from repro.core.report import geomean
 
-from common import bench_scenes, once, print_figure, record, run_pair
+from common import bench_scenes, print_figure, record, run_pair
 
 SIZES = [256, 512, 1024, 2048]
 
@@ -55,8 +55,8 @@ def run_fig19() -> dict:
     return payload
 
 
-def test_fig19_treelet_sizes(benchmark):
-    payload = once(benchmark, run_fig19)
+def test_fig19_treelet_sizes():
+    payload = run_fig19()
     gmeans = {s: payload[str(s)]["gmean"] for s in SIZES}
     # Every size wins over baseline, and the band is fairly tight —
     # no size should collapse the benefit.

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from repro import TREELET_PREFETCH, run
 
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 CONFIG = replace(TREELET_PREFETCH, scheduler="baseline")
 BUCKETS = ["timely", "late", "too_late", "early", "unused"]
@@ -43,8 +43,8 @@ def run_fig20() -> dict:
     return payload
 
 
-def test_fig20_effectiveness(benchmark):
-    payload = once(benchmark, run_fig20)
+def test_fig20_effectiveness():
+    payload = run_fig20()
     mean = payload["mean"]
     # Buckets are fractions of issued prefetches.
     assert abs(sum(mean.values()) - 1.0) < 1e-6

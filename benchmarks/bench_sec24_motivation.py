@@ -11,7 +11,7 @@ from repro.analysis import analyze_by_kind
 from repro.core.pipeline import get_bvh, get_decomposition, get_rays
 from repro.traversal import traverse_dfs_batch
 
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 KINDS = ("primary", "shadow", "secondary")
 
@@ -59,8 +59,8 @@ def run_sec24() -> dict:
     return payload
 
 
-def test_sec24_motivation(benchmark):
-    payload = once(benchmark, run_sec24)
+def test_sec24_motivation():
+    payload = run_sec24()
     # The motivating incoherence: secondary rays overlap their
     # warp-mates less than primary rays do.
     assert (

@@ -9,7 +9,7 @@ scene subset and check the per-scene speedups track each other.
 from repro import DEFAULT, FULL, SMOKE, TREELET_PREFETCH
 from repro.core.report import geomean
 
-from common import active_scale, bench_scenes, once, print_figure, record, run_pair
+from common import active_scale, bench_scenes, print_figure, record, run_pair
 
 
 def _scale_pair():
@@ -61,8 +61,8 @@ def run_sec51() -> dict:
     return payload
 
 
-def test_sec51_resolution(benchmark):
-    payload = once(benchmark, run_sec51)
+def test_sec51_resolution():
+    payload = run_sec51()
     # The methodology claim: the aggregate speedup does not swing wildly
     # with resolution.
     low = payload["gmean_low"]

@@ -15,7 +15,7 @@ from repro.prefetch import (
     voter_storage_bytes,
 )
 
-from common import once, print_figure, record
+from common import print_figure, record
 
 
 def run_sec65() -> dict:
@@ -45,8 +45,8 @@ def run_sec65() -> dict:
     return payload
 
 
-def test_sec65_area(benchmark):
-    payload = once(benchmark, run_sec65)
+def test_sec65_area():
+    payload = run_sec65()
     assert payload["first_level_bytes"] == 108
     assert payload["second_level_bytes"] == 52
     assert payload["copies_1"]["latency_cycles"] == 512

@@ -10,7 +10,7 @@ shape.
 from repro.core.pipeline import get_bvh, get_decomposition
 from repro.bvh import compute_tree_stats
 
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 PAPER_SIZES_MB = {
     "WKND": 0.2, "PARK": 501.9, "CAR": 1233.6, "ROBOT": 1721.3,
@@ -55,8 +55,8 @@ def run_table2() -> dict:
     return payload
 
 
-def test_table2_scene_stats(benchmark):
-    payload = once(benchmark, run_table2)
+def test_table2_scene_stats():
+    payload = run_table2()
     sizes = {scene: row["size_mb"] for scene, row in payload.items()}
     # Relative ordering of the extremes must match the paper.
     assert sizes["WKND"] == min(sizes.values())

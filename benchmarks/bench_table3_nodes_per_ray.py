@@ -10,7 +10,7 @@ from repro.core.pipeline import get_traces
 from repro.core.report import geomean
 from repro.traversal import summarize_traces
 
-from common import active_scale, bench_scenes, once, print_figure, record
+from common import active_scale, bench_scenes, print_figure, record
 
 
 def run_table3() -> dict:
@@ -66,7 +66,7 @@ def run_table3() -> dict:
     return payload
 
 
-def test_table3_nodes_per_ray(benchmark):
-    payload = once(benchmark, run_table3)
+def test_table3_nodes_per_ray():
+    payload = run_table3()
     # The traversal-algorithm change must stay a small average effect.
     assert abs(payload["gmean"]["avg_diff"]) < 0.25

@@ -19,7 +19,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro import BASELINE, Technique, scale_from_env, speedup
 from repro.api import run as api_run
@@ -211,11 +211,3 @@ def shape_assertions_enabled() -> bool:
     """
     return active_scale().name != "smoke"
 
-
-def once(benchmark, fn: Callable[[], dict]) -> dict:
-    """Run a harness kernel exactly once under pytest-benchmark timing.
-
-    The sweeps are deterministic and expensive; a single round both
-    times the harness and produces the figure.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -34,9 +34,9 @@ Commands:
   verdict.
 * ``obs`` — operate on ``repro.spans/1`` span files offline:
   ``merge`` several into one, ``export`` them as Perfetto/Chrome
-  trace JSON, ``summarize`` per-phase wall/CPU totals (optionally as
-  a ``repro.bench/1`` document).  ``run``/``sweep`` take ``--spans
-  PATH`` to record such a file for the invocation.
+  trace JSON, ``summarize`` per-phase wall/CPU totals.
+  ``run``/``sweep`` take ``--spans PATH`` to record such a file for
+  the invocation.
 
 ``run`` and ``sweep`` take ``--json`` (machine-readable SimStats on
 stdout) and ``--report PATH`` (structured ``run_report.json`` with
@@ -424,7 +424,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(
             f"no results at {path}; run "
-            "`pytest benchmarks/ --benchmark-only` first",
+            "`pytest benchmarks/bench_*.py` first",
             file=sys.stderr,
         )
         return 1
@@ -628,12 +628,7 @@ def _load_span_inputs(paths):
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from .obs import (
-        spans_to_bench,
-        spans_to_chrome_trace,
-        summarize_spans,
-        write_spans,
-    )
+    from .obs import spans_to_chrome_trace, summarize_spans, write_spans
 
     spans = _load_span_inputs(args.inputs)
     if args.obs_command == "merge":
@@ -653,13 +648,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return 0
     # summarize
     summary = summarize_spans(spans)
-    if args.bench:
-        from pathlib import Path
-
-        bench = spans_to_bench(spans, scale=args.scale)
-        Path(args.bench).write_text(
-            json.dumps(bench, indent=2, sort_keys=True)
-        )
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
@@ -671,9 +659,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             for name, entry in summary.items()
         ]
         print(format_table(["span", "count", "wall ms", "cpu ms"], rows))
-    if args.bench:
-        print(f"wrote repro.bench/1 document to {args.bench}",
-              file=sys.stderr)
     return 0
 
 
@@ -965,10 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_summarize.add_argument("inputs", nargs="+", metavar="SPANS_JSON")
     obs_summarize.add_argument("--json", action="store_true",
                                help="print the summary as JSON")
-    obs_summarize.add_argument("--bench", metavar="PATH",
-                               help="also write a repro.bench/1 document")
-    obs_summarize.add_argument("--scale", default="default",
-                               help="scale label stamped into --bench")
 
     queries = sub.add_parser(
         "queries",

@@ -75,7 +75,6 @@ from .spans import (
     merge_spans,
     new_id,
     span,
-    spans_to_bench,
     spans_to_chrome_trace,
     summarize_spans,
     write_spans,
@@ -128,7 +127,6 @@ __all__ = [
     "simstats_to_dict",
     "sm_track",
     "span",
-    "spans_to_bench",
     "spans_to_chrome_trace",
     "summarize_spans",
     "to_chrome_trace",

@@ -25,11 +25,9 @@ With no active context :func:`span` yields a shared no-op — one
 contextvar read per call site — and ``tests/test_obs_invariance.py``
 asserts SimStats stay bit-identical with collection on.
 
-Exports: :func:`spans_to_chrome_trace` renders merged spans as Chrome
+Export: :func:`spans_to_chrome_trace` renders merged spans as Chrome
 trace-event JSON (one Perfetto process per recording process, one
-thread row per trace), and :func:`spans_to_bench` folds per-phase
-wall/CPU totals into a ``repro.bench/1`` document so profiling numbers
-and BENCH numbers come from the same instrumentation.
+thread row per trace).
 """
 
 from __future__ import annotations
@@ -383,42 +381,6 @@ def summarize_spans(spans: Sequence[Span]) -> Dict[str, dict]:
         if span_.cpu_s is not None and span_.cpu_s >= 0:
             entry["cpu_s"] += span_.cpu_s
     return {name: summary[name] for name in sorted(summary)}
-
-
-def spans_to_bench(
-    spans: Sequence[Span], scale: str = "default"
-) -> dict:
-    """Fold per-phase profiling into a ``repro.bench/1`` document.
-
-    ``metrics.<name>.seconds`` is total wall time per span name — the
-    same shape ``benchmarks/perf`` emits, so ``check_regression.py``
-    and the figures tooling consume span profiles unchanged.
-    """
-    import platform
-
-    summary = summarize_spans(spans)
-    return {
-        "schema": "repro.bench/1",
-        "phase": "spans",
-        "scale": scale,
-        "workload": {
-            "spans": len(spans),
-            "traces": len({s.trace_id for s in spans}),
-            "processes": len({(s.process, s.pid) for s in spans}),
-        },
-        "metrics": {
-            name: {"seconds": entry["wall_s"]}
-            for name, entry in summary.items()
-        },
-        "derived": {
-            name: {"count": entry["count"], "cpu_seconds": entry["cpu_s"]}
-            for name, entry in summary.items()
-        },
-        "environment": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
-    }
 
 
 def spans_to_chrome_trace(spans: Sequence[Span]) -> dict:

@@ -3,8 +3,8 @@
 This is the correctness gate for the whole query stack: compile the
 plan, run real traversal through the pipeline, decode, and demand
 *exact* equality with the
-exhaustive reference.  The CLI (``repro queries``), the test suite, and
-``bench_queries --check`` all funnel through :func:`verify_workload`.
+exhaustive reference.  The CLI (``repro queries``) and the test suite
+both funnel through :func:`verify_workload`.
 """
 
 from __future__ import annotations

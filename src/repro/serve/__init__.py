@@ -28,11 +28,9 @@ Typical use::
           --replica 127.0.0.1:8082 --replica 127.0.0.1:8083
 
     # terminal 5: capacity scenario against the router
-    $ repro scenarios run benchmarks/perf/scenarios/smoke.json --port 8078
+    $ repro scenarios run examples/scenarios/smoke.json --port 8078
 
-See ``docs/serving.md`` for endpoint, batching, and routing semantics,
-and ``benchmarks/perf/servebench.py`` for the QPS-sweep benchmark that
-produces ``BENCH_serve.json``.
+See ``docs/serving.md`` for endpoint, batching, and routing semantics.
 """
 
 from .client import (

@@ -67,6 +67,20 @@ SINGLE_RUN_CASES = sorted(
     if key.split("/")[0] in _GOLDEN_OVERRIDES
 )
 
+#: Techniques of the ``query`` golden cases: the DFS baseline, the
+#: paper's treelet prefetcher, and the prior MTA prefetcher on DFS.
+QUERY_PRESETS = {
+    "baseline": BASELINE,
+    "treelet-prefetch": TREELET_PREFETCH,
+    "mta": Technique(prefetch="mta"),
+}
+
+#: Query scene -> the workload whose rays it answers.
+QUERY_WORKLOADS = {"PTSUNI": "knn", "PTSCLU": "knn", "AMRTWO": "containment"}
+
+#: ``query/scene/preset`` cases; each also records its cycle count.
+QUERY_CASES = sorted(REPLAY_GOLDEN["query_cycles"])
+
 
 def stats_digest(stats) -> str:
     """sha256 of the canonical sorted-key JSON of ``asdict(stats)``."""
@@ -81,6 +95,11 @@ def golden_model(key: str, **model_kwargs):
     config = dataclasses.replace(
         SMOKE.gpu_config(), **_GOLDEN_OVERRIDES.get(kind, {})
     )
+    if kind == "query":
+        return build_gpu_model(
+            scene, QUERY_PRESETS[preset], SMOKE, config,
+            workload=QUERY_WORKLOADS[scene], **model_kwargs
+        )
     return build_gpu_model(
         scene, REPLAY_PRESETS[preset], SMOKE, config, **model_kwargs
     )

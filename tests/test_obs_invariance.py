@@ -220,7 +220,8 @@ class TestPerfettoRoundTrip:
 class TestSpanInvariance:
     """Request spans obey the same contract as the trace bus: pure
     observation.  Collection on must leave SimStats bit-identical, and
-    the instrumented BENCH_e2e workload must stay within 5% of plain."""
+    a cold treelet-prefetch evaluation with spans on must stay within
+    5% of plain."""
 
     @pytest.mark.parametrize("scene", SCENES)
     @pytest.mark.parametrize("name", sorted(TECHNIQUES))
@@ -244,7 +245,7 @@ class TestSpanInvariance:
         from repro.obs import collect
 
         def cold_e2e():
-            # The BENCH_e2e workload: cold treelet-prefetch evaluation.
+            # A cold treelet-prefetch evaluation of WKND at smoke.
             clear_caches()
             start = time.perf_counter()
             run("WKND", TREELET_PREFETCH, SMOKE)

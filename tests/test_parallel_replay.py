@@ -10,11 +10,12 @@ when workers fail and jobs fall back in-process.
 
 import os
 import pickle
+import time
 
 import pytest
 
 from repro import BASELINE, SMOKE, TREELET_PREFETCH
-from repro.api import run, sweep
+from repro.api import parse_technique, run, sweep
 from repro.core import build_counts, clear_caches, reset_build_counts
 from repro.core.memo import MEMO
 from repro.exec import (
@@ -131,3 +132,49 @@ class TestReplayWorkerCrash:
         for job, result in zip(jobs, results):
             expected = serial[(job.scene, job.technique.label())]
             assert result.stats == expected.stats
+
+
+class TestReplayFanoutWall:
+    """The fan-out must never be pathologically slower than the serial
+    path on the same runner: over the replay panel (five scenes by six
+    techniques) at smoke, the jobs=2 wall is at most 1.5x the jobs=1
+    wall."""
+
+    PANEL_SCENES = ("WKND", "BUNNY", "SPNZA", "CRNVL", "SHIP")
+    PANEL_TECHNIQUES = (
+        "baseline",
+        "treelet-traversal",
+        "treelet-prefetch",
+        "treelet-prefetch,heuristic=popularity",
+        "treelet-prefetch,heuristic=partial",
+        "prefetch=mta",
+    )
+
+    def test_fanned_wall_within_1_5x_of_serial(self):
+        jobs = [
+            Job(scene, parse_technique(spec), SMOKE)
+            for scene in self.PANEL_SCENES
+            for spec in self.PANEL_TECHNIQUES
+        ]
+
+        def wall(workers):
+            # Forked workers would inherit memoized results: drop them,
+            # keeping the traces warm, so both runs time replay only.
+            MEMO.clear("result")
+            start = time.perf_counter()
+            prewarm_replay_jobs(jobs, workers=workers)
+            return time.perf_counter() - start
+
+        wall(1)  # build the traces outside the timed runs
+        # Wall time on a shared box is noisy: retry up to three times
+        # before declaring a real regression.
+        for _ in range(3):
+            serial = wall(1)
+            fanned = wall(2)
+            if fanned <= 1.5 * serial:
+                break
+        else:
+            raise AssertionError(
+                f"jobs=2 replay wall {fanned:.4f}s exceeds 1.5x the "
+                f"jobs=1 wall {serial:.4f}s"
+            )

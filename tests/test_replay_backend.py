@@ -6,7 +6,9 @@ digests were recorded at smoke scale while the batched event engine was
 still checked against a per-cycle scalar oracle, and a case was recorded
 only where the two agreed bit for bit.  Every case now replays on the
 one engine and must reproduce its digest: every counter, every rate, on
-every scene, scheduler policy, and prefetch technique preset.
+every scene, scheduler policy, and prefetch technique preset.  The
+``query`` cases (kNN and point containment) were recorded later, on the
+one engine; ``query_cycles`` pins their cycle counts as well.
 
 Also pinned here:
 
@@ -24,6 +26,7 @@ import dataclasses
 import pytest
 
 from conftest import (
+    QUERY_CASES,
     REPLAY_GOLDEN,
     REPLAY_PRESETS,
     SINGLE_RUN_CASES,
@@ -76,6 +79,19 @@ class TestGoldenBitIdentity:
         _check(key)
         assert MEMO.count("evictions") > evictions
         assert len(MEMO) == 1
+
+
+class TestQueryGoldens:
+    """The query workloads at smoke: kNN on both point clouds and AMR
+    point containment, each under the baseline, treelet prefetch and
+    MTA.  Besides the digest, each case pins its simulated cycles."""
+
+    @pytest.mark.parametrize("key", QUERY_CASES)
+    def test_query_case(self, key):
+        model, _, _, _ = golden_model(key)
+        stats = model.run()
+        assert stats.cycles == REPLAY_GOLDEN["query_cycles"][key]
+        assert_golden(key, stats)
 
 
 def _config(**overrides):

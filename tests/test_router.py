@@ -357,12 +357,28 @@ class TestScenarios:
 
     def test_committed_smoke_spec_parses(self):
         scenario = Scenario.load(
-            ROOT / "benchmarks" / "perf" / "scenarios" / "smoke.json"
+            ROOT / "examples" / "scenarios" / "smoke.json"
         )
         assert scenario.name == "smoke-capacity"
         assert scenario.qps_levels == (4.0, 8.0, 16.0)
         assert len(scenario.mix) == 3
         assert scenario.slo.p99_latency_s == 5.0
+
+    def test_every_committed_spec_parses(self):
+        """Every spec under ``examples/scenarios`` parses, and each mix
+        entry is a run request the service would accept."""
+        from repro.api import RunRequest
+
+        specs = sorted((ROOT / "examples" / "scenarios").glob("*.json"))
+        assert specs
+        for spec in specs:
+            for template in Scenario.load(spec).mix:
+                RunRequest.from_dict({
+                    "scene": template.scene,
+                    "technique": template.technique,
+                    "scale": template.scale,
+                    "workload": template.workload,
+                })
 
     def test_yaml_spec_loads_when_pyyaml_present(self, tmp_path):
         yaml = pytest.importorskip("yaml")

@@ -187,10 +187,15 @@ class TestServedResults:
         )
 
     def test_repeat_request_is_cached_and_fast(self, serve_factory):
+        from repro.core.pipeline import clear_caches
+
+        clear_caches()  # a cold run does real work, not a memo lookup
         handle = serve_factory()
         payload = {"scene": "WKND", "technique": "treelet-prefetch",
                    "scale": "smoke"}
+        start = time.monotonic()
         _status, _headers, cold = handle.post("/v1/run?wait=1", payload)
+        cold_elapsed = time.monotonic() - start
         assert cold["cached"] is False
         start = time.monotonic()
         status, _headers, warm = handle.post("/v1/run?wait=1", payload)
@@ -200,6 +205,7 @@ class TestServedResults:
         assert warm["state"] == "done"
         assert warm["result"] == cold["result"]
         assert elapsed < 1.0  # served from memory, no simulation
+        assert elapsed * 10 <= cold_elapsed  # at least 10x the cold run
         _status, _headers, metrics = handle.get("/metrics")
         assert metrics["metrics"]["counters"]["serve.cache_hits"] >= 1
 
@@ -543,13 +549,20 @@ class TestHttpSurface:
 class TestLoadgen:
     def test_open_loop_loadgen_all_ok(self, serve_factory):
         handle = serve_factory()
+        template = RequestTemplate(scene="WKND", technique="baseline",
+                                   scale="smoke")
+        # The one cold run, before the level: at 100 QPS every request
+        # would otherwise arrive while a cold build is still running.
+        status, _headers, _doc = handle.post(
+            "/v1/run?wait=1", template.submit().to_wire()
+        )
+        assert status == 200
         report = run_loadgen(LoadGenConfig(
             host="127.0.0.1",
             port=handle.port,
             qps=100.0,
             requests=12,
-            mix=(RequestTemplate(scene="WKND", technique="baseline",
-                                 scale="smoke"),),
+            mix=(template,),
             seed=7,
         ))
         summary = report.summary()
@@ -557,7 +570,7 @@ class TestLoadgen:
         assert summary["ok"] == 12
         assert summary["shed"] == 0
         assert summary["errors"] == 0
-        assert summary["cached"] >= 10  # one cold run, the rest LRU hits
+        assert summary["cached"] >= 10  # LRU hits after the cold run
         assert summary["latency_p50_s"] <= summary["latency_p99_s"]
         assert summary["throughput_rps"] > 0
 

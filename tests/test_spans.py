@@ -22,7 +22,6 @@ from repro.obs.spans import (
     merge_spans,
     new_id,
     span,
-    spans_to_bench,
     spans_to_chrome_trace,
     summarize_spans,
     write_spans,
@@ -176,19 +175,6 @@ class TestSummaries:
         assert list(summary) == ["a", "b"]  # sorted
         assert summary["a"] == {"count": 2, "wall_s": 3.0, "cpu_s": 0.25}
         assert summary["b"]["wall_s"] == 0.5
-
-    def test_spans_to_bench_document(self):
-        spans = [
-            _mk("phase.trace", "t1", "1", 0.0, 2.0, pid=10),
-            _mk("phase.trace", "t2", "2", 0.0, 1.0, pid=11),
-        ]
-        doc = spans_to_bench(spans, scale="smoke")
-        assert doc["schema"] == "repro.bench/1"
-        assert doc["scale"] == "smoke"
-        assert doc["workload"] == {"spans": 2, "traces": 2, "processes": 2}
-        assert doc["metrics"]["phase.trace"]["seconds"] == pytest.approx(3.0)
-        assert doc["derived"]["phase.trace"]["count"] == 2
-        json.dumps(doc)  # must serialize
 
 
 class TestPerfettoExport:
@@ -358,19 +344,6 @@ class TestObsCli:
         doc = json.loads(capsys.readouterr().out)
         # `repro run` evaluates the technique and its baseline: two runs.
         assert doc["api.run"]["count"] >= 1
-
-    def test_obs_summarize_bench_output(self, span_file, tmp_path, capsys):
-        from repro.cli import main
-
-        bench = tmp_path / "bench.json"
-        assert main([
-            "obs", "summarize", str(span_file),
-            "--bench", str(bench), "--scale", "smoke",
-        ]) == 0
-        capsys.readouterr()
-        doc = json.loads(bench.read_text())
-        assert doc["schema"] == "repro.bench/1"
-        assert "api.run" in doc["metrics"]
 
     def test_obs_merge_and_export(self, span_file, tmp_path, capsys):
         from repro.cli import main

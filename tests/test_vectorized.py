@@ -10,6 +10,7 @@ SimStats.
 """
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -384,3 +385,66 @@ class TestBackendEndToEnd:
             assert_traces_equal(warm, reference)
             assert_traces_equal(cold, reference)
         clear_caches()
+
+
+class TestTraceSpeedup:
+    """The forest driver must stay well ahead of the scalar reference on
+    the same runner: scalar CPU time over vectorized CPU time >= 1.5x,
+    over DFS plus four L1-sized treelet budgets under each deferred
+    order, on three smoke scenes."""
+
+    SCENES = ("WKND", "BUNNY", "SPNZA")
+    CONFIGS = [(None, "nearest")] + [
+        (treelet_bytes, order)
+        for treelet_bytes in (8192, 16384, 49152, 65536)
+        for order in DEFERRED_ORDERS
+    ]
+
+    def test_forest_driver_outpaces_scalar_reference(self):
+        specs = [
+            (
+                get_bvh(scene, SMOKE),
+                get_rays(scene, SMOKE),
+                None if budget is None
+                else get_decomposition(scene, SMOKE, budget),
+                order,
+            )
+            for scene in self.SCENES
+            for budget, order in self.CONFIGS
+        ]
+
+        def best_of(trace, repeats=3):
+            best = float("inf")
+            for _ in range(repeats):
+                # Traversal narrows each ray's interval: every run gets
+                # fresh clones, made outside the timed region.
+                jobs = [
+                    (bvh, [ray.clone() for ray in rays], decomposition, order)
+                    for bvh, rays, decomposition, order in specs
+                ]
+                start = time.process_time()
+                trace(jobs)
+                best = min(best, time.process_time() - start)
+            return best
+
+        def scalar(jobs):
+            for bvh, rays, decomposition, order in jobs:
+                if decomposition is None:
+                    traverse_dfs_batch(rays, bvh)
+                else:
+                    traverse_two_stack_batch(rays, bvh, decomposition, order)
+
+        best_of(traverse_forest_jobs, repeats=1)  # warm the numpy statics
+        # CPU time on a shared box is still noisy: retry up to three
+        # times before declaring a real regression.
+        for _ in range(3):
+            vectorized = best_of(traverse_forest_jobs)
+            reference = best_of(scalar)
+            if reference >= 1.5 * vectorized:
+                break
+        else:
+            raise AssertionError(
+                f"vectorized trace only {reference / vectorized:.2f}x the "
+                f"scalar reference (floor 1.5x; vectorized="
+                f"{vectorized:.4f}s scalar={reference:.4f}s)"
+            )

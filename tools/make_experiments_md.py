@@ -257,7 +257,7 @@ def _table2(d: dict) -> str:
 HEADER = """# EXPERIMENTS — paper vs. measured
 
 Auto-generated from `results/experiments.json` (written by
-`pytest benchmarks/ --benchmark-only`). Regenerate with
+`pytest benchmarks/bench_*.py`). Regenerate with
 `python tools/make_experiments_md.py`.
 
 Absolute magnitudes differ by design — the scenes are procedural
@@ -275,18 +275,18 @@ The same invariance extends to the network path: results served by
 `repro serve` (the asyncio simulation service) are bit-identical to
 in-process `repro.api.run` calls, so any entry here could equally have
 been collected through the service. Serving-layer performance itself —
-cold vs warm-cached latency and open-loop QPS sweeps measured by
-`repro loadgen` with Poisson arrivals — is tracked separately in
-`BENCH_serve.json` (wall-clock, client-observed; see `docs/serving.md`)
-and never mixed into the paper-comparison numbers below.
+open-loop latency and capacity under load — is measured by the
+`serve-open` workload of `benchmarks/suite` and the capacity scenarios
+of `docs/serving.md`, and never mixed into the paper-comparison numbers
+below.
 
 The non-rendering query workloads (kNN neighbor search and AMR point
-containment, `docs/queries.md`) are likewise tracked outside this file,
-in `BENCH_queries.json`: they are not paper experiments, but they reuse
-the identical pipeline and every decoded answer is verified exactly
-equal to brute force before timing. Their headline — treelet prefetch
-1.49× on sparse containment rays, ≈0.98× on dense kNN probe grids —
-is the paper's incoherence story measured on query traffic.
+containment, `docs/queries.md`) are likewise reported outside this
+file: they are not paper experiments, but they reuse the identical
+pipeline and every decoded answer is verified exactly equal to brute
+force (`tests/test_queries.py`). Their default-scale headline — treelet
+prefetch 1.49× on sparse containment rays, ≈0.98× on dense kNN probe
+grids — is the paper's incoherence story measured on query traffic.
 
 """
 
@@ -316,12 +316,8 @@ def _full_scale_supplement() -> list:
     return lines
 
 
-def main() -> None:
-    if not RESULTS.exists():
-        raise SystemExit(
-            "results/experiments.json not found; run "
-            "`pytest benchmarks/ --benchmark-only` first"
-        )
+def render() -> str:
+    """EXPERIMENTS.md's text for the recorded results."""
     data = json.loads(RESULTS.read_text())
     lines = [HEADER]
     for exp_id, (title, paper, summarize) in SPECS.items():
@@ -341,7 +337,16 @@ def main() -> None:
         lines.append(f"- *scale: {scale}, recorded {stamp}*")
         lines.append("")
     lines.extend(_full_scale_supplement())
-    OUT.write_text("\n".join(lines))
+    return "\n".join(lines)
+
+
+def main() -> None:
+    if not RESULTS.exists():
+        raise SystemExit(
+            "results/experiments.json not found; run "
+            "`pytest benchmarks/bench_*.py` first"
+        )
+    OUT.write_text(render())
     print(f"wrote {OUT}")
 
 

@@ -4,7 +4,7 @@
 Equivalent to:
 
     pytest tests/
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/bench_*.py
     python tools/make_experiments_md.py
 
 with outputs teed to ``test_output.txt`` / ``bench_output.txt``.
@@ -154,7 +154,10 @@ def main() -> int:
             return code
     env = bench_env
     code = run(
-        [sys.executable, "-m", "pytest", "benchmarks/", "--benchmark-only"],
+        [sys.executable, "-m", "pytest", *sorted(
+            str(path.relative_to(ROOT))
+            for path in ROOT.glob("benchmarks/bench_*.py")
+        )],
         "bench_output.txt", env,
     )
     if code != 0:

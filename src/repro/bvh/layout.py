@@ -67,11 +67,11 @@ class NodeLayout:
             return cached
         size = max(self.node_address) + 1 if self.node_address else 0
         addresses = np.zeros(size, dtype=np.int64)
-        for node_id, address in self.node_address.items():
-            addresses[node_id] = address
         treelets = np.full(size, -1, dtype=np.int64)
-        for node_id, treelet in self.node_treelet.items():
-            treelets[node_id] = treelet
+        for table, mapping in ((addresses, self.node_address),
+                               (treelets, self.node_treelet)):
+            table[np.fromiter(mapping, np.intp, len(mapping))] = np.fromiter(
+                mapping.values(), np.int64, len(mapping))
         self.__dict__["_lookup_arrays"] = (addresses, treelets)
         return addresses, treelets
 

@@ -2,7 +2,6 @@
 
 from .cache import AccessOutcome, Cache, CacheStats, LineMeta
 from .dram import Dram, DramStats
-from .event import EventQueue
 from .gpu import GpuModel, SimulationLimitError
 from .memsys import (
     MemorySystem,
@@ -22,7 +21,6 @@ __all__ = [
     "CacheStats",
     "Dram",
     "DramStats",
-    "EventQueue",
     "GpuModel",
     "LineMeta",
     "MemorySystem",

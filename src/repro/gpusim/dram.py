@@ -61,23 +61,26 @@ class Dram:
         """
         if cycle < 0:
             raise ValueError("cycle must be non-negative")
-        partition = self.config.partition_of(address)
+        config = self.config
+        burst = config.burst_cycles
+        partition = config.partition_of(address)
         start = max(cycle, self._bus_free[partition])
-        self._bus_free[partition] = start + self.config.burst_cycles
-        self.stats.accesses += 1
-        self.stats.per_partition_accesses[partition] += 1
-        self.stats.per_partition_busy[partition] += self.config.burst_cycles
-        self.stats.total_wait_cycles += start - cycle
+        self._bus_free[partition] = start + burst
+        stats = self.stats
+        stats.accesses += 1
+        stats.per_partition_accesses[partition] += 1
+        stats.per_partition_busy[partition] += burst
+        stats.total_wait_cycles += start - cycle
         if self.obs is not None:
             self.obs.emit(
                 "dram.service",
                 start,
                 f"DRAM[{partition}]",
-                dur=self.config.burst_cycles,
+                dur=burst,
                 args={
                     "partition": partition,
                     "address": address,
                     "wait": start - cycle,
                 },
             )
-        return start + self.config.burst_cycles + self.config.latency
+        return start + burst + config.latency

@@ -2,13 +2,15 @@
 
 ``GpuModel.run`` replays a batch of per-ray traversal traces to
 completion and returns :class:`~repro.gpusim.stats.SimStats`.  The
-replay engine is event-driven: the loop advances in time buckets
-(pending event cycles plus per-unit wake cycles) and steps only RT
-units with actionable work, crediting the skipped stall cycles in bulk.
-Per-unit wake cycles come from :meth:`RTUnit.next_wake_kind`, which
-folds in the prefetcher's self-scheduled activity (queue releases,
-decision gates, adaptive epochs) so no decision point is ever skipped.
-The SimStats digests in ``tests/golden/replay_simstats.json`` pin its
+replay engine is event-driven: the loop advances in time buckets (the
+memory system's agenda cycles plus per-unit wake cycles).  In each
+bucket it flushes the due agenda, then makes one pass over the units:
+each unit with actionable work gets its due deliveries and one step,
+and the stall cycles it skipped since its last step are credited in
+bulk.  Per-unit wake cycles come from :meth:`RTUnit.step`, which folds
+in the prefetcher's self-scheduled activity (queue releases, decision
+gates, adaptive epochs) so no decision point is ever skipped.  The
+SimStats digests in ``tests/golden/replay_simstats.json`` pin its
 results.
 """
 
@@ -22,12 +24,11 @@ from ..bvh import FlatBVH, NodeLayout
 from ..core.config import GpuConfig
 from ..prefetch.base import Prefetcher
 from ..traversal import RayTrace
-from .event import EventQueue
 from .memsys import MemorySystem
-from .rtunit import RTUnit
+from .rtunit import NO_WAKE, RTUnit
 from .stats import SimStats, merge_cache_stats
-from .timeline import TimelineSampler
-from .warp import RayTask
+from .timeline import TimelineSampler, unit_reading
+from .warp import RayTask, next_treelets, visit_prims
 
 PrefetcherFactory = Callable[[int], Optional[Prefetcher]]
 
@@ -50,8 +51,7 @@ class GpuModel:
         self.config = config
         #: Optional occupancy sampler (observational only).
         self.timeline = timeline
-        self.events = EventQueue()
-        self.memsys = MemorySystem(config, self.events)
+        self.memsys = MemorySystem(config)
         self.units: List[RTUnit] = []
         for sm in range(config.n_sms):
             prefetcher = prefetcher_factory(sm) if prefetcher_factory else None
@@ -88,27 +88,37 @@ class GpuModel:
         """
         warp_size = self.config.warp_size
         line_bytes = self.config.l1.line_bytes
-        # SoA precompute: one numpy gather per ray resolves every visit's
-        # byte address and treelet id up front, so the replay hot paths
-        # index flat lists instead of chasing layout dicts per fetch.
+        # SoA precompute: one numpy gather over every visit of the batch
+        # resolves each visit's byte address and treelet id up front,
+        # and the layout's memo its primitive lines, so the replay hot
+        # paths index flat lists instead of chasing layout dicts.
         address_table, treelet_table = layout.lookup_arrays()
-        tasks = []
-        for trace in traces:
-            if not trace.visits:
-                continue
-            ids = np.asarray(
-                [visit.node_id for visit in trace.visits], dtype=np.intp
+        traces = [trace for trace in traces if trace.visits]
+        node_ids = [
+            visit.node_id for trace in traces for visit in trace.visits
+        ]
+        index = np.asarray(node_ids, dtype=np.intp)
+        addresses = address_table[index].tolist()
+        treelet_ids = treelet_table[index]
+        treelets = treelet_ids.tolist()
+        starts = np.cumsum([0] + [len(trace.visits) for trace in traces])
+        lookahead = next_treelets(treelet_ids, starts[:-1])
+        prims = visit_prims(node_ids, bvh, layout, line_bytes)
+        tasks = [
+            RayTask(
+                trace,
+                bvh,
+                layout,
+                line_bytes,
+                addresses=addresses[start:end],
+                treelets=treelets[start:end],
+                lookahead=lookahead[start:end],
+                prims=prims[start:end],
             )
-            tasks.append(
-                RayTask(
-                    trace=trace,
-                    bvh=bvh,
-                    layout=layout,
-                    line_bytes=line_bytes,
-                    addresses=address_table[ids].tolist(),
-                    treelets=treelet_table[ids].tolist(),
-                )
+            for trace, start, end in zip(
+                traces, starts[:-1].tolist(), starts[1:].tolist()
             )
+        ]
         warps = [
             tasks[i : i + warp_size] for i in range(0, len(tasks), warp_size)
         ]
@@ -131,12 +141,12 @@ class GpuModel:
         cumulative counter has advanced.
         """
         cycle = self._simulate()
-        # Drain any trailing events (e.g. late prefetch fills).  The
+        # Drain the trailing agenda (e.g. late prefetch fills).  The
         # drain advances the cycle base past the loop exit, and
         # ``_collect`` denominates every rate (DRAM utilization, stall
         # fractions, IPC) by that extended count, so utilization covers
         # the cycles in which the memory system was genuinely active.
-        cycle = self.events.drain(cycle)
+        cycle = self.memsys.drain(cycle)
         self._current_cycle = cycle
         return self._collect(cycle)
 
@@ -144,21 +154,23 @@ class GpuModel:
         """Advance in time buckets, stepping only units with actionable
         work; returns the cycle one past the last worked cycle.
 
-        A bucket is processed at every pending event cycle and at every
-        per-unit wake cycle (:meth:`RTUnit.next_wake_kind`: admittable
-        pending warps, issue-ready rays with a free MSHR, test-FIFO and
-        hit-response due cycles, and the prefetcher's self-scheduled
-        activity).  Event callbacks and fills mark their unit dirty so
-        data arrivals are acted on in the same cycle.  Cycles a unit
-        skips are, by construction, cycles its step would only have
-        counted as stalls; they are credited in bulk at its next step
-        using the stall kind captured when the skip began — warp state
-        can only change in a step or an event callback, and every
-        callback dirties the unit, so the kind is constant across any
-        skipped stretch.
+        A bucket is processed at every agenda cycle and at every
+        per-unit wake cycle (from :meth:`RTUnit.step`).  Fills mark
+        their unit dirty so data is acted on in the cycle it lands.
+        After the flush, one pass over the units delivers each woken
+        unit's due responses and test completions and steps it: a
+        unit's deliveries touch only its own state and additive
+        counters, and a due FIFO head always means a due wake.  Cycles
+        a unit skips are cycles its step would only have counted as
+        stalls; they are credited in bulk at its next step with the
+        stall kind captured when the skip began (warp state changes
+        only in a step or a delivery, which dirties the unit).  A
+        timeline sample due at a bucket reads each unit after its
+        deliveries and before its step; one due between buckets reads
+        the state the last bucket left.
         """
         config = self.config
-        events = self.events
+        memsys = self.memsys
         units = self.units
         timeline = self.timeline
         start = self._current_cycle
@@ -166,12 +178,13 @@ class GpuModel:
         max_cycles = config.max_cycles
         n = len(units)
         indices = tuple(range(n))
-        wakes: List[Optional[int]] = [start] * n
+        wakes = [start] * n
         last_step = [start - 1] * n
         kinds = [0] * n
-        run_due = events.run_due
-        next_cycle = events.next_cycle
-        if not any(unit.busy() for unit in units):
+        agenda = memsys.agenda_cycles
+        flush_due = memsys.flush_due
+        readings: Optional[list] = None
+        if not any(unit.buffer or unit.pending_warps for unit in units):
             return cycle
         while True:
             if cycle - start > max_cycles:
@@ -179,82 +192,78 @@ class GpuModel:
                     f"exceeded {max_cycles} cycles; "
                     "likely a lost memory response"
                 )
-            run_due(cycle)
-            # Deliver due test completions / hit responses before any
-            # unit steps, so the steps (and a timeline sample) see the
-            # post-delivery state.  The heads are checked here (each
-            # FIFO is in due order) so non-due queues cost no call.
-            for unit in units:
-                fifo = unit._hit_responses
-                if fifo and fifo[0][0] <= cycle:
-                    unit.run_tests_due(cycle)
-                else:
-                    fifo = unit._box_tests
-                    if fifo and fifo[0][0] <= cycle:
-                        unit.run_tests_due(cycle)
-                    else:
-                        fifo = unit._prim_tests
-                        if fifo and fifo[0][0] <= cycle:
-                            unit.run_tests_due(cycle)
-            if timeline is not None:
-                timeline.maybe_sample(cycle, units)
+            if agenda and agenda[0] <= cycle:
+                flush_due(cycle)
+            if timeline is not None and timeline.due <= cycle:
+                readings = [None] * n
             stepped = False
             for i in indices:
                 unit = units[i]
-                wake = wakes[i]
-                if unit.dirty or (wake is not None and wake <= cycle):
+                if unit.dirty or wakes[i] <= cycle:
+                    # Deliveries, behind an inline check of the FIFO
+                    # heads (each FIFO is in due order).
+                    fifo = unit._hit_responses
+                    if fifo and fifo[0][0] <= cycle:
+                        unit.run_tests_due(cycle)
+                    else:
+                        fifo = unit._box_tests
+                        if fifo and fifo[0][0] <= cycle:
+                            unit.run_tests_due(cycle)
+                        else:
+                            fifo = unit._prim_tests
+                            if fifo and fifo[0][0] <= cycle:
+                                unit.run_tests_due(cycle)
                     unit.dirty = False
+                    if readings is not None:
+                        readings[i] = unit_reading(unit)
                     stepped = True
                     gap = cycle - last_step[i] - 1
-                    if gap > 0:
-                        kind = kinds[i]
+                    kind = kinds[i]
+                    if gap > 0 and kind:
                         if kind == 1:
                             unit.stats.stall_cycles += gap
-                            if unit.obs is not None:
-                                unit.obs.emit(
-                                    "rtunit.stall",
-                                    last_step[i] + 1,
-                                    f"RT{unit.sm_id}",
-                                    dur=gap,
-                                )
-                        elif kind == 2:
+                        else:
                             unit.stats.mshr_stall_cycles += gap
-                            if unit.obs is not None:
-                                unit.obs.emit(
-                                    "rtunit.stall",
-                                    last_step[i] + 1,
-                                    f"RT{unit.sm_id}",
-                                    dur=gap,
-                                    args={"reason": "mshr"},
-                                )
-                    unit.step(cycle)
+                        if unit.obs is not None:
+                            unit.obs.emit(
+                                "rtunit.stall",
+                                last_step[i] + 1,
+                                f"RT{unit.sm_id}",
+                                dur=gap,
+                                args=None if kind == 1 else {"reason": "mshr"},
+                            )
                     last_step[i] = cycle
-                    wakes[i], kinds[i] = unit.next_wake_kind(cycle)
-            # A unit only goes idle inside a step (retirement, degenerate
-            # admits), so the completion check is needed only on buckets
-            # that stepped someone.
-            if stepped and not any(unit.busy() for unit in units):
-                # The cycle counter rests one past the last worked cycle.
-                cycle += 1
-                break
+                    wakes[i], kinds[i] = unit.step(cycle)
+                elif readings is not None:
+                    readings[i] = unit_reading(unit)
             # Test-FIFO and hit-response due cycles are folded into each
-            # unit's wake by ``next_wake_kind`` (appends always precede a
-            # fresh wake), so the wake list alone bounds the jump.
-            nxt = next_cycle()
-            for wake in wakes:
-                if wake is not None and (nxt is None or wake < nxt):
-                    nxt = wake
-            if timeline is not None:
-                sample = timeline.next_sample_cycle
-                if nxt is None or sample < nxt:
-                    nxt = sample
-            if nxt is None:
+            # unit's wake, so the wakes and the agenda bound the jump.
+            nxt = min(wakes)
+            if agenda and agenda[0] < nxt:
+                nxt = agenda[0]
+            if readings is not None:
+                timeline.record(cycle, readings)
+                readings = None
+            # A unit only goes idle in its deliveries or step, so the
+            # completion check is needed only on buckets that stepped
+            # someone.
+            if stepped:
+                for unit in units:
+                    if unit.buffer or unit.pending_warps:
+                        break
+                else:
+                    # The counter rests one past the last worked cycle.
+                    return cycle + 1
+            if nxt == NO_WAKE:
                 raise SimulationLimitError(
-                    "work remains but no events or unit activity are "
+                    "work remains but no agenda or unit activity is "
                     "pending; likely a lost memory response"
                 )
-            cycle = nxt if nxt > cycle else cycle + 1
-        return cycle
+            nxt = nxt if nxt > cycle else cycle + 1
+            if timeline is not None:
+                while timeline.due < nxt:
+                    timeline.maybe_sample(timeline.due, units)
+            cycle = nxt
 
     def run_frame(
         self,

@@ -1,7 +1,7 @@
 """The L1 -> L2 -> DRAM request path.
 
 One private L1 per SM, a shared L2, and partitioned DRAM, glued together
-over the event queue.  This module owns all memory *timing*; the caches
+by a per-cycle agenda.  This module owns all memory *timing*; the caches
 themselves are pure tag models.
 
 Latency accounting matches the paper's reporting: the "memory latency of
@@ -18,25 +18,29 @@ Two prefetch destinations are modeled (``GpuConfig.prefetch_destination``):
   transfer step and is compared in ``bench_ablation_destination``.
 
 Outstanding work lives in per-cycle *agenda buckets* (``cycle ->
-[record tuples]``) with a single flush event per distinct cycle on the
-event queue.  A flush classifies every L2 transfer of its bucket
-against the L2 tag/MSHR state in one pass, and L2 MSHR waiters are
-``(fill_kind, sm)`` tuples rather than closures.  Trace emits sit on
+[record tuples]``), and a heap holds each pending bucket's cycle once.
+The replay engine flushes due buckets with :meth:`MemorySystem.flush_due`
+and the trailing ones with :meth:`MemorySystem.drain`.  A flush
+classifies every L2 transfer of its bucket against the L2 tag/MSHR
+state in one pass, and L2 MSHR waiters are ``(fill_kind, sm)`` tuples
+rather than closures.  Trace emits sit on
 this one path, each under an ``obs is not None`` guard, so an observed
 run executes exactly the code an unobserved one does.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..core.config import GpuConfig
 from ..prefetch.effectiveness import PrefetchEffectivenessTracker
-from .cache import AccessOutcome, Cache, LineMeta, MshrEntry
+from .cache import (
+    HIT, MISS, PENDING_HIT, AccessOutcome, Cache, LineMeta, MshrEntry,
+)
 from .dram import Dram
-from .event import EventQueue
 
 ResponseCallback = Callable[[int], None]
 
@@ -91,18 +95,15 @@ def _snapshot(meta: Optional[LineMeta]) -> Optional[LineMeta]:
     if meta is None:
         return None
     return LineMeta(
-        filled_by_prefetch=meta.filled_by_prefetch,
-        demand_touched=meta.demand_touched,
-        fill_cycle=meta.fill_cycle,
+        meta.filled_by_prefetch, meta.demand_touched, meta.fill_cycle
     )
 
 
 class MemorySystem:
     """Per-GPU memory hierarchy shared by all RT units."""
 
-    def __init__(self, config: GpuConfig, events: EventQueue) -> None:
+    def __init__(self, config: GpuConfig) -> None:
         self.config = config
-        self.events = events
         self.l1s: List[Cache] = [
             Cache(config.l1, name=f"L1[{sm}]") for sm in range(config.n_sms)
         ]
@@ -114,8 +115,6 @@ class MemorySystem:
         self.trackers: List[PrefetchEffectivenessTracker] = [
             PrefetchEffectivenessTracker() for _ in range(config.n_sms)
         ]
-        for sm, l1 in enumerate(self.l1s):
-            l1.eviction_listener = self.trackers[sm].on_eviction
         self.uses_stream_buffers = config.prefetch_destination == "stream"
         self.stream_buffers: List[Cache] = []
         self.stream_buffer_hits = 0
@@ -128,6 +127,8 @@ class MemorySystem:
         #: sleep on full MSHRs exact.
         self.units: Optional[list] = None
         self._agenda: Dict[int, list] = {}
+        #: heap of the agenda's bucket cycles, one entry per bucket.
+        self.agenda_cycles: List[int] = []
         #: Invariant locals for :meth:`_flush`, packed once so the (hot,
         #: often tiny-bucket) flush unpacks a single attribute instead
         #: of rebinding a dozen.  Every component is stable for this
@@ -200,17 +201,36 @@ class MemorySystem:
 
     def _enqueue(self, cycle: int, record) -> None:
         """Append ``record`` to the agenda bucket for ``cycle``,
-        materializing the bucket (and its single flush event) on first
-        use.  A bucket whose flush is currently running has already been
-        popped, so a same-cycle re-enqueue creates a fresh bucket whose
-        flush fires immediately after — the event queue's
-        drain-until-quiescent semantics."""
+        materializing the bucket (and its heap entry) on first use.  A
+        bucket being flushed has already been popped, so a same-cycle
+        enqueue made during its flush creates a fresh bucket that
+        :meth:`flush_due` runs right after it."""
         bucket = self._agenda.get(cycle)
         if bucket is None:
             self._agenda[cycle] = [record]
-            self.events.schedule(cycle, self._flush)
+            heapq.heappush(self.agenda_cycles, cycle)
         else:
             bucket.append(record)
+
+    def flush_due(self, cycle: int) -> None:
+        """Flush every agenda bucket due at or before ``cycle``, in cycle
+        order, including buckets those flushes add for ``cycle``."""
+        cycles = self.agenda_cycles
+        while cycles and cycles[0] <= cycle:
+            self._flush(heapq.heappop(cycles))
+
+    def drain(self, cycle: int) -> int:
+        """Flush every remaining bucket in cycle order; return the later
+        of ``cycle`` and the last bucket's cycle.  The replay engine's
+        trailing pass: in-flight fills land at their own cycles, and the
+        result is the base of every per-cycle rate in ``SimStats``."""
+        cycles = self.agenda_cycles
+        while cycles:
+            at = heapq.heappop(cycles)
+            self._flush(at)
+            if at > cycle:
+                cycle = at
+        return cycle
 
     def _flush(self, at: int) -> None:
         """Process every agenda record due at ``at`` in append order.
@@ -260,7 +280,10 @@ class MemorySystem:
                     l2_stats.prefetch_accesses += 1
                     is_prefetch = True
                 fill_kind = _FILL_STREAM if kind == _TO_L2_STREAM else _FILL_L1
-                set_map, meta, entry = l2.classify(line)
+                # ``l2.classify(line)``, inlined.
+                set_map = l2_sets.get(line % l2_n_sets)
+                meta = set_map.get(line) if set_map is not None else None
+                entry = l2_mshrs.get(line) if meta is None else None
                 if meta is not None:
                     # Resident: the ``Cache.probe`` hit body, inlined.
                     set_map.move_to_end(line)
@@ -279,7 +302,7 @@ class MemorySystem:
                         hit_bucket = self._agenda.get(hit_cycle)
                         if hit_bucket is None:
                             hit_bucket = self._agenda[hit_cycle] = []
-                            self.events.schedule(hit_cycle, self._flush)
+                            heapq.heappush(self.agenda_cycles, hit_cycle)
                     hit_bucket.append((fill_kind, sm, line))
                 elif entry is not None:
                     # In flight: merge into the MSHR as a tuple waiter.
@@ -301,9 +324,9 @@ class MemorySystem:
                         l2_stats.prefetch_misses += 1
                     else:
                         l2_stats.demand_misses += 1
-                    entry = MshrEntry(line=line, is_prefetch=is_prefetch)
-                    entry.waiters.append((fill_kind, sm))
-                    l2_mshrs[line] = entry
+                    l2_mshrs[line] = MshrEntry(
+                        line, is_prefetch, [(fill_kind, sm)]
+                    )
                     if obs is not None:
                         l2.trace_access(at, line, "miss", is_prefetch)
                     if misses is None:
@@ -333,10 +356,7 @@ class MemorySystem:
                         if l2.eviction_listener is not None:
                             l2.eviction_listener(victim, victim_meta)
                     set_map[line] = LineMeta(
-                        filled_by_prefetch=(
-                            entry is not None and entry.is_prefetch
-                        ),
-                        fill_cycle=at,
+                        entry is not None and entry.is_prefetch, False, at
                     )
                 if entry is not None:
                     for fill_kind, sm in entry.waiters:
@@ -383,14 +403,15 @@ class MemorySystem:
         meta = set_map.get(line) if set_map is not None else None
         if meta is not None:
             if is_prefetch:
-                tracker.on_prefetch_probe(line, AccessOutcome.HIT, meta, None)
+                tracker.on_prefetch_probe(line, HIT, meta, None)
                 stats.prefetch_accesses += 1
                 stats.prefetch_hits += 1
             else:
-                tracker.on_demand_probe(line, AccessOutcome.HIT, meta, None)
                 stats.demand_accesses += 1
                 stats.demand_hits += 1
                 if meta.filled_by_prefetch and not meta.demand_touched:
+                    # The tracker acts on a first hit to a prefetch only.
+                    tracker.on_demand_probe(line, HIT, meta, None)
                     stats.demand_hits_on_prefetched += 1
                     if obs is not None:
                         l1.trace_first_hit(cycle, line, meta.fill_cycle)
@@ -400,61 +421,58 @@ class MemorySystem:
                 l1.trace_access(cycle, line, "hit", is_prefetch)
             if responder is not None:
                 self._enqueue(cycle + self._l1_latency, (_CALL, responder))
-            return AccessOutcome.HIT
+            return HIT
         entry = l1._mshrs.get(line)
         if entry is not None:
             owner = entry.is_prefetch
             if obs is not None:
                 l1.trace_merge(cycle, line, owner, is_prefetch)
             if is_prefetch:
-                tracker.on_prefetch_probe(
-                    line, AccessOutcome.PENDING_HIT, None, owner
-                )
+                tracker.on_prefetch_probe(line, PENDING_HIT, None, owner)
                 stats.prefetch_accesses += 1
                 stats.prefetch_pending_hits += 1
             else:
-                tracker.on_demand_probe(
-                    line, AccessOutcome.PENDING_HIT, None, owner
-                )
                 stats.demand_accesses += 1
                 stats.demand_pending_hits += 1
                 if owner:
+                    # The tracker acts on a demand catching a prefetch.
+                    tracker.on_demand_probe(line, PENDING_HIT, None, owner)
                     stats.demand_pending_on_prefetch += 1
                     entry.is_prefetch = False  # a demand now owns the fill
             if responder is not None:
                 entry.waiters.append(responder)
             if obs is not None:
                 l1.trace_access(cycle, line, "pending_hit", is_prefetch)
-            return AccessOutcome.PENDING_HIT
+            return PENDING_HIT
         if is_prefetch:
-            tracker.on_prefetch_probe(line, AccessOutcome.MISS, None, None)
+            tracker.on_prefetch_probe(line, MISS, None, None)
             stats.prefetch_accesses += 1
             stats.prefetch_misses += 1
         else:
-            tracker.on_demand_probe(line, AccessOutcome.MISS, None, None)
+            # A demand miss resolves no prefetch episode: no tracker call.
             stats.demand_accesses += 1
             stats.demand_misses += 1
-        entry = MshrEntry(line=line, is_prefetch=is_prefetch)
-        if responder is not None:
-            entry.waiters.append(responder)
-        l1._mshrs[line] = entry
+        l1._mshrs[line] = MshrEntry(
+            line, is_prefetch, [] if responder is None else [responder]
+        )
         if obs is not None:
             l1.trace_access(cycle, line, "miss", is_prefetch)
         if not is_prefetch and self.uses_stream_buffers:
             # The stream buffer may already hold (or be fetching) this
             # line; intercept before going below.
             if self._demand_checks_stream(sm, address, line, cycle):
-                return AccessOutcome.MISS
-        # Tag-check time at L1, then go below.
-        self._enqueue(
-            cycle + self._l1_latency,
-            (
-                _TO_L2_PREFETCH if is_prefetch else _TO_L2_DEMAND,
-                sm,
-                address,
-            ),
-        )
-        return AccessOutcome.MISS
+                return MISS
+        # Tag-check time at L1, then go below (``_enqueue``, inlined).
+        kind = _TO_L2_PREFETCH if is_prefetch else _TO_L2_DEMAND
+        record = (kind, sm, address)
+        due = cycle + self._l1_latency
+        bucket = self._agenda.get(due)
+        if bucket is None:
+            self._agenda[due] = [record]
+            heapq.heappush(self.agenda_cycles, due)
+        else:
+            bucket.append(record)
+        return MISS
 
     # -- stream-buffer path -----------------------------------------------------
 
@@ -474,22 +492,18 @@ class MemorySystem:
         # without disturbing the L1's LRU state.
         l1_meta = l1.line_meta(line)
         if l1_meta is not None:
-            tracker.on_prefetch_probe(
-                line, AccessOutcome.HIT, _snapshot(l1_meta), None
-            )
+            tracker.on_prefetch_probe(line, HIT, _snapshot(l1_meta), None)
             if callback is not None:
                 self._enqueue(
                     cycle + self.config.l1.latency, (_CALL, callback)
                 )
-            return AccessOutcome.HIT
+            return HIT
         l1_owner = l1.mshr_owner_is_prefetch(line)
         if l1_owner is not None:
-            tracker.on_prefetch_probe(
-                line, AccessOutcome.PENDING_HIT, None, l1_owner
-            )
+            tracker.on_prefetch_probe(line, PENDING_HIT, None, l1_owner)
             if callback is not None:
                 l1.probe(line, is_prefetch=True, waiter=callback, cycle=cycle)
-            return AccessOutcome.PENDING_HIT
+            return PENDING_HIT
         prior_meta = _snapshot(buffer.line_meta(line))
         prior_owner = buffer.mshr_owner_is_prefetch(line)
         outcome = buffer.probe(
@@ -497,10 +511,10 @@ class MemorySystem:
         )
         tracker.on_prefetch_probe(line, outcome, prior_meta, prior_owner)
         due = cycle + self.config.stream_buffer.latency
-        if outcome is AccessOutcome.HIT:
+        if outcome is HIT:
             if callback is not None:
                 self._enqueue(due, (_CALL, callback))
-        elif outcome is AccessOutcome.MISS:
+        elif outcome is MISS:
             self._enqueue(due, (_TO_L2_STREAM, sm, address))
         return outcome
 
@@ -517,9 +531,7 @@ class MemorySystem:
         tracker = self.trackers[sm]
         meta = buffer.line_meta(line)
         if meta is not None:
-            tracker.on_demand_probe(
-                line, AccessOutcome.HIT, _snapshot(meta), None
-            )
+            tracker.on_demand_probe(line, HIT, _snapshot(meta), None)
             buffer.invalidate(line)
             self.stream_buffer_hits += 1
             # One buffer-access latency for the transfer, then the line
@@ -531,9 +543,7 @@ class MemorySystem:
             return True
         owner = buffer.mshr_owner_is_prefetch(line)
         if owner is not None:
-            tracker.on_demand_probe(
-                line, AccessOutcome.PENDING_HIT, None, owner
-            )
+            tracker.on_demand_probe(line, PENDING_HIT, None, owner)
             self.stream_buffer_hits += 1
 
             def transfer(at: int, s=sm, ln=line) -> None:
@@ -604,12 +614,11 @@ class MemorySystem:
                     and not victim_meta.demand_touched
                 ):
                     stats.prefetched_evicted_unused += 1
-                if l1.eviction_listener is not None:
-                    l1.eviction_listener(victim, victim_meta)
-            set_map[line] = LineMeta(
-                filled_by_prefetch=filled_by_prefetch, fill_cycle=cycle
-            )
-        self.trackers[sm].on_fill(line, filled_by_prefetch)
+                    # The effectiveness tracker acts on these only.
+                    self.trackers[sm].on_eviction(victim, victim_meta)
+            set_map[line] = LineMeta(filled_by_prefetch, False, cycle)
+        if filled_by_prefetch:  # the tracker ignores demand fills
+            self.trackers[sm].on_fill(line, True)
         if self.units is not None:
             self.units[sm].dirty = True
         if filled_by_prefetch and self.obs is not None:

@@ -9,24 +9,32 @@ decision logic.
 
 The replay engine (:class:`~repro.gpusim.gpu.GpuModel`) steps a unit
 only in cycles where it can act.  Box/primitive test completions and
-L1-hit responses wait in per-unit FIFO queues rather than on the global
-event heap (their latencies are constants, so due cycles are appended
-in order); :meth:`RTUnit.run_tests_due` delivers them and
-:meth:`RTUnit.next_wake_kind` tells the engine when to step next.
+L1-hit responses wait in per-unit FIFO queues (their latencies are
+constants, so due cycles are appended in order);
+:meth:`RTUnit.run_tests_due` delivers them right before a step, and
+:meth:`RTUnit.step` returns when the engine must step the unit next.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.config import GpuConfig
 from ..prefetch.base import Prefetcher
-from .cache import AccessOutcome
+from .cache import HIT
 from .memsys import MemorySystem, REGION_NODE, REGION_PRIMITIVE
 from .scheduler import select_warp
-from .warp import RayState, RayTask, WarpSlot
+from .warp import (
+    DONE, FETCH_READY, PRIM_READY, TESTING, WAIT_NODE, WAIT_PRIM, RayTask,
+    WarpSlot,
+)
+
+#: The wake of a unit that waits for a memory response (later than any
+#: cycle), so the engine takes the next wake with a plain ``min``.
+NO_WAKE = 1 << 62
 
 
 @dataclass
@@ -66,14 +74,14 @@ class RTUnit:
         self._next_warp_id = 0
         #: bumped whenever warp-buffer vote state changes (voter gate).
         self.vote_version = 0
-        #: set by event callbacks (memory responses, fills, test
-        #: completions) so the replay engine steps this unit in the same
-        #: cycle the data lands.  The engine clears it.
+        #: set by memory responses, fills and test completions so the
+        #: replay engine steps this unit in the same cycle the data
+        #: lands.  The engine clears it.
         self.dirty = False
         #: op-unit pipelines: FIFOs of ``(due, warp, ray)``
         #: test completions.  Box and primitive test latencies are each
         #: a constant, so within one queue due cycles are appended in
-        #: nondecreasing order and a deque replaces per-ray heap events.
+        #: nondecreasing order and a deque is the whole schedule.
         self._box_tests: Deque[Tuple[int, WarpSlot, RayTask]] = deque()
         self._prim_tests: Deque[Tuple[int, WarpSlot, RayTask]] = deque()
         #: L1-hit responses awaiting delivery, as
@@ -110,6 +118,8 @@ class RTUnit:
         self._prim_latency = config.primitive_test_latency
         self._l1 = memsys.l1s[sm_id]
         self._tracker = memsys.trackers[sm_id]
+        self._all_latency = memsys.all_demand_latency
+        self._node_latency = memsys.node_demand_latency
         #: merged next-treelet vote counts over the buffer's warps,
         #: maintained incrementally by the WarpSlots; the majority voter
         #: reads this instead of re-merging per decision.
@@ -130,67 +140,29 @@ class RTUnit:
     def ready_total(self) -> int:
         return sum(warp.ready_count for warp in self.buffer)
 
-    def next_wake_kind(self, cycle: int):
-        """When the engine must next step this unit, and what each
-        skipped cycle until then counts as; returns ``(wake, kind)``.
-
-        ``wake`` is the earliest future cycle the unit can act absent
-        events: an admit, an issue-ready ray with a free MSHR, the
-        prefetcher's self-scheduled activity, or the head of a test or
-        hit-response FIFO.  ``None`` means the unit is purely
-        event-driven until something marks it dirty.  A selectable warp
-        held off by full MSHRs sleeps until a fill dirties the unit —
-        fills are the only way MSHRs free up.
-
-        ``kind`` is 0 (empty warp buffer: nothing), 1 (resident warps,
-        none selectable: ``stall_cycles``) or 2 (selectable warp blocked
-        by full L1 MSHRs: ``mshr_stall_cycles``).  It holds for the whole
-        gap: warp state changes only in a step or an event callback, and
-        every callback dirties the unit, ending the gap.
-        """
-        buffer = self.buffer
-        ready = False
-        for warp in buffer:
-            if warp.ready_count:
-                ready = True
-                break
-        wake: Optional[int] = None
-        if self.pending_warps and len(buffer) < self._warp_buffer_size:
-            wake = cycle + 1  # an admit can happen next cycle
-        else:
-            l1 = self._l1
-            if ready and len(l1._mshrs) < l1._mshr_capacity:
-                wake = cycle + 1
-            if wake is None and not self._null_prefetcher:
-                # Base prefetcher: queue_depth() is 0, so its
-                # next_activity_cycle is always None — skip the call.
-                wake = self.prefetcher.next_activity_cycle(
-                    cycle, self.vote_version
-                )
-        tests = self._box_tests
-        if tests:
-            due = tests[0][0]
-            if wake is None or due < wake:
-                wake = due
-        tests = self._prim_tests
-        if tests:
-            due = tests[0][0]
-            if wake is None or due < wake:
-                wake = due
-        responses = self._hit_responses
-        if responses:
-            due = responses[0][0]
-            if wake is None or due < wake:
-                wake = due
-        return wake, (2 if ready else (1 if buffer else 0))
-
     # -- per-cycle step -----------------------------------------------------
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int) -> Tuple[int, int]:
         """One cycle of the unit: admit, demand issue, prefetch, tick.
 
         Deliver due test completions and hit responses first
         (:meth:`run_tests_due`); the engine does so before every step.
+
+        Returns ``(wake, kind)``: when the engine must next step this
+        unit, and what each skipped cycle until then counts as.
+        ``wake`` is the earliest future cycle the unit can act absent
+        memory responses: an admit, an issue-ready ray with a free
+        MSHR, the prefetcher's self-scheduled activity, or the head of
+        a test or hit-response FIFO.  :data:`NO_WAKE` means the unit
+        waits for a response to mark it dirty.  A selectable warp held
+        off by full MSHRs sleeps until a fill dirties the unit — fills
+        are the only way MSHRs free up.
+
+        ``kind`` is 0 (empty warp buffer: nothing), 1 (resident warps,
+        none selectable: ``stall_cycles``) or 2 (selectable warp blocked
+        by full L1 MSHRs: ``mshr_stall_cycles``).  It holds for the whole
+        gap: warp state changes only in a step or a delivery, and every
+        delivery dirties the unit, ending the gap.
         """
         buffer = self.buffer
         stats = self.stats
@@ -227,7 +199,8 @@ class RTUnit:
                 buffer,
                 prefetcher.last_prefetched_treelet,
             )
-        if warp is not None and not self._l1.mshr_full():
+        l1 = self._l1
+        if warp is not None and len(l1._mshrs) < l1._mshr_capacity:
             issued = self._issue_demand(warp, cycle)
             if issued:
                 stats.busy_cycles += 1
@@ -244,40 +217,71 @@ class RTUnit:
                 self.obs.emit(
                     "rtunit.stall", cycle, f"RT{self.sm_id}", dur=1
                 )
-        if self._null_prefetcher:
-            # Exactly the base prefetcher: pop_prefetch always returns
-            # None and on_feedback/on_cycle are empty — skip them all.
-            return
-        if issued < self._mem_ports:
-            request = prefetcher.pop_prefetch(cycle)
-            if request is not None:
-                stats.prefetches_issued += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "prefetch.issue",
-                        cycle,
-                        f"RT{self.sm_id}",
-                        args={
-                            "sm": self.sm_id,
-                            "address": request.address,
-                            "line": request.address // self._line_bytes,
-                            "region": request.region,
-                        },
-                    )
-                callback = request.on_complete
-                if callback is not None:
-                    callback = self._mark_dirty(callback)
-                self.memsys.access(
-                    self.sm_id,
-                    request.address,
-                    cycle,
-                    is_prefetch=True,
-                    region=request.region,
-                    callback=callback,
-                )
-        if self._adaptive_feedback:
-            prefetcher.on_feedback(cycle, self._tracker.counts)
-        prefetcher.on_cycle(cycle, buffer, self.vote_version)
+        null_prefetcher = self._null_prefetcher
+        # Exactly the base prefetcher: pop_prefetch always returns None
+        # and on_feedback/on_cycle are empty — skip them all.
+        if not null_prefetcher:
+            if issued < self._mem_ports:
+                request = prefetcher.pop_prefetch(cycle)
+                if request is not None:
+                    self._issue_prefetch(request, cycle)
+            if self._adaptive_feedback:
+                prefetcher.on_feedback(cycle, self._tracker.counts)
+            prefetcher.on_cycle(cycle, buffer, self.vote_version)
+
+        # When to step next (see the docstring).  Warps the scheduler
+        # passed over may be ready too, so only a still-ready issuing
+        # warp spares the scan.
+        ready = warp is not None and warp.ready_count > 0
+        if not ready:
+            for warp in buffer:
+                if warp.ready_count:
+                    ready = True
+                    break
+        kind = 2 if ready else (1 if buffer else 0)
+        if self.pending_warps and len(buffer) < self._warp_buffer_size:
+            # An admit can happen next cycle; every FIFO head is later.
+            return cycle + 1, kind
+        if ready and len(l1._mshrs) < l1._mshr_capacity:
+            return cycle + 1, kind
+        # Base prefetcher: queue_depth() is 0, so its next_activity_cycle
+        # is always None — skip the call.
+        wake = None
+        if not null_prefetcher:
+            wake = prefetcher.next_activity_cycle(cycle, self.vote_version)
+        if wake is None:
+            wake = NO_WAKE
+        for fifo in (self._box_tests, self._prim_tests, self._hit_responses):
+            if fifo and fifo[0][0] < wake:
+                wake = fifo[0][0]
+        return wake, kind
+
+    def _issue_prefetch(self, request, cycle: int) -> None:
+        """Send the prefetcher's popped ``request`` to the memory system."""
+        self.stats.prefetches_issued += 1
+        if self.obs is not None:
+            self.obs.emit(
+                "prefetch.issue",
+                cycle,
+                f"RT{self.sm_id}",
+                args={
+                    "sm": self.sm_id,
+                    "address": request.address,
+                    "line": request.address // self._line_bytes,
+                    "region": request.region,
+                },
+            )
+        callback = request.on_complete
+        if callback is not None:
+            callback = self._mark_dirty(callback)
+        self.memsys.access(
+            self.sm_id,
+            request.address,
+            cycle,
+            is_prefetch=True,
+            region=request.region,
+            callback=callback,
+        )
 
     # -- demand path --------------------------------------------------------
 
@@ -305,9 +309,9 @@ class RTUnit:
         line_bytes = self._line_bytes
         slot_rays = warp.rays
         ready_treelets = warp.ready_treelet_counts
-        fetch_ready = RayState.FETCH_READY
-        wait_node = RayState.WAIT_NODE
-        wait_prim = RayState.WAIT_PRIM
+        fetch_ready = FETCH_READY
+        wait_node = WAIT_NODE
+        wait_prim = WAIT_PRIM
         node_groups: Dict[int, Tuple[int, List[RayTask]]] = {}
         prim_groups: Dict[int, Tuple[int, List[RayTask]]] = {}
         claimed = 0
@@ -318,8 +322,9 @@ class RTUnit:
             low = mask & -mask
             mask -= low
             ray = slot_rays[low.bit_length() - 1]
+            cursor = ray.cursor
             if ray.state is fetch_ready:
-                address = ray.addresses[ray.cursor]
+                address = ray.addresses[cursor]
                 line = address // line_bytes
                 group = node_groups.get(line)
                 if group is None:
@@ -329,6 +334,7 @@ class RTUnit:
                     claimed += 1
                 else:
                     group[1].append(ray)
+                ray.state = wait_node
             else:  # PRIM_READY
                 pending = ray.prim_lines_pending
                 if not pending:
@@ -348,12 +354,12 @@ class RTUnit:
                     ray.prim_lines_outstanding += 1
                 if pending:
                     continue
+                ray.state = wait_prim
             # The claim succeeded: the ray leaves the ready set.  This is
             # ``warp.note_unready`` inlined (mask bits are batched below).
             claimed_mask |= low
             claimed_rays += 1
-            ray.state = wait_node if ray.state is fetch_ready else wait_prim
-            treelet = ray.treelets[ray.cursor]
+            treelet = ray.treelets[cursor]
             count = ready_treelets[treelet] - 1
             if count <= 0:
                 del ready_treelets[treelet]
@@ -376,7 +382,7 @@ class RTUnit:
         due = cycle + self._l1_latency
         responses = self._hit_responses
         respond = self._respond
-        hit = AccessOutcome.HIT
+        hit = HIT
         for is_node, groups in ((True, node_groups), (False, prim_groups)):
             for address, rays in groups.values():
                 if demand_hook is not None:
@@ -390,17 +396,16 @@ class RTUnit:
                         address,
                         cycle,
                         False,
-                        lambda at, n=is_node, r=rays, a=address: respond(
-                            n, warp, r, cycle, a, at
-                        ),
+                        partial(respond, is_node, warp, rays, cycle, address),
                     )
                     continue
                 # Resident hit, inlined from ``Cache.probe``: classify on
-                # the pre-probe meta, then the probe's hit body.
-                tracker.on_demand_probe(line, hit, meta, None)
+                # the pre-probe meta (the tracker acts only on a first
+                # hit to a prefetched line), then the probe's hit body.
                 lstats.demand_accesses += 1
                 lstats.demand_hits += 1
                 if meta.filled_by_prefetch and not meta.demand_touched:
+                    tracker.on_demand_probe(line, hit, meta, None)
                     lstats.demand_hits_on_prefetched += 1
                     if obs is not None:
                         l1.trace_first_hit(cycle, line, meta.fill_cycle)
@@ -439,11 +444,11 @@ class RTUnit:
         starts a ray's primitive test once all of its lines are in.
         """
         self.dirty = True
-        memsys = self.memsys
         latency = cycle - issue_cycle
-        all_lat = memsys.all_demand_latency
+        all_lat = self._all_latency
         all_lat.total_cycles += latency
         all_lat.count += 1
+        memsys = self.memsys
         if memsys.obs is not None:
             memsys.trace_demand(
                 self.sm_id,
@@ -453,64 +458,77 @@ class RTUnit:
                 cycle,
             )
         if is_node:
-            node_lat = memsys.node_demand_latency
+            node_lat = self._node_latency
             node_lat.total_cycles += latency
             node_lat.count += 1
             box_tests = self._box_tests
             due = cycle + self._box_latency
+            testing = TESTING
             for ray in rays:
-                visit = ray.trace.visits[ray.cursor]
-                if visit.is_leaf and visit.primitive_count > 0:
-                    ray.prim_lines_pending = ray.primitive_lines()
-                    ray.prim_lines_outstanding = 0
-                    ray.state = RayState.PRIM_READY
-                    warp.note_ready(ray)
-                else:
-                    ray.state = RayState.TESTING
+                cursor = ray.cursor
+                lines = ray.prims[cursor]
+                if lines is None:
+                    ray.state = testing
                     box_tests.append((due, warp, ray))
+                    continue
+                ray.prim_lines_pending = list(lines)
+                ray.prim_lines_outstanding = 0
+                ray.state = PRIM_READY
+                # ``warp.note_ready(ray)``, inlined.
+                warp.ready_count += 1
+                warp.ready_mask |= 1 << ray.slot_index
+                warp.ready_treelet_counts[ray.treelets[cursor]] += 1
         else:
             prim_tests = self._prim_tests
             due = cycle + self._prim_latency
             for ray in rays:
                 ray.prim_lines_outstanding -= 1
                 if (
-                    ray.state is RayState.WAIT_PRIM
+                    ray.state is WAIT_PRIM
                     and ray.prim_lines_outstanding == 0
                 ):
-                    ray.state = RayState.TESTING
+                    ray.state = TESTING
                     prim_tests.append((due, warp, ray))
 
     def run_tests_due(self, cycle: int) -> None:
         """Deliver every queued hit response and test completion due.
 
-        The engine calls this right after the event queue drains for
-        the bucket, so responses and test completions land in their due
-        cycle.  Within one cycle the deliveries commute with each other
-        and with the bucket's heap events: they touch disjoint rays (a
-        queued response's rays wait in WAIT_*, a queued test's ray is
-        TESTING, a fill's waiters are other misses' rays) and all shared
-        counters are additive.
+        The engine calls this right before it steps the unit, after the
+        bucket's agenda flush, so responses and test completions land in
+        their due cycle.  Within one cycle the deliveries commute with
+        each other, with the flush and with other units' steps: they
+        touch this unit's rays only, disjoint ones (a queued response's
+        rays wait in WAIT_*, a queued test's ray is TESTING, a fill's
+        waiters are other misses' rays), and all shared counters are
+        additive.
         """
         responses = self._hit_responses
         while responses and responses[0][0] <= cycle:
             due, is_node, warp, rays, issue, address = responses.popleft()
             self._respond(is_node, warp, rays, issue, address, due)
+        box_tests = self._box_tests
+        prim_tests = self._prim_tests
+        if not (
+            (box_tests and box_tests[0][0] <= cycle)
+            or (prim_tests and prim_tests[0][0] <= cycle)
+        ):
+            return
         # Drain due test completions inline: this fires once per
         # completed visit, so a call per test would be the engine's
         # single largest fixed cost.
-        stats = self.stats
-        fetch_ready = RayState.FETCH_READY
-        done_state = RayState.DONE
-        for tests in (self._box_tests, self._prim_tests):
+        self.dirty = True
+        fetch_ready = FETCH_READY
+        done_state = DONE
+        completed = 0
+        for tests in (box_tests, prim_tests):
             while tests and tests[0][0] <= cycle:
                 due, warp, ray = tests.popleft()
-                self.dirty = True
+                completed += 1
                 cursor = ray.cursor
                 old_vote = ray.lookahead[cursor]
-                stats.visits_completed += 1
                 cursor += 1
                 ray.cursor = cursor
-                if cursor >= len(ray.trace.visits):
+                if cursor >= ray.n_visits:
                     ray.state = done_state
                     warp.note_ray_done(old_vote)
                     if old_vote != -1:
@@ -523,7 +541,11 @@ class RTUnit:
                     if new_vote != old_vote:
                         warp.note_vote_change(old_vote, new_vote)
                         self.vote_version += 1
-                    warp.note_ready(ray)
+                    # ``warp.note_ready(ray)``, inlined.
+                    warp.ready_count += 1
+                    warp.ready_mask |= 1 << ray.slot_index
+                    warp.ready_treelet_counts[ray.treelets[cursor]] += 1
+        self.stats.visits_completed += completed
 
     def _retire(self, warp: WarpSlot, cycle: int) -> None:
         self.buffer.remove(warp)

@@ -82,7 +82,7 @@ class SimStats:
         """Every headline rate, denominated by one shared cycle base.
 
         ``cycles`` is set exactly once per ``run()`` — after the
-        trailing event drain (:meth:`EventQueue.drain`) — so the rates
+        trailing agenda drain (:meth:`MemorySystem.drain`) — so the rates
         here all share that denominator.  Mixing rates computed against
         different cycle bases (pre-drain DRAM utilization versus
         post-drain IPC) was the accounting bug this pins against.

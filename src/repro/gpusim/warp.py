@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from enum import Enum
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..bvh import FlatBVH, NodeLayout, PRIMITIVE_SIZE_BYTES
 from ..traversal import RayTrace
@@ -29,15 +32,88 @@ class RayState(Enum):
     DONE = "done"
 
 
+def visit_prims(
+    node_ids: Sequence[int], bvh: FlatBVH, layout: NodeLayout, line_bytes: int
+) -> List[Optional[Tuple[int, ...]]]:
+    """Per visit, the distinct line addresses of the visited leaf's
+    triangles, or ``None`` for a visit that fetches no primitives.
+
+    Memoized on the layout per line size and node id, and filled for the
+    nodes these visits reach only: every revisit shares one tuple.
+    """
+    memo = layout.__dict__.setdefault("_prim_lines", {}).setdefault(
+        line_bytes, {}
+    )
+    try:
+        return [memo[node_id] for node_id in node_ids]
+    except KeyError:
+        pass
+    # Every missing leaf's primitives, then each primitive's run of
+    # lines, in one numpy pass; ``dict.fromkeys`` deduplicates a leaf's
+    # lines, preserving order.  Other nodes fetch no primitives.
+    missing = set(node_ids).difference(memo)
+    memo.update(dict.fromkeys(missing))
+    leaves = [i for i in missing if bvh.nodes[i].primitive_ids]
+    prim_ids = [bvh.nodes[node_id].primitive_ids for node_id in leaves]
+    counts = np.fromiter(map(len, prim_ids), np.int64, len(leaves))
+    prim = np.fromiter(chain.from_iterable(prim_ids), np.int64)
+    address = layout.primitive_base + prim * PRIMITIVE_SIZE_BYTES
+    first = address // line_bytes
+    spans = (address + PRIMITIVE_SIZE_BYTES - 1) // line_bytes - first + 1
+    lines = (_runs(first, spans) * line_bytes).tolist()
+    bounds = np.concatenate(([0], np.cumsum(spans)))[np.cumsum(counts)]
+    start = 0
+    for node_id, end in zip(leaves, bounds.tolist()):
+        memo[node_id] = tuple(dict.fromkeys(lines[start:end]))
+        start = end
+    return [memo[node_id] for node_id in node_ids]
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[k], starts[k] + 1, ...`` (``lengths[k]`` values) for
+    every ``k``, concatenated."""
+    ends = np.cumsum(lengths)
+    offsets = np.repeat(starts - ends + lengths, lengths)
+    return offsets + np.arange(len(offsets))
+
+
+def next_treelets(treelets: np.ndarray, starts: np.ndarray) -> List[int]:
+    """Per visit, the next *different* treelet its ray will enter (-1 if
+    none), over rays laid end to end: ``treelets`` holds their per-visit
+    treelet ids and ``starts`` the index of each ray's first visit."""
+    n = len(treelets)
+    if not n:
+        return []
+    change = np.empty(n, dtype=bool)
+    change[0] = False
+    np.not_equal(treelets[1:], treelets[:-1], out=change[1:])
+    change[starts] = False  # a ray's first visit enters no treelet
+    # The first change strictly after each visit, and its ray's end.
+    after = np.where(change, np.arange(n), n)
+    after = np.append(np.minimum.accumulate(after[::-1])[::-1][1:], n)
+    ends = np.append(starts[1:], n)
+    end = np.repeat(ends, ends - starts)
+    inside = after < end
+    return np.where(inside, treelets[np.where(inside, after, 0)], -1).tolist()
+
+
+# The members again as plain globals, in definition order: an enum
+# member lookup costs about ten global reads on CPython 3.11, and the
+# replay engine tests ray states on every issue, response and test.
+FETCH_READY, WAIT_NODE, PRIM_READY, WAIT_PRIM, TESTING, DONE = RayState
+
+
 class RayTask:
     """One ray's traversal replay state.
 
-    Per-visit addresses/treelets/lookahead are structure-of-arrays lists
-    indexed by ``cursor``; the hot paths in the RT unit index them
-    directly instead of chasing layout dicts on every fetch.  Callers
-    that precompute whole batches (``GpuModel.load`` gathers them with
-    one vectorized table lookup per trace) pass ``addresses`` and
-    ``treelets`` in; otherwise they are derived here per ray.
+    Per-visit addresses/treelets/lookahead/primitive lines are
+    structure-of-arrays lists indexed by ``cursor``; the hot paths in
+    the RT unit index them directly instead of chasing layout dicts or
+    visit objects.  Callers that precompute whole batches
+    (``GpuModel.load`` gathers them with one vectorized table lookup
+    per load) pass ``addresses``, ``treelets`` and ``prims`` in;
+    otherwise they are derived here per ray, through the same layout
+    memo (:func:`visit_prims`).
 
     A ``__slots__`` class (not a dataclass): the replay engine reads
     ``state``/``cursor``/the SoA lists on every issue, response, and
@@ -46,9 +122,7 @@ class RayTask:
 
     __slots__ = (
         "trace",
-        "bvh",
-        "layout",
-        "line_bytes",
+        "n_visits",
         "cursor",
         "state",
         "prim_lines_pending",
@@ -57,6 +131,7 @@ class RayTask:
         "addresses",
         "treelets",
         "lookahead",
+        "prims",
     )
 
     def __init__(
@@ -73,50 +148,51 @@ class RayTask:
         addresses: Optional[List[int]] = None,
         treelets: Optional[List[int]] = None,
         lookahead: Optional[List[int]] = None,
+        prims: Optional[List[Optional[Tuple[int, ...]]]] = None,
     ) -> None:
+        visits = trace.visits
         self.trace = trace
-        self.bvh = bvh
-        self.layout = layout
-        self.line_bytes = line_bytes
+        self.n_visits = len(visits)
         self.cursor = cursor
         self.state = state
-        #: distinct lines still to issue for the current leaf's triangles.
-        self.prim_lines_pending = (
-            [] if prim_lines_pending is None else prim_lines_pending
-        )
+        #: distinct lines still to issue for the current leaf's triangles
+        #: (the shared empty tuple until the ray reaches a leaf).
+        self.prim_lines_pending = prim_lines_pending or ()
         self.prim_lines_outstanding = prim_lines_outstanding
         #: position within the owning warp (set by WarpSlot); the batched
         #: issue path uses it to keep the warp's ready-ray bitmask current.
         self.slot_index = slot_index
-        if not trace.visits:
-            self.state = RayState.DONE
+        if not visits:
+            self.state = DONE
         #: byte address of each visit's node (SoA, parallel to
         #: trace.visits).
         if addresses is None:
-            addresses = [layout.address_of(v.node_id) for v in trace.visits]
+            addresses = [layout.address_of(v.node_id) for v in visits]
         self.addresses = addresses
         #: treelet id of each visit's node (SoA, -1 = no treelet).
         if treelets is None:
-            treelets = [layout.treelet_of(v.node_id) for v in trace.visits]
+            treelets = [layout.treelet_of(v.node_id) for v in visits]
         self.treelets = treelets
+        #: per visit, the line addresses of a leaf's triangles, or None.
+        if prims is None:
+            prims = visit_prims(
+                [v.node_id for v in visits], bvh, layout, line_bytes
+            )
+        self.prims = prims
         #: per visit, the next *different* treelet the ray will enter (-1
         #: if none).  Hardware knows this from the top of the ray's
         #: otherTreeletStack; the trace model recovers it by scanning the
         #: visit sequence.  The majority voter votes on this lookahead so
         #: prefetches lead demand by one treelet transit.
         if lookahead is None:
-            n = len(treelets)
-            lookahead = [-1] * n
-            for index in range(n - 2, -1, -1):
-                if treelets[index + 1] != treelets[index]:
-                    lookahead[index] = treelets[index + 1]
-                else:
-                    lookahead[index] = lookahead[index + 1]
+            lookahead = next_treelets(
+                np.asarray(treelets, dtype=np.int64), np.zeros(1, np.intp)
+            )
         self.lookahead = lookahead
 
     @property
     def done(self) -> bool:
-        return self.state is RayState.DONE
+        return self.state is DONE
 
     def current_visit(self):
         return self.trace.visits[self.cursor]
@@ -136,42 +212,10 @@ class RayTask:
             return -1
         return self.lookahead[self.cursor]
 
-    def primitive_lines(self) -> List[int]:
-        """Distinct line addresses covering the current leaf's triangles.
-
-        The result depends only on the leaf node and the line size, so it
-        is memoized on the shared layout (every ray of an experiment
-        revisiting a leaf recomputes nothing).  Callers mutate the
-        returned list (it becomes ``prim_lines_pending``), so a copy is
-        handed out.
-        """
-        node_id = self.trace.visits[self.cursor].node_id
-        cache = self.layout.__dict__.setdefault("_prim_lines_cache", {})
-        key = (node_id, self.line_bytes)
-        cached = cache.get(key)
-        if cached is None:
-            node = self.bvh.node(node_id)
-            lines = []
-            for prim_id in node.primitive_ids:
-                addr = self.layout.primitive_address(prim_id)
-                first = addr // self.line_bytes
-                last = (addr + PRIMITIVE_SIZE_BYTES - 1) // self.line_bytes
-                lines.extend(range(first, last + 1))
-            # Deduplicate, preserving order.
-            seen = set()
-            unique = []
-            for line in lines:
-                if line not in seen:
-                    seen.add(line)
-                    unique.append(line)
-            cached = [line * self.line_bytes for line in unique]
-            cache[key] = cached
-        return list(cached)
-
     def advance(self) -> None:
         """Move past the current visit (all its work is complete)."""
         self.cursor += 1
-        if self.cursor >= len(self.trace.visits):
+        if self.cursor >= self.n_visits:
             self.state = RayState.DONE
         else:
             self.state = RayState.FETCH_READY
@@ -214,18 +258,20 @@ class WarpSlot:
         self._shared_votes = shared_votes
         for index, ray in enumerate(rays):
             ray.slot_index = index
-            if ray.done:
+            state = ray.state
+            if state is DONE:
                 self.done_count += 1
                 continue
-            vote = ray.lookahead_treelet()
+            cursor = ray.cursor
+            vote = ray.lookahead[cursor]
             if vote != -1:
                 self.alive_treelet_counts[vote] += 1
                 if shared_votes is not None:
                     shared_votes[vote] = shared_votes.get(vote, 0) + 1
-            if ray.state is RayState.FETCH_READY:
+            if state is FETCH_READY:
                 self.ready_count += 1
                 self.ready_mask |= 1 << index
-                self.ready_treelet_counts[ray.current_treelet()] += 1
+                self.ready_treelet_counts[ray.treelets[cursor]] += 1
 
     @property
     def done(self) -> bool:

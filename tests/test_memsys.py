@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import CacheConfig, DramConfig, GpuConfig
-from repro.gpusim import AccessOutcome, EventQueue, MemorySystem
+from repro.gpusim import AccessOutcome, MemorySystem
 
 
 def tiny_gpu_config(**kw):
@@ -21,167 +21,161 @@ def tiny_gpu_config(**kw):
 
 @pytest.fixture
 def memsys():
-    events = EventQueue()
-    return MemorySystem(tiny_gpu_config(), events), events
+    return MemorySystem(tiny_gpu_config())
 
 
-def run_until(events, limit=10_000):
-    cycle = 0
-    while len(events) and cycle < limit:
-        nxt = events.next_cycle()
-        events.run_due(nxt)
-        cycle = nxt
-    return cycle
+def run_until(mem):
+    """Flush the whole agenda; returns the last bucket's cycle."""
+    return mem.drain(0)
 
 
 class TestLatencies:
     def test_l1_hit_latency(self, memsys):
-        mem, events = memsys
+        mem = memsys
         # Prime the line.
         mem.access(0, 0x1000, cycle=0, callback=lambda c: None)
-        run_until(events)
+        run_until(mem)
         done = []
         mem.access(0, 0x1000, cycle=1000, callback=done.append)
-        run_until(events)
+        run_until(mem)
         assert done == [1020]  # L1 hit latency 20
 
     def test_l2_hit_latency(self, memsys):
-        mem, events = memsys
+        mem = memsys
         # SM 0 brings the line into L2 (and its own L1).
         mem.access(0, 0x1000, cycle=0, callback=lambda c: None)
-        run_until(events)
+        run_until(mem)
         # SM 1 misses L1, hits L2.
         done = []
         mem.access(1, 0x1000, cycle=1000, callback=done.append)
-        run_until(events)
+        run_until(mem)
         assert done == [1000 + 20 + 160]
 
     def test_dram_latency(self, memsys):
-        mem, events = memsys
+        mem = memsys
         done = []
         mem.access(0, 0x1000, cycle=0, callback=done.append)
-        run_until(events)
+        run_until(mem)
         # L1 tag 20 + L2 tag 160 + burst 4 + dram 100 = 284.
         assert done == [284]
 
     def test_latency_stats_recorded(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, callback=lambda c: None)
-        run_until(events)
+        run_until(mem)
         assert mem.node_demand_latency.count == 1
         assert mem.node_demand_latency.average == pytest.approx(284)
 
     def test_primitive_region_not_in_node_latency(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(
             0, 0x9000, cycle=0, region="primitive", callback=lambda c: None
         )
-        run_until(events)
+        run_until(mem)
         assert mem.node_demand_latency.count == 0
         assert mem.all_demand_latency.count == 1
 
 
 class TestMerging:
     def test_pending_demands_merge(self, memsys):
-        mem, events = memsys
+        mem = memsys
         done = []
         mem.access(0, 0x1000, cycle=0, callback=lambda c: done.append(("a", c)))
         mem.access(0, 0x1000, cycle=5, callback=lambda c: done.append(("b", c)))
-        run_until(events)
+        run_until(mem)
         assert len(done) == 2
         assert done[0][1] == done[1][1]  # same fill services both
 
     def test_cross_sm_l2_merge(self, memsys):
-        mem, events = memsys
+        mem = memsys
         done = []
         mem.access(0, 0x1000, cycle=0, callback=lambda c: done.append(0))
         mem.access(1, 0x1000, cycle=0, callback=lambda c: done.append(1))
-        run_until(events)
+        run_until(mem)
         assert sorted(done) == [0, 1]
         assert mem.dram.stats.accesses == 1  # one DRAM fill for both
 
     def test_l1s_are_private(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, callback=lambda c: None)
-        run_until(events)
+        run_until(mem)
         outcome = mem.access(1, 0x1000, cycle=500, callback=lambda c: None)
         assert outcome is AccessOutcome.MISS
 
 
 class TestPrefetchPath:
     def test_prefetch_counts_separately(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, is_prefetch=True)
-        run_until(events)
+        run_until(mem)
         assert mem.l1s[0].stats.prefetch_accesses == 1
         assert mem.l2_traffic.prefetch_accesses == 1
         assert mem.l2_traffic.demand_accesses == 0
 
     def test_prefetch_does_not_record_demand_latency(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, is_prefetch=True)
-        run_until(events)
+        run_until(mem)
         assert mem.all_demand_latency.count == 0
 
     def test_demand_after_prefetch_hits(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, is_prefetch=True)
-        run_until(events)
+        run_until(mem)
         done = []
         mem.access(0, 0x1000, cycle=1000, callback=done.append)
-        run_until(events)
+        run_until(mem)
         assert done == [1020]
         counts = mem.finalize()
         assert counts.timely == 1
 
     def test_effectiveness_late_when_demand_catches_prefetch(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, is_prefetch=True)
         mem.access(0, 0x1000, cycle=5, callback=lambda c: None)
-        run_until(events)
+        run_until(mem)
         counts = mem.finalize()
         assert counts.late == 1
 
     def test_effectiveness_unused_at_finalize(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, is_prefetch=True)
-        run_until(events)
+        run_until(mem)
         counts = mem.finalize()
         assert counts.unused == 1
 
     def test_too_late_prefetch(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, callback=lambda c: None)
-        run_until(events)
+        run_until(mem)
         mem.access(0, 0x1000, cycle=1000, is_prefetch=True)
-        run_until(events)
+        run_until(mem)
         counts = mem.finalize()
         assert counts.too_late == 1
 
 
 class TestBookkeeping:
     def test_l2_bytes_counts_all_arrivals(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, callback=lambda c: None)
         mem.access(0, 0x2000, cycle=0, is_prefetch=True)
-        run_until(events)
+        run_until(mem)
         assert mem.l2_traffic.total_bytes == 2 * 128
 
     def test_drain_complete(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, callback=lambda c: None)
         assert not mem.drain_complete()
-        run_until(events)
+        run_until(mem)
         assert mem.drain_complete()
 
     def test_can_accept_tracks_mshrs(self):
-        events = EventQueue()
         config = tiny_gpu_config(
             l1=CacheConfig(
                 size_bytes=512, line_bytes=128, latency=20, mshr_entries=1
             )
         )
-        mem = MemorySystem(config, events)
+        mem = MemorySystem(config)
         assert mem.can_accept(0)
         mem.access(0, 0x1000, cycle=0, callback=lambda c: None)
         assert not mem.can_accept(0)

@@ -11,7 +11,9 @@ demand-latency and prefetch-timeliness histograms.
 """
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,9 @@ from repro.cli import main
 from repro.obs import Observer, build_run_report, to_chrome_trace
 
 SCENES = ("WKND", "SHIP")
+TRACK_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "obs_tracks.json").read_text()
+)["tracks"]
 TECHNIQUES = {"baseline": BASELINE, "treelet-prefetch": TREELET_PREFETCH}
 
 
@@ -77,6 +82,26 @@ class TestObserverInvariance:
     def test_observed_run_matches_golden(self, key):
         model, _, _, _ = golden_model(key, observer=Observer())
         assert_golden(key, model.run())
+
+    @pytest.mark.parametrize("key", sorted(TRACK_GOLDEN))
+    def test_each_track_event_stream_matches_golden(self, key):
+        """The engine may interleave tracks differently from one bucket
+        to the next, but no track's own event sequence may change."""
+        observer = Observer()
+        model, _, _, _ = golden_model(key, observer=observer)
+        model.run()
+        per_track = {}
+        for event in observer.bus.events:
+            per_track.setdefault(event.track, []).append(
+                [event.kind, event.cycle, event.dur, event.args]
+            )
+        digests = {
+            track: hashlib.sha256(
+                json.dumps(events, sort_keys=True).encode()
+            ).hexdigest()
+            for track, events in per_track.items()
+        }
+        assert digests == TRACK_GOLDEN[key]
 
     @pytest.mark.parametrize("name", ["baseline", "treelet-prefetch"])
     def test_counters_agree_with_stats_on_four_sms(self, name):

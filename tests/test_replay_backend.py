@@ -138,7 +138,7 @@ class TestTrailingDrain:
         )
         stats = model.run()
         # The drain ran to empty and advanced the cumulative counter.
-        assert len(model.events) == 0
+        assert not model.memsys.agenda_cycles
         assert model.memsys.drain_complete()
         assert stats.cycles == model._current_cycle
         # Every rate is denominated by the drained cycle base.

@@ -5,7 +5,7 @@ import pytest
 
 from repro.bvh import dfs_layout
 from repro.core.config import CacheConfig, GpuConfig
-from repro.gpusim import EventQueue, MemorySystem, RTUnit, RayState, RayTask
+from repro.gpusim import MemorySystem, RTUnit, RayState, RayTask
 from repro.prefetch import Prefetcher, PrefetchRequest
 from repro.traversal import NodeVisit, RayTrace
 from repro.treelet import form_treelets, treelet_layout
@@ -27,11 +27,10 @@ def tiny_config(**kw):
 
 def make_unit(config=None, prefetcher=None, policy="baseline"):
     config = config or tiny_config()
-    events = EventQueue()
-    memsys = MemorySystem(config, events)
+    memsys = MemorySystem(config)
     unit = RTUnit(0, config, memsys,
                   scheduler_policy=policy, prefetcher=prefetcher)
-    return unit, memsys, events
+    return unit, memsys
 
 
 def node_trace(bvh, node_ids, ray_id=0):
@@ -46,16 +45,15 @@ def node_trace(bvh, node_ids, ray_id=0):
     return RayTrace(ray_id=ray_id, visits=visits)
 
 
-def run(unit, events, max_cycles=100_000):
+def run(unit, memsys, max_cycles=100_000):
     cycle = 0
     while unit.busy():
-        events.run_due(cycle)
+        memsys.flush_due(cycle)
         unit.run_tests_due(cycle)
         unit.step(cycle)
         cycle += 1
         assert cycle < max_cycles, "RT unit did not drain"
-    while len(events):
-        events.run_due(events.next_cycle())
+    memsys.drain(cycle)
     return cycle
 
 
@@ -63,7 +61,7 @@ class TestCoalescing:
     def test_same_node_same_cycle_single_access(self, small_bvh):
         """32 rays fetching the root in one cycle coalesce to one load."""
         layout = dfs_layout(small_bvh)
-        unit, memsys, events = make_unit()
+        unit, memsys = make_unit()
         rays = [
             RayTask(
                 trace=node_trace(small_bvh, [0], ray_id=i),
@@ -74,7 +72,7 @@ class TestCoalescing:
             for i in range(8)
         ]
         unit.add_warp(rays)
-        run(unit, events)
+        run(unit, memsys)
         assert unit.stats.node_fetches_issued == 1
         assert unit.stats.visits_completed == 8
 
@@ -92,7 +90,7 @@ class TestCoalescing:
                 chosen.append(node.node_id)
             if len(chosen) == 4:
                 break
-        unit, memsys, events = make_unit(tiny_config(mem_ports=2))
+        unit, memsys = make_unit(tiny_config(mem_ports=2))
         rays = [
             RayTask(
                 trace=node_trace(small_bvh, [node_id], ray_id=i),
@@ -103,12 +101,12 @@ class TestCoalescing:
             for i, node_id in enumerate(chosen)
         ]
         unit.add_warp(rays)
-        events.run_due(0)
+        memsys.flush_due(0)
         unit.step(0)  # admission + first issue cycle
         assert unit.stats.node_fetches_issued <= 2  # port limit per cycle
         unit.step(1)
         assert unit.stats.node_fetches_issued <= 4
-        run(unit, events)
+        run(unit, memsys)
         assert unit.stats.node_fetches_issued == len(chosen)
 
 
@@ -116,7 +114,7 @@ class TestPrimitiveFlow:
     def test_leaf_generates_primitive_fetches(self, small_bvh):
         layout = dfs_layout(small_bvh)
         leaf_id = small_bvh.leaf_ids()[0]
-        unit, memsys, events = make_unit()
+        unit, memsys = make_unit()
         ray = RayTask(
             trace=node_trace(small_bvh, [leaf_id]),
             bvh=small_bvh,
@@ -124,13 +122,13 @@ class TestPrimitiveFlow:
             line_bytes=128,
         )
         unit.add_warp([ray])
-        run(unit, events)
+        run(unit, memsys)
         assert unit.stats.primitive_fetches_issued >= 1
         assert ray.done
 
     def test_internal_node_no_primitive_fetch(self, small_bvh):
         layout = dfs_layout(small_bvh)
-        unit, memsys, events = make_unit()
+        unit, memsys = make_unit()
         ray = RayTask(
             trace=node_trace(small_bvh, [small_bvh.ROOT_ID]),
             bvh=small_bvh,
@@ -138,7 +136,7 @@ class TestPrimitiveFlow:
             line_bytes=128,
         )
         unit.add_warp([ray])
-        run(unit, events)
+        run(unit, memsys)
         assert unit.stats.primitive_fetches_issued == 0
 
 
@@ -165,7 +163,7 @@ class TestPrefetchArbitration:
         prefetcher = self.CountingPrefetcher(
             [0x9000 + i * 128 for i in range(6)]
         )
-        unit, memsys, events = make_unit(prefetcher=prefetcher)
+        unit, memsys = make_unit(prefetcher=prefetcher)
         unit.add_warp([
             RayTask(
                 trace=node_trace(small_bvh, [0]),
@@ -174,7 +172,7 @@ class TestPrefetchArbitration:
                 line_bytes=128,
             )
         ])
-        run(unit, events)
+        run(unit, memsys)
         assert len(prefetcher.pop_cycles) == 6
         assert len(set(prefetcher.pop_cycles)) == 6  # one per cycle
         assert unit.stats.prefetches_issued == 6
@@ -182,7 +180,7 @@ class TestPrefetchArbitration:
     def test_prefetches_drain_even_after_warps_finish(self, small_bvh):
         layout = dfs_layout(small_bvh)
         prefetcher = self.CountingPrefetcher([0x9000])
-        unit, memsys, events = make_unit(prefetcher=prefetcher)
+        unit, memsys = make_unit(prefetcher=prefetcher)
         unit.add_warp([
             RayTask(
                 trace=node_trace(small_bvh, [0]),
@@ -191,7 +189,7 @@ class TestPrefetchArbitration:
                 line_bytes=128,
             )
         ])
-        run(unit, events)
+        run(unit, memsys)
         assert prefetcher.queue_depth() == 0
 
 
@@ -199,7 +197,7 @@ class TestWarpBufferFlow:
     def test_buffer_capacity_respected(self, small_bvh):
         layout = dfs_layout(small_bvh)
         config = tiny_config(warp_buffer_size=2)
-        unit, memsys, events = make_unit(config)
+        unit, memsys = make_unit(config)
         for i in range(5):
             unit.add_warp([
                 RayTask(
@@ -209,17 +207,17 @@ class TestWarpBufferFlow:
                     line_bytes=128,
                 )
             ])
-        events.run_due(0)
+        memsys.flush_due(0)
         unit.step(0)
         unit.step(1)
         unit.step(2)
         assert len(unit.buffer) <= 2
-        run(unit, events)
+        run(unit, memsys)
         assert unit.stats.warps_retired == 5
 
     def test_warp_latency_recorded(self, small_bvh):
         layout = dfs_layout(small_bvh)
-        unit, memsys, events = make_unit()
+        unit, memsys = make_unit()
         unit.add_warp([
             RayTask(
                 trace=node_trace(small_bvh, [0]),
@@ -228,12 +226,12 @@ class TestWarpBufferFlow:
                 line_bytes=128,
             )
         ])
-        run(unit, events)
+        run(unit, memsys)
         assert unit.stats.warp_latency_total > 0
 
     def test_oversized_warp_rejected(self, small_bvh):
         layout = dfs_layout(small_bvh)
-        unit, memsys, events = make_unit()
+        unit, memsys = make_unit()
         rays = [
             RayTask(
                 trace=node_trace(small_bvh, [0], ray_id=i),
@@ -259,7 +257,7 @@ class TestStallAccounting:
                 mshr_entries=1,
             ),
         )
-        unit, memsys, events = make_unit(config)
+        unit, memsys = make_unit(config)
         # Two single-ray warps touching distinct lines.
         line_bytes = 128
         chosen = []
@@ -280,18 +278,18 @@ class TestStallAccounting:
                     line_bytes=line_bytes,
                 )
             ])
-        events.run_due(0)
+        memsys.flush_due(0)
         unit.step(0)  # warp 0 issues; the single MSHR fills
         unit.step(1)  # warp 1 admitted + ready, but MSHRs full
         assert unit.stats.mshr_stall_cycles >= 1
         assert unit.stats.stall_cycles == 0
-        run(unit, events)
+        run(unit, memsys)
         assert unit.stats.visits_completed == 2
 
     def test_latency_stall_unchanged(self, small_bvh):
         """With ample MSHRs, waiting on memory is still stall_cycles."""
         layout = dfs_layout(small_bvh)
-        unit, memsys, events = make_unit()
+        unit, memsys = make_unit()
         unit.add_warp([
             RayTask(
                 trace=node_trace(small_bvh, [0]),
@@ -300,7 +298,7 @@ class TestStallAccounting:
                 line_bytes=128,
             )
         ])
-        run(unit, events)
+        run(unit, memsys)
         assert unit.stats.stall_cycles > 0
         assert unit.stats.mshr_stall_cycles == 0
 
@@ -317,7 +315,7 @@ class TestStallAccounting:
 class TestVoteVersion:
     def test_version_advances_with_progress(self, small_bvh, decomposition):
         layout = treelet_layout(decomposition)
-        unit, memsys, events = make_unit()
+        unit, memsys = make_unit()
         path = [0] + list(small_bvh.root.child_ids[:1])
         unit.add_warp([
             RayTask(
@@ -328,5 +326,5 @@ class TestVoteVersion:
             )
         ])
         initial = unit.vote_version
-        run(unit, events)
+        run(unit, memsys)
         assert unit.vote_version > initial

@@ -94,5 +94,5 @@ def test_conservation(config, scene, preset):
         )
         assert accounted <= stats.cycles
 
-    assert len(model.events) == 0
+    assert not model.memsys.agenda_cycles
     assert memsys.drain_complete()

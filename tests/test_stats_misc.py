@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import CacheConfig, GpuConfig
-from repro.gpusim import EventQueue, MemorySystem, SimStats, merge_cache_stats
+from repro.gpusim import MemorySystem, SimStats, merge_cache_stats
 from repro.gpusim.cache import CacheStats
 from repro.gpusim.memsys import REGION_MAPPING, REGION_NODE, REGION_PRIMITIVE
 
@@ -62,42 +62,37 @@ class TestSimStatsDerived:
 class TestRegionAccounting:
     @pytest.fixture
     def memsys(self):
-        events = EventQueue()
         config = GpuConfig(
             n_sms=1,
             l1=CacheConfig(size_bytes=512, line_bytes=128, latency=20),
             l2=CacheConfig(size_bytes=2048, line_bytes=128,
                            associativity=2, latency=160),
         )
-        return MemorySystem(config, events), events
-
-    def _drain(self, events):
-        while len(events):
-            events.run_due(events.next_cycle())
+        return MemorySystem(config)
 
     def test_mapping_region_not_node_latency(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x5000, cycle=0, region=REGION_MAPPING,
                    callback=lambda c: None)
-        self._drain(events)
+        mem.drain(0)
         assert mem.node_demand_latency.count == 0
         assert mem.all_demand_latency.count == 1
 
     def test_node_region_counts_both(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x5000, cycle=0, region=REGION_NODE,
                    callback=lambda c: None)
-        self._drain(events)
+        mem.drain(0)
         assert mem.node_demand_latency.count == 1
         assert mem.all_demand_latency.count == 1
 
     def test_mixed_regions_accumulate(self, memsys):
-        mem, events = memsys
+        mem = memsys
         for offset, region in enumerate(
             (REGION_NODE, REGION_PRIMITIVE, REGION_MAPPING)
         ):
             mem.access(0, 0x5000 + offset * 128, cycle=0, region=region,
                        callback=lambda c: None)
-        self._drain(events)
+        mem.drain(0)
         assert mem.node_demand_latency.count == 1
         assert mem.all_demand_latency.count == 3

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import CacheConfig, DramConfig, GpuConfig
-from repro.gpusim import AccessOutcome, EventQueue, MemorySystem
+from repro.gpusim import AccessOutcome, MemorySystem
 
 
 def stream_config(**kw):
@@ -23,31 +23,30 @@ def stream_config(**kw):
 
 @pytest.fixture
 def memsys():
-    events = EventQueue()
-    return MemorySystem(stream_config(), events), events
+    return MemorySystem(stream_config())
 
 
-def run_until(events, limit=10_000):
-    while len(events):
-        events.run_due(events.next_cycle())
+def run_until(mem):
+    """Flush the whole agenda."""
+    mem.drain(0)
 
 
 class TestPrefetchPath:
     def test_prefetch_fills_buffer_not_l1(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, is_prefetch=True)
-        run_until(events)
+        run_until(mem)
         line = mem.l1s[0].line_of(0x1000)
         assert mem.stream_buffers[0].contains(line)
         assert not mem.l1s[0].contains(line)
 
     def test_demand_hit_migrates_to_l1(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, is_prefetch=True)
-        run_until(events)
+        run_until(mem)
         done = []
         mem.access(0, 0x1000, cycle=1000, callback=done.append)
-        run_until(events)
+        run_until(mem)
         line = mem.l1s[0].line_of(0x1000)
         assert done  # demand serviced
         assert mem.l1s[0].contains(line)
@@ -55,30 +54,30 @@ class TestPrefetchPath:
         assert mem.stream_buffer_hits == 1
 
     def test_buffer_hit_latency_below_l2(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, is_prefetch=True)
-        run_until(events)
+        run_until(mem)
         done = []
         mem.access(0, 0x1000, cycle=1000, callback=done.append)
-        run_until(events)
+        run_until(mem)
         # Transfer: L1 probe (miss) + buffer latency; far below the
         # 180-cycle L2 path.
         assert done[0] - 1000 < 100
 
     def test_timely_classification(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, is_prefetch=True)
-        run_until(events)
+        run_until(mem)
         mem.access(0, 0x1000, cycle=1000, callback=lambda c: None)
-        run_until(events)
+        run_until(mem)
         assert mem.finalize().timely == 1
 
     def test_demand_catches_inflight_prefetch(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, is_prefetch=True)
         done = []
         mem.access(0, 0x1000, cycle=5, callback=done.append)
-        run_until(events)
+        run_until(mem)
         assert done  # demand eventually serviced via the transfer
         line = mem.l1s[0].line_of(0x1000)
         assert mem.l1s[0].contains(line)
@@ -86,31 +85,31 @@ class TestPrefetchPath:
         assert counts.late == 1
 
     def test_prefetch_skips_line_already_in_l1(self, memsys):
-        mem, events = memsys
+        mem = memsys
         mem.access(0, 0x1000, cycle=0, callback=lambda c: None)  # demand
-        run_until(events)
+        run_until(mem)
         outcome = mem.access(0, 0x1000, cycle=1000, is_prefetch=True)
-        run_until(events)
+        run_until(mem)
         assert outcome is AccessOutcome.HIT
         line = mem.l1s[0].line_of(0x1000)
         assert not mem.stream_buffers[0].contains(line)
         assert mem.finalize().too_late == 1
 
     def test_buffer_eviction_counts_early(self, memsys):
-        mem, events = memsys
+        mem = memsys
         # The 2-line buffer overflows on the third prefetch.
         for i in range(3):
             mem.access(0, 0x1000 + i * 128, cycle=0, is_prefetch=True)
-        run_until(events)
+        run_until(mem)
         counts = mem.finalize()
         assert counts.early == 1
         assert counts.unused == 2
 
     def test_demand_miss_everywhere_goes_to_l2(self, memsys):
-        mem, events = memsys
+        mem = memsys
         done = []
         mem.access(0, 0x9000, cycle=0, callback=done.append)
-        run_until(events)
+        run_until(mem)
         assert done == [284]  # full L1+L2+DRAM path
 
 
@@ -126,7 +125,6 @@ class TestConfigValidation:
             )
 
     def test_l1_destination_has_no_buffers(self):
-        events = EventQueue()
-        mem = MemorySystem(GpuConfig(), events)
+        mem = MemorySystem(GpuConfig())
         assert not mem.uses_stream_buffers
         assert mem.stream_buffers == []

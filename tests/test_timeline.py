@@ -1,7 +1,11 @@
 """Unit tests for the timeline sampler."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from conftest import golden_model
 from repro.bvh import dfs_layout
 from repro.core.config import CacheConfig, GpuConfig
 from repro.gpusim import GpuModel, TimelineSampler
@@ -124,3 +128,30 @@ class TestSampler:
         assert ready.values == [5, 5]
         assert registry.gauge("occupancy.sm0.resident_warps").values == [2, 2]
         assert registry.gauge("prefetch.queue_depth").last == 3
+
+
+TIMELINE_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "timeline_series.json").read_text()
+)["series"]
+
+
+class TestGoldenSeries:
+    """The replay engine samples inside its one per-unit pass (a unit's
+    reading is taken between its deliveries and its step) and fills grid
+    points between buckets from the state the last bucket left.  The
+    series must equal the ones recorded when every grid point forced a
+    bucket of its own."""
+
+    @pytest.mark.parametrize("key", sorted(TIMELINE_GOLDEN))
+    def test_series_match_golden(self, key):
+        case, interval = key.split("@")
+        sampler = TimelineSampler(interval=int(interval))
+        model, traces, bvh, layout = golden_model(case, timeline=sampler)
+        model.run()
+        if case.startswith("rounds/"):
+            # A second round starts past a grid point the drain skipped.
+            model.load(traces, bvh, layout)
+            model.run()
+        expected = TIMELINE_GOLDEN[key]
+        for field in expected:
+            assert sampler.series(field) == expected[field], field

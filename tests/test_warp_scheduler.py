@@ -4,6 +4,7 @@ import pytest
 
 from repro.bvh import dfs_layout
 from repro.gpusim import RayState, RayTask, WarpSlot, select_warp
+from repro.gpusim.warp import next_treelets, visit_prims
 from repro.traversal import NodeVisit, RayTrace
 from repro.treelet import form_treelets, treelet_layout
 
@@ -76,13 +77,40 @@ class TestRayTask:
         task.advance()
         assert task.lookahead_treelet() == -1
 
-    def test_primitive_lines_cover_leaf(self, small_bvh, layout):
+    def test_prims_cover_leaf(self, small_bvh, layout):
         leaf_id = small_bvh.leaf_ids()[0]
-        task = make_task(small_bvh, layout, [leaf_id])
-        lines = task.primitive_lines()
+        task = make_task(small_bvh, layout, [0, leaf_id])
+        assert task.n_visits == 2
+        assert task.prims[0] is None  # an internal node fetches no triangles
+        lines = task.prims[1]
         assert lines  # leaf with primitives needs at least one line
         assert len(set(lines)) == len(lines)
         assert all(addr % 128 == 0 for addr in lines)
+
+    def test_prims_come_from_the_layout_memo(self, small_bvh, layout):
+        """A directly built task and a loaded batch share one tuple per
+        leaf: both read the layout's memo."""
+        leaf_id = small_bvh.leaf_ids()[0]
+        first = make_task(small_bvh, layout, [leaf_id])
+        second = make_task(small_bvh, layout, [0, leaf_id], ray_id=1)
+        batch = visit_prims([leaf_id], small_bvh, layout, 128)
+        assert first.prims[0] is second.prims[1] is batch[0]
+
+    def test_lookahead_matches_a_scalar_scan(self, small_bvh, layout):
+        """The vectorized lookahead over rays laid end to end equals a
+        per-ray backward scan."""
+        import numpy as np
+
+        rays = [[3, 3, 5, 5, 2], [7], [1, 1], [4, 6, 6, 4]]
+        flat = np.asarray([t for ray in rays for t in ray], dtype=np.int64)
+        starts = np.cumsum([0] + [len(ray) for ray in rays])[:-1]
+        expected = []
+        for ray in rays:
+            look = [-1] * len(ray)
+            for i in range(len(ray) - 2, -1, -1):
+                look[i] = ray[i + 1] if ray[i + 1] != ray[i] else look[i + 1]
+            expected.extend(look)
+        assert next_treelets(flat, starts) == expected
 
     def test_done_ray_reports_no_treelet(self, small_bvh, layout):
         task = make_task(small_bvh, layout, [0])

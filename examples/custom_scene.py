@@ -20,7 +20,11 @@ from repro.geometry import Mesh, merge_meshes
 from repro.gpusim import GpuModel
 from repro.prefetch import MajorityVoter, TreeletAddressMap, TreeletPrefetcher
 from repro.scenes import Camera, RayGenConfig, generate_rays, terrain, scattered, tree
-from repro.traversal import summarize_traces, traverse_dfs_batch, traverse_two_stack_batch
+from repro.traversal import (
+    summarize_traces,
+    traverse_dfs_packet,
+    traverse_two_stack_packet,
+)
 from repro.treelet import form_treelets, treelet_layout
 from repro.bvh import dfs_layout
 
@@ -70,8 +74,8 @@ def main() -> None:
     print(f"Rays: {len(rays)} (primary + secondary + shadow)")
 
     # 4. Functional traversal, both algorithms.
-    dfs_traces = traverse_dfs_batch([r.clone() for r in rays], bvh)
-    two_traces = traverse_two_stack_batch(
+    dfs_traces = traverse_dfs_packet([r.clone() for r in rays], bvh)
+    two_traces = traverse_two_stack_packet(
         [r.clone() for r in rays], bvh, decomposition
     )
     dfs_summary = summarize_traces(dfs_traces)

@@ -16,7 +16,7 @@ from .node import (
     FlatBVH,
     FlatNode,
 )
-from .soa import BVHArrays, build_bvh_arrays, bvh_arrays
+from .soa import BVHArrays
 from .stats import TreeStats, compute_tree_stats, nodes_per_level, sah_cost
 from .wide import build_wide_bvh, collapse_to_wide
 
@@ -36,9 +36,7 @@ __all__ = [
     "TRAVERSAL_COST",
     "TreeStats",
     "build_binary_bvh",
-    "build_bvh_arrays",
     "build_wide_bvh",
-    "bvh_arrays",
     "collapse_to_wide",
     "compute_tree_stats",
     "dfs_layout",

@@ -7,17 +7,21 @@ which is how the traversal algorithm decides between the two stacks without
 any extra memory traffic.
 
 This module defines the in-memory (simulator) representation: a flat array
-of :class:`FlatNode` indexed by node id.  Byte-level addresses are assigned
+of :class:`FlatNode` indexed by node id, backed by the tree's column set
+(:mod:`repro.bvh.soa`).  Byte-level addresses are assigned
 separately by a :class:`~repro.bvh.layout.NodeLayout` so the same tree can
 be laid out depth-first (baseline) or treelet-packed (Section 4.4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..geometry import AABB, Triangle
+from .soa import BVHArrays, pack_bvh_arrays
 
 #: Size of one BVH node in bytes (Figure 6: fixed 64-byte layout).
 NODE_SIZE_BYTES = 64
@@ -63,40 +67,82 @@ class FlatNode:
             )
 
 
-@dataclass
 class FlatBVH:
     """A flattened wide BVH over a triangle list.
 
-    ``nodes[0]`` is always the root.  The structure is append-only after
-    construction; treelet assignment and memory layout live in separate
-    objects keyed by node id.
+    ``nodes[0]`` is always the root.  The tree's values live in its
+    column set :attr:`arrays` (:class:`~repro.bvh.soa.BVHArrays`),
+    packed once at construction.  A pickle holds the columns only, and
+    a loaded tree builds its :class:`FlatNode` and :class:`Triangle`
+    objects on first access of :attr:`nodes` or :attr:`triangles`.  The
+    structure is append-only after construction; treelet assignment and
+    memory layout live in separate objects keyed by node id.
     """
 
-    nodes: List[FlatNode]
-    triangles: Sequence[Triangle]
-    name: str = "bvh"
+    ROOT_ID = 0
 
-    ROOT_ID: int = field(default=0, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.nodes:
+    def __init__(
+        self,
+        nodes: Sequence[FlatNode],
+        triangles: Sequence[Triangle],
+        name: str = "bvh",
+    ) -> None:
+        if not nodes:
             raise ValueError("a BVH must have at least a root node")
-        for index, node in enumerate(self.nodes):
+        for index, node in enumerate(nodes):
             if node.node_id != index:
                 raise ValueError("node_id must equal list index")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+        self.name = name
+        self._nodes: Optional[List[FlatNode]] = list(nodes)
+        self._triangles: Optional[List[Triangle]] = list(triangles)
+        self.arrays = pack_bvh_arrays(self._nodes, self._triangles)
 
     def __getstate__(self) -> dict:
-        # The SoA view (repro.bvh.soa) and the packet-traversal statics
-        # (repro.traversal.vectorized) are derived data memoized on the
-        # instance; shipping them through pickle would bloat the artifact
-        # cache and worker hand-offs for no benefit.
-        state = dict(self.__dict__)
-        state.pop("_soa_arrays", None)
-        state.pop("_packet_statics", None)
-        return state
+        # Derived data memoized on the instance (the packet-traversal
+        # statics, the tree statistics, the replay's primitive lines) and
+        # the object form stay behind.
+        return {"name": self.name, **self.arrays.columns()}
+
+    def __setstate__(self, state: dict) -> None:
+        self.name = state["name"]
+        self._nodes = self._triangles = None
+        self.arrays = BVHArrays.from_columns(state)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FlatBVH):
+            return NotImplemented
+        theirs = other.arrays.columns()
+        return self.name == other.name and all(
+            np.array_equal(column, theirs[key])
+            for key, column in self.arrays.columns().items()
+        )
+
+    def __len__(self) -> int:
+        return self.arrays.node_count
+
+    @property
+    def nodes(self) -> List[FlatNode]:
+        if self._nodes is None:
+            a = self.arrays
+            kids, prims = a.child_ids.tolist(), a.prim_ids.tolist()
+            rows = zip(*(column.tolist() for column in (
+                a.node_lo, a.node_hi, a.child_offsets, a.child_counts,
+                a.prim_offsets, a.prim_counts, a.parent, a.depth,
+            )))
+            self._nodes = [
+                FlatNode(i, AABB(tuple(lo), tuple(hi)),
+                         tuple(kids[kid:kid + n_kids]),
+                         tuple(prims[prim:prim + n_prims]), parent, depth)
+                for i, (lo, hi, kid, n_kids, prim, n_prims, parent, depth)
+                in enumerate(rows)
+            ]
+        return self._nodes
+
+    @property
+    def triangles(self) -> List[Triangle]:
+        if self._triangles is None:
+            self._triangles = self.arrays.triangles.triangles()
+        return self._triangles
 
     def node(self, node_id: int) -> FlatNode:
         return self.nodes[node_id]
@@ -105,26 +151,22 @@ class FlatBVH:
     def root(self) -> FlatNode:
         return self.nodes[self.ROOT_ID]
 
-    def children(self, node_id: int) -> Iterator[FlatNode]:
-        for child_id in self.nodes[node_id].child_ids:
-            yield self.nodes[child_id]
-
     def depth(self) -> int:
         """Tree depth counted in levels (a lone root has depth 1)."""
-        return 1 + max(node.depth for node in self.nodes)
+        return 1 + int(self.arrays.depth.max())
 
     def leaf_ids(self) -> List[int]:
-        return [node.node_id for node in self.nodes if node.is_leaf]
+        return np.flatnonzero(self.arrays.is_leaf).tolist()
 
     def internal_ids(self) -> List[int]:
-        return [node.node_id for node in self.nodes if not node.is_leaf]
+        return np.flatnonzero(~self.arrays.is_leaf).tolist()
 
     def node_bytes(self) -> int:
         """Total bytes of node data (the 'Tree Size' of Table 2)."""
-        return len(self.nodes) * NODE_SIZE_BYTES
+        return len(self) * NODE_SIZE_BYTES
 
     def primitive_bytes(self) -> int:
-        return len(self.triangles) * PRIMITIVE_SIZE_BYTES
+        return len(self.arrays.triangles) * PRIMITIVE_SIZE_BYTES
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on violation.

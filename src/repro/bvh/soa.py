@@ -1,29 +1,35 @@
-"""Structure-of-arrays (SoA) view over a :class:`FlatBVH`.
+"""The column set of a :class:`~repro.bvh.node.FlatBVH`.
 
-The vectorized traversal backend (:mod:`repro.traversal.vectorized`)
-tests whole ray packets against gathered child bounds and leaf
-primitives in single numpy kernel calls.  That needs the tree's bounds,
-topology, and triangle data packed into flat arrays once per BVH
-instead of being re-read attribute-by-attribute per test.
-
-The arrays are derived data: they are built lazily on first use, cached
-on the BVH object, and deliberately excluded from pickling (the
-artifact cache and the process-pool executor ship bare trees; each
-consumer rebuilds the view in milliseconds).
+A tree's values live in flat numpy arrays: node bounds, the child and
+primitive CSR tables, parents and depths, and the triangles' raw
+vertices and ids.  The same arrays serve every reader: the vectorized
+traversal backend (:mod:`repro.traversal.vectorized`) tests whole ray
+packets against gathered child bounds and leaf primitives; the layout,
+the tree statistics and the replay's primitive lines read the
+topology; and the artifact cache pickles them as the tree's whole
+state, so a loaded tree is its columns and nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
+
+import numpy as np
 
 from ..geometry import TriangleArrays, triangles_to_arrays
-from .node import FlatBVH
 
-#: Attribute name used to memoize the SoA view on a FlatBVH instance.
-_SOA_ATTR = "_soa_arrays"
+#: The node columns a pickle holds (``is_leaf`` and the triangle edges
+#: are derived on load).
+NODE_COLUMNS = (
+    "node_lo", "node_hi", "child_offsets", "child_counts", "child_ids",
+    "prim_offsets", "prim_counts", "prim_ids", "parent", "depth",
+)
+#: The triangle columns a pickle holds.
+TRIANGLE_COLUMNS = ("v0", "v1", "v2", "primitive_ids")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BVHArrays:
     """Packed per-node and per-triangle arrays for one BVH.
 
@@ -33,70 +39,80 @@ class BVHArrays:
     for ``bvh.triangles[prim_id]``.
     """
 
-    node_lo: "object"  # np.ndarray [num_nodes, 3] float64
-    node_hi: "object"  # np.ndarray [num_nodes, 3] float64
-    is_leaf: "object"  # np.ndarray [num_nodes] bool
-    child_offsets: "object"  # np.ndarray [num_nodes] int64
-    child_counts: "object"  # np.ndarray [num_nodes] int64
-    child_ids: "object"  # np.ndarray [total_children] int64
-    prim_offsets: "object"  # np.ndarray [num_nodes] int64
-    prim_counts: "object"  # np.ndarray [num_nodes] int64
-    prim_ids: "object"  # np.ndarray [total_leaf_prims] int64
+    node_lo: np.ndarray  # [num_nodes, 3] float64
+    node_hi: np.ndarray  # [num_nodes, 3] float64
+    child_offsets: np.ndarray  # [num_nodes] int64
+    child_counts: np.ndarray  # [num_nodes] int64
+    child_ids: np.ndarray  # [total_children] int64
+    prim_offsets: np.ndarray  # [num_nodes] int64
+    prim_counts: np.ndarray  # [num_nodes] int64
+    prim_ids: np.ndarray  # [total_leaf_prims] int64
+    parent: np.ndarray  # [num_nodes] int64 (-1 at the root)
+    depth: np.ndarray  # [num_nodes] int64 (0 at the root)
     triangles: TriangleArrays
+    is_leaf: np.ndarray = field(init=False, repr=False)  # [num_nodes] bool
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_leaf", self.child_counts == 0)
 
     @property
     def node_count(self) -> int:
         return self.node_lo.shape[0]
 
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Every stored column by name: what a pickle of the tree holds."""
+        columns = {name: getattr(self, name) for name in NODE_COLUMNS}
+        for name in TRIANGLE_COLUMNS:
+            columns[name] = getattr(self.triangles, name)
+        return columns
 
-def build_bvh_arrays(bvh: FlatBVH) -> BVHArrays:
-    """Pack ``bvh`` into a fresh :class:`BVHArrays` (no caching)."""
-    import numpy as np
+    @classmethod
+    def from_columns(cls, columns: Dict[str, np.ndarray]) -> "BVHArrays":
+        return cls(
+            **{name: columns[name] for name in NODE_COLUMNS},
+            triangles=TriangleArrays(
+                **{name: columns[name] for name in TRIANGLE_COLUMNS}
+            ),
+        )
 
-    n = len(bvh.nodes)
-    node_lo = np.empty((n, 3), dtype=np.float64)
-    node_hi = np.empty((n, 3), dtype=np.float64)
-    is_leaf = np.zeros(n, dtype=bool)
-    child_offsets = np.zeros(n, dtype=np.int64)
-    child_counts = np.zeros(n, dtype=np.int64)
-    prim_offsets = np.zeros(n, dtype=np.int64)
-    prim_counts = np.zeros(n, dtype=np.int64)
-    child_ids: list = []
-    prim_ids: list = []
-    for node in bvh.nodes:
-        i = node.node_id
-        node_lo[i] = node.bounds.lo
-        node_hi[i] = node.bounds.hi
-        is_leaf[i] = node.is_leaf
-        child_offsets[i] = len(child_ids)
-        child_counts[i] = len(node.child_ids)
-        child_ids.extend(node.child_ids)
-        prim_offsets[i] = len(prim_ids)
-        prim_counts[i] = len(node.primitive_ids)
-        prim_ids.extend(node.primitive_ids)
-    return BVHArrays(
-        node_lo=node_lo,
-        node_hi=node_hi,
-        is_leaf=is_leaf,
-        child_offsets=child_offsets,
-        child_counts=child_counts,
-        child_ids=np.asarray(child_ids, dtype=np.int64),
-        prim_offsets=prim_offsets,
-        prim_counts=prim_counts,
-        prim_ids=np.asarray(prim_ids, dtype=np.int64),
-        triangles=triangles_to_arrays(bvh.triangles),
+    def leaf_primitives(self, node_ids) -> Tuple[np.ndarray, np.ndarray]:
+        """``(counts, prim_ids)``: per node its primitive count, and all
+        their primitive ids laid end to end in node order."""
+        counts = self.prim_counts[node_ids]
+        return counts, self.prim_ids[runs(self.prim_offsets[node_ids], counts)]
+
+
+def runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[k], starts[k] + 1, ...`` (``lengths[k]`` values) for
+    every ``k``, concatenated."""
+    ends = np.cumsum(lengths)
+    offsets = np.repeat(starts - ends + lengths, lengths)
+    return offsets + np.arange(len(offsets))
+
+
+def pack_bvh_arrays(nodes, triangles) -> BVHArrays:
+    """Pack a node list and its triangles into a fresh :class:`BVHArrays`."""
+    n = len(nodes)
+    child_counts = np.fromiter(
+        (len(node.child_ids) for node in nodes), np.int64, n
     )
-
-
-def bvh_arrays(bvh: FlatBVH) -> BVHArrays:
-    """The (memoized) SoA view of ``bvh``.
-
-    The view is cached on the BVH object itself, so repeat traversals —
-    every technique of a sweep shares one tree — pay the packing cost
-    once.  :meth:`FlatBVH.__getstate__` drops the cache before pickling.
-    """
-    cached = getattr(bvh, _SOA_ATTR, None)
-    if cached is None:
-        cached = build_bvh_arrays(bvh)
-        setattr(bvh, _SOA_ATTR, cached)
-    return cached
+    prim_counts = np.fromiter(
+        (len(node.primitive_ids) for node in nodes), np.int64, n
+    )
+    return BVHArrays(
+        node_lo=np.array([node.bounds.lo for node in nodes], np.float64),
+        node_hi=np.array([node.bounds.hi for node in nodes], np.float64),
+        child_offsets=np.cumsum(child_counts) - child_counts,
+        child_counts=child_counts,
+        child_ids=np.fromiter(
+            (c for node in nodes for c in node.child_ids), np.int64
+        ),
+        prim_offsets=np.cumsum(prim_counts) - prim_counts,
+        prim_counts=prim_counts,
+        prim_ids=np.fromiter(
+            (p for node in nodes for p in node.primitive_ids), np.int64
+        ),
+        parent=np.fromiter((node.parent_id for node in nodes), np.int64, n),
+        depth=np.fromiter((node.depth for node in nodes), np.int64, n),
+        triangles=triangles_to_arrays(triangles),
+    )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .node import NODE_SIZE_BYTES, FlatBVH
+from .node import FlatBVH
 
 
 @dataclass(frozen=True)
@@ -27,23 +27,29 @@ class TreeStats:
 
 
 def compute_tree_stats(bvh: FlatBVH) -> TreeStats:
-    """Compute :class:`TreeStats` for a flattened BVH."""
-    leaves = [node for node in bvh.nodes if node.is_leaf]
-    internals = [node for node in bvh.nodes if not node.is_leaf]
-    total_prims = sum(len(node.primitive_ids) for node in leaves)
-    total_fanout = sum(node.fanout for node in internals)
-    return TreeStats(
+    """:class:`TreeStats` for a flattened BVH, from its columns.
+
+    Computed once per tree and memoized on the instance (a pickle of
+    the tree leaves it behind)."""
+    cached = bvh.__dict__.get("_tree_stats")
+    if cached is not None:
+        return cached
+    arrays = bvh.arrays
+    leaves = int(arrays.is_leaf.sum())
+    internals = len(bvh) - leaves
+    prims, fanout = int(arrays.prim_counts.sum()), int(arrays.child_counts.sum())
+    stats = TreeStats(
         name=bvh.name,
-        node_count=len(bvh.nodes),
-        leaf_count=len(leaves),
-        triangle_count=len(bvh.triangles),
+        node_count=len(bvh),
+        leaf_count=leaves,
+        triangle_count=len(arrays.triangles),
         depth=bvh.depth(),
-        size_bytes=len(bvh.nodes) * NODE_SIZE_BYTES + bvh.primitive_bytes(),
-        avg_leaf_primitives=(total_prims / len(leaves)) if leaves else 0.0,
-        avg_internal_fanout=(
-            total_fanout / len(internals) if internals else 0.0
-        ),
+        size_bytes=bvh.node_bytes() + bvh.primitive_bytes(),
+        avg_leaf_primitives=prims / leaves if leaves else 0.0,
+        avg_internal_fanout=fanout / internals if internals else 0.0,
     )
+    bvh.__dict__["_tree_stats"] = stats
+    return stats
 
 
 def nodes_per_level(bvh: FlatBVH) -> Dict[int, int]:

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from ..geometry import add, sub
 from ..scenes import Camera, generate_rays
-from ..traversal import traverse_dfs_batch, traverse_two_stack_batch
+from ..traversal import traverse_dfs_packet, traverse_two_stack_packet
 from .pipeline import (
     DEFAULT,
     Scale,
@@ -109,10 +109,10 @@ def run_animation(
         )
         rays = generate_rays(camera, bvh, scale.raygen(seed=frame))
         if technique.traversal == "dfs":
-            traces = traverse_dfs_batch(rays, bvh)
+            traces = traverse_dfs_packet(rays, bvh)
         else:
             assert decomposition is not None
-            traces = traverse_two_stack_batch(
+            traces = traverse_two_stack_packet(
                 rays, bvh, decomposition, technique.deferred_order
             )
         frame_cycles.append(model.run_frame(traces, bvh, layout))

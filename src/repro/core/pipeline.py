@@ -51,7 +51,7 @@ from ..obs.spans import span as _span
 from ..scenes import RayGenConfig, build_scene, generate_rays
 from ..traversal import (
     DEFERRED_ORDERS,
-    RayTrace,
+    TraceSet,
     TraversalSummary,
     summarize_traces,
     traverse_forest_jobs,
@@ -501,7 +501,7 @@ def _trace_job(scene_name: str, technique: Technique, workload: str,
     )
 
 
-def _trace_sets(triples, scale: Scale) -> List[List[RayTrace]]:
+def _trace_sets(triples, scale: Scale) -> List[TraceSet]:
     """The trace sets of ``(scene_name, technique, workload)`` triples,
     in order.  Every set missing from both tiers rides in one merged
     ray forest (:func:`repro.traversal.traverse_forest_jobs`), so the
@@ -528,7 +528,7 @@ def get_traces(
     deferred_order: str = "nearest",
     formation: str = "bfs",
     workload: str = "render",
-) -> List[RayTrace]:
+) -> TraceSet:
     """Functional traversal traces (the timing model's input).
 
     ``workload`` selects the ray population: "render" (camera +

@@ -19,7 +19,16 @@ parameters, treelet bytes, formation strategy, ...).  Layout::
 
 Bumping :data:`CACHE_SCHEMA_VERSION` therefore invalidates every entry
 at once (old versions simply stop being addressed; ``repro cache
-clear`` removes them from disk).  Writes are atomic (temp file +
+clear`` removes them from disk).
+
+Every entry is one pickle (protocol 5).  At schema 3 a ``bvh`` entry
+is a :class:`~repro.bvh.FlatBVH` whose state is its name and column
+set (:mod:`repro.bvh.soa`), and a ``traces`` entry a
+:class:`~repro.traversal.TraceSet` whose state is its CSR columns:
+numpy arrays only, loaded without a Python object per node, triangle
+or visit.  ``rays`` entries are lists of :class:`~repro.geometry.Ray`;
+``decomposition`` entries are ``(max_bytes, treelets, assignment)``,
+without the BVH, which a load re-attaches from the memo.  Writes are atomic (temp file +
 ``os.replace``), so concurrent workers racing on the same fingerprint
 are safe — last writer wins with an identical payload.
 
@@ -41,7 +50,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 #: Bump to invalidate every previously stored artifact (schema change,
 #: serialization change, or a semantic change to any builder).
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 #: Artifact kinds the pipeline spills (one subdirectory each).
 ARTIFACT_KINDS = ("bvh", "rays", "traces", "decomposition")

@@ -6,7 +6,8 @@ Triangles are the only primitive type, matching the paper's evaluation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import List
 
 from .aabb import AABB
 from .vec import Vec3, cross, length, normalize, sub, vmax, vmin
@@ -51,21 +52,41 @@ class Triangle:
 
 @dataclass(frozen=True)
 class TriangleArrays:
-    """Structure-of-arrays view over a triangle list.
+    """Structure-of-arrays form of a triangle list.
 
-    ``v0``/``edge1``/``edge2`` are ``[n, 3]`` float64 arrays indexed by
-    *position in the source sequence* (the same index scalar traversal
-    uses for ``triangles[prim_id]``).  Edges are precomputed with the
+    ``v0``/``v1``/``v2`` are the raw ``[n, 3]`` float64 vertices and
+    ``primitive_ids`` the ``[n]`` ids, indexed by *position in the
+    source sequence* (the same index scalar traversal uses for
+    ``triangles[prim_id]``).  ``edge1``/``edge2`` are derived with the
     exact subtraction Möller–Trumbore performs, so batched tests over
-    these arrays reproduce the scalar results bit-for-bit.
+    these arrays reproduce the scalar results bit-for-bit; the raw
+    vertices are kept because ``v0 + edge1`` need not round-trip to
+    ``v1``.
     """
 
     v0: "object"  # np.ndarray [n, 3]
-    edge1: "object"  # np.ndarray [n, 3]  (v1 - v0)
-    edge2: "object"  # np.ndarray [n, 3]  (v2 - v0)
+    v1: "object"  # np.ndarray [n, 3]
+    v2: "object"  # np.ndarray [n, 3]
+    primitive_ids: "object"  # np.ndarray [n] int64
+    edge1: "object" = field(init=False, repr=False, compare=False)
+    edge2: "object" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "edge1", self.v1 - self.v0)
+        object.__setattr__(self, "edge2", self.v2 - self.v0)
 
     def __len__(self) -> int:
         return self.v0.shape[0]
+
+    def triangles(self) -> List[Triangle]:
+        """The :class:`Triangle` objects, with plain-float components."""
+        return [
+            Triangle(tuple(a), tuple(b), tuple(c), prim)
+            for a, b, c, prim in zip(
+                self.v0.tolist(), self.v1.tolist(), self.v2.tolist(),
+                self.primitive_ids.tolist(),
+            )
+        ]
 
 
 def triangles_to_arrays(triangles) -> TriangleArrays:
@@ -73,11 +94,9 @@ def triangles_to_arrays(triangles) -> TriangleArrays:
     import numpy as np
 
     n = len(triangles)
-    v0 = np.empty((n, 3), dtype=np.float64)
-    v1 = np.empty((n, 3), dtype=np.float64)
-    v2 = np.empty((n, 3), dtype=np.float64)
-    for i, tri in enumerate(triangles):
-        v0[i] = tri.v0
-        v1[i] = tri.v1
-        v2[i] = tri.v2
-    return TriangleArrays(v0=v0, edge1=v1 - v0, edge2=v2 - v0)
+    vertices = np.array(
+        [(tri.v0, tri.v1, tri.v2) for tri in triangles], dtype=np.float64
+    ).reshape(n, 3, 3)
+    v0, v1, v2 = (vertices[:, k].copy() for k in range(3))
+    ids = np.fromiter((tri.primitive_id for tri in triangles), np.int64, n)
+    return TriangleArrays(v0, v1, v2, ids)

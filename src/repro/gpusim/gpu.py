@@ -16,14 +16,14 @@ results.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..bvh import FlatBVH, NodeLayout
 from ..core.config import GpuConfig
 from ..prefetch.base import Prefetcher
-from ..traversal import RayTrace
+from ..traversal import TraceSet
 from .memsys import MemorySystem
 from .rtunit import NO_WAKE, RTUnit
 from .stats import SimStats, merge_cache_stats
@@ -76,7 +76,7 @@ class GpuModel:
 
     def load(
         self,
-        traces: Sequence[RayTrace],
+        traces: TraceSet,
         bvh: FlatBVH,
         layout: NodeLayout,
     ) -> int:
@@ -84,39 +84,35 @@ class GpuModel:
 
         Rays are grouped in trace order (neighboring pixels share a warp,
         like a real ray-generation shader) and warps round-robin across
-        SMs.  Returns the number of warps created.
+        SMs; rays without visits are skipped.  Returns the number of
+        warps created.
         """
         warp_size = self.config.warp_size
         line_bytes = self.config.l1.line_bytes
-        # SoA precompute: one numpy gather over every visit of the batch
-        # resolves each visit's byte address and treelet id up front,
-        # and the layout's memo its primitive lines, so the replay hot
-        # paths index flat lists instead of chasing layout dicts.
+        # One pass over the trace set's node-id column resolves each
+        # visit's byte address and treelet id (a numpy gather from the
+        # layout's tables) and, through the layout's memo, its primitive
+        # lines, so the replay hot paths index flat lists instead of
+        # chasing layout dicts.
         address_table, treelet_table = layout.lookup_arrays()
-        traces = [trace for trace in traces if trace.visits]
-        node_ids = [
-            visit.node_id for trace in traces for visit in trace.visits
-        ]
-        index = np.asarray(node_ids, dtype=np.intp)
-        addresses = address_table[index].tolist()
-        treelet_ids = treelet_table[index]
+        node_ids = traces.node_ids
+        addresses = address_table[node_ids].tolist()
+        treelet_ids = treelet_table[node_ids]
         treelets = treelet_ids.tolist()
-        starts = np.cumsum([0] + [len(trace.visits) for trace in traces])
-        lookahead = next_treelets(treelet_ids, starts[:-1])
-        prims = visit_prims(node_ids, bvh, layout, line_bytes)
+        offsets = traces.offsets
+        visited = offsets[1:] > offsets[:-1]
+        starts = offsets[:-1][visited]
+        lookahead = next_treelets(treelet_ids, starts)
+        prims = visit_prims(node_ids.tolist(), bvh, layout, line_bytes)
         tasks = [
             RayTask(
-                trace,
-                bvh,
-                layout,
-                line_bytes,
-                addresses=addresses[start:end],
-                treelets=treelets[start:end],
-                lookahead=lookahead[start:end],
-                prims=prims[start:end],
+                addresses[start:end],
+                treelets[start:end],
+                lookahead[start:end],
+                prims[start:end],
             )
-            for trace, start, end in zip(
-                traces, starts[:-1].tolist(), starts[1:].tolist()
+            for start, end in zip(
+                starts.tolist(), offsets[1:][visited].tolist()
             )
         ]
         warps = [
@@ -267,7 +263,7 @@ class GpuModel:
 
     def run_frame(
         self,
-        traces: Sequence[RayTrace],
+        traces: TraceSet,
         bvh: FlatBVH,
         layout: NodeLayout,
     ) -> int:

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from enum import Enum
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..bvh import FlatBVH, NodeLayout, PRIMITIVE_SIZE_BYTES
-from ..traversal import RayTrace
+from ..bvh.soa import runs
 
 
 class RayState(Enum):
@@ -38,11 +37,13 @@ def visit_prims(
     """Per visit, the distinct line addresses of the visited leaf's
     triangles, or ``None`` for a visit that fetches no primitives.
 
-    Memoized on the layout per line size and node id, and filled for the
-    nodes these visits reach only: every revisit shares one tuple.
+    Memoized on the tree per primitive-region base and line size (the
+    only layout facts the lines depend on), so every replay of a
+    memoized tree reuses them, and filled for the nodes these visits
+    reach only: every revisit shares one tuple.
     """
-    memo = layout.__dict__.setdefault("_prim_lines", {}).setdefault(
-        line_bytes, {}
+    memo = bvh.__dict__.setdefault("_prim_lines", {}).setdefault(
+        (layout.primitive_base, line_bytes), {}
     )
     try:
         return [memo[node_id] for node_id in node_ids]
@@ -53,28 +54,20 @@ def visit_prims(
     # lines, preserving order.  Other nodes fetch no primitives.
     missing = set(node_ids).difference(memo)
     memo.update(dict.fromkeys(missing))
-    leaves = [i for i in missing if bvh.nodes[i].primitive_ids]
-    prim_ids = [bvh.nodes[node_id].primitive_ids for node_id in leaves]
-    counts = np.fromiter(map(len, prim_ids), np.int64, len(leaves))
-    prim = np.fromiter(chain.from_iterable(prim_ids), np.int64)
+    arrays = bvh.arrays
+    nodes = np.fromiter(missing, np.int64, len(missing))
+    leaves = nodes[arrays.prim_counts[nodes] > 0]
+    counts, prim = arrays.leaf_primitives(leaves)
     address = layout.primitive_base + prim * PRIMITIVE_SIZE_BYTES
     first = address // line_bytes
     spans = (address + PRIMITIVE_SIZE_BYTES - 1) // line_bytes - first + 1
-    lines = (_runs(first, spans) * line_bytes).tolist()
+    lines = (runs(first, spans) * line_bytes).tolist()
     bounds = np.concatenate(([0], np.cumsum(spans)))[np.cumsum(counts)]
     start = 0
-    for node_id, end in zip(leaves, bounds.tolist()):
+    for node_id, end in zip(leaves.tolist(), bounds.tolist()):
         memo[node_id] = tuple(dict.fromkeys(lines[start:end]))
         start = end
     return [memo[node_id] for node_id in node_ids]
-
-
-def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``starts[k], starts[k] + 1, ...`` (``lengths[k]`` values) for
-    every ``k``, concatenated."""
-    ends = np.cumsum(lengths)
-    offsets = np.repeat(starts - ends + lengths, lengths)
-    return offsets + np.arange(len(offsets))
 
 
 def next_treelets(treelets: np.ndarray, starts: np.ndarray) -> List[int]:
@@ -108,12 +101,8 @@ class RayTask:
 
     Per-visit addresses/treelets/lookahead/primitive lines are
     structure-of-arrays lists indexed by ``cursor``; the hot paths in
-    the RT unit index them directly instead of chasing layout dicts or
-    visit objects.  Callers that precompute whole batches
-    (``GpuModel.load`` gathers them with one vectorized table lookup
-    per load) pass ``addresses``, ``treelets`` and ``prims`` in;
-    otherwise they are derived here per ray, through the same layout
-    memo (:func:`visit_prims`).
+    the RT unit index them directly instead of chasing layout dicts.
+    ``GpuModel.load`` gathers them for a whole trace set in one pass.
 
     A ``__slots__`` class (not a dataclass): the replay engine reads
     ``state``/``cursor``/the SoA lists on every issue, response, and
@@ -121,7 +110,6 @@ class RayTask:
     """
 
     __slots__ = (
-        "trace",
         "n_visits",
         "cursor",
         "state",
@@ -136,66 +124,37 @@ class RayTask:
 
     def __init__(
         self,
-        trace: RayTrace,
-        bvh: FlatBVH,
-        layout: NodeLayout,
-        line_bytes: int,
-        cursor: int = 0,
-        state: RayState = RayState.FETCH_READY,
-        prim_lines_pending: Optional[List[int]] = None,
-        prim_lines_outstanding: int = 0,
-        slot_index: int = 0,
-        addresses: Optional[List[int]] = None,
-        treelets: Optional[List[int]] = None,
-        lookahead: Optional[List[int]] = None,
-        prims: Optional[List[Optional[Tuple[int, ...]]]] = None,
+        addresses: List[int],
+        treelets: List[int],
+        lookahead: List[int],
+        prims: List[Optional[Tuple[int, ...]]],
     ) -> None:
-        visits = trace.visits
-        self.trace = trace
-        self.n_visits = len(visits)
-        self.cursor = cursor
-        self.state = state
+        self.n_visits = len(addresses)
+        self.cursor = 0
+        self.state = FETCH_READY if addresses else DONE
         #: distinct lines still to issue for the current leaf's triangles
         #: (the shared empty tuple until the ray reaches a leaf).
-        self.prim_lines_pending = prim_lines_pending or ()
-        self.prim_lines_outstanding = prim_lines_outstanding
+        self.prim_lines_pending = ()
+        self.prim_lines_outstanding = 0
         #: position within the owning warp (set by WarpSlot); the batched
         #: issue path uses it to keep the warp's ready-ray bitmask current.
-        self.slot_index = slot_index
-        if not visits:
-            self.state = DONE
-        #: byte address of each visit's node (SoA, parallel to
-        #: trace.visits).
-        if addresses is None:
-            addresses = [layout.address_of(v.node_id) for v in visits]
+        self.slot_index = 0
+        #: byte address of each visit's node.
         self.addresses = addresses
-        #: treelet id of each visit's node (SoA, -1 = no treelet).
-        if treelets is None:
-            treelets = [layout.treelet_of(v.node_id) for v in visits]
+        #: treelet id of each visit's node (-1 = no treelet).
         self.treelets = treelets
-        #: per visit, the line addresses of a leaf's triangles, or None.
-        if prims is None:
-            prims = visit_prims(
-                [v.node_id for v in visits], bvh, layout, line_bytes
-            )
-        self.prims = prims
         #: per visit, the next *different* treelet the ray will enter (-1
         #: if none).  Hardware knows this from the top of the ray's
         #: otherTreeletStack; the trace model recovers it by scanning the
         #: visit sequence.  The majority voter votes on this lookahead so
         #: prefetches lead demand by one treelet transit.
-        if lookahead is None:
-            lookahead = next_treelets(
-                np.asarray(treelets, dtype=np.int64), np.zeros(1, np.intp)
-            )
         self.lookahead = lookahead
+        #: per visit, the line addresses of a leaf's triangles, or None.
+        self.prims = prims
 
     @property
     def done(self) -> bool:
         return self.state is DONE
-
-    def current_visit(self):
-        return self.trace.visits[self.cursor]
 
     def current_node_address(self) -> int:
         return self.addresses[self.cursor]

@@ -2,8 +2,13 @@
 
 from .dfs import traverse_dfs, traverse_dfs_batch
 from .intersect import ray_aabb_test, ray_triangle_test
-from .serialize import load_traces, save_traces, trace_from_dict, trace_to_dict
-from .trace import NodeVisit, RayTrace, TraversalSummary, summarize_traces
+from .trace import (
+    NodeVisit,
+    RayTrace,
+    TraceSet,
+    TraversalSummary,
+    summarize_traces,
+)
 from .two_stack import (
     DEFERRED_ORDERS,
     traverse_two_stack,
@@ -23,11 +28,8 @@ __all__ = [
     "DEFERRED_ORDERS",
     "NodeVisit",
     "RayTrace",
+    "TraceSet",
     "TraversalSummary",
-    "load_traces",
-    "save_traces",
-    "trace_from_dict",
-    "trace_to_dict",
     "ray_aabb_test",
     "ray_aabb_test_batch",
     "ray_triangle_test",

@@ -2,14 +2,16 @@
 
 The scalar traversal modules (:mod:`.dfs`, :mod:`.two_stack`) run one
 pure-Python slab or Möller–Trumbore test at a time; generating the
-``RayTrace`` sequences the timing model replays dominates experiment
-wall-clock long before the cycle model starts.  This module amortizes
-that cost over *ray packets*: numpy SoA views over the BVH
-(:mod:`repro.bvh.soa`) plus two batched kernels —
+traces the timing model replays dominates experiment wall-clock long
+before the cycle model starts.  This module amortizes that cost over
+*ray packets*: the BVH's columns (:mod:`repro.bvh.soa`) plus two
+batched kernels —
 :func:`ray_aabb_test_batch` and :func:`ray_triangle_test_batch` — and a
 packet-stepped driver that advances every active ray of a packet by one
 node visit per iteration, folding all of the packet's box tests (and,
-separately, all of its primitive tests) into one kernel call each.
+separately, all of its primitive tests) into one kernel call each.  The
+driver writes each packet's :class:`~.trace.TraceSet` columns straight
+from its visit log.
 
 **Bit-identical contract.**  The packet drivers are a drop-in
 replacement for the scalar reference: same visit order, same box- and
@@ -35,12 +37,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..bvh import MAX_CHILDREN, FlatBVH, bvh_arrays
+from ..bvh import MAX_CHILDREN, FlatBVH
 from ..core.memo import MEMO
-from ..geometry import Hit, Ray, rays_to_arrays
+from ..geometry import Ray, rays_to_arrays
+from ..geometry.vec import EPSILON
 from ..treelet import TreeletDecomposition
 from .intersect import _TRI_EPSILON, ray_aabb_test, ray_triangle_test
-from .trace import NodeVisit, RayTrace
+from .trace import TraceSet
 from .two_stack import DEFERRED_ORDERS, _DeferredTreelets
 
 #: Rays advanced together per driver iteration.  Large packets amortize
@@ -181,8 +184,9 @@ class _PacketTrees:
         "trees",  # List[FlatBVH], index = tree id
         "node_base",  # np.ndarray [num_trees] int64 (merged-id offsets)
         "child_base",  # np.ndarray [num_trees] int64 (CSR offsets)
-        "visit_protos",  # List[NodeVisit], merged-id indexed
-        "proto_arr",  # np.ndarray object, same contents as visit_protos
+        "tri_base",  # np.ndarray [num_trees] int64 (triangle offsets)
+        "local_ids",  # np.ndarray [num_nodes]: merged id -> tree-local id
+        "tri_ids",  # np.ndarray [num_triangles]: position -> primitive id
         "stack_cap",
         "node_lohi",  # [num_nodes, 6]
         "tri_cat",  # [num_triangles, 9]
@@ -195,40 +199,26 @@ class _PacketTrees:
         "prim_offsets",
         "prim_counts",
         "prim_ids",
-        "triangles",  # merged triangle sequence
     )
 
 
 def _packet_statics(bvh: FlatBVH) -> _PacketTrees:
-    """Per-BVH constants for the packet driver.
-
-    ``visit_protos`` holds one shared :class:`NodeVisit` per node: a
-    node's visit record is identical for every ray that fetches it, and
-    the dataclass is frozen, so one prototype per node is appended to
-    every trace — removing per-visit object construction from the hot
-    loop while keeping traces value-equal (and serializing identically)
-    to scalar-produced ones.  ``stack_cap`` bounds the traversal stack:
-    a visit pops one entry and pushes at most ``MAX_CHILDREN``.
+    """Per-BVH constants for the packet driver, read off the tree's
+    columns.  ``stack_cap`` bounds the traversal stack: a visit pops
+    one entry and pushes at most ``MAX_CHILDREN``.
     """
     import numpy as np
 
     cached = getattr(bvh, _STATICS_ATTR, None)
     if cached is None:
-        soa = bvh_arrays(bvh)
+        soa = bvh.arrays
         ctx = _PacketTrees()
         ctx.trees = [bvh]
         ctx.node_base = np.zeros(1, dtype=np.int64)
         ctx.child_base = np.zeros(1, dtype=np.int64)
-        ctx.visit_protos = [
-            NodeVisit(
-                node_id=node.node_id,
-                is_leaf=node.is_leaf,
-                primitive_count=len(node.primitive_ids),
-            )
-            for node in bvh.nodes
-        ]
-        ctx.proto_arr = np.empty(len(ctx.visit_protos), dtype=object)
-        ctx.proto_arr[:] = ctx.visit_protos
+        ctx.tri_base = np.zeros(1, dtype=np.int64)
+        ctx.local_ids = np.arange(len(bvh), dtype=np.int64)
+        ctx.tri_ids = soa.triangles.primitive_ids
         ctx.stack_cap = bvh.depth() * MAX_CHILDREN + 8
         # Fused gather targets: one fancy-index per kernel input group
         # instead of one per component array.
@@ -258,7 +248,6 @@ def _packet_statics(bvh: FlatBVH) -> _PacketTrees:
         ctx.prim_offsets = soa.prim_offsets
         ctx.prim_counts = soa.prim_counts
         ctx.prim_ids = soa.prim_ids
-        ctx.triangles = bvh.triangles
         cached = ctx
         setattr(bvh, _STATICS_ATTR, cached)
     return cached
@@ -269,9 +258,9 @@ def _forest_statics(bvhs: Tuple[FlatBVH, ...]) -> _PacketTrees:
 
     Per-tree tables are concatenated with node ids shifted by
     ``node_base[s]`` and triangle ids by the cumulative triangle count,
-    so one flat id space covers the whole forest.  Visit prototypes
-    keep their *original* node ids — a merged-id lookup still returns
-    the scene-local visit record, which is what traces must contain.
+    so one flat id space covers the whole forest.  ``local_ids`` maps
+    a merged id back to its tree-local id, which is what traces
+    contain.
     """
     import numpy as np
 
@@ -288,14 +277,12 @@ def _forest_statics(bvhs: Tuple[FlatBVH, ...]) -> _PacketTrees:
         [[0], np.cumsum(child_counts_tot[:-1])]
     ).astype(np.int64)
     tri_base = np.concatenate([[0], np.cumsum(tri_counts[:-1])])
+    ctx.tri_base = tri_base.astype(np.int64)
     prim_base = np.concatenate(
         [[0], np.cumsum([p.prim_ids.size for p in parts][:-1])]
     )
-    ctx.visit_protos = [
-        proto for p in parts for proto in p.visit_protos
-    ]
-    ctx.proto_arr = np.empty(len(ctx.visit_protos), dtype=object)
-    ctx.proto_arr[:] = ctx.visit_protos
+    ctx.local_ids = np.concatenate([p.local_ids for p in parts])
+    ctx.tri_ids = np.concatenate([p.tri_ids for p in parts])
     ctx.stack_cap = max(p.stack_cap for p in parts)
     ctx.node_lohi = np.concatenate([p.node_lohi for p in parts])
     ctx.tri_cat = np.concatenate([p.tri_cat for p in parts])
@@ -326,10 +313,6 @@ def _forest_statics(bvhs: Tuple[FlatBVH, ...]) -> _PacketTrees:
     ctx.prim_ids = np.concatenate(
         [p.prim_ids + tb for p, tb in zip(parts, tri_base)]
     )
-    triangles: List = []
-    for b in bvhs:
-        triangles.extend(b.triangles)
-    ctx.triangles = triangles
     return ctx
 
 
@@ -337,8 +320,7 @@ def _traverse_packet(
     rays: Sequence[Ray],
     ctx: _PacketTrees,
     lane_ctx,
-    traces_out: List[RayTrace],
-) -> None:
+) -> TraceSet:
     """Advance one packet of rays to completion (lanes step in lockstep).
 
     ``lane_ctx`` is ``None`` when every lane runs plain DFS over
@@ -353,7 +335,7 @@ def _traverse_packet(
     mix rays from different traversal configurations — and, through a
     forest context, different scenes — which is how the batched trace
     generator amortizes the fixed per-iteration dispatch cost.
-    Appends one trace per ray, in order.
+    Returns the packet's traces, one ray per input ray, in order.
 
     Each iteration advances every live lane by exactly one node visit:
     a vectorized pop-and-prune selects the next node per lane out of
@@ -366,9 +348,6 @@ def _traverse_packet(
     import numpy as np
 
     n = len(rays)
-    if n == 0:
-        return
-    visit_protos = ctx.visit_protos
     stack_cap = ctx.stack_cap
     node_lohi = ctx.node_lohi
     tri_cat = ctx.tri_cat
@@ -399,7 +378,6 @@ def _traverse_packet(
     child_ids_all = ctx.child_ids
     prim_offsets, prim_counts = ctx.prim_offsets, ctx.prim_counts
     prim_ids_all = ctx.prim_ids
-    triangles = ctx.triangles
     if lane_ctx is not None:
         (
             job_of_lane,
@@ -431,7 +409,6 @@ def _traverse_packet(
     # per-iteration isnan sweep is skipped entirely.
     may_nan = not (finite_nodes and bool(np.isfinite(G).all()))
 
-    traces = [RayTrace(ray_id=ray.ray_id) for ray in rays]
     has_hit = np.zeros(n, dtype=bool)
     win_prim = np.zeros(n, dtype=np.int64)
     box_count = np.zeros(n, dtype=np.int64)
@@ -766,11 +743,11 @@ def _traverse_packet(
                 )
                 if accept.any():
                     # Record (winner, t) and shrink the interval; the
-                    # Hit object itself is built once per lane at
-                    # finalize time.  The scalar path constructs every
-                    # interim Hit too, but only the final one survives
-                    # in the trace, and neither ``ray.at(t)`` nor
-                    # ``triangle.normal()`` depends on when it runs.
+                    # hit fields are computed once per lane at the end.
+                    # The scalar path constructs every interim Hit too,
+                    # but only the final one survives in the trace, and
+                    # neither ``ray.at(t)`` nor ``triangle.normal()``
+                    # depends on when it runs.
                     rows = np.flatnonzero(accept)
                     ll = leaf_lanes.take(rows)
                     bt = best_t.take(rows)
@@ -779,66 +756,26 @@ def _traverse_packet(
                     has_hit[ll] = True
                     win_prim[ll] = prims.take(win_flat.take(rows))
 
-    # --- Regroup the visit log into per-lane traces. -----------------
-    if visit_lane_chunks:
-        if len(visit_lane_chunks) == 1:
-            all_lanes = visit_lane_chunks[0]
-            all_nodes = visit_node_chunks[0]
-        else:
-            all_lanes = np.concatenate(visit_lane_chunks)
-            all_nodes = np.concatenate(visit_node_chunks)
-        order = np.argsort(all_lanes, kind="stable")
-        lane_counts = np.bincount(all_lanes, minlength=n).tolist()
-        # One C-level object gather resolves the whole log to visit
-        # prototypes, then list slices hand each lane its sequence.
-        all_visits = ctx.proto_arr.take(all_nodes.take(order)).tolist()
-        pos = 0
-        for i in range(n):
-            count = lane_counts[i]
-            if count:
-                traces[i].visits = all_visits[pos:pos + count]
-                pos += count
-
-    # One Hit per hitting lane, from the recorded winner and final t.
-    if has_hit.any():
-        hit_rows = np.flatnonzero(has_hit)
-        for i, prim_id, t_val in zip(
-            hit_rows.tolist(),
-            win_prim.take(hit_rows).tolist(),
-            tmax1d.take(hit_rows).tolist(),
-        ):
-            triangle = triangles[prim_id]
-            traces[i].hit = Hit(
-                t=t_val,
-                primitive_id=triangle.primitive_id,
-                point=rays[i].at(t_val),
-                normal=triangle.normal(),
-            )
-
-    box_list = box_count.tolist()
-    prim_list = prim_count.tolist()
-    t_list = G[:, 16].tolist()  # python floats, exact bit patterns
-    for i, trace in enumerate(traces):
-        trace.box_tests = box_list[i]
-        trace.primitive_tests = prim_list[i]
-        # Same observable side effect as the scalar path: the ray's
-        # interval reflects early ray termination.
-        rays[i].t_max = t_list[i]
-        traces_out.append(trace)
+    # Same observable side effect as the scalar path: the ray's
+    # interval reflects early ray termination.
+    for ray, t_max in zip(rays, G[:, 16].tolist()):
+        ray.t_max = t_max
 
     # --- Scalar tail: finish the last few lanes at reference speed. --
+    # Their visits join the log after the packet's own.
     for i in active.tolist():
         depth = int(sp[i])
         stack = list(
             zip(stack_ids[i, :depth].tolist(), stack_t[i, :depth].tolist())
         )
+        tree_idx = 0
+        deferred = None
+        assignment = None
         if lane_ctx is not None:
             j = int(job_of_lane[i])
             assignment = assign_list[j]
             tree_idx = int(job_tree[j]) if job_tree is not None else 0
-            tree = ctx.trees[tree_idx]
             base = int(ctx.node_base[tree_idx])
-            deferred = None
             if assignment is not None:
                 # Rebuild the lane's deferred structure from the
                 # packed arrays.  Forest lanes carry merged node ids
@@ -857,44 +794,102 @@ def _traverse_packet(
                     deferred.push(t_e, nid - base)
             if base:
                 stack = [(nid - base, t) for nid, t in stack]
-            protos = (
-                visit_protos
-                if len(ctx.trees) == 1
-                else _packet_statics(tree).visit_protos
-            )
-        else:
-            tree = ctx.trees[0]
-            deferred = None
-            assignment = None
-            protos = visit_protos
-        _finish_lane_scalar(
+        visits: List[int] = []
+        boxes, prims, winner = _finish_lane_scalar(
             rays[i],
-            tree,
-            traces[i],
+            ctx.trees[tree_idx],
             stack,
             deferred,
             assignment,
-            protos,
+            visits,
+            float(tmax1d[i]) if has_hit[i] else None,
         )
+        box_count[i] += boxes
+        prim_count[i] += prims
+        if winner is not None:
+            has_hit[i] = True
+            win_prim[i] = winner + ctx.tri_base[tree_idx]
+            tmax1d[i] = rays[i].t_max
+        visit_lane_chunks.append(np.full(len(visits), i, dtype=np.int64))
+        visit_node_chunks.append(
+            ctx.node_base[tree_idx] + np.asarray(visits, dtype=np.int64)
+        )
+
+    # --- The packet's columns: the visit log grouped by lane (a stable
+    # sort by lane keeps each lane's visits in order), and one set of
+    # hit fields per hitting lane from its winner and final t.
+    all_lanes = np.concatenate(visit_lane_chunks or [np.zeros(0, np.int64)])
+    all_nodes = np.concatenate(visit_node_chunks or [np.zeros(0, np.int64)])
+    nodes = all_nodes.take(np.argsort(all_lanes, kind="stable"))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(all_lanes, minlength=n), out=offsets[1:])
+    hit_prim = np.zeros(n, dtype=np.int64)
+    hit_point = np.zeros((n, 3))
+    hit_normal = np.zeros((n, 3))
+    rows = np.flatnonzero(has_hit)
+    if rows.size:
+        winners = win_prim.take(rows)
+        hit_prim[rows] = ctx.tri_ids.take(winners)
+        hit_point[rows] = origin[rows] + arrays.direction[rows] * (
+            tmax1d.take(rows)[:, None]
+        )
+        hit_normal[rows] = _unit_normals(np.take(tri_cat, winners, axis=0))
+    return TraceSet(
+        ray_ids=[ray.ray_id for ray in rays],
+        offsets=offsets,
+        box_tests=box_count,
+        primitive_tests=prim_count,
+        node_ids=ctx.local_ids.take(nodes),
+        is_leaf=is_leaf.take(nodes),
+        primitive_counts=prim_counts.take(nodes),
+        hit_mask=has_hit,
+        hit_t=np.where(has_hit, tmax1d, 0.0),
+        hit_prim=hit_prim,
+        hit_point=hit_point,
+        hit_normal=hit_normal,
+    )
+
+
+def _unit_normals(tri_rows):
+    """``Triangle.normal()`` of each ``[v0 | edge1 | edge2]`` row, with
+    the scalar code's operations in its order."""
+    import numpy as np
+
+    e1x, e1y, e1z = tri_rows[:, 3], tri_rows[:, 4], tri_rows[:, 5]
+    e2x, e2y, e2z = tri_rows[:, 6], tri_rows[:, 7], tri_rows[:, 8]
+    nx = e1y * e2z - e1z * e2y
+    ny = e1z * e2x - e1x * e2z
+    nz = e1x * e2y - e1y * e2x
+    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+    if (norm < EPSILON).any():
+        raise ValueError("cannot normalize a zero-length vector")
+    inv = 1.0 / norm
+    return np.stack([nx * inv, ny * inv, nz * inv], axis=1)
 
 
 def _finish_lane_scalar(
     ray: Ray,
     bvh: FlatBVH,
-    trace: RayTrace,
     stack: List[Tuple[int, float]],
     deferred: Optional[_DeferredTreelets],
     assignment,
-    visit_protos: List[NodeVisit],
-) -> None:
+    visits: List[int],
+    best_t: Optional[float],
+) -> Tuple[int, int, Optional[int]]:
     """Resume one lane mid-traversal with the scalar reference code.
 
     Identical statement-for-statement to :func:`.dfs.traverse_dfs` /
     :func:`.two_stack.traverse_two_stack` from the current state
     onward, so equality with the reference is by construction.
+    ``best_t`` is the distance of the lane's hit so far (None without
+    one).  Appends each visited node id to ``visits`` and returns
+    ``(box_tests, primitive_tests, winner)``: the tests run here and
+    the triangle position of the closest hit found here, if any.
     """
     nodes = bvh.nodes
     triangles = bvh.triangles
+    box_tests = primitive_tests = 0
+    winner = None
     while stack or (deferred is not None and deferred):
         if not stack:
             stack.append(deferred.pop())
@@ -902,26 +897,27 @@ def _finish_lane_scalar(
         if t_enter >= ray.t_max:
             continue
         node = nodes[node_id]
-        trace.visits.append(visit_protos[node_id])
+        visits.append(node_id)
         if node.is_leaf:
             for prim_id in node.primitive_ids:
-                trace.primitive_tests += 1
+                primitive_tests += 1
                 hit = ray_triangle_test(ray, triangles[prim_id])
-                if hit is not None and hit.closer_than(trace.hit):
-                    trace.hit = hit
+                if hit is not None and (best_t is None or hit.t < best_t):
+                    best_t = hit.t
+                    winner = prim_id
                     ray.t_max = hit.t
             continue
         near_hits: List[Tuple[float, int]] = []
         if assignment is None:
             for child_id in node.child_ids:
-                trace.box_tests += 1
+                box_tests += 1
                 overlap = ray_aabb_test(ray, nodes[child_id].bounds)
                 if overlap is not None:
                     near_hits.append((overlap[0], child_id))
         else:
             treelet_id = assignment[node_id]
             for child_id in node.child_ids:
-                trace.box_tests += 1
+                box_tests += 1
                 overlap = ray_aabb_test(ray, nodes[child_id].bounds)
                 if overlap is None:
                     continue
@@ -933,6 +929,7 @@ def _finish_lane_scalar(
         near_hits.sort(key=_near_key, reverse=True)
         for t_child, child_id in near_hits:
             stack.append((child_id, t_child))
+    return box_tests, primitive_tests, winner
 
 
 def _near_key(pair: Tuple[float, int]) -> float:
@@ -952,11 +949,11 @@ def _two_stack_tables(bvh: FlatBVH, decomposition: TreeletDecomposition):
     if cached is None:
         mapping = decomposition.assignment
         assignment = np.fromiter(
-            (mapping[node.node_id] for node in bvh.nodes),
+            (mapping[node_id] for node_id in range(len(bvh))),
             dtype=np.int64,
-            count=len(bvh.nodes),
+            count=len(bvh),
         )
-        soa = bvh_arrays(bvh)
+        soa = bvh.arrays
         same_csr = assignment[soa.child_ids] == np.repeat(
             assignment, soa.child_counts
         )
@@ -973,10 +970,10 @@ def _traverse_packets(
     ctx: _PacketTrees,
     lane_ctx,
     packet_size: int,
-) -> List[RayTrace]:
+) -> TraceSet:
     if packet_size <= 0:
         raise ValueError("packet_size must be positive")
-    traces: List[RayTrace] = []
+    parts: List[TraceSet] = []
     for start in range(0, len(rays), packet_size):
         if lane_ctx is None:
             sliced = None
@@ -984,13 +981,12 @@ def _traverse_packets(
             sliced = (
                 lane_ctx[0][start:start + packet_size],
             ) + lane_ctx[1:]
-        _traverse_packet(
+        parts.append(_traverse_packet(
             rays[start:start + packet_size],
             ctx,
             sliced,
-            traces,
-        )
-    return traces
+        ))
+    return TraceSet.concat(parts)
 
 
 def traverse_forest_jobs(
@@ -1003,7 +999,7 @@ def traverse_forest_jobs(
         ]
     ],
     packet_size: int = DEFAULT_PACKET_SIZE,
-) -> List[List[RayTrace]]:
+) -> List[TraceSet]:
     """Traverse several ``(bvh, rays, decomposition, order)`` jobs in
     shared packets spanning *different trees*.
 
@@ -1097,7 +1093,7 @@ def traverse_forest_jobs(
             else np.asarray(job_tree_list, dtype=np.int64),
         )
     traces = _traverse_packets(all_rays, ctx, lane_ctx, packet_size)
-    out: List[List[RayTrace]] = []
+    out: List[TraceSet] = []
     pos = 0
     for _, rays, _, _ in jobs:
         out.append(traces[pos:pos + len(rays)])
@@ -1109,7 +1105,7 @@ def traverse_dfs_packet(
     rays: Sequence[Ray],
     bvh: FlatBVH,
     packet_size: int = DEFAULT_PACKET_SIZE,
-) -> List[RayTrace]:
+) -> TraceSet:
     """Packet-stepped DFS traversal; bit-identical to
     :func:`.dfs.traverse_dfs_batch` (the rays are mutated the same way).
     """
@@ -1122,7 +1118,7 @@ def traverse_two_stack_packet(
     decomposition: TreeletDecomposition,
     deferred_order: str = "nearest",
     packet_size: int = DEFAULT_PACKET_SIZE,
-) -> List[RayTrace]:
+) -> TraceSet:
     """Packet-stepped two-stack (Algorithm 1) traversal; bit-identical
     to :func:`.two_stack.traverse_two_stack_batch`.
     """

@@ -8,6 +8,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.bvh import BuildConfig, build_wide_bvh
@@ -19,6 +20,8 @@ from repro.core.pipeline import (
     build_gpu_model,
 )
 from repro.geometry import Ray, Triangle
+from repro.gpusim import RayTask
+from repro.gpusim.warp import next_treelets, visit_prims
 from repro.scenes import soup, sphere
 from repro.treelet import form_treelets
 
@@ -113,6 +116,18 @@ def assert_golden(key: str, stats) -> None:
     assert digest == expected, (
         f"{key}: SimStats digest {digest} differs from the recorded "
         f"{expected}"
+    )
+
+
+def ray_task(node_ids, bvh, layout, line_bytes=128) -> RayTask:
+    """The task replaying visits to ``node_ids``, in order, with the
+    per-visit tables ``GpuModel.load`` gathers for a trace set."""
+    treelets = [layout.treelet_of(node_id) for node_id in node_ids]
+    return RayTask(
+        [layout.address_of(node_id) for node_id in node_ids],
+        treelets,
+        next_treelets(np.asarray(treelets, dtype=np.int64), np.zeros(1, int)),
+        visit_prims(list(node_ids), bvh, layout, line_bytes),
     )
 
 

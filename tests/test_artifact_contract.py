@@ -1,10 +1,16 @@
 """What the cold path hands to the artifact cache.
 
-Geometry is made of plain ``float`` components (the promise of
-``repro.geometry.vec``), a BVH survives a store/load round trip
-unchanged, and a decomposition loaded from a warm cache shares the
+A BVH entry is the tree's column set and a trace-set entry its CSR
+columns: neither references a class outside numpy and its own
+container.  A BVH survives a store/load round trip unchanged, and the
+node and triangle objects a loaded tree builds on demand are made of
+plain ``float`` components (the promise of ``repro.geometry.vec``), as
+the builder's are.  A decomposition loaded from a warm cache shares the
 memoized BVH instead of carrying a copy of it.
 """
+
+import pickle
+import pickletools
 
 import pytest
 
@@ -16,6 +22,7 @@ from repro.core.pipeline import (
     SMOKE,
     get_bvh,
     get_decomposition,
+    get_traces,
 )
 from repro.exec import ArtifactCache, set_artifact_cache
 from repro.exec.cache import fingerprint
@@ -45,19 +52,31 @@ def smoke_bvhs():
     }
 
 
-@pytest.mark.parametrize("name", ALL_SCENES + QUERY_SCENES)
-def test_geometry_components_are_plain_floats(smoke_bvhs, name):
-    bvh = smoke_bvhs[name]
+def _assert_plain(bvh):
     assert all(
         type(x) is float
         for tri in bvh.triangles
         for x in tri.v0 + tri.v1 + tri.v2
     )
+    assert all(type(tri.primitive_id) is int for tri in bvh.triangles)
     assert all(
         type(x) is float
         for node in bvh.nodes
         for x in node.bounds.lo + node.bounds.hi
     )
+    assert all(
+        type(x) is int
+        for node in bvh.nodes
+        for x in node.child_ids + node.primitive_ids
+        + (node.node_id, node.parent_id, node.depth)
+    )
+
+
+@pytest.mark.parametrize("name", ALL_SCENES + QUERY_SCENES)
+def test_geometry_components_are_plain_floats(smoke_bvhs, name):
+    _assert_plain(smoke_bvhs[name])
+    # A tree rebuilt from its columns materializes the same plain types.
+    _assert_plain(pickle.loads(pickle.dumps(smoke_bvhs[name])))
     mesh_bounds = build_scene(name, SMOKE.scene_scale).mesh.bounds()
     assert all(type(x) is float for x in mesh_bounds.lo + mesh_bounds.hi)
 
@@ -70,6 +89,53 @@ def test_bvh_round_trips_through_the_cache(tmp_path, smoke_bvhs, name):
     loaded = cache.load("bvh", key)
     assert loaded is not smoke_bvhs[name]
     assert loaded == smoke_bvhs[name]
+    # The objects are built on first access, equal to the builder's.
+    assert loaded._nodes is None and loaded._triangles is None
+    assert loaded.nodes == smoke_bvhs[name].nodes
+    assert loaded.triangles == smoke_bvhs[name].triangles
+    loaded.validate()
+
+
+def _pickle_globals(path):
+    """Every ``(module, name)`` a pickle file references, read off its
+    opcodes; memoized strings are tracked so a ``STACK_GLOBAL`` whose
+    module name comes from the memo still resolves."""
+    found, memo, recent = set(), [], [None, None]
+    for op, arg, _ in pickletools.genops(path.read_bytes()):
+        if op.name in ("SHORT_BINUNICODE", "BINUNICODE", "BINUNICODE8",
+                       "UNICODE"):
+            recent = [recent[-1], arg]
+        elif op.name in ("BINGET", "LONG_BINGET", "GET"):
+            recent = [recent[-1], memo[int(arg)]]
+        elif op.name == "MEMOIZE":
+            memo.append(recent[-1])
+        elif op.name in ("BINPUT", "LONG_BINPUT", "PUT"):
+            memo.extend([None] * (int(arg) + 1 - len(memo)))
+            memo[int(arg)] = recent[-1]
+        elif op.name == "STACK_GLOBAL":
+            found.add(tuple(recent))
+            recent = [recent[-1], None]
+        elif op.name == "GLOBAL":
+            found.add(tuple(arg.split(" ", 1)))
+        else:
+            recent = [recent[-1], None]
+    return found
+
+
+@pytest.mark.parametrize("kind, container", [
+    ("bvh", ("repro.bvh.node", "FlatBVH")),
+    ("traces", ("repro.traversal.trace", "TraceSet")),
+])
+def test_array_entries_reference_only_numpy(tmp_path, kind, container):
+    cache = set_artifact_cache(tmp_path)
+    get_traces("SPNZA", SMOKE, "treelet", 512)
+    (path,) = (cache.version_dir / kind).rglob("*.pkl")
+    found = _pickle_globals(path)
+    assert container in found
+    others = {g for g in found if g != container}
+    assert others and all(
+        module.split(".")[0] == "numpy" for module, _ in others
+    ), others
 
 
 def _entry_bytes(cache: ArtifactCache, kind: str) -> int:

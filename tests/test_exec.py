@@ -207,16 +207,17 @@ class TestPipelineSpill:
         # BVH/rays it needs) had to be rebuilt.
         assert build_counts()["traces"] == 1
 
-    def test_v1_entries_are_not_addressed_by_v2(self, tmp_path, monkeypatch):
-        # v2 stores decompositions without their BVH; an entry written
-        # by v1 (which held the BVH) must never be loaded as a v2 one.
-        assert CACHE_SCHEMA_VERSION == 2
+    def test_v2_entries_are_not_addressed_by_v3(self, tmp_path, monkeypatch):
+        # v3 stores BVHs and trace sets as column arrays; an entry
+        # written by v2 (which held object graphs) must never be loaded
+        # as a v3 one.
+        assert CACHE_SCHEMA_VERSION == 3
         cache = set_artifact_cache(tmp_path)
         with monkeypatch.context() as patch:
-            patch.setattr("repro.exec.cache.CACHE_SCHEMA_VERSION", 1)
+            patch.setattr("repro.exec.cache.CACHE_SCHEMA_VERSION", 2)
             get_traces("WKND", SMOKE, "treelet", 512)
-        v1_entries = sum(1 for _ in (tmp_path / "v1").rglob("*.pkl"))
-        assert v1_entries == 4  # bvh, rays, decomposition, traces
+        v2_entries = sum(1 for _ in (tmp_path / "v2").rglob("*.pkl"))
+        assert v2_entries == 4  # bvh, rays, decomposition, traces
         clear_caches()
         reset_build_counts()
         get_traces("WKND", SMOKE, "treelet", 512)
@@ -225,7 +226,7 @@ class TestPipelineSpill:
         assert build_counts()["traces"] == 1
         info = cache.describe()
         assert info["entries"] == cache.entries() == 4
-        assert info["stale_entries"] == v1_entries
+        assert info["stale_entries"] == v2_entries
 
     def test_cache_off_builds_normally(self):
         get_traces("WKND", SMOKE, "dfs", 512)

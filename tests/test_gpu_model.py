@@ -5,7 +5,11 @@ import pytest
 from repro.bvh import dfs_layout
 from repro.core.config import CacheConfig, GpuConfig
 from repro.gpusim import GpuModel, SimulationLimitError
-from repro.traversal import traverse_dfs_batch, traverse_two_stack_batch
+from repro.traversal import (
+    TraceSet,
+    traverse_dfs_batch,
+    traverse_two_stack_batch,
+)
 from repro.treelet import treelet_layout
 from repro.geometry import Ray
 
@@ -36,7 +40,7 @@ def make_rays(n=40):
 
 @pytest.fixture
 def workload(small_bvh):
-    traces = traverse_dfs_batch(make_rays(), small_bvh)
+    traces = TraceSet.from_traces(traverse_dfs_batch(make_rays(), small_bvh))
     return traces, small_bvh, dfs_layout(small_bvh)
 
 
@@ -104,7 +108,7 @@ class TestRun:
 
     def test_empty_workload(self, small_bvh):
         model = GpuModel(tiny_config())
-        model.load([], small_bvh, dfs_layout(small_bvh))
+        model.load(TraceSet.from_traces([]), small_bvh, dfs_layout(small_bvh))
         stats = model.run()
         assert stats.visits_completed == 0
 
@@ -113,7 +117,9 @@ class TestSchedulerPolicies:
     @pytest.mark.parametrize("policy", ["baseline", "omr", "pmr"])
     def test_all_policies_complete(self, small_bvh, decomposition, policy):
         rays = make_rays()
-        traces = traverse_two_stack_batch(rays, small_bvh, decomposition)
+        traces = TraceSet.from_traces(
+            traverse_two_stack_batch(rays, small_bvh, decomposition)
+        )
         layout = treelet_layout(decomposition)
         model = GpuModel(tiny_config(), scheduler_policy=policy)
         model.load(traces, bvh=small_bvh, layout=layout)

@@ -3,11 +3,11 @@ arbitration, and the primitive-fetch flow."""
 
 import pytest
 
+from conftest import ray_task
 from repro.bvh import dfs_layout
 from repro.core.config import CacheConfig, GpuConfig
-from repro.gpusim import MemorySystem, RTUnit, RayState, RayTask
+from repro.gpusim import MemorySystem, RTUnit, RayState
 from repro.prefetch import Prefetcher, PrefetchRequest
-from repro.traversal import NodeVisit, RayTrace
 from repro.treelet import form_treelets, treelet_layout
 
 
@@ -33,18 +33,6 @@ def make_unit(config=None, prefetcher=None, policy="baseline"):
     return unit, memsys
 
 
-def node_trace(bvh, node_ids, ray_id=0):
-    visits = [
-        NodeVisit(
-            node_id=node_id,
-            is_leaf=bvh.node(node_id).is_leaf,
-            primitive_count=len(bvh.node(node_id).primitive_ids),
-        )
-        for node_id in node_ids
-    ]
-    return RayTrace(ray_id=ray_id, visits=visits)
-
-
 def run(unit, memsys, max_cycles=100_000):
     cycle = 0
     while unit.busy():
@@ -63,11 +51,8 @@ class TestCoalescing:
         layout = dfs_layout(small_bvh)
         unit, memsys = make_unit()
         rays = [
-            RayTask(
-                trace=node_trace(small_bvh, [0], ray_id=i),
-                bvh=small_bvh,
-                layout=layout,
-                line_bytes=128,
+            ray_task(
+                [0], small_bvh, layout, 128
             )
             for i in range(8)
         ]
@@ -92,11 +77,8 @@ class TestCoalescing:
                 break
         unit, memsys = make_unit(tiny_config(mem_ports=2))
         rays = [
-            RayTask(
-                trace=node_trace(small_bvh, [node_id], ray_id=i),
-                bvh=small_bvh,
-                layout=layout,
-                line_bytes=line_bytes,
+            ray_task(
+                [node_id], small_bvh, layout, line_bytes
             )
             for i, node_id in enumerate(chosen)
         ]
@@ -115,11 +97,8 @@ class TestPrimitiveFlow:
         layout = dfs_layout(small_bvh)
         leaf_id = small_bvh.leaf_ids()[0]
         unit, memsys = make_unit()
-        ray = RayTask(
-            trace=node_trace(small_bvh, [leaf_id]),
-            bvh=small_bvh,
-            layout=layout,
-            line_bytes=128,
+        ray = ray_task(
+            [leaf_id], small_bvh, layout, 128
         )
         unit.add_warp([ray])
         run(unit, memsys)
@@ -129,11 +108,8 @@ class TestPrimitiveFlow:
     def test_internal_node_no_primitive_fetch(self, small_bvh):
         layout = dfs_layout(small_bvh)
         unit, memsys = make_unit()
-        ray = RayTask(
-            trace=node_trace(small_bvh, [small_bvh.ROOT_ID]),
-            bvh=small_bvh,
-            layout=layout,
-            line_bytes=128,
+        ray = ray_task(
+            [small_bvh.ROOT_ID], small_bvh, layout, 128
         )
         unit.add_warp([ray])
         run(unit, memsys)
@@ -165,11 +141,8 @@ class TestPrefetchArbitration:
         )
         unit, memsys = make_unit(prefetcher=prefetcher)
         unit.add_warp([
-            RayTask(
-                trace=node_trace(small_bvh, [0]),
-                bvh=small_bvh,
-                layout=layout,
-                line_bytes=128,
+            ray_task(
+                [0], small_bvh, layout, 128
             )
         ])
         run(unit, memsys)
@@ -182,11 +155,8 @@ class TestPrefetchArbitration:
         prefetcher = self.CountingPrefetcher([0x9000])
         unit, memsys = make_unit(prefetcher=prefetcher)
         unit.add_warp([
-            RayTask(
-                trace=node_trace(small_bvh, [0]),
-                bvh=small_bvh,
-                layout=layout,
-                line_bytes=128,
+            ray_task(
+                [0], small_bvh, layout, 128
             )
         ])
         run(unit, memsys)
@@ -200,11 +170,8 @@ class TestWarpBufferFlow:
         unit, memsys = make_unit(config)
         for i in range(5):
             unit.add_warp([
-                RayTask(
-                    trace=node_trace(small_bvh, [0], ray_id=i),
-                    bvh=small_bvh,
-                    layout=layout,
-                    line_bytes=128,
+                ray_task(
+                    [0], small_bvh, layout, 128
                 )
             ])
         memsys.flush_due(0)
@@ -219,11 +186,8 @@ class TestWarpBufferFlow:
         layout = dfs_layout(small_bvh)
         unit, memsys = make_unit()
         unit.add_warp([
-            RayTask(
-                trace=node_trace(small_bvh, [0]),
-                bvh=small_bvh,
-                layout=layout,
-                line_bytes=128,
+            ray_task(
+                [0], small_bvh, layout, 128
             )
         ])
         run(unit, memsys)
@@ -233,11 +197,8 @@ class TestWarpBufferFlow:
         layout = dfs_layout(small_bvh)
         unit, memsys = make_unit()
         rays = [
-            RayTask(
-                trace=node_trace(small_bvh, [0], ray_id=i),
-                bvh=small_bvh,
-                layout=layout,
-                line_bytes=128,
+            ray_task(
+                [0], small_bvh, layout, 128
             )
             for i in range(33)
         ]
@@ -271,11 +232,8 @@ class TestStallAccounting:
                 break
         for i, node_id in enumerate(chosen):
             unit.add_warp([
-                RayTask(
-                    trace=node_trace(small_bvh, [node_id], ray_id=i),
-                    bvh=small_bvh,
-                    layout=layout,
-                    line_bytes=line_bytes,
+                ray_task(
+                    [node_id], small_bvh, layout, line_bytes
                 )
             ])
         memsys.flush_due(0)
@@ -291,11 +249,8 @@ class TestStallAccounting:
         layout = dfs_layout(small_bvh)
         unit, memsys = make_unit()
         unit.add_warp([
-            RayTask(
-                trace=node_trace(small_bvh, [0]),
-                bvh=small_bvh,
-                layout=layout,
-                line_bytes=128,
+            ray_task(
+                [0], small_bvh, layout, 128
             )
         ])
         run(unit, memsys)
@@ -318,11 +273,8 @@ class TestVoteVersion:
         unit, memsys = make_unit()
         path = [0] + list(small_bvh.root.child_ids[:1])
         unit.add_warp([
-            RayTask(
-                trace=node_trace(small_bvh, path),
-                bvh=small_bvh,
-                layout=layout,
-                line_bytes=128,
+            ray_task(
+                path, small_bvh, layout, 128
             )
         ])
         initial = unit.vote_version

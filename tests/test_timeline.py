@@ -9,7 +9,7 @@ from conftest import golden_model
 from repro.bvh import dfs_layout
 from repro.core.config import CacheConfig, GpuConfig
 from repro.gpusim import GpuModel, TimelineSampler
-from repro.traversal import traverse_dfs_batch
+from repro.traversal import TraceSet, traverse_dfs_batch
 from repro.geometry import Ray
 
 
@@ -30,7 +30,8 @@ def workload(small_bvh):
             direction=(0.04 * i - 0.8, 0.02 * i - 0.4, -1.0))
         for i in range(40)
     ]
-    return traverse_dfs_batch(rays, small_bvh), small_bvh, dfs_layout(small_bvh)
+    traces = TraceSet.from_traces(traverse_dfs_batch(rays, small_bvh))
+    return traces, small_bvh, dfs_layout(small_bvh)
 
 
 class TestSampler:

@@ -5,6 +5,7 @@ import pytest
 from repro.geometry import Ray
 from repro.traversal import (
     DEFERRED_ORDERS,
+    TraceSet,
     summarize_traces,
     traverse_dfs,
     traverse_dfs_batch,
@@ -130,7 +131,7 @@ class TestSummaries:
     def test_summary_aggregates(self, sphere_bvh):
         rays = [center_ray() for _ in range(4)]
         traces = traverse_dfs_batch(rays, sphere_bvh)
-        summary = summarize_traces(traces)
+        summary = summarize_traces(TraceSet.from_traces(traces))
         assert summary.ray_count == 4
         assert summary.total_nodes == sum(t.nodes_visited for t in traces)
         assert summary.max_nodes == max(t.nodes_visited for t in traces)
@@ -140,6 +141,6 @@ class TestSummaries:
         )
 
     def test_empty_summary(self):
-        summary = summarize_traces([])
+        summary = summarize_traces(TraceSet.from_traces([]))
         assert summary.ray_count == 0
         assert summary.avg_nodes_per_ray == 0.0

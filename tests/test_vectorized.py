@@ -32,6 +32,7 @@ from repro.geometry import AABB, Ray, Triangle
 from repro.queries.workloads import WORKLOAD_SCENE_KIND
 from repro.scenes import ALL_SCENES, QUERY_SCENES, SCENE_KINDS
 from repro.traversal import (
+    TraceSet,
     traverse_dfs_batch,
     traverse_forest_jobs,
     traverse_two_stack_batch,
@@ -77,6 +78,8 @@ def assert_traces_equal(vectorized, scalar):
     assert len(vectorized) == len(scalar)
     for got, want in zip(vectorized, scalar):
         assert trace_signature(got) == trace_signature(want)
+    # The columns the packet driver writes are the scalar traces' columns.
+    assert vectorized == TraceSet.from_traces(scalar)
 
 
 def _random_rays(rng, count):
@@ -356,7 +359,11 @@ class TestBackendEndToEnd:
                 technique, gpu, layout, decomposition
             ),
         )
-        model.load(self._reference("WKND", technique), bvh, layout)
+        model.load(
+            TraceSet.from_traces(self._reference("WKND", technique)),
+            bvh,
+            layout,
+        )
         reference = simstats_to_dict(model.run())
         result = _run_experiment("WKND", technique, SMOKE, use_cache=False)
         clear_caches()

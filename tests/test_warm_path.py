@@ -1,0 +1,54 @@
+"""A warm sweep runs on columns alone.
+
+After a cold ``api.sweep`` has filled the artifact cache, a sweep from
+cleared memos loads every BVH and trace set as arrays and replays them
+without building a node, triangle or trace object, and gives the same
+SimStats bit for bit.
+"""
+
+from repro import api
+from repro.core import build_counts, clear_caches, reset_build_counts
+from repro.core.memo import MEMO
+from repro.core.pipeline import COUNTED_KINDS
+from repro.exec import set_artifact_cache
+from repro.traversal import RayTrace
+
+SCENES = ("SPNZA", "CRNVL")
+
+
+def _sweep():
+    return api.sweep("treelet-prefetch", scenes=SCENES, scale="smoke")
+
+
+def test_warm_sweep_reads_columns_only(tmp_path, monkeypatch):
+    set_artifact_cache(tmp_path)
+    clear_caches()
+    try:
+        cold = _sweep()
+        clear_caches()
+        reset_build_counts()
+        made = []
+        build = RayTrace.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(1)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(RayTrace, "__init__", counted)
+        warm = _sweep()
+        assert build_counts() == dict.fromkeys(COUNTED_KINDS, 0)
+        assert made == []
+        for scene in SCENES:
+            for side in ("baseline", "candidate"):
+                assert (
+                    getattr(warm.outcomes[scene], side).stats
+                    == getattr(cold.outcomes[scene], side).stats
+                ), (scene, side)
+        bvhs = [value for (kind, _), value in MEMO._entries.items()
+                if kind == "bvh"]
+        assert len(bvhs) == len(SCENES)
+        for bvh in bvhs:
+            assert bvh._nodes is None and bvh._triangles is None
+    finally:
+        set_artifact_cache(None)
+        clear_caches()

@@ -2,25 +2,11 @@
 
 import pytest
 
+from conftest import ray_task
 from repro.bvh import dfs_layout
-from repro.gpusim import RayState, RayTask, WarpSlot, select_warp
+from repro.gpusim import RayState, WarpSlot, select_warp
 from repro.gpusim.warp import next_treelets, visit_prims
-from repro.traversal import NodeVisit, RayTrace
 from repro.treelet import form_treelets, treelet_layout
-
-
-def make_trace(node_ids, bvh, ray_id=0):
-    visits = []
-    for node_id in node_ids:
-        node = bvh.node(node_id)
-        visits.append(
-            NodeVisit(
-                node_id=node_id,
-                is_leaf=node.is_leaf,
-                primitive_count=len(node.primitive_ids),
-            )
-        )
-    return RayTrace(ray_id=ray_id, visits=visits)
 
 
 @pytest.fixture
@@ -28,13 +14,8 @@ def layout(small_bvh, decomposition):
     return treelet_layout(decomposition)
 
 
-def make_task(small_bvh, layout, node_ids, ray_id=0):
-    return RayTask(
-        trace=make_trace(node_ids, small_bvh, ray_id),
-        bvh=small_bvh,
-        layout=layout,
-        line_bytes=128,
-    )
+def make_task(small_bvh, layout, node_ids):
+    return ray_task(node_ids, small_bvh, layout, 128)
 
 
 class TestRayTask:
@@ -45,9 +26,9 @@ class TestRayTask:
     def test_advance_walks_visits(self, small_bvh, layout):
         path = [0, small_bvh.root.child_ids[0]]
         task = make_task(small_bvh, layout, path)
-        assert task.current_visit().node_id == 0
+        assert task.current_node_address() == layout.address_of(0)
         task.advance()
-        assert task.current_visit().node_id == path[1]
+        assert task.current_node_address() == layout.address_of(path[1])
         task.advance()
         assert task.done
 
@@ -89,10 +70,10 @@ class TestRayTask:
 
     def test_prims_come_from_the_layout_memo(self, small_bvh, layout):
         """A directly built task and a loaded batch share one tuple per
-        leaf: both read the layout's memo."""
+        leaf: both read the one memo of the layout's primitive lines."""
         leaf_id = small_bvh.leaf_ids()[0]
         first = make_task(small_bvh, layout, [leaf_id])
-        second = make_task(small_bvh, layout, [0, leaf_id], ray_id=1)
+        second = make_task(small_bvh, layout, [0, leaf_id])
         batch = visit_prims([leaf_id], small_bvh, layout, 128)
         assert first.prims[0] is second.prims[1] is batch[0]
 
@@ -121,13 +102,13 @@ class TestRayTask:
 
 class TestWarpSlot:
     def test_initial_counters(self, small_bvh, layout):
-        tasks = [make_task(small_bvh, layout, [0], ray_id=i) for i in range(4)]
+        tasks = [make_task(small_bvh, layout, [0]) for _ in range(4)]
         slot = WarpSlot(0, tasks, entry_cycle=0)
         assert slot.ready_count == 4
         assert not slot.done
 
     def test_done_detection(self, small_bvh, layout):
-        tasks = [make_task(small_bvh, layout, [], ray_id=i) for i in range(2)]
+        tasks = [make_task(small_bvh, layout, []) for _ in range(2)]
         slot = WarpSlot(0, tasks, entry_cycle=0)
         assert slot.done
 

@@ -52,7 +52,7 @@ def main() -> None:
     # 1. Geometry -> 6-wide BVH.
     mesh = build_campsite()
     bvh = build_wide_bvh(
-        mesh.triangles(),
+        mesh,
         config=BuildConfig(max_leaf_size=2),
         branching_factor=3,
         name="campsite",

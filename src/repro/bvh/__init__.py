@@ -1,7 +1,7 @@
 """BVH substrate: builders, wide nodes, layouts, statistics."""
 
 from .builder import (
-    BinaryNode,
+    BinaryTree,
     BuildConfig,
     INTERSECTION_COST,
     SAH_BIN_COUNT,
@@ -23,7 +23,7 @@ from .wide import build_wide_bvh, collapse_to_wide
 __all__ = [
     "BVHArrays",
     "BVH_BASE_ADDRESS",
-    "BinaryNode",
+    "BinaryTree",
     "BuildConfig",
     "FlatBVH",
     "FlatNode",

@@ -18,19 +18,21 @@ build makes, tie rules included: the first cheapest bin of an axis, a
 lower axis on equal cost, axes of zero centroid extent skipped, then
 the median split and, failing that, halving.
 
-Node bounds are plain ``float`` tuples (via ``tolist``), like the rest
-of :mod:`repro.geometry`; numpy scalars would make every pickled BVH
-slower to store and load.
+The input is a :class:`~repro.geometry.TriangleArrays` (a
+:class:`~repro.geometry.Mesh` or a ``Triangle`` sequence is converted
+once), and the output is a :class:`BinaryTree`: each level's node
+bounds, leaf primitive ranges and left-child ids, appended as numpy
+columns.  No per-node object exists at any point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..geometry import AABB, Triangle
+from ..geometry import Mesh, TriangleArrays, triangles_to_arrays
 
 #: Number of bins per axis for the SAH sweep (Embree uses 16-32).
 SAH_BIN_COUNT = 16
@@ -40,40 +42,26 @@ TRAVERSAL_COST = 1.0
 INTERSECTION_COST = 1.5
 
 
-@dataclass
-class BinaryNode:
-    """Node of the intermediate binary BVH."""
+@dataclass(frozen=True, eq=False)
+class BinaryTree:
+    """A binary BVH as columns, its nodes numbered level by level.
 
-    bounds: AABB
-    left: Optional["BinaryNode"] = None
-    right: Optional["BinaryNode"] = None
-    primitive_ids: Tuple[int, ...] = ()
+    The root is node 0, and each level's nodes follow the previous
+    level's.  ``left[n]`` is node ``n``'s left child, whose right
+    sibling is ``left[n] + 1``, or -1 at a leaf.  A leaf's primitive ids
+    are ``prim_ids[prim_offsets[n]:prim_offsets[n] + prim_counts[n]]``
+    (inner nodes count 0).
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    lo: np.ndarray  # [n, 3] float64 node bounds
+    hi: np.ndarray  # [n, 3] float64
+    left: np.ndarray  # [n] int64
+    prim_offsets: np.ndarray  # [n] int64
+    prim_counts: np.ndarray  # [n] int64
+    prim_ids: np.ndarray  # [total_leaf_prims] int64
 
-    def count_nodes(self) -> int:
-        count = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.append(node.left)
-                stack.append(node.right)
-        return count
-
-    def max_depth(self) -> int:
-        deepest = 0
-        stack = [(self, 1)]
-        while stack:
-            node, depth = stack.pop()
-            deepest = max(deepest, depth)
-            if not node.is_leaf:
-                stack.append((node.left, depth + 1))
-                stack.append((node.right, depth + 1))
-        return deepest
+    def __len__(self) -> int:
+        return len(self.left)
 
 
 @dataclass(frozen=True)
@@ -103,23 +91,39 @@ class _BuildArrays:
     centroid: np.ndarray  # (N, 3)
 
 
+def as_triangle_arrays(triangles) -> TriangleArrays:
+    """``triangles`` as :class:`TriangleArrays`: a :class:`Mesh` gives
+    its faces with sequential ids, and a ``Triangle`` sequence is
+    converted once."""
+    if isinstance(triangles, TriangleArrays):
+        return triangles
+    if isinstance(triangles, Mesh):
+        return triangles.triangle_arrays()
+    return triangles_to_arrays(triangles)
+
+
 def build_binary_bvh(
-    triangles: Sequence[Triangle], config: Optional[BuildConfig] = None
-) -> BinaryNode:
-    """Build a binary BVH over ``triangles``.
+    triangles, config: Optional[BuildConfig] = None
+) -> BinaryTree:
+    """Build a binary BVH over ``triangles`` (a :class:`TriangleArrays`,
+    a :class:`Mesh` or a ``Triangle`` sequence).
 
     Triangle ``primitive_id`` values must be unique; leaves store them.
     An empty triangle list yields a single empty leaf.
     """
     config = config or BuildConfig()
-    n = len(triangles)
+    tris = as_triangle_arrays(triangles)
+    n = len(tris)
     if n == 0:
-        return BinaryNode(bounds=AABB.empty(), primitive_ids=())
-    verts = np.array(
-        [[tri.v0, tri.v1, tri.v2] for tri in triangles], dtype=np.float64
-    )  # (N, 3, 3)
+        zero = np.zeros(1, dtype=np.int64)
+        return BinaryTree(
+            lo=np.full((1, 3), np.inf), hi=np.full((1, 3), -np.inf),
+            left=zero - 1, prim_offsets=zero, prim_counts=zero,
+            prim_ids=zero[:0],
+        )
+    verts = np.stack((tris.v0, tris.v1, tris.v2), axis=1)  # (N, 3, 3)
     arrays = _BuildArrays(
-        prim_ids=np.array([tri.primitive_id for tri in triangles]),
+        prim_ids=tris.primitive_ids,
         lo=verts.min(axis=1),
         hi=verts.max(axis=1),
         centroid=verts.mean(axis=1),
@@ -129,48 +133,48 @@ def build_binary_bvh(
     return _build_levels(arrays, config)
 
 
-def _build_levels(arrays: _BuildArrays, config: BuildConfig) -> BinaryNode:
+def _build_levels(arrays: _BuildArrays, config: BuildConfig) -> BinaryTree:
     """Top-down build, one tree level per iteration.
 
     ``order`` lists the primitive indices of every open node of the
     current level, node after node, and ``sizes`` gives each node's
     count.  Every node's result depends only on its own primitives (in
     their order), so building a level at a time yields the same tree
-    as building one node at a time.
+    as building one node at a time.  The ``k``-th inner node of a level
+    splits into the next level's nodes ``2k`` and ``2k + 1``.
     """
-    root = None
-    parents: List[BinaryNode] = []
+    lo, hi, left, counts, prims = [], [], [], [], []
     order = np.arange(len(arrays.prim_ids))
     sizes = np.array([len(order)])
+    level_end = 0  # one past the id of the level's last node
     while True:
         starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-        lo = np.minimum.reduceat(arrays.lo[order], starts).tolist()
-        hi = np.maximum.reduceat(arrays.hi[order], starts).tolist()
-        nodes = [
-            BinaryNode(bounds=AABB(tuple(node_lo), tuple(node_hi)))
-            for node_lo, node_hi in zip(lo, hi)
-        ]
-        if root is None:
-            root = nodes[0]
-        for parent, left, right in zip(parents, nodes[::2], nodes[1::2]):
-            parent.left = left
-            parent.right = right
+        lo.append(np.minimum.reduceat(arrays.lo[order], starts))
+        hi.append(np.maximum.reduceat(arrays.hi[order], starts))
         leaf = sizes <= config.max_leaf_size
-        if leaf.any():
-            prim_ids = arrays.prim_ids[order].tolist()
-            for segment in np.flatnonzero(leaf).tolist():
-                start = int(starts[segment])
-                nodes[segment].primitive_ids = tuple(
-                    prim_ids[start:start + int(sizes[segment])]
-                )
-        if leaf.all():
-            return root
+        in_leaf = np.repeat(leaf, sizes)
+        prims.append(arrays.prim_ids[order[in_leaf]])
+        counts.append(np.where(leaf, sizes, 0))
         inner = ~leaf
-        order = order[np.repeat(inner, sizes)]
+        level_end += len(sizes)
+        level_left = np.full(len(sizes), -1, dtype=np.int64)
+        level_left[inner] = level_end + 2 * np.arange(int(inner.sum()))
+        left.append(level_left)
+        if leaf.all():
+            break
+        order = order[~in_leaf]
         sizes = sizes[inner]
-        parents = [node for node, keep in zip(nodes, inner.tolist()) if keep]
         order, left_sizes = _split_level(arrays, order, sizes, config)
         sizes = np.stack((left_sizes, sizes - left_sizes), axis=1).ravel()
+    prim_counts = np.concatenate(counts).astype(np.int64)
+    return BinaryTree(
+        lo=np.concatenate(lo),
+        hi=np.concatenate(hi),
+        left=np.concatenate(left),
+        prim_offsets=np.cumsum(prim_counts) - prim_counts,
+        prim_counts=prim_counts,
+        prim_ids=np.concatenate(prims).astype(np.int64),
+    )
 
 
 def _split_level(

@@ -82,17 +82,14 @@ def dfs_layout(bvh: FlatBVH, base_address: int = BVH_BASE_ADDRESS) -> NodeLayout
     Depth-first order is what a typical top-down builder writes out and is
     the layout the paper's baseline RT unit traverses.
     """
-    arrays = bvh.arrays
-    child_ids = arrays.child_ids.tolist()
-    ends = (arrays.child_offsets + arrays.child_counts).tolist()
-    starts = arrays.child_offsets.tolist()
+    children = bvh.child_lists()
     order: List[int] = []
     stack = [bvh.ROOT_ID]
     while stack:
         node_id = stack.pop()
         order.append(node_id)
         # Reversed so the first child is visited (and laid out) first.
-        stack.extend(reversed(child_ids[starts[node_id]:ends[node_id]]))
+        stack.extend(reversed(children[node_id]))
     if len(order) != len(bvh):
         raise ValueError("BVH contains unreachable nodes")
     node_address = {

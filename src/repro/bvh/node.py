@@ -6,22 +6,23 @@ spare bytes in that layout carry one "same treelet as parent" bit per child,
 which is how the traversal algorithm decides between the two stacks without
 any extra memory traffic.
 
-This module defines the in-memory (simulator) representation: a flat array
-of :class:`FlatNode` indexed by node id, backed by the tree's column set
-(:mod:`repro.bvh.soa`).  Byte-level addresses are assigned
-separately by a :class:`~repro.bvh.layout.NodeLayout` so the same tree can
-be laid out depth-first (baseline) or treelet-packed (Section 4.4).
+This module defines the in-memory (simulator) representation: the
+tree's column set (:mod:`repro.bvh.soa`) indexed by node id, with
+:class:`FlatNode` objects built from it on request.  Byte-level
+addresses are assigned separately by a
+:class:`~repro.bvh.layout.NodeLayout` so the same tree can be laid out
+depth-first (baseline) or treelet-packed (Section 4.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry import AABB, Triangle
-from .soa import BVHArrays, pack_bvh_arrays
+from ..geometry import AABB, Triangle, Vec3
+from .soa import BVHArrays
 
 #: Size of one BVH node in bytes (Figure 6: fixed 64-byte layout).
 NODE_SIZE_BYTES = 64
@@ -70,43 +71,36 @@ class FlatNode:
 class FlatBVH:
     """A flattened wide BVH over a triangle list.
 
-    ``nodes[0]`` is always the root.  The tree's values live in its
-    column set :attr:`arrays` (:class:`~repro.bvh.soa.BVHArrays`),
-    packed once at construction.  A pickle holds the columns only, and
-    a loaded tree builds its :class:`FlatNode` and :class:`Triangle`
-    objects on first access of :attr:`nodes` or :attr:`triangles`.  The
-    structure is append-only after construction; treelet assignment and
-    memory layout live in separate objects keyed by node id.
+    Node 0 is always the root.  The tree is its column set
+    :attr:`arrays` (:class:`~repro.bvh.soa.BVHArrays`), which the
+    builder writes and a pickle holds.  The :class:`FlatNode` and
+    :class:`Triangle` objects are built on first access of :attr:`nodes`
+    or :attr:`triangles`; the packet traversal's scalar tail reads single
+    boxes and vertex triples (:meth:`box`, :meth:`corners`) and the
+    child and primitive lists instead.  The structure is immutable
+    after construction; treelet assignment and memory layout live in
+    separate objects keyed by node id.
     """
 
     ROOT_ID = 0
 
-    def __init__(
-        self,
-        nodes: Sequence[FlatNode],
-        triangles: Sequence[Triangle],
-        name: str = "bvh",
-    ) -> None:
-        if not nodes:
+    def __init__(self, arrays: BVHArrays, name: str = "bvh") -> None:
+        if arrays.node_count == 0:
             raise ValueError("a BVH must have at least a root node")
-        for index, node in enumerate(nodes):
-            if node.node_id != index:
-                raise ValueError("node_id must equal list index")
         self.name = name
-        self._nodes: Optional[List[FlatNode]] = list(nodes)
-        self._triangles: Optional[List[Triangle]] = list(triangles)
-        self.arrays = pack_bvh_arrays(self._nodes, self._triangles)
+        self.arrays = arrays
+        self._nodes: Optional[List[FlatNode]] = None
+        self._triangles: Optional[List[Triangle]] = None
 
     def __getstate__(self) -> dict:
         # Derived data memoized on the instance (the packet-traversal
-        # statics, the tree statistics, the replay's primitive lines) and
+        # statics, the tree statistics, the replay's primitive lines, the
+        # child and primitive lists, single boxes and vertex triples) and
         # the object form stay behind.
         return {"name": self.name, **self.arrays.columns()}
 
     def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self._nodes = self._triangles = None
-        self.arrays = BVHArrays.from_columns(state)
+        self.__init__(BVHArrays.from_columns(state), state["name"])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlatBVH):
@@ -147,6 +141,58 @@ class FlatBVH:
     def node(self, node_id: int) -> FlatNode:
         return self.nodes[node_id]
 
+    def box(self, node_id: int) -> AABB:
+        """Node ``node_id``'s bounds, built alone (and kept): equal to
+        ``nodes[node_id].bounds`` without building :attr:`nodes`."""
+        made = self.__dict__.setdefault("_boxes", {})
+        box = made.get(node_id)
+        if box is None:
+            box = made[node_id] = AABB(
+                tuple(self.arrays.node_lo[node_id].tolist()),
+                tuple(self.arrays.node_hi[node_id].tolist()),
+            )
+        return box
+
+    def corners(self, position: int) -> Tuple[Vec3, Vec3, Vec3]:
+        """The vertices of ``triangles[position]``, built alone (and
+        kept), without building :attr:`triangles`."""
+        made = self.__dict__.setdefault("_corners", {})
+        corners = made.get(position)
+        if corners is None:
+            t = self.arrays.triangles
+            corners = made[position] = (
+                tuple(t.v0[position].tolist()),
+                tuple(t.v1[position].tolist()),
+                tuple(t.v2[position].tolist()),
+            )
+        return corners
+
+    def child_lists(self) -> List[List[int]]:
+        """Per node, its child ids: the child CSR as int lists, derived
+        once per tree."""
+        a = self.arrays
+        return self._csr_lists(
+            "_child_lists", a.child_ids, a.child_offsets, a.child_counts
+        )
+
+    def prim_lists(self) -> List[List[int]]:
+        """Per node, its primitive ids (empty for an inner node), derived
+        once per tree."""
+        a = self.arrays
+        return self._csr_lists(
+            "_prim_lists", a.prim_ids, a.prim_offsets, a.prim_counts
+        )
+
+    def _csr_lists(self, attr, ids, offsets, counts) -> List[List[int]]:
+        cached = self.__dict__.get(attr)
+        if cached is None:
+            flat = ids.tolist()
+            cached = self.__dict__[attr] = [
+                flat[start:start + count]
+                for start, count in zip(offsets.tolist(), counts.tolist())
+            ]
+        return cached
+
     @property
     def root(self) -> FlatNode:
         return self.nodes[self.ROOT_ID]
@@ -169,36 +215,39 @@ class FlatBVH:
         return len(self.arrays.triangles) * PRIMITIVE_SIZE_BYTES
 
     def validate(self) -> None:
-        """Check structural invariants; raises ``ValueError`` on violation.
+        """Check structural invariants on the columns; raises
+        ``ValueError`` on violation.
 
         Invariants checked:
-          * every non-root node has exactly one parent and is reachable;
-          * parent/child links agree; depths increase by one along edges;
+          * every non-root node is exactly one node's child;
+          * parent links agree; depths increase by one along edges;
+          * no node is both internal and a leaf, or has more than
+            ``MAX_CHILDREN`` children;
           * every triangle is referenced by exactly one leaf;
           * every child's bounds are contained in its parent's bounds.
         """
-        seen_children = set()
-        seen_primitives: dict = {}
-        for node in self.nodes:
-            for child_id in node.child_ids:
-                if child_id in seen_children:
-                    raise ValueError(f"node {child_id} has two parents")
-                seen_children.add(child_id)
-                child = self.nodes[child_id]
-                if child.parent_id != node.node_id:
-                    raise ValueError(f"bad parent link at node {child_id}")
-                if child.depth != node.depth + 1:
-                    raise ValueError(f"bad depth at node {child_id}")
-                if not node.bounds.expanded(1e-9).contains_box(child.bounds):
-                    raise ValueError(
-                        f"child {child_id} bounds escape parent {node.node_id}"
-                    )
-            for prim_id in node.primitive_ids:
-                if prim_id in seen_primitives:
-                    raise ValueError(f"primitive {prim_id} in two leaves")
-                seen_primitives[prim_id] = node.node_id
-        if len(seen_children) != len(self.nodes) - 1:
-            raise ValueError("unreachable nodes present")
-        expected = {tri.primitive_id for tri in self.triangles}
-        if set(seen_primitives) != expected:
+        a = self.arrays
+        kids = a.child_ids
+        owner = np.repeat(np.arange(len(self)), a.child_counts)
+        if sorted(kids.tolist()) != list(range(1, len(self))):
+            raise ValueError("a node has two parents or none")
+        if a.parent[0] != -1 or (a.parent[kids] != owner).any():
+            raise ValueError("bad parent link")
+        if (a.depth[kids] != a.depth[owner] + 1).any():
+            raise ValueError("bad depth")
+        if ((a.child_counts > 0) & (a.prim_counts > 0)).any():
+            raise ValueError("a node cannot be both internal and leaf")
+        if (a.child_counts > MAX_CHILDREN).any():
+            raise ValueError(f"a node has more than {MAX_CHILDREN} children")
+        # ``AABB.expanded(1e-9).contains_box`` per edge; an empty child
+        # is contained by any parent.
+        lo, hi = a.node_lo[kids], a.node_hi[kids]
+        inside = (a.node_lo[owner] - 1e-9 <= lo) & (
+            hi <= a.node_hi[owner] + 1e-9
+        )
+        if not (inside.all(axis=1) | (lo > hi).any(axis=1)).all():
+            raise ValueError("a child's bounds escape its parent's")
+        if sorted(a.prim_ids.tolist()) != sorted(
+            a.triangles.primitive_ids.tolist()
+        ):
             raise ValueError("leaves do not cover the triangle set exactly")

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..geometry import TriangleArrays, triangles_to_arrays
+from ..geometry import TriangleArrays
 
 #: The node columns a pickle holds (``is_leaf`` and the triangle edges
 #: are derived on load).
@@ -53,6 +53,10 @@ class BVHArrays:
     is_leaf: np.ndarray = field(init=False, repr=False)  # [num_nodes] bool
 
     def __post_init__(self) -> None:
+        rows = {len(getattr(self, name)) for name in NODE_COLUMNS
+                if name not in ("child_ids", "prim_ids")}
+        if len(rows) != 1:
+            raise ValueError("node columns must have one row per node")
         object.__setattr__(self, "is_leaf", self.child_counts == 0)
 
     @property
@@ -90,29 +94,12 @@ def runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return offsets + np.arange(len(offsets))
 
 
-def pack_bvh_arrays(nodes, triangles) -> BVHArrays:
-    """Pack a node list and its triangles into a fresh :class:`BVHArrays`."""
-    n = len(nodes)
-    child_counts = np.fromiter(
-        (len(node.child_ids) for node in nodes), np.int64, n
+def surface_areas(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:meth:`AABB.surface_area <repro.geometry.AABB.surface_area>` of
+    every ``[n, 3]`` box row, with its operations in its order (so each
+    value equals the object's bit for bit); empty boxes have area 0."""
+    ext = hi - lo
+    area = 2.0 * (
+        ext[:, 0] * ext[:, 1] + ext[:, 1] * ext[:, 2] + ext[:, 2] * ext[:, 0]
     )
-    prim_counts = np.fromiter(
-        (len(node.primitive_ids) for node in nodes), np.int64, n
-    )
-    return BVHArrays(
-        node_lo=np.array([node.bounds.lo for node in nodes], np.float64),
-        node_hi=np.array([node.bounds.hi for node in nodes], np.float64),
-        child_offsets=np.cumsum(child_counts) - child_counts,
-        child_counts=child_counts,
-        child_ids=np.fromiter(
-            (c for node in nodes for c in node.child_ids), np.int64
-        ),
-        prim_offsets=np.cumsum(prim_counts) - prim_counts,
-        prim_counts=prim_counts,
-        prim_ids=np.fromiter(
-            (p for node in nodes for p in node.primitive_ids), np.int64
-        ),
-        parent=np.fromiter((node.parent_id for node in nodes), np.int64, n),
-        depth=np.fromiter((node.depth for node in nodes), np.int64, n),
-        triangles=triangles_to_arrays(triangles),
-    )
+    return np.where((lo > hi).any(axis=1), 0.0, area)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+import numpy as np
+
 from .node import FlatBVH
 
 
@@ -54,10 +56,7 @@ def compute_tree_stats(bvh: FlatBVH) -> TreeStats:
 
 def nodes_per_level(bvh: FlatBVH) -> Dict[int, int]:
     """Histogram of node counts by depth (root depth = 0)."""
-    histogram: Dict[int, int] = {}
-    for node in bvh.nodes:
-        histogram[node.depth] = histogram.get(node.depth, 0) + 1
-    return histogram
+    return dict(enumerate(np.bincount(bvh.arrays.depth).tolist()))
 
 
 def sah_cost(

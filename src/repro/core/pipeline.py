@@ -8,13 +8,15 @@ prefetcher, heuristic, scheduler, voter, treelet size);
 traversal statistics.
 
 Every intermediate artifact (built scenes, BVHs, ray populations,
-query plans, treelet decompositions, traces) and every result is
-memoized in the one bounded process-wide LRU
+query plans, treelet decompositions, node layouts, traces) and every
+result is memoized in the one bounded process-wide LRU
 (:data:`repro.core.memo.MEMO`), so a parameter sweep over one scene
 pays scene/BVH construction once.  An artifact's memo key is the same
 fingerprint it has in the on-disk artifact cache
 (:mod:`repro.exec.cache`), which the memo falls back to before
-building; a result's key is :meth:`Job.key`.
+building; a node layout (memory only) is keyed by its tree's
+fingerprint and the technique's layout fields, and a result by
+:meth:`Job.key`.
 """
 
 from __future__ import annotations
@@ -395,7 +397,7 @@ def get_bvh(scene_name: str, scale: Scale) -> FlatBVH:
         "bvh",
         _bvh_key(scene_name, scale),
         lambda: build_wide_bvh(
-            get_scene(scene_name, scale).mesh.triangles(),
+            get_scene(scene_name, scale).mesh,
             config=DEFAULT_BUILD,
             branching_factor=DEFAULT_BRANCHING,
             name=scene_name,
@@ -626,8 +628,21 @@ def _prefetcher_factory(
     return lambda _sm: simple()
 
 
+def _layout_key(scene_name: str, scale: Scale, technique: Technique) -> tuple:
+    """The tree's key and the technique's fields its layout reads."""
+    key = (_bvh_key(scene_name, scale), technique.layout,
+           technique.layout_stride)
+    if technique.uses_treelets:
+        key += (technique.treelet_bytes, technique.formation)
+    return key
+
+
 def _tree(scene_name: str, technique: Technique, scale: Scale):
-    """``(bvh, decomposition, layout)`` of ``technique`` on a scene."""
+    """``(bvh, decomposition, layout)`` of ``technique`` on a scene.
+
+    The layout is memoized like the tree it lays out; it is complete
+    (``node_treelet`` included) before it is stored and never mutated
+    after."""
     bvh = get_bvh(scene_name, scale)
     decomposition = (
         get_decomposition(
@@ -636,7 +651,12 @@ def _tree(scene_name: str, technique: Technique, scale: Scale):
         if technique.uses_treelets
         else None
     )
-    return bvh, decomposition, _build_layout(technique, bvh, decomposition)
+    layout = MEMO.get_or_build(
+        "layout",
+        _layout_key(scene_name, scale, technique),
+        lambda: _build_layout(technique, bvh, decomposition),
+    )
+    return bvh, decomposition, layout
 
 
 def _model(gpu: GpuConfig, technique: Technique, layout: NodeLayout,

@@ -1,7 +1,8 @@
 """Triangle mesh container with simple transform and merge utilities.
 
 The procedural scene generators emit :class:`Mesh` objects built from
-numpy vertex/index arrays; the BVH builder consumes the triangle list.
+numpy vertex/index arrays; the BVH builder consumes their
+:meth:`Mesh.triangle_arrays`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .aabb import AABB, union_all
-from .triangle import Triangle
+from .triangle import Triangle, TriangleArrays
 from .vec import Vec3
 
 
@@ -48,23 +49,18 @@ class Mesh:
         return int(len(self.faces))
 
     def triangles(self, id_offset: int = 0) -> List[Triangle]:
-        """Materialize :class:`Triangle` objects with sequential ids.
+        """Materialize :class:`Triangle` objects with sequential ids, with
+        plain-``float`` components as :mod:`repro.geometry.vec` promises."""
+        return self.triangle_arrays(id_offset).triangles()
 
-        Vertices go through ``tolist`` so every component is a plain
-        ``float``, as :mod:`repro.geometry.vec` promises.
-        """
-        tris = []
-        verts = self.vertices.tolist()
-        for i, (a, b, c) in enumerate(self.faces.tolist()):
-            tris.append(
-                Triangle(
-                    tuple(verts[a]),
-                    tuple(verts[b]),
-                    tuple(verts[c]),
-                    primitive_id=id_offset + i,
-                )
-            )
-        return tris
+    def triangle_arrays(self, id_offset: int = 0) -> TriangleArrays:
+        """The faces as :class:`TriangleArrays` with sequential ids: the
+        values :meth:`triangles` holds, without the objects."""
+        corners = self.vertices[self.faces.reshape(-1, 3)]  # (F, 3, 3)
+        return TriangleArrays(
+            corners[:, 0].copy(), corners[:, 1].copy(), corners[:, 2].copy(),
+            np.arange(id_offset, id_offset + len(corners), dtype=np.int64),
+        )
 
     def bounds(self) -> AABB:
         if not len(self.vertices):

@@ -2,9 +2,10 @@
 
 The paper renders at 1 sample per pixel and stresses that *secondary*
 rays (shadow / diffuse-bounce) are what make BVH accesses divergent.  We
-reproduce that population: a camera pass generates primary rays, a cheap
-functional DFS pass finds their hit points, and from each hit we spawn a
-shadow ray toward the light and a cosine-ish random bounce ray.
+reproduce that population: a camera pass generates primary rays, a
+packet DFS pass over each bounce frontier finds their hit points, and
+from each hit we spawn a shadow ray toward the light and a cosine-ish
+random bounce ray.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from ..bvh import FlatBVH
 from ..geometry import Ray, RayKind, Vec3, add, cross, dot, mul, normalize
-from ..traversal import traverse_dfs
+from ..traversal import traverse_dfs_packet
 from .camera import Camera
 
 
@@ -92,16 +93,20 @@ def generate_rays(
     frontier = primaries
     for _bounce in range(config.bounces):
         next_frontier: List[Ray] = []
-        for ray in frontier:
-            trace = traverse_dfs(ray.clone(), bvh)
-            if trace.hit is None:
+        traces = traverse_dfs_packet([ray.clone() for ray in frontier], bvh)
+        for ray, hit, point, normal in zip(
+            frontier,
+            traces.hit_mask.tolist(),
+            traces.hit_point.tolist(),
+            traces.hit_normal.tolist(),
+        ):
+            if not hit:
                 continue
-            hit = trace.hit
             # Face the normal toward the incoming ray.
-            normal = hit.normal
+            normal = tuple(normal)
             if dot(normal, ray.direction) > 0.0:
                 normal = mul(normal, -1.0)
-            origin = add(hit.point, mul(normal, 1e-3))
+            origin = add(tuple(point), mul(normal, 1e-3))
             bounce_dir = _hemisphere_direction(normal, rng)
             bounce = Ray(
                 origin=origin, direction=bounce_dir, kind=RayKind.SECONDARY

@@ -42,7 +42,7 @@ from ..core.memo import MEMO
 from ..geometry import Ray, rays_to_arrays
 from ..geometry.vec import EPSILON
 from ..treelet import TreeletDecomposition
-from .intersect import _TRI_EPSILON, ray_aabb_test, ray_triangle_test
+from .intersect import _TRI_EPSILON, ray_aabb_test, ray_triangle_t
 from .trace import TraceSet
 from .two_stack import DEFERRED_ORDERS, _DeferredTreelets
 
@@ -885,9 +885,14 @@ def _finish_lane_scalar(
     one).  Appends each visited node id to ``visits`` and returns
     ``(box_tests, primitive_tests, winner)``: the tests run here and
     the triangle position of the closest hit found here, if any.
+    It reads the tree's child and primitive lists, and builds only the
+    boxes and vertex triples it tests (:meth:`FlatBVH.box`,
+    :meth:`FlatBVH.corners`): no node or triangle object.
     """
-    nodes = bvh.nodes
-    triangles = bvh.triangles
+    children = bvh.child_lists()
+    prims = bvh.prim_lists()
+    box = bvh.box
+    corners = bvh.corners
     box_tests = primitive_tests = 0
     winner = None
     while stack or (deferred is not None and deferred):
@@ -896,29 +901,29 @@ def _finish_lane_scalar(
         node_id, t_enter = stack.pop()
         if t_enter >= ray.t_max:
             continue
-        node = nodes[node_id]
         visits.append(node_id)
-        if node.is_leaf:
-            for prim_id in node.primitive_ids:
+        child_ids = children[node_id]
+        if not child_ids:
+            for prim_id in prims[node_id]:
                 primitive_tests += 1
-                hit = ray_triangle_test(ray, triangles[prim_id])
-                if hit is not None and (best_t is None or hit.t < best_t):
-                    best_t = hit.t
+                t = ray_triangle_t(ray, *corners(prim_id))
+                if t is not None and (best_t is None or t < best_t):
+                    best_t = t
                     winner = prim_id
-                    ray.t_max = hit.t
+                    ray.t_max = t
             continue
         near_hits: List[Tuple[float, int]] = []
         if assignment is None:
-            for child_id in node.child_ids:
+            for child_id in child_ids:
                 box_tests += 1
-                overlap = ray_aabb_test(ray, nodes[child_id].bounds)
+                overlap = ray_aabb_test(ray, box(child_id))
                 if overlap is not None:
                     near_hits.append((overlap[0], child_id))
         else:
             treelet_id = assignment[node_id]
-            for child_id in node.child_ids:
+            for child_id in child_ids:
                 box_tests += 1
-                overlap = ray_aabb_test(ray, nodes[child_id].bounds)
+                overlap = ray_aabb_test(ray, box(child_id))
                 if overlap is None:
                     continue
                 if assignment[child_id] == treelet_id:

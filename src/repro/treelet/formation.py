@@ -18,9 +18,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..bvh import NODE_SIZE_BYTES, FlatBVH
+from ..bvh.soa import surface_areas
 
 #: Treelet size the paper uses for its headline results.
 DEFAULT_TREELET_BYTES = 512
@@ -80,10 +81,10 @@ class TreeletDecomposition:
         This is the only per-node metadata the traversal algorithm needs,
         and it fits in the node's two spare bytes.
         """
-        node = self.bvh.node(node_id)
         mine = self.assignment[node_id]
         return tuple(
-            self.assignment[child_id] == mine for child_id in node.child_ids
+            self.assignment[child_id] == mine
+            for child_id in self.bvh.child_lists()[node_id]
         )
 
     def occupancy(self) -> float:
@@ -105,6 +106,7 @@ class TreeletDecomposition:
         (except the BVH root).
         """
         seen: Dict[int, int] = {}
+        parents = self.bvh.arrays.parent.tolist()
         for treelet in self.treelets:
             if treelet.size_bytes > self.max_bytes:
                 raise ValueError(
@@ -119,7 +121,7 @@ class TreeletDecomposition:
                 seen[node_id] = treelet.treelet_id
                 if self.assignment.get(node_id) != treelet.treelet_id:
                     raise ValueError("assignment disagrees with membership")
-                parent = self.bvh.node(node_id).parent_id
+                parent = parents[node_id]
                 if node_id == treelet.root_id:
                     if parent != -1 and self.assignment[parent] == treelet.treelet_id:
                         raise ValueError(
@@ -168,6 +170,11 @@ def form_treelets(
     if strategy not in FORMATION_STRATEGIES:
         raise ValueError(f"unknown formation strategy {strategy!r}")
     max_nodes = max_bytes // NODE_SIZE_BYTES
+    children = bvh.child_lists()
+    areas = (
+        surface_areas(bvh.arrays.node_lo, bvh.arrays.node_hi).tolist()
+        if strategy == "sah" else None
+    )
     assignment: Dict[int, int] = {}
     treelets: List[Treelet] = []
     pending = deque([bvh.ROOT_ID])
@@ -175,7 +182,7 @@ def form_treelets(
         root_id = pending.popleft()
         treelet_id = len(treelets)
         members, leftover = _fill_one_treelet(
-            bvh, root_id, max_nodes, strategy
+            children, areas, root_id, max_nodes, strategy
         )
         for node_id in members:
             assignment[node_id] = treelet_id
@@ -187,12 +194,17 @@ def form_treelets(
 
 
 def _fill_one_treelet(
-    bvh: FlatBVH, root_id: int, max_nodes: int, strategy: str
+    children: List[List[int]],
+    areas: Optional[List[float]],
+    root_id: int,
+    max_nodes: int,
+    strategy: str,
 ) -> Tuple[List[int], List[int]]:
     """Grow one treelet from ``root_id``; returns (members, leftover roots).
 
-    Leftovers are returned in a deterministic order so decompositions
-    are stable across runs.
+    ``children`` holds each node's child ids and ``areas`` its surface
+    area (``"sah"`` only).  Leftovers are returned in a deterministic
+    order so decompositions are stable across runs.
     """
     members: List[int] = []
     if strategy == "bfs":
@@ -200,7 +212,7 @@ def _fill_one_treelet(
         while frontier and len(members) < max_nodes:
             node_id = frontier.popleft()
             members.append(node_id)
-            frontier.extend(bvh.node(node_id).child_ids)
+            frontier.extend(children[node_id])
         return members, list(frontier)
     if strategy == "dfs":
         stack = [root_id]
@@ -208,19 +220,15 @@ def _fill_one_treelet(
             node_id = stack.pop()
             members.append(node_id)
             # Reversed so the first child is absorbed first.
-            stack.extend(reversed(bvh.node(node_id).child_ids))
+            stack.extend(reversed(children[node_id]))
         return members, list(reversed(stack))
     # "sah": max-heap on surface area (ties broken by node id for
     # determinism); absorb the largest box on the frontier each step.
-    heap: List[Tuple[float, int]] = [
-        (-bvh.node(root_id).bounds.surface_area(), root_id)
-    ]
+    heap: List[Tuple[float, int]] = [(-areas[root_id], root_id)]
     while heap and len(members) < max_nodes:
         _, node_id = heapq.heappop(heap)
         members.append(node_id)
-        for child_id in bvh.node(node_id).child_ids:
-            heapq.heappush(
-                heap, (-bvh.node(child_id).bounds.surface_area(), child_id)
-            )
+        for child_id in children[node_id]:
+            heapq.heappush(heap, (-areas[child_id], child_id))
     leftover = [node_id for _, node_id in sorted(heap)]
     return members, leftover

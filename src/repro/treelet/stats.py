@@ -28,14 +28,14 @@ class TreeletStats:
 
 
 def compute_treelet_stats(decomposition: TreeletDecomposition) -> TreeletStats:
-    bvh = decomposition.bvh
+    depth = decomposition.bvh.arrays.depth.tolist()
     cap = decomposition.max_nodes_per_treelet
     counts = [treelet.node_count for treelet in decomposition.treelets]
     root_depths = []
     spans = []
     for treelet in decomposition.treelets:
-        depths = [bvh.node(n).depth for n in treelet.node_ids]
-        root_depths.append(bvh.node(treelet.root_id).depth)
+        depths = [depth[n] for n in treelet.node_ids]
+        root_depths.append(depth[treelet.root_id])
         spans.append(max(depths) - min(depths) + 1)
     n = len(counts)
     return TreeletStats(

@@ -131,6 +131,16 @@ def ray_task(node_ids, bvh, layout, line_bytes=128) -> RayTask:
     )
 
 
+def binary_levels(tree) -> int:
+    """Depth in levels of a :class:`repro.bvh.BinaryTree` (a lone root
+    has 1); ids are level-ordered, so parents come before children."""
+    depth = [1] * len(tree)
+    for node, first in enumerate(tree.left.tolist()):
+        if first >= 0:
+            depth[first] = depth[first + 1] = depth[node] + 1
+    return max(depth)
+
+
 def make_triangles(n: int = 64, seed: int = 7):
     """A deterministic clustered triangle soup as Triangle objects."""
     mesh = soup(n, extent=8.0, tri_size=0.4, seed=seed, clusters=4)

@@ -3,23 +3,31 @@
 import pytest
 
 from repro.bvh import BuildConfig, build_binary_bvh
-from repro.geometry import Triangle
+from repro.geometry import AABB, Triangle
+from repro.scenes import soup
 
-from conftest import make_triangles
+from conftest import binary_levels, make_triangles
 
 
-def leaf_primitive_ids(root):
-    """All primitive ids stored in leaves, via explicit stack."""
-    ids = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            ids.extend(node.primitive_ids)
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
-    return ids
+def leaf_primitives(tree, node):
+    start = int(tree.prim_offsets[node])
+    return tuple(tree.prim_ids[start:start + tree.prim_counts[node]].tolist())
+
+
+def leaf_primitive_ids(tree):
+    """All primitive ids stored in the tree's leaves."""
+    return [
+        pid for node in range(len(tree)) if tree.left[node] < 0
+        for pid in leaf_primitives(tree, node)
+    ]
+
+
+def bounds(tree, node):
+    return AABB(tuple(tree.lo[node].tolist()), tuple(tree.hi[node].tolist()))
+
+
+def inner_nodes(tree):
+    return [node for node in range(len(tree)) if not tree.left[node] < 0]
 
 
 class TestBuildConfig:
@@ -40,47 +48,37 @@ class TestBuildBasics:
     @pytest.mark.parametrize("strategy", ["sah", "median"])
     def test_every_triangle_in_exactly_one_leaf(self, strategy):
         tris = make_triangles(50)
-        root = build_binary_bvh(tris, BuildConfig(strategy=strategy))
-        ids = leaf_primitive_ids(root)
+        tree = build_binary_bvh(tris, BuildConfig(strategy=strategy))
+        ids = leaf_primitive_ids(tree)
         assert sorted(ids) == sorted(t.primitive_id for t in tris)
 
     @pytest.mark.parametrize("strategy", ["sah", "median"])
     def test_leaf_size_respected(self, strategy):
         tris = make_triangles(80)
         config = BuildConfig(max_leaf_size=3, strategy=strategy)
-        root = build_binary_bvh(tris, config)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                assert len(node.primitive_ids) <= 3
-            else:
-                stack.extend([node.left, node.right])
+        tree = build_binary_bvh(tris, config)
+        assert tree.prim_counts.max() <= 3
+        assert (tree.prim_counts[tree.left >= 0] == 0).all()
 
     def test_bounds_contain_children(self):
         tris = make_triangles(60)
-        root = build_binary_bvh(tris)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                assert node.bounds.expanded(1e-9).contains_box(
-                    node.left.bounds
-                )
-                assert node.bounds.expanded(1e-9).contains_box(
-                    node.right.bounds
-                )
-                stack.extend([node.left, node.right])
+        tree = build_binary_bvh(tris)
+        for node in inner_nodes(tree):
+            outer = bounds(tree, node).expanded(1e-9)
+            first = int(tree.left[node])
+            assert outer.contains_box(bounds(tree, first))
+            assert outer.contains_box(bounds(tree, first + 1))
 
     def test_empty_input_gives_empty_leaf(self):
-        root = build_binary_bvh([])
-        assert root.is_leaf and root.primitive_ids == ()
-        assert root.bounds.is_empty()
+        tree = build_binary_bvh([])
+        assert len(tree) == 1 and tree.left[0] < 0
+        assert leaf_primitives(tree, 0) == ()
+        assert bounds(tree, 0).is_empty()
 
     def test_single_triangle(self):
         tri = Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 42)
-        root = build_binary_bvh([tri])
-        assert root.is_leaf and root.primitive_ids == (42,)
+        tree = build_binary_bvh([tri])
+        assert len(tree) == 1 and leaf_primitives(tree, 0) == (42,)
 
     def test_duplicate_primitive_ids_rejected(self):
         tri = Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1)
@@ -95,8 +93,8 @@ class TestDegenerateInputs:
             Triangle((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), i)
             for i in range(10)
         ]
-        root = build_binary_bvh(tris, BuildConfig(max_leaf_size=2))
-        assert sorted(leaf_primitive_ids(root)) == list(range(10))
+        tree = build_binary_bvh(tris, BuildConfig(max_leaf_size=2))
+        assert sorted(leaf_primitive_ids(tree)) == list(range(10))
 
     def test_collinear_centroids(self):
         tris = [
@@ -108,8 +106,31 @@ class TestDegenerateInputs:
             )
             for i in range(16)
         ]
-        root = build_binary_bvh(tris, BuildConfig(max_leaf_size=2))
-        assert sorted(leaf_primitive_ids(root)) == list(range(16))
+        tree = build_binary_bvh(tris, BuildConfig(max_leaf_size=2))
+        assert sorted(leaf_primitive_ids(tree)) == list(range(16))
+
+
+class TestColumns:
+    def test_children_follow_their_parent(self):
+        """Level-order ids: a node's two children are adjacent and come
+        after it, and every node but the root is one node's child."""
+        tree = build_binary_bvh(
+            make_triangles(90), BuildConfig(max_leaf_size=2)
+        )
+        inner = inner_nodes(tree)
+        firsts = [int(tree.left[node]) for node in inner]
+        assert all(first > node for first, node in zip(firsts, inner))
+        children = sorted(c for first in firsts for c in (first, first + 1))
+        assert children == list(range(1, len(tree)))
+
+    def test_mesh_and_triangles_build_the_same_tree(self):
+        mesh = soup(120, extent=8.0, tri_size=0.4, seed=5, clusters=3)
+        from_mesh = build_binary_bvh(mesh)
+        from_objects = build_binary_bvh(mesh.triangles())
+        for column in ("lo", "hi", "left", "prim_offsets", "prim_counts",
+                       "prim_ids"):
+            assert (getattr(from_mesh, column)
+                    == getattr(from_objects, column)).all(), column
 
 
 class TestSahQuality:
@@ -117,14 +138,10 @@ class TestSahQuality:
         """SAH should produce a tree with smaller (or equal) total area."""
         tris = make_triangles(200, seed=3)
 
-        def total_area(node):
-            stack, acc = [node], 0.0
-            while stack:
-                n = stack.pop()
-                acc += n.bounds.surface_area()
-                if not n.is_leaf:
-                    stack.extend([n.left, n.right])
-            return acc
+        def total_area(tree):
+            return sum(
+                bounds(tree, node).surface_area() for node in range(len(tree))
+            )
 
         sah = build_binary_bvh(tris, BuildConfig(strategy="sah"))
         median = build_binary_bvh(tris, BuildConfig(strategy="median"))
@@ -132,12 +149,12 @@ class TestSahQuality:
 
     def test_node_count_bounds(self):
         tris = make_triangles(100)
-        root = build_binary_bvh(tris, BuildConfig(max_leaf_size=1))
-        count = root.count_nodes()
+        tree = build_binary_bvh(tris, BuildConfig(max_leaf_size=1))
+        count = len(tree)
         # A binary tree over n leaves has between n and 2n-1 nodes.
         assert 100 <= count <= 2 * 100 - 1 + 100  # allow degenerate splits
 
     def test_max_depth_reasonable(self):
         tris = make_triangles(128)
-        root = build_binary_bvh(tris)
-        assert root.max_depth() <= 64
+        tree = build_binary_bvh(tris)
+        assert binary_levels(tree) <= 64

@@ -1,0 +1,121 @@
+"""A cold sweep runs on columns alone.
+
+From empty memos and an empty artifact cache, ``api.sweep`` builds
+every BVH from the scene's vertex and face arrays, forms treelets,
+spawns bounce rays and traces them without building a node, triangle
+or binary-node object, and gives the same SimStats as a warm rerun.
+The objects the packet traversal's scalar tail does build, one box or
+vertex triple at a time, equal the object form's.
+"""
+
+import pickle
+
+import pytest
+
+from repro import api
+from repro import bvh as bvh_module
+from repro.bvh import FlatNode, build_wide_bvh
+from repro.core import clear_caches
+from repro.core.memo import MEMO
+from repro.exec import set_artifact_cache
+from repro.geometry import Triangle
+from repro.scenes import build_scene
+
+SCENES = ("SPNZA", "CRNVL")
+
+
+def _sweep():
+    return api.sweep("treelet-prefetch", scenes=SCENES, scale="smoke")
+
+
+def test_cold_sweep_builds_no_node_or_triangle_object(tmp_path, monkeypatch):
+    set_artifact_cache(tmp_path)
+    clear_caches()
+    made = []
+    for cls in (FlatNode, Triangle):
+        monkeypatch.setattr(cls, "__init__", _counted(cls, made))
+    try:
+        cold = _sweep()
+        assert made == []
+        bvhs = [value for (kind, _), value in MEMO._entries.items()
+                if kind == "bvh"]
+        assert len(bvhs) == len(SCENES)
+        for tree in bvhs:
+            assert tree._nodes is None and tree._triangles is None
+        # The warm rerun loads the cold run's columns from disk.
+        clear_caches()
+        warm = _sweep()
+        for scene in SCENES:
+            for side in ("baseline", "candidate"):
+                assert (
+                    getattr(warm.outcomes[scene], side).stats
+                    == getattr(cold.outcomes[scene], side).stats
+                ), (scene, side)
+    finally:
+        set_artifact_cache(None)
+        clear_caches()
+    assert not hasattr(bvh_module, "BinaryNode")
+
+
+def _counted(cls, made):
+    build = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(cls.__name__)
+        build(self, *args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("scene", SCENES)
+def test_single_items_equal_the_object_form(scene):
+    """``box``/``corners`` and the child and primitive lists read off a
+    tree that never built its objects equal ``nodes[i]`` and
+    ``triangles[i]`` of one that did."""
+    mesh = build_scene(scene, 0.05).mesh
+    columns_only = pickle.loads(pickle.dumps(build_wide_bvh(mesh)))
+    objects = build_wide_bvh(mesh)
+    children = columns_only.child_lists()
+    prims = columns_only.prim_lists()
+    for i, node in enumerate(objects.nodes):
+        assert columns_only.box(i) == node.bounds
+        assert tuple(children[i]) == node.child_ids
+        assert tuple(prims[i]) == node.primitive_ids
+    for i, tri in enumerate(objects.triangles):
+        assert columns_only.corners(i) == (tri.v0, tri.v1, tri.v2)
+    assert columns_only._nodes is None and columns_only._triangles is None
+
+
+def test_mesh_build_equals_triangle_build():
+    """The pipeline passes the mesh; a ``Triangle`` list of the same
+    faces builds the same columns."""
+    mesh = build_scene("SPNZA", 0.05).mesh
+    assert build_wide_bvh(mesh, name="t") == build_wide_bvh(
+        mesh.triangles(), name="t"
+    )
+
+
+def test_uncached_runs_share_one_layout(monkeypatch):
+    """Node layouts are memoized with their tree: two unmemoized runs
+    build one layout and give equal SimStats."""
+    from repro.core import pipeline
+
+    set_artifact_cache(None)
+    clear_caches()
+    built = []
+    build = pipeline._build_layout
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_build_layout", counted)
+    try:
+        first, second = (
+            api.run("SPNZA", "treelet-prefetch", scale="smoke", cache=False)
+            for _ in range(2)
+        )
+        assert built == [1]
+        assert first.stats == second.stats
+    finally:
+        clear_caches()

@@ -20,9 +20,11 @@ from ..core.pipeline import (
     DEFAULT,
     SCALES,
     ExperimentResult,
+    Job,
     Scale,
     Technique,
     _run_experiment,
+    missing_results,
     prewarm_traces,
 )
 from ..core.sweeps import SceneOutcome, SweepResult
@@ -126,7 +128,9 @@ class RunRequest:
 
     ``technique`` and ``scale`` accept spec strings (resolved with
     :func:`parse_technique` / by scale name) or the objects themselves.
-    ``cache=False`` bypasses the in-process result memo.
+    ``cache=False`` bypasses both tiers of stored results, the
+    in-process memo and the artifact cache, so the run replays (its
+    BVH and trace set still come from the memo or the cache).
     ``workload`` picks the ray population: "render" (the paper's
     camera + secondary rays) or a :mod:`repro.queries` workload
     ("knn"/"containment", which require a matching query scene).
@@ -335,7 +339,11 @@ def run(
     """Evaluate one technique on one scene; the front door for single runs.
 
     Accepts either positional ``(scene, technique, scale)`` arguments or
-    a single :class:`RunRequest`.
+    a single :class:`RunRequest`.  With ``cache=True`` (the default) a
+    result stored by an earlier run of the same source, in this
+    process's memo or in the active artifact cache, is returned instead
+    of replaying.  ``cache=False``, a ``gpu_config`` override or an
+    ``observer`` skip both tiers, so the run always replays.
     """
     request = scene if isinstance(scene, RunRequest) else RunRequest(
         scene=scene, technique=technique, scale=scale, workload=workload,
@@ -373,20 +381,23 @@ def _prewarm(techniques: List[Technique], scenes: List[str], scale: Scale,
              workload: str, jobs: int, progress) -> None:
     """Warm every (scene, technique) experiment a sweep will read.
 
-    Traces ride one vectorized forest pass in this process; with
-    ``jobs > 1`` the replays then fan across the worker pool.
+    Stored results load into the memo first.  For the rest, traces
+    ride one vectorized forest pass in this process; with ``jobs > 1``
+    the replays then fan across the worker pool.
     """
-    if not scenes:
+    missing = missing_results([
+        Job(scene, technique, scale, workload)
+        for scene in scenes for technique in techniques
+    ])
+    if not missing:
         return
     if jobs > 1:
-        from ..exec.executor import prewarm_replays
+        from ..exec.executor import prewarm_replay_jobs
 
-        prewarm_replays(techniques, scenes, scale, jobs=jobs,
-                        progress=progress, workload=workload)
+        prewarm_replay_jobs(missing, workers=jobs, progress=progress)
     else:
         prewarm_traces(
-            [(scene, technique, workload)
-             for scene in scenes for technique in techniques],
+            [(job.scene, job.technique, job.workload) for job in missing],
             scale,
         )
 

@@ -94,21 +94,36 @@ class LRU:
         bound evicts meanwhile."""
         found: Dict[Hashable, object] = {}
         for key in dict.fromkeys(keys):
-            value = self.get(kind, key)
-            if value is None and disk is not None:
-                value = disk.load(kind, key)
-                if value is not None:
-                    self.put(kind, key, value)
+            value, _ = self.lookup(kind, key, disk)
             if value is not None:
                 found[key] = value
         missing = [key for key in dict.fromkeys(keys) if key not in found]
         for key, value in zip(missing, build(missing) if missing else ()):
-            self._counts[kind]["builds"] += 1
-            if disk is not None:
-                disk.store(kind, key, value)
-            self.put(kind, key, value)
+            self.keep(kind, key, value, disk)
             found[key] = value
         return [found[key] for key in keys]
+
+    def lookup(self, kind: str, key: Hashable, disk=None) -> tuple:
+        """``(value, tier)``: the value under ``(kind, key)`` from memory,
+        else from ``disk`` (kept in memory), and the tier that answered,
+        "memory" or "disk"; ``(None, None)`` on a miss in both."""
+        value = self.get(kind, key)
+        if value is not None:
+            return value, "memory"
+        if disk is not None:
+            value = disk.load(kind, key)
+            if value is not None:
+                self.put(kind, key, value)
+                return value, "disk"
+        return None, None
+
+    def keep(self, kind: str, key: Hashable, value, disk=None) -> None:
+        """Count ``value`` as built, store it to ``disk`` and keep it in
+        memory: the last step of :meth:`get_or_build`."""
+        self._counts[kind]["builds"] += 1
+        if disk is not None:
+            disk.store(kind, key, value)
+        self.put(kind, key, value)
 
     def clear(self, kind: Optional[str] = None) -> None:
         """Drop every entry, or every entry of ``kind``; counters stay."""

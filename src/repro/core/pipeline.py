@@ -15,16 +15,19 @@ pays scene/BVH construction once.  An artifact's memo key is the same
 fingerprint it has in the on-disk artifact cache
 (:mod:`repro.exec.cache`), which the memo falls back to before
 building; a node layout (memory only) is keyed by its tree's
-fingerprint and the technique's layout fields, and a result by
-:meth:`Job.key`.
+fingerprint and the technique's layout fields.  A result is keyed by
+:meth:`Job.key`, a fingerprint that also names the package source, and
+is stored on disk like an artifact, so a repeated experiment loads
+the result instead of replaying it.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..bvh import (
     BuildConfig,
@@ -74,7 +77,7 @@ from ..treelet import (
     treelet_layout,
 )
 from .config import GpuConfig, default_config, paper_config, smoke_config
-from .memo import MEMO
+from .memo import LRU, MEMO
 
 TRAVERSAL_KINDS = ("dfs", "treelet")
 LAYOUT_KINDS = ("dfs", "treelet")
@@ -259,12 +262,14 @@ def reset_build_counts() -> None:
 
 
 def clear_caches() -> None:
-    """Drop every memoized scene, artifact, result and forest context.
+    """Drop every memoized scene, artifact, result, forest context and
+    artifact key.
 
     The on-disk artifact cache (:mod:`repro.exec.cache`), when active,
     survives and reloads them.
     """
     MEMO.clear()
+    _KEYS.clear()
 
 
 def _exec_cache():
@@ -281,18 +286,54 @@ def _artifact_cache():
     return _exec_cache().get_artifact_cache()
 
 
-def _fingerprint(kind: str, components: Dict[str, object]) -> str:
-    return _exec_cache().fingerprint(kind, components)
+def _result_disk():
+    """The disk tier of results: the artifact cache, unless no source
+    digest can be taken, so that no result is stored under a key that
+    cannot see a code change."""
+    if _exec_cache().source_digest() is None:
+        return None
+    return _artifact_cache()
+
+
+#: Entry bound of :data:`_KEYS`.  One scene's sweep asks for about ten
+#: distinct keys, many times each; an entry holds its arguments (about
+#: 0.9 KB with a technique), so a long-lived process keeps only the
+#: last few scenes' keys.
+KEY_CAPACITY = 64
+
+#: Artifact keys by ``(kind, arguments)``: a fingerprint costs a JSON
+#: dump and a SHA-256 (about 58 µs), and every memo lookup needs one.
+#: :func:`clear_caches` empties it, so a changed schema version or
+#: source digest is seen on the next lookup.
+_KEYS = LRU(KEY_CAPACITY)
+
+
+def _keyed(kind: str):
+    """Make a function that names an artifact's inputs return their
+    fingerprint, memoized in :data:`_KEYS` by its (positional)
+    arguments."""
+
+    def wrap(inputs):
+        @functools.wraps(inputs)
+        def key(*args) -> str:
+            found = _KEYS.get(kind, args)
+            if found is None:
+                found = _exec_cache().fingerprint(kind, inputs(*args))
+                _KEYS.put(kind, args, found)
+            return found
+
+        return key
+
+    return wrap
 
 
 # One function per artifact kind names its inputs.  Its fingerprint is
 # the artifact's key in both tiers: the memo's and the disk cache's.
 
 
-def _scene_key(scene_name: str, scale: Scale) -> str:
-    return _fingerprint(
-        "scene", {"scene": scene_name, "scene_scale": scale.scene_scale}
-    )
+@_keyed("scene")
+def _scene_key(scene_name: str, scale: Scale) -> Dict[str, object]:
+    return {"scene": scene_name, "scene_scale": scale.scene_scale}
 
 
 def _bvh_inputs(scene_name: str, scale: Scale) -> Dict[str, object]:
@@ -322,38 +363,42 @@ def _population_inputs(scale: Scale, workload: str) -> Dict[str, object]:
     }
 
 
-def _bvh_key(scene_name: str, scale: Scale) -> str:
-    return _fingerprint("bvh", _bvh_inputs(scene_name, scale))
+_bvh_key = _keyed("bvh")(_bvh_inputs)
 
 
-def _rays_key(scene_name: str, scale: Scale) -> str:
-    return _fingerprint("rays", {
+@_keyed("rays")
+def _rays_key(scene_name: str, scale: Scale) -> Dict[str, object]:
+    return {
         **_bvh_inputs(scene_name, scale),
         **_population_inputs(scale, "render"),
-    })
+    }
 
 
-def _query_plan_key(scene_name: str, scale: Scale, workload: str) -> str:
-    return _fingerprint("query_plan", {
+@_keyed("query_plan")
+def _query_plan_key(
+    scene_name: str, scale: Scale, workload: str
+) -> Dict[str, object]:
+    return {
         "scene": scene_name,
         "scene_scale": scale.scene_scale,
         **_population_inputs(scale, workload),
-    })
+    }
 
 
+@_keyed("decomposition")
 def _decomposition_key(
     scene_name: str, scale: Scale, treelet_bytes: int, strategy: str
-) -> str:
-    return _fingerprint("decomposition", {
+) -> Dict[str, object]:
+    return {
         **_bvh_inputs(scene_name, scale),
         "treelet_bytes": treelet_bytes,
         "formation": strategy,
-    })
+    }
 
 
-def _traces_key(
+def _traces_inputs(
     scene_name: str, scale: Scale, technique: Technique, workload: str
-) -> str:
+) -> Dict[str, object]:
     """Only the treelet traversal depends on treelet parameters."""
     components = {
         **_bvh_inputs(scene_name, scale),
@@ -364,7 +409,27 @@ def _traces_key(
         components["treelet_bytes"] = technique.treelet_bytes
         components["deferred_order"] = technique.deferred_order
         components["formation"] = technique.formation
-    return _fingerprint("traces", components)
+    return components
+
+
+_traces_key = _keyed("traces")(_traces_inputs)
+
+
+@_keyed("result")
+def _result_key(
+    scene_name: str, technique: Technique, scale: Scale, workload: str
+) -> Dict[str, object]:
+    """A replay's inputs: its trace set's, every technique field, the
+    whole scale and its GPU, and the package source, whose digest
+    changes with any code edit."""
+    return {
+        "traces": _traces_inputs(scene_name, scale, technique, workload),
+        "technique": asdict(technique),
+        "scale": asdict(scale),
+        "gpu": asdict(scale.gpu_config()),
+        "workload": workload,
+        "source": _exec_cache().source_digest(),
+    }
 
 
 @dataclass(frozen=True)
@@ -376,10 +441,13 @@ class Job:
     scale: Scale
     workload: str = "render"
 
-    def key(self) -> tuple:
-        """The memo key of this evaluation's result: the whole
-        :class:`Scale`, so two scales sharing a name never share it."""
-        return (self.scene, self.technique, self.scale, self.workload)
+    def key(self) -> str:
+        """The key of this evaluation's result in both tiers: its
+        fingerprint over the whole :class:`Scale`, so two scales
+        sharing a name never share it."""
+        return _result_key(
+            self.scene, self.technique, self.scale, self.workload
+        )
 
 
 def get_scene(scene_name: str, scale: Scale):
@@ -547,6 +615,18 @@ def get_traces(
     return _trace_sets([(scene_name, technique, workload)], scale)[0]
 
 
+def missing_results(jobs: Sequence[Job]) -> List[Job]:
+    """Load every stored result of ``jobs`` into the memo; return the
+    jobs whose result neither tier holds, in order, once each."""
+    disk = _result_disk()
+    missing: Dict[str, Job] = {}
+    for job in jobs:
+        key = job.key()
+        if key not in missing and MEMO.lookup("result", key, disk)[0] is None:
+            missing[key] = job
+    return list(missing.values())
+
+
 def prewarm_traces(pairs, scale: Scale) -> int:
     """Build the traces of many ``(scene_name, technique)`` pairs in one
     merged ray forest; returns the number of trace sets actually built.
@@ -705,26 +785,31 @@ def _run_experiment(
 ) -> ExperimentResult:
     """Evaluate ``technique`` on ``scene_name`` at ``scale``.
 
-    Canonical implementation behind :func:`repro.api.run`.  Pass an
-    explicit ``gpu_config`` to override the scale's default (such
-    runs are not memoized).  Pass a :class:`repro.obs.Observer` to trace
-    the run (observed runs are never memoized, so the observer always
-    sees a real simulation; attaching it does not change the results).
-    ``workload`` picks the ray population ("render" or a
-    :mod:`repro.queries` workload) and is part of the result's memo key.
+    Canonical implementation behind :func:`repro.api.run`.  The result
+    comes from the memo, else from the artifact cache, else from a
+    replay, which is then stored in both (:meth:`Job.key` is its key).
+    Runs that pass ``use_cache=False``, an explicit ``gpu_config``
+    (overriding the scale's default) or a :class:`repro.obs.Observer`
+    skip both tiers, so they always replay; attaching an observer does
+    not change the results.  ``workload`` picks the ray population
+    ("render" or a :mod:`repro.queries` workload).
     """
     if workload != "render":
         from ..queries.workloads import check_scene_workload
 
         check_scene_workload(scene_name, workload)
-    key = Job(scene_name, technique, scale, workload).key()
     memoizable = use_cache and gpu_config is None and observer is None
+    cached = tier = None
     with _span(
         "phase.cache_lookup", scene=scene_name, technique=technique.label()
     ) as lookup:
-        cached = MEMO.get("result", key) if memoizable else None
+        if memoizable:
+            key = Job(scene_name, technique, scale, workload).key()
+            disk = _result_disk()
+            cached, tier = MEMO.lookup("result", key, disk)
         if lookup is not None:
             lookup.args["hit"] = cached is not None
+            lookup.args["tier"] = tier
     if cached is not None:
         return cached
     gpu = gpu_config or scale.gpu_config()
@@ -749,7 +834,7 @@ def _run_experiment(
         treelet_count=decomposition.treelet_count if decomposition else 0,
     )
     if memoizable:
-        MEMO.put("result", key, result)
+        MEMO.keep("result", key, result, disk)
     return result
 
 

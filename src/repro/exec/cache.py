@@ -1,10 +1,10 @@
 """Persistent, content-addressed artifact cache.
 
 Heavyweight pipeline artifacts (built BVHs, ray populations, traversal
-traces, treelet decompositions) are deterministic functions of their
-build inputs, so they can be stored on disk and shared across
-processes: sweep workers, repeat CLI invocations, and benchmark runs
-all skip reconstruction.
+traces, treelet decompositions) and replay results are deterministic
+functions of their inputs, so they can be stored on disk and shared
+across processes: sweep workers, repeat CLI invocations, and benchmark
+runs all skip reconstruction, and a repeated experiment skips replay.
 
 Storage model
 -------------
@@ -28,7 +28,13 @@ set (:mod:`repro.bvh.soa`), and a ``traces`` entry a
 numpy arrays only, loaded without a Python object per node, triangle
 or visit.  ``rays`` entries are lists of :class:`~repro.geometry.Ray`;
 ``decomposition`` entries are ``(max_bytes, treelets, assignment)``,
-without the BVH, which a load re-attaches from the memo.  Writes are atomic (temp file +
+without the BVH, which a load re-attaches from the memo.  A ``result``
+entry is a replay's :class:`~repro.core.pipeline.ExperimentResult`
+(SimStats, power, traversal and tree summaries: about 2 KB).  Its
+fingerprint also names :func:`source_digest`, a hash of the package's
+source, so any code edit leaves earlier results unaddressed without a
+schema bump; where no source file can be read, results are kept in
+memory only.  Writes are atomic (temp file +
 ``os.replace``), so concurrent workers racing on the same fingerprint
 are safe — last writer wins with an identical payload.
 
@@ -39,6 +45,7 @@ The cache is process-global and *opt-in*: nothing touches disk until
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -53,7 +60,7 @@ from typing import Dict, List, Optional, Tuple, Union
 CACHE_SCHEMA_VERSION = 3
 
 #: Artifact kinds the pipeline spills (one subdirectory each).
-ARTIFACT_KINDS = ("bvh", "rays", "traces", "decomposition")
+ARTIFACT_KINDS = ("bvh", "rays", "traces", "decomposition", "result")
 
 #: Default on-disk location (relative to the working directory) used by
 #: ``repro cache`` and the benchmark harness when nothing else is set.
@@ -75,6 +82,26 @@ def fingerprint(kind: str, components: Dict[str, object]) -> str:
     }
     canonical = json.dumps(document, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def source_digest() -> Optional[str]:
+    """SHA-256 over the sorted relative paths and the bytes of every
+    ``.py`` file of the ``repro`` package, or None when none is found
+    (a zipped install).  Taken once per process, on first use."""
+    package = Path(__file__).resolve().parent.parent
+    paths = sorted(
+        (path.relative_to(package).as_posix(), path)
+        for path in package.rglob("*.py")
+    )
+    if not paths:
+        return None
+    digest = hashlib.sha256()
+    for name, path in paths:
+        source = path.read_bytes()
+        digest.update(f"{name}\0{len(source)}\0".encode("utf-8"))
+        digest.update(source)
+    return digest.hexdigest()
 
 
 @dataclass

@@ -13,7 +13,8 @@ pool; on exhaustion, a timeout, or a broken pool (hard worker crash)
 the job falls back to in-process execution, so a sweep always
 completes with correct results.  Workers share the on-disk artifact
 cache (:mod:`repro.exec.cache`), so each scene's BVH/rays/traces are
-built once across the whole fleet.
+built once across the whole fleet, and each result a worker replays is
+stored there for the next process that asks for it.
 
 Progress is reported through an optional callback and, when a
 :class:`repro.obs.MetricRegistry` is supplied, through ``exec.*``
@@ -156,7 +157,7 @@ def execute_jobs(
 ) -> List[ExperimentResult]:
     """Run every job and return results in input order.
 
-    Duplicate jobs (same scene/technique/scale) are evaluated once.
+    Duplicate jobs (same :meth:`Job.key`) are evaluated once.
     ``workers <= 1`` runs everything in-process (no pool).  ``job_fn``
     is injectable for fault-injection tests.  ``metrics`` (a
     :class:`repro.obs.MetricRegistry`) adds ``exec.*`` counters on top
@@ -300,7 +301,8 @@ def prewarm_results(
 
 
 def _memoized(jobs: Sequence[Job], results: List[ExperimentResult]):
-    """Seed the in-process result memo with ``results``."""
+    """Seed the in-process result memo with ``results``, under the key
+    each job's run stored them on disk with."""
     for job, result in zip(jobs, results):
         MEMO.put("result", job.key(), result)
     return results

@@ -3,7 +3,7 @@
 From empty memos and an empty artifact cache, ``api.sweep`` builds
 every BVH from the scene's vertex and face arrays, forms treelets,
 spawns bounce rays and traces them without building a node, triangle
-or binary-node object, and gives the same SimStats as a warm rerun.
+or binary-node object, and gives the same SimStats as a warm replay.
 The objects the packet traversal's scalar tail does build, one box or
 vertex triple at a time, equal the object form's.
 """
@@ -42,14 +42,15 @@ def test_cold_sweep_builds_no_node_or_triangle_object(tmp_path, monkeypatch):
         assert len(bvhs) == len(SCENES)
         for tree in bvhs:
             assert tree._nodes is None and tree._triangles is None
-        # The warm rerun loads the cold run's columns from disk.
+        # The warm replays load the cold run's columns from disk;
+        # cache=False replays past the stored results.
         clear_caches()
-        warm = _sweep()
         for scene in SCENES:
-            for side in ("baseline", "candidate"):
+            for side, spec in (("baseline", "baseline"),
+                               ("candidate", "treelet-prefetch")):
+                warm = api.run(scene, spec, "smoke", cache=False)
                 assert (
-                    getattr(warm.outcomes[scene], side).stats
-                    == getattr(cold.outcomes[scene], side).stats
+                    warm.stats == getattr(cold.outcomes[scene], side).stats
                 ), (scene, side)
     finally:
         set_artifact_cache(None)

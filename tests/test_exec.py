@@ -50,6 +50,36 @@ def _die_in_worker(job):
     return _run_job(job)
 
 
+def _count_replays(monkeypatch) -> list:
+    """Record every ``GpuModel.run`` call from now on."""
+    from repro.gpusim import GpuModel
+
+    replays = []
+    replay = GpuModel.run
+
+    def counted(self, *args, **kwargs):
+        replays.append(1)
+        return replay(self, *args, **kwargs)
+
+    monkeypatch.setattr(GpuModel, "run", counted)
+    return replays
+
+
+def _count_loads(monkeypatch) -> list:
+    """Record the kind of every artifact-cache entry loaded from now on."""
+    loaded = []
+    load = ArtifactCache.load
+
+    def counted(self, kind, key):
+        artifact = load(self, kind, key)
+        if artifact is not None:
+            loaded.append(kind)
+        return artifact
+
+    monkeypatch.setattr(ArtifactCache, "load", counted)
+    return loaded
+
+
 @pytest.fixture(autouse=True)
 def isolated_caches():
     """Every test starts with no active disk cache and cold memoizers."""
@@ -231,6 +261,97 @@ class TestPipelineSpill:
     def test_cache_off_builds_normally(self):
         get_traces("WKND", SMOKE, "dfs", 512)
         assert build_counts()["traces"] == 1
+
+    def test_warm_sweep_loads_stored_results(self, tmp_path, monkeypatch):
+        set_artifact_cache(tmp_path)
+        cold = sweep(TREELET_PREFETCH, SCENES, SMOKE)
+        clear_caches()
+        replays = _count_replays(monkeypatch)
+        loaded = _count_loads(monkeypatch)
+        warm = sweep(TREELET_PREFETCH, SCENES, SMOKE)
+        assert replays == []
+        assert loaded == ["result"] * 2 * len(SCENES)
+        for scene in SCENES:
+            for side in ("baseline", "candidate"):
+                assert (
+                    getattr(warm.outcomes[scene], side).stats
+                    == getattr(cold.outcomes[scene], side).stats
+                ), (scene, side)
+
+    def test_source_edit_leaves_results_unaddressed(
+        self, tmp_path, monkeypatch
+    ):
+        set_artifact_cache(tmp_path)
+        sweep(TREELET_PREFETCH, SCENES, SMOKE)
+        clear_caches()
+        monkeypatch.setattr(
+            "repro.exec.cache.source_digest", lambda: "0" * 64
+        )
+        replays = _count_replays(monkeypatch)
+        sweep(TREELET_PREFETCH, SCENES, SMOKE)
+        assert len(replays) == 2 * len(SCENES)
+
+    def test_no_source_keeps_results_in_memory(self, tmp_path, monkeypatch):
+        cache = set_artifact_cache(tmp_path)
+        monkeypatch.setattr("repro.exec.cache.source_digest", lambda: None)
+        run("WKND", BASELINE, SMOKE)
+        assert cache.describe()["per_kind"]["result"] == 0
+        assert cache.entries() > 0  # the artifacts are still stored
+
+    def test_bypassed_runs_neither_load_nor_store(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs import Observer
+
+        cache = set_artifact_cache(tmp_path)
+        stored = run("WKND", BASELINE, SMOKE)
+        assert cache.describe()["per_kind"]["result"] == 1
+        clear_caches()
+        replays = _count_replays(monkeypatch)
+        bypassed = [
+            run("WKND", BASELINE, SMOKE, cache=False),
+            run("WKND", BASELINE, SMOKE, observer=Observer()),
+            run("WKND", BASELINE, SMOKE, gpu_config=SMOKE.gpu_config()),
+        ]
+        assert len(replays) == len(bypassed)
+        assert cache.describe()["per_kind"]["result"] == 1
+        for result in bypassed:
+            assert result.stats == stored.stats
+
+    def test_result_key_names_every_technique_field(self):
+        from dataclasses import replace
+
+        from repro.prefetch import PrefetchHeuristic
+
+        variants = [
+            TREELET_PREFETCH,
+            replace(TREELET_PREFETCH,
+                    heuristic=PrefetchHeuristic("partial")),
+            replace(TREELET_PREFETCH, voter_latency=8),
+            replace(TREELET_PREFETCH, scheduler="omr"),
+        ]
+        keys = {Job("WKND", technique, SMOKE).key()
+                for technique in variants}
+        assert len(keys) == len(variants)
+        assert all(len(key) == 64 for key in keys)  # a fingerprint
+
+    def test_keys_are_memoized_until_clear_caches(self, monkeypatch):
+        from repro.core import pipeline
+
+        calls = []
+        real = fingerprint
+
+        def counted(kind, components):
+            calls.append(kind)
+            return real(kind, components)
+
+        monkeypatch.setattr("repro.exec.cache.fingerprint", counted)
+        first = pipeline._bvh_key("WKND", SMOKE)
+        assert pipeline._bvh_key("WKND", SMOKE) == first
+        assert calls == ["bvh"]
+        clear_caches()
+        assert pipeline._bvh_key("WKND", SMOKE) == first
+        assert calls == ["bvh", "bvh"]
 
 
 class TestExecuteJobs:

@@ -296,6 +296,30 @@ class TestPipelineSpans:
             if s.name == "phase.cache_lookup"
         )
         assert lookup.args["hit"] is True
+        assert lookup.args["tier"] == "memory"
+
+    def test_stored_result_lookup_names_the_disk_tier(self, tmp_path):
+        from repro.api import run as api_run
+        from repro.core.pipeline import clear_caches
+        from repro.exec import set_artifact_cache
+
+        set_artifact_cache(tmp_path)
+        try:
+            clear_caches()
+            with collect(process="test") as collector:
+                api_run("WKND", "baseline", "smoke")
+                clear_caches()
+                api_run("WKND", "baseline", "smoke")
+        finally:
+            set_artifact_cache(None)
+            clear_caches()
+        lookups = [(s.args["hit"], s.args["tier"])
+                   for s in collector.snapshot()
+                   if s.name == "phase.cache_lookup"]
+        assert lookups == [(False, None), (True, "disk")]
+        replays = [s for s in collector.snapshot()
+                   if s.name == "phase.replay"]
+        assert len(replays) == 1
 
     def test_execute_jobs_ships_worker_spans(self):
         from repro import BASELINE, SMOKE

@@ -1,5 +1,7 @@
 """Unit tests for the majority voters and the Section 6.5 area model."""
 
+import random
+
 import pytest
 
 from repro.prefetch import (
@@ -52,6 +54,22 @@ class TestFullVoter:
         for counts in ({1: 2}, {3: 1, 4: 9}, {7: 5, 2: 5}):
             voter.decide([StubWarp(counts)])
         assert voter.stats.accuracy == 1.0
+
+    def test_premerged_counts_decide_like_the_merge(self):
+        """Given premerged counts, the voter picks the most votes, ties
+        to the lowest treelet id, whatever the counts' insertion order,
+        as it does when it merges the warps' counts itself."""
+        rng = random.Random(5)
+        for _ in range(500):
+            treelets = rng.sample(range(40), rng.randint(1, 12))
+            counts = {t: rng.randint(1, 4) for t in treelets}
+            best = max(counts.values())
+            expected = min(t for t, c in counts.items() if c == best)
+            decision = MajorityVoter("full").decide([], counts=counts)
+            assert decision == (expected, best, sum(counts.values()))
+            assert decision == MajorityVoter("full").decide(
+                [StubWarp(counts)]
+            )
 
 
 class TestPseudoVoter:

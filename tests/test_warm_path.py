@@ -1,9 +1,10 @@
-"""A warm sweep runs on columns alone.
+"""A warm replay runs on columns alone.
 
-After a cold ``api.sweep`` has filled the artifact cache, a sweep from
-cleared memos loads every BVH and trace set as arrays and replays them
-without building a node, triangle or trace object, and gives the same
-SimStats bit for bit.
+After a cold ``api.sweep`` has filled the artifact cache, replays from
+cleared memos load every BVH and trace set as arrays and replay them
+without building a node, triangle or trace object, and give the same
+SimStats bit for bit.  The replays pass ``cache=False``: a sweep would
+load the stored results and replay nothing.
 """
 
 from repro import api
@@ -16,8 +17,20 @@ from repro.traversal import RayTrace
 SCENES = ("SPNZA", "CRNVL")
 
 
+SIDES = (("baseline", "baseline"), ("candidate", "treelet-prefetch"))
+
+
 def _sweep():
     return api.sweep("treelet-prefetch", scenes=SCENES, scale="smoke")
+
+
+def _replays():
+    """``(scene, side) -> SimStats`` of every experiment of
+    :func:`_sweep`, replayed past the stored results."""
+    return {
+        (scene, side): api.run(scene, spec, "smoke", cache=False).stats
+        for scene in SCENES for side, spec in SIDES
+    }
 
 
 def test_warm_sweep_reads_columns_only(tmp_path, monkeypatch):
@@ -35,15 +48,13 @@ def test_warm_sweep_reads_columns_only(tmp_path, monkeypatch):
             build(self, *args, **kwargs)
 
         monkeypatch.setattr(RayTrace, "__init__", counted)
-        warm = _sweep()
+        warm = _replays()
         assert build_counts() == dict.fromkeys(COUNTED_KINDS, 0)
         assert made == []
-        for scene in SCENES:
-            for side in ("baseline", "candidate"):
-                assert (
-                    getattr(warm.outcomes[scene], side).stats
-                    == getattr(cold.outcomes[scene], side).stats
-                ), (scene, side)
+        for (scene, side), stats in warm.items():
+            assert stats == getattr(cold.outcomes[scene], side).stats, (
+                scene, side
+            )
         bvhs = [value for (kind, _), value in MEMO._entries.items()
                 if kind == "bvh"]
         assert len(bvhs) == len(SCENES)

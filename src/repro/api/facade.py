@@ -3,11 +3,11 @@
 The only front door for evaluating techniques.  The facade accepts
 techniques as objects **or** spec strings
 (:func:`repro.api.parse_technique`) and scales as objects or names, and
-it owns the fast paths: serial sweeps batch all missing trace
-generation through one vectorized forest traversal
-(:func:`repro.core.pipeline.prewarm_traces`), parallel sweeps fan
-evaluations across the :mod:`repro.exec` worker pool.  Results are
-bit-identical whichever path runs.
+it owns the fast paths: sweeps batch all missing trace generation
+through one vectorized forest traversal
+(:func:`repro.core.pipeline.prewarm_traces`), and sweeps with enough
+replay work fan it across the :mod:`repro.exec` worker pool.  Results
+are bit-identical whichever path runs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from ..core.pipeline import (
     Technique,
     _run_experiment,
     missing_results,
-    prewarm_traces,
 )
 from ..core.sweeps import SceneOutcome, SweepResult
 from ..obs.spans import span as _span
@@ -220,7 +219,8 @@ class SweepRequest:
     (:meth:`to_dict` / :meth:`from_dict`).  ``scenes=None`` means the
     workload's default scene set (the full 16-scene library for
     "render", the matching query scenes otherwise), resolved at
-    evaluation time.
+    evaluation time.  ``jobs=None`` lets :func:`sweep` work out how
+    many processes replay.
     """
 
     technique: TechniqueLike
@@ -228,7 +228,7 @@ class SweepRequest:
     scale: ScaleLike = DEFAULT
     workload: str = "render"
     baseline: TechniqueLike = BASELINE
-    jobs: int = 1
+    jobs: Optional[int] = None
 
     def to_dict(self) -> dict:
         doc: Dict[str, object] = {
@@ -242,7 +242,7 @@ class SweepRequest:
         baseline_spec = technique_to_spec(self.baseline)
         if baseline_spec != "baseline":
             doc["baseline"] = baseline_spec
-        if self.jobs != 1:
+        if self.jobs is not None:
             doc["jobs"] = self.jobs
         return doc
 
@@ -269,8 +269,10 @@ class SweepRequest:
                     "list of scene names"
                 )
             scenes = _check_scenes(scenes, workload)
-        jobs = data.get("jobs", 1)
-        if not isinstance(jobs, int) or jobs < 1:
+        jobs = data.get("jobs")
+        # bool is an int in Python, but `true` is not a count on the wire.
+        if jobs is not None and (not isinstance(jobs, int)
+                                 or isinstance(jobs, bool) or jobs < 1):
             raise ValueError(
                 "SweepRequest field 'jobs' must be a positive integer"
             )
@@ -378,28 +380,45 @@ def run(
 
 
 def _prewarm(techniques: List[Technique], scenes: List[str], scale: Scale,
-             workload: str, jobs: int, progress) -> None:
-    """Warm every (scene, technique) experiment a sweep will read.
+             workload: str, jobs: Optional[int], progress):
+    """Warm every (scene, technique) experiment a sweep will read and
+    return the :class:`~repro.exec.ExecutionReport` of the replays.
 
     Stored results load into the memo first.  For the rest, traces
-    ride one vectorized forest pass in this process; with ``jobs > 1``
-    the replays then fan across the worker pool.
+    ride one vectorized forest pass in this process, then the replays
+    run here or, with ``jobs > 1``, fan across the worker pool;
+    ``jobs=None`` picks the count (:func:`repro.exec.executor.plan_workers`).
     """
+    from ..exec.executor import ExecutionReport, prewarm_replay_jobs
+
+    report = ExecutionReport()
     missing = missing_results([
         Job(scene, technique, scale, workload)
         for scene in scenes for technique in techniques
     ])
-    if not missing:
-        return
-    if jobs > 1:
-        from ..exec.executor import prewarm_replay_jobs
+    if missing:
+        prewarm_replay_jobs(missing, workers=jobs, progress=progress,
+                            report=report)
+    return report
 
-        prewarm_replay_jobs(missing, workers=jobs, progress=progress)
-    else:
-        prewarm_traces(
-            [(job.scene, job.technique, job.workload) for job in missing],
-            scale,
+
+def _assemble(technique: Technique, base: Technique, scenes: List[str],
+              scale: Scale, workload: str, report) -> SweepResult:
+    """The sweep's result, read from the warm memo."""
+    result = SweepResult(technique=technique, execution=report)
+    for scene in scenes:
+        result.outcomes[scene] = SceneOutcome(
+            scene=scene,
+            baseline=_run_experiment(scene, base, scale, workload=workload),
+            candidate=_run_experiment(scene, technique, scale,
+                                      workload=workload),
         )
+    return result
+
+
+def _note_plan(span_, report) -> None:
+    if span_ is not None:
+        span_.args.update(report.plan())
 
 
 def sweep(
@@ -409,19 +428,21 @@ def sweep(
     *,
     workload: str = "render",
     baseline: TechniqueLike = BASELINE,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     progress=None,
 ) -> SweepResult:
     """Evaluate ``technique`` against ``baseline`` on every scene.
 
     ``scenes=None`` sweeps the workload's default scene set: the full
     16-scene library for "render", the matching query scenes for
-    "knn"/"containment".  ``jobs > 1`` fans the evaluations across
-    worker processes (:mod:`repro.exec`); serial sweeps batch all
-    missing trace generation through the vectorized forest driver
-    first.  Per-scene ``SimStats`` are bit-identical either way.
-    ``progress`` is the executor's ``(done, total, job, source)``
-    callback (parallel path only).
+    "knn"/"containment".  All missing trace generation is batched
+    through the vectorized forest driver first; the replays then run in
+    ``jobs`` processes, this one included (:mod:`repro.exec`).
+    ``jobs=None`` works the count out from the host's CPUs and the
+    replays' visits (see ``docs/execution.md``).  Per-scene
+    ``SimStats`` are bit-identical whatever the count, and the result's
+    ``execution`` records it.  ``progress`` is the executor's
+    ``(done, total, job, source)`` callback.
 
     A single :class:`SweepRequest` may be passed in place of
     ``technique`` (mirroring :func:`run` and :class:`RunRequest`).
@@ -449,23 +470,12 @@ def sweep(
         scenes=len(scene_list),
         jobs=jobs,
         workload=resolved_workload,
-    ):
-        _prewarm([base, resolved], scene_list, resolved_scale,
-                 resolved_workload, jobs, progress)
-        result = SweepResult(technique=resolved)
-        for scene in scene_list:
-            result.outcomes[scene] = SceneOutcome(
-                scene=scene,
-                baseline=_run_experiment(
-                    scene, base, resolved_scale,
-                    workload=resolved_workload,
-                ),
-                candidate=_run_experiment(
-                    scene, resolved, resolved_scale,
-                    workload=resolved_workload,
-                ),
-            )
-    return result
+    ) as span_:
+        report = _prewarm([base, resolved], scene_list, resolved_scale,
+                          resolved_workload, jobs, progress)
+        _note_plan(span_, report)
+        return _assemble(resolved, base, scene_list, resolved_scale,
+                         resolved_workload, report)
 
 
 def compare(
@@ -475,13 +485,13 @@ def compare(
     *,
     workload: str = "render",
     baseline: TechniqueLike = BASELINE,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     progress=None,
 ) -> Dict[str, SweepResult]:
     """Sweep several labeled techniques over the same scene set.
 
-    The shared baseline is evaluated once.  ``jobs > 1`` fans every
-    (technique, scene) pair across one worker pool.
+    The shared baseline is evaluated once, and every (technique, scene)
+    replay shares one fan-out, planned as :func:`sweep` plans it.
     """
     resolved = {
         label: parse_technique(technique)
@@ -494,13 +504,21 @@ def compare(
         list(scenes) if scenes is not None
         else _default_scenes(resolved_workload)
     )
-    if resolved:
-        _prewarm([base, *resolved.values()], scene_list, resolved_scale,
-                 resolved_workload, jobs, progress)
-    return {
-        label: sweep(
-            technique, scene_list, resolved_scale, baseline=base,
-            workload=resolved_workload,
-        )
-        for label, technique in resolved.items()
-    }
+    if not resolved:
+        return {}
+    with _span(
+        "api.compare",
+        techniques=len(resolved),
+        scale=resolved_scale.name,
+        scenes=len(scene_list),
+        jobs=jobs,
+        workload=resolved_workload,
+    ) as span_:
+        report = _prewarm([base, *resolved.values()], scene_list,
+                          resolved_scale, resolved_workload, jobs, progress)
+        _note_plan(span_, report)
+        return {
+            label: _assemble(technique, base, scene_list, resolved_scale,
+                             resolved_workload, report)
+            for label, technique in resolved.items()
+        }

@@ -40,8 +40,9 @@ Commands:
 
 ``run`` and ``sweep`` take ``--json`` (machine-readable SimStats on
 stdout) and ``--report PATH`` (structured ``run_report.json`` with
-demand-latency and prefetch-timeliness histograms).  ``sweep`` takes
-``--jobs N`` to fan evaluations across worker processes, and
+demand-latency and prefetch-timeliness histograms).  ``sweep`` replays
+across as many processes as the host and the work warrant (``--jobs N``
+sets the count), and
 ``run``/``sweep``/``trace`` take ``--cache-dir`` to persist built
 BVHs/rays/traces between invocations (``REPRO_CACHE_DIR`` works too;
 see ``docs/execution.md``).
@@ -316,11 +317,12 @@ def _cmd_sweep_impl(args: argparse.Namespace) -> int:
     if scenes is None and workload == "render":
         scenes = list(ALL_SCENES)
     _activate_cache(args)
-    # The facade owns the fast paths: --jobs > 1 fans evaluations
-    # across workers, serial sweeps batch trace generation through the
-    # vectorized forest driver.  (--report runs re-simulate with an
-    # observer attached.)  scenes=None lets the facade pick the
-    # workload-appropriate default set.
+    # The facade owns the fast paths: trace generation is batched
+    # through the vectorized forest driver, then the replays fan across
+    # --jobs processes (worked out by the facade when not given).
+    # (--report runs re-simulate with an observer attached.)
+    # scenes=None lets the facade pick the workload-appropriate default
+    # set.
     outcome = api_sweep(technique, scenes, scale, jobs=args.jobs,
                         workload=workload)
     scenes = list(outcome.outcomes)
@@ -341,7 +343,7 @@ def _cmd_sweep_impl(args: argparse.Namespace) -> int:
                 scale=scale.name,
                 stats=result.stats,
                 observer=observer,
-                replay_jobs=args.jobs,
+                replay_jobs=outcome.execution.workers,
             )
         else:
             result = outcome.outcomes[scene].candidate
@@ -794,9 +796,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print machine-readable SimStats JSON")
     sweep.add_argument("--report",
                        help="write per-scene run reports to this file")
-    sweep.add_argument("--jobs", type=_positive_int, default=1,
-                       help="evaluate scenes across N worker processes "
-                            "(results identical to --jobs 1)")
+    sweep.add_argument("--jobs", type=_positive_int, default=None,
+                       help="replay across N processes, this one "
+                            "included (default: one per CPU when the "
+                            "replays are large enough to pay for the "
+                            "workers, else 1; results identical to "
+                            "--jobs 1)")
     sweep.add_argument("--spans", metavar="PATH",
                        help="record phase spans (repro.spans/1) here")
     _add_technique_args(sweep)
@@ -840,8 +845,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="straggler wait after the first arrival "
                             "before a batch dispatches")
     serve.add_argument("--workers", type=_positive_int, default=1,
-                       help="fan simulation replays across N worker "
-                            "processes (repro.exec pool)")
+                       help="replay simulations in N processes: the "
+                            "batch thread's own and a repro.exec pool "
+                            "of N-1")
     serve.add_argument("--deadline-s", type=float, default=None,
                        help="default per-request deadline (requests may "
                             "override with deadline_s)")

@@ -48,6 +48,11 @@ class SweepResult:
 
     technique: Technique
     outcomes: Dict[str, SceneOutcome] = field(default_factory=dict)
+    #: The :class:`repro.exec.ExecutionReport` of the replays the sweep
+    #: ran (its plan: how many processes, and why).
+    execution: Optional[object] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def scenes(self) -> List[str]:

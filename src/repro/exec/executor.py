@@ -8,6 +8,11 @@ bit-for-bit identical to the serial path; the executor only changes
 submission order, so sweeps assemble identically regardless of which
 worker finished first.
 
+The caller is one of the processes: with ``workers=N`` it replays one
+share of the jobs itself while a pool of ``N - 1`` processes replays
+the rest.  How many processes a sweep uses by default is worked out
+from the host and the work (:func:`plan_workers`).
+
 Robustness: a job that raises in a worker is retried (bounded) in the
 pool; on exhaustion, a timeout, or a broken pool (hard worker crash)
 the job falls back to in-process execution, so a sweep always
@@ -25,6 +30,7 @@ surface every other subsystem uses.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -45,8 +51,15 @@ from .cache import get_artifact_cache, set_artifact_cache
 
 
 #: progress callback signature: (done, total, job, source) where source
-#: is "pool", "pool-retry", or "inprocess".
+#: is "pool", "pool-retry", "caller" (the caller's own share of a
+#: fan-out), or "inprocess" (a serial run, or a fallback).
 ProgressFn = Callable[[int, int, Job, str], None]
+
+#: Visits each process's share of the missing replays must hold before
+#: a sweep fans out by default: 10x the replay a worker's fork and
+#: result return cost (~16 ms at up to ~110k visits/s on a 2-CPU
+#: host), rounded.  The derivation is in docs/execution.md.
+FANOUT_SHARE_VISITS = 20_000
 
 
 @dataclass
@@ -61,8 +74,18 @@ class ExecutionReport:
     worker_failures: int = 0
     inprocess_fallbacks: int = 0
     progress_errors: int = 0
+    from_caller: int = 0
     pool_broken: bool = False
     sources: Dict[str, int] = field(default_factory=dict)
+    #: The fan-out plan (:func:`plan_workers`): processes that replayed
+    #: (caller included), the CPUs this process may run on, the pool's
+    #: start method, the visits of the replays to run and the
+    #: per-share threshold the default count was held to.
+    workers: int = 1
+    cpus: int = 0
+    start_method: str = ""
+    missing_visits: int = 0
+    visit_threshold: int = 0
     #: Serialized spans shipped back from pool workers (repro.obs.spans
     #: dicts); populated only when a span context was active at submit.
     spans: List[dict] = field(default_factory=list)
@@ -72,8 +95,20 @@ class ExecutionReport:
         self.sources[source] = self.sources.get(source, 0) + 1
         if source.startswith("pool"):
             self.from_pool += 1
+        elif source == "caller":
+            self.from_caller += 1
         else:
             self.inprocess_fallbacks += 1
+
+    def plan(self) -> dict:
+        """The fan-out plan and the host facts it was made from."""
+        return {
+            "workers": self.workers,
+            "cpus": self.cpus,
+            "start_method": self.start_method,
+            "missing_visits": self.missing_visits,
+            "visit_threshold": self.visit_threshold,
+        }
 
 
 def _init_worker(cache_dir: Optional[str]) -> None:
@@ -133,6 +168,65 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
+def host_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the
+    platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def plan_workers(
+    jobs: Sequence[Job],
+    workers: Optional[int],
+    report: ExecutionReport,
+) -> int:
+    """Build the trace sets of ``jobs`` in this process and return how
+    many processes should replay them, recording the host facts and
+    the visits on ``report`` (:func:`execute_jobs` records the count).
+
+    An explicit ``workers`` is kept.  ``None`` means one process per
+    CPU, at most one per job and at most one per
+    :data:`FANOUT_SHARE_VISITS` visits, and serial unless the pool
+    would ``fork`` a process whose only thread is the caller's: forked
+    workers then inherit the traces built here, and no lock held by
+    another thread is copied into them.
+    """
+    from ..core import pipeline
+
+    by_scale: Dict[Scale, list] = {}
+    for job in jobs:
+        by_scale.setdefault(job.scale, []).append(
+            (job.scene, job.technique, job.workload)
+        )
+    report.missing_visits = sum(
+        len(traces.node_ids)
+        for scale, triples in by_scale.items()
+        for traces in pipeline._trace_sets(triples, scale)
+    )
+    report.cpus = host_cpus()
+    report.start_method = _mp_context().get_start_method()
+    report.visit_threshold = FANOUT_SHARE_VISITS
+    if workers is None:
+        workers = 1
+        if (report.start_method == "fork"
+                and threading.active_count() == 1):
+            workers = min(report.cpus, len(jobs),
+                          report.missing_visits // FANOUT_SHARE_VISITS)
+    return max(workers, 1)
+
+
+def _caller_share(count: int, workers: int) -> List[int]:
+    """Indices of the jobs the caller replays itself when ``count`` jobs
+    split over ``workers`` processes.  Jobs are dealt to the shares in
+    snake order (0, 1, .., W-1, W-1, .., 0), so a sweep's alternating
+    baseline and candidate jobs spread evenly over them; the caller
+    takes share 0."""
+    return [index for index in range(count)
+            if index % (2 * workers) in (0, 2 * workers - 1)]
+
+
 def metrics_progress(registry) -> ProgressFn:
     """A progress callback that folds into a repro.obs MetricRegistry."""
 
@@ -158,7 +252,9 @@ def execute_jobs(
     """Run every job and return results in input order.
 
     Duplicate jobs (same :meth:`Job.key`) are evaluated once.
-    ``workers <= 1`` runs everything in-process (no pool).  ``job_fn``
+    ``workers <= 1`` runs everything in-process (no pool).  Otherwise
+    the caller replays one share of the jobs (:func:`_caller_share`)
+    while a pool of ``workers - 1`` processes replays the rest.  ``job_fn``
     is injectable for fault-injection tests.  ``metrics`` (a
     :class:`repro.obs.MetricRegistry`) adds ``exec.*`` counters on top
     of any explicit ``progress`` callback.
@@ -192,10 +288,10 @@ def execute_jobs(
         job_fn is _run_job and collector is not None and context is not None
     )
 
-    def local_run(job: Job) -> ExperimentResult:
+    def local_run(job: Job, worker: str = "inprocess") -> ExperimentResult:
         if not traced:
             return job_fn(job)
-        with _spans.span("exec.job", **_job_span_args(job, "inprocess")):
+        with _spans.span("exec.job", **_job_span_args(job, worker)):
             return _run_job(job)
 
     def announce(done: int, job: Job, source: str) -> None:
@@ -212,6 +308,7 @@ def execute_jobs(
 
     results: Dict[tuple, ExperimentResult] = {}
     if workers <= 1 or len(unique) <= 1:
+        report.workers = 1
         for index, job in enumerate(unique):
             results[job.key()] = local_run(job)
             announce(index + 1, job, "inprocess")
@@ -222,18 +319,25 @@ def execute_jobs(
             return pool.submit(_run_job_traced, job, context.to_dict())
         return pool.submit(job_fn, job)
 
-    ctx = _mp_context()
+    own = _caller_share(len(unique), workers)
+    pooled = [job for index, job in enumerate(unique) if index not in own]
+    report.workers = 1 + min(workers - 1, len(pooled))
     pool = ProcessPoolExecutor(
-        max_workers=min(workers, len(unique)),
-        mp_context=ctx,
+        max_workers=report.workers - 1,
+        mp_context=_mp_context(),
         initializer=_init_worker,
         initargs=(cache_dir,),
     )
     pool_healthy = True
     try:
-        futures = {job.key(): pool_submit(job) for job in unique}
+        futures = {job.key(): pool_submit(job) for job in pooled}
         done = 0
-        for job in unique:
+        for index in own:
+            job = unique[index]
+            results[job.key()] = local_run(job, "caller")
+            done += 1
+            announce(done, job, "caller")
+        for job in pooled:
             result = None
             source = "pool"
             attempts = 0
@@ -310,33 +414,31 @@ def _memoized(jobs: Sequence[Job], results: List[ExperimentResult]):
 
 def prewarm_replay_jobs(
     jobs: Sequence[Job],
-    workers: int,
+    workers: Optional[int],
+    *,
+    report: Optional[ExecutionReport] = None,
     **options,
 ) -> List[ExperimentResult]:
     """Fan the *replay* phase of ``jobs`` across the worker pool.
 
-    Trace generation is hoisted into the parent first — one
-    :func:`repro.core.pipeline.prewarm_traces` call per distinct scale,
-    so every missing trace set rides the vectorized forest driver once.
-    Fork-started workers then inherit the warm memoized traces and spend
-    their time purely on simulation replay (spawn-started workers reload
-    the traces from the shared artifact cache when one is active).
-    Results seed the in-process memo exactly like
-    :func:`prewarm_results`, and ``options`` passes through to
-    :func:`execute_jobs` (progress/metrics/timeouts/span shipping — the
-    deterministic merge and fallback semantics are unchanged).
+    Trace generation is hoisted into the parent first — every missing
+    trace set rides one vectorized forest pass per distinct scale
+    (:func:`plan_workers`, which also resolves ``workers=None`` to the
+    default count).  Fork-started workers then inherit the warm
+    memoized traces and spend their time purely on simulation replay
+    (spawn-started workers reload the traces from the shared artifact
+    cache when one is active).  Results seed the in-process memo
+    exactly like :func:`prewarm_results`, and ``options`` passes
+    through to :func:`execute_jobs` (progress/metrics/timeouts/span
+    shipping — the deterministic merge and fallback semantics are
+    unchanged).
     """
-    from ..core import pipeline
-
     jobs = list(jobs)
-    by_scale: Dict[Scale, list] = {}
-    for job in jobs:
-        by_scale.setdefault(job.scale, []).append(
-            (job.scene, job.technique, job.workload)
-        )
-    for scale, triples in by_scale.items():
-        pipeline.prewarm_traces(triples, scale)
-    return _memoized(jobs, execute_jobs(jobs, workers=workers, **options))
+    report = report if report is not None else ExecutionReport()
+    workers = plan_workers(jobs, workers, report)
+    return _memoized(jobs, execute_jobs(
+        jobs, workers=workers, report=report, **options
+    ))
 
 
 def prewarm_replays(

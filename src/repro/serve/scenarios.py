@@ -173,12 +173,13 @@ class Scenario:
                 "non-empty list of positive numbers"
             )
         requests = payload.get("requests", 50)
-        if not isinstance(requests, int) or requests < 1:
+        if (not isinstance(requests, int) or isinstance(requests, bool)
+                or requests < 1):
             raise ScenarioError(
                 "scenario field 'requests' must be a positive integer"
             )
         seed = payload.get("seed", 0)
-        if not isinstance(seed, int):
+        if not isinstance(seed, int) or isinstance(seed, bool):
             raise ScenarioError("scenario field 'seed' must be an integer")
         raw_mix = payload.get("mix", [{}])
         if not isinstance(raw_mix, list) or not raw_mix:

@@ -10,10 +10,11 @@ executes it as one batch:
    :func:`repro.core.pipeline.prewarm_traces` call, which merges all
    missing (scene, technique) pairs into a single
    ``traverse_forest_jobs`` packet stream;
-2. with ``workers > 1`` the simulation replays fan across the
-   :mod:`repro.exec` process pool (one :func:`execute_jobs` call for
-   the whole batch, deduplicated), seeding the in-process memo with
-   the results;
+2. with ``workers > 1`` the batch thread replays one share of the
+   simulations while a :mod:`repro.exec` pool of ``workers - 1``
+   processes replays the rest (one :func:`execute_jobs` call for the
+   whole batch, deduplicated), seeding the in-process memo with the
+   results;
 3. each job's result document is then assembled from warm results.
 
 Threading model: the scheduler loop and all job state transitions run

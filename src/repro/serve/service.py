@@ -63,7 +63,7 @@ class ServeConfig:
     queue_limit: int = 64  # admission queue bound; beyond it -> 429
     batch_max: int = 8  # jobs coalesced into one micro-batch
     batch_window_s: float = 0.005  # straggler wait after first arrival
-    workers: int = 1  # >1 fans replays across the repro.exec pool
+    workers: int = 1  # >1 fans replays over a repro.exec pool of N-1
     default_deadline_s: Optional[float] = None  # per-request default
     job_timeout_s: Optional[float] = None  # pool-side per-job timeout
     retry_after_s: float = 1.0  # advertised backoff on 429

@@ -239,6 +239,20 @@ class TestWireRoundTrip:
         assert rebuilt.scenes == ("WKND", "SHIP")
         assert rebuilt.jobs == 2
 
+    def test_sweep_request_jobs_default_to_the_plan(self):
+        request = SweepRequest.from_dict({"technique": "treelet-prefetch"})
+        assert request.jobs is None
+        assert "jobs" not in request.to_dict()
+        assert SweepRequest.from_dict(
+            {"technique": "baseline", "jobs": 1}
+        ).jobs == 1
+
+    @pytest.mark.parametrize("jobs", [True, False, 0, -1, 1.5, "2"])
+    def test_sweep_request_jobs_must_be_a_positive_integer(self, jobs):
+        with pytest.raises(ValueError, match="'jobs'"):
+            SweepRequest.from_dict({"technique": "treelet-prefetch",
+                                    "jobs": jobs})
+
     def test_sweep_accepts_request_object(self):
         request = SweepRequest(technique=TREELET_PREFETCH,
                                scenes=("WKND",), scale=SMOKE)

@@ -28,7 +28,7 @@ from repro.exec import (
     set_artifact_cache,
 )
 from repro.exec.cache import fingerprint
-from repro.exec.executor import _run_job
+from repro.exec.executor import FANOUT_SHARE_VISITS, _run_job
 
 SCENES = ["WKND", "SHIP"]
 
@@ -429,7 +429,10 @@ class TestExecuteJobs:
         jobs = [Job(s, TREELET_PREFETCH, SMOKE) for s in SCENES]
         report = ExecutionReport()
         results = execute_jobs(jobs, workers=2, report=report)
-        assert report.from_pool == 2
+        # The caller replays the first job itself; the pool the second.
+        assert report.from_caller == 1
+        assert report.from_pool == 1
+        assert report.workers == 2
         for scene, result in zip(SCENES, results):
             assert result.stats == serial[scene].stats
 
@@ -439,11 +442,13 @@ class TestExecuteJobs:
         results = execute_jobs(
             jobs, workers=2, job_fn=_fail_in_worker, report=report
         )
-        # Every pool attempt raised; the retry raised too; the executor
-        # then ran each job right here — with correct results.
+        # The caller replayed its own share; every pool attempt raised,
+        # the retry raised too, and the executor then ran the pool's job
+        # right here — with correct results.
+        assert report.from_caller == 1
         assert report.worker_failures >= 2
         assert report.retried >= 1
-        assert report.inprocess_fallbacks == 2
+        assert report.inprocess_fallbacks == 1
         serial = {s: run(s, BASELINE, SMOKE) for s in SCENES}
         for scene, result in zip(SCENES, results):
             assert result.stats == serial[scene].stats
@@ -455,41 +460,73 @@ class TestExecuteJobs:
             jobs, workers=2, job_fn=_die_in_worker, report=report
         )
         assert report.pool_broken
-        assert report.inprocess_fallbacks == 2
+        assert report.from_caller == 1
+        assert report.inprocess_fallbacks == 1
         assert all(r.stats.cycles > 0 for r in results)
+
+    def test_caller_share_deals_jobs_in_snake_order(self):
+        from repro.exec.executor import _caller_share
+
+        assert _caller_share(2, 2) == [0]
+        assert _caller_share(8, 2) == [0, 3, 4, 7]
+        assert _caller_share(7, 3) == [0, 5, 6]
+
+
+@pytest.fixture
+def fanout_by_default(monkeypatch):
+    """Let a default-jobs sweep fan out at smoke scale: two CPUs in the
+    affinity mask and a threshold every replay clears."""
+    from repro.exec import executor
+
+    monkeypatch.setattr(executor.os, "sched_getaffinity",
+                        lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(executor, "FANOUT_SHARE_VISITS", 1)
+    monkeypatch.delenv("REPRO_MP_START", raising=False)
+
+
+#: ``jobs`` values whose sweeps must equal an explicit ``jobs=1`` one:
+#: an explicit count and the default, which fans out under
+#: ``fanout_by_default``.
+PARALLEL_JOBS = [2, None]
 
 
 class TestParallelSweeps:
-    def test_run_sweep_jobs2_bit_identical(self):
-        serial = sweep(TREELET_PREFETCH, SCENES, SMOKE)
-        clear_caches()
-        parallel = sweep(TREELET_PREFETCH, SCENES, SMOKE, jobs=2)
-        assert parallel.scenes == serial.scenes
-        for scene in SCENES:
-            assert (
-                parallel.outcomes[scene].baseline.stats
-                == serial.outcomes[scene].baseline.stats
-            )
-            assert (
-                parallel.outcomes[scene].candidate.stats
-                == serial.outcomes[scene].candidate.stats
-            )
-        assert parallel.gmean_speedup == serial.gmean_speedup
-        # SimStats round-trips through worker pickling byte-for-byte.
-        assert pickle.dumps(
-            parallel.outcomes[SCENES[0]].candidate.stats
-        ) == pickle.dumps(serial.outcomes[SCENES[0]].candidate.stats)
+    def test_run_sweep_jobs2_bit_identical(self, fanout_by_default):
+        serial = sweep(TREELET_PREFETCH, SCENES, SMOKE, jobs=1)
+        assert serial.execution.workers == 1
+        for jobs in PARALLEL_JOBS:
+            clear_caches()
+            parallel = sweep(TREELET_PREFETCH, SCENES, SMOKE, jobs=jobs)
+            assert parallel.execution.workers == 2
+            assert parallel.scenes == serial.scenes
+            for scene in SCENES:
+                assert (
+                    parallel.outcomes[scene].baseline.stats
+                    == serial.outcomes[scene].baseline.stats
+                )
+                assert (
+                    parallel.outcomes[scene].candidate.stats
+                    == serial.outcomes[scene].candidate.stats
+                )
+            assert parallel.gmean_speedup == serial.gmean_speedup
+            # SimStats round-trips through worker pickling byte-for-byte.
+            assert pickle.dumps(
+                parallel.outcomes[SCENES[0]].candidate.stats
+            ) == pickle.dumps(serial.outcomes[SCENES[0]].candidate.stats)
 
-    def test_compare_parallel_matches_serial(self):
+    def test_compare_parallel_matches_serial(self, fanout_by_default):
         techniques = {"full": TREELET_PREFETCH}
-        serial = compare(techniques, ["WKND"], SMOKE)
-        clear_caches()
-        parallel = compare(techniques, ["WKND"], SMOKE, jobs=2)
-        assert set(parallel) == set(serial)
-        assert (
-            parallel["full"].outcomes["WKND"].candidate.stats
-            == serial["full"].outcomes["WKND"].candidate.stats
-        )
+        serial = compare(techniques, ["WKND"], SMOKE, jobs=1)
+        assert serial["full"].execution.workers == 1
+        for jobs in PARALLEL_JOBS:
+            clear_caches()
+            parallel = compare(techniques, ["WKND"], SMOKE, jobs=jobs)
+            assert parallel["full"].execution.workers == 2
+            assert set(parallel) == set(serial)
+            assert (
+                parallel["full"].outcomes["WKND"].candidate.stats
+                == serial["full"].outcomes["WKND"].candidate.stats
+            )
 
     def test_prewarm_seeds_result_memoizer(self):
         from repro.core.memo import MEMO
@@ -512,6 +549,96 @@ class TestParallelSweeps:
         reset_build_counts()
         sweep(TREELET_PREFETCH, SCENES, SMOKE)
         assert not any(build_counts().values())
+
+
+class TestDefaultJobs:
+    """``jobs=None`` (the default) fans out only with two CPUs or more,
+    a forking pool, no other thread alive, and replays that hold at
+    least ``FANOUT_SHARE_VISITS`` visits per process."""
+
+    @staticmethod
+    def _plan():
+        return sweep(TREELET_PREFETCH, SCENES, SMOKE).execution
+
+    @pytest.mark.parametrize("guard", [
+        "one-cpu", "second-thread", "spawn", "below-threshold",
+    ])
+    def test_stays_serial(self, guard, fanout_by_default, monkeypatch):
+        import threading
+
+        from repro.exec import executor
+
+        if guard == "one-cpu":
+            monkeypatch.setattr(executor.os, "sched_getaffinity",
+                                lambda pid: {0}, raising=False)
+        elif guard == "spawn":
+            monkeypatch.setenv("REPRO_MP_START", "spawn")
+        elif guard == "below-threshold":
+            monkeypatch.setattr(executor, "FANOUT_SHARE_VISITS",
+                                FANOUT_SHARE_VISITS)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        if guard == "second-thread":
+            other.start()
+        try:
+            plan = self._plan()
+        finally:
+            release.set()
+            if other.is_alive():
+                other.join(timeout=10)
+        assert not other.is_alive()
+        assert plan.workers == 1
+        assert plan.from_pool == plan.from_caller == 0
+        assert plan.cpus == (1 if guard == "one-cpu" else 2)
+        assert plan.start_method == ("spawn" if guard == "spawn"
+                                     else "fork")
+        if guard == "below-threshold":
+            assert 0 < plan.missing_visits < 2 * plan.visit_threshold
+
+    def test_fans_out_when_the_threshold_is_lowered(self,
+                                                    fanout_by_default):
+        plan = self._plan()
+        assert plan.workers == 2
+        assert plan.submitted == 2 * len(SCENES)
+        # The caller replays its own share while the pool replays the
+        # rest.
+        assert plan.from_caller == len(SCENES)
+        assert plan.from_pool == len(SCENES)
+        assert plan.inprocess_fallbacks == 0
+
+    def test_span_records_the_plan(self, fanout_by_default):
+        from repro.obs.spans import collect
+
+        with collect() as collector:
+            sweep(TREELET_PREFETCH, SCENES, SMOKE)
+            compare({"full": TREELET_PREFETCH}, SCENES, SMOKE)
+        spans = {s.name: s.args for s in collector.snapshot()}
+        assert spans["api.sweep"]["jobs"] is None
+        assert spans["api.sweep"]["workers"] == 2
+        assert spans["api.sweep"]["cpus"] == 2
+        assert spans["api.sweep"]["start_method"] == "fork"
+        assert spans["api.sweep"]["missing_visits"] > 0
+        assert spans["api.sweep"]["visit_threshold"] == 1
+        # Every result of the compare is memoized by the sweep before.
+        assert spans["api.compare"]["workers"] == 1
+        assert spans["api.compare"]["missing_visits"] == 0
+
+    @pytest.mark.parametrize("fanout", [False, True])
+    def test_report_records_the_resolved_count(self, fanout, tmp_path,
+                                               request, capsys):
+        import json
+
+        from repro.cli import main
+
+        if fanout:
+            request.getfixturevalue("fanout_by_default")
+        out = tmp_path / "report.json"
+        assert main(["sweep", "--scenes", "WKND", "SHIP", "--scale",
+                     "smoke", "--report", str(out)]) == 0
+        capsys.readouterr()
+        reports = json.loads(out.read_text())["scenes"]
+        assert {r["execution"]["replay_jobs"] for r in reports.values()} \
+            == {2 if fanout else 1}
 
 
 class TestCacheCli:

@@ -421,6 +421,12 @@ class TestScenarios:
         with pytest.raises(ScenarioError, match="did you mean 'weight'"):
             Scenario.from_dict({"mix": [{"scene": "WKND", "wieght": 2}]})
 
+    @pytest.mark.parametrize("field", ["requests", "seed"])
+    def test_json_booleans_are_not_integers(self, field):
+        # bool subclasses int in Python; `true` is not a count on the wire.
+        with pytest.raises(ScenarioError, match=field):
+            Scenario.from_dict({field: True})
+
     def test_wrong_schema_and_bad_json_are_rejected(self, tmp_path):
         with pytest.raises(ScenarioError, match="repro.scenario/1"):
             Scenario.from_dict({"schema": "repro.scenario/9"})

@@ -682,16 +682,16 @@ class TestRequestTracing:
         self, serve_factory
     ):
         """Acceptance criterion: one served sweep (jobs=2 scenes, two
-        techniques -> 4 exec jobs) with workers=2 yields one merged
-        Perfetto trace spanning serve, the scheduler batch, and >= 2
-        exec worker processes — every span carrying the request's
-        trace_id."""
+        techniques -> 4 exec jobs) with workers=3 (the scheduler's own
+        thread plus a pool of two) yields one merged Perfetto trace
+        spanning serve, the scheduler batch, and >= 2 exec worker
+        processes — every span carrying the request's trace_id."""
         import os
 
         from repro.core.pipeline import clear_caches
 
         clear_caches()  # force real work so pool workers get jobs
-        handle = serve_factory(workers=2)
+        handle = serve_factory(workers=3)
         status, headers, doc = handle.post(
             "/v1/sweep?wait=1",
             {"technique": "treelet-prefetch", "scale": "smoke",
@@ -716,6 +716,9 @@ class TestRequestTracing:
         }
         assert len(worker_pids) >= 2
         assert os.getpid() not in worker_pids
+        # The scheduler replayed its own share of the jobs in-process.
+        assert any(s["name"] == "exec.job" and s["pid"] == os.getpid()
+                   and s["args"]["worker"] == "caller" for s in spans)
 
         # The Perfetto rendering of the same trace: one process track
         # per recording process, every slice tagged with the trace_id.

@@ -38,18 +38,20 @@ Commands:
   ``run``/``sweep`` take ``--spans PATH`` to record such a file for
   the invocation.
 
-``run`` and ``sweep`` take ``--json`` (machine-readable SimStats on
-stdout) and ``--report PATH`` (structured ``run_report.json`` with
-demand-latency and prefetch-timeliness histograms).  ``sweep`` replays
-across as many processes as the host and the work warrant (``--jobs N``
-sets the count), and
-``run``/``sweep``/``trace`` take ``--cache-dir`` to persist built
-BVHs/rays/traces between invocations (``REPRO_CACHE_DIR`` works too;
-see ``docs/execution.md``).
-
-All heavy options map one-to-one onto :class:`repro.core.Technique`;
-``--technique SPEC`` sets them all at once from a spec string.  The
-command implementations go through :mod:`repro.api`.
+``run``, ``sweep``, ``trace`` and ``queries`` parse their arguments
+into a :class:`repro.api.RunRequest` / :class:`repro.api.SweepRequest`
+with the parser ``repro serve`` uses, so a bad scene, scale, workload or
+``--technique SPEC`` is one ``error:`` line (exit status 2) with the
+service's near-miss suggestions.  ``run --json`` and ``sweep --json``
+print the result documents of ``POST /v1/run`` (with ``baseline``) and
+``POST /v1/sweep``.  ``--report PATH`` writes a ``run_report.json``
+per run; ``run`` and ``trace`` add demand-latency and
+prefetch-timeliness histograms from their one, observed run.
+``sweep`` replays across as many processes as the host and the work
+warrant (``--jobs N`` sets the count), and
+``run``/``sweep``/``trace``/``queries`` take ``--cache-dir`` to persist
+built BVHs/rays/traces between invocations (``REPRO_CACHE_DIR`` works
+too; see ``docs/execution.md``).
 """
 
 from __future__ import annotations
@@ -57,69 +59,38 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
-from . import BASELINE, Technique, speedup
-from .api import describe_techniques, parse_technique, technique_fields
+from . import BASELINE
+from .api import describe_techniques, technique_fields
+from .api.facade import RunRequest, SweepRequest
 from .api.facade import run as api_run
 from .api.facade import sweep as api_sweep
 from .bvh import compute_tree_stats
-from .core import banner, format_series, format_table, geomean
+from .core import banner, format_series, format_table
 from .core.pipeline import SCALES, get_bvh, get_decomposition
-from .prefetch import PrefetchHeuristic
 from .render import RenderConfig, render
 from .scenes import (
     ALL_SCENES,
-    QUERY_SCENES,
     SCENE_TRIANGLE_BUDGET,
     build_scene,
     scene_registry,
 )
 
-#: Everything `run`/`sweep`/`queries` accept as a scene: the rendering
-#: evaluation set plus the query-workload scenes.
-_RUNNABLE_SCENES = tuple(ALL_SCENES) + tuple(QUERY_SCENES)
 
-#: Ray workloads `run`/`sweep` accept (compile-side registry is
-#: repro.queries.workloads.WORKLOADS; keep the CLI list literal so
-#: `--help` works without importing the query stack).
-_WORKLOADS = ("render", "knn", "containment")
-
-
-def _add_technique_args(parser: argparse.ArgumentParser) -> None:
+def _add_request_args(parser: argparse.ArgumentParser,
+                      scale: str = "default") -> None:
+    """The options every evaluating command shares."""
     parser.add_argument(
-        "--technique", metavar="SPEC", default=None,
-        help="technique spec string, e.g. "
+        "--technique", metavar="SPEC", default="treelet-prefetch",
+        help="technique spec string, e.g. 'baseline' or "
              "'treelet-prefetch,bytes=8192,order=lifo' "
-             "(see `repro techniques`); supersedes the individual "
-             "technique flags below",
+             "(see `repro techniques`; default: treelet-prefetch)",
     )
-    parser.add_argument("--traversal", choices=["dfs", "treelet"],
-                        default="treelet")
-    parser.add_argument("--layout", choices=["dfs", "treelet"],
-                        default="treelet")
-    parser.add_argument("--layout-stride", type=int, default=0)
-    parser.add_argument(
-        "--prefetch",
-        choices=["none", "treelet", "mta", "stride", "stream", "ghb"],
-        default="treelet",
-    )
-    parser.add_argument("--heuristic",
-                        choices=["always", "popularity", "partial"],
-                        default="always")
-    parser.add_argument("--threshold", type=float, default=0.5,
-                        help="popularity threshold (with --heuristic"
-                             " popularity)")
-    parser.add_argument("--scheduler", choices=["baseline", "omr", "pmr"],
-                        default="pmr")
-    parser.add_argument("--treelet-bytes", type=int, default=512)
-    parser.add_argument("--formation", choices=["bfs", "dfs", "sah"],
-                        default="bfs")
-    parser.add_argument("--voter", choices=["full", "pseudo"],
-                        default="full")
-    parser.add_argument("--voter-latency", type=int, default=0)
-    parser.add_argument("--mapping-mode",
-                        choices=["none", "loose", "strict"], default="none")
+    parser.add_argument("--scale", default=scale,
+                        help=f"{', '.join(SCALES)} (default: {scale})")
+    _add_cache_args(parser)
 
 
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
@@ -138,36 +109,21 @@ def _activate_cache(args: argparse.Namespace):
     """Point the pipeline at the requested on-disk artifact cache."""
     from .exec import cache_dir_from_env, set_artifact_cache
 
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return set_artifact_cache(None)
-    path = getattr(args, "cache_dir", None) or cache_dir_from_env()
+    path = args.cache_dir or cache_dir_from_env()
     return set_artifact_cache(path) if path else None
 
 
-def _technique_from_args(args: argparse.Namespace) -> Technique:
-    if getattr(args, "technique", None):
-        try:
-            return parse_technique(args.technique)
-        except ValueError as exc:
-            print(f"error: --technique: {exc}", file=sys.stderr)
-            raise SystemExit(2)
-    heuristic = PrefetchHeuristic(
-        args.heuristic,
-        threshold=args.threshold if args.heuristic == "popularity" else 0.0,
-    )
-    return Technique(
-        traversal=args.traversal,
-        layout=args.layout,
-        layout_stride=args.layout_stride,
-        prefetch=None if args.prefetch == "none" else args.prefetch,
-        heuristic=heuristic,
-        scheduler=args.scheduler,
-        treelet_bytes=args.treelet_bytes,
-        formation=args.formation,
-        voter_mode=args.voter,
-        voter_latency=args.voter_latency,
-        mapping_mode=None if args.mapping_mode == "none" else args.mapping_mode,
-    )
+def _request(request_type, **fields):
+    """Parse a command's arguments as an api request, the way serve
+    parses a request body: a bad scene, scale, workload or technique
+    prints one ``error:`` line and exits 2, before any work starts."""
+    try:
+        return request_type.from_dict(fields)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _cmd_scenes(args: argparse.Namespace) -> int:
@@ -215,28 +171,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _observed_run(scene: str, technique: Technique, scale,
-                  workload: str = "render"):
-    """Run ``technique`` with an observer attached; returns (result, obs)."""
-    from .obs import Observer
-
-    observer = Observer()
-    result = api_run(scene, technique, scale, observer=observer,
-                     workload=workload).experiment
-    return result, observer
-
-
-def _write_report(path, scene, technique, scale, result, observer) -> None:
+def _write_report(path, result, observer) -> None:
     from .obs import build_run_report, write_run_report
 
-    report = build_run_report(
-        scene=scene,
-        technique=technique.label(),
-        scale=scale.name,
+    write_run_report(path, build_run_report(
+        scene=result.scene,
+        technique=result.technique.label(),
+        scale=result.scale.name,
         stats=result.stats,
         observer=observer,
-    )
-    write_run_report(path, report)
+    ))
 
 
 def _with_spans(args: argparse.Namespace, fn) -> int:
@@ -260,41 +204,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_impl(args: argparse.Namespace) -> int:
-    scale = SCALES[args.scale]
-    technique = _technique_from_args(args)
-    workload = getattr(args, "workload", "render")
-    _activate_cache(args)
-    base = api_run(args.scene, BASELINE, scale, workload=workload).experiment
-    if args.report:
-        result, observer = _observed_run(args.scene, technique, scale,
-                                         workload)
-        _write_report(args.report, args.scene, technique, scale,
-                      result, observer)
-    else:
-        result = api_run(args.scene, technique, scale,
-                         workload=workload).experiment
-    if args.json:
-        from .obs import simstats_to_dict
+    from .obs import Observer
+    from .serve.protocol import run_document
 
-        print(json.dumps({
-            "scene": args.scene,
-            "technique": technique.label(),
-            "scale": scale.name,
-            "workload": workload,
-            "speedup": speedup(base, result),
-            "power_ratio": result.power.avg_power / base.power.avg_power,
-            "baseline": simstats_to_dict(base.stats),
-            "stats": simstats_to_dict(result.stats),
-        }, indent=2))
+    request = _request(RunRequest, scene=args.scene,
+                       technique=args.technique, scale=args.scale,
+                       workload=args.workload)
+    _activate_cache(args)
+    base = api_run(replace(request, technique=BASELINE))
+    observer = Observer() if args.report else None
+    result = api_run(replace(request, observer=observer))
+    if args.report:
+        _write_report(args.report, result, observer)
+    doc = run_document(result, base)
+    if args.json:
+        print(json.dumps(doc, indent=2))
         return 0
-    print(banner(f"{args.scene}: {technique.label()} vs baseline"))
+    print(banner(f"{result.scene}: {doc['technique']} vs baseline"))
     print(f"baseline cycles:   {base.cycles}")
     print(f"technique cycles:  {result.cycles}")
-    print(f"speedup:           {speedup(base, result):.3f}x")
+    print(f"speedup:           {doc['speedup']:.3f}x")
     print(f"BVH load latency:  {base.stats.avg_node_demand_latency:.0f} -> "
           f"{result.stats.avg_node_demand_latency:.0f} cycles")
-    print(f"power ratio:       "
-          f"{result.power.avg_power / base.power.avg_power:.3f}")
+    print(f"power ratio:       {doc['power_ratio']:.3f}")
     if result.stats.prefetches_issued:
         print(format_series(
             "prefetch effectiveness:",
@@ -310,78 +242,46 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_impl(args: argparse.Namespace) -> int:
-    scale = SCALES[args.scale]
-    technique = _technique_from_args(args)
-    workload = getattr(args, "workload", "render")
-    scenes = args.scenes or None
-    if scenes is None and workload == "render":
-        scenes = list(ALL_SCENES)
+    from .serve.protocol import sweep_result_document
+
+    request = _request(SweepRequest, technique=args.technique,
+                       scenes=args.scenes or None, scale=args.scale,
+                       workload=args.workload, jobs=args.jobs)
     _activate_cache(args)
     # The facade owns the fast paths: trace generation is batched
     # through the vectorized forest driver, then the replays fan across
     # --jobs processes (worked out by the facade when not given).
-    # (--report runs re-simulate with an observer attached.)
-    # scenes=None lets the facade pick the workload-appropriate default
-    # set.
-    outcome = api_sweep(technique, scenes, scale, jobs=args.jobs,
-                        workload=workload)
-    scenes = list(outcome.outcomes)
-    rows = []
-    gains = []
-    reports = {}
-    payload = {}
-    for scene in scenes:
-        base = outcome.outcomes[scene].baseline
-        if args.report:
-            from .obs import build_run_report
-
-            result, observer = _observed_run(scene, technique, scale,
-                                             workload)
-            reports[scene] = build_run_report(
-                scene=scene,
-                technique=technique.label(),
-                scale=scale.name,
-                stats=result.stats,
-                observer=observer,
-                replay_jobs=outcome.execution.workers,
-            )
-        else:
-            result = outcome.outcomes[scene].candidate
-        gain = speedup(base, result)
-        gains.append(gain)
-        rows.append([scene, base.cycles, result.cycles, round(gain, 3)])
-        if args.json:
-            from .obs import simstats_to_dict
-
-            payload[scene] = {
-                "speedup": gain,
-                "baseline": simstats_to_dict(base.stats),
-                "stats": simstats_to_dict(result.stats),
-            }
+    outcome = api_sweep(request)
+    doc = sweep_result_document(request, outcome)
     if args.report:
-        from pathlib import Path
+        from .obs import build_run_report, write_run_report
 
-        out = Path(args.report)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(
-            {"schema": "repro.sweep_report/1",
-             "technique": technique.label(),
-             "scale": scale.name,
-             "gmean_speedup": geomean(gains),
-             "scenes": reports},
-            indent=2, sort_keys=True,
-        ))
+        # Each scene's report comes from the sweep's own result: the
+        # report watches no second, observed replay.
+        write_run_report(args.report, {
+            "schema": "repro.sweep_report/1",
+            "technique": doc["technique"],
+            "scale": doc["scale"],
+            "gmean_speedup": doc["gmean_speedup"],
+            "scenes": {
+                scene: build_run_report(
+                    scene=scene, technique=doc["technique"],
+                    scale=doc["scale"], stats=pair.candidate.stats,
+                    replay_jobs=outcome.execution.workers,
+                )
+                for scene, pair in outcome.outcomes.items()
+            },
+        })
     if args.json:
-        print(json.dumps({
-            "technique": technique.label(),
-            "scale": scale.name,
-            "workload": workload,
-            "gmean_speedup": geomean(gains),
-            "scenes": payload,
-        }, indent=2))
+        print(json.dumps(doc, indent=2))
         return 0
-    rows.append(["GMean", "", "", round(geomean(gains), 3)])
-    print(banner(f"sweep: {technique.label()} @ scale {scale.name}"))
+    rows = [
+        [scene, entry["baseline_cycles"], entry["cycles"],
+         round(entry["speedup"], 3)]
+        for scene, entry in doc["scenes"].items()
+    ]
+    rows.append(["GMean", "", "", round(doc["gmean_speedup"], 3)])
+    print(banner(f"sweep: {doc['technique']} @ scale {doc['scale']}"))
     print(format_table(["scene", "base cyc", "ours cyc", "speedup"], rows))
     if args.report:
         print(f"wrote report to {args.report}")
@@ -391,19 +291,16 @@ def _cmd_sweep_impl(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import Observer, write_chrome_trace
 
-    scale = SCALES[args.scale]
-    technique = _technique_from_args(args)
+    request = _request(RunRequest, scene=args.scene,
+                       technique=args.technique, scale=args.scale)
     _activate_cache(args)
     observer = Observer(max_events=args.max_events)
-    result = api_run(
-        args.scene, technique, scale, observer=observer
-    ).experiment
+    result = api_run(replace(request, observer=observer))
     path = write_chrome_trace(args.out, observer.bus, observer.metrics)
     summary = observer.trace_summary()
     if args.report:
-        _write_report(args.report, args.scene, technique, scale,
-                      result, observer)
-    print(banner(f"{args.scene}: traced {technique.label()}"))
+        _write_report(args.report, result, observer)
+    print(banner(f"{result.scene}: traced {result.technique.label()}"))
     print(f"cycles:        {result.stats.cycles}")
     print(f"events:        {summary['events']}"
           + (f" (+{summary['dropped']} dropped)"
@@ -507,14 +404,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .serve import LoadGenConfig, RequestTemplate, run_loadgen
 
-    scenes = args.scenes or ["WKND"]
     mix = tuple(
         RequestTemplate(
             scene=scene, technique=args.technique, scale=args.scale,
-            workload=getattr(args, "workload", "render"),
+            workload=args.workload,
         )
-        for scene in scenes
+        for scene in args.scenes or ["WKND"]
     )
+    for template in mix:
+        _request(RunRequest, scene=template.scene,
+                 technique=template.technique, scale=template.scale,
+                 workload=template.workload)
     config = LoadGenConfig(
         host=args.host,
         port=args.port,
@@ -668,40 +568,38 @@ def _cmd_queries(args: argparse.Namespace) -> int:
     from .queries import verify_workload
     from .scenes import SCENE_KINDS
 
-    scale = SCALES[args.scale]
-    technique = _technique_from_args(args)
     workload = args.workload
     if workload is None:
         # Infer from the scene kind: point clouds answer kNN, AMR
         # grids answer containment.
-        kind = SCENE_KINDS.get(args.scene)
+        kind = SCENE_KINDS.get(args.scene.strip().upper())
         workload = "knn" if kind == "points" else "containment"
+    request = _request(RunRequest, scene=args.scene,
+                       technique=args.technique, scale=args.scale,
+                       workload=workload)
     _activate_cache(args)
     verification = verify_workload(
-        args.scene, scale, workload, technique=technique
+        request.scene, request.scale, workload, technique=request.technique
     )
-    base = api_run(args.scene, BASELINE, scale, workload=workload).experiment
-    result = api_run(args.scene, technique, scale,
-                     workload=workload).experiment
+    base = api_run(replace(request, technique=BASELINE))
+    result = api_run(request)
+    label = result.technique.label()
     if args.json:
         print(json.dumps({
-            "scene": args.scene,
+            "scene": result.scene,
             "workload": workload,
-            "scale": scale.name,
-            "technique": technique.label(),
+            "scale": result.scale.name,
+            "technique": label,
             "queries": verification.queries,
             "rays": verification.rays,
             "exact": verification.exact,
             "mismatches": verification.mismatches,
             "baseline_cycles": base.cycles,
             "cycles": result.cycles,
-            "speedup": speedup(base, result),
+            "speedup": result.speedup_over(base),
         }, indent=2))
         return 0 if verification.exact else 1
-    print(banner(
-        f"{args.scene}: {workload} queries, "
-        f"{technique.label()} vs baseline"
-    ))
+    print(banner(f"{result.scene}: {workload} queries, {label} vs baseline"))
     print(f"queries:           {verification.queries}")
     print(f"rays:              {verification.rays}")
     verdict = "EXACT match" if verification.exact else (
@@ -712,7 +610,7 @@ def _cmd_queries(args: argparse.Namespace) -> int:
         print(f"  query {qi}: decoded {got!r}, expected {want!r}")
     print(f"baseline cycles:   {base.cycles}")
     print(f"technique cycles:  {result.cycles}")
-    print(f"speedup:           {speedup(base, result):.3f}x")
+    print(f"speedup:           {result.speedup_over(base):.3f}x")
     return 0 if verification.exact else 1
 
 
@@ -770,33 +668,31 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--treelet-bytes", type=int, default=512)
 
     run = sub.add_parser("run", help="one technique vs baseline on a scene")
-    run.add_argument("scene", choices=list(_RUNNABLE_SCENES))
-    run.add_argument("--scale", choices=list(SCALES), default="default")
-    run.add_argument("--workload", choices=list(_WORKLOADS),
-                     default="render",
+    run.add_argument("scene", help="see `repro scenes list`")
+    run.add_argument("--workload", default="render",
                      help="ray workload: render (camera rays), knn, or "
                           "containment (query scenes; see `repro queries`)")
     run.add_argument("--json", action="store_true",
-                     help="print machine-readable SimStats JSON")
+                     help="print the run document (as `POST /v1/run` "
+                          "with baseline) as JSON")
     run.add_argument("--report",
                      help="write a structured run_report.json here")
     run.add_argument("--spans", metavar="PATH",
                      help="record phase spans (repro.spans/1) here")
-    _add_technique_args(run)
-    _add_cache_args(run)
+    _add_request_args(run)
 
     sweep = sub.add_parser("sweep", help="one technique across scenes")
-    sweep.add_argument("--scenes", nargs="*", choices=list(_RUNNABLE_SCENES))
-    sweep.add_argument("--scale", choices=list(SCALES), default="default")
-    sweep.add_argument("--workload", choices=list(_WORKLOADS),
-                       default="render",
+    sweep.add_argument("--scenes", nargs="*",
+                       help="see `repro scenes list`")
+    sweep.add_argument("--workload", default="render",
                        help="ray workload; with no --scenes, query "
                             "workloads default to their query scenes")
     sweep.add_argument("--json", action="store_true",
-                       help="print machine-readable SimStats JSON")
+                       help="print the sweep document (as "
+                            "`POST /v1/sweep`) as JSON")
     sweep.add_argument("--report",
                        help="write per-scene run reports to this file")
-    sweep.add_argument("--jobs", type=_positive_int, default=None,
+    sweep.add_argument("--jobs", type=int, default=None,
                        help="replay across N processes, this one "
                             "included (default: one per CPU when the "
                             "replays are large enough to pay for the "
@@ -804,22 +700,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "--jobs 1)")
     sweep.add_argument("--spans", metavar="PATH",
                        help="record phase spans (repro.spans/1) here")
-    _add_technique_args(sweep)
-    _add_cache_args(sweep)
+    _add_request_args(sweep)
 
     trace = sub.add_parser(
         "trace", help="trace one run; export Perfetto/Chrome JSON"
     )
-    trace.add_argument("scene", choices=list(ALL_SCENES))
-    trace.add_argument("--scale", choices=list(SCALES), default="default")
+    trace.add_argument("scene", help="see `repro scenes list`")
     trace.add_argument("--out", default="trace.json",
                        help="Chrome trace-event output path")
     trace.add_argument("--report",
                        help="also write a structured run_report.json here")
     trace.add_argument("--max-events", type=_positive_int, default=1_000_000,
                        help="retained-event cap (excess is dropped)")
-    _add_technique_args(trace)
-    _add_cache_args(trace)
+    _add_request_args(trace)
 
     cache = sub.add_parser(
         "cache", help="inspect or clear the persistent artifact cache"
@@ -866,16 +759,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="offered arrival rate (Poisson)")
     loadgen.add_argument("--requests", type=_positive_int, default=50)
     loadgen.add_argument("--scenes", nargs="*",
-                         choices=list(_RUNNABLE_SCENES),
                          help="request mix, uniform over these scenes "
                               "(default: WKND)")
-    loadgen.add_argument("--workload", choices=list(_WORKLOADS),
-                         default="render",
+    loadgen.add_argument("--workload", default="render",
                          help="ray workload sent with every request")
     loadgen.add_argument("--technique", metavar="SPEC",
                          default="treelet-prefetch",
                          help="technique spec sent with every request")
-    loadgen.add_argument("--scale", choices=list(SCALES), default="smoke")
+    loadgen.add_argument("--scale", default="smoke")
     loadgen.add_argument("--seed", type=int, default=0,
                          help="arrival-process RNG seed")
     loadgen.add_argument("--arrival", choices=["poisson", "uniform"],
@@ -962,16 +853,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a non-rendering query workload (kNN / containment): "
              "verify against brute force and compare cycles vs baseline",
     )
-    queries.add_argument("scene", choices=list(QUERY_SCENES))
+    queries.add_argument("scene", help="see `repro scenes list`")
     queries.add_argument("--workload", choices=["knn", "containment"],
                          default=None,
                          help="query workload (default: inferred from the "
                               "scene kind)")
-    queries.add_argument("--scale", choices=list(SCALES), default="smoke")
     queries.add_argument("--json", action="store_true",
                          help="print a machine-readable summary")
-    _add_technique_args(queries)
-    _add_cache_args(queries)
+    _add_request_args(queries, scale="smoke")
 
     rend = sub.add_parser("render", help="render a scene frame")
     rend.add_argument("scene", choices=list(ALL_SCENES))

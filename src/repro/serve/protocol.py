@@ -13,8 +13,10 @@ tests all consume these shapes instead of hand-rolled dicts:
   the serving envelope (``deadline_s``, ``wait``, and the run-only
   ``baseline`` flag);
 * :class:`JobDocument` — the job status/result/cancel response;
-* :func:`sweep_document` — the one builder of a sweep result, used by
-  the service and by the router when it merges per-replica parts;
+* :func:`run_document` / :func:`sweep_result_document` — the one
+  builder of each kind of result, used by the service and by
+  ``repro run``/``repro sweep --json``; :func:`sweep_document` joins
+  per-scene entries (the router merges per-replica parts with it);
 * :class:`ErrorDocument` — every error response, any status;
 * :func:`ensure_request_schema` — server-side version check: a payload
   stamped with an unknown or mismatched ``schema`` is answered with a
@@ -289,10 +291,10 @@ def _coerce_deadline(payload: dict) -> Optional[float]:
 
 def sweep_document(technique: Optional[str], scale: Optional[str],
                    workload: str, scenes: Dict[str, dict]) -> dict:
-    """The one builder of a served sweep result: the per-scene entries
-    and the gmean of their speedups, in the order ``scenes`` is given
-    (the service passes request order, the router the merged scenes
-    sorted)."""
+    """A sweep result from its per-scene entries: the entries and the
+    gmean of their speedups, in the order ``scenes`` is given (request
+    order from :func:`sweep_result_document`, the merged scenes sorted
+    when the router joins per-replica parts)."""
     speedups = [entry["speedup"] for entry in scenes.values()]
     doc = {
         "kind": "sweep",
@@ -303,6 +305,46 @@ def sweep_document(technique: Optional[str], scale: Optional[str],
     }
     if workload != "render":
         doc["workload"] = workload
+    return doc
+
+
+def sweep_result_document(request: SweepRequest, outcome) -> dict:
+    """The one builder of a sweep result, for ``POST /v1/sweep`` and
+    ``repro sweep --json``: each scene's cycles, speedup and both runs'
+    SimStats."""
+    scenes = {
+        scene: {
+            "baseline_cycles": pair.baseline.cycles,
+            "cycles": pair.candidate.cycles,
+            "speedup": pair.speedup,
+            "stats": simstats_to_dict(pair.candidate.stats),
+            "baseline_stats": simstats_to_dict(pair.baseline.stats),
+        }
+        for scene, pair in outcome.outcomes.items()
+    }
+    return sweep_document(outcome.technique.label(), request.scale.name,
+                          request.workload, scenes)
+
+
+def run_document(result, base=None) -> dict:
+    """The one builder of a run result, for ``POST /v1/run`` and
+    ``repro run --json``: the run's SimStats and, given the ``base``
+    run of the baseline, the speedup and power ratio over it."""
+    doc = {
+        "kind": "run",
+        "scene": result.scene,
+        "technique": result.technique.label(),
+        "scale": result.scale.name,
+        "cycles": result.cycles,
+        "stats": simstats_to_dict(result.stats),
+    }
+    if result.workload != "render":
+        doc["workload"] = result.workload
+    if base is not None:
+        doc["baseline_cycles"] = base.cycles
+        doc["speedup"] = result.speedup_over(base)
+        doc["power_ratio"] = result.power.avg_power / base.power.avg_power
+        doc["baseline_stats"] = simstats_to_dict(base.stats)
     return doc
 
 
@@ -389,35 +431,11 @@ class ServedJob:
 
         request = self.request
         if self.kind == "sweep":
-            outcome = sweep(request)
-            scenes = {}
-            for scene in self.scenes:
-                pair = outcome.outcomes[scene]
-                scenes[scene] = {
-                    "baseline_cycles": pair.baseline.cycles,
-                    "cycles": pair.candidate.cycles,
-                    "speedup": pair.speedup,
-                }
-            return sweep_document(outcome.technique.label(),
-                                  request.scale.name, request.workload,
-                                  scenes)
+            return sweep_result_document(request, sweep(request))
         result = run(request)
-        doc = {
-            "kind": "run",
-            "scene": result.scene,
-            "technique": result.technique.label(),
-            "scale": result.scale.name,
-            "cycles": result.cycles,
-            "stats": simstats_to_dict(result.stats),
-        }
-        if result.workload != "render":
-            doc["workload"] = result.workload
-        if self.baseline:
-            base = run(replace(request, technique=BASELINE))
-            doc["baseline_cycles"] = base.cycles
-            doc["speedup"] = result.speedup_over(base)
-            doc["baseline_stats"] = simstats_to_dict(base.stats)
-        return doc
+        base = (run(replace(request, technique=BASELINE))
+                if self.baseline else None)
+        return run_document(result, base)
 
 
 #: Serving-level request fields layered on top of the facade's own

@@ -8,6 +8,7 @@ cache must let a second invocation skip *all* artifact reconstruction
 or dies must not take the sweep down with it.
 """
 
+import json
 import os
 import pickle
 
@@ -639,6 +640,23 @@ class TestDefaultJobs:
         reports = json.loads(out.read_text())["scenes"]
         assert {r["execution"]["replay_jobs"] for r in reports.values()} \
             == {2 if fanout else 1}
+
+    def test_report_replays_nothing_beyond_the_sweep(self, tmp_path,
+                                                     monkeypatch, capsys):
+        from repro.cli import main
+
+        replays = _count_replays(monkeypatch)
+        argv = ["sweep", "--scenes", "WKND", "SHIP", "--scale", "smoke",
+                "--jobs", "1", "--no-cache"]
+        assert main(argv) == 0
+        plain = len(replays)
+        assert plain == 4
+        clear_caches()
+        out = tmp_path / "report.json"
+        assert main([*argv, "--report", str(out)]) == 0
+        capsys.readouterr()
+        assert len(replays) - plain == plain
+        assert set(json.loads(out.read_text())["scenes"]) == {"WKND", "SHIP"}
 
 
 class TestCacheCli:

@@ -227,7 +227,7 @@ class TestPerfettoRoundTrip:
         assert main(["run", "WKND", "--scale", "smoke", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["stats"]["l1"]["demand_accesses"] > 0
-        assert payload["baseline"]["effectiveness"]["timely"] == 0
+        assert payload["baseline_stats"]["effectiveness"]["timely"] == 0
         assert payload["speedup"] > 0
 
     def test_cli_sweep_json(self, capsys):

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry import AABB, Triangle, Vec3
+from ..geometry import AABB, Triangle
 from .soa import BVHArrays
 
 #: Size of one BVH node in bytes (Figure 6: fixed 64-byte layout).
@@ -75,11 +75,10 @@ class FlatBVH:
     :attr:`arrays` (:class:`~repro.bvh.soa.BVHArrays`), which the
     builder writes and a pickle holds.  The :class:`FlatNode` and
     :class:`Triangle` objects are built on first access of :attr:`nodes`
-    or :attr:`triangles`; the packet traversal's scalar tail reads single
-    boxes and vertex triples (:meth:`box`, :meth:`corners`) and the
-    child and primitive lists instead.  The structure is immutable
-    after construction; treelet assignment and memory layout live in
-    separate objects keyed by node id.
+    or :attr:`triangles`; traversal, treelet formation and layout read
+    the columns and the child lists instead.  The structure is
+    immutable after construction; treelet assignment and memory layout
+    live in separate objects keyed by node id.
     """
 
     ROOT_ID = 0
@@ -93,10 +92,9 @@ class FlatBVH:
         self._triangles: Optional[List[Triangle]] = None
 
     def __getstate__(self) -> dict:
-        # Derived data memoized on the instance (the packet-traversal
-        # statics, the tree statistics, the replay's primitive lines, the
-        # child and primitive lists, single boxes and vertex triples) and
-        # the object form stay behind.
+        # Derived data memoized on the instance (the traversal statics,
+        # the tree statistics, the replay's primitive lines, the child
+        # lists) and the object form stay behind.
         return {"name": self.name, **self.arrays.columns()}
 
     def __setstate__(self, state: dict) -> None:
@@ -141,55 +139,18 @@ class FlatBVH:
     def node(self, node_id: int) -> FlatNode:
         return self.nodes[node_id]
 
-    def box(self, node_id: int) -> AABB:
-        """Node ``node_id``'s bounds, built alone (and kept): equal to
-        ``nodes[node_id].bounds`` without building :attr:`nodes`."""
-        made = self.__dict__.setdefault("_boxes", {})
-        box = made.get(node_id)
-        if box is None:
-            box = made[node_id] = AABB(
-                tuple(self.arrays.node_lo[node_id].tolist()),
-                tuple(self.arrays.node_hi[node_id].tolist()),
-            )
-        return box
-
-    def corners(self, position: int) -> Tuple[Vec3, Vec3, Vec3]:
-        """The vertices of ``triangles[position]``, built alone (and
-        kept), without building :attr:`triangles`."""
-        made = self.__dict__.setdefault("_corners", {})
-        corners = made.get(position)
-        if corners is None:
-            t = self.arrays.triangles
-            corners = made[position] = (
-                tuple(t.v0[position].tolist()),
-                tuple(t.v1[position].tolist()),
-                tuple(t.v2[position].tolist()),
-            )
-        return corners
-
     def child_lists(self) -> List[List[int]]:
         """Per node, its child ids: the child CSR as int lists, derived
         once per tree."""
-        a = self.arrays
-        return self._csr_lists(
-            "_child_lists", a.child_ids, a.child_offsets, a.child_counts
-        )
-
-    def prim_lists(self) -> List[List[int]]:
-        """Per node, its primitive ids (empty for an inner node), derived
-        once per tree."""
-        a = self.arrays
-        return self._csr_lists(
-            "_prim_lists", a.prim_ids, a.prim_offsets, a.prim_counts
-        )
-
-    def _csr_lists(self, attr, ids, offsets, counts) -> List[List[int]]:
-        cached = self.__dict__.get(attr)
+        cached = self.__dict__.get("_child_lists")
         if cached is None:
-            flat = ids.tolist()
-            cached = self.__dict__[attr] = [
+            a = self.arrays
+            flat = a.child_ids.tolist()
+            cached = self.__dict__["_child_lists"] = [
                 flat[start:start + count]
-                for start, count in zip(offsets.tolist(), counts.tolist())
+                for start, count in zip(
+                    a.child_offsets.tolist(), a.child_counts.tolist()
+                )
             ]
         return cached
 

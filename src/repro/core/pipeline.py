@@ -555,8 +555,9 @@ def get_decomposition(
 
 def _trace_job(scene_name: str, technique: Technique, workload: str,
                scale: Scale) -> tuple:
-    """One :func:`traverse_forest_jobs` job; rays are cloned because
-    traversal mutates them."""
+    """One :func:`traverse_forest_jobs` job.  The rays are clones:
+    :meth:`Ray.clone` normalizes the direction again, which can move its
+    last bits, and the recorded traces are those of the clones."""
     decomposition = (
         get_decomposition(
             scene_name, scale, technique.treelet_bytes, technique.formation

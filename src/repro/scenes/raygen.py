@@ -93,6 +93,8 @@ def generate_rays(
     frontier = primaries
     for _bounce in range(config.bounces):
         next_frontier: List[Ray] = []
+        # The bounce origins come from the traces of clones (see
+        # Ray.clone), so the population's bits do too.
         traces = traverse_dfs_packet([ray.clone() for ray in frontier], bvh)
         for ray, hit, point, normal in zip(
             frontier,

@@ -9,7 +9,7 @@ executes it as one batch:
 1. every trace set the batch will need is generated in one
    :func:`repro.core.pipeline.prewarm_traces` call, which merges all
    missing (scene, technique) pairs into a single
-   ``traverse_forest_jobs`` packet stream;
+   ``traverse_forest_jobs`` ray stream;
 2. with ``workers > 1`` the batch thread replays one share of the
    simulations while a :mod:`repro.exec` pool of ``workers - 1``
    processes replays the rest (one :func:`execute_jobs` call for the
@@ -271,7 +271,7 @@ class MicroBatchScheduler:
                 self._prewarm(batch)
             if self.workers > 1:
                 with _sp.span("batch.prewarm_pool", workers=self.workers):
-                    self._prewarm_pool(batch)
+                    self._prewarm_pool(batch, loop)
             for job in batch:
                 if job.cancel_requested:
                     loop.call_soon_threadsafe(
@@ -342,7 +342,7 @@ class MicroBatchScheduler:
             except Exception:  # noqa: BLE001
                 pass  # per-job evaluation will surface the real error
 
-    def _prewarm_pool(self, batch: List[JobRecord]) -> None:
+    def _prewarm_pool(self, batch: List[JobRecord], loop) -> None:
         """Fan the batch's simulation replays across the repro.exec
         process pool and seed the in-process memo with the results.
 
@@ -363,7 +363,9 @@ class MicroBatchScheduler:
                 metrics=self.metrics,
             )
         except Exception:  # noqa: BLE001
-            return  # fall back to in-process evaluation per job
+            # Fall back to in-process evaluation per job; the loop
+            # thread counts the fallback.
+            loop.call_soon_threadsafe(self._count, "serve.pool_fallbacks")
 
     # ------------------------------------------------------------------
     # Finalization (event-loop thread).

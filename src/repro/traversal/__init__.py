@@ -15,7 +15,6 @@ from .two_stack import (
     traverse_two_stack_batch,
 )
 from .vectorized import (
-    DEFAULT_PACKET_SIZE,
     ray_aabb_test_batch,
     ray_triangle_test_batch,
     traverse_dfs_packet,
@@ -24,7 +23,6 @@ from .vectorized import (
 )
 
 __all__ = [
-    "DEFAULT_PACKET_SIZE",
     "DEFERRED_ORDERS",
     "NodeVisit",
     "RayTrace",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..geometry import AABB, Hit, Ray, Triangle, Vec3, cross, dot, sub
+from ..geometry import AABB, Hit, Ray, Triangle, cross, dot, sub
 
 #: Watertightness epsilon for the triangle test.
 _TRI_EPSILON = 1e-12
@@ -55,30 +55,14 @@ def ray_triangle_test(ray: Ray, triangle: Triangle) -> Optional[Hit]:
     Backface hits are reported (closest-hit traversal needs them); the
     caller decides whether to cull.
     """
-    t = ray_triangle_t(ray, triangle.v0, triangle.v1, triangle.v2)
-    if t is None:
-        return None
-    return Hit(
-        t=t,
-        primitive_id=triangle.primitive_id,
-        point=ray.at(t),
-        normal=triangle.normal(),
-    )
-
-
-def ray_triangle_t(
-    ray: Ray, v0: Vec3, v1: Vec3, v2: Vec3
-) -> Optional[float]:
-    """The distance :func:`ray_triangle_test` reports for the triangle
-    ``(v0, v1, v2)``, or None on a miss."""
-    edge1 = sub(v1, v0)
-    edge2 = sub(v2, v0)
+    edge1 = sub(triangle.v1, triangle.v0)
+    edge2 = sub(triangle.v2, triangle.v0)
     pvec = cross(ray.direction, edge2)
     det = dot(edge1, pvec)
     if abs(det) < _TRI_EPSILON:
         return None  # Ray parallel to the triangle plane.
     inv_det = 1.0 / det
-    tvec = sub(ray.origin, v0)
+    tvec = sub(ray.origin, triangle.v0)
     u = dot(tvec, pvec) * inv_det
     if u < 0.0 or u > 1.0:
         return None
@@ -89,4 +73,9 @@ def ray_triangle_t(
     t = dot(edge2, qvec) * inv_det
     if t < ray.t_min or t > ray.t_max:
         return None
-    return t
+    return Hit(
+        t=t,
+        primitive_id=triangle.primitive_id,
+        point=ray.at(t),
+        normal=triangle.normal(),
+    )

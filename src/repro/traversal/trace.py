@@ -131,22 +131,6 @@ class TraceSet(Sequence):
             hit_normal=np.reshape([hit.normal for hit in shown], (n, 3)),
         )
 
-    @classmethod
-    def concat(cls, parts: Sequence["TraceSet"]) -> "TraceSet":
-        """The rays of ``parts``, laid end to end."""
-        if len(parts) == 1:
-            return parts[0]
-        if not parts:
-            return cls.from_traces([])
-        columns = {
-            name: np.concatenate([getattr(part, name) for part in parts])
-            for name in TRACE_COLUMNS if name != "offsets"
-        }
-        columns["offsets"] = np.cumsum(np.concatenate(
-            [[0]] + [np.diff(part.offsets) for part in parts]
-        ))
-        return cls(**columns)
-
     def columns(self) -> Dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in TRACE_COLUMNS}
 

@@ -4,8 +4,8 @@ From empty memos and an empty artifact cache, ``api.sweep`` builds
 every BVH from the scene's vertex and face arrays, forms treelets,
 spawns bounce rays and traces them without building a node, triangle
 or binary-node object, and gives the same SimStats as a warm replay.
-The objects the packet traversal's scalar tail does build, one box or
-vertex triple at a time, equal the object form's.
+The child lists that treelet formation and layout read off the columns
+equal the object form's.
 """
 
 import pickle
@@ -70,20 +70,14 @@ def _counted(cls, made):
 
 @pytest.mark.parametrize("scene", SCENES)
 def test_single_items_equal_the_object_form(scene):
-    """``box``/``corners`` and the child and primitive lists read off a
-    tree that never built its objects equal ``nodes[i]`` and
-    ``triangles[i]`` of one that did."""
+    """The child lists read off a tree that never built its objects
+    equal ``nodes[i].child_ids`` of one that did."""
     mesh = build_scene(scene, 0.05).mesh
     columns_only = pickle.loads(pickle.dumps(build_wide_bvh(mesh)))
     objects = build_wide_bvh(mesh)
     children = columns_only.child_lists()
-    prims = columns_only.prim_lists()
     for i, node in enumerate(objects.nodes):
-        assert columns_only.box(i) == node.bounds
         assert tuple(children[i]) == node.child_ids
-        assert tuple(prims[i]) == node.primitive_ids
-    for i, tri in enumerate(objects.triangles):
-        assert columns_only.corners(i) == (tri.v0, tri.v1, tri.v2)
     assert columns_only._nodes is None and columns_only._triangles is None
 
 

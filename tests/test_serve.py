@@ -628,6 +628,33 @@ class TestResultLRU:
         assert lru.info()["entries"] == 0
 
 
+class TestPoolFallback:
+    def test_failed_pool_is_counted_and_jobs_still_finish(
+        self, serve_factory, monkeypatch
+    ):
+        """A batch whose pool fan-out raises is evaluated in-process:
+        its jobs finish ``done`` and ``serve.pool_fallbacks`` counts
+        the fallback."""
+        from repro.exec import executor
+
+        def broken_pool(*args, **kwargs):
+            raise OSError("no pool today")
+
+        monkeypatch.setattr(executor, "prewarm_replay_jobs", broken_pool)
+        handle = serve_factory(workers=2)
+        # A run with its baseline: two replays, so the batch tries the
+        # pool, and nothing but the scheduler calls the patched name.
+        status, _headers, doc = handle.post(
+            "/v1/run?wait=1",
+            {"scene": "SHIP", "technique": "treelet-prefetch",
+             "scale": "smoke", "baseline": True},
+            timeout=300,
+        )
+        assert status == 200 and doc["state"] == "done", doc
+        _status, _headers, metrics = handle.get("/metrics")
+        assert metrics["metrics"]["counters"]["serve.pool_fallbacks"] == 1
+
+
 class TestRequestTracing:
     """The tentpole's acceptance path: spans across serve -> scheduler
     batch -> exec workers, merged under one request trace_id."""

@@ -1,12 +1,12 @@
 """Golden equality tests: vectorized packet traversal vs the scalar reference.
 
 The vectorized backend's contract is *bit identity*, not approximate
-agreement — every trace, visit sequence, hit record, and mutated ray
-interval must equal what the scalar reference produces.  These tests
-pin that contract with randomized kernel inputs, the full 16-scene
-library and the query scenes' ray populations, multi-job packets,
-merged forests, the pipeline's own trace generation, and end-to-end
-SimStats.
+agreement — every trace, visit sequence and hit record must equal what
+the scalar reference produces, and the input rays stay as they were.
+These tests pin that contract with randomized kernel inputs, the full
+16-scene library and the query scenes' ray populations, lane pools of
+several widths, multi-job pools, merged forests, the pipeline's own
+trace generation, and end-to-end SimStats.
 """
 
 import random
@@ -18,6 +18,7 @@ import pytest
 from repro.core import pipeline
 from repro.core.memo import MEMO
 from repro.core.pipeline import (
+    DEFAULT,
     SMOKE,
     TREELET_PREFETCH,
     _run_experiment,
@@ -38,8 +39,10 @@ from repro.traversal import (
     traverse_two_stack_batch,
 )
 from repro.traversal.intersect import ray_aabb_test, ray_triangle_test
+from repro.traversal import vectorized
 from repro.traversal.two_stack import DEFERRED_ORDERS
 from repro.traversal.vectorized import (
+    LANES,
     ray_aabb_test_batch,
     ray_triangle_test_batch,
     traverse_dfs_packet,
@@ -102,6 +105,20 @@ def _random_rays(rng, count):
     return rays
 
 
+def _slab_rows(rays, boxes):
+    """:func:`ray_aabb_test_batch`'s six-wide arguments for pairing
+    ``rays[i]`` with ``boxes[i]``."""
+    origin = np.array([ray.origin for ray in rays])
+    inv = np.array([ray.inv_direction for ray in rays])
+    return (
+        np.hstack([origin, origin]),
+        np.hstack([inv, inv]),
+        np.array([ray.t_min for ray in rays]),
+        np.array([ray.t_max for ray in rays]),
+        np.array([box.lo + box.hi for box in boxes]),
+    )
+
+
 class TestKernelEquality:
     def test_aabb_batch_matches_scalar_randomized(self):
         rng = random.Random(0xA4BB)
@@ -118,15 +135,14 @@ class TestKernelEquality:
             boxes.append(
                 AABB(tuple(base), tuple(b + e for b, e in zip(base, extent)))
             )
-        origin = np.array([ray.origin for ray in rays])
-        inv = np.array([ray.inv_direction for ray in rays])
-        t_min = np.array([ray.t_min for ray in rays])
-        t_max = np.array([ray.t_max for ray in rays])
-        lo = np.array([box.lo for box in boxes])
-        hi = np.array([box.hi for box in boxes])
-        hit, t_near, t_far = ray_aabb_test_batch(
-            origin, inv, t_min, t_max, lo, hi
+        rows = _slab_rows(rays, boxes)
+        hit, t_near, t_far = ray_aabb_test_batch(*rows)
+        # Into caller buffers (deeper than the rows): the same results.
+        into = ray_aabb_test_batch(
+            *rows, out=vectorized.slab_buffers(len(rays) + 5)
         )
+        for got, want in zip(into, (hit, t_near, t_far)):
+            assert np.array_equal(got, want)
         for i, (ray, box) in enumerate(zip(rays, boxes)):
             want = ray_aabb_test(ray, box)
             if want is None:
@@ -177,15 +193,7 @@ class TestKernelEquality:
     def test_empty_box_never_hits(self):
         ray = Ray(origin=(0.0, 0.0, -2.0), direction=(0.0, 0.0, 1.0))
         assert ray_aabb_test(ray, AABB.empty()) is None
-        empty = AABB.empty()
-        hit, _, _ = ray_aabb_test_batch(
-            np.array([ray.origin]),
-            np.array([ray.inv_direction]),
-            np.array([ray.t_min]),
-            np.array([ray.t_max]),
-            np.array([empty.lo]),
-            np.array([empty.hi]),
-        )
+        hit, _, _ = ray_aabb_test_batch(*_slab_rows([ray], [AABB.empty()]))
         assert not hit[0]
 
 
@@ -214,12 +222,7 @@ class TestSlabNanRegression:
         box = AABB((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
         rays = [self._on_plane_ray(0.0), self._on_plane_ray(1.0)]
         hit, t_near, t_far = ray_aabb_test_batch(
-            np.array([r.origin for r in rays]),
-            np.array([r.inv_direction for r in rays]),
-            np.array([r.t_min for r in rays]),
-            np.array([r.t_max for r in rays]),
-            np.array([box.lo, box.lo]),
-            np.array([box.hi, box.hi]),
+            *_slab_rows(rays, [box, box])
         )
         assert hit.all()
         assert list(t_near) == [1.0, 1.0]
@@ -252,12 +255,14 @@ class TestSceneGoldenEquality:
 
 
 class TestPacketShapes:
-    """Equality must hold whatever the packet geometry: odd sizes,
-    multi-config job batches, and cross-scene merged forests."""
+    """Equality must hold whatever the lane pool's geometry: one lane,
+    odd widths that refill thousands of times, a pool wider than the
+    stream, multi-config job batches, and cross-scene merged forests."""
 
     @pytest.mark.parametrize("order", DEFERRED_ORDERS)
-    @pytest.mark.parametrize("packet_size", [7, 4096])
-    def test_orders_and_packet_sizes(self, order, packet_size):
+    @pytest.mark.parametrize("lanes", [1, 7, 4096])
+    def test_orders_and_packet_sizes(self, order, lanes, monkeypatch):
+        monkeypatch.setattr(vectorized, "LANES", lanes)
         bvh = get_bvh("WKND", SMOKE)
         rays = get_rays("WKND", SMOKE)
         decomposition = get_decomposition("WKND", SMOKE, 512)
@@ -265,12 +270,12 @@ class TestPacketShapes:
             [r.clone() for r in rays], bvh, decomposition, order
         )
         vector = traverse_two_stack_packet(
-            [r.clone() for r in rays], bvh, decomposition, order,
-            packet_size=packet_size,
+            [r.clone() for r in rays], bvh, decomposition, order
         )
         assert_traces_equal(vector, scalar)
 
-    def test_multi_job_packets_match_standalone(self):
+    def test_multi_job_packets_match_standalone(self, monkeypatch):
+        monkeypatch.setattr(vectorized, "LANES", 13)
         bvh = get_bvh("BUNNY", SMOKE)
         rays = get_rays("BUNNY", SMOKE)
         decomposition = get_decomposition("BUNNY", SMOKE, 512)
@@ -278,7 +283,7 @@ class TestPacketShapes:
             (bvh, [r.clone() for r in rays], decomposition, order)
             for order in DEFERRED_ORDERS
         ]
-        outputs = traverse_forest_jobs(jobs, packet_size=13)
+        outputs = traverse_forest_jobs(jobs)
         expected = [traverse_dfs_batch([r.clone() for r in rays], bvh)] + [
             traverse_two_stack_batch(
                 [r.clone() for r in rays], bvh, decomposition, order
@@ -288,7 +293,10 @@ class TestPacketShapes:
         for got, want in zip(outputs, expected):
             assert_traces_equal(got, want)
 
-    def test_forest_merges_scenes_without_cross_talk(self):
+    @pytest.mark.parametrize("lanes", [1, 7, 4096])
+    def test_forest_merges_scenes_without_cross_talk(self, lanes,
+                                                     monkeypatch):
+        monkeypatch.setattr(vectorized, "LANES", lanes)
         jobs = []
         expected = []
         for scene in ("WKND", "BUNNY", "SPNZA"):
@@ -307,20 +315,66 @@ class TestPacketShapes:
                     [r.clone() for r in rays], bvh, decomposition, "lifo"
                 )
             )
-        outputs = traverse_forest_jobs(jobs, packet_size=17)
+            # A job without rays gets an empty trace set in its place.
+            jobs.append((bvh, [], decomposition, "fifo"))
+            expected.append([])
+        outputs = traverse_forest_jobs(jobs)
+        assert len(outputs) == len(jobs)
         for got, want in zip(outputs, expected):
             assert_traces_equal(got, want)
 
-    def test_ray_interval_mutations_match(self):
+    def test_render_cold_forest_at_default_scale(self):
+        """The pipeline's widest call at the real pool width: the seven
+        render-cold scenes at default scale, DFS and every deferred
+        order, in one stream of ~15k rays that refills the pool many
+        times over."""
+        jobs = []
+        expected = []
+        for scene in ("WKND", "BUNNY", "SPNZA", "CRNVL", "SHIP", "REF",
+                      "CHSNT"):
+            bvh = get_bvh(scene, DEFAULT)
+            rays = get_rays(scene, DEFAULT)
+            decomposition = get_decomposition(
+                scene, DEFAULT, TREELET_PREFETCH.treelet_bytes
+            )
+            # The drivers leave their rays as they are: the four jobs
+            # share one set of clones.
+            shared = [r.clone() for r in rays]
+            jobs.append((bvh, shared, None, "nearest"))
+            expected.append(
+                traverse_dfs_batch([r.clone() for r in rays], bvh)
+            )
+            for order in DEFERRED_ORDERS:
+                jobs.append((bvh, shared, decomposition, order))
+                expected.append(traverse_two_stack_batch(
+                    [r.clone() for r in rays], bvh, decomposition, order
+                ))
+        assert sum(len(rays) for _, rays, _, _ in jobs) > 2 * LANES
+        outputs = traverse_forest_jobs(jobs)
+        for got, want in zip(outputs, expected):
+            assert_traces_equal(got, want)
+
+    def test_drivers_leave_input_rays_unchanged(self):
+        """The scalar reference narrows each ray's ``t_max`` as it
+        finds hits; the drivers keep the final distance in ``hit_t``
+        and leave the input rays as they were."""
         bvh = get_bvh("WKND", SMOKE)
         rays = get_rays("WKND", SMOKE)
-        scalar_rays = [r.clone() for r in rays]
-        vector_rays = [r.clone() for r in rays]
-        traverse_dfs_batch(scalar_rays, bvh)
-        traverse_dfs_packet(vector_rays, bvh)
-        assert [r.t_max for r in vector_rays] == [
-            r.t_max for r in scalar_rays
-        ]
+        decomposition = get_decomposition("WKND", SMOKE, 512)
+        before = [r.t_max for r in rays]
+        outputs = [
+            traverse_dfs_packet(rays, bvh),
+            traverse_two_stack_packet(rays, bvh, decomposition, "fifo"),
+        ] + traverse_forest_jobs([
+            (bvh, rays, None, "nearest"),
+            (bvh, rays, decomposition, "lifo"),
+        ])
+        for traces in outputs:
+            assert traces.hit_mask.any()
+        assert [r.t_max for r in rays] == before
+        narrowed = [r.clone() for r in rays]
+        traverse_dfs_batch(narrowed, bvh)
+        assert [r.t_max for r in narrowed] != before
 
 
 class TestBackendEndToEnd:

@@ -753,6 +753,64 @@ def _model(gpu: GpuConfig, technique: Technique, layout: NodeLayout,
     )
 
 
+@dataclass
+class Replay:
+    """Everything one replay reads: the GPU, the technique, the tree,
+    its decomposition and layout, and the trace set.  Picklable, so
+    :mod:`repro.exec` ships it to a pool worker, which replays it with
+    no memo and no artifact cache."""
+
+    gpu: GpuConfig
+    technique: Technique
+    bvh: FlatBVH
+    decomposition: Optional[TreeletDecomposition]
+    layout: NodeLayout
+    traces: TraceSet
+
+    def model(self, **model_kwargs) -> GpuModel:
+        """A :class:`~repro.gpusim.GpuModel` loaded with the traces."""
+        model = _model(self.gpu, self.technique, self.layout,
+                       self.decomposition, **model_kwargs)
+        model.load(self.traces, self.bvh, self.layout)
+        return model
+
+    def run(self, observer=None) -> SimStats:
+        return self.model(observer=observer).run()
+
+
+def replay_of(job: Job, gpu: Optional[GpuConfig] = None) -> Replay:
+    """The inputs of ``job``'s replay on ``gpu`` (default: the scale's
+    GPU), from the memo (built if missing)."""
+    with _span("phase.scene_build", scene=job.scene, scale=job.scale.name):
+        bvh, decomposition, layout = _tree(job.scene, job.technique,
+                                           job.scale)
+    with _span("phase.trace", scene=job.scene, scale=job.scale.name):
+        traces = _trace_sets([(job.scene, job.technique, job.workload)],
+                             job.scale)[0]
+    return Replay(gpu or job.scale.gpu_config(), job.technique, bvh,
+                  decomposition, layout, traces)
+
+
+def experiment_result(job: Job, replay: Replay, stats: SimStats,
+                      memoizable: bool = True) -> ExperimentResult:
+    """Assemble ``job``'s result from its replay and the stats the
+    replay produced, wherever it ran, and keep it in both result tiers
+    unless it is not ``memoizable``."""
+    result = ExperimentResult(
+        scene=job.scene,
+        technique=job.technique,
+        stats=stats,
+        power=evaluate_power(stats),
+        traversal=summarize_traces(replay.traces),
+        tree=compute_tree_stats(replay.bvh),
+        treelet_count=(replay.decomposition.treelet_count
+                       if replay.decomposition else 0),
+    )
+    if memoizable:
+        MEMO.keep("result", job.key(), result, _result_disk())
+    return result
+
+
 def build_gpu_model(
     scene_name: str,
     technique: Technique,
@@ -767,12 +825,10 @@ def build_gpu_model(
     timeline sampler, single-step, run frames).  Returns
     ``(model, traces, bvh, layout)``; call ``model.run()`` to simulate.
     """
-    gpu = gpu_config or scale.gpu_config()
-    bvh, decomposition, layout = _tree(scene_name, technique, scale)
-    traces = _trace_sets([(scene_name, technique, workload)], scale)[0]
-    model = _model(gpu, technique, layout, decomposition, **model_kwargs)
-    model.load(traces, bvh, layout)
-    return model, traces, bvh, layout
+    replay = replay_of(Job(scene_name, technique, scale, workload),
+                       gpu_config)
+    return (replay.model(**model_kwargs), replay.traces, replay.bvh,
+            replay.layout)
 
 
 def _run_experiment(
@@ -799,44 +855,25 @@ def _run_experiment(
         from ..queries.workloads import check_scene_workload
 
         check_scene_workload(scene_name, workload)
+    job = Job(scene_name, technique, scale, workload)
     memoizable = use_cache and gpu_config is None and observer is None
     cached = tier = None
     with _span(
         "phase.cache_lookup", scene=scene_name, technique=technique.label()
     ) as lookup:
         if memoizable:
-            key = Job(scene_name, technique, scale, workload).key()
-            disk = _result_disk()
-            cached, tier = MEMO.lookup("result", key, disk)
+            cached, tier = MEMO.lookup("result", job.key(), _result_disk())
         if lookup is not None:
             lookup.args["hit"] = cached is not None
             lookup.args["tier"] = tier
     if cached is not None:
         return cached
-    gpu = gpu_config or scale.gpu_config()
-    with _span("phase.scene_build", scene=scene_name, scale=scale.name):
-        bvh, decomposition, layout = _tree(scene_name, technique, scale)
-    with _span("phase.trace", scene=scene_name, scale=scale.name):
-        traces = _trace_sets([(scene_name, technique, workload)], scale)[0]
+    replay = replay_of(job, gpu_config)
     with _span(
         "phase.replay", scene=scene_name, technique=technique.label()
     ):
-        model = _model(gpu, technique, layout, decomposition,
-                       observer=observer)
-        model.load(traces, bvh, layout)
-        stats = model.run()
-    result = ExperimentResult(
-        scene=scene_name,
-        technique=technique,
-        stats=stats,
-        power=evaluate_power(stats),
-        traversal=summarize_traces(traces),
-        tree=compute_tree_stats(bvh),
-        treelet_count=decomposition.treelet_count if decomposition else 0,
-    )
-    if memoizable:
-        MEMO.keep("result", key, result, disk)
-    return result
+        stats = replay.run(observer)
+    return experiment_result(job, replay, stats, memoizable)
 
 
 def speedup(baseline: ExperimentResult, candidate: ExperimentResult) -> float:

@@ -2,13 +2,14 @@
 
 Two pieces:
 
-* :mod:`repro.exec.executor` — a :class:`ProcessPoolExecutor`-based
-  runner that fans (scene, technique, scale) jobs across workers with
-  deterministic result merging, bounded retry, and graceful in-process
-  fallback on worker crashes or timeouts.
+* :mod:`repro.exec.executor` — fans (scene, technique, scale) jobs'
+  replays across one persistent pool of worker processes per process,
+  with deterministic result merging, bounded retry, and graceful
+  in-process fallback on worker crashes or timeouts.
 * :mod:`repro.exec.cache` — a content-addressed on-disk store for
-  built BVHs, ray populations, traversal traces, and treelet
-  decompositions, shared by workers and repeat CLI invocations.
+  built BVHs, ray populations, traversal traces, treelet
+  decompositions and replay results, shared by repeat CLI
+  invocations.
 
 Typical use::
 
@@ -39,7 +40,7 @@ from .executor import (
     metrics_progress,
     prewarm_replay_jobs,
     prewarm_replays,
-    prewarm_results,
+    replay_pool,
 )
 
 __all__ = [
@@ -57,6 +58,6 @@ __all__ = [
     "metrics_progress",
     "prewarm_replay_jobs",
     "prewarm_replays",
-    "prewarm_results",
+    "replay_pool",
     "set_artifact_cache",
 ]

@@ -1,35 +1,51 @@
 """Parallel sweep executor: fan (scene, technique, scale) jobs across
-worker processes with deterministic merging.
+one persistent pool of replay processes, with deterministic merging.
 
-Every job is one :func:`repro.core.pipeline._run_experiment` call.  The
-simulation is deterministic, so a worker produces :class:`SimStats`
-bit-for-bit identical to the serial path; the executor only changes
-*where* jobs run, never *what* they compute.  Results are merged in
-submission order, so sweeps assemble identically regardless of which
-worker finished first.
+A job's result is :func:`repro.core.pipeline._run_experiment`'s.  In
+the pool it is split at the replay: the caller builds the job's
+:class:`~repro.core.pipeline.Replay` (tree, decomposition, layout,
+trace set; memo hits after :func:`plan_workers`), ships it pickled to
+a worker, which returns the :class:`SimStats`, and then assembles and
+stores the result with :func:`repro.core.pipeline.experiment_result`,
+the function the serial path uses.  The simulation is deterministic,
+so a worker's stats are bit-for-bit those of the serial path; results
+are merged in submission order, so sweeps assemble identically
+regardless of which worker finished first.
 
 The caller is one of the processes: with ``workers=N`` it replays one
-share of the jobs itself while a pool of ``N - 1`` processes replays
-the rest.  How many processes a sweep uses by default is worked out
-from the host and the work (:func:`plan_workers`).
+share of the jobs itself while the pool replays the rest.  How many
+processes a sweep uses by default is worked out from the host and the
+work (:func:`plan_workers`).
+
+The pool (:func:`replay_pool`) is forked once per process, at the
+first fan-out (or by ``repro serve --workers N`` before its threads
+start), with the processes that fan-out asks for, and only while the
+caller is the only thread alive, so no lock another thread holds is
+copied into a worker.  It is reused until exit; a later fan-out asking
+for more processes replaces it with a bigger one when no other thread
+is alive, and one asking for fewer keeps that many of its jobs in the
+pool at a time.  Workers keep no memo and open no artifact cache, and
+each dies with the process that forked it.
 
 Robustness: a job that raises in a worker is retried (bounded) in the
 pool; on exhaustion, a timeout, or a broken pool (hard worker crash)
-the job falls back to in-process execution, so a sweep always
-completes with correct results.  Workers share the on-disk artifact
-cache (:mod:`repro.exec.cache`), so each scene's BVH/rays/traces are
-built once across the whole fleet, and each result a worker replays is
-stored there for the next process that asks for it.
+the job falls back to in-process execution, and a batch that cannot
+have a pool runs in-process; a sweep always completes with correct
+results.  A broken or wedged pool is shut down, and the next fan-out
+forks a new one if it may.
 
 Progress is reported through an optional callback and, when a
 :class:`repro.obs.MetricRegistry` is supplied, through ``exec.*``
-counters (jobs done, per-source breakdown, retries) — the same metric
-surface every other subsystem uses.
+counters (jobs done, per-source breakdown, retries, pool fallbacks and
+breaks) — the same metric surface every other subsystem uses.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import signal
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -37,17 +53,19 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..core.memo import MEMO
 from ..core.pipeline import (
     DEFAULT,
     ExperimentResult,
     Job,
+    Replay,
     Scale,
     Technique,
     _run_experiment,
+    experiment_result,
+    replay_of,
 )
+from ..gpusim import SimStats
 from ..obs import spans as _spans
-from .cache import get_artifact_cache, set_artifact_cache
 
 
 #: progress callback signature: (done, total, job, source) where source
@@ -56,10 +74,10 @@ from .cache import get_artifact_cache, set_artifact_cache
 ProgressFn = Callable[[int, int, Job, str], None]
 
 #: Visits each process's share of the missing replays must hold before
-#: a sweep fans out by default: 10x the replay a worker's fork and
-#: result return cost (~16 ms at up to ~110k visits/s on a 2-CPU
-#: host), rounded.  The derivation is in docs/execution.md.
-FANOUT_SHARE_VISITS = 20_000
+#: a sweep fans out by default: five times the replay a warm pool job's
+#: round trip costs (~7 ms at up to ~110k visits/s on a 2-CPU host),
+#: rounded.  The derivation is in docs/execution.md.
+FANOUT_SHARE_VISITS = 4_000
 
 
 @dataclass
@@ -76,16 +94,21 @@ class ExecutionReport:
     progress_errors: int = 0
     from_caller: int = 0
     pool_broken: bool = False
+    #: Batches asked to fan out that ran in-process because no pool
+    #: could be had (none forked yet and another thread alive).
+    pool_fallbacks: int = 0
     sources: Dict[str, int] = field(default_factory=dict)
     #: The fan-out plan (:func:`plan_workers`): processes that replayed
     #: (caller included), the CPUs this process may run on, the pool's
-    #: start method, the visits of the replays to run and the
-    #: per-share threshold the default count was held to.
+    #: start method, the visits of the replays to run, the per-share
+    #: threshold the default count was held to, and the threads that
+    #: were alive when the pool used was forked.
     workers: int = 1
     cpus: int = 0
     start_method: str = ""
     missing_visits: int = 0
     visit_threshold: int = 0
+    pool_threads: int = 0
     #: Serialized spans shipped back from pool workers (repro.obs.spans
     #: dicts); populated only when a span context was active at submit.
     spans: List[dict] = field(default_factory=list)
@@ -108,20 +131,14 @@ class ExecutionReport:
             "start_method": self.start_method,
             "missing_visits": self.missing_visits,
             "visit_threshold": self.visit_threshold,
+            "pool_threads": self.pool_threads,
         }
 
 
-def _init_worker(cache_dir: Optional[str]) -> None:
-    """Pool initializer: point the worker at the shared artifact cache."""
-    if cache_dir:
-        set_artifact_cache(cache_dir)
-
-
 def _run_job(job: Job) -> ExperimentResult:
-    """Evaluate one job (top-level so it pickles into workers)."""
-    return _run_experiment(
-        job.scene, job.technique, job.scale, workload=job.workload
-    )
+    """Evaluate one job in this process."""
+    return _run_experiment(job.scene, job.technique, job.scale,
+                           workload=job.workload)
 
 
 def _job_span_args(job: Job, worker: str) -> dict:
@@ -133,30 +150,37 @@ def _job_span_args(job: Job, worker: str) -> dict:
     }
 
 
-def _run_job_traced(job: Job, ctx_dict: dict):
-    """Evaluate one job in a worker *with span collection*.
+def _pool_job(replay_fn: Callable[[Replay], SimStats], replay: Replay,
+              ctx_dict: Optional[dict], span_args: dict):
+    """Replay one job in a worker; returns ``(stats, spans)``.
 
-    A fresh collector is activated (shadowing any span state inherited
-    across ``fork``), the caller's :class:`~repro.obs.SpanContext`
-    parents the worker's ``exec.job`` span so its trace_id threads
-    through, and the finished spans ship back serialized alongside the
-    result — the caller folds them into :attr:`ExecutionReport.spans`.
+    With the caller's :class:`~repro.obs.SpanContext` (``ctx_dict``) a
+    fresh collector is activated (shadowing any span state inherited
+    across ``fork``), the context parents the worker's ``exec.job``
+    span so its trace_id threads through, and the finished spans ship
+    back serialized — the caller folds them into
+    :attr:`ExecutionReport.spans`.
     """
+    if ctx_dict is None:
+        return replay_fn(replay), []
     collector = _spans.SpanCollector(process="worker")
     token = _spans.activate(
         collector, _spans.SpanContext.from_dict(ctx_dict)
     )
     try:
-        with _spans.span("exec.job", **_job_span_args(job, "pool")):
-            result = _run_job(job)
+        with _spans.span("exec.job", **span_args), _spans.span(
+            "phase.replay", scene=span_args["scene"],
+            technique=span_args["technique"],
+        ):
+            stats = replay_fn(replay)
     finally:
         _spans.deactivate(token)
-    return result, collector.to_dicts()
+    return stats, collector.to_dicts()
 
 
 def _mp_context():
-    """Fork when the platform has it (fast, inherits the warm memo);
-    spawn otherwise.  ``REPRO_MP_START`` overrides."""
+    """Fork when the platform has it (fast: a worker starts as a copy
+    of the caller); spawn otherwise.  ``REPRO_MP_START`` overrides."""
     import multiprocessing
 
     name = os.environ.get("REPRO_MP_START", "").strip()
@@ -177,6 +201,114 @@ def host_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@dataclass
+class _Pool:
+    executor: ProcessPoolExecutor
+    processes: int
+    #: Threads alive in this process when the workers were forked.
+    threads: int
+    #: The threads the executor started after the fork.
+    own: frozenset
+
+    def others_alive(self) -> bool:
+        """Whether a thread that is neither the caller nor the pool's
+        own is alive."""
+        mine = self.own | {threading.current_thread()}
+        return any(thread not in mine for thread in threading.enumerate())
+
+
+#: The process's replay pool (:func:`replay_pool`), or None.
+_POOL: Optional[_Pool] = None
+
+
+def _watch_parent(parent: int) -> None:
+    """Pool initializer: the worker is killed when the process that
+    forked it dies, however it dies (Linux ``PR_SET_PDEATHSIG``), so no
+    worker outlives its parent."""
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        try:
+            prctl = ctypes.CDLL(None).prctl
+        except (OSError, AttributeError):
+            prctl = None
+        if prctl is not None:
+            prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+            prctl.restype = ctypes.c_int
+            prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent died before prctl
+        os._exit(0)
+
+
+def replay_pool(workers: int) -> Optional[_Pool]:
+    """The process's replay pool, forked now with ``workers - 1``
+    processes (the caller replays one share itself) if it has none.
+
+    The pool is kept until exit.  One with fewer than ``workers - 1``
+    processes is replaced by a bigger one when no thread but the
+    caller and the pool's own is alive, and is returned as it is
+    otherwise.  A pool is forked only while the calling thread is the
+    only one alive; otherwise, and when forking fails, there is no pool
+    and None is returned.  The GC is frozen across the fork, so the
+    workers do not copy the pages of objects a collection would
+    touch."""
+    global _POOL
+    processes = max(workers - 1, 1)
+    if _POOL is not None:
+        if _POOL.processes >= processes or _POOL.others_alive():
+            return _POOL
+        close_pool()
+    threads = threading.active_count()
+    if threads != 1:
+        return None
+    executor = ProcessPoolExecutor(
+        max_workers=processes,
+        mp_context=_mp_context(),
+        initializer=_watch_parent,
+        initargs=(os.getpid(),),
+    )
+    gc.freeze()
+    try:
+        # Fork every worker now, before the executor starts its
+        # threads: Pythons without the fix of CPython issue 90622
+        # would fork them on demand, with those threads alive.
+        for _ in range(processes):
+            executor._adjust_process_count()
+        executor.submit(int).result()  # the workers run
+    except (OSError, BrokenProcessPool):  # no pool; the batch runs here
+        _shut(executor, kill=True)
+        return None
+    finally:
+        gc.unfreeze()
+    own = frozenset(threading.enumerate()) - {threading.current_thread()}
+    _POOL = _Pool(executor, processes, threads, own)
+    return _POOL
+
+
+def pool_info() -> Optional[dict]:
+    """The replay pool's size and the threads alive when it was
+    forked, or None when this process has no pool."""
+    if _POOL is None:
+        return None
+    return {"processes": _POOL.processes, "threads_at_fork": _POOL.threads}
+
+
+def _shut(executor: ProcessPoolExecutor, kill: bool) -> None:
+    if kill:  # a wedged worker would never take the shutdown sentinel
+        for process in list((executor._processes or {}).values()):
+            process.terminate()
+    executor.shutdown(wait=True, cancel_futures=True)
+
+
+def close_pool(kill: bool = False) -> None:
+    """Shut the replay pool down (``kill`` terminates its workers
+    first); the next fan-out forks a new one if it may."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None:
+        _shut(pool.executor, kill)
+
+
 def plan_workers(
     jobs: Sequence[Job],
     workers: Optional[int],
@@ -189,9 +321,8 @@ def plan_workers(
     An explicit ``workers`` is kept.  ``None`` means one process per
     CPU, at most one per job and at most one per
     :data:`FANOUT_SHARE_VISITS` visits, and serial unless the pool
-    would ``fork`` a process whose only thread is the caller's: forked
-    workers then inherit the traces built here, and no lock held by
-    another thread is copied into them.
+    forks and either exists or could be forked now (no other thread
+    alive).
     """
     from ..core import pipeline
 
@@ -210,8 +341,8 @@ def plan_workers(
     report.visit_threshold = FANOUT_SHARE_VISITS
     if workers is None:
         workers = 1
-        if (report.start_method == "fork"
-                and threading.active_count() == 1):
+        if report.start_method == "fork" and (
+                _POOL is not None or threading.active_count() == 1):
             workers = min(report.cpus, len(jobs),
                           report.missing_visits // FANOUT_SHARE_VISITS)
     return max(workers, 1)
@@ -241,12 +372,11 @@ def execute_jobs(
     jobs: Sequence[Job],
     workers: int,
     *,
-    cache_dir: Optional[str] = None,
     job_timeout: Optional[float] = None,
     retries: int = 1,
     progress: Optional[ProgressFn] = None,
     metrics=None,
-    job_fn: Callable[[Job], ExperimentResult] = _run_job,
+    replay_fn: Callable[[Replay], SimStats] = Replay.run,
     report: Optional[ExecutionReport] = None,
 ) -> List[ExperimentResult]:
     """Run every job and return results in input order.
@@ -254,15 +384,16 @@ def execute_jobs(
     Duplicate jobs (same :meth:`Job.key`) are evaluated once.
     ``workers <= 1`` runs everything in-process (no pool).  Otherwise
     the caller replays one share of the jobs (:func:`_caller_share`)
-    while a pool of ``workers - 1`` processes replays the rest.  ``job_fn``
-    is injectable for fault-injection tests.  ``metrics`` (a
+    while the replay pool replays the rest, never more than
+    ``workers - 1`` of them at a time.  ``replay_fn`` is what a pool
+    worker runs on a job's :class:`~repro.core.pipeline.Replay`; it is
+    pickled by reference, so it must be a module-level function
+    (injectable for fault-injection tests).  ``metrics`` (a
     :class:`repro.obs.MetricRegistry`) adds ``exec.*`` counters on top
     of any explicit ``progress`` callback.
     """
     report = report if report is not None else ExecutionReport()
     jobs = list(jobs)
-    if cache_dir is None and get_artifact_cache() is not None:
-        cache_dir = str(get_artifact_cache().root)
 
     callbacks: List[ProgressFn] = []
     if progress is not None:
@@ -278,21 +409,22 @@ def execute_jobs(
             unique.append(job)
     report.submitted = len(unique)
 
-    # Span plumbing: with an ambient span context and the stock job
-    # function, pool jobs run the traced wrapper (worker spans ship
-    # back inside the result tuple) and in-process jobs record straight
-    # into the ambient collector.
+    # Span plumbing: with an ambient span context, pool jobs collect
+    # spans in the worker (shipped back with the stats) and in-process
+    # jobs record straight into the ambient collector.
     collector = _spans.active_collector()
     context = _spans.current_context()
-    traced = (
-        job_fn is _run_job and collector is not None and context is not None
-    )
+    traced = collector is not None and context is not None
 
     def local_run(job: Job, worker: str = "inprocess") -> ExperimentResult:
         if not traced:
-            return job_fn(job)
+            return _run_job(job)
         with _spans.span("exec.job", **_job_span_args(job, worker)):
             return _run_job(job)
+
+    def count(name: str) -> None:
+        if metrics is not None:
+            metrics.counter(name).inc()
 
     def announce(done: int, job: Job, source: str) -> None:
         report.note(source)
@@ -303,113 +435,120 @@ def execute_jobs(
                 callback(done, len(unique), job, source)
             except Exception:  # noqa: BLE001 — observer isolation
                 report.progress_errors += 1
-                if metrics is not None:
-                    metrics.counter("exec.progress_errors").inc()
+                count("exec.progress_errors")
 
-    results: Dict[tuple, ExperimentResult] = {}
-    if workers <= 1 or len(unique) <= 1:
+    pool = None
+    if workers > 1 and len(unique) > 1:
+        pool = replay_pool(workers)
+        if pool is None:
+            report.pool_fallbacks += 1
+            count("exec.pool_fallbacks")
+        else:
+            report.pool_threads = pool.threads
+            workers = min(workers, pool.processes + 1)
+
+    results: Dict[str, ExperimentResult] = {}
+    if pool is None:
         report.workers = 1
         for index, job in enumerate(unique):
             results[job.key()] = local_run(job)
             announce(index + 1, job, "inprocess")
         return [results[job.key()] for job in jobs]
 
-    def pool_submit(job: Job):
-        if traced:
-            return pool.submit(_run_job_traced, job, context.to_dict())
-        return pool.submit(job_fn, job)
-
+    ctx_dict = context.to_dict() if traced else None
     own = _caller_share(len(unique), workers)
     pooled = [job for index, job in enumerate(unique) if index not in own]
     report.workers = 1 + min(workers - 1, len(pooled))
-    pool = ProcessPoolExecutor(
-        max_workers=report.workers - 1,
-        mp_context=_mp_context(),
-        initializer=_init_worker,
-        initargs=(cache_dir,),
-    )
-    pool_healthy = True
+    replays = {job.key(): replay_of(job) for job in pooled}
+    futures = {}
+    waiting = list(pooled)
+    broken = False
+    # A pool with more processes than this batch may use holds only
+    # ``workers - 1`` of its jobs at a time; one of the batch's size
+    # takes them all at once and queues them itself.
+    limit = workers - 1 if pool.processes >= workers else len(pooled)
+
+    def submit(job: Job):
+        """``job``'s future in the pool, or None once the pool broke."""
+        nonlocal broken
+        if not broken:
+            try:
+                return pool.executor.submit(
+                    _pool_job, replay_fn, replays[job.key()], ctx_dict,
+                    _job_span_args(job, "pool"),
+                )
+            except BrokenProcessPool:
+                broken = True
+        return None
+
+    def top_up() -> None:
+        """Send the pool the next waiting jobs while fewer than
+        ``limit`` of its jobs are unfinished."""
+        while waiting and sum(
+                future is not None and not future.done()
+                for future in futures.values()) < limit:
+            job = waiting.pop(0)
+            futures[job.key()] = submit(job)
+
     try:
-        futures = {job.key(): pool_submit(job) for job in pooled}
+        top_up()
         done = 0
         for index in own:
             job = unique[index]
             results[job.key()] = local_run(job, "caller")
             done += 1
             announce(done, job, "caller")
+            top_up()
         for job in pooled:
-            result = None
+            outcome = None
             source = "pool"
             attempts = 0
-            future = futures[job.key()]
-            while pool_healthy:
+            top_up()
+            # Not sent when the unfinished jobs of a wedged pool hold
+            # every place: it falls back below.
+            future = futures.get(job.key())
+            while future is not None and not broken:
                 try:
-                    result = future.result(timeout=job_timeout)
+                    outcome = future.result(timeout=job_timeout)
                     break
                 except FutureTimeoutError:
+                    # The worker is wedged on this job; the pool is
+                    # shut down after the batch.
                     report.timeouts += 1
-                    # The worker is wedged on this job; don't trust the
-                    # pool slot again for it.
                     break
                 except BrokenProcessPool:
-                    report.pool_broken = True
-                    pool_healthy = False
-                    break
+                    broken = True
                 except Exception:
                     report.worker_failures += 1
-                    if attempts < retries:
-                        attempts += 1
-                        report.retried += 1
-                        source = "pool-retry"
-                        try:
-                            future = pool_submit(job)
-                        except Exception:
-                            pool_healthy = False
-                            break
-                        continue
-                    break
-            if result is None:
+                    if attempts == retries:
+                        break
+                    attempts += 1
+                    report.retried += 1
+                    source = "pool-retry"
+                    future = futures[job.key()] = submit(job)
+            if outcome is None:
                 # Graceful fallback: evaluate here, in this process.
                 result = local_run(job)
                 source = "inprocess"
-            elif traced:
-                result, shipped = result
-                report.spans.extend(shipped)
-                collector.add_dicts(shipped)
+            else:
+                stats, shipped = outcome
+                if shipped:
+                    report.spans.extend(shipped)
+                    collector.add_dicts(shipped)
+                result = experiment_result(job, replays[job.key()], stats)
             results[job.key()] = result
             done += 1
             announce(done, job, source)
     finally:
-        # Don't block on wedged workers; drop anything still queued.
-        wait = pool_healthy and report.timeouts == 0
-        pool.shutdown(wait=wait, cancel_futures=True)
+        for future in futures.values():
+            if future is not None:
+                future.cancel()
+        if broken:
+            report.pool_broken = True
+            count("exec.pool_broken")
+        if broken or report.timeouts:
+            close_pool(kill=True)
     return [results[job.key()] for job in jobs]
-
-
-def prewarm_results(
-    techniques: Iterable[Technique],
-    scenes: Iterable[str],
-    scale: Scale = DEFAULT,
-    jobs: int = 1,
-    **options,
-) -> List[ExperimentResult]:
-    """Evaluate every (scene, technique) pair and seed the in-process
-    memo with the results, so subsequent serial code (sweep assembly, report
-    loops, benchmarks) hits memory instead of re-simulating."""
-    batch = [
-        Job(scene=scene, technique=technique, scale=scale)
-        for technique in techniques
-        for scene in scenes
-    ]
-    return _memoized(batch, execute_jobs(batch, workers=jobs, **options))
-
-
-def _memoized(jobs: Sequence[Job], results: List[ExperimentResult]):
-    """Seed the in-process result memo with ``results``, under the key
-    each job's run stored them on disk with."""
-    for job, result in zip(jobs, results):
-        MEMO.put("result", job.key(), result)
-    return results
 
 
 def prewarm_replay_jobs(
@@ -419,44 +558,37 @@ def prewarm_replay_jobs(
     report: Optional[ExecutionReport] = None,
     **options,
 ) -> List[ExperimentResult]:
-    """Fan the *replay* phase of ``jobs`` across the worker pool.
+    """Replay ``jobs`` over the replay pool, seeding the result memo.
 
-    Trace generation is hoisted into the parent first — every missing
+    Trace generation is hoisted into the caller first — every missing
     trace set rides one vectorized forest pass per distinct scale
     (:func:`plan_workers`, which also resolves ``workers=None`` to the
-    default count).  Fork-started workers then inherit the warm
-    memoized traces and spend their time purely on simulation replay
-    (spawn-started workers reload the traces from the shared artifact
-    cache when one is active).  Results seed the in-process memo
-    exactly like :func:`prewarm_results`, and ``options`` passes
-    through to :func:`execute_jobs` (progress/metrics/timeouts/span
-    shipping — the deterministic merge and fallback semantics are
-    unchanged).
+    default count).  ``options`` passes through to
+    :func:`execute_jobs` (progress/metrics/timeouts/span shipping — the
+    deterministic merge and fallback semantics are unchanged).
     """
     jobs = list(jobs)
     report = report if report is not None else ExecutionReport()
     workers = plan_workers(jobs, workers, report)
-    return _memoized(jobs, execute_jobs(
-        jobs, workers=workers, report=report, **options
-    ))
+    return execute_jobs(jobs, workers=workers, report=report, **options)
 
 
 def prewarm_replays(
     techniques: Iterable[Technique],
     scenes: Iterable[str],
     scale: Scale = DEFAULT,
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
     workload: str = "render",
     **options,
 ) -> List[ExperimentResult]:
-    """:func:`prewarm_results` with the replay phase fanned out: traces
-    for every (scene, technique) pair are batch-generated in the parent
-    (one vectorized forest pass), then the replays fan across ``jobs``
-    worker processes and seed the in-process memo."""
+    """:func:`prewarm_replay_jobs` over every (scene, technique) pair:
+    the traces are built in one vectorized forest pass, then the
+    replays fan across ``jobs`` processes and seed the result memo, so
+    subsequent serial code (sweep assembly, report loops, benchmarks)
+    hits memory instead of re-simulating."""
     batch = [
         Job(scene=scene, technique=technique, scale=scale, workload=workload)
         for technique in techniques
         for scene in scenes
     ]
     return prewarm_replay_jobs(batch, workers=jobs, **options)
-

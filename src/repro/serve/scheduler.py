@@ -11,10 +11,10 @@ executes it as one batch:
    missing (scene, technique) pairs into a single
    ``traverse_forest_jobs`` ray stream;
 2. with ``workers > 1`` the batch thread replays one share of the
-   simulations while a :mod:`repro.exec` pool of ``workers - 1``
-   processes replays the rest (one :func:`execute_jobs` call for the
-   whole batch, deduplicated), seeding the in-process memo with the
-   results;
+   simulations while the :mod:`repro.exec` replay pool (forked when
+   the service was constructed, before any thread started) replays the
+   rest (one :func:`execute_jobs` call for the whole batch,
+   deduplicated), seeding the in-process memo with the results;
 3. each job's result document is then assembled from warm results.
 
 Threading model: the scheduler loop and all job state transitions run
@@ -132,24 +132,27 @@ class MicroBatchScheduler:
         while True:
             await self._resume_event.wait()
             job = await self.queue.get()
-            batch = [job]
-            if self.batch_window_s > 0:
-                window_end = time.monotonic() + self.batch_window_s
-                while len(batch) < self.batch_max:
-                    remaining = window_end - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(self.queue.get(), remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        break
-            else:
-                while len(batch) < self.batch_max and not self.queue.empty():
-                    batch.append(self.queue.get_nowait())
+            # Busy from the first job on, so drain() never sees an empty
+            # queue and an idle scheduler while a batch is forming.
             self._busy = True
             try:
+                batch = [job]
+                if self.batch_window_s > 0:
+                    window_end = time.monotonic() + self.batch_window_s
+                    while len(batch) < self.batch_max:
+                        remaining = window_end - time.monotonic()
+                        if remaining <= 0:
+                            break
+                        try:
+                            batch.append(await asyncio.wait_for(
+                                self.queue.get(), remaining
+                            ))
+                        except asyncio.TimeoutError:
+                            break
+                else:
+                    while (len(batch) < self.batch_max
+                           and not self.queue.empty()):
+                        batch.append(self.queue.get_nowait())
                 await self._dispatch(batch)
             finally:
                 self._busy = False

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core.memo import LRU, MEMO
+from ..exec.executor import pool_info, replay_pool
 from ..obs import MetricRegistry
 from ..obs import spans as _sp
 from . import protocol
@@ -101,6 +102,11 @@ class SimulationService:
         self._draining = False
         self._started_unix: Optional[float] = None
         self._closed: Optional[asyncio.Event] = None
+        if self.config.workers > 1:
+            # Fork the replay pool now, before the event loop and the
+            # scheduler's batch thread exist: a fork with another
+            # thread alive copies the locks it holds into the worker.
+            replay_pool(self.config.workers)
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -233,8 +239,10 @@ class SimulationService:
             "memo": MEMO.info(),
             # Execution provenance: how many worker processes the replay
             # phase fans across (1 = in-process serial; see
-            # MicroBatchScheduler).
+            # MicroBatchScheduler), and the replay pool's size and the
+            # threads alive when it was forked (null: no pool).
             "replay_workers": self.config.workers,
+            "replay_pool": pool_info(),
             "uptime_s": (
                 time.time() - self._started_unix
                 if self._started_unix else 0.0

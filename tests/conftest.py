@@ -57,7 +57,7 @@ REPLAY_PRESETS = {
 }
 
 #: Smoke-config overrides per single-run golden case kind.
-_GOLDEN_OVERRIDES = {
+GOLDEN_OVERRIDES = {
     "preset": {},
     "scene": {},
     "stream": {"prefetch_destination": "stream"},
@@ -67,7 +67,7 @@ _GOLDEN_OVERRIDES = {
 #: Golden cases that are one ``run()`` of a freshly loaded model.
 SINGLE_RUN_CASES = sorted(
     key for key in REPLAY_GOLDEN["digests"]
-    if key.split("/")[0] in _GOLDEN_OVERRIDES
+    if key.split("/")[0] in GOLDEN_OVERRIDES
 )
 
 #: Techniques of the ``query`` golden cases: the DFS baseline, the
@@ -96,7 +96,7 @@ def golden_model(key: str, **model_kwargs):
     returns ``(model, traces, bvh, layout)``."""
     kind, scene, preset = key.split("/")
     config = dataclasses.replace(
-        SMOKE.gpu_config(), **_GOLDEN_OVERRIDES.get(kind, {})
+        SMOKE.gpu_config(), **GOLDEN_OVERRIDES.get(kind, {})
     )
     if kind == "query":
         return build_gpu_model(

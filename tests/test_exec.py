@@ -11,6 +11,11 @@ or dies must not take the sweep down with it.
 import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -25,30 +30,29 @@ from repro.exec import (
     Job,
     execute_jobs,
     get_artifact_cache,
-    prewarm_results,
+    prewarm_replays,
+    replay_pool,
     set_artifact_cache,
 )
 from repro.exec.cache import fingerprint
-from repro.exec.executor import FANOUT_SHARE_VISITS, _run_job
+from repro.exec.executor import FANOUT_SHARE_VISITS, close_pool
 
 SCENES = ["WKND", "SHIP"]
 
-#: Captured at import in the test runner; a forked pool worker keeps the
-#: value but reports a different os.getpid(), which lets injected job
-#: functions misbehave only on the worker side of the fence.
-_MAIN_PID = os.getpid()
+
+def _fail_in_worker(replay):
+    """An injected pool replay that always raises."""
+    raise RuntimeError("injected worker failure")
 
 
-def _fail_in_worker(job):
-    if os.getpid() != _MAIN_PID:
-        raise RuntimeError("injected worker failure")
-    return _run_job(job)
+def _die_in_worker(replay):
+    """An injected pool replay that hard-crashes its worker."""
+    os._exit(13)  # no exception, no cleanup
 
 
-def _die_in_worker(job):
-    if os.getpid() != _MAIN_PID:
-        os._exit(13)  # hard crash: no exception, no cleanup
-    return _run_job(job)
+def _wedge_in_worker(replay):
+    """An injected pool replay that never returns in time."""
+    time.sleep(60)
 
 
 def _count_replays(monkeypatch) -> list:
@@ -356,22 +360,19 @@ class TestPipelineSpill:
 
 
 class TestExecuteJobs:
-    def test_serial_path_dedupes(self):
-        calls = []
-
-        def fake(job):
-            calls.append(job.key())
-            return job.scene
-
+    def test_serial_path_dedupes(self, monkeypatch):
+        replays = _count_replays(monkeypatch)
         jobs = [
             Job("WKND", BASELINE, SMOKE),
             Job("SHIP", BASELINE, SMOKE),
             Job("WKND", BASELINE, SMOKE),  # duplicate
         ]
         report = ExecutionReport()
-        results = execute_jobs(jobs, workers=1, job_fn=fake, report=report)
-        assert results == ["WKND", "SHIP", "WKND"]
-        assert len(calls) == 2
+        results = execute_jobs(jobs, workers=1, report=report)
+        assert [result.scene for result in results] == ["WKND", "SHIP",
+                                                        "WKND"]
+        assert results[0] is results[2]
+        assert len(replays) == 2
         assert report.submitted == 2
         assert report.completed == 2
 
@@ -382,9 +383,7 @@ class TestExecuteJobs:
             seen.append((done, total, job.scene, source))
 
         jobs = [Job(s, BASELINE, SMOKE) for s in SCENES]
-        execute_jobs(
-            jobs, workers=1, job_fn=lambda j: j.scene, progress=progress
-        )
+        execute_jobs(jobs, workers=1, progress=progress)
         assert [s[0] for s in seen] == [1, 2]
         assert all(s[1] == 2 for s in seen)
 
@@ -399,12 +398,12 @@ class TestExecuteJobs:
         jobs = [Job(s, BASELINE, SMOKE) for s in SCENES]
         report = ExecutionReport()
         results = execute_jobs(
-            jobs, workers=1, job_fn=lambda j: j.scene, progress=broken,
-            metrics=registry, report=report,
+            jobs, workers=1, progress=broken, metrics=registry,
+            report=report,
         )
         # Every job still completed, the failures were counted, and the
         # well-behaved metrics callback still ran.
-        assert results == list(SCENES)
+        assert [result.scene for result in results] == list(SCENES)
         assert report.completed == len(SCENES)
         assert report.progress_errors == len(SCENES)
         assert registry.counter("exec.progress_errors").value == len(SCENES)
@@ -415,9 +414,7 @@ class TestExecuteJobs:
 
         registry = MetricRegistry()
         jobs = [Job(s, BASELINE, SMOKE) for s in SCENES]
-        execute_jobs(
-            jobs, workers=1, job_fn=lambda j: j.scene, metrics=registry
-        )
+        execute_jobs(jobs, workers=1, metrics=registry)
         assert registry.counter("exec.jobs_done").value == 2
         assert registry.counter("exec.jobs_inprocess").value == 2
 
@@ -441,7 +438,7 @@ class TestExecuteJobs:
         jobs = [Job(s, BASELINE, SMOKE) for s in SCENES]
         report = ExecutionReport()
         results = execute_jobs(
-            jobs, workers=2, job_fn=_fail_in_worker, report=report
+            jobs, workers=2, replay_fn=_fail_in_worker, report=report
         )
         # The caller replayed its own share; every pool attempt raised,
         # the retry raised too, and the executor then ran the pool's job
@@ -458,12 +455,187 @@ class TestExecuteJobs:
         jobs = [Job(s, BASELINE, SMOKE) for s in SCENES]
         report = ExecutionReport()
         results = execute_jobs(
-            jobs, workers=2, job_fn=_die_in_worker, report=report
+            jobs, workers=2, replay_fn=_die_in_worker, report=report
         )
         assert report.pool_broken
         assert report.from_caller == 1
         assert report.inprocess_fallbacks == 1
         assert all(r.stats.cycles > 0 for r in results)
+
+    def test_failures_are_counted_on_the_report_and_the_registry(self):
+        """An injected failing replay and then a worker crash: each is
+        counted on the report and as ``exec.*`` counters, the broken
+        pool is shut down, and every result is still the serial one."""
+        from repro.exec.executor import pool_info
+        from repro.obs import MetricRegistry
+
+        serial = {s: run(s, BASELINE, SMOKE).stats for s in SCENES}
+        registry = MetricRegistry()
+        jobs = [Job(s, BASELINE, SMOKE) for s in SCENES]
+        for replay_fn in (_fail_in_worker, _die_in_worker):
+            clear_caches()
+            report = ExecutionReport()
+            results = execute_jobs(jobs, workers=2, replay_fn=replay_fn,
+                                   metrics=registry, report=report)
+            assert [r.stats for r in results] == [serial[s] for s in SCENES]
+            assert report.inprocess_fallbacks == 1
+        counters = {name: counter.value
+                    for name, counter in registry.counters.items()}
+        assert counters["exec.jobs_done"] == 4
+        assert counters["exec.jobs_inprocess"] == 2
+        assert counters["exec.pool_broken"] == 1
+        assert "exec.pool_fallbacks" not in counters
+        assert report.pool_broken and pool_info() is None
+
+    def test_wedged_worker_times_out_and_its_pool_is_killed(self):
+        from repro.exec.executor import pool_info, replay_pool
+
+        close_pool()
+        workers = [process.pid for process in
+                   replay_pool(2).executor._processes.values()]
+        jobs = [Job(s, BASELINE, SMOKE) for s in SCENES]
+        report = ExecutionReport()
+        results = execute_jobs(jobs, workers=2, replay_fn=_wedge_in_worker,
+                               job_timeout=0.5, report=report)
+        assert report.timeouts == 1 and report.inprocess_fallbacks == 1
+        assert [r.stats for r in results] == [
+            run(s, BASELINE, SMOKE).stats for s in SCENES
+        ]
+        assert pool_info() is None
+        for pid in workers:  # killed, not left sleeping
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_no_pool_is_forked_with_a_second_thread_alive(self):
+        """Asked to fan out with no pool and another thread alive, the
+        batch runs in-process and counts one pool fallback."""
+        import threading
+
+        from repro.exec.executor import pool_info
+        from repro.obs import MetricRegistry
+
+        close_pool()
+        registry = MetricRegistry()
+        report = ExecutionReport()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            results = execute_jobs(
+                [Job(s, BASELINE, SMOKE) for s in SCENES], workers=2,
+                metrics=registry, report=report,
+            )
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert pool_info() is None
+        assert report.pool_fallbacks == 1
+        assert registry.counter("exec.pool_fallbacks").value == 1
+        assert report.workers == 1
+        assert report.sources == {"inprocess": 2}
+        assert [r.stats for r in results] == [
+            run(s, BASELINE, SMOKE).stats for s in SCENES
+        ]
+
+    def test_every_worker_is_forked_before_the_pool_starts_a_thread(
+            self, monkeypatch):
+        """Even where the executor's first submit forks only one worker
+        (Pythons without the fix of CPython issue 90622 fork the rest
+        on demand, with the pool's threads alive), the pool's every
+        worker is forked while the caller is the only thread."""
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.exec import executor
+
+        monkeypatch.setattr(ProcessPoolExecutor, "_launch_processes",
+                            lambda pool: pool._adjust_process_count(),
+                            raising=False)
+        threads_at_start = []
+        fork = multiprocessing.get_context("fork")
+
+        class Recording(fork.Process):
+            def start(self):
+                threads_at_start.append(threading.active_count())
+                super().start()
+
+        class Context(type(fork)):
+            Process = Recording
+
+        monkeypatch.setattr(executor, "_mp_context", Context)
+        close_pool()
+        try:
+            pool = replay_pool(3)
+            assert pool.processes == 2
+            assert len(pool.executor._processes) == 2
+            assert threads_at_start == [1, 1]
+        finally:
+            close_pool()
+
+    def test_a_pool_grows_only_while_no_other_thread_is_alive(self):
+        import threading
+
+        close_pool()
+        first = replay_pool(2)
+        assert first.processes == 1
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert replay_pool(3) is first
+            report = ExecutionReport()
+            execute_jobs([Job(s, BASELINE, SMOKE)
+                          for s in SCENES + ["BUNNY"]],
+                         workers=3, report=report)
+            assert report.workers == 2 and report.from_pool == 2
+        finally:
+            release.set()
+            other.join(timeout=10)
+        old = [process.pid for process in first.executor._processes.values()]
+        bigger = replay_pool(3)
+        assert bigger is not first
+        assert bigger.processes == 2 and bigger.threads == 1
+        assert len(bigger.executor._processes) == 2
+        assert replay_pool(2) is bigger  # a smaller request keeps it
+        for pid in old:  # the replaced pool's workers are gone
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_an_explicit_count_bounds_the_processes(self, monkeypatch):
+        """On a host with more CPUs than a batch asks for, ``workers=2``
+        forks one pool process, and a bigger pool forked before holds
+        one of the batch's jobs at a time."""
+        from repro.exec import executor
+        from repro.obs.spans import collect
+
+        monkeypatch.setattr(executor.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3}, raising=False)
+        jobs = [Job(s, technique, SMOKE)
+                for s in SCENES + ["BUNNY"]
+                for technique in (BASELINE, TREELET_PREFETCH)]
+
+        def pool_spans():
+            clear_caches()
+            report = ExecutionReport()
+            with collect():
+                execute_jobs(jobs, workers=2, report=report)
+            assert report.workers == 2 and report.from_pool == 3
+            return sorted((span for span in report.spans
+                           if span["name"] == "exec.job"),
+                          key=lambda span: span["start_unix"])
+
+        close_pool()
+        spans = pool_spans()
+        assert executor.pool_info()["processes"] == 1
+        assert len({span["pid"] for span in spans}) == 1
+        close_pool()
+        assert replay_pool(4).processes == 3
+        spans = pool_spans()
+        assert len(spans) == 3
+        for before, after in zip(spans, spans[1:]):
+            assert after["start_unix"] >= before["end_unix"]
+        close_pool()
 
     def test_caller_share_deals_jobs_in_snake_order(self):
         from repro.exec.executor import _caller_share
@@ -532,7 +704,7 @@ class TestParallelSweeps:
     def test_prewarm_seeds_result_memoizer(self):
         from repro.core.memo import MEMO
 
-        prewarm_results([BASELINE], ["WKND"], SMOKE, jobs=1)
+        prewarm_replays([BASELINE], ["WKND"], SMOKE, jobs=1)
         seeded = MEMO.get("result", Job("WKND", BASELINE, SMOKE).key())
         assert seeded is not None
         # The follow-up serial call is a pure memo lookup.
@@ -543,8 +715,8 @@ class TestParallelSweeps:
     def test_workers_share_disk_cache(self, tmp_path):
         cache = set_artifact_cache(tmp_path)
         sweep(TREELET_PREFETCH, SCENES, SMOKE, jobs=2)
-        # The pool initializer pointed every worker at tmp_path, so the
-        # artifacts are on disk for the *parent* to reload cold.
+        # The caller stored the artifacts it built and the results the
+        # pool replayed, so they are on disk to reload cold.
         assert cache.entries() >= 1
         clear_caches()
         reset_build_counts()
@@ -580,6 +752,9 @@ class TestDefaultJobs:
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         if guard == "second-thread":
+            # Only the pool's creation is guarded: drop any pool an
+            # earlier test forked.
+            close_pool()
             other.start()
         try:
             plan = self._plan()
@@ -595,6 +770,25 @@ class TestDefaultJobs:
                                      else "fork")
         if guard == "below-threshold":
             assert 0 < plan.missing_visits < 2 * plan.visit_threshold
+
+    def test_a_forked_pool_is_reused_with_a_second_thread_alive(
+            self, fanout_by_default):
+        import threading
+
+        close_pool()
+        replay_pool(2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            plan = self._plan()
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert plan.workers == 2
+        assert plan.from_pool == len(SCENES)
+        assert plan.pool_threads == 1
+        assert plan.pool_fallbacks == 0
 
     def test_fans_out_when_the_threshold_is_lowered(self,
                                                     fanout_by_default):
@@ -690,3 +884,74 @@ class TestCacheCli:
         assert code == 0
         assert "GMean" in capsys.readouterr().out
         assert get_artifact_cache().entries() >= 1
+
+
+#: A fan-out in a child process: ``exit`` returns from a sweep,
+#: ``term`` waits with its pool alive to be killed, ``break`` crashes
+#: a pool worker first.
+_CHILD = """
+import os, sys, time
+from repro import SMOKE, TREELET_PREFETCH
+from repro.api import sweep
+from repro.exec import Job, execute_jobs
+
+def die(replay):
+    os._exit(13)
+
+mode = sys.argv[1]
+if mode == "break":
+    execute_jobs([Job(s, TREELET_PREFETCH, SMOKE)
+                  for s in ("WKND", "SHIP")], 2, replay_fn=die)
+sweep(TREELET_PREFETCH, ["WKND", "SHIP"], SMOKE, jobs=2)
+print("swept", flush=True)
+if mode == "term":
+    time.sleep(120)
+"""
+
+
+def _session_processes(session: int) -> list:
+    """Pids of the live (not zombie) processes of ``session``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[3]) == session and fields[0] != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestNoProcessOutlivesItsParent:
+    """The replay pool's workers end with the process that forked them,
+    however that process ends."""
+
+    @pytest.mark.parametrize("mode", ["exit", "term", "break"])
+    def test_session_is_empty_after_the_child_ends(self, mode):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        child = subprocess.Popen(
+            [sys.executable, "-c", _CHILD, mode], env=env,
+            stdout=subprocess.PIPE, start_new_session=True, text=True,
+        )
+        try:
+            assert child.stdout.readline().strip() == "swept"
+            if mode == "term":
+                # The pool is alive: the child and at least one worker.
+                assert len(_session_processes(child.pid)) >= 2
+                child.send_signal(signal.SIGTERM)
+            child.wait(timeout=120)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        assert child.returncode == (-signal.SIGTERM if mode == "term"
+                                    else 0)
+        deadline = time.monotonic() + 10
+        while _session_processes(child.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _session_processes(child.pid) == []

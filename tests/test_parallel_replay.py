@@ -25,18 +25,14 @@ from repro.exec import (
     prewarm_replays,
     set_artifact_cache,
 )
-from repro.exec.executor import _run_job
 
 SCENES = ["WKND", "BUNNY", "SPNZA", "SHIP"]
 TECHNIQUES = (BASELINE, TREELET_PREFETCH)
 
-_MAIN_PID = os.getpid()
 
-
-def _die_in_worker(job):
-    if os.getpid() != _MAIN_PID:
-        os._exit(13)  # hard crash: no exception, no cleanup
-    return _run_job(job)
+def _die_in_worker(replay):
+    """An injected pool replay that hard-crashes its worker."""
+    os._exit(13)  # no exception, no cleanup
 
 
 @pytest.fixture(autouse=True)
@@ -125,7 +121,7 @@ class TestReplayWorkerCrash:
         ]
         report = ExecutionReport()
         results = prewarm_replay_jobs(
-            jobs, workers=2, job_fn=_die_in_worker, report=report
+            jobs, workers=2, replay_fn=_die_in_worker, report=report
         )
         assert report.pool_broken
         # The caller replayed every other job itself (its share of two);
@@ -161,8 +157,8 @@ class TestReplayFanoutWall:
         ]
 
         def wall(workers):
-            # Forked workers would inherit memoized results: drop them,
-            # keeping the traces warm, so both runs time replay only.
+            # Drop the results, keeping the traces warm, so both runs
+            # time replay only.
             MEMO.clear("result")
             start = time.perf_counter()
             prewarm_replay_jobs(jobs, workers=workers)

@@ -125,6 +125,13 @@ def serve_factory():
 
     def make(**overrides) -> ServiceHandle:
         overrides.setdefault("port", 0)
+        if overrides.get("workers", 1) > 1:
+            # A service with workers forks its own replay pool, as
+            # `repro serve` does in a fresh process: drop any pool an
+            # earlier test forked in this one.
+            from repro.exec.executor import close_pool
+
+            close_pool()
         handle = ServiceHandle(ServeConfig(**overrides)).start()
         handles.append(handle)
         return handle
@@ -344,6 +351,17 @@ class TestDrain:
             assert job.result is not None
         with pytest.raises((TransportError, OSError)):
             ServeClient("127.0.0.1", port, timeout=2).healthz()
+
+    def test_drain_waits_for_a_forming_batch(self, serve_factory):
+        """A batch still waiting for stragglers is in flight: drain
+        finishes it instead of returning with its jobs queued."""
+        handle = serve_factory(start_paused=True, batch_window_s=0.5)
+        _status, _headers, doc = handle.post(
+            "/v1/run",
+            {"scene": "WKND", "technique": "baseline", "scale": "smoke"},
+        )
+        handle.call(handle.service.begin_drain(), timeout=60)
+        assert handle.service.jobs[doc["id"]].state == "done"
 
     def test_sigterm_drains_and_exits_cleanly(self, tmp_path):
         env = dict(os.environ)
@@ -653,6 +671,38 @@ class TestPoolFallback:
         assert status == 200 and doc["state"] == "done", doc
         _status, _headers, metrics = handle.get("/metrics")
         assert metrics["metrics"]["counters"]["serve.pool_fallbacks"] == 1
+
+
+class TestReplayPool:
+    def test_pool_forked_with_one_thread_serves_inprocess_results(
+        self, serve_factory
+    ):
+        """``--workers N`` forks the replay pool before the event loop
+        and the batch thread start, and a served sweep that fans out
+        over it returns the in-process sweep's document."""
+        from repro.api import SweepRequest, sweep as api_sweep
+        from repro.core.pipeline import clear_caches
+        from repro.serve.protocol import sweep_result_document
+
+        clear_caches()
+        handle = serve_factory(workers=2)
+        _status, _headers, health = handle.get("/healthz")
+        assert health["replay_pool"]["threads_at_fork"] == 1
+        assert health["replay_pool"]["processes"] >= 1
+        payload = {"technique": "treelet-prefetch", "scale": "smoke",
+                   "scenes": ["WKND", "SHIP"]}
+        status, _headers, doc = handle.post("/v1/sweep?wait=1", payload,
+                                            timeout=300)
+        assert status == 200 and doc["state"] == "done", doc
+        _status, _headers, metrics = handle.get("/metrics")
+        assert metrics["metrics"]["counters"]["exec.jobs_pool"] >= 1
+        clear_caches()
+        request = SweepRequest.from_dict(payload)
+        direct = api_sweep("treelet-prefetch", ["WKND", "SHIP"], "smoke",
+                           jobs=1)
+        assert doc["result"] == _normalize(
+            sweep_result_document(request, direct)
+        )
 
 
 class TestRequestTracing:

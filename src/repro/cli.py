@@ -23,15 +23,8 @@ Commands:
   (micro-batched scheduling, backpressure, graceful drain; see
   ``docs/serving.md``).
 * ``loadgen`` — open-loop Poisson/uniform load generator against a
-  running service or router; prints latency percentiles, throughput,
-  and shed rate.
-* ``router`` — scene-shard router fronting N service replicas
-  (rendezvous hashing, health-check ejection, retry failover,
-  aggregated metrics; see ``docs/serving.md``).
-* ``scenarios`` — run a declarative ``repro.scenario/1`` load spec
-  (``run``) or just parse it (``check``); ``run`` sweeps the spec's
-  QPS steps and emits a ``repro.bench/1`` capacity report with an SLO
-  verdict.
+  running service; prints latency percentiles, throughput, and shed
+  rate.
 * ``obs`` — operate on ``repro.spans/1`` span files offline:
   ``merge`` several into one, ``export`` them as Perfetto/Chrome
   trace JSON, ``summarize`` per-phase wall/CPU totals.
@@ -448,74 +441,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0 if summary["errors"] == 0 else 1
 
 
-def _cmd_router(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .serve import RouterConfig, SceneShardRouter
-
-    config = RouterConfig(
-        host=args.host,
-        port=args.port,
-        replicas=tuple(args.replica),
-        health_interval_s=args.health_interval_s,
-        eject_after=args.eject_after,
-        readmit_after=args.readmit_after,
-        retries=args.retries,
-        max_inflight_per_replica=args.max_inflight,
-    )
-
-    async def main_async() -> None:
-        router = SceneShardRouter(config)
-        await router.start()
-        # Machine-read announce line; same phrasing as `repro serve`.
-        print(f"repro-router listening on http://{config.host}:{router.port}",
-              flush=True)
-        print(f"sharding {len(config.replicas)} replicas: "
-              + " ".join(config.replicas), flush=True)
-        await router.serve_forever()
-        print("repro-router drained cleanly", flush=True)
-
-    asyncio.run(main_async())
-    return 0
-
-
-def _cmd_scenarios(args: argparse.Namespace) -> int:
-    from .serve.scenarios import Scenario, ScenarioError, run_scenario
-
-    try:
-        scenario = Scenario.load(args.spec)
-    except ScenarioError as exc:
-        print(f"bad scenario: {exc}", file=sys.stderr)
-        return 2
-
-    if args.scenarios_command == "check":
-        print(json.dumps(scenario.describe(), indent=2, sort_keys=True))
-        return 0
-
-    def progress(qps: float, summary: dict) -> None:
-        verdict = "ok" if summary["slo_ok"] else "MISS"
-        print(f"  qps {qps:>7.2f}: {summary['ok']}/{summary['requests']} ok, "
-              f"shed {summary['shed']}, p99 "
-              f"{summary['latency_p99_s'] * 1000:.1f} ms  [{verdict}]",
-              flush=True)
-
-    print(banner(f"scenario {scenario.name!r} -> {args.host}:{args.port}"))
-    report = run_scenario(scenario, args.host, args.port, progress=progress)
-    derived = report["derived"]
-    print(f"capacity: {derived['capacity_qps']:g} QPS "
-          f"({derived['levels_passed']}/{derived['levels_total']} levels "
-          f"met SLO)")
-    print(f"verdict:  {'PASS' if derived['slo_pass'] else 'FAIL'}")
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"report:   {args.out}")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if derived["slo_pass"] else 1
-
-
 def _load_span_inputs(paths):
     from .obs import load_spans, merge_spans
 
@@ -779,52 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--json", action="store_true",
                          help="print the machine-readable summary")
 
-    router = sub.add_parser(
-        "router", help="scene-shard router fronting N `repro serve` replicas"
-    )
-    router.add_argument("--host", default="127.0.0.1")
-    router.add_argument("--port", type=int, default=8078,
-                        help="TCP port (0 picks an ephemeral port)")
-    router.add_argument("--replica", action="append", required=True,
-                        metavar="HOST:PORT",
-                        help="replica address; repeat once per replica")
-    router.add_argument("--health-interval-s", type=float, default=0.25,
-                        help="seconds between /healthz probes")
-    router.add_argument("--eject-after", type=_positive_int, default=2,
-                        help="consecutive failures before a replica is "
-                             "ejected from the ring")
-    router.add_argument("--readmit-after", type=_positive_int, default=2,
-                        help="consecutive healthy probes before readmission")
-    router.add_argument("--retries", type=_positive_int, default=3,
-                        help="max replicas tried per request")
-    router.add_argument("--max-inflight", type=_positive_int, default=32,
-                        help="per-replica in-flight budget; beyond it the "
-                             "router sheds with 429")
-
-    scenarios = sub.add_parser(
-        "scenarios",
-        help="run declarative load scenarios and emit capacity reports",
-    )
-    scenarios_sub = scenarios.add_subparsers(dest="scenarios_command",
-                                             required=True)
-    sc_run = scenarios_sub.add_parser(
-        "run", help="execute a scenario spec against a service or router"
-    )
-    sc_run.add_argument("spec", metavar="SPEC_JSON",
-                        help="repro.scenario/1 spec (.json, or .yaml with "
-                             "PyYAML installed)")
-    sc_run.add_argument("--host", default="127.0.0.1")
-    sc_run.add_argument("--port", type=int, default=8077,
-                        help="target service or router port")
-    sc_run.add_argument("--out", metavar="PATH",
-                        help="write the repro.bench/1 capacity report here")
-    sc_run.add_argument("--json", action="store_true",
-                        help="print the full capacity report as JSON")
-    sc_check = scenarios_sub.add_parser(
-        "check", help="parse and echo a scenario spec without running it"
-    )
-    sc_check.add_argument("spec", metavar="SPEC_JSON")
-
     obs = sub.add_parser(
         "obs", help="merge/export/summarize repro.spans/1 span files"
     )
@@ -889,8 +768,6 @@ _COMMANDS = {
     "cache": _cmd_cache,
     "serve": _cmd_serve,
     "loadgen": _cmd_loadgen,
-    "router": _cmd_router,
-    "scenarios": _cmd_scenarios,
     "obs": _cmd_obs,
 }
 

@@ -1,7 +1,7 @@
-"""repro.serve — async simulation service, shard router, and load tools.
+"""repro.serve — the async simulation service and its load tools.
 
-The long-running entry points the ROADMAP's traffic-serving goal calls
-for, all speaking the versioned ``repro.serve/1`` wire protocol:
+The long-running entry point, speaking the versioned ``repro.serve/1``
+wire protocol:
 
 * :class:`SimulationService` — a stdlib-only asyncio HTTP/JSON server
   that exposes the :mod:`repro.api` facade as a job-oriented API with
@@ -9,28 +9,20 @@ for, all speaking the versioned ``repro.serve/1`` wire protocol:
   ``Retry-After``), per-request deadlines, cancellation, graceful
   drain on SIGTERM, and an in-memory LRU result cache over the on-disk
   artifact cache.
-* :class:`SceneShardRouter` — fronts N service replicas, sharding by
-  scene fingerprint (rendezvous hashing) with health-check ejection,
-  retry-with-backoff failover, bounded in-flight budgets, and
-  aggregated ``/metrics`` and trace views.
-* :mod:`repro.serve.scenarios` — declarative JSON/YAML load scenarios
-  executed through the open-loop generator in
-  :mod:`repro.serve.loadgen`, emitting ``repro.bench/1`` capacity
-  reports with SLO verdicts.
+* :class:`ServeClient` / :class:`AsyncServeClient` — the typed client
+  every caller talks to the service through.
+* :mod:`repro.serve.loadgen` — the open-loop load generator behind
+  ``repro loadgen``.
 
 Typical use::
 
-    # terminals 1-3: replicas
-    $ repro serve --port 8081 --workers 2   # ... 8082, 8083
+    # terminal 1: the service
+    $ repro serve --port 8077 --workers 2
 
-    # terminal 4: router
-    $ repro router --port 8078 --replica 127.0.0.1:8081 \
-          --replica 127.0.0.1:8082 --replica 127.0.0.1:8083
+    # terminal 2: offered load against it
+    $ repro loadgen --port 8077 --qps 8 --requests 50
 
-    # terminal 5: capacity scenario against the router
-    $ repro scenarios run examples/scenarios/smoke.json --port 8078
-
-See ``docs/serving.md`` for endpoint, batching, and routing semantics.
+See ``docs/serving.md`` for endpoint and batching semantics.
 """
 
 from .client import (
@@ -38,7 +30,6 @@ from .client import (
     Response,
     ServeClient,
     TransportError,
-    http_request_json,
 )
 from .loadgen import (
     ARRIVAL_PROCESSES,
@@ -69,14 +60,6 @@ from .protocol import (
     normalize_run,
     normalize_sweep,
 )
-from .router import RouterConfig, SceneShardRouter
-from .scenarios import (
-    SCENARIO_SCHEMA,
-    Scenario,
-    ScenarioError,
-    SLOTarget,
-    run_scenario,
-)
 from .scheduler import MicroBatchScheduler
 from .service import ServeConfig, SimulationService
 
@@ -98,13 +81,7 @@ __all__ = [
     "RequestOutcome",
     "RequestTemplate",
     "Response",
-    "RouterConfig",
-    "SCENARIO_SCHEMA",
     "SCHEMA_HEADER",
-    "SLOTarget",
-    "Scenario",
-    "ScenarioError",
-    "SceneShardRouter",
     "ServeClient",
     "ServeConfig",
     "ServeError",
@@ -115,10 +92,8 @@ __all__ = [
     "TIMEOUT",
     "TransportError",
     "WireError",
-    "http_request_json",
     "normalize_run",
     "normalize_sweep",
     "run_loadgen",
     "run_loadgen_async",
-    "run_scenario",
 ]

@@ -1,13 +1,12 @@
-"""The typed ``repro.serve`` client: one HTTP transport for the fleet.
+"""The typed ``repro.serve`` client: one HTTP transport for the service.
 
 Everything that talks to a :class:`~repro.serve.service.SimulationService`
-or a :class:`~repro.serve.router.SceneShardRouter` goes through this
-module — the load generator, the scenario harness, the router's health
-checker and forwarder, the acceptance tests, and the CI smoke scripts.
-There is deliberately no urllib / raw-socket HTTP anywhere else under
-``src/`` or ``tests/``.
+goes through this module — the load generator, the acceptance tests,
+the benchmark's open-loop driver, and the CI smoke scripts.  There is
+deliberately no urllib / raw-socket HTTP anywhere else under ``src/``
+or ``tests/``.
 
-The transport is the same stdlib-only dialect the servers speak (one
+The transport is the same stdlib-only dialect the service speaks (one
 request per connection, ``Connection: close``), offered both
 synchronously (:class:`ServeClient`, plain sockets) and asynchronously
 (:class:`AsyncServeClient`, asyncio) over a shared request builder and
@@ -18,7 +17,7 @@ any body is interpreted.
 
 Transport-level failures (refused connection, timeout, truncated
 response) raise :class:`TransportError`, a ``ConnectionError`` subclass,
-so retry logic can catch one family for "the replica is unreachable"
+so a caller can catch one family for "the service is unreachable"
 and let HTTP-level errors flow through as :class:`Response` objects.
 """
 
@@ -29,7 +28,7 @@ import json
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from .protocol import (
     PROTOCOL_SCHEMA,
@@ -89,7 +88,6 @@ def _build_request(
     method: str,
     path: str,
     payload: Union[dict, list, bytes, None],
-    headers: Optional[Dict[str, str]] = None,
 ) -> bytes:
     if isinstance(payload, bytes):
         body = payload
@@ -106,12 +104,10 @@ def _build_request(
     ]
     if body:
         lines.append("Content-Type: application/json")
-    for name, value in (headers or {}).items():
-        lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
 
 
-def _parse_response(raw: bytes, *, check_schema: bool = True) -> Response:
+def _parse_response(raw: bytes) -> Response:
     head, sep, body = raw.partition(b"\r\n\r\n")
     if not sep:
         raise TransportError("truncated response (no header terminator)")
@@ -138,14 +134,13 @@ def _parse_response(raw: bytes, *, check_schema: bool = True) -> Response:
             f"truncated response body ({len(body)}/{length} bytes)"
         )
     body = body[:length]
-    if check_schema:
-        stamp = lowered.get(SCHEMA_HEADER.lower())
-        if stamp != PROTOCOL_SCHEMA:
-            raise WireError(
-                f"response carries {SCHEMA_HEADER}: {stamp!r}, "
-                f"expected {PROTOCOL_SCHEMA!r} — peer is not a "
-                "repro.serve/1 server"
-            )
+    stamp = lowered.get(SCHEMA_HEADER.lower())
+    if stamp != PROTOCOL_SCHEMA:
+        raise WireError(
+            f"response carries {SCHEMA_HEADER}: {stamp!r}, "
+            f"expected {PROTOCOL_SCHEMA!r} — peer is not a "
+            "repro.serve/1 server"
+        )
     content_type = lowered.get("content-type", "application/json")
     if content_type.startswith("application/json"):
         try:
@@ -165,8 +160,6 @@ async def request_async(
     payload: Union[dict, list, bytes, None] = None,
     *,
     timeout: float = DEFAULT_TIMEOUT_S,
-    headers: Optional[Dict[str, str]] = None,
-    check_schema: bool = True,
 ) -> Response:
     """One asyncio HTTP exchange; raises :class:`TransportError` (or
     ``OSError`` / ``asyncio.TimeoutError``) when the peer is down."""
@@ -177,8 +170,7 @@ async def request_async(
     except OSError as exc:
         raise TransportError(f"connect to {host}:{port} failed: {exc}")
     try:
-        writer.write(_build_request(host, port, method, path, payload,
-                                    headers))
+        writer.write(_build_request(host, port, method, path, payload))
         await writer.drain()
         raw = await asyncio.wait_for(reader.read(-1), timeout)
     finally:
@@ -186,7 +178,7 @@ async def request_async(
             writer.close()
         except Exception:  # noqa: BLE001 — teardown best-effort
             pass
-    return _parse_response(raw, check_schema=check_schema)
+    return _parse_response(raw)
 
 
 def request_sync(
@@ -197,8 +189,6 @@ def request_sync(
     payload: Union[dict, list, bytes, None] = None,
     *,
     timeout: float = DEFAULT_TIMEOUT_S,
-    headers: Optional[Dict[str, str]] = None,
-    check_schema: bool = True,
 ) -> Response:
     """Blocking twin of :func:`request_async` (plain sockets)."""
     try:
@@ -206,8 +196,7 @@ def request_sync(
     except OSError as exc:
         raise TransportError(f"connect to {host}:{port} failed: {exc}")
     try:
-        sock.sendall(_build_request(host, port, method, path, payload,
-                                    headers))
+        sock.sendall(_build_request(host, port, method, path, payload))
         chunks = []
         while True:
             chunk = sock.recv(65536)
@@ -218,7 +207,7 @@ def request_sync(
         raise TransportError(f"request to {host}:{port} timed out")
     finally:
         sock.close()
-    return _parse_response(b"".join(chunks), check_schema=check_schema)
+    return _parse_response(b"".join(chunks))
 
 
 class _ClientMixin:
@@ -246,7 +235,7 @@ class _ClientMixin:
 
 
 class ServeClient(_ClientMixin):
-    """Blocking typed client for one server (service or router)."""
+    """Blocking typed client for one service."""
 
     def __init__(self, host: str, port: int, *,
                  timeout: float = DEFAULT_TIMEOUT_S) -> None:
@@ -255,13 +244,10 @@ class ServeClient(_ClientMixin):
         self.timeout = timeout
 
     def request(self, method: str, path: str, payload=None, *,
-                timeout: Optional[float] = None,
-                headers: Optional[Dict[str, str]] = None,
-                check_schema: bool = True) -> Response:
+                timeout: Optional[float] = None) -> Response:
         return request_sync(
             self.host, self.port, method, path, payload,
             timeout=self.timeout if timeout is None else timeout,
-            headers=headers, check_schema=check_schema,
         )
 
     def submit(self, request: SubmitRequest, *, wait: bool = False,
@@ -304,7 +290,7 @@ class ServeClient(_ClientMixin):
 
 class AsyncServeClient(_ClientMixin):
     """Asyncio twin of :class:`ServeClient` — used by the load
-    generator and the router (health checks, forwarding)."""
+    generator and the open-loop benchmark."""
 
     def __init__(self, host: str, port: int, *,
                  timeout: float = DEFAULT_TIMEOUT_S) -> None:
@@ -313,13 +299,10 @@ class AsyncServeClient(_ClientMixin):
         self.timeout = timeout
 
     async def request(self, method: str, path: str, payload=None, *,
-                      timeout: Optional[float] = None,
-                      headers: Optional[Dict[str, str]] = None,
-                      check_schema: bool = True) -> Response:
+                      timeout: Optional[float] = None) -> Response:
         return await request_async(
             self.host, self.port, method, path, payload,
             timeout=self.timeout if timeout is None else timeout,
-            headers=headers, check_schema=check_schema,
         )
 
     async def submit(self, request: SubmitRequest, *, wait: bool = False,
@@ -358,24 +341,3 @@ class AsyncServeClient(_ClientMixin):
 
     async def metrics(self, *, fmt: Optional[str] = None) -> Response:
         return await self.request("GET", self._metrics_path(fmt))
-
-
-async def http_request_json(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    payload: Optional[dict] = None,
-    timeout: float = DEFAULT_TIMEOUT_S,
-) -> Tuple[int, Dict[str, str], dict]:
-    """Back-compat shim for the transport that used to live in
-    ``repro.serve.loadgen`` — same ``(status, headers, document)``
-    tuple (headers lower-cased), now routed through the shared client.
-    """
-    response = await request_async(host, port, method, path, payload,
-                                   timeout=timeout)
-    headers = {name.lower(): value for name, value in
-               response.headers.items()}
-    document = response.document if isinstance(response.document, dict) \
-        else {}
-    return response.status, headers, document

@@ -1,13 +1,13 @@
-"""Minimal HTTP/1.1 plumbing shared by the service and the router.
+"""Minimal HTTP/1.1 plumbing of the service.
 
-Both network front ends (:class:`~repro.serve.service.SimulationService`
-and :class:`~repro.serve.router.SceneShardRouter`) speak the same
-stdlib-only dialect — one request per connection, ``Content-Length``
-bodies, ``Connection: close`` — so the parsing and response framing
-live here exactly once.  Every response is stamped with the
-``repro.serve/1`` wire-protocol version in the ``X-Repro-Schema``
-header (JSON *and* text bodies), which is how clients detect a
-version-mismatched peer before trying to interpret the document.
+:class:`~repro.serve.service.SimulationService` speaks a stdlib-only
+dialect — one request per connection, ``Content-Length`` bodies,
+``Connection: close``; its request parsing and response framing live
+here, its routes in :mod:`repro.serve.service`.  Every response is
+stamped with the ``repro.serve/1`` wire-protocol version in the
+``X-Repro-Schema`` header (JSON *and* text bodies), which is how
+clients detect a version-mismatched peer before trying to interpret
+the document.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
-    502: "Bad Gateway", 503: "Service Unavailable",
-    504: "Gateway Timeout",
+    503: "Service Unavailable",
 }
 
 
@@ -87,7 +86,6 @@ async def respond(
     status: int,
     document,
     headers: Optional[dict] = None,
-    server: str = SERVER_NAME,
 ) -> None:
     """Frame and send one response; ``document`` may be a JSON-able
     object or pre-rendered text (Prometheus exposition)."""
@@ -108,7 +106,7 @@ async def respond(
         content_type = content_type or "application/json"
     lines = [
         f"HTTP/1.1 {status} {REASONS.get(status, 'Status')}",
-        f"Server: {server}",
+        f"Server: {SERVER_NAME}",
         f"Content-Type: {content_type}",
         f"Content-Length: {len(body)}",
         f"{SCHEMA_HEADER}: {PROTOCOL_SCHEMA}",
@@ -129,7 +127,6 @@ async def serve_connection(
     route: Callable[..., Awaitable[Tuple[int, object, dict]]],
     *,
     max_body_bytes: int,
-    server: str = SERVER_NAME,
 ) -> None:
     """Answer one connection: ``route(method, path, query, payload)``
     gives ``(status, document, headers)``.  A :class:`ServeError`
@@ -141,8 +138,7 @@ async def serve_connection(
                 reader, max_body_bytes=max_body_bytes
             )
         except ServeError as exc:
-            await respond(writer, exc.status, exc.document(), exc.headers,
-                          server)
+            await respond(writer, exc.status, exc.document(), exc.headers)
             return
         except (asyncio.IncompleteReadError, ConnectionError,
                 asyncio.TimeoutError, ValueError):
@@ -163,7 +159,7 @@ async def serve_connection(
                 ).to_wire(),
                 {},
             )
-        await respond(writer, status, document, headers, server)
+        await respond(writer, status, document, headers)
     finally:
         try:
             writer.close()

@@ -8,13 +8,12 @@ self-throttling that hides saturation — the methodology the serving
 benchmarks (`llm-d-benchmark` and friends) use for latency/saturation
 curves.
 
-Each request is a ``POST /v1/run?wait=1`` drawn from a weighted mix of
+Each request is a ``POST /v1/run?wait=1`` drawn uniformly from a mix of
 (scene, technique, scale) templates; latency is measured submit to
 terminal state.  A background sampler polls ``/healthz`` for queue
 depth while the run is in flight.  All HTTP goes through the shared
 :class:`repro.serve.client.AsyncServeClient`, so every request the
-generator emits is ``repro.serve/1`` schema-stamped and the target may
-be a single service or the scene-shard router interchangeably.
+generator emits is ``repro.serve/1`` schema-stamped.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ class RequestTemplate:
     scene: str = "WKND"
     technique: str = "treelet-prefetch"
     scale: str = "smoke"
-    weight: float = 1.0
     workload: str = "render"
 
     def submit(self, deadline_s: Optional[float] = None) -> SubmitRequest:
@@ -166,10 +164,7 @@ def _arrival_offsets(config: LoadGenConfig) -> List[float]:
 def _pick_templates(config: LoadGenConfig) -> List[RequestTemplate]:
     rng = random.Random(config.seed + 1)
     templates = list(config.mix) or [RequestTemplate()]
-    weights = [max(template.weight, 0.0) for template in templates]
-    if not any(weights):
-        weights = [1.0] * len(templates)
-    return rng.choices(templates, weights=weights, k=config.requests)
+    return rng.choices(templates, k=config.requests)
 
 
 async def run_loadgen_async(config: LoadGenConfig) -> LoadReport:

@@ -2,8 +2,8 @@
 response documents, job records, and request normalization.
 
 This module is the single definition of what travels over the wire.
-The service, the router, the load generator, the typed client, and the
-tests all consume these shapes instead of hand-rolled dicts:
+The service, the load generator, the typed client, and the tests all
+consume these shapes instead of hand-rolled dicts:
 
 * :class:`SubmitRequest` — the ``POST /v1/run`` / ``POST /v1/sweep``
   request body (client side constructs it, ``to_wire()`` stamps the
@@ -15,14 +15,13 @@ tests all consume these shapes instead of hand-rolled dicts:
 * :class:`JobDocument` — the job status/result/cancel response;
 * :func:`run_document` / :func:`sweep_result_document` — the one
   builder of each kind of result, used by the service and by
-  ``repro run``/``repro sweep --json``; :func:`sweep_document` joins
-  per-scene entries (the router merges per-replica parts with it);
+  ``repro run``/``repro sweep --json``;
 * :class:`ErrorDocument` — every error response, any status;
 * :func:`ensure_request_schema` — server-side version check: a payload
   stamped with an unknown or mismatched ``schema`` is answered with a
   structured 400 instead of being half-interpreted.
 
-Every HTTP response (service and router, JSON and text) additionally
+Every HTTP response of the service (JSON and text) additionally
 carries the protocol version in the ``X-Repro-Schema`` header — see
 :mod:`repro.serve.http`.
 
@@ -173,7 +172,6 @@ class JobDocument:
     latency_s: Optional[float] = None
     result: Optional[dict] = None
     error: Optional[str] = None
-    replica: Optional[str] = None  # stamped by the router
 
     @property
     def terminal(self) -> bool:
@@ -195,7 +193,7 @@ class JobDocument:
         if self.created_unix is not None:
             doc["created_unix"] = self.created_unix
         for name in ("trace_id", "queue_wait_s", "latency_s",
-                     "result", "error", "replica"):
+                     "result", "error"):
             value = getattr(self, name)
             if value is not None:
                 doc[name] = value
@@ -218,7 +216,6 @@ class JobDocument:
             latency_s=doc.get("latency_s"),
             result=doc.get("result"),
             error=doc.get("error"),
-            replica=doc.get("replica"),
         )
 
 
@@ -227,9 +224,9 @@ class SubmitRequest:
     """A typed ``POST /v1/run`` / ``POST /v1/sweep`` request body.
 
     The client-side counterpart of :func:`normalize_run` /
-    :func:`normalize_sweep`: the load generator, the scenario harness,
-    and the tests construct one of these and put ``to_wire()`` on the
-    wire, so every request the fleet emits is schema-stamped.
+    :func:`normalize_sweep`: the load generator and the tests construct
+    one of these and put ``to_wire()`` on the wire, so every request a
+    client emits is schema-stamped.
     """
 
     kind: str = "run"  # "run" | "sweep"
@@ -289,29 +286,10 @@ def _coerce_deadline(payload: dict) -> Optional[float]:
     return deadline
 
 
-def sweep_document(technique: Optional[str], scale: Optional[str],
-                   workload: str, scenes: Dict[str, dict]) -> dict:
-    """A sweep result from its per-scene entries: the entries and the
-    gmean of their speedups, in the order ``scenes`` is given (request
-    order from :func:`sweep_result_document`, the merged scenes sorted
-    when the router joins per-replica parts)."""
-    speedups = [entry["speedup"] for entry in scenes.values()]
-    doc = {
-        "kind": "sweep",
-        "technique": technique,
-        "scale": scale,
-        "gmean_speedup": geomean(speedups) if speedups else 1.0,
-        "scenes": scenes,
-    }
-    if workload != "render":
-        doc["workload"] = workload
-    return doc
-
-
 def sweep_result_document(request: SweepRequest, outcome) -> dict:
     """The one builder of a sweep result, for ``POST /v1/sweep`` and
     ``repro sweep --json``: each scene's cycles, speedup and both runs'
-    SimStats."""
+    SimStats, in request order, and the gmean of the speedups."""
     scenes = {
         scene: {
             "baseline_cycles": pair.baseline.cycles,
@@ -322,8 +300,17 @@ def sweep_result_document(request: SweepRequest, outcome) -> dict:
         }
         for scene, pair in outcome.outcomes.items()
     }
-    return sweep_document(outcome.technique.label(), request.scale.name,
-                          request.workload, scenes)
+    speedups = [entry["speedup"] for entry in scenes.values()]
+    doc = {
+        "kind": "sweep",
+        "technique": outcome.technique.label(),
+        "scale": request.scale.name,
+        "gmean_speedup": geomean(speedups) if speedups else 1.0,
+        "scenes": scenes,
+    }
+    if request.workload != "render":
+        doc["workload"] = request.workload
+    return doc
 
 
 def run_document(result, base=None) -> dict:

@@ -1,7 +1,7 @@
 """Wire-schema tests for the ``workload`` field on Run/Sweep requests.
 
-The facade's requests are the single wire schema the CLI, service, and
-router all share, so the field's round-trip, defaulting, validation
+The facade's requests are the single wire schema the CLI and the
+service share, so the field's round-trip, defaulting, validation
 (with near-miss suggestions), and old-schema behavior are pinned here.
 """
 

@@ -353,15 +353,12 @@ class TestServeProtocol:
         )
 
     def test_scenario_mix_carries_workload(self):
-        from repro.serve.scenarios import Scenario
+        from repro.serve.loadgen import RequestTemplate
 
-        scenario = Scenario.from_dict({
-            "schema": "repro.scenario/1",
-            "mix": [{"scene": "PTSUNI", "workload": "knn"}],
-        })
-        assert scenario.mix[0].workload == "knn"
-        wire = scenario.mix[0].submit().to_wire()
+        request = RequestTemplate(scene="PTSUNI", workload="knn").submit()
+        wire = request.to_wire()
         assert wire["workload"] == "knn"
+        assert wire["scene"] == "PTSUNI"
 
 
 class TestCli:

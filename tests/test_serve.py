@@ -204,17 +204,23 @@ class TestServedResults:
         _status, _headers, cold = handle.post("/v1/run?wait=1", payload)
         cold_elapsed = time.monotonic() - start
         assert cold["cached"] is False
-        start = time.monotonic()
-        status, _headers, warm = handle.post("/v1/run?wait=1", payload)
-        elapsed = time.monotonic() - start
-        assert status == 200
-        assert warm["cached"] is True
-        assert warm["state"] == "done"
-        assert warm["result"] == cold["result"]
-        assert elapsed < 1.0  # served from memory, no simulation
-        assert elapsed * 10 <= cold_elapsed  # at least 10x the cold run
+        # Every repeat is a hit; the fastest one bounds the hit's cost,
+        # so one scheduling hiccup on a loaded host cannot fail it.
+        repeats = 5
+        elapsed = []
+        for _ in range(repeats):
+            start = time.monotonic()
+            status, _headers, warm = handle.post("/v1/run?wait=1", payload)
+            elapsed.append(time.monotonic() - start)
+            assert status == 200
+            assert warm["cached"] is True
+            assert warm["state"] == "done"
+            assert warm["result"] == cold["result"]
+        fastest = min(elapsed)
+        assert fastest < 1.0  # served from memory, no simulation
+        assert fastest * 10 <= cold_elapsed  # at least 10x the cold run
         _status, _headers, metrics = handle.get("/metrics")
-        assert metrics["metrics"]["counters"]["serve.cache_hits"] >= 1
+        assert metrics["metrics"]["counters"]["serve.cache_hits"] >= repeats
 
     def test_micro_batch_coalesces_concurrent_requests(self, serve_factory):
         handle = serve_factory(start_paused=True, batch_max=8)

@@ -3,8 +3,7 @@
 Covers the span lifecycle (begin/end/record), contextvars propagation,
 the shared no-op fast path, deterministic merging, Perfetto export
 round-trips (satellite: nesting, pid/tid mapping, merge ordering),
-span-file I/O, the ``repro.bench/1`` fold, exec worker shipping, and
-the ``repro obs`` CLI.
+span-file I/O, exec worker shipping, and the ``repro obs`` CLI.
 """
 
 import json

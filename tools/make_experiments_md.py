@@ -275,10 +275,9 @@ The same invariance extends to the network path: results served by
 `repro serve` (the asyncio simulation service) are bit-identical to
 in-process `repro.api.run` calls, so any entry here could equally have
 been collected through the service. Serving-layer performance itself —
-open-loop latency and capacity under load — is measured by the
-`serve-open` workload of `benchmarks/suite` and the capacity scenarios
-of `docs/serving.md`, and never mixed into the paper-comparison numbers
-below.
+open-loop latency under load — is measured by the `serve-open`
+workload of `benchmarks/suite` (see `docs/serving.md`), and never
+mixed into the paper-comparison numbers below.
 
 The non-rendering query workloads (kNN neighbor search and AMR point
 containment, `docs/queries.md`) are likewise reported outside this

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Render the recorded evaluation as terminal figures.
 
-After ``pytest benchmarks/bench_*.py`` has populated
+After ``python tools/run_full_eval.py`` has populated
 ``results/experiments.json``, this example draws the paper's figure
 shapes — heuristics, schedulers, layouts, latency and size sweeps, and
 the prefetch-effectiveness breakdown — as ASCII charts with the paper's
@@ -25,7 +25,7 @@ def main() -> int:
     except FileNotFoundError:
         print(
             f"No recorded results at {path}.\n"
-            "Run `pytest benchmarks/bench_*.py` first.",
+            "Run `python tools/run_full_eval.py` first.",
             file=sys.stderr,
         )
         return 1

@@ -9,8 +9,8 @@ treelet-boundary crossings, on any library scene.
 
 Expected shape: primary rays overlap heavily with their warp-mates;
 diffuse bounces overlap far less — exactly why stride/stream/GHB
-prefetchers fail (bench_ablation_classic_prefetchers) and per-treelet
-majority voting works.
+prefetchers fail (the ablation_classic_prefetchers experiment) and
+per-treelet majority voting works.
 
 Run:  python examples/ray_coherence_study.py [SCENE]
 """

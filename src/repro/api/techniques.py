@@ -1,7 +1,7 @@
 """Technique registry: one grammar for naming points in the design space.
 
-Everything that accepts a technique from the outside world — the CLI,
-sweep helpers, ``tools/run_full_eval.py`` — funnels through
+Everything that accepts a technique from the outside world — the CLI
+and ``repro serve``'s requests — funnels through
 :func:`parse_technique`, so there is exactly one string syntax:
 
 * a **preset** name (``baseline``, ``treelet-prefetch``, ...), or

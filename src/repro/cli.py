@@ -17,7 +17,7 @@ Commands:
 * ``trace`` — trace one run and export Chrome trace-event JSON
   (open in Perfetto / chrome://tracing).
 * ``render`` — render an ASCII/PGM frame of a scene.
-* ``figures`` — recorded benchmark results as terminal charts.
+* ``figures`` — recorded experiment results as terminal charts.
 * ``cache`` — inspect or clear the persistent artifact cache.
 * ``serve`` — run the async HTTP/JSON simulation service
   (micro-batched scheduling, backpressure, graceful drain; see
@@ -316,7 +316,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(
             f"no results at {path}; run "
-            "`pytest benchmarks/bench_*.py` first",
+            "`python tools/run_full_eval.py` first",
             file=sys.stderr,
         )
         return 1
@@ -748,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     rend.add_argument("--output", help="write a PGM file here")
 
     figures = sub.add_parser(
-        "figures", help="render recorded benchmark results as ASCII charts"
+        "figures", help="render recorded experiment results as ASCII charts"
     )
     figures.add_argument("--results", help="path to experiments.json")
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 from collections import Counter, OrderedDict, defaultdict
 from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
-#: Entry bound of :data:`MEMO`.  The largest single benchmark module,
-#: ``bench_fig19_treelet_sizes``, peaks at 170 entries at default scale
-#: and 272 at full scale; the four ``BENCHMARK.json`` workloads peak at
-#: 56 (render-cold).
+#: Entry bound of :data:`MEMO`.  The largest sweep of the paper's
+#: experiments, Figure 19's treelet sizes (``fig19_treelet_sizes``),
+#: peaked at 170 entries at default scale and 272 at full scale; the
+#: four ``BENCHMARK.json`` workloads peak at 56 (render-cold).
 MEMO_CAPACITY = 512
 
 COUNTERS = ("hits", "misses", "evictions", "builds")

@@ -40,7 +40,7 @@ are safe — last writer wins with an identical payload.
 
 The cache is process-global and *opt-in*: nothing touches disk until
 :func:`set_artifact_cache` activates one (the CLI's ``--cache-dir``,
-``REPRO_CACHE_DIR``, or ``benchmarks/common.py``'s default).
+``REPRO_CACHE_DIR``, or ``tools/run_full_eval.py``'s default).
 """
 
 from __future__ import annotations

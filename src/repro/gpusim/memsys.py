@@ -15,7 +15,8 @@ Two prefetch destinations are modeled (``GpuConfig.prefetch_destination``):
 * ``"stream"`` — prefetched lines fill a small per-SM stream buffer
   probed on L1 misses; a buffer hit migrates the line into the L1
   (Jouppi-style, Section 2.3).  This trades pollution for an extra
-  transfer step and is compared in ``bench_ablation_destination``.
+  transfer step and is compared in the ``ablation_destination``
+  experiment.
 
 Outstanding work lives in per-cycle *agenda buckets* (``cycle ->
 [record tuples]``), and a heap holds each pending bucket's cycle once.

@@ -6,8 +6,7 @@ Two consumers drive the schema:
   without scraping tables (``simstats_to_dict`` serializes the full
   dataclass tree, nested ``CacheStats``/``EffectivenessCounts``
   included, plus the derived ratios the tables print);
-* ``repro run/trace --report`` / ``benchmarks.common`` /
-  ``tools/run_full_eval.py`` — the ``run_report.json`` document:
+* ``repro run/trace --report`` — the ``run_report.json`` document:
   headline stats plus every registry metric (demand-latency and
   prefetch-timeliness histograms, occupancy gauges, per-partition
   load) and a summary of the captured trace.

@@ -2,7 +2,7 @@
 
 The paper argues stride, stream, and GHB prefetchers cannot capture BVH
 pointer chasing.  These reference implementations back that argument in
-our ablation bench (``bench_ablation_classic_prefetchers``): all three
+our ablation experiment (``ablation_classic_prefetchers``): all three
 run against the same RT-unit demand stream as the treelet prefetcher.
 """
 

@@ -161,7 +161,7 @@ def form_treelets(
     in exactly one treelet.  ``strategy`` selects the frontier order —
     the paper uses breadth-first (``"bfs"``); the alternatives implement
     its "optimize treelet formation with statistical metrics" future
-    work and are compared in ``bench_ablation_formation``.
+    work and are compared in the ``ablation_formation`` experiment.
     """
     if max_bytes < NODE_SIZE_BYTES:
         raise ValueError(

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.analysis import (
-    PAPER_VALUES,
+    EXPERIMENTS,
     load_results,
     render_all,
     render_effectiveness_figure,
@@ -75,5 +75,7 @@ class TestLoadResults:
             load_results(tmp_path / "nope.json")
 
     def test_paper_values_sane(self):
-        for series in PAPER_VALUES.values():
-            assert all(v > 0 for v in series.values())
+        charted = [e for e in EXPERIMENTS if e.paper_values]
+        assert charted
+        for experiment in charted:
+            assert all(v > 0 for v in experiment.paper_values.values())

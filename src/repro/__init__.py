@@ -27,7 +27,6 @@ from .core import (
     Technique,
     default_config,
     paper_config,
-    scale_from_env,
     speedup,
 )
 from .api import (
@@ -60,7 +59,6 @@ __all__ = [
     "paper_config",
     "parse_technique",
     "run",
-    "scale_from_env",
     "speedup",
     "sweep",
 ]

@@ -17,8 +17,10 @@ Measurements come in a few kinds:
 * technique sweeps go through :func:`repro.api.compare`
   (:func:`compared`, :func:`series`), so their replays fan out and load
   stored results like any sweep;
-* runs under a modified GPU config (:func:`_pairs`) replay through
-  :func:`repro.api.run` with ``gpu_config``;
+* GPU and ray-population variants (:func:`_scale_sweep`, Fig 15) go
+  through :func:`repro.api.compare` too, on a variant of the scale
+  (``replace(scale, gpu=...)``), whose results are stored and fanned
+  out like a named scale's;
 * the rest are direct calls: scene and BVH statistics, a multi-frame
   animation, other scales, and the voter's storage arithmetic.
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..api import compare, run, sweep
+from ..api import compare, sweep
 from ..bvh import compute_tree_stats
 from ..core import (
     BASELINE,
@@ -49,7 +51,7 @@ from ..core import (
     Technique,
     run_animation,
 )
-from ..core.config import CacheConfig, DramConfig
+from ..core.config import CacheConfig
 from ..core.pipeline import get_bvh, get_decomposition, get_rays, get_traces
 from ..core.report import geomean
 from ..prefetch import (
@@ -177,21 +179,6 @@ def series(techniques: Dict[str, Technique], metric=speedup_of,
     })
 
 
-def _pairs(scale: Scale, scenes: List[str], first: Technique,
-           second: Technique, gpu=None) -> list:
-    """``(first, second)`` :class:`~repro.api.RunResult` pairs per scene,
-    replayed under the GPU config ``gpu`` (the scale's own when None)."""
-    return [
-        (run(scene, first, scale, gpu_config=gpu),
-         run(scene, second, scale, gpu_config=gpu))
-        for scene in scenes
-    ]
-
-
-def _gains(pairs) -> List[float]:
-    return [first.cycles / second.cycles for first, second in pairs]
-
-
 def _treelet(**fields) -> Technique:
     return Technique(traversal="treelet", layout="treelet",
                      prefetch="treelet", **fields)
@@ -205,19 +192,26 @@ def _listing(d: dict, fmt: str = "{k} {v:.3f}") -> str:
     return ", ".join(fmt.format(k=k, v=v) for k, v in d.items())
 
 
-def _gpu_sweep(configure: Callable, keys, extra=None) -> Measure:
-    """Baseline vs treelet prefetch under ``configure(gpu, key)`` per
-    key: ``{str(key): gmean speedup}``, plus ``extra(pairs)`` per key
-    under ``_<key>`` for the checks."""
+def _on_gpu(scale: Scale, **changes) -> Scale:
+    """``scale`` on its GPU with ``changes``."""
+    return replace(scale, gpu=replace(scale.gpu, **changes))
+
+
+def _scale_sweep(vary: Callable[[Scale, object], Scale], keys,
+                 extra=None) -> Measure:
+    """Baseline vs treelet prefetch on the scale ``vary(scale, key)``
+    per key: ``{str(key): gmean speedup}``, plus ``extra(outcomes)`` per
+    key under ``_<key>`` for the checks."""
 
     def measure(scale: Scale, scenes: List[str]) -> dict:
         payload = {}
         for key in keys:
-            gpu = configure(scale.gpu_config(), key)
-            pairs = _pairs(scale, scenes, BASELINE, TREELET_PREFETCH, gpu)
-            payload[str(key)] = geomean(_gains(pairs))
+            label = str(key)
+            outcomes = compare({label: TREELET_PREFETCH}, scenes,
+                               vary(scale, key))[label].outcomes
+            payload[label] = gmean_speedup(outcomes)
             if extra is not None:
-                payload[f"_{key}"] = extra(pairs)
+                payload[f"_{label}"] = extra(outcomes.values())
         return payload
 
     return measure
@@ -422,46 +416,22 @@ def _fig15(scale: Scale, scenes: List[str]) -> dict:
     """Packed vs 256 B-strided treelet roots on a DRAM-pressured GPU:
     16 bus cycles per line instead of 4, the utilization regime in which
     partition camping costs (DESIGN.md, modeling decision 5)."""
-    base = scale.gpu_config()
-    gpu = replace(base, dram=DramConfig(
-        latency=base.dram.latency,
-        partitions=base.dram.partitions,
-        partition_stride=base.dram.partition_stride,
-        burst_cycles=16,
-    ))
+    pressured = _on_gpu(
+        scale, dram=replace(scale.gpu.dram, burst_cycles=16)
+    )
     packed = _treelet(scheduler="pmr")
-    pairs = _pairs(scale, scenes, packed,
-                   replace(packed, layout_stride=256), gpu)
+    outcomes = compare(
+        {"strided": replace(packed, layout_stride=256)}, scenes, pressured,
+        baseline=packed,
+    )["strided"].outcomes
     return {
-        "gmean_strided_vs_packed": geomean(_gains(pairs)),
+        "gmean_strided_vs_packed": gmean_speedup(outcomes),
         "mean_packed_imbalance": mean(
-            p.stats.dram_imbalance for p, _ in pairs
+            o.baseline.stats.dram_imbalance for o in outcomes.values()
         ),
         "mean_strided_imbalance": mean(
-            s.stats.dram_imbalance for _, s in pairs
+            o.candidate.stats.dram_imbalance for o in outcomes.values()
         ),
-    }
-
-
-def _destination(scale: Scale, scenes: List[str]) -> dict:
-    stream = replace(scale.gpu_config(), prefetch_destination="stream")
-    return {
-        name: geomean(_gains(
-            _pairs(scale, scenes, BASELINE, TREELET_PREFETCH, gpu)
-        ))
-        for name, gpu in (("l1", None), ("stream", stream))
-    }
-
-
-def _ray_population(scale: Scale, scenes: List[str]) -> dict:
-    primary = replace(scale, name=scale.name + "-primary", secondary=False)
-    return {
-        "primary_only": geomean(_gains(_pairs(
-            primary, scenes, BASELINE, TREELET_PREFETCH, scale.gpu_config()
-        ))),
-        "with_secondary": geomean(_gains(
-            _pairs(scale, scenes, BASELINE, TREELET_PREFETCH)
-        )),
     }
 
 
@@ -931,7 +901,10 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "ablation_destination", "Abl. D (ext.)",
         "Ablation (extension) — Prefetch destination (L1 vs stream buffer)",
         "Not in the paper; L1 is the paper's design",
-        _destination,
+        _scale_sweep(
+            lambda scale, where: _on_gpu(scale, prefetch_destination=where),
+            ("l1", "stream"),
+        ),
         lambda d: f"L1 {d['l1']:.3f} vs stream buffer {d['stream']:.3f}",
         checks=(
             Check("destination_l1_wins", lambda d: d["l1"] > 1.0),
@@ -944,9 +917,10 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "ablation_warp_buffer", "Abl. E (ext.)",
         "Ablation (extension) — Warp buffer capacity",
         "Not in the paper (Table 1 fixes 16 warps)",
-        _gpu_sweep(
-            lambda gpu, n: replace(gpu, warp_buffer_size=n), (4, 8, 16, 32),
-            extra=lambda pairs: mean(b.cycles for b, _ in pairs),
+        _scale_sweep(
+            lambda scale, n: _on_gpu(scale, warp_buffer_size=n),
+            (4, 8, 16, 32),
+            extra=lambda outcomes: mean(o.baseline.cycles for o in outcomes),
         ),
         lambda d: _listing(dict(_by_int_key(d)), "{k} warps {v:.3f}"),
         scenes=6,
@@ -962,12 +936,12 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "Ablation (extension) — L1 capacity vs prefetch benefit",
         "Generalizes the paper's WKND explanation (tree fits in cache "
         "=> ~no benefit)",
-        _gpu_sweep(
-            lambda gpu, kb: replace(gpu, l1=CacheConfig(
+        _scale_sweep(
+            lambda scale, kb: _on_gpu(scale, l1=CacheConfig(
                 size_bytes=kb * 1024, latency=20)),
             (2, 8, 32, 256),
-            extra=lambda pairs: mean(
-                b.stats.l1_breakdown()["misses"] for b, _ in pairs
+            extra=lambda outcomes: mean(
+                o.baseline.stats.l1_breakdown()["misses"] for o in outcomes
             ),
         ),
         lambda d: _listing(dict(_by_int_key(d)), "{k}KB {v:.3f}"),
@@ -983,7 +957,12 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "ablation_ray_population", "Abl. G (ext.)",
         "Ablation (extension) — Ray population (primary-only vs full)",
         "Not in the paper; §2.4 motivates with secondary incoherence",
-        _ray_population,
+        _scale_sweep(
+            lambda scale, rays: replace(
+                scale, secondary=rays == "with_secondary"
+            ),
+            ("primary_only", "with_secondary"),
+        ),
         lambda d: (
             f"primary-only {d['primary_only']:.3f} vs "
             f"primary+secondary {d['with_secondary']:.3f}"

@@ -44,6 +44,21 @@ def _coerce_scale(scale: ScaleLike) -> Scale:
         raise ValueError(f"unknown scale {scale!r} (known: {known})")
 
 
+def _scale_name(scale: ScaleLike) -> str:
+    """The wire form of ``scale``: its name, which only a named scale
+    (an entry of :data:`SCALES`, GPU included) may travel as."""
+    resolved = _coerce_scale(scale)
+    named = SCALES.get(resolved.name)
+    if named != resolved:
+        what = ("differs from the named scale" if named
+                else "is not a named scale")
+        raise ValueError(
+            f"scale {resolved.name!r} {what}, so it does not serialize "
+            f"(named: {', '.join(SCALES)})"
+        )
+    return resolved.name
+
+
 def _default_scenes(workload: str = "render") -> List[str]:
     from ..scenes import ALL_SCENES, SCENE_KINDS, QUERY_SCENES
 
@@ -134,37 +149,35 @@ class RunRequest:
     camera + secondary rays) or a :mod:`repro.queries` workload
     ("knn"/"containment", which require a matching query scene).
 
+    The run replays on the scale's GPU (:attr:`Scale.gpu`); a GPU
+    variant is a scale of its own, ``dataclasses.replace(scale,
+    gpu=...)``, and its results are stored like any other's.
+
     :meth:`to_dict` / :meth:`from_dict` round-trip the request through
     JSON (techniques as spec strings, scales by name) so services can
-    forward it losslessly; ``gpu_config`` and ``observer`` are live
-    objects and deliberately have no wire form.
+    forward it losslessly; a scale that is not one of :data:`SCALES`
+    and the live ``observer`` deliberately have no wire form.
     """
 
     scene: str
     technique: TechniqueLike = BASELINE
     scale: ScaleLike = DEFAULT
     workload: str = "render"
-    gpu_config: Optional[object] = None
     cache: bool = True
     observer: Optional[object] = None
 
     def to_dict(self) -> dict:
         """The JSON-safe form of this request (defaults elided).
 
-        Raises ``ValueError`` if the request carries live objects
-        (``gpu_config``, ``observer``) that cannot travel as JSON.
+        Raises ``ValueError`` if the request carries what cannot travel
+        as JSON: an ``observer``, or a scale that is not a named one.
         """
-        if self.gpu_config is not None:
-            raise ValueError(
-                "RunRequest.gpu_config does not serialize; configure the "
-                "GPU model on the evaluating side"
-            )
         if self.observer is not None:
             raise ValueError("RunRequest.observer does not serialize")
         doc: Dict[str, object] = {
             "scene": self.scene,
             "technique": technique_to_spec(self.technique),
-            "scale": _coerce_scale(self.scale).name,
+            "scale": _scale_name(self.scale),
         }
         if self.workload != "render":
             doc["workload"] = _coerce_workload(self.workload)
@@ -231,9 +244,11 @@ class SweepRequest:
     jobs: Optional[int] = None
 
     def to_dict(self) -> dict:
+        """The JSON-safe form of this sweep (defaults elided); raises
+        ``ValueError`` for a scale that is not a named one."""
         doc: Dict[str, object] = {
             "technique": technique_to_spec(self.technique),
-            "scale": _coerce_scale(self.scale).name,
+            "scale": _scale_name(self.scale),
         }
         if self.workload != "render":
             doc["workload"] = _coerce_workload(self.workload)
@@ -334,7 +349,6 @@ def run(
     scale: ScaleLike = DEFAULT,
     *,
     workload: str = "render",
-    gpu_config=None,
     cache: bool = True,
     observer=None,
 ) -> RunResult:
@@ -344,12 +358,12 @@ def run(
     a single :class:`RunRequest`.  With ``cache=True`` (the default) a
     result stored by an earlier run of the same source, in this
     process's memo or in the active artifact cache, is returned instead
-    of replaying.  ``cache=False``, a ``gpu_config`` override or an
-    ``observer`` skip both tiers, so the run always replays.
+    of replaying.  ``cache=False`` or an ``observer`` skip both tiers,
+    so the run always replays.  The run replays on ``scale.gpu``.
     """
     request = scene if isinstance(scene, RunRequest) else RunRequest(
         scene=scene, technique=technique, scale=scale, workload=workload,
-        gpu_config=gpu_config, cache=cache, observer=observer,
+        cache=cache, observer=observer,
     )
     resolved_technique = parse_technique(request.technique)
     resolved_scale = _coerce_scale(request.scale)
@@ -365,7 +379,6 @@ def run(
             request.scene,
             resolved_technique,
             resolved_scale,
-            gpu_config=request.gpu_config,
             use_cache=request.cache,
             observer=request.observer,
             workload=resolved_workload,

@@ -101,7 +101,7 @@ def run_animation(
     config = config or AnimationConfig()
     scene = get_scene(scene_name, scale)
     bvh, decomposition, layout = _tree(scene_name, technique, scale)
-    model = _model(scale.gpu_config(), technique, layout, decomposition)
+    model = _model(scale.gpu, technique, layout, decomposition)
     frame_cycles: List[int] = []
     for frame in range(config.frames):
         camera = orbit_camera(

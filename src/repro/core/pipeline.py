@@ -24,7 +24,6 @@ the result instead of replaying it.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence
@@ -169,13 +168,19 @@ TREELET_TRAVERSAL_ONLY = Technique(traversal="treelet", layout="treelet")
 
 @dataclass(frozen=True)
 class Scale:
-    """Workload magnitude: scene size, image size, GPU size."""
+    """Workload magnitude: scene size, image size, GPU size.
+
+    ``gpu`` is the only GPU a run at this scale replays on; a GPU
+    variant is ``dataclasses.replace(scale, gpu=...)``, stored and
+    fanned out like any other scale's runs.
+    """
 
     name: str
     scene_scale: float
     width: int
     height: int
     secondary: bool = True
+    gpu: GpuConfig = field(default_factory=default_config)
 
     def raygen(self, seed: int = 0) -> RayGenConfig:
         return RayGenConfig(
@@ -185,35 +190,24 @@ class Scale:
             seed=seed,
         )
 
-    def gpu_config(self) -> GpuConfig:
-        if self.name == "smoke":
-            return smoke_config()
-        if self.name == "paper":
-            return paper_config()
-        return default_config()
 
-
-SMOKE = Scale("smoke", scene_scale=0.05, width=8, height=8)
+SMOKE = Scale("smoke", scene_scale=0.05, width=8, height=8,
+              gpu=smoke_config())
 DEFAULT = Scale("default", scene_scale=1.0, width=16, height=16)
 FULL = Scale("full", scene_scale=1.0, width=32, height=32)
 #: Table 1 verbatim (8 SMs, 64 KB L1, 3 MB L2) at the paper's 32x32
 #: resolution.  With our (small) procedural scenes most trees become
 #: cache-resident here — useful for sanity checks like "WKND gains
 #: nothing", not for headline numbers.
-PAPER = Scale("paper", scene_scale=1.0, width=32, height=32)
+PAPER = Scale("paper", scene_scale=1.0, width=32, height=32,
+              gpu=paper_config())
 
 
-#: Every named scale, by name: the one registry the CLI, the api, the
-#: service and ``REPRO_SCALE`` resolve names against.
+#: Every named scale, by name: the one registry the CLI, the api and
+#: the service resolve names against.
 SCALES: Dict[str, Scale] = {
     scale.name: scale for scale in (SMOKE, DEFAULT, FULL, PAPER)
 }
-
-
-def scale_from_env(default: Scale = DEFAULT) -> Scale:
-    """Pick the scale from ``REPRO_SCALE`` (smoke/default/full/paper)."""
-    name = os.environ.get("REPRO_SCALE", "").strip().lower()
-    return SCALES.get(name, default)
 
 
 @dataclass
@@ -420,13 +414,12 @@ def _result_key(
     scene_name: str, technique: Technique, scale: Scale, workload: str
 ) -> Dict[str, object]:
     """A replay's inputs: its trace set's, every technique field, the
-    whole scale and its GPU, and the package source, whose digest
-    changes with any code edit."""
+    whole scale (its GPU included), and the package source, whose
+    digest changes with any code edit."""
     return {
         "traces": _traces_inputs(scene_name, scale, technique, workload),
         "technique": asdict(technique),
         "scale": asdict(scale),
-        "gpu": asdict(scale.gpu_config()),
         "workload": workload,
         "source": _exec_cache().source_digest(),
     }
@@ -778,17 +771,17 @@ class Replay:
         return self.model(observer=observer).run()
 
 
-def replay_of(job: Job, gpu: Optional[GpuConfig] = None) -> Replay:
-    """The inputs of ``job``'s replay on ``gpu`` (default: the scale's
-    GPU), from the memo (built if missing)."""
+def replay_of(job: Job) -> Replay:
+    """The inputs of ``job``'s replay on its scale's GPU, from the memo
+    (built if missing)."""
     with _span("phase.scene_build", scene=job.scene, scale=job.scale.name):
         bvh, decomposition, layout = _tree(job.scene, job.technique,
                                            job.scale)
     with _span("phase.trace", scene=job.scene, scale=job.scale.name):
         traces = _trace_sets([(job.scene, job.technique, job.workload)],
                              job.scale)[0]
-    return Replay(gpu or job.scale.gpu_config(), job.technique, bvh,
-                  decomposition, layout, traces)
+    return Replay(job.scale.gpu, job.technique, bvh, decomposition,
+                  layout, traces)
 
 
 def experiment_result(job: Job, replay: Replay, stats: SimStats,
@@ -815,18 +808,17 @@ def build_gpu_model(
     scene_name: str,
     technique: Technique,
     scale: Scale = DEFAULT,
-    gpu_config: Optional[GpuConfig] = None,
     workload: str = "render",
     **model_kwargs,
 ):
     """Construct a loaded :class:`~repro.gpusim.GpuModel` without running it.
 
     For users who want to drive the timing model directly (attach a
-    timeline sampler, single-step, run frames).  Returns
-    ``(model, traces, bvh, layout)``; call ``model.run()`` to simulate.
+    timeline sampler, single-step, run frames) on the scale's GPU.
+    Returns ``(model, traces, bvh, layout)``; call ``model.run()`` to
+    simulate.
     """
-    replay = replay_of(Job(scene_name, technique, scale, workload),
-                       gpu_config)
+    replay = replay_of(Job(scene_name, technique, scale, workload))
     return (replay.model(**model_kwargs), replay.traces, replay.bvh,
             replay.layout)
 
@@ -835,7 +827,6 @@ def _run_experiment(
     scene_name: str,
     technique: Technique = BASELINE,
     scale: Scale = DEFAULT,
-    gpu_config: Optional[GpuConfig] = None,
     use_cache: bool = True,
     observer=None,
     workload: str = "render",
@@ -845,8 +836,7 @@ def _run_experiment(
     Canonical implementation behind :func:`repro.api.run`.  The result
     comes from the memo, else from the artifact cache, else from a
     replay, which is then stored in both (:meth:`Job.key` is its key).
-    Runs that pass ``use_cache=False``, an explicit ``gpu_config``
-    (overriding the scale's default) or a :class:`repro.obs.Observer`
+    Runs that pass ``use_cache=False`` or a :class:`repro.obs.Observer`
     skip both tiers, so they always replay; attaching an observer does
     not change the results.  ``workload`` picks the ray population
     ("render" or a :mod:`repro.queries` workload).
@@ -856,7 +846,7 @@ def _run_experiment(
 
         check_scene_workload(scene_name, workload)
     job = Job(scene_name, technique, scale, workload)
-    memoizable = use_cache and gpu_config is None and observer is None
+    memoizable = use_cache and observer is None
     cached = tier = None
     with _span(
         "phase.cache_lookup", scene=scene_name, technique=technique.label()
@@ -868,7 +858,7 @@ def _run_experiment(
             lookup.args["tier"] = tier
     if cached is not None:
         return cached
-    replay = replay_of(job, gpu_config)
+    replay = replay_of(job)
     with _span(
         "phase.replay", scene=scene_name, technique=technique.label()
     ):

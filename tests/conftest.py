@@ -91,20 +91,25 @@ def stats_digest(stats) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def golden_scale(kind: str):
+    """SMOKE on the smoke GPU with golden case kind ``kind``'s
+    overrides."""
+    return dataclasses.replace(SMOKE, gpu=dataclasses.replace(
+        SMOKE.gpu, **GOLDEN_OVERRIDES.get(kind, {})
+    ))
+
+
 def golden_model(key: str, **model_kwargs):
     """The loaded smoke-scale model of golden case ``kind/scene/preset``;
     returns ``(model, traces, bvh, layout)``."""
     kind, scene, preset = key.split("/")
-    config = dataclasses.replace(
-        SMOKE.gpu_config(), **GOLDEN_OVERRIDES.get(kind, {})
-    )
     if kind == "query":
         return build_gpu_model(
-            scene, QUERY_PRESETS[preset], SMOKE, config,
+            scene, QUERY_PRESETS[preset], golden_scale(kind),
             workload=QUERY_WORKLOADS[scene], **model_kwargs
         )
     return build_gpu_model(
-        scene, REPLAY_PRESETS[preset], SMOKE, config, **model_kwargs
+        scene, REPLAY_PRESETS[preset], golden_scale(kind), **model_kwargs
     )
 
 

@@ -239,6 +239,21 @@ class TestWireRoundTrip:
         assert rebuilt.scenes == ("WKND", "SHIP")
         assert rebuilt.jobs == 2
 
+    @pytest.mark.parametrize("scale", [
+        dataclasses.replace(SMOKE, gpu=dataclasses.replace(SMOKE.gpu,
+                                                           n_sms=1)),
+        dataclasses.replace(SMOKE, name="q48"),
+    ], ids=["gpu-variant", "unnamed"])
+    def test_only_named_scales_serialize(self, scale):
+        with pytest.raises(ValueError, match="does not serialize"):
+            RunRequest(scene="WKND", scale=scale).to_dict()
+        with pytest.raises(ValueError, match="does not serialize"):
+            SweepRequest(technique="baseline", scale=scale).to_dict()
+        # A scale equal to a named one travels by that name.
+        assert RunRequest(
+            scene="WKND", scale=dataclasses.replace(SMOKE)
+        ).to_dict()["scale"] == "smoke"
+
     def test_sweep_request_jobs_default_to_the_plan(self):
         request = SweepRequest.from_dict({"technique": "treelet-prefetch"})
         assert request.jobs is None

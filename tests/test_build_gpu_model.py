@@ -31,10 +31,10 @@ class TestBuildGpuModel:
         assert sampler.samples
 
     def test_respects_gpu_config_override(self):
+        """The model runs on the scale's GPU, a variant's included."""
         from dataclasses import replace
 
-        gpu = replace(SMOKE.gpu_config(), n_sms=1)
-        model, _, _, _ = build_gpu_model(
-            "WKND", BASELINE, SMOKE, gpu_config=gpu
-        )
+        one_sm = replace(SMOKE, gpu=replace(SMOKE.gpu, n_sms=1))
+        model, _, _, _ = build_gpu_model("WKND", BASELINE, one_sm)
+        assert model.config is one_sm.gpu
         assert len(model.units) == 1

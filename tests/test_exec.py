@@ -316,12 +316,34 @@ class TestPipelineSpill:
         bypassed = [
             run("WKND", BASELINE, SMOKE, cache=False),
             run("WKND", BASELINE, SMOKE, observer=Observer()),
-            run("WKND", BASELINE, SMOKE, gpu_config=SMOKE.gpu_config()),
         ]
         assert len(replays) == len(bypassed)
         assert cache.describe()["per_kind"]["result"] == 1
         for result in bypassed:
             assert result.stats == stored.stats
+
+    def test_gpu_variant_results_are_stored(self, tmp_path, monkeypatch):
+        """A run on a GPU variant of a scale stores its result under a
+        key of its own and loads it again with no replay."""
+        from dataclasses import replace
+
+        from repro.core.config import smoke_config
+
+        cache = set_artifact_cache(tmp_path)
+        one_sm = replace(SMOKE, gpu=replace(SMOKE.gpu, n_sms=1))
+        stored = run("WKND", BASELINE, one_sm)
+        assert cache.describe()["per_kind"]["result"] == 1
+        clear_caches()
+        replays = _count_replays(monkeypatch)
+        loaded = run("WKND", BASELINE, one_sm)
+        assert replays == []
+        assert loaded.stats == stored.stats
+
+        def key(scale):
+            return Job("WKND", BASELINE, scale).key()
+
+        assert key(one_sm) != key(SMOKE)
+        assert key(replace(SMOKE, gpu=smoke_config())) == key(SMOKE)
 
     def test_result_key_names_every_technique_field(self):
         from dataclasses import replace

@@ -13,7 +13,8 @@ import pytest
 
 from repro.analysis import EXPERIMENTS, evaluate, render_markdown
 from repro.analysis.experiments import SMOKE_SCENES, scenes_for
-from repro.core import DEFAULT, FULL, SMOKE
+from repro.core import DEFAULT, FULL, SMOKE, clear_caches, pipeline
+from repro.exec import get_artifact_cache, set_artifact_cache
 
 DESIGN = (Path(__file__).resolve().parents[1] / "DESIGN.md").read_text()
 
@@ -104,7 +105,18 @@ def _keys(payload):
 
 
 @pytest.fixture(scope="module")
-def evaluation():
+def stored(tmp_path_factory):
+    """A fresh artifact cache, active for the module, with a cold memo:
+    the table's first pass stores every result in it."""
+    previous = get_artifact_cache()
+    cache = set_artifact_cache(tmp_path_factory.mktemp("artifacts"))
+    clear_caches()
+    yield cache
+    set_artifact_cache(previous)
+
+
+@pytest.fixture(scope="module")
+def evaluation(stored):
     return evaluate(SMOKE)
 
 
@@ -121,6 +133,27 @@ def test_row_records_its_keys(evaluation, experiment_id):
 
 def test_smoke_checks_hold(evaluation):
     assert evaluation.failures == []
+
+
+def test_warm_table_replays_nothing(evaluation, stored, monkeypatch):
+    """With the memo cleared and the artifact cache kept, a second pass
+    loads every stored result, the GPU variants' included, and records
+    the same payloads: Abl. H's animation frames are the only
+    simulation left."""
+    set_artifact_cache(stored)
+    clear_caches()
+    replays = []
+    replay = pipeline.Replay.run
+
+    def counted(self, *args, **kwargs):
+        replays.append(self.technique)
+        return replay(self, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.Replay, "run", counted)
+    again = evaluate(SMOKE)
+    assert replays == []
+    assert again.results == evaluation.results
+    assert again.failures == evaluation.failures
 
 
 def test_every_row_renders(evaluation):

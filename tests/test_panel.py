@@ -4,10 +4,10 @@
 levels of the technique fields, the GPU knobs the benches sweep and a
 few smoke scenes and query workloads appears in at least one of them.
 Each entry's SimStats digest is pinned here, on the serial path and
-through the replay pool.
+through the replay pool; an entry on another GPU is a job on a variant
+of the smoke scale, fanned out like any other.
 """
 
-import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -15,19 +15,19 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    GOLDEN_OVERRIDES,
     QUERY_CASES,
     QUERY_PRESETS,
     QUERY_WORKLOADS,
     REPLAY_GOLDEN,
     REPLAY_PRESETS,
     SINGLE_RUN_CASES,
+    golden_scale,
     stats_digest,
 )
 from repro.api import parse_technique, run
 from repro.core.memo import MEMO
-from repro.core.pipeline import SMOKE, Job, Replay, replay_of
-from repro.exec import ExecutionReport, prewarm_replay_jobs, replay_pool
+from repro.core.pipeline import SMOKE, Job
+from repro.exec import ExecutionReport, prewarm_replay_jobs
 
 ROOT = Path(__file__).resolve().parents[1]
 PANEL = json.loads((ROOT / "tests" / "golden" / "panel_simstats.json")
@@ -66,28 +66,26 @@ def test_panel_entries_are_the_recorders():
 @pytest.mark.parametrize("key", sorted(ENTRIES))
 def test_panel_entry_digest(key):
     entry = ENTRIES[key]
-    stats = run(entry["scene"], entry["technique"], SMOKE,
-                workload=entry["workload"],
-                gpu_config=RECORDER.gpu_config(entry["gpu"])).stats
+    stats = run(entry["scene"], entry["technique"],
+                RECORDER.smoke_scale(entry["gpu"]),
+                workload=entry["workload"]).stats
     assert stats.cycles == entry["cycles"]
     assert stats_digest(stats) == entry["digest"], key
 
 
 def _panel_jobs():
-    """``(id, job, gpu, digest)`` of every panel entry; ``gpu`` is None
-    on the smoke GPU."""
+    """``(id, job, digest)`` of every panel entry."""
     return [
         (entry["id"],
-         Job(entry["scene"], parse_technique(entry["technique"]), SMOKE,
-             entry["workload"]),
-         RECORDER.gpu_config(entry["gpu"]) if entry["gpu"] else None,
+         Job(entry["scene"], parse_technique(entry["technique"]),
+             RECORDER.smoke_scale(entry["gpu"]), entry["workload"]),
          entry["digest"])
         for entry in PANEL["entries"]
     ]
 
 
 def _golden_jobs():
-    """``(key, job, gpu, digest)`` of every single-run case of
+    """``(key, job, digest)`` of every single-run case of
     ``tests/golden/replay_simstats.json``."""
     cases = []
     for key in SINGLE_RUN_CASES + QUERY_CASES:
@@ -95,52 +93,31 @@ def _golden_jobs():
         if kind == "query":
             job = Job(scene, QUERY_PRESETS[preset], SMOKE,
                       QUERY_WORKLOADS[scene])
-            gpu = None
         else:
-            job = Job(scene, REPLAY_PRESETS[preset], SMOKE)
-            overrides = GOLDEN_OVERRIDES[kind]
-            gpu = (dataclasses.replace(SMOKE.gpu_config(), **overrides)
-                   if overrides else None)
-        cases.append((key, job, gpu, REPLAY_GOLDEN["digests"][key]))
+            job = Job(scene, REPLAY_PRESETS[preset], golden_scale(kind))
+        cases.append((key, job, REPLAY_GOLDEN["digests"][key]))
     return cases
 
 
 @pytest.mark.parametrize("jobs", [None, 2])
 @pytest.mark.parametrize("cases", [_panel_jobs, _golden_jobs])
 def test_bit_identical_across_jobs(cases, jobs, monkeypatch):
-    """Every panel entry and every single-run golden case on the smoke
-    GPU replays to its recorded digest at the default count (which fans
-    out here) and over two processes, as it does serially
-    (:func:`test_panel_entry_digest`, ``tests/test_replay_backend.py``)."""
+    """Every panel entry and every single-run golden case, on the smoke
+    GPU or a variant of it, replays to its recorded digest at the
+    default count (which fans out here) and over two processes, as it
+    does serially (:func:`test_panel_entry_digest`,
+    ``tests/test_replay_backend.py``)."""
     from repro.exec import executor
 
     monkeypatch.setattr(executor.os, "sched_getaffinity",
                         lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(executor, "FANOUT_SHARE_VISITS", 1)
     MEMO.clear("result")
-    keys, batch, _gpus, digests = zip(*(case for case in cases()
-                                        if case[2] is None))
+    keys, batch, digests = zip(*cases())
     report = ExecutionReport()
     results = prewarm_replay_jobs(batch, workers=jobs, report=report)
     assert report.workers == 2
     assert report.from_pool > 0 and report.inprocess_fallbacks == 0
     moved = [key for key, result, digest in zip(keys, results, digests)
              if stats_digest(result.stats) != digest]
-    assert not moved
-
-
-@pytest.mark.parametrize("cases", [_panel_jobs, _golden_jobs])
-def test_gpu_variants_replay_identically_in_the_pool(cases):
-    """The entries on another GPU (which no sweep fans out: a job
-    carries the scale's GPU) replay to their recorded digests when
-    their replay is shipped to a pool worker."""
-    pool = replay_pool(2)
-    assert pool is not None
-    variants = [(key, replay_of(job, gpu), digest)
-                for key, job, gpu, digest in cases() if gpu is not None]
-    assert variants
-    futures = [(key, pool.executor.submit(Replay.run, replay), digest)
-               for key, replay, digest in variants]
-    moved = [key for key, future, digest in futures
-             if stats_digest(future.result()) != digest]
     assert not moved

@@ -9,11 +9,12 @@ from repro import (
     TREELET_TRAVERSAL_ONLY,
     Technique,
     run,
-    scale_from_env,
 )
+from repro.core.config import default_config, paper_config, smoke_config
 from repro.core.pipeline import (
     DEFAULT,
-    FULL,
+    SCALES,
+    Scale,
     get_bvh,
     get_decomposition,
     get_rays,
@@ -67,21 +68,21 @@ class TestTechniqueValidation:
 
 
 class TestScales:
-    def test_scale_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "smoke")
-        assert scale_from_env() is SMOKE
-        monkeypatch.setenv("REPRO_SCALE", "full")
-        assert scale_from_env() is FULL
-        monkeypatch.setenv("REPRO_SCALE", "bogus")
-        assert scale_from_env() is DEFAULT
-
     def test_raygen_dimensions(self):
         config = SMOKE.raygen()
         assert (config.width, config.height) == (8, 8)
 
     def test_gpu_config_selection(self):
-        assert SMOKE.gpu_config().n_sms == 2
-        assert DEFAULT.gpu_config().n_sms == 4
+        assert SMOKE.gpu.n_sms == 2
+        assert DEFAULT.gpu.n_sms == 4
+
+    def test_scales_keep_their_gpus(self):
+        """Each named scale replays on the GPU its name selected before
+        the GPU became a field, and an unnamed scale on the default."""
+        expected = {"smoke": smoke_config(), "default": default_config(),
+                    "full": default_config(), "paper": paper_config()}
+        assert {name: scale.gpu for name, scale in SCALES.items()} == expected
+        assert Scale("q48", 1.0, 8, 6).gpu == default_config()
 
 
 class TestWorkloadCaching:

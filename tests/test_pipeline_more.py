@@ -7,12 +7,12 @@ import pytest
 
 import gc
 import weakref
+from dataclasses import replace
 
 from repro import BASELINE, SMOKE, TREELET_PREFETCH, Technique, run
 from repro.cli import main
 from repro.core.memo import MEMO
 from repro.core.pipeline import (
-    Scale,
     clear_caches,
     get_bvh,
     prewarm_traces,
@@ -43,7 +43,7 @@ class TestCacheClearing:
         assert result.cycles > 0
 
     def test_scales_sharing_a_name_do_not_share_results(self):
-        wide = Scale("smoke", scene_scale=0.05, width=16, height=16)
+        wide = replace(SMOKE, width=16, height=16)
         assert wide != SMOKE
         run("WKND", BASELINE, wide)
         memoized = run("WKND", BASELINE, SMOKE)
@@ -80,7 +80,7 @@ class TestStallAccounting:
     def test_busy_plus_stall_bounded_by_cycles(self):
         result = run("BUNNY", BASELINE, SMOKE)
         stats = result.stats
-        n_sms = SMOKE.gpu_config().n_sms
+        n_sms = SMOKE.gpu.n_sms
         assert stats.busy_cycles + stats.stall_cycles <= stats.cycles * n_sms
         assert 0.0 <= stats.stall_fraction <= 1.0
 

@@ -94,8 +94,11 @@ class TestQueryGoldens:
         assert_golden(key, stats)
 
 
-def _config(**overrides):
-    return dataclasses.replace(SMOKE.gpu_config(), **overrides)
+def _scale(**overrides):
+    """SMOKE on its GPU with ``overrides``."""
+    return dataclasses.replace(
+        SMOKE, gpu=dataclasses.replace(SMOKE.gpu, **overrides)
+    )
 
 
 class TestDeadlockGuard:
@@ -106,12 +109,12 @@ class TestDeadlockGuard:
         # budget covers any single frame but not their sum.  A guard
         # keyed to the cumulative counter would (wrongly) trip here.
         model, traces, bvh, layout = build_gpu_model(
-            "WKND", TREELET_PREFETCH, SMOKE, _config()
+            "WKND", TREELET_PREFETCH, _scale()
         )
         frame_cycles = model.run().cycles
         budget = 2 * frame_cycles
         model, traces, bvh, layout = build_gpu_model(
-            "WKND", TREELET_PREFETCH, SMOKE, _config(max_cycles=budget)
+            "WKND", TREELET_PREFETCH, _scale(max_cycles=budget)
         )
         total = model.run().cycles
         for _ in range(3):
@@ -123,7 +126,7 @@ class TestDeadlockGuard:
 
     def test_guard_still_fires(self):
         model, _, _, _ = build_gpu_model(
-            "WKND", TREELET_PREFETCH, SMOKE, _config(max_cycles=5)
+            "WKND", TREELET_PREFETCH, _scale(max_cycles=5)
         )
         with pytest.raises(SimulationLimitError):
             model.run()
@@ -134,7 +137,7 @@ class TestTrailingDrain:
 
     def test_cycle_base_consistency(self):
         model, _, _, _ = build_gpu_model(
-            "WKND", TREELET_PREFETCH, SMOKE, _config()
+            "WKND", TREELET_PREFETCH, _scale()
         )
         stats = model.run()
         # The drain ran to empty and advanced the cumulative counter.
@@ -156,7 +159,7 @@ class TestCumulativeSemantics:
 
     def test_two_rounds_accumulate(self):
         model, traces, bvh, layout = build_gpu_model(
-            "WKND", TREELET_PREFETCH, SMOKE, _config()
+            "WKND", TREELET_PREFETCH, _scale()
         )
         first = model.run()
         model.load(traces, bvh, layout)
@@ -175,7 +178,7 @@ class TestCumulativeSemantics:
 
     def test_run_frame_deltas_sum_to_cycle_counter(self):
         model, traces, bvh, layout = build_gpu_model(
-            "WKND", TREELET_PREFETCH, SMOKE, _config()
+            "WKND", TREELET_PREFETCH, _scale()
         )
         deltas = [model.run().cycles]
         for _ in range(2):

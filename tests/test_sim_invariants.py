@@ -30,9 +30,9 @@ SCENES = ("WKND", "SHIP", "CAR")
 
 @st.composite
 def gpu_configs(draw):
-    line_bytes = SMOKE.gpu_config().l1.line_bytes
+    line_bytes = SMOKE.gpu.l1.line_bytes
     return dataclasses.replace(
-        SMOKE.gpu_config(),
+        SMOKE.gpu,
         n_sms=draw(st.integers(1, 4)),
         warp_buffer_size=draw(st.integers(1, 6)),
         mem_ports=draw(st.integers(1, 4)),
@@ -63,7 +63,7 @@ def _assert_partitioned(cache_stats):
 )
 def test_conservation(config, scene, preset):
     model, traces, _, _ = build_gpu_model(
-        scene, REPLAY_PRESETS[preset], SMOKE, config
+        scene, REPLAY_PRESETS[preset], dataclasses.replace(SMOKE, gpu=config)
     )
     stats = model.run()
 

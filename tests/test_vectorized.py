@@ -405,7 +405,7 @@ class TestBackendEndToEnd:
             "WKND", SMOKE, technique.treelet_bytes, technique.formation
         )
         layout = pipeline._build_layout(technique, bvh, decomposition)
-        gpu = SMOKE.gpu_config()
+        gpu = SMOKE.gpu
         model = GpuModel(
             gpu,
             scheduler_policy=technique.scheduler,

@@ -35,8 +35,8 @@ import sys
 from pathlib import Path
 
 from repro.api import parse_technique, run, technique_to_spec
-from repro.core.config import CacheConfig, DramConfig, GpuConfig
-from repro.core.pipeline import SMOKE
+from repro.core.config import CacheConfig, DramConfig
+from repro.core.pipeline import SMOKE, Scale
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden" / \
     "panel_simstats.json"
@@ -93,17 +93,19 @@ GPU_VARIANTS = {
 }
 
 
-def gpu_config(overrides: dict) -> GpuConfig:
-    """The smoke GPU with ``overrides`` (nested for caches and DRAM)."""
-    base = SMOKE.gpu_config()
+def smoke_scale(overrides: dict) -> Scale:
+    """SMOKE on the smoke GPU with ``overrides`` (nested for caches and
+    DRAM)."""
     changes = {}
     for name, value in overrides.items():
         if isinstance(value, dict):
             kind = DramConfig if name == "dram" else CacheConfig
-            current = dataclasses.asdict(getattr(base, name))
+            current = dataclasses.asdict(getattr(SMOKE.gpu, name))
             value = kind(**{**current, **value})
         changes[name] = value
-    return dataclasses.replace(base, **changes)
+    return dataclasses.replace(
+        SMOKE, gpu=dataclasses.replace(SMOKE.gpu, **changes)
+    )
 
 
 def _repair(row: dict) -> dict:
@@ -197,9 +199,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     entries = panel()
     for entry in entries:
-        stats = run(entry["scene"], entry["technique"], SMOKE,
-                    workload=entry["workload"],
-                    gpu_config=gpu_config(entry["gpu"])).stats
+        stats = run(entry["scene"], entry["technique"],
+                    smoke_scale(entry["gpu"]),
+                    workload=entry["workload"]).stats
         entry["digest"] = stats_digest(stats)
         entry["cycles"] = stats.cycles
     document = {

@@ -6,7 +6,9 @@ writes ``results/experiments.json`` and EXPERIMENTS.md, and exits 1
 when a shape check does not hold.  Artifacts and replay results are
 kept in the artifact cache (``results/cache`` unless
 ``REPRO_CACHE_DIR`` says otherwise; ``REPRO_CACHE=off`` disables it),
-so a re-run loads them instead of replaying.
+so a re-run loads them instead of replaying, the GPU variants' results
+included.  Only Abl. H's animation simulates again: its frames run
+through one persistent GPU model and are not stored.
 
 Usage:  python tools/run_full_eval.py [--scale smoke|default|full]
 """

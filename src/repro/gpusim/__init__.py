@@ -1,6 +1,6 @@
 """Trace-driven cycle-approximate GPU timing model."""
 
-from .cache import AccessOutcome, Cache, CacheStats, LineMeta
+from .cache import AccessOutcome, Cache, CacheStats
 from .dram import Dram, DramStats
 from .gpu import GpuModel, SimulationLimitError
 from .memsys import (
@@ -22,7 +22,6 @@ __all__ = [
     "Dram",
     "DramStats",
     "GpuModel",
-    "LineMeta",
     "MemorySystem",
     "REGION_MAPPING",
     "REGION_NODE",

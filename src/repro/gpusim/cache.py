@@ -1,10 +1,12 @@
 """Set-associative / fully-associative LRU caches with MSHRs.
 
 The cache is a *tag* model: no data moves, only presence and timing.
-Misses allocate an MSHR entry; further accesses to an in-flight line
-become *pending hits* (the statistic Figure 12 breaks out).  Lines
-remember whether a prefetch or a demand load brought them in, which is
-what the Figure 20 effectiveness classification needs.
+Misses allocate an MSHR, a list of the accesses waiting on the fill;
+further accesses to an in-flight line become *pending hits* (the
+statistic Figure 12 breaks out).  A resident line's state is one int:
+its fill cycle while it is a prefetch fill no demand has touched, else
+:data:`DEMANDED`.  That is what the Figure 20 effectiveness
+classification needs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from ..core.config import CacheConfig
 
@@ -30,54 +32,10 @@ class AccessOutcome(Enum):
 HIT, PENDING_HIT, MISS = AccessOutcome
 
 
-class LineMeta:
-    """Per-resident-line metadata.
-
-    A ``__slots__`` class rather than a dataclass: one instance exists
-    per resident line and the fields are read on every probe, so the
-    slot layout (no per-instance dict) measurably helps the replay
-    engine.  The hot paths construct it positionally, which costs about
-    half a keyword call.
-    """
-
-    __slots__ = ("filled_by_prefetch", "demand_touched", "fill_cycle")
-
-    def __init__(
-        self,
-        filled_by_prefetch: bool = False,
-        demand_touched: bool = False,
-        fill_cycle: int = 0,
-    ) -> None:
-        self.filled_by_prefetch = filled_by_prefetch
-        self.demand_touched = demand_touched
-        self.fill_cycle = fill_cycle
-
-    def __repr__(self) -> str:  # parity with the old dataclass repr
-        return (
-            f"LineMeta(filled_by_prefetch={self.filled_by_prefetch!r}, "
-            f"demand_touched={self.demand_touched!r}, "
-            f"fill_cycle={self.fill_cycle!r})"
-        )
-
-
-class MshrEntry:
-    """An in-flight fill and the accesses waiting on it.
-
-    ``__slots__`` for the same reason as :class:`LineMeta` — one
-    allocation per miss, touched on every merge and fill.
-    """
-
-    __slots__ = ("line", "is_prefetch", "waiters")
-
-    def __init__(
-        self,
-        line: int,
-        is_prefetch: bool,  # True while only prefetches want this line
-        waiters: Optional[List[Callable[[int], None]]] = None,
-    ) -> None:
-        self.line = line
-        self.is_prefetch = is_prefetch
-        self.waiters = [] if waiters is None else waiters
+#: The state of a resident line that a demand brought in or has touched.
+#: A prefetch fill no demand has touched holds its fill cycle instead, so
+#: ``state >= 0`` is the test for an untouched prefetched line.
+DEMANDED = -1
 
 
 @dataclass
@@ -123,11 +81,18 @@ class Cache:
             config.n_lines if config.associativity == 0 else config.associativity
         )
         self._mshr_capacity = config.mshr_entries
-        # set index -> line -> LineMeta, in LRU order (oldest first).
-        self._sets: Dict[int, "OrderedDict[int, LineMeta]"] = {}
-        self._mshrs: Dict[int, MshrEntry] = {}
-        #: called with the evicted line's meta whenever a line is dropped.
-        self.eviction_listener: Optional[Callable[[int, LineMeta], None]] = None
+        #: per set index: line -> line state, in LRU order (oldest first).
+        self._sets: List["OrderedDict[int, int]"] = [
+            OrderedDict() for _ in range(self._n_sets)
+        ]
+        #: in-flight line -> the waiters its fill serves.
+        self._mshrs: Dict[int, list] = {}
+        #: the in-flight lines only prefetches want; a demand merging
+        #: into one of these fills takes it over.
+        self._prefetch_mshrs: Set[int] = set()
+        #: called with the evicted line and its state whenever a line is
+        #: dropped.
+        self.eviction_listener: Optional[Callable[[int, int], None]] = None
         #: optional trace bus (repro.obs); None = tracing disabled.
         self.obs = None
 
@@ -136,14 +101,10 @@ class Cache:
     def line_of(self, address: int) -> int:
         return address // self._line_bytes
 
-    def _set_of(self, line: int) -> int:
-        return line % self._n_sets
-
     # -- queries ----------------------------------------------------------
 
     def contains(self, line: int) -> bool:
-        set_map = self._sets.get(self._set_of(line))
-        return bool(set_map) and line in set_map
+        return line in self._sets[line % self._n_sets]
 
     def in_flight(self, line: int) -> bool:
         return line in self._mshrs
@@ -153,14 +114,13 @@ class Cache:
 
     def mshr_owner_is_prefetch(self, line: int) -> Optional[bool]:
         """True/False for an in-flight line's current owner; None if idle."""
-        entry = self._mshrs.get(line)
-        return entry.is_prefetch if entry is not None else None
-
-    def line_meta(self, line: int) -> Optional[LineMeta]:
-        set_map = self._sets.get(line % self._n_sets)
-        if set_map is None:
+        if line not in self._mshrs:
             return None
-        return set_map.get(line)
+        return line in self._prefetch_mshrs
+
+    def line_state(self, line: int) -> Optional[int]:
+        """A resident line's state (see :data:`DEMANDED`); None if absent."""
+        return self._sets[line % self._n_sets].get(line)
 
     # -- operations -------------------------------------------------------
 
@@ -177,8 +137,8 @@ class Cache:
           after the hit latency.
         * PENDING_HIT — ``waiter`` is queued on the in-flight MSHR and
           will be invoked at fill time.
-        * MISS — an MSHR entry is allocated (``waiter`` queued on it);
-          the caller must send the fill request down and eventually call
+        * MISS — an MSHR is allocated (``waiter`` queued on it); the
+          caller must send the fill request down and eventually call
           :meth:`fill`.
 
         ``cycle`` is observational only (it timestamps trace events).
@@ -189,49 +149,51 @@ class Cache:
             stats.prefetch_accesses += 1
         else:
             stats.demand_accesses += 1
-        set_map = self._sets.setdefault(line % self._n_sets, OrderedDict())
-        meta = set_map.get(line)
-        if meta is not None:
+        set_map = self._sets[line % self._n_sets]
+        state = set_map.get(line)
+        if state is not None:
             set_map.move_to_end(line)
             if is_prefetch:
                 stats.prefetch_hits += 1
             else:
                 stats.demand_hits += 1
-                if meta.filled_by_prefetch and not meta.demand_touched:
+                if state >= 0:
                     stats.demand_hits_on_prefetched += 1
                     if obs is not None:
-                        self.trace_first_hit(cycle, line, meta.fill_cycle)
-                meta.demand_touched = True
+                        self.trace_first_hit(cycle, line, state)
+                    set_map[line] = DEMANDED
             if obs is not None:
                 self.trace_access(cycle, line, "hit", is_prefetch)
-            return AccessOutcome.HIT
-        entry = self._mshrs.get(line)
-        if entry is not None:
+            return HIT
+        waiters = self._mshrs.get(line)
+        if waiters is not None:
+            prefetch_mshrs = self._prefetch_mshrs
             if obs is not None:
-                self.trace_merge(cycle, line, entry.is_prefetch, is_prefetch)
+                self.trace_merge(
+                    cycle, line, line in prefetch_mshrs, is_prefetch
+                )
             if is_prefetch:
                 stats.prefetch_pending_hits += 1
             else:
                 stats.demand_pending_hits += 1
-                if entry.is_prefetch:
+                if line in prefetch_mshrs:
                     stats.demand_pending_on_prefetch += 1
-                    entry.is_prefetch = False  # a demand now owns the fill
+                    prefetch_mshrs.remove(line)  # a demand now owns the fill
             if waiter is not None:
-                entry.waiters.append(waiter)
+                waiters.append(waiter)
             if obs is not None:
                 self.trace_access(cycle, line, "pending_hit", is_prefetch)
-            return AccessOutcome.PENDING_HIT
+            return PENDING_HIT
         # Miss: allocate the MSHR.
         if is_prefetch:
             stats.prefetch_misses += 1
+            self._prefetch_mshrs.add(line)
         else:
             stats.demand_misses += 1
-        self._mshrs[line] = MshrEntry(
-            line, is_prefetch, [] if waiter is None else [waiter]
-        )
+        self._mshrs[line] = [] if waiter is None else [waiter]
         if obs is not None:
             self.trace_access(cycle, line, "miss", is_prefetch)
-        return AccessOutcome.MISS
+        return MISS
 
     def fill(self, line: int, cycle: int) -> List[Callable[[int], None]]:
         """Install ``line`` (fill from below) and return its waiters.
@@ -239,39 +201,39 @@ class Cache:
         The caller invokes/schedules the returned waiters; the cache only
         handles residency, LRU victim selection, and fill attribution.
         """
-        entry = self._mshrs.pop(line, None)
-        set_map = self._sets.setdefault(line % self._n_sets, OrderedDict())
+        waiters = self._mshrs.pop(line, None)
+        prefetch_mshrs = self._prefetch_mshrs
+        if line in prefetch_mshrs:
+            prefetch_mshrs.remove(line)
+            state = cycle
+        else:
+            state = DEMANDED
+        set_map = self._sets[line % self._n_sets]
         if line not in set_map:
             if len(set_map) >= self._n_ways:
-                victim, victim_meta = set_map.popitem(last=False)
+                victim, victim_state = set_map.popitem(last=False)
                 self.stats.evictions += 1
-                if victim_meta.filled_by_prefetch and not victim_meta.demand_touched:
+                if victim_state >= 0:
                     self.stats.prefetched_evicted_unused += 1
                 if self.eviction_listener is not None:
-                    self.eviction_listener(victim, victim_meta)
-            set_map[line] = LineMeta(
-                entry.is_prefetch if entry else False, False, cycle
-            )
-        if entry is None:
-            return []
-        return entry.waiters
+                    self.eviction_listener(victim, victim_state)
+            set_map[line] = state
+        return [] if waiters is None else waiters
 
-    def invalidate(self, line: int) -> Optional[LineMeta]:
-        """Remove a resident line (no-op if absent); returns its meta.
+    def invalidate(self, line: int) -> Optional[int]:
+        """Remove a resident line (no-op if absent); returns its state.
 
         Used by the stream buffer: on a demand hit the line migrates to
         the L1, so it leaves the buffer without counting as an eviction.
         """
-        set_map = self._sets.get(self._set_of(line))
-        if set_map is None:
-            return None
-        return set_map.pop(line, None)
+        return self._sets[line % self._n_sets].pop(line, None)
 
     def flush(self) -> None:
         """Drop all resident lines (MSHRs must be idle)."""
         if self._mshrs:
             raise RuntimeError("cannot flush with fills in flight")
-        self._sets.clear()
+        for set_map in self._sets:
+            set_map.clear()
 
     # -- trace emits (callers check ``obs is not None`` first) -------------
 

@@ -32,15 +32,12 @@ run executes exactly the code an unobserved one does.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..core.config import GpuConfig
 from ..prefetch.effectiveness import PrefetchEffectivenessTracker
-from .cache import (
-    HIT, MISS, PENDING_HIT, AccessOutcome, Cache, LineMeta, MshrEntry,
-)
+from .cache import DEMANDED, HIT, MISS, PENDING_HIT, AccessOutcome, Cache
 from .dram import Dram
 
 ResponseCallback = Callable[[int], None]
@@ -91,15 +88,6 @@ class L2TrafficStats:
         return (self.demand_accesses + self.prefetch_accesses) * self.line_bytes
 
 
-def _snapshot(meta: Optional[LineMeta]) -> Optional[LineMeta]:
-    """Copy a LineMeta so trackers see pre-probe state (probe mutates)."""
-    if meta is None:
-        return None
-    return LineMeta(
-        meta.filled_by_prefetch, meta.demand_touched, meta.fill_cycle
-    )
-
-
 class MemorySystem:
     """Per-GPU memory hierarchy shared by all RT units."""
 
@@ -133,12 +121,13 @@ class MemorySystem:
         #: Invariant locals for :meth:`_flush`, packed once so the (hot,
         #: often tiny-bucket) flush unpacks a single attribute instead
         #: of rebinding a dozen.  Every component is stable for this
-        #: object's lifetime (``Cache.flush`` clears ``_sets`` in place).
+        #: object's lifetime (``Cache.flush`` clears each set in place).
         self._flush_env = (
             self.l2,
             self.l2.stats,
             self.l2._sets,
             self.l2._mshrs,
+            self.l2._prefetch_mshrs,
             self.l2._line_bytes,
             self.l2._n_sets,
             self.l2._n_ways,
@@ -249,6 +238,7 @@ class MemorySystem:
             l2_stats,
             l2_sets,
             l2_mshrs,
+            l2_prefetch_mshrs,
             l2_line_bytes,
             l2_n_sets,
             l2_n_ways,
@@ -281,22 +271,21 @@ class MemorySystem:
                     l2_stats.prefetch_accesses += 1
                     is_prefetch = True
                 fill_kind = _FILL_STREAM if kind == _TO_L2_STREAM else _FILL_L1
-                # ``l2.classify(line)``, inlined.
-                set_map = l2_sets.get(line % l2_n_sets)
-                meta = set_map.get(line) if set_map is not None else None
-                entry = l2_mshrs.get(line) if meta is None else None
-                if meta is not None:
+                set_map = l2_sets[line % l2_n_sets]
+                state = set_map.get(line)
+                waiters = l2_mshrs.get(line) if state is None else None
+                if state is not None:
                     # Resident: the ``Cache.probe`` hit body, inlined.
                     set_map.move_to_end(line)
                     if is_prefetch:
                         l2_stats.prefetch_hits += 1
                     else:
                         l2_stats.demand_hits += 1
-                        if meta.filled_by_prefetch and not meta.demand_touched:
+                        if state >= 0:
                             l2_stats.demand_hits_on_prefetched += 1
                             if obs is not None:
-                                l2.trace_first_hit(at, line, meta.fill_cycle)
-                        meta.demand_touched = True
+                                l2.trace_first_hit(at, line, state)
+                            set_map[line] = DEMANDED
                     if obs is not None:
                         l2.trace_access(at, line, "hit", is_prefetch)
                     if hit_bucket is None:
@@ -305,29 +294,30 @@ class MemorySystem:
                             hit_bucket = self._agenda[hit_cycle] = []
                             heapq.heappush(self.agenda_cycles, hit_cycle)
                     hit_bucket.append((fill_kind, sm, line))
-                elif entry is not None:
+                elif waiters is not None:
                     # In flight: merge into the MSHR as a tuple waiter.
                     if obs is not None:
-                        l2.trace_merge(at, line, entry.is_prefetch, is_prefetch)
+                        l2.trace_merge(
+                            at, line, line in l2_prefetch_mshrs, is_prefetch
+                        )
                     if is_prefetch:
                         l2_stats.prefetch_pending_hits += 1
                     else:
                         l2_stats.demand_pending_hits += 1
-                        if entry.is_prefetch:
+                        if line in l2_prefetch_mshrs:
                             l2_stats.demand_pending_on_prefetch += 1
-                            entry.is_prefetch = False
-                    entry.waiters.append((fill_kind, sm))
+                            l2_prefetch_mshrs.remove(line)
+                    waiters.append((fill_kind, sm))
                     if obs is not None:
                         l2.trace_access(at, line, "pending_hit", is_prefetch)
                 else:
                     # Miss: allocate the MSHR, defer the DRAM trip.
                     if is_prefetch:
                         l2_stats.prefetch_misses += 1
+                        l2_prefetch_mshrs.add(line)
                     else:
                         l2_stats.demand_misses += 1
-                    l2_mshrs[line] = MshrEntry(
-                        line, is_prefetch, [(fill_kind, sm)]
-                    )
+                    l2_mshrs[line] = [(fill_kind, sm)]
                     if obs is not None:
                         l2.trace_access(at, line, "miss", is_prefetch)
                     if misses is None:
@@ -341,26 +331,24 @@ class MemorySystem:
             elif kind == _FILL_L2:
                 # DRAM data lands: ``Cache.fill`` inlined for the L2.
                 line = record[1]
-                entry = l2_mshrs.pop(line, None)
-                set_map = l2_sets.get(line % l2_n_sets)
-                if set_map is None:
-                    set_map = l2_sets[line % l2_n_sets] = OrderedDict()
+                waiters = l2_mshrs.pop(line, None)
+                if line in l2_prefetch_mshrs:
+                    l2_prefetch_mshrs.remove(line)
+                    state = at
+                else:
+                    state = DEMANDED
+                set_map = l2_sets[line % l2_n_sets]
                 if line not in set_map:
                     if len(set_map) >= l2_n_ways:
-                        victim, victim_meta = set_map.popitem(last=False)
+                        victim, victim_state = set_map.popitem(last=False)
                         l2_stats.evictions += 1
-                        if (
-                            victim_meta.filled_by_prefetch
-                            and not victim_meta.demand_touched
-                        ):
+                        if victim_state >= 0:
                             l2_stats.prefetched_evicted_unused += 1
                         if l2.eviction_listener is not None:
-                            l2.eviction_listener(victim, victim_meta)
-                    set_map[line] = LineMeta(
-                        entry is not None and entry.is_prefetch, False, at
-                    )
-                if entry is not None:
-                    for fill_kind, sm in entry.waiters:
+                            l2.eviction_listener(victim, victim_state)
+                    set_map[line] = state
+                if waiters is not None:
+                    for fill_kind, sm in waiters:
                         if fill_kind == _FILL_L1:
                             fill_l1(sm, line, at)
                         else:
@@ -400,32 +388,32 @@ class MemorySystem:
         stats = l1.stats
         obs = l1.obs
         line = address // l1._line_bytes
-        set_map = l1._sets.get(line % l1._n_sets)
-        meta = set_map.get(line) if set_map is not None else None
-        if meta is not None:
+        set_map = l1._sets[line % l1._n_sets]
+        state = set_map.get(line)
+        if state is not None:
             if is_prefetch:
-                tracker.on_prefetch_probe(line, HIT, meta, None)
+                tracker.on_prefetch_probe(line, HIT, state, None)
                 stats.prefetch_accesses += 1
                 stats.prefetch_hits += 1
             else:
                 stats.demand_accesses += 1
                 stats.demand_hits += 1
-                if meta.filled_by_prefetch and not meta.demand_touched:
+                if state >= 0:
                     # The tracker acts on a first hit to a prefetch only.
-                    tracker.on_demand_probe(line, HIT, meta, None)
+                    tracker.on_demand_probe(line, HIT, state, None)
                     stats.demand_hits_on_prefetched += 1
                     if obs is not None:
-                        l1.trace_first_hit(cycle, line, meta.fill_cycle)
-                meta.demand_touched = True
+                        l1.trace_first_hit(cycle, line, state)
+                    set_map[line] = DEMANDED
             set_map.move_to_end(line)
             if obs is not None:
                 l1.trace_access(cycle, line, "hit", is_prefetch)
             if responder is not None:
                 self._enqueue(cycle + self._l1_latency, (_CALL, responder))
             return HIT
-        entry = l1._mshrs.get(line)
-        if entry is not None:
-            owner = entry.is_prefetch
+        waiters = l1._mshrs.get(line)
+        if waiters is not None:
+            owner = line in l1._prefetch_mshrs
             if obs is not None:
                 l1.trace_merge(cycle, line, owner, is_prefetch)
             if is_prefetch:
@@ -439,9 +427,10 @@ class MemorySystem:
                     # The tracker acts on a demand catching a prefetch.
                     tracker.on_demand_probe(line, PENDING_HIT, None, owner)
                     stats.demand_pending_on_prefetch += 1
-                    entry.is_prefetch = False  # a demand now owns the fill
+                    # A demand now owns the fill.
+                    l1._prefetch_mshrs.remove(line)
             if responder is not None:
-                entry.waiters.append(responder)
+                waiters.append(responder)
             if obs is not None:
                 l1.trace_access(cycle, line, "pending_hit", is_prefetch)
             return PENDING_HIT
@@ -449,13 +438,12 @@ class MemorySystem:
             tracker.on_prefetch_probe(line, MISS, None, None)
             stats.prefetch_accesses += 1
             stats.prefetch_misses += 1
+            l1._prefetch_mshrs.add(line)
         else:
             # A demand miss resolves no prefetch episode: no tracker call.
             stats.demand_accesses += 1
             stats.demand_misses += 1
-        l1._mshrs[line] = MshrEntry(
-            line, is_prefetch, [] if responder is None else [responder]
-        )
+        l1._mshrs[line] = [] if responder is None else [responder]
         if obs is not None:
             l1.trace_access(cycle, line, "miss", is_prefetch)
         if not is_prefetch and self.uses_stream_buffers:
@@ -491,9 +479,9 @@ class MemorySystem:
         line = l1.line_of(address)
         # Already covered by the L1 (resident or in flight)?  Classify
         # without disturbing the L1's LRU state.
-        l1_meta = l1.line_meta(line)
-        if l1_meta is not None:
-            tracker.on_prefetch_probe(line, HIT, _snapshot(l1_meta), None)
+        l1_state = l1.line_state(line)
+        if l1_state is not None:
+            tracker.on_prefetch_probe(line, HIT, l1_state, None)
             if callback is not None:
                 self._enqueue(
                     cycle + self.config.l1.latency, (_CALL, callback)
@@ -505,12 +493,12 @@ class MemorySystem:
             if callback is not None:
                 l1.probe(line, is_prefetch=True, waiter=callback, cycle=cycle)
             return PENDING_HIT
-        prior_meta = _snapshot(buffer.line_meta(line))
+        prior_state = buffer.line_state(line)
         prior_owner = buffer.mshr_owner_is_prefetch(line)
         outcome = buffer.probe(
             line, is_prefetch=True, waiter=callback, cycle=cycle
         )
-        tracker.on_prefetch_probe(line, outcome, prior_meta, prior_owner)
+        tracker.on_prefetch_probe(line, outcome, prior_state, prior_owner)
         due = cycle + self.config.stream_buffer.latency
         if outcome is HIT:
             if callback is not None:
@@ -530,9 +518,9 @@ class MemorySystem:
         """
         buffer = self.stream_buffers[sm]
         tracker = self.trackers[sm]
-        meta = buffer.line_meta(line)
-        if meta is not None:
-            tracker.on_demand_probe(line, HIT, _snapshot(meta), None)
+        state = buffer.line_state(line)
+        if state is not None:
+            tracker.on_demand_probe(line, HIT, state, None)
             buffer.invalidate(line)
             self.stream_buffer_hits += 1
             # One buffer-access latency for the transfer, then the line
@@ -599,25 +587,22 @@ class MemorySystem:
         inlined around a single MSHR pop (the pop serves both the
         prefetch attribution and the fill), then the waiters run."""
         l1 = self.l1s[sm]
-        entry = l1._mshrs.pop(line, None)
-        filled_by_prefetch = entry is not None and entry.is_prefetch
-        set_index = line % l1._n_sets
-        set_map = l1._sets.get(set_index)
-        if set_map is None:
-            set_map = l1._sets[set_index] = OrderedDict()
+        waiters = l1._mshrs.pop(line, None)
+        prefetch_mshrs = l1._prefetch_mshrs
+        filled_by_prefetch = line in prefetch_mshrs
+        if filled_by_prefetch:
+            prefetch_mshrs.remove(line)
+        set_map = l1._sets[line % l1._n_sets]
         if line not in set_map:
             if len(set_map) >= l1._n_ways:
-                victim, victim_meta = set_map.popitem(last=False)
+                victim, victim_state = set_map.popitem(last=False)
                 stats = l1.stats
                 stats.evictions += 1
-                if (
-                    victim_meta.filled_by_prefetch
-                    and not victim_meta.demand_touched
-                ):
+                if victim_state >= 0:
                     stats.prefetched_evicted_unused += 1
                     # The effectiveness tracker acts on these only.
-                    self.trackers[sm].on_eviction(victim, victim_meta)
-            set_map[line] = LineMeta(filled_by_prefetch, False, cycle)
+                    self.trackers[sm].on_eviction(victim, victim_state)
+            set_map[line] = cycle if filled_by_prefetch else DEMANDED
         if filled_by_prefetch:  # the tracker ignores demand fills
             self.trackers[sm].on_fill(line, True)
         if self.units is not None:
@@ -626,8 +611,8 @@ class MemorySystem:
             self.obs.emit(
                 "prefetch.fill", cycle, l1.name, args={"sm": sm, "line": line}
             )
-        if entry is not None:
-            for waiter in entry.waiters:
+        if waiters is not None:
+            for waiter in waiters:
                 waiter(cycle)
 
     def _fill_stream(self, sm: int, line: int, cycle: int) -> None:

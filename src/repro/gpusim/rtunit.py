@@ -24,7 +24,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.config import GpuConfig
 from ..prefetch.base import Prefetcher
-from .cache import HIT
+from .cache import DEMANDED, HIT
 from .memsys import MemorySystem, REGION_NODE, REGION_PRIMITIVE
 from .scheduler import select_warp
 from .warp import (
@@ -72,7 +72,8 @@ class RTUnit:
         #: optional trace bus (repro.obs); None = tracing disabled.
         self.obs = None
         self._next_warp_id = 0
-        #: bumped whenever warp-buffer vote state changes (voter gate).
+        #: bumped whenever warp-buffer vote state changes (voter gate);
+        #: it stays 0 when the prefetcher has no voter to gate.
         self.vote_version = 0
         #: set by memory responses, fills and test completions so the
         #: replay engine steps this unit in the same cycle the data
@@ -122,9 +123,14 @@ class RTUnit:
         self._node_latency = memsys.node_demand_latency
         #: merged next-treelet vote counts over the buffer's warps,
         #: maintained incrementally by the WarpSlots; the majority voter
-        #: reads this instead of re-merging per decision.
+        #: reads this instead of re-merging per decision.  The vote
+        #: counts and ``vote_version`` are kept only for a prefetcher
+        #: with a voter, and the warps' ready-treelet counts only for
+        #: the treelet schedulers: nothing else reads them.
         self._alive_votes: Dict[int, int] = {}
-        if hasattr(self.prefetcher, "vote_counts"):
+        self._count_votes = hasattr(self.prefetcher, "vote_counts")
+        self._count_ready = not self._baseline_sched
+        if self._count_votes:
             self.prefetcher.vote_counts = self._alive_votes
 
     # -- workload loading -------------------------------------------------
@@ -170,14 +176,20 @@ class RTUnit:
         if self.pending_warps and len(buffer) < self._warp_buffer_size:
             rays = self.pending_warps.popleft()
             slot = WarpSlot(
-                self._next_warp_id, rays, cycle, shared_votes=self._alive_votes
+                self._next_warp_id,
+                rays,
+                cycle,
+                shared_votes=self._alive_votes,
+                count_votes=self._count_votes,
+                count_ready=self._count_ready,
             )
             self._next_warp_id += 1
             if slot.done:
                 stats.warps_retired += 1
             else:
                 buffer.append(slot)
-                self.vote_version += 1
+                if self._count_votes:
+                    self.vote_version += 1
                 if self.obs is not None:
                     self.obs.emit(
                         "warp.issue",
@@ -359,12 +371,13 @@ class RTUnit:
             # ``warp.note_unready`` inlined (mask bits are batched below).
             claimed_mask |= low
             claimed_rays += 1
-            treelet = ray.treelets[cursor]
-            count = ready_treelets[treelet] - 1
-            if count <= 0:
-                del ready_treelets[treelet]
-            else:
-                ready_treelets[treelet] = count
+            if ready_treelets is not None:
+                treelet = ray.treelets[cursor]
+                count = ready_treelets[treelet] - 1
+                if count <= 0:
+                    del ready_treelets[treelet]
+                else:
+                    ready_treelets[treelet] = count
         if claimed_mask:
             warp.ready_mask &= ~claimed_mask
             warp.ready_count -= claimed_rays
@@ -388,9 +401,9 @@ class RTUnit:
                 if demand_hook is not None:
                     demand_hook(warp_id, address, cycle)
                 line = address // line_bytes
-                set_map = sets.get(line % n_sets)
-                meta = set_map.get(line) if set_map is not None else None
-                if meta is None:
+                set_map = sets[line % n_sets]
+                state = set_map.get(line)
+                if state is None:
                     l1_access(
                         sm_id,
                         address,
@@ -400,16 +413,16 @@ class RTUnit:
                     )
                     continue
                 # Resident hit, inlined from ``Cache.probe``: classify on
-                # the pre-probe meta (the tracker acts only on a first
+                # the pre-probe state (the tracker acts only on a first
                 # hit to a prefetched line), then the probe's hit body.
                 lstats.demand_accesses += 1
                 lstats.demand_hits += 1
-                if meta.filled_by_prefetch and not meta.demand_touched:
-                    tracker.on_demand_probe(line, hit, meta, None)
+                if state >= 0:
+                    tracker.on_demand_probe(line, hit, state, None)
                     lstats.demand_hits_on_prefetched += 1
                     if obs is not None:
-                        l1.trace_first_hit(cycle, line, meta.fill_cycle)
-                meta.demand_touched = True
+                        l1.trace_first_hit(cycle, line, state)
+                    set_map[line] = DEMANDED
                 set_map.move_to_end(line)
                 if obs is not None:
                     l1.trace_access(cycle, line, "hit", False)
@@ -464,6 +477,7 @@ class RTUnit:
             box_tests = self._box_tests
             due = cycle + self._box_latency
             testing = TESTING
+            ready_treelets = warp.ready_treelet_counts
             for ray in rays:
                 cursor = ray.cursor
                 lines = ray.prims[cursor]
@@ -477,7 +491,8 @@ class RTUnit:
                 # ``warp.note_ready(ray)``, inlined.
                 warp.ready_count += 1
                 warp.ready_mask |= 1 << ray.slot_index
-                warp.ready_treelet_counts[ray.treelets[cursor]] += 1
+                if ready_treelets is not None:
+                    ready_treelets[ray.treelets[cursor]] += 1
         else:
             prim_tests = self._prim_tests
             due = cycle + self._prim_latency
@@ -519,32 +534,40 @@ class RTUnit:
         self.dirty = True
         fetch_ready = FETCH_READY
         done_state = DONE
+        count_votes = self._count_votes
+        count_ready = self._count_ready
         completed = 0
         for tests in (box_tests, prim_tests):
             while tests and tests[0][0] <= cycle:
                 due, warp, ray = tests.popleft()
                 completed += 1
-                cursor = ray.cursor
-                old_vote = ray.lookahead[cursor]
-                cursor += 1
+                cursor = ray.cursor + 1
                 ray.cursor = cursor
                 if cursor >= ray.n_visits:
                     ray.state = done_state
-                    warp.note_ray_done(old_vote)
-                    if old_vote != -1:
-                        self.vote_version += 1
+                    if count_votes:
+                        old_vote = ray.lookahead[cursor - 1]
+                        warp.note_ray_done(old_vote)
+                        if old_vote != -1:
+                            self.vote_version += 1
+                    else:
+                        warp.done_count += 1
                     if warp.done_count >= len(warp.rays):
                         self._retire(warp, due)
                 else:
                     ray.state = fetch_ready
-                    new_vote = ray.lookahead[cursor]
-                    if new_vote != old_vote:
-                        warp.note_vote_change(old_vote, new_vote)
-                        self.vote_version += 1
+                    if count_votes:
+                        lookahead = ray.lookahead
+                        old_vote = lookahead[cursor - 1]
+                        new_vote = lookahead[cursor]
+                        if new_vote != old_vote:
+                            warp.note_vote_change(old_vote, new_vote)
+                            self.vote_version += 1
                     # ``warp.note_ready(ray)``, inlined.
                     warp.ready_count += 1
                     warp.ready_mask |= 1 << ray.slot_index
-                    warp.ready_treelet_counts[ray.treelets[cursor]] += 1
+                    if count_ready:
+                        warp.ready_treelet_counts[ray.treelets[cursor]] += 1
         self.stats.visits_completed += completed
 
     def _retire(self, warp: WarpSlot, cycle: int) -> None:

@@ -189,6 +189,11 @@ class WarpSlot:
     the treelet of their *current* fetch target — the treelet
     schedulers' input (those rays benefit from the prefetched treelet
     right now).
+
+    Each is kept only for its readers: ``count_votes=False`` (an RT unit
+    whose prefetcher has no voter) leaves ``alive_treelet_counts`` None,
+    and ``count_ready=False`` (the baseline scheduler) leaves
+    ``ready_treelet_counts`` None.
     """
 
     def __init__(
@@ -197,12 +202,16 @@ class WarpSlot:
         rays: List[RayTask],
         entry_cycle: int,
         shared_votes: Optional[Dict[int, int]] = None,
+        count_votes: bool = True,
+        count_ready: bool = True,
     ) -> None:
         self.warp_id = warp_id
         self.rays = rays
         self.entry_cycle = entry_cycle
-        self.alive_treelet_counts: Dict[int, int] = defaultdict(int)
-        self.ready_treelet_counts: Dict[int, int] = defaultdict(int)
+        alive = defaultdict(int) if count_votes else None
+        ready_treelets = defaultdict(int) if count_ready else None
+        self.alive_treelet_counts: Optional[Dict[int, int]] = alive
+        self.ready_treelet_counts: Optional[Dict[int, int]] = ready_treelets
         self.ready_count = 0
         self.done_count = 0
         #: bitmask over ``rays`` of issue-ready rays (FETCH_READY or
@@ -223,14 +232,15 @@ class WarpSlot:
                 continue
             cursor = ray.cursor
             vote = ray.lookahead[cursor]
-            if vote != -1:
-                self.alive_treelet_counts[vote] += 1
+            if vote != -1 and alive is not None:
+                alive[vote] += 1
                 if shared_votes is not None:
                     shared_votes[vote] = shared_votes.get(vote, 0) + 1
             if state is FETCH_READY:
                 self.ready_count += 1
                 self.ready_mask |= 1 << index
-                self.ready_treelet_counts[ray.treelets[cursor]] += 1
+                if ready_treelets is not None:
+                    ready_treelets[ray.treelets[cursor]] += 1
 
     @property
     def done(self) -> bool:

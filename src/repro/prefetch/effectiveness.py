@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..gpusim.cache import AccessOutcome, LineMeta
+from ..gpusim.cache import AccessOutcome
 
 
 @dataclass
@@ -74,6 +74,10 @@ class PrefetchEffectivenessTracker:
 
     An *episode* is the life of one prefetch-initiated line: in flight,
     then resident-untouched, then resolved (timely / early / unused).
+
+    A line's ``state`` is the cache's packed line state
+    (:data:`~repro.gpusim.cache.DEMANDED`, or the fill cycle of a
+    prefetch fill no demand has touched), read before the probe.
     """
 
     _IN_FLIGHT = "in_flight"
@@ -87,13 +91,13 @@ class PrefetchEffectivenessTracker:
         self,
         line: int,
         outcome: AccessOutcome,
-        prior_meta: Optional[LineMeta],
+        prior_state: Optional[int],
         prior_owner_is_prefetch: Optional[bool],
     ) -> None:
         """Classify a prefetch at its L1 probe (pre-probe state supplied)."""
         if outcome is AccessOutcome.HIT:
-            assert prior_meta is not None
-            if prior_meta.filled_by_prefetch and not prior_meta.demand_touched:
+            assert prior_state is not None
+            if prior_state >= 0:
                 self.counts.redundant += 1
             else:
                 self.counts.too_late += 1
@@ -109,13 +113,13 @@ class PrefetchEffectivenessTracker:
         self,
         line: int,
         outcome: AccessOutcome,
-        prior_meta: Optional[LineMeta],
+        prior_state: Optional[int],
         prior_owner_is_prefetch: Optional[bool],
     ) -> None:
         """Observe a demand probe; resolves episodes the demand touches."""
         if outcome is AccessOutcome.HIT:
-            assert prior_meta is not None
-            if prior_meta.filled_by_prefetch and not prior_meta.demand_touched:
+            assert prior_state is not None
+            if prior_state >= 0:
                 if self._episodes.pop(line, None) is not None:
                     self.counts.timely += 1
         elif outcome is AccessOutcome.PENDING_HIT:
@@ -128,8 +132,8 @@ class PrefetchEffectivenessTracker:
         if filled_by_prefetch and self._episodes.get(line) == self._IN_FLIGHT:
             self._episodes[line] = self._RESIDENT
 
-    def on_eviction(self, line: int, meta: LineMeta) -> None:
-        if meta.filled_by_prefetch and not meta.demand_touched:
+    def on_eviction(self, line: int, state: int) -> None:
+        if state >= 0:
             if self._episodes.pop(line, None) is not None:
                 self.counts.early += 1
 

@@ -45,7 +45,9 @@ class MtaPrefetcher(Prefetcher):
         self._queue: Deque[PrefetchRequest] = deque()
 
     def on_demand_issue(self, warp_id: int, address: int, cycle: int) -> None:
-        history = self._history.setdefault(warp_id, _WarpHistory())
+        history = self._history.get(warp_id)
+        if history is None:
+            history = self._history[warp_id] = _WarpHistory()
         if history.last_address is not None:
             stride = address - history.last_address
             if stride != 0 and stride == history.last_stride:

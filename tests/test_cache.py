@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import CacheConfig
 from repro.gpusim import AccessOutcome, Cache
+from repro.gpusim.cache import DEMANDED
 
 
 def tiny_cache(lines=4, assoc=0):
@@ -91,7 +92,19 @@ class TestPrefetchAttribution:
         cache = tiny_cache()
         cache.probe(1, is_prefetch=True)
         cache.fill(1, cycle=0)
-        assert cache.line_meta(1).filled_by_prefetch
+        assert cache.line_state(1) >= 0
+
+    def test_prefetch_fill_records_its_cycle(self):
+        cache = tiny_cache()
+        cache.probe(1, is_prefetch=True)
+        cache.fill(1, cycle=37)
+        assert cache.line_state(1) == 37
+
+    def test_demand_fill_is_demanded(self):
+        cache = tiny_cache()
+        cache.probe(1, is_prefetch=False)
+        cache.fill(1, cycle=37)
+        assert cache.line_state(1) == DEMANDED
 
     def test_demand_merge_takes_ownership(self):
         cache = tiny_cache()
@@ -101,7 +114,7 @@ class TestPrefetchAttribution:
         assert cache.mshr_owner_is_prefetch(1) is False
         assert cache.stats.demand_pending_on_prefetch == 1
         cache.fill(1, cycle=0)
-        assert not cache.line_meta(1).filled_by_prefetch
+        assert cache.line_state(1) == DEMANDED
 
     def test_demand_hit_on_prefetched_line_counted_once(self):
         cache = tiny_cache()
@@ -111,6 +124,30 @@ class TestPrefetchAttribution:
         cache.probe(1, is_prefetch=False)
         assert cache.stats.demand_hits_on_prefetched == 1
         assert cache.stats.demand_hits == 2
+
+    def test_first_demand_hit_clears_the_fill_cycle(self):
+        cache = tiny_cache()
+        cache.probe(1, is_prefetch=True)
+        cache.fill(1, cycle=12)
+        cache.probe(1, is_prefetch=True)  # a prefetch hit touches nothing
+        assert cache.line_state(1) == 12
+        cache.probe(1, is_prefetch=False)
+        assert cache.line_state(1) == DEMANDED
+        cache.probe(1, is_prefetch=False)
+        assert cache.line_state(1) == DEMANDED
+        assert cache.stats.demand_hits_on_prefetched == 1
+
+    def test_demanded_prefetch_eviction_not_counted_unused(self):
+        cache = tiny_cache(lines=1)
+        evicted = []
+        cache.eviction_listener = lambda line, state: evicted.append(state)
+        cache.probe(1, is_prefetch=True)
+        cache.fill(1, cycle=0)
+        cache.probe(1, is_prefetch=False)
+        cache.probe(2, is_prefetch=False)
+        cache.fill(2, cycle=1)
+        assert cache.stats.prefetched_evicted_unused == 0
+        assert evicted == [DEMANDED]
 
     def test_unused_prefetched_eviction_counted(self):
         cache = tiny_cache(lines=1)
@@ -144,6 +181,27 @@ class TestMshr:
         cache.fill(1, cycle=0)
         cache.flush()
         assert not cache.contains(1)
+
+    def test_flush_empties_every_set(self):
+        cache = tiny_cache(lines=8, assoc=2)  # 4 sets
+        for line in range(8):
+            cache.probe(line, is_prefetch=line % 2 == 0)
+            cache.fill(line, cycle=line)
+        assert all(len(set_map) == 2 for set_map in cache._sets)
+        cache.flush()
+        assert all(not set_map for set_map in cache._sets)
+        assert not any(cache.contains(line) for line in range(8))
+        # The sets are reused, not rebuilt: a refill lands as before.
+        cache.probe(5, is_prefetch=True)
+        cache.fill(5, cycle=9)
+        assert cache.line_state(5) == 9
+
+    def test_fill_releases_prefetch_ownership(self):
+        cache = tiny_cache()
+        cache.probe(1, is_prefetch=True)
+        cache.fill(1, cycle=3)
+        assert cache.mshr_owner_is_prefetch(1) is None
+        assert not cache._prefetch_mshrs
 
 
 class TestConfigValidation:

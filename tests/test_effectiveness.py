@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpusim.cache import AccessOutcome, LineMeta
+from repro.gpusim.cache import DEMANDED, AccessOutcome
 from repro.prefetch import EffectivenessCounts, PrefetchEffectivenessTracker
 
 
@@ -18,7 +18,7 @@ class TestClassification:
         tracker.on_demand_probe(
             1,
             AccessOutcome.HIT,
-            LineMeta(filled_by_prefetch=True, demand_touched=False),
+            40,  # an untouched prefetch fill: its fill cycle
             None,
         )
         assert tracker.finalize().timely == 1
@@ -32,12 +32,18 @@ class TestClassification:
     def test_early(self, tracker):
         tracker.on_prefetch_probe(1, AccessOutcome.MISS, None, None)
         tracker.on_fill(1, filled_by_prefetch=True)
-        tracker.on_eviction(
-            1, LineMeta(filled_by_prefetch=True, demand_touched=False)
-        )
+        tracker.on_eviction(1, 40)
         counts = tracker.finalize()
         assert counts.early == 1
         assert counts.unused == 0
+
+    def test_evicting_demanded_line_is_not_early(self, tracker):
+        tracker.on_prefetch_probe(1, AccessOutcome.MISS, None, None)
+        tracker.on_fill(1, filled_by_prefetch=True)
+        tracker.on_eviction(1, DEMANDED)
+        counts = tracker.finalize()
+        assert counts.early == 0
+        assert counts.unused == 1
 
     def test_late_prefetch_pending_on_demand(self, tracker):
         tracker.on_prefetch_probe(
@@ -56,7 +62,7 @@ class TestClassification:
         tracker.on_prefetch_probe(
             1,
             AccessOutcome.HIT,
-            LineMeta(filled_by_prefetch=False, demand_touched=True),
+            DEMANDED,
             None,
         )
         assert tracker.finalize().too_late == 1
@@ -65,7 +71,7 @@ class TestClassification:
         tracker.on_prefetch_probe(
             1,
             AccessOutcome.HIT,
-            LineMeta(filled_by_prefetch=True, demand_touched=False),
+            0,  # a prefetch filled at cycle 0 is still untouched
             None,
         )
         assert tracker.finalize().redundant == 1
@@ -79,10 +85,8 @@ class TestClassification:
     def test_second_demand_hit_not_double_counted(self, tracker):
         tracker.on_prefetch_probe(1, AccessOutcome.MISS, None, None)
         tracker.on_fill(1, filled_by_prefetch=True)
-        meta = LineMeta(filled_by_prefetch=True, demand_touched=False)
-        tracker.on_demand_probe(1, AccessOutcome.HIT, meta, None)
-        touched = LineMeta(filled_by_prefetch=True, demand_touched=True)
-        tracker.on_demand_probe(1, AccessOutcome.HIT, touched, None)
+        tracker.on_demand_probe(1, AccessOutcome.HIT, 40, None)
+        tracker.on_demand_probe(1, AccessOutcome.HIT, DEMANDED, None)
         assert tracker.finalize().timely == 1
 
 

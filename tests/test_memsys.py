@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import CacheConfig, DramConfig, GpuConfig
 from repro.gpusim import AccessOutcome, MemorySystem
+from repro.gpusim.cache import DEMANDED
 
 
 def tiny_gpu_config(**kw):
@@ -152,6 +153,78 @@ class TestPrefetchPath:
         run_until(mem)
         counts = mem.finalize()
         assert counts.too_late == 1
+
+
+class TestPackedLineState:
+    """The one-int line state and the MSHR ownership set, end to end."""
+
+    def test_prefetch_fill_records_its_cycle_in_l1_and_l2(self, memsys):
+        mem = memsys
+        mem.access(0, 0x1000, cycle=0, is_prefetch=True)
+        run_until(mem)
+        line = mem.l1s[0].line_of(0x1000)
+        # DRAM lands at 20 + 160 + 4 + 100 = 284, in the L2 and the L1.
+        assert mem.l2.line_state(line) == 284
+        assert mem.l1s[0].line_state(line) == 284
+
+    def test_first_demand_hit_clears_it_once(self, memsys):
+        mem = memsys
+        mem.access(0, 0x1000, cycle=0, is_prefetch=True)
+        run_until(mem)
+        line = mem.l1s[0].line_of(0x1000)
+        for cycle in (1000, 2000):
+            mem.access(0, 0x1000, cycle=cycle, callback=lambda c: None)
+            run_until(mem)
+            assert mem.l1s[0].line_state(line) == DEMANDED
+        assert mem.l1s[0].stats.demand_hits_on_prefetched == 1
+        assert mem.finalize().timely == 1
+
+    def test_evicting_untouched_prefetch_reaches_tracker(self, memsys):
+        mem = memsys
+        mem.access(0, 0x1000, cycle=0, is_prefetch=True)
+        run_until(mem)
+        # Four demand lines fill the 4-line L1 and evict the prefetch.
+        for i in range(1, 5):
+            mem.access(0, 0x1000 + i * 128, cycle=1000,
+                       callback=lambda c: None)
+        run_until(mem)
+        assert mem.l1s[0].stats.prefetched_evicted_unused == 1
+        counts = mem.finalize()
+        assert counts.early == 1
+        assert counts.unused == 0
+
+    def test_l1_demand_merge_takes_ownership(self, memsys):
+        mem = memsys
+        l1 = mem.l1s[0]
+        line = l1.line_of(0x1000)
+        mem.access(0, 0x1000, cycle=0, is_prefetch=True)
+        assert l1.mshr_owner_is_prefetch(line) is True
+        mem.access(0, 0x1000, cycle=5, callback=lambda c: None)
+        assert l1.mshr_owner_is_prefetch(line) is False
+        assert l1.stats.demand_pending_on_prefetch == 1
+        run_until(mem)
+        assert l1.line_state(line) == DEMANDED
+        assert not l1._prefetch_mshrs
+
+    def test_l2_demand_merge_takes_ownership(self, memsys):
+        mem = memsys
+        l2 = mem.l2
+        line = l2.line_of(0x1000)
+        # SM 0's prefetch misses the L2 at cycle 20; SM 1's demand
+        # reaches the L2 at cycle 30, while the DRAM fill is in flight.
+        mem.access(0, 0x1000, cycle=0, is_prefetch=True)
+        mem.access(1, 0x1000, cycle=10, callback=lambda c: None)
+        mem.flush_due(20)
+        assert l2.mshr_owner_is_prefetch(line) is True
+        mem.flush_due(30)
+        assert l2.mshr_owner_is_prefetch(line) is False
+        assert l2.stats.demand_pending_on_prefetch == 1
+        run_until(mem)
+        assert l2.line_state(line) == DEMANDED
+        assert not l2._prefetch_mshrs
+        # The L1s keep their own owners: SM 0's line is a prefetch fill.
+        assert mem.l1s[0].line_state(line) >= 0
+        assert mem.l1s[1].line_state(line) == DEMANDED
 
 
 class TestBookkeeping:

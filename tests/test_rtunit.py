@@ -7,7 +7,9 @@ from conftest import ray_task
 from repro.bvh import dfs_layout
 from repro.core.config import CacheConfig, GpuConfig
 from repro.gpusim import MemorySystem, RTUnit, RayState
-from repro.prefetch import Prefetcher, PrefetchRequest
+from repro.prefetch import (
+    Prefetcher, PrefetchRequest, TreeletAddressMap, TreeletPrefetcher,
+)
 from repro.treelet import form_treelets, treelet_layout
 
 
@@ -270,7 +272,11 @@ class TestStallAccounting:
 class TestVoteVersion:
     def test_version_advances_with_progress(self, small_bvh, decomposition):
         layout = treelet_layout(decomposition)
-        unit, memsys = make_unit()
+        prefetcher = TreeletPrefetcher(
+            TreeletAddressMap(decomposition, layout, 128)
+        )
+        unit, memsys = make_unit(prefetcher=prefetcher)
+        assert prefetcher.vote_counts is not None
         path = [0] + list(small_bvh.root.child_ids[:1])
         unit.add_warp([
             ray_task(
@@ -280,3 +286,31 @@ class TestVoteVersion:
         initial = unit.vote_version
         run(unit, memsys)
         assert unit.vote_version > initial
+
+    def test_no_voter_keeps_no_vote_state(self, small_bvh, decomposition):
+        # Only a voter reads the vote counts and their version, and only
+        # the treelet schedulers read the ready-treelet counts.
+        layout = treelet_layout(decomposition)
+        unit, memsys = make_unit()
+        path = [0] + list(small_bvh.root.child_ids[:1])
+        unit.add_warp([ray_task(path, small_bvh, layout, 128)])
+        unit.step(0)
+        (slot,) = unit.buffer
+        assert slot.alive_treelet_counts is None
+        assert slot.ready_treelet_counts is None
+        run(unit, memsys)
+        assert unit.vote_version == 0
+        assert unit.stats.visits_completed == len(path)
+
+    @pytest.mark.parametrize("policy", ["omr", "pmr"])
+    def test_treelet_scheduler_keeps_ready_counts(
+        self, small_bvh, decomposition, policy
+    ):
+        layout = treelet_layout(decomposition)
+        unit, memsys = make_unit(policy=policy)
+        path = [0] + list(small_bvh.root.child_ids[:1])
+        unit.add_warp([ray_task(path, small_bvh, layout, 128)])
+        unit.step(0)
+        (slot,) = unit.buffer
+        assert slot.alive_treelet_counts is None
+        assert sum(slot.ready_treelet_counts.values()) == slot.ready_count

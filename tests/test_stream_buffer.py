@@ -105,6 +105,40 @@ class TestPrefetchPath:
         assert counts.early == 1
         assert counts.unused == 2
 
+    def test_prefetch_on_buffered_prefetch_is_redundant(self, memsys):
+        mem = memsys
+        mem.access(0, 0x1000, cycle=0, is_prefetch=True)
+        run_until(mem)
+        outcome = mem.access(0, 0x1000, cycle=1000, is_prefetch=True)
+        assert outcome is AccessOutcome.HIT
+        counts = mem.finalize()
+        assert counts.redundant == 1
+        assert counts.unused == 1
+
+    def test_prefetch_merging_into_buffer_fill_is_redundant(self, memsys):
+        mem = memsys
+        mem.access(0, 0x1000, cycle=0, is_prefetch=True)
+        outcome = mem.access(0, 0x1000, cycle=5, is_prefetch=True)
+        assert outcome is AccessOutcome.PENDING_HIT
+        run_until(mem)
+        assert mem.finalize().redundant == 1
+
+    def test_prefetch_on_inflight_demand_is_late(self, memsys):
+        mem = memsys
+        mem.access(0, 0x1000, cycle=0, callback=lambda c: None)
+        outcome = mem.access(0, 0x1000, cycle=5, is_prefetch=True)
+        assert outcome is AccessOutcome.PENDING_HIT
+        run_until(mem)
+        assert mem.finalize().late == 1
+
+    def test_buffer_fill_records_its_cycle(self, memsys):
+        mem = memsys
+        mem.access(0, 0x1000, cycle=0, is_prefetch=True)
+        run_until(mem)
+        line = mem.l1s[0].line_of(0x1000)
+        # Buffer tag 20 + L2 tag 160 + burst 4 + DRAM 100.
+        assert mem.stream_buffers[0].line_state(line) == 284
+
     def test_demand_miss_everywhere_goes_to_l2(self, memsys):
         mem = memsys
         done = []

@@ -47,7 +47,9 @@ def frame_key(frame) -> str:
         where = "/".join(parts[parts.index("repro") + 1:])
     else:
         where = path.name
-    return f"{where}:{code.co_name}"
+    # ``co_qualname`` (3.11+) tells ``Cache.__init__`` from
+    # ``CacheStats.__init__``; 3.9 and 3.10 have only ``co_name``.
+    return f"{where}:{getattr(code, 'co_qualname', code.co_name)}"
 
 
 def main(argv=None) -> int:

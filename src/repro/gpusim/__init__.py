@@ -10,7 +10,7 @@ from .memsys import (
     REGION_PRIMITIVE,
 )
 from .rtunit import RTUnit, RTUnitStats
-from .scheduler import SCHEDULER_NAMES, select_warp
+from .scheduler import SCHEDULER_NAMES, scheduler_for
 from .stats import SimStats, merge_cache_stats
 from .timeline import TimelineSample, TimelineSampler
 from .warp import RayState, RayTask, WarpSlot
@@ -37,5 +37,5 @@ __all__ = [
     "SimulationLimitError",
     "WarpSlot",
     "merge_cache_stats",
-    "select_warp",
+    "scheduler_for",
 ]

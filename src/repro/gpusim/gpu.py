@@ -5,11 +5,12 @@ completion and returns :class:`~repro.gpusim.stats.SimStats`.  The
 replay engine is event-driven: the loop advances in time buckets (the
 memory system's agenda cycles plus per-unit wake cycles).  In each
 bucket it flushes the due agenda, then makes one pass over the units:
-each unit with actionable work gets its due deliveries and one step,
-and the stall cycles it skipped since its last step are credited in
-bulk.  Per-unit wake cycles come from :meth:`RTUnit.step`, which folds
-in the prefetcher's self-scheduled activity (queue releases, decision
-gates, adaptive epochs) so no decision point is ever skipped.  The
+each unit a fill reached or whose wake is due gets its due deliveries
+and, when the step can act, one step; the stall cycles it skipped are
+credited in bulk.  Per-unit wake cycles come from :meth:`RTUnit.step`,
+which folds in the prefetcher's self-scheduled activity (queue
+releases, decision gates, adaptive epochs) so no decision point is
+ever skipped, and from the heads of the unit's delivery FIFOs.  The
 SimStats digests in ``tests/golden/replay_simstats.json`` pin its
 results.
 """
@@ -64,7 +65,6 @@ class GpuModel:
                     prefetcher=prefetcher,
                 )
             )
-        self.memsys.units = self.units
         self._ray_count = 0
         self._warp_count = 0
         #: The cumulative cycle counter; each :meth:`run` continues it.
@@ -91,9 +91,9 @@ class GpuModel:
         line_bytes = self.config.l1.line_bytes
         # One pass over the trace set's node-id column resolves each
         # visit's byte address and treelet id (a numpy gather from the
-        # layout's tables) and, through the layout's memo, its primitive
-        # lines, so the replay hot paths index flat lists instead of
-        # chasing layout dicts.
+        # layout's tables) and, through the tree's memo, its primitive
+        # lines.  The four lists are the batch's visit columns: every
+        # ray reads its ``[start, end)`` slice of them in place.
         address_table, treelet_table = layout.lookup_arrays()
         node_ids = traces.node_ids
         addresses = address_table[node_ids].tolist()
@@ -105,12 +105,7 @@ class GpuModel:
         lookahead = next_treelets(treelet_ids, starts)
         prims = visit_prims(node_ids.tolist(), bvh, layout, line_bytes)
         tasks = [
-            RayTask(
-                addresses[start:end],
-                treelets[start:end],
-                lookahead[start:end],
-                prims[start:end],
-            )
+            RayTask(addresses, treelets, lookahead, prims, start, end)
             for start, end in zip(
                 starts.tolist(), offsets[1:][visited].tolist()
             )
@@ -151,17 +146,25 @@ class GpuModel:
         work; returns the cycle one past the last worked cycle.
 
         A bucket is processed at every agenda cycle and at every
-        per-unit wake cycle (from :meth:`RTUnit.step`).  Fills mark
-        their unit dirty so data is acted on in the cycle it lands.
-        After the flush, one pass over the units delivers each woken
-        unit's due responses and test completions and steps it: a
-        unit's deliveries touch only its own state and additive
-        counters, and a due FIFO head always means a due wake.  Cycles
-        a unit skips are cycles its step would only have counted as
-        stalls; they are credited in bulk at its next step with the
-        stall kind captured when the skip began (warp state changes
-        only in a step or a delivery, which dirties the unit).  A
-        timeline sample due at a bucket reads each unit after its
+        per-unit wake cycle.  Fills mark their unit dirty so data is
+        acted on in the cycle it lands.  After the flush, one pass over
+        the units delivers each dirty or woken unit's due responses and
+        test completions and steps it: a unit's deliveries touch only
+        its own state and additive counters.  Cycles a unit skips are
+        cycles its step would only have counted as stalls; they are
+        credited in bulk at its next visit with the stall kind captured
+        when the skip began.
+
+        A visit whose deliveries leave nothing for the step to do costs
+        no step: when the unit's last step found no selectable warp
+        (kind 1), no delivery set ``must_step`` (no test completed, no
+        ray became ready, no prefetch completion ran) and its own wake
+        (:meth:`RTUnit.step`'s, before the FIFO heads are folded in) is
+        still ahead, the step would only count a stall, so the engine
+        counts it and emits its ``rtunit.stall`` event.  A fill to a
+        unit blocked on full MSHRs (kind 2) always steps it.
+
+        A timeline sample due at a bucket reads each unit after its
         deliveries and before its step; one due between buckets reads
         the state the last bucket left.
         """
@@ -175,6 +178,8 @@ class GpuModel:
         n = len(units)
         indices = tuple(range(n))
         wakes = [start] * n
+        #: each unit's own wake, from its last step (FIFO heads apart).
+        owns = [start] * n
         last_step = [start - 1] * n
         kinds = [0] * n
         agenda = memsys.agenda_cycles
@@ -198,17 +203,15 @@ class GpuModel:
                 if unit.dirty or wakes[i] <= cycle:
                     # Deliveries, behind an inline check of the FIFO
                     # heads (each FIFO is in due order).
-                    fifo = unit._hit_responses
-                    if fifo and fifo[0][0] <= cycle:
+                    box_tests = unit._box_tests
+                    prim_tests = unit._prim_tests
+                    hits = unit._hit_responses
+                    if (
+                        (hits and hits[0][0] <= cycle)
+                        or (box_tests and box_tests[0][0] <= cycle)
+                        or (prim_tests and prim_tests[0][0] <= cycle)
+                    ):
                         unit.run_tests_due(cycle)
-                    else:
-                        fifo = unit._box_tests
-                        if fifo and fifo[0][0] <= cycle:
-                            unit.run_tests_due(cycle)
-                        else:
-                            fifo = unit._prim_tests
-                            if fifo and fifo[0][0] <= cycle:
-                                unit.run_tests_due(cycle)
                     unit.dirty = False
                     if readings is not None:
                         readings[i] = unit_reading(unit)
@@ -229,7 +232,27 @@ class GpuModel:
                                 args=None if kind == 1 else {"reason": "mshr"},
                             )
                     last_step[i] = cycle
-                    wakes[i], kinds[i] = unit.step(cycle)
+                    wake = owns[i]
+                    if kind == 1 and wake > cycle and not unit.must_step:
+                        # The step would only count this stall cycle.
+                        unit.stats.stall_cycles += 1
+                        if unit.obs is not None:
+                            unit.obs.emit(
+                                "rtunit.stall", cycle, f"RT{unit.sm_id}",
+                                dur=1,
+                            )
+                    else:
+                        unit.must_step = False
+                        wake, kinds[i] = unit.step(cycle)
+                        owns[i] = wake
+                    if wake > cycle + 1:
+                        if box_tests and box_tests[0][0] < wake:
+                            wake = box_tests[0][0]
+                        if prim_tests and prim_tests[0][0] < wake:
+                            wake = prim_tests[0][0]
+                        if hits and hits[0][0] < wake:
+                            wake = hits[0][0]
+                    wakes[i] = wake
                 elif readings is not None:
                     readings[i] = unit_reading(unit)
             # Test-FIFO and hit-response due cycles are folded into each
@@ -241,7 +264,7 @@ class GpuModel:
                 timeline.record(cycle, readings)
                 readings = None
             # A unit only goes idle in its deliveries or step, so the
-            # completion check is needed only on buckets that stepped
+            # completion check is needed only on buckets that visited
             # someone.
             if stepped:
                 for unit in units:

@@ -23,10 +23,12 @@ Outstanding work lives in per-cycle *agenda buckets* (``cycle ->
 The replay engine flushes due buckets with :meth:`MemorySystem.flush_due`
 and the trailing ones with :meth:`MemorySystem.drain`.  A flush
 classifies every L2 transfer of its bucket against the L2 tag/MSHR
-state in one pass, and L2 MSHR waiters are ``(fill_kind, sm)`` tuples
-rather than closures.  Trace emits sit on
-this one path, each under an ``obs is not None`` guard, so an observed
-run executes exactly the code an unobserved one does.
+state in one pass.  MSHR waiters are tuples rather than closures: an
+L2 waiter is ``(fill_kind, sm)``, and an L1 demand waiter is the RT
+unit's ``(is_node, warp, rays, issue_cycle, address)`` record, which
+the fill hands to that unit.  Trace emits sit on this one path, each
+under an ``obs is not None`` guard, so an observed run executes exactly
+the code an unobserved one does.
 """
 
 from __future__ import annotations
@@ -109,12 +111,13 @@ class MemorySystem:
         self.stream_buffer_hits = 0
         #: optional trace bus (repro.obs); None = tracing disabled.
         self.obs = None
-        #: RT units indexed by SM, installed by the GPU model.  Every L1
-        #: or stream-buffer fill marks its SM's unit dirty so the replay
-        #: engine steps it in the cycle the data lands — fills are also
-        #: the only transition that frees an MSHR, which makes a unit's
-        #: sleep on full MSHRs exact.
-        self.units: Optional[list] = None
+        #: RT units indexed by SM; each unit installs itself.  An L1 fill
+        #: hands the demand records parked in its MSHR to its SM's unit,
+        #: and every L1 or stream-buffer fill marks that unit dirty so the
+        #: replay engine visits it in the cycle the data lands — fills
+        #: are also the only transition that frees an MSHR, which makes a
+        #: unit's sleep on full MSHRs exact.
+        self.units: list = [None] * config.n_sms
         self._agenda: Dict[int, list] = {}
         #: heap of the agenda's bucket cycles, one entry per bucket.
         self.agenda_cycles: List[int] = []
@@ -380,8 +383,9 @@ class MemorySystem:
         the probe, whose stat/LRU/MSHR bodies are inlined from
         ``Cache.probe``; downstream work lands in agenda buckets.
         ``responder(done_cycle)`` fires when the data reaches the RT
-        unit.  The RT unit's demand issue calls this directly with a
-        responder that records the demand latency itself.
+        unit.  The RT unit's demand issue inlines this probe with its own
+        waiter records (:meth:`RTUnit._issue_demand`); prefetches and
+        :meth:`access` callers come through here.
         """
         l1 = self.l1s[sm]
         tracker = self.trackers[sm]
@@ -605,15 +609,21 @@ class MemorySystem:
             set_map[line] = cycle if filled_by_prefetch else DEMANDED
         if filled_by_prefetch:  # the tracker ignores demand fills
             self.trackers[sm].on_fill(line, True)
-        if self.units is not None:
-            self.units[sm].dirty = True
+        unit = self.units[sm]
+        if unit is not None:
+            unit.dirty = True
         if filled_by_prefetch and self.obs is not None:
             self.obs.emit(
                 "prefetch.fill", cycle, l1.name, args={"sm": sm, "line": line}
             )
         if waiters is not None:
+            # A demand record goes straight to its unit; anything else
+            # parked here is a callback.
             for waiter in waiters:
-                waiter(cycle)
+                if waiter.__class__ is tuple:
+                    unit._respond(waiter, cycle)
+                else:
+                    waiter(cycle)
 
     def _fill_stream(self, sm: int, line: int, cycle: int) -> None:
         tracker = self.trackers[sm]
@@ -621,8 +631,9 @@ class MemorySystem:
         was_prefetch = buffer.mshr_owner_is_prefetch(line)
         waiters = buffer.fill(line, cycle)
         tracker.on_fill(line, bool(was_prefetch))
-        if self.units is not None:
-            self.units[sm].dirty = True
+        unit = self.units[sm]
+        if unit is not None:
+            unit.dirty = True
         if was_prefetch and self.obs is not None:
             self.obs.emit(
                 "prefetch.fill",

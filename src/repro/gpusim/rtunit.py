@@ -12,21 +12,25 @@ only in cycles where it can act.  Box/primitive test completions and
 L1-hit responses wait in per-unit FIFO queues (their latencies are
 constants, so due cycles are appended in order);
 :meth:`RTUnit.run_tests_due` delivers them right before a step, and
-:meth:`RTUnit.step` returns when the engine must step the unit next.
+:meth:`RTUnit.step` returns when the unit can next act on its own.
+A demand miss parks a ``(is_node, warp, rays, issue_cycle, address)``
+record in its L1 MSHR, and the fill hands it to :meth:`RTUnit._respond`.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.config import GpuConfig
 from ..prefetch.base import Prefetcher
-from .cache import DEMANDED, HIT
-from .memsys import MemorySystem, REGION_NODE, REGION_PRIMITIVE
-from .scheduler import select_warp
+from .cache import DEMANDED, HIT, PENDING_HIT
+from .memsys import (
+    _TO_L2_DEMAND, MemorySystem, REGION_NODE, REGION_PRIMITIVE,
+)
+from .scheduler import scheduler_for
 from .warp import (
     DONE, FETCH_READY, PRIM_READY, TESTING, WAIT_NODE, WAIT_PRIM, RayTask,
     WarpSlot,
@@ -35,6 +39,10 @@ from .warp import (
 #: The wake of a unit that waits for a memory response (later than any
 #: cycle), so the engine takes the next wake with a plain ``min``.
 NO_WAKE = 1 << 62
+
+#: What a demand miss parks in its L1 MSHR, and a queued hit response
+#: carries: ``(is_node, warp, rays, issue_cycle, address)``.
+DemandRecord = Tuple[bool, WarpSlot, List[RayTask], int, int]
 
 
 @dataclass
@@ -65,6 +73,8 @@ class RTUnit:
         self.config = config
         self.memsys = memsys
         self.scheduler_policy = scheduler_policy
+        #: the policy's selection function, resolved (and validated) once.
+        self._select_warp = scheduler_for(scheduler_policy)
         self.prefetcher = prefetcher or Prefetcher()
         self.pending_warps: Deque[List[RayTask]] = deque()
         self.buffer: List[WarpSlot] = []
@@ -75,23 +85,28 @@ class RTUnit:
         #: bumped whenever warp-buffer vote state changes (voter gate);
         #: it stays 0 when the prefetcher has no voter to gate.
         self.vote_version = 0
-        #: set by memory responses, fills and test completions so the
-        #: replay engine steps this unit in the same cycle the data
-        #: lands.  The engine clears it.
+        #: set by every fill into this SM's L1 or stream buffer (and by
+        #: prefetch completion callbacks), so the replay engine visits
+        #: this unit in the cycle the data lands.  The engine clears it.
         self.dirty = False
-        #: op-unit pipelines: FIFOs of ``(due, warp, ray)``
-        #: test completions.  Box and primitive test latencies are each
-        #: a constant, so within one queue due cycles are appended in
-        #: nondecreasing order and a deque is the whole schedule.
-        self._box_tests: Deque[Tuple[int, WarpSlot, RayTask]] = deque()
-        self._prim_tests: Deque[Tuple[int, WarpSlot, RayTask]] = deque()
-        #: L1-hit responses awaiting delivery, as
-        #: ``(due, is_node, warp, rays, issue_cycle, address)``.  Hit
+        #: set when a delivery changes what a step can do: a test
+        #: completion, a ray made issue-ready, a prefetch completion
+        #: callback.  A unit whose last step found no ready warp is
+        #: stepped on a fill only when this is set (or its own wake is
+        #: due); otherwise the engine credits the stall cycle the step
+        #: would have counted.  A step clears it.
+        self.must_step = False
+        #: op-unit pipelines: FIFOs of ``(due, warp, rays)`` test
+        #: completions, one entry per response group.  Box and primitive
+        #: test latencies are each a constant, so within one queue due
+        #: cycles are appended in nondecreasing order and a deque is the
+        #: whole schedule.
+        self._box_tests: Deque[Tuple[int, WarpSlot, List[RayTask]]] = deque()
+        self._prim_tests: Deque[Tuple[int, WarpSlot, List[RayTask]]] = deque()
+        #: L1-hit responses awaiting delivery, as ``(due, record)``.  Hit
         #: latency is a constant, so due cycles are appended in
         #: nondecreasing order.
-        self._hit_responses: Deque[
-            Tuple[int, bool, WarpSlot, List[RayTask], int, int]
-        ] = deque()
+        self._hit_responses: Deque[Tuple[int, DemandRecord]] = deque()
         # Hot-loop constants, resolved once per unit.
         self._baseline_sched = scheduler_policy == "baseline"
         self._adaptive_feedback = (
@@ -132,6 +147,8 @@ class RTUnit:
         self._count_ready = not self._baseline_sched
         if self._count_votes:
             self.prefetcher.vote_counts = self._alive_votes
+        # Fills hand this SM's demand records to this unit.
+        memsys.units[sm_id] = self
 
     # -- workload loading -------------------------------------------------
 
@@ -154,21 +171,21 @@ class RTUnit:
         Deliver due test completions and hit responses first
         (:meth:`run_tests_due`); the engine does so before every step.
 
-        Returns ``(wake, kind)``: when the engine must next step this
-        unit, and what each skipped cycle until then counts as.
-        ``wake`` is the earliest future cycle the unit can act absent
-        memory responses: an admit, an issue-ready ray with a free
-        MSHR, the prefetcher's self-scheduled activity, or the head of
-        a test or hit-response FIFO.  :data:`NO_WAKE` means the unit
-        waits for a response to mark it dirty.  A selectable warp held
-        off by full MSHRs sleeps until a fill dirties the unit — fills
-        are the only way MSHRs free up.
+        Returns ``(wake, kind)``: the unit's own wake, and what each
+        skipped cycle until then counts as.  ``wake`` is the earliest
+        future cycle the unit can act absent deliveries: an admit, an
+        issue-ready ray with a free MSHR, or the prefetcher's
+        self-scheduled activity.  :data:`NO_WAKE` means the unit waits
+        for a delivery.  The engine folds in the heads of the test and
+        hit-response FIFOs.  A selectable warp held off by full MSHRs
+        sleeps until a fill dirties the unit — fills are the only way
+        MSHRs free up.
 
         ``kind`` is 0 (empty warp buffer: nothing), 1 (resident warps,
         none selectable: ``stall_cycles``) or 2 (selectable warp blocked
         by full L1 MSHRs: ``mshr_stall_cycles``).  It holds for the whole
-        gap: warp state changes only in a step or a delivery, and every
-        delivery dirties the unit, ending the gap.
+        gap: warp state changes only in a step or a delivery, and a
+        delivery that can change what a step does sets ``must_step``.
         """
         buffer = self.buffer
         stats = self.stats
@@ -199,17 +216,15 @@ class RTUnit:
                     )
         issued = 0
         if self._baseline_sched or prefetcher.last_prefetched_treelet is None:
-            # ``select_warp``'s baseline arm, inlined: oldest ready warp.
+            # ``select_oldest``, inlined.
             warp = None
             for candidate in buffer:
                 if candidate.ready_count > 0:
                     warp = candidate
                     break
         else:
-            warp = select_warp(
-                self.scheduler_policy,
-                buffer,
-                prefetcher.last_prefetched_treelet,
+            warp = self._select_warp(
+                buffer, prefetcher.last_prefetched_treelet
             )
         l1 = self._l1
         if warp is not None and len(l1._mshrs) < l1._mshr_capacity:
@@ -252,21 +267,16 @@ class RTUnit:
                     break
         kind = 2 if ready else (1 if buffer else 0)
         if self.pending_warps and len(buffer) < self._warp_buffer_size:
-            # An admit can happen next cycle; every FIFO head is later.
-            return cycle + 1, kind
+            return cycle + 1, kind  # an admit can happen next cycle
         if ready and len(l1._mshrs) < l1._mshr_capacity:
             return cycle + 1, kind
         # Base prefetcher: queue_depth() is 0, so its next_activity_cycle
         # is always None — skip the call.
-        wake = None
         if not null_prefetcher:
             wake = prefetcher.next_activity_cycle(cycle, self.vote_version)
-        if wake is None:
-            wake = NO_WAKE
-        for fifo in (self._box_tests, self._prim_tests, self._hit_responses):
-            if fifo and fifo[0][0] < wake:
-                wake = fifo[0][0]
-        return wake, kind
+            if wake is not None:
+                return wake, kind
+        return NO_WAKE, kind
 
     def _issue_prefetch(self, request, cycle: int) -> None:
         """Send the prefetcher's popped ``request`` to the memory system."""
@@ -285,7 +295,7 @@ class RTUnit:
             )
         callback = request.on_complete
         if callback is not None:
-            callback = self._mark_dirty(callback)
+            callback = self._wake_on(callback)
         self.memsys.access(
             self.sm_id,
             request.address,
@@ -308,11 +318,13 @@ class RTUnit:
         bit set, and the scan keeps going because later rays can still
         coalesce into already-claimed lines.
 
-        An L1 resident hit is serviced inline (the probe's hit body plus
-        the effectiveness classification) and its response queued on
-        the unit's hit FIFO; misses go through
-        :meth:`MemorySystem.l1_access` with a callback that records the
-        demand latency itself.
+        Each line's L1 probe is inlined here, for every run, observed
+        or not and whatever the prefetch destination: a resident hit
+        queues its response on the unit's hit FIFO; a pending hit
+        appends the group's demand record to the in-flight MSHR; a miss
+        allocates an MSHR holding the record, lets the stream buffer
+        intercept it when there is one, and otherwise sends the line
+        below.  The fill hands each record to :meth:`_respond`.
         """
         mask = warp.ready_mask
         if not mask:
@@ -367,8 +379,8 @@ class RTUnit:
                 if pending:
                     continue
                 ray.state = wait_prim
-            # The claim succeeded: the ray leaves the ready set.  This is
-            # ``warp.note_unready`` inlined (mask bits are batched below).
+            # The claim succeeded: the ray leaves the ready set (its mask
+            # bit is cleared in the batch below).
             claimed_mask |= low
             claimed_rays += 1
             if ready_treelets is not None:
@@ -386,16 +398,20 @@ class RTUnit:
         warp_id = warp.warp_id
         l1 = self._l1
         obs = l1.obs
-        l1_access = self.memsys.l1_access
+        memsys = self.memsys
         demand_hook = self._demand_hook
         tracker = self._tracker
         lstats = l1.stats
         sets = l1._sets
         n_sets = l1._n_sets
+        mshrs = l1._mshrs
+        prefetch_mshrs = l1._prefetch_mshrs
+        # Hit responses and L1 -> L2 requests are both due after the L1
+        # latency; the agenda bucket for that cycle is resolved on first
+        # use.
         due = cycle + self._l1_latency
+        below = None
         responses = self._hit_responses
-        respond = self._respond
-        hit = HIT
         for is_node, groups in ((True, node_groups), (False, prim_groups)):
             for address, rays in groups.values():
                 if demand_hook is not None:
@@ -403,30 +419,56 @@ class RTUnit:
                 line = address // line_bytes
                 set_map = sets[line % n_sets]
                 state = set_map.get(line)
-                if state is None:
-                    l1_access(
-                        sm_id,
-                        address,
-                        cycle,
-                        False,
-                        partial(respond, is_node, warp, rays, cycle, address),
-                    )
-                    continue
-                # Resident hit, inlined from ``Cache.probe``: classify on
-                # the pre-probe state (the tracker acts only on a first
-                # hit to a prefetched line), then the probe's hit body.
+                record = (is_node, warp, rays, cycle, address)
                 lstats.demand_accesses += 1
-                lstats.demand_hits += 1
-                if state >= 0:
-                    tracker.on_demand_probe(line, hit, state, None)
-                    lstats.demand_hits_on_prefetched += 1
+                if state is not None:
+                    # Resident hit: classify on the pre-probe state (the
+                    # tracker acts only on a first hit to a prefetched
+                    # line), then the probe's hit body.
+                    lstats.demand_hits += 1
+                    if state >= 0:
+                        tracker.on_demand_probe(line, HIT, state, None)
+                        lstats.demand_hits_on_prefetched += 1
+                        if obs is not None:
+                            l1.trace_first_hit(cycle, line, state)
+                        set_map[line] = DEMANDED
+                    set_map.move_to_end(line)
                     if obs is not None:
-                        l1.trace_first_hit(cycle, line, state)
-                    set_map[line] = DEMANDED
-                set_map.move_to_end(line)
+                        l1.trace_access(cycle, line, "hit", False)
+                    responses.append((due, record))
+                    continue
+                waiters = mshrs.get(line)
+                if waiters is not None:
+                    # Pending hit: the record waits on the in-flight fill.
+                    owner = line in prefetch_mshrs
+                    if obs is not None:
+                        l1.trace_merge(cycle, line, owner, False)
+                    lstats.demand_pending_hits += 1
+                    if owner:
+                        # The tracker acts on a demand catching a
+                        # prefetch, which now owns the fill.
+                        tracker.on_demand_probe(line, PENDING_HIT, None, owner)
+                        lstats.demand_pending_on_prefetch += 1
+                        prefetch_mshrs.remove(line)
+                    waiters.append(record)
+                    if obs is not None:
+                        l1.trace_access(cycle, line, "pending_hit", False)
+                    continue
+                # Miss; a demand miss resolves no prefetch episode.
+                lstats.demand_misses += 1
+                mshrs[line] = [record]
                 if obs is not None:
-                    l1.trace_access(cycle, line, "hit", False)
-                responses.append((due, is_node, warp, rays, cycle, address))
+                    l1.trace_access(cycle, line, "miss", False)
+                if memsys.uses_stream_buffers and memsys._demand_checks_stream(
+                    sm_id, address, line, cycle
+                ):
+                    continue
+                if below is None:
+                    below = memsys._agenda.get(due)
+                    if below is None:
+                        below = memsys._agenda[due] = []
+                        heapq.heappush(memsys.agenda_cycles, due)
+                below.append((_TO_L2_DEMAND, sm_id, address))
         stats = self.stats
         stats.node_fetches_issued += len(node_groups)
         stats.primitive_fetches_issued += len(prim_groups)
@@ -434,29 +476,25 @@ class RTUnit:
 
     # -- response / op-unit path ---------------------------------------------
 
-    def _mark_dirty(self, callback):
+    def _wake_on(self, callback):
+        """``callback`` wrapped to make the engine step this unit in the
+        cycle it runs (a completion may change the prefetcher's state)."""
         def wrapped(cycle: int) -> None:
             self.dirty = True
+            self.must_step = True
             callback(cycle)
 
         return wrapped
 
-    def _respond(
-        self,
-        is_node: bool,
-        warp: WarpSlot,
-        rays: List[RayTask],
-        issue_cycle: int,
-        address: int,
-        cycle: int,
-    ) -> None:
-        """Demand data for ``rays`` reaches the unit at ``cycle``.
+    def _respond(self, record: DemandRecord, cycle: int) -> None:
+        """Demand data for ``record``'s rays reaches the unit at ``cycle``.
 
         Records the demand latency.  Node data then starts each ray's
         box test (or, at a leaf, its primitive fetches); primitive data
-        starts a ray's primitive test once all of its lines are in.
+        starts a ray's primitive test once all of its lines are in.  The
+        rays whose test starts here are queued as one group.
         """
-        self.dirty = True
+        is_node, warp, rays, issue_cycle, address = record
         latency = cycle - issue_cycle
         all_lat = self._all_latency
         all_lat.total_cycles += latency
@@ -470,40 +508,47 @@ class RTUnit:
                 issue_cycle,
                 cycle,
             )
+        testing = TESTING
+        group = []
         if is_node:
             node_lat = self._node_latency
             node_lat.total_cycles += latency
             node_lat.count += 1
-            box_tests = self._box_tests
-            due = cycle + self._box_latency
-            testing = TESTING
             ready_treelets = warp.ready_treelet_counts
             for ray in rays:
                 cursor = ray.cursor
                 lines = ray.prims[cursor]
                 if lines is None:
                     ray.state = testing
-                    box_tests.append((due, warp, ray))
+                    group.append(ray)
                     continue
                 ray.prim_lines_pending = list(lines)
                 ray.prim_lines_outstanding = 0
                 ray.state = PRIM_READY
-                # ``warp.note_ready(ray)``, inlined.
+                self.must_step = True
+                # The ray rejoins the warp's ready set.
                 warp.ready_count += 1
                 warp.ready_mask |= 1 << ray.slot_index
                 if ready_treelets is not None:
                     ready_treelets[ray.treelets[cursor]] += 1
+            if group:
+                self._box_tests.append(
+                    (cycle + self._box_latency, warp, group)
+                )
         else:
-            prim_tests = self._prim_tests
-            due = cycle + self._prim_latency
+            wait_prim = WAIT_PRIM
             for ray in rays:
                 ray.prim_lines_outstanding -= 1
                 if (
-                    ray.state is WAIT_PRIM
+                    ray.state is wait_prim
                     and ray.prim_lines_outstanding == 0
                 ):
-                    ray.state = TESTING
-                    prim_tests.append((due, warp, ray))
+                    ray.state = testing
+                    group.append(ray)
+            if group:
+                self._prim_tests.append(
+                    (cycle + self._prim_latency, warp, group)
+                )
 
     def run_tests_due(self, cycle: int) -> None:
         """Deliver every queued hit response and test completion due.
@@ -513,14 +558,14 @@ class RTUnit:
         their due cycle.  Within one cycle the deliveries commute with
         each other, with the flush and with other units' steps: they
         touch this unit's rays only, disjoint ones (a queued response's
-        rays wait in WAIT_*, a queued test's ray is TESTING, a fill's
+        rays wait in WAIT_*, a queued test's rays are TESTING, a fill's
         waiters are other misses' rays), and all shared counters are
         additive.
         """
         responses = self._hit_responses
         while responses and responses[0][0] <= cycle:
-            due, is_node, warp, rays, issue, address = responses.popleft()
-            self._respond(is_node, warp, rays, issue, address, due)
+            due, record = responses.popleft()
+            self._respond(record, due)
         box_tests = self._box_tests
         prim_tests = self._prim_tests
         if not (
@@ -531,7 +576,7 @@ class RTUnit:
         # Drain due test completions inline: this fires once per
         # completed visit, so a call per test would be the engine's
         # single largest fixed cost.
-        self.dirty = True
+        self.must_step = True
         fetch_ready = FETCH_READY
         done_state = DONE
         count_votes = self._count_votes
@@ -539,22 +584,23 @@ class RTUnit:
         completed = 0
         for tests in (box_tests, prim_tests):
             while tests and tests[0][0] <= cycle:
-                due, warp, ray = tests.popleft()
-                completed += 1
-                cursor = ray.cursor + 1
-                ray.cursor = cursor
-                if cursor >= ray.n_visits:
-                    ray.state = done_state
-                    if count_votes:
-                        old_vote = ray.lookahead[cursor - 1]
-                        warp.note_ray_done(old_vote)
-                        if old_vote != -1:
-                            self.vote_version += 1
-                    else:
-                        warp.done_count += 1
-                    if warp.done_count >= len(warp.rays):
-                        self._retire(warp, due)
-                else:
+                due, warp, group = tests.popleft()
+                completed += len(group)
+                for ray in group:
+                    cursor = ray.cursor + 1
+                    ray.cursor = cursor
+                    if cursor >= ray.end:
+                        ray.state = done_state
+                        if count_votes:
+                            old_vote = ray.lookahead[cursor - 1]
+                            warp.note_ray_done(old_vote)
+                            if old_vote != -1:
+                                self.vote_version += 1
+                        else:
+                            warp.done_count += 1
+                        if warp.done_count >= len(warp.rays):
+                            self._retire(warp, due)
+                        continue
                     ray.state = fetch_ready
                     if count_votes:
                         lookahead = ray.lookahead
@@ -563,7 +609,7 @@ class RTUnit:
                         if new_vote != old_vote:
                             warp.note_vote_change(old_vote, new_vote)
                             self.vote_version += 1
-                    # ``warp.note_ready(ray)``, inlined.
+                    # The ray rejoins the warp's ready set.
                     warp.ready_count += 1
                     warp.ready_mask |= 1 << ray.slot_index
                     if count_ready:

@@ -99,18 +99,21 @@ FETCH_READY, WAIT_NODE, PRIM_READY, WAIT_PRIM, TESTING, DONE = RayState
 class RayTask:
     """One ray's traversal replay state.
 
-    Per-visit addresses/treelets/lookahead/primitive lines are
-    structure-of-arrays lists indexed by ``cursor``; the hot paths in
-    the RT unit index them directly instead of chasing layout dicts.
-    ``GpuModel.load`` gathers them for a whole trace set in one pass.
+    The per-visit addresses, treelets, lookahead treelets and primitive
+    lines are structure-of-arrays columns shared by every ray of a
+    batch: ``GpuModel.load`` gathers them for a whole trace set in one
+    pass, and a ray holds the columns plus its ``[start, end)`` slice
+    of them.  ``cursor`` is the batch index of the visit the ray is on,
+    so the hot paths in the RT unit index the columns directly.
 
     A ``__slots__`` class (not a dataclass): the replay engine reads
-    ``state``/``cursor``/the SoA lists on every issue, response, and
-    test completion, so the slot layout is a measurable win.
+    ``state``/``cursor``/the columns on every issue, response, and test
+    completion, so the slot layout is a measurable win.
     """
 
     __slots__ = (
-        "n_visits",
+        "start",
+        "end",
         "cursor",
         "state",
         "prim_lines_pending",
@@ -128,10 +131,16 @@ class RayTask:
         treelets: List[int],
         lookahead: List[int],
         prims: List[Optional[Tuple[int, ...]]],
+        start: int = 0,
+        end: Optional[int] = None,
     ) -> None:
-        self.n_visits = len(addresses)
-        self.cursor = 0
-        self.state = FETCH_READY if addresses else DONE
+        if end is None:
+            end = len(addresses)
+        #: the ray's visits are ``[start, end)`` of the columns.
+        self.start = start
+        self.end = end
+        self.cursor = start
+        self.state = FETCH_READY if start < end else DONE
         #: distinct lines still to issue for the current leaf's triangles
         #: (the shared empty tuple until the ray reaches a leaf).
         self.prim_lines_pending = ()
@@ -153,31 +162,12 @@ class RayTask:
         self.prims = prims
 
     @property
+    def n_visits(self) -> int:
+        return self.end - self.start
+
+    @property
     def done(self) -> bool:
         return self.state is DONE
-
-    def current_node_address(self) -> int:
-        return self.addresses[self.cursor]
-
-    def current_treelet(self) -> int:
-        """Treelet of the node this ray is fetching / about to fetch."""
-        if self.done:
-            return -1
-        return self.treelets[self.cursor]
-
-    def lookahead_treelet(self) -> int:
-        """The next *different* treelet this ray will enter (-1 if none)."""
-        if self.done:
-            return -1
-        return self.lookahead[self.cursor]
-
-    def advance(self) -> None:
-        """Move past the current visit (all its work is complete)."""
-        self.cursor += 1
-        if self.cursor >= self.n_visits:
-            self.state = RayState.DONE
-        else:
-            self.state = RayState.FETCH_READY
 
 
 class WarpSlot:
@@ -257,19 +247,6 @@ class WarpSlot:
 
     # -- counter maintenance (called by the RT unit on transitions) ------
 
-    def note_ready(self, ray: RayTask) -> None:
-        self.ready_count += 1
-        self.ready_mask |= 1 << ray.slot_index
-        # ``ray.current_treelet()`` inlined: callers transition the ray
-        # to FETCH_READY / PRIM_READY immediately before this, so the
-        # done branch is unreachable and the cursor is in range.
-        self.ready_treelet_counts[ray.treelets[ray.cursor]] += 1
-
-    def note_unready(self, ray: RayTask, treelet: int) -> None:
-        self.ready_count -= 1
-        self.ready_mask &= ~(1 << ray.slot_index)
-        self._dec(self.ready_treelet_counts, treelet)
-
     def note_vote_change(self, old: int, new: int) -> None:
         """The ray's lookahead treelet moved from ``old`` to ``new``."""
         if old != -1:
@@ -304,13 +281,6 @@ class WarpSlot:
         counts[key] -= 1
         if counts[key] <= 0:
             del counts[key]
-
-    def ready_rays(self) -> List[RayTask]:
-        return [
-            ray
-            for ray in self.rays
-            if ray.state in (RayState.FETCH_READY, RayState.PRIM_READY)
-        ]
 
     def winner_treelet(self) -> Optional[int]:
         """This warp's most common next-treelet (the level-1 voter)."""

@@ -6,7 +6,7 @@ import pytest
 from conftest import ray_task
 from repro.bvh import dfs_layout
 from repro.core.config import CacheConfig, GpuConfig
-from repro.gpusim import MemorySystem, RTUnit, RayState
+from repro.gpusim import GpuModel, MemorySystem, RTUnit, RayState, RayTask
 from repro.prefetch import (
     Prefetcher, PrefetchRequest, TreeletAddressMap, TreeletPrefetcher,
 )
@@ -314,3 +314,92 @@ class TestVoteVersion:
         (slot,) = unit.buffer
         assert slot.alive_treelet_counts is None
         assert sum(slot.ready_treelet_counts.values()) == slot.ready_count
+
+
+def interior_path(bvh):
+    """The root and an interior child of it: two visits, no leaf."""
+    child = next(
+        node_id for node_id in bvh.root.child_ids
+        if not bvh.nodes[node_id].is_leaf
+    )
+    return [bvh.ROOT_ID, child]
+
+
+class TestStandaloneDelivery:
+    def test_fill_hands_the_record_to_a_standalone_unit(self, small_bvh):
+        """A unit built without a GpuModel installs itself, so the fill
+        of a demand miss reaches the record parked in its MSHR."""
+        layout = dfs_layout(small_bvh)
+        unit, memsys = make_unit()
+        assert memsys.units == [unit]
+        ray = ray_task([small_bvh.ROOT_ID], small_bvh, layout, 128)
+        unit.add_warp([ray])
+        unit.step(0)
+        line = layout.address_of(small_bvh.ROOT_ID) // 128
+        ((is_node, _warp, rays, issue_cycle, address),) = (
+            memsys.l1s[0]._mshrs[line]
+        )
+        assert (is_node, rays, issue_cycle) == (True, [ray], 0)
+        assert address == layout.address_of(small_bvh.ROOT_ID)
+        assert ray.state is RayState.WAIT_NODE
+        memsys.drain(0)
+        assert ray.state is RayState.TESTING
+        assert memsys.node_demand_latency.count == 1
+
+    def test_ray_in_a_batch_fetches_only_its_own_visits(self, small_bvh):
+        class DemandLog(Prefetcher):
+            def __init__(self):
+                super().__init__()
+                self.addresses = []
+
+            def on_demand_issue(self, warp_id, address, cycle):
+                self.addresses.append(address)
+
+        layout = dfs_layout(small_bvh)
+        path = interior_path(small_bvh)
+        before, after = [small_bvh.leaf_ids()[0]], [small_bvh.leaf_ids()[-1]]
+        batch = ray_task(before + path + after, small_bvh, layout, 128)
+        ray = RayTask(
+            batch.addresses, batch.treelets, batch.lookahead, batch.prims,
+            len(before), len(before) + len(path),
+        )
+        log = DemandLog()
+        unit, memsys = make_unit(prefetcher=log)
+        unit.add_warp([ray])
+        run(unit, memsys)
+        assert log.addresses == [layout.address_of(n) for n in path]
+        assert unit.stats.visits_completed == len(path)
+        assert ray.cursor == ray.end and ray.done
+
+
+class TestStepsOnlyWhenTheStepCanAct:
+    def test_interior_node_responses_cost_no_step(self, small_bvh):
+        """A node response on an interior node only queues a box test:
+        the engine steps the unit at its admit and at each test
+        completion, never for the fill, and the stall cycles equal a
+        unit stepped in every cycle."""
+        layout = dfs_layout(small_bvh)
+        path = interior_path(small_bvh)
+        reference, memsys = make_unit()
+        reference.add_warp([ray_task(path, small_bvh, layout, 128)])
+        run(reference, memsys)
+
+        model = GpuModel(tiny_config())
+        (unit,) = model.units
+        unit.add_warp([ray_task(path, small_bvh, layout, 128)])
+        steps = []
+        step = unit.step
+        unit.step = lambda cycle: steps.append(cycle) or step(cycle)
+        model.run()
+        assert len(steps) == 1 + len(path)
+        assert unit.stats.node_fetches_issued == len(path)
+        assert unit.stats.stall_cycles == reference.stats.stall_cycles > 0
+        assert unit.stats.busy_cycles == reference.stats.busy_cycles
+        assert unit.stats.mshr_stall_cycles == 0
+        assert unit.stats.warp_latency_total == (
+            reference.stats.warp_latency_total
+        )
+
+    def test_unknown_policy_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="random"):
+            make_unit(policy="random")

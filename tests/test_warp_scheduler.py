@@ -4,7 +4,10 @@ import pytest
 
 from conftest import ray_task
 from repro.bvh import dfs_layout
-from repro.gpusim import RayState, WarpSlot, select_warp
+from repro.gpusim import RayState, RayTask, WarpSlot
+from repro.gpusim.scheduler import (
+    SCHEDULER_NAMES, scheduler_for, select_oldest, select_omr, select_pmr,
+)
 from repro.gpusim.warp import next_treelets, visit_prims
 from repro.treelet import form_treelets, treelet_layout
 
@@ -23,22 +26,41 @@ class TestRayTask:
         task = make_task(small_bvh, layout, [])
         assert task.done
 
-    def test_advance_walks_visits(self, small_bvh, layout):
+    def test_cursor_indexes_the_visit_columns(self, small_bvh, layout):
         path = [0, small_bvh.root.child_ids[0]]
         task = make_task(small_bvh, layout, path)
-        assert task.current_node_address() == layout.address_of(0)
-        task.advance()
-        assert task.current_node_address() == layout.address_of(path[1])
-        task.advance()
-        assert task.done
+        assert (task.start, task.cursor, task.end) == (0, 0, 2)
+        assert task.n_visits == 2
+        assert [task.addresses[i] for i in range(task.start, task.end)] == [
+            layout.address_of(node_id) for node_id in path
+        ]
 
     def test_current_node_address_matches_layout(self, small_bvh, layout):
         task = make_task(small_bvh, layout, [0])
-        assert task.current_node_address() == layout.address_of(0)
+        assert task.addresses[task.cursor] == layout.address_of(0)
 
     def test_current_treelet_matches_layout(self, small_bvh, layout, decomposition):
         task = make_task(small_bvh, layout, [0])
-        assert task.current_treelet() == decomposition.treelet_of(0)
+        assert task.treelets[task.cursor] == decomposition.treelet_of(0)
+
+    def test_ray_in_a_batch_reads_its_own_slice(self, small_bvh, layout):
+        """Rays of one batch share its visit columns; a ray in the middle
+        starts at its own first visit and ends before the next ray's."""
+        paths = [
+            [0], [0, small_bvh.root.child_ids[0]], [small_bvh.leaf_ids()[0]]
+        ]
+        batch = make_task(small_bvh, layout, sum(paths, []))
+        middle = RayTask(
+            batch.addresses, batch.treelets, batch.lookahead, batch.prims, 1, 3
+        )
+        assert middle.addresses is batch.addresses  # shared, not copied
+        assert (middle.cursor, middle.n_visits) == (1, 2)
+        assert middle.state is RayState.FETCH_READY
+        assert batch.addresses[middle.start:middle.end] == [
+            layout.address_of(node_id) for node_id in paths[1]
+        ]
+        assert RayTask(batch.addresses, batch.treelets, batch.lookahead,
+                       batch.prims, 2, 2).done
 
     def test_lookahead_is_next_different_treelet(
         self, small_bvh, layout, decomposition
@@ -54,9 +76,8 @@ class TestRayTask:
                 break
         assert path is not None, "fixture tree should have >1 treelet"
         task = make_task(small_bvh, layout, path)
-        assert task.lookahead_treelet() == decomposition.treelet_of(path[1])
-        task.advance()
-        assert task.lookahead_treelet() == -1
+        assert task.lookahead[0] == decomposition.treelet_of(path[1])
+        assert task.lookahead[1] == -1
 
     def test_prims_cover_leaf(self, small_bvh, layout):
         leaf_id = small_bvh.leaf_ids()[0]
@@ -93,11 +114,9 @@ class TestRayTask:
             expected.extend(look)
         assert next_treelets(flat, starts) == expected
 
-    def test_done_ray_reports_no_treelet(self, small_bvh, layout):
+    def test_last_visit_has_no_lookahead(self, small_bvh, layout):
         task = make_task(small_bvh, layout, [0])
-        task.advance()
-        assert task.current_treelet() == -1
-        assert task.lookahead_treelet() == -1
+        assert task.lookahead[task.end - 1] == -1
 
 
 class TestWarpSlot:
@@ -112,20 +131,20 @@ class TestWarpSlot:
         slot = WarpSlot(0, tasks, entry_cycle=0)
         assert slot.done
 
-    def test_ready_transitions(self, small_bvh, layout):
-        task = make_task(small_bvh, layout, [0])
-        slot = WarpSlot(0, [task], entry_cycle=0)
-        treelet = task.current_treelet()
-        slot.note_unready(task, treelet)
-        assert slot.ready_count == 0
-        assert treelet not in slot.ready_treelet_counts
-        slot.note_ready(task)
-        assert slot.ready_count == 1
+    def test_ready_ray_is_counted_by_its_treelet(self, small_bvh, layout):
+        tasks = [make_task(small_bvh, layout, [0]) for _ in range(2)]
+        tasks.append(make_task(small_bvh, layout, []))
+        slot = WarpSlot(0, tasks, entry_cycle=0)
+        assert [task.slot_index for task in tasks] == [0, 1, 2]
+        assert (slot.ready_count, slot.ready_mask, slot.done_count) == (
+            2, 0b11, 1
+        )
+        assert slot.ready_treelet_counts == {tasks[0].treelets[0]: 2}
 
     def test_vote_change_moves_counts(self, small_bvh, layout):
         task = make_task(small_bvh, layout, [0])
         slot = WarpSlot(0, [task], entry_cycle=0)
-        slot.note_vote_change(task.lookahead_treelet(), 99)
+        slot.note_vote_change(task.lookahead[task.cursor], 99)
         assert slot.alive_treelet_counts.get(99) == 1
 
     def test_winner_treelet_plurality(self, small_bvh, layout):
@@ -154,19 +173,19 @@ class FakeWarp:
 class TestSchedulers:
     def test_baseline_picks_oldest_ready(self):
         warps = [FakeWarp(0), FakeWarp(2), FakeWarp(5)]
-        assert select_warp("baseline", warps, None) is warps[1]
+        assert select_oldest(warps) is warps[1]
 
     def test_none_when_no_ready(self):
-        assert select_warp("baseline", [FakeWarp(0)], None) is None
-        assert select_warp("pmr", [], 1) is None
+        assert select_oldest([FakeWarp(0)]) is None
+        assert select_pmr([], 1) is None
 
     def test_omr_prefers_oldest_matching(self):
         warps = [FakeWarp(2, matching=0), FakeWarp(1, matching=1)]
-        assert select_warp("omr", warps, 1) is warps[1]
+        assert select_omr(warps, 1) is warps[1]
 
     def test_omr_falls_back_to_baseline(self):
         warps = [FakeWarp(2, matching=0), FakeWarp(1, matching=0)]
-        assert select_warp("omr", warps, 1) is warps[0]
+        assert select_omr(warps, 1) is warps[0]
 
     def test_pmr_maximizes_matching_rays(self):
         warps = [
@@ -174,16 +193,22 @@ class TestSchedulers:
             FakeWarp(4, matching=3),
             FakeWarp(4, matching=2),
         ]
-        assert select_warp("pmr", warps, 1) is warps[1]
+        assert select_pmr(warps, 1) is warps[1]
 
     def test_pmr_tie_prefers_older(self):
         warps = [FakeWarp(4, matching=2), FakeWarp(4, matching=2)]
-        assert select_warp("pmr", warps, 1) is warps[0]
+        assert select_pmr(warps, 1) is warps[0]
 
     def test_pmr_without_prefetch_is_baseline(self):
         warps = [FakeWarp(1), FakeWarp(5)]
-        assert select_warp("pmr", warps, None) is warps[0]
+        assert select_pmr(warps, None) is warps[0]
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            select_warp("random", [FakeWarp(1)], None)
+        with pytest.raises(ValueError, match="random"):
+            scheduler_for("random")
+
+    def test_policies_resolve_to_their_functions(self):
+        assert SCHEDULER_NAMES == ("baseline", "omr", "pmr")
+        assert [scheduler_for(name) for name in SCHEDULER_NAMES] == [
+            select_oldest, select_omr, select_pmr
+        ]

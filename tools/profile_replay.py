@@ -8,6 +8,12 @@ prints each function's share of the sampled CPU time.  A sample is
 charged to the innermost Python frame (self time), so the table shows
 where the interpreter actually runs, not who called it.
 
+After the CPU seconds it prints the work one pass does: the visits
+replayed, the ``RTUnit.step`` calls and the agenda flushes
+(``MemorySystem._flush`` calls).  Every pass does the same work, so
+they are counted in one more, untimed pass with those two methods
+wrapped in counters.
+
 Run:  PYTHONPATH=src python tools/profile_replay.py [--scale default]
       [--passes 3] [--interval-ms 1] [--top 25]
 
@@ -23,20 +29,54 @@ import signal
 import sys
 import time
 from pathlib import Path
+from typing import Dict
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks" / "suite"))
 
 from repro import api  # noqa: E402
 from repro.core import pipeline  # noqa: E402
+from repro.gpusim import MemorySystem, RTUnit  # noqa: E402
 from workloads import PANEL_SCENES, PANEL_TECHNIQUES  # noqa: E402
 
 
-def replay_panel(scale) -> None:
-    """One pass: the panel's thirty replays, traces already warm."""
+def replay_panel(scale) -> int:
+    """One pass: the panel's thirty replays, traces already warm;
+    returns the visits replayed."""
+    visits = 0
     for scene in PANEL_SCENES:
         for spec in PANEL_TECHNIQUES:
-            api.run(scene, spec, scale, cache=False)
+            result = api.run(scene, spec, scale, cache=False)
+            visits += result.stats.visits_completed
+    return visits
+
+
+def count_work(scale) -> Dict[str, int]:
+    """One pass with ``RTUnit.step`` and ``MemorySystem._flush`` counted;
+    returns the pass's visits, unit steps and agenda flushes."""
+    counts: Dict[str, int] = collections.Counter()
+    targets = {"steps": (RTUnit, "step"), "flushes": (MemorySystem, "_flush")}
+    originals = {
+        key: getattr(cls, name) for key, (cls, name) in targets.items()
+    }
+
+    def counted(key):
+        original = originals[key]
+
+        def wrapper(self, *args):
+            counts[key] += 1
+            return original(self, *args)
+
+        return wrapper
+
+    for key, (cls, name) in targets.items():
+        setattr(cls, name, counted(key))
+    try:
+        counts["visits"] = replay_panel(scale)
+    finally:
+        for key, (cls, name) in targets.items():
+            setattr(cls, name, originals[key])
+    return counts
 
 
 def frame_key(frame) -> str:
@@ -92,6 +132,10 @@ def main(argv=None) -> int:
           f"{len(PANEL_SCENES) * len(PANEL_TECHNIQUES)} replays")
     print("CPU s per pass: " + " ".join(f"{s:.3f}" for s in per_pass)
           + f"  (min {min(per_pass):.3f})")
+    work = count_work(scale)
+    print(f"work per pass: {work['visits']:,} visits, "
+          f"{work['steps']:,} RTUnit.step calls, "
+          f"{work['flushes']:,} agenda flushes")
     total = sum(samples.values())
     if not total:
         return 0

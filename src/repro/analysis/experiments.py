@@ -63,7 +63,7 @@ from ..prefetch import (
     voter_storage_bytes,
 )
 from ..scenes import ALL_SCENES
-from ..traversal import DEFERRED_ORDERS, summarize_traces, traverse_dfs_batch
+from ..traversal import DEFERRED_ORDERS, summarize_traces
 from ..treelet import FORMATION_STRATEGIES
 from .coherence import analyze_by_kind
 
@@ -283,11 +283,9 @@ def _sec24(scale: Scale, scenes: List[str]) -> dict:
     kinds = ("primary", "shadow", "secondary")
     sums = {kind: {"overlap": 0.0, "nodes": 0.0, "n": 0} for kind in kinds}
     for scene in scenes:
-        rays = get_rays(scene, scale)
-        traces = traverse_dfs_batch([ray.clone() for ray in rays],
-                                    get_bvh(scene, scale))
         reports = analyze_by_kind(
-            rays, traces, get_decomposition(scene, scale, 512)
+            get_rays(scene, scale), get_traces(scene, scale, "dfs", 512),
+            get_decomposition(scene, scale, 512),
         )
         for kind in kinds:
             report = reports.get(kind)

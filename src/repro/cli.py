@@ -282,14 +282,16 @@ def _cmd_sweep_impl(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .obs import Observer, write_chrome_trace
+    from .obs import Observer, collect, write_chrome_trace
 
     request = _request(RunRequest, scene=args.scene,
                        technique=args.technique, scale=args.scale)
     _activate_cache(args)
     observer = Observer(max_events=args.max_events)
-    result = api_run(replace(request, observer=observer))
-    path = write_chrome_trace(args.out, observer.bus, observer.metrics)
+    with collect("cli") as collector:
+        result = api_run(replace(request, observer=observer))
+    path = write_chrome_trace(args.out, collector.snapshot(),
+                              observer.bus, observer.metrics)
     summary = observer.trace_summary()
     if args.report:
         _write_report(args.report, result, observer)
@@ -455,7 +457,7 @@ def _load_span_inputs(paths):
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from .obs import spans_to_chrome_trace, summarize_spans, write_spans
+    from .obs import summarize_spans, write_chrome_trace, write_spans
 
     spans = _load_span_inputs(args.inputs)
     if args.obs_command == "merge":
@@ -465,11 +467,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
               f"-> {out}")
         return 0
     if args.obs_command == "export":
-        from pathlib import Path
-
-        doc = spans_to_chrome_trace(spans)
-        out = Path(args.out)
-        out.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        out = write_chrome_trace(args.out, spans)
         print(f"wrote {out} — open in https://ui.perfetto.dev "
               "or chrome://tracing")
         return 0

@@ -6,24 +6,30 @@ Three layers:
   to (near-zero overhead when detached: one attribute check per site).
 * :mod:`repro.obs.metrics` — named counters, gauge series, and
   fixed-bucket histograms aggregated from the event stream.
-* exporters — :mod:`repro.obs.perfetto` (Chrome trace-event JSON for
-  Perfetto / chrome://tracing) and :mod:`repro.obs.report` (the
+* exporters — :mod:`repro.obs.chrome` (one Chrome trace-event JSON
+  writer for Perfetto / chrome://tracing: request spans, simulator
+  cycle tracks, or both in one file with the cycle tracks under the
+  run's ``phase.replay`` span) and :mod:`repro.obs.report` (the
   ``run_report.json`` schema).
 
-Typical use::
+:mod:`repro.obs.spans` records the wall-clock request spans the
+writer's span half draws.  Typical use::
 
     from repro.api import run
-    from repro.obs import Observer, write_chrome_trace
+    from repro.obs import Observer, collect, write_chrome_trace
 
     observer = Observer()
-    result = run("WKND", "treelet-prefetch", "smoke", observer=observer)
-    write_chrome_trace("trace.json", observer.bus, observer.metrics)
+    with collect("cli") as collector:
+        run("WKND", "treelet-prefetch", "smoke", observer=observer)
+    write_chrome_trace("trace.json", collector.snapshot(),
+                       observer.bus, observer.metrics)
 
 Attaching an observer never changes simulation results (enforced by
 ``tests/test_obs_invariance.py``).
 """
 
 from .bus import DEFAULT_MAX_EVENTS, TraceBus
+from .chrome import chrome_trace, write_chrome_trace
 from .events import (
     ALL_EVENT_KINDS,
     EV_CACHE_ACCESS,
@@ -53,7 +59,6 @@ from .metrics import (
     prometheus_name,
 )
 from .observer import DEFAULT_SAMPLE_INTERVAL, Observer, TIMELINESS_BUCKETS
-from .perfetto import to_chrome_trace, write_chrome_trace
 from .report import (
     REPORT_SCHEMA,
     build_run_report,
@@ -75,7 +80,6 @@ from .spans import (
     merge_spans,
     new_id,
     span,
-    spans_to_chrome_trace,
     summarize_spans,
     write_spans,
 )
@@ -113,6 +117,7 @@ __all__ = [
     "activate",
     "active_collector",
     "build_run_report",
+    "chrome_trace",
     "collect",
     "current_context",
     "deactivate",
@@ -127,9 +132,7 @@ __all__ = [
     "simstats_to_dict",
     "sm_track",
     "span",
-    "spans_to_chrome_trace",
     "summarize_spans",
-    "to_chrome_trace",
     "write_chrome_trace",
     "write_spans",
 ]

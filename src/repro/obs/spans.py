@@ -25,15 +25,14 @@ With no active context :func:`span` yields a shared no-op — one
 contextvar read per call site — and ``tests/test_obs_invariance.py``
 asserts SimStats stay bit-identical with collection on.
 
-Export: :func:`spans_to_chrome_trace` renders merged spans as Chrome
-trace-event JSON (one Perfetto process per recording process, one
-thread row per trace).
+Export: :func:`repro.obs.chrome.chrome_trace` renders merged spans as
+Chrome trace-event JSON, with a run's simulator tracks under its
+``phase.replay`` span when given both.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from contextlib import contextmanager
@@ -349,7 +348,7 @@ def collect(process: str = "local", trace_id: Optional[str] = None):
 
 
 # ---------------------------------------------------------------------------
-# Merging, summaries, and export.
+# Merging and summaries.
 # ---------------------------------------------------------------------------
 
 
@@ -381,74 +380,6 @@ def summarize_spans(spans: Sequence[Span]) -> Dict[str, dict]:
         if span_.cpu_s is not None and span_.cpu_s >= 0:
             entry["cpu_s"] += span_.cpu_s
     return {name: summary[name] for name in sorted(summary)}
-
-
-def spans_to_chrome_trace(spans: Sequence[Span]) -> dict:
-    """Merged spans as Chrome trace-event JSON (Perfetto-ready).
-
-    One Perfetto *process* per recording ``(process, pid)`` — the serve
-    event loop and each exec worker get their own track group — and one
-    *thread* row per trace within that process, so concurrent requests
-    render side by side while each request's spans nest by containment.
-    """
-    merged = merge_spans(spans)
-    base = min((s.start_unix for s in merged), default=0.0)
-
-    pids: Dict[Tuple[str, int], int] = {}
-    tids: Dict[Tuple[int, str], int] = {}
-    records: List[dict] = []
-    for span_ in merged:
-        pkey = (span_.process, span_.pid)
-        pid = pids.get(pkey)
-        if pid is None:
-            pid = pids[pkey] = len(pids) + 1
-        tkey = (pid, span_.trace_id)
-        tid = tids.get(tkey)
-        if tid is None:
-            tid = tids[tkey] = len(tids) + 1
-        ts = int(round((span_.start_unix - base) * 1e6))
-        dur = max(1, int(math.ceil(span_.dur_s * 1e6)))
-        record = {
-            "name": span_.name,
-            "cat": "span",
-            "ph": "X",
-            "ts": ts,
-            "dur": dur,
-            "pid": pid,
-            "tid": tid,
-            "args": {
-                "trace_id": span_.trace_id,
-                "span_id": span_.span_id,
-                "parent_id": span_.parent_id,
-                **span_.args,
-            },
-        }
-        if span_.cpu_s is not None and span_.cpu_s >= 0:
-            record["args"]["cpu_ms"] = round(span_.cpu_s * 1000.0, 3)
-        records.append(record)
-
-    metadata: List[dict] = []
-    for (process, ospid), pid in sorted(pids.items(), key=lambda kv: kv[1]):
-        metadata.append({
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "args": {"name": f"{process} (os pid {ospid})"},
-        })
-    for (pid, trace_id), tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        metadata.append({
-            "name": "thread_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": tid,
-            "args": {"name": f"trace {trace_id}"},
-        })
-
-    return {
-        "traceEvents": metadata + records,
-        "displayTimeUnit": "ms",
-        "otherData": {"source": "repro-spans", "base_unix": base},
-    }
 
 
 # ---------------------------------------------------------------------------

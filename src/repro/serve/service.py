@@ -47,7 +47,7 @@ from typing import Optional, Tuple
 
 from ..core.memo import LRU, MEMO
 from ..exec.executor import pool_info, replay_pool
-from ..obs import MetricRegistry
+from ..obs import MetricRegistry, chrome_trace
 from ..obs import spans as _sp
 from . import protocol
 from .http import serve_connection, trace_headers
@@ -339,7 +339,7 @@ class SimulationService:
         spans = self.spans.for_trace(job.trace_id)
         fmt = query.get("format", "json").strip().lower()
         if fmt == "perfetto":
-            doc = _sp.spans_to_chrome_trace(spans)
+            doc = chrome_trace(spans)
             return 200, doc, {"X-Repro-Trace-Id": job.trace_id}
         if fmt != "json":
             raise ServeError(

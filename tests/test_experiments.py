@@ -156,6 +156,25 @@ def test_warm_table_replays_nothing(evaluation, stored, monkeypatch):
     assert again.failures == evaluation.failures
 
 
+def test_sec24_reads_the_stored_dfs_traces(stored, monkeypatch):
+    """§2.4 reads the DFS trace set the memo holds, so over a warm memo
+    it traces no ray."""
+    from repro import traversal
+    from repro.analysis import experiments
+
+    set_artifact_cache(stored)
+    warm = experiments._sec24(SMOKE, SMOKE_SCENES)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("§2.4 traced rays over a warm memo")
+
+    monkeypatch.setattr(pipeline, "traverse_forest_jobs", refuse)
+    monkeypatch.setattr(traversal, "traverse_dfs_batch", refuse)
+    monkeypatch.setattr(experiments, "traverse_dfs_batch", refuse,
+                        raising=False)
+    assert experiments._sec24(SMOKE, SMOKE_SCENES) == warm
+
+
 def test_every_row_renders(evaluation):
     text = render_markdown(evaluation.results)
     assert "not yet recorded" not in text

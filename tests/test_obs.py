@@ -10,9 +10,9 @@ from repro.obs import (
     REPORT_SCHEMA,
     TraceBus,
     build_run_report,
+    chrome_trace,
     load_run_report,
     simstats_to_dict,
-    to_chrome_trace,
     write_run_report,
 )
 from repro.obs.metrics import Histogram
@@ -118,7 +118,7 @@ class TestChromeTraceExport:
         bus = TraceBus()
         bus.emit("warp.retire", 10, "SM0", dur=90, args={"warp_id": 0})
         bus.emit("cache.access", 4, "L1[0]", args={"outcome": "hit"})
-        doc = to_chrome_trace(bus)
+        doc = chrome_trace(bus=bus)
         events = [e for e in doc["traceEvents"] if e["ph"] in ("X", "i")]
         spans = [e for e in events if e["ph"] == "X"]
         instants = [e for e in events if e["ph"] == "i"]
@@ -129,7 +129,7 @@ class TestChromeTraceExport:
         bus = TraceBus()
         bus.emit("a", 0, "SM0")
         bus.emit("b", 1, "DRAM[2]")
-        doc = to_chrome_trace(bus)
+        doc = chrome_trace(bus=bus)
         names = {
             e["args"]["name"]
             for e in doc["traceEvents"]
@@ -141,7 +141,7 @@ class TestChromeTraceExport:
         bus = TraceBus()
         for cycle in (3, 4, 5, 9, 10):
             bus.emit(EV_RTUNIT_STALL, cycle, "RT0", dur=1)
-        doc = to_chrome_trace(bus)
+        doc = chrome_trace(bus=bus)
         stalls = [
             e for e in doc["traceEvents"] if e.get("cat") == EV_RTUNIT_STALL
         ]
@@ -151,7 +151,7 @@ class TestChromeTraceExport:
         bus = TraceBus()
         registry = MetricRegistry()
         registry.gauge("occupancy.ready_rays").record(16, 7)
-        doc = to_chrome_trace(bus, registry)
+        doc = chrome_trace(bus=bus, registry=registry)
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
         assert counters == [
             {

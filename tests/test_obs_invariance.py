@@ -20,7 +20,7 @@ import pytest
 from conftest import SINGLE_RUN_CASES, assert_golden, golden_model
 from repro import BASELINE, SMOKE, TREELET_PREFETCH, run
 from repro.cli import main
-from repro.obs import Observer, build_run_report, to_chrome_trace
+from repro.obs import Observer, build_run_report, chrome_trace
 
 SCENES = ("WKND", "SHIP")
 TRACK_GOLDEN = json.loads(
@@ -173,7 +173,7 @@ class TestPerfettoRoundTrip:
     def test_trace_round_trips_with_monotonic_tracks(self, name):
         _, _, observer = _observed_pair("SHIP", TECHNIQUES[name])
         doc = json.loads(
-            json.dumps(to_chrome_trace(observer.bus, observer.metrics))
+            json.dumps(chrome_trace(bus=observer.bus, registry=observer.metrics))
         )
         events = doc["traceEvents"]
         timed = [e for e in events if e["ph"] != "M"]

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.obs import chrome_trace
 from repro.obs import spans as sp
 from repro.obs.spans import (
     SPAN_SCHEMA,
@@ -21,7 +22,6 @@ from repro.obs.spans import (
     merge_spans,
     new_id,
     span,
-    spans_to_chrome_trace,
     summarize_spans,
     write_spans,
 )
@@ -186,7 +186,7 @@ class TestPerfettoExport:
                     process="worker", pid=51)
         other = _mk("request", "t2", "o", 100.1, 100.3,
                     process="serve", pid=50)
-        doc = spans_to_chrome_trace([root, child, other])
+        doc = chrome_trace([root, child, other])
         slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         by_id = {e["args"]["span_id"]: e for e in slices}
 
@@ -213,14 +213,14 @@ class TestPerfettoExport:
 
     def test_timestamps_rebase_to_earliest_span(self):
         spans = [_mk("a", "t", "1", 500.0, 500.001)]
-        doc = spans_to_chrome_trace(spans)
+        doc = chrome_trace(spans)
         (event,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert event["ts"] == 0
         assert event["dur"] == 1000  # 1 ms in µs
         assert doc["otherData"]["base_unix"] == 500.0
 
     def test_zero_duration_renders_one_microsecond(self):
-        doc = spans_to_chrome_trace([_mk("a", "t", "1", 1.0, 1.0)])
+        doc = chrome_trace([_mk("a", "t", "1", 1.0, 1.0)])
         (event,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert event["dur"] == 1
 
@@ -230,8 +230,8 @@ class TestPerfettoExport:
             _mk("b", "t2", "2", 0.5, 1.5, pid=2),
             _mk("c", "t1", "3", 0.2, 0.4, pid=1),
         ]
-        forward = spans_to_chrome_trace(spans)
-        backward = spans_to_chrome_trace(list(reversed(spans)))
+        forward = chrome_trace(spans)
+        backward = chrome_trace(list(reversed(spans)))
         assert forward == backward
 
 

@@ -686,8 +686,6 @@ def _prefetcher_factory(
                 voter=MajorityVoter(
                     technique.voter_mode, technique.voter_latency
                 ),
-                warp_size=gpu.warp_size,
-                warp_buffer_size=gpu.warp_buffer_size,
                 mapping_mode=technique.mapping_mode,
                 adaptive=AdaptiveThrottle() if technique.adaptive else None,
             )

@@ -3,9 +3,10 @@
 Per cycle the unit (1) admits one pending warp into the warp buffer if
 there is space, (2) lets the warp scheduler pick a warp and issues up to
 ``mem_ports`` coalesced demand line loads for its ready rays, (3) issues
-one queued prefetch if a port is left over ("when the memory scheduler
-is not busy servicing demand loads"), and (4) ticks the prefetcher's
-decision logic.
+the prefetcher's queue head if a port is left over ("when the memory
+scheduler is not busy servicing demand loads") and the head is
+released, and (4) runs the prefetcher's decision logic when its period
+has passed and the warp buffer's vote state has moved.
 
 The replay engine (:class:`~repro.gpusim.gpu.GpuModel`) steps a unit
 only in cycles where it can act.  Box/primitive test completions and
@@ -43,6 +44,14 @@ NO_WAKE = 1 << 62
 #: What a demand miss parks in its L1 MSHR, and a queued hit response
 #: carries: ``(is_node, warp, rays, issue_cycle, address)``.
 DemandRecord = Tuple[bool, WarpSlot, List[RayTask], int, int]
+
+
+def _overridden(prefetcher: Prefetcher, name: str):
+    """``prefetcher``'s bound hook ``name``, or None when its class
+    keeps the base class's empty one."""
+    if getattr(type(prefetcher), name) is getattr(Prefetcher, name):
+        return None
+    return getattr(prefetcher, name)
 
 
 @dataclass
@@ -109,27 +118,28 @@ class RTUnit:
         self._hit_responses: Deque[Tuple[int, DemandRecord]] = deque()
         # Hot-loop constants, resolved once per unit.
         self._baseline_sched = scheduler_policy == "baseline"
-        self._adaptive_feedback = (
-            getattr(self.prefetcher, "adaptive", None) is not None
-        )
+        prefetcher = self.prefetcher
         #: exactly the no-op base prefetcher: the step skips its
-        #: (empty) hooks wholesale.  Exact-type test so every subclass
-        #: keeps full behavior.
-        self._null_prefetcher = type(self.prefetcher) is Prefetcher
-        #: bound ``on_demand_issue`` when overridden, else None — the
-        #: demand issue path calls through this to skip the base class's
-        #: empty observer (the treelet prefetcher does not observe
-        #: demand issues either).
-        self._demand_hook = (
-            None
-            if type(self.prefetcher).on_demand_issue
-            is Prefetcher.on_demand_issue
-            else self.prefetcher.on_demand_issue
+        #: (empty) queue and hooks wholesale.  Exact-type test so every
+        #: subclass keeps full behavior.
+        self._null_prefetcher = type(prefetcher) is Prefetcher
+        #: the prefetcher's queue; the step pops only a released head.
+        self._prefetch_queue = prefetcher.queue
+        #: the prefetcher's hooks, bound when overridden, else None: the
+        #: step and the demand issue path skip the base class's empty
+        #: ones (the treelet prefetcher does not observe demand issues,
+        #: the classic ones make no decisions).  Only an adaptive
+        #: prefetcher takes feedback.
+        self._demand_hook = _overridden(prefetcher, "on_demand_issue")
+        self._decide = _overridden(prefetcher, "on_cycle")
+        self._feedback = (
+            _overridden(prefetcher, "on_feedback")
+            if getattr(prefetcher, "adaptive", None) is not None
+            else None
         )
         self._warp_buffer_size = config.warp_buffer_size
         self._mem_ports = config.mem_ports
         self._line_bytes = config.l1.line_bytes
-        self._l1_latency = config.l1.latency
         self._box_latency = config.box_test_latency
         self._prim_latency = config.primitive_test_latency
         self._l1 = memsys.l1s[sm_id]
@@ -147,6 +157,15 @@ class RTUnit:
         self._count_ready = not self._baseline_sched
         if self._count_votes:
             self.prefetcher.vote_counts = self._alive_votes
+        l1 = self._l1
+        #: what :meth:`_issue_demand` reads, unpacked in one go.
+        self._issue_env = (
+            self._mem_ports, self._line_bytes, config.l1.latency, sm_id,
+            l1, l1.stats, l1._sets, l1._n_sets, l1._mshrs,
+            l1._prefetch_mshrs, self._tracker, memsys,
+            memsys.uses_stream_buffers, self._hit_responses,
+            self._demand_hook, self.stats,
+        )
         # Fills hand this SM's demand records to this unit.
         memsys.units[sm_id] = self
 
@@ -245,16 +264,28 @@ class RTUnit:
                     "rtunit.stall", cycle, f"RT{self.sm_id}", dur=1
                 )
         null_prefetcher = self._null_prefetcher
-        # Exactly the base prefetcher: pop_prefetch always returns None
-        # and on_feedback/on_cycle are empty — skip them all.
+        # Exactly the base prefetcher: its queue stays empty and its
+        # hooks are empty — skip them all.  Otherwise pop a released
+        # queue head into a spare port, and decide only when the
+        # decision period has passed and the vote state has moved.
         if not null_prefetcher:
-            if issued < self._mem_ports:
+            queue = self._prefetch_queue
+            if (
+                queue
+                and issued < self._mem_ports
+                and queue[0].release_cycle <= cycle
+            ):
                 request = prefetcher.pop_prefetch(cycle)
                 if request is not None:
                     self._issue_prefetch(request, cycle)
-            if self._adaptive_feedback:
-                prefetcher.on_feedback(cycle, self._tracker.counts)
-            prefetcher.on_cycle(cycle, buffer, self.vote_version)
+            if self._feedback is not None:
+                self._feedback(cycle, self._tracker.counts)
+            if (
+                self._decide is not None
+                and cycle >= prefetcher.decision_cycle
+                and self.vote_version != prefetcher.decided_version
+            ):
+                self._decide(cycle, buffer, self.vote_version)
 
         # When to step next (see the docstring).  Warps the scheduler
         # passed over may be ready too, so only a still-ready issuing
@@ -314,14 +345,20 @@ class RTUnit:
         a single L1 access (the GPU coalescer); returns lines issued.
         ``warp.ready_mask`` has exactly one bit set per ray in
         ``FETCH_READY`` or ``PRIM_READY``, so the scan walks only the
-        ready rays, lowest slot first.  A ports-full skip leaves a ray's
-        bit set, and the scan keeps going because later rays can still
+        ready rays, lowest slot first.  A ports-full skip keeps a ray's
+        bit, and the scan keeps going because later rays can still
         coalesce into already-claimed lines.
+
+        One pass: the first ray to claim a node line probes it at once,
+        and later rays on that line join the probe's demand record
+        (queued or parked, it is not delivered before a later cycle).
+        Primitive lines are probed after the scan, in first-claim
+        order, so the L1 sees node lines first.
 
         Each line's L1 probe is inlined here, for every run, observed
         or not and whatever the prefetch destination: a resident hit
         queues its response on the unit's hit FIFO; a pending hit
-        appends the group's demand record to the in-flight MSHR; a miss
+        appends the demand record to the in-flight MSHR; a miss
         allocates an MSHR holding the record, lets the stream buffer
         intercept it when there is one, and otherwise sends the line
         below.  The fill hands each record to :meth:`_respond`.
@@ -329,149 +366,151 @@ class RTUnit:
         mask = warp.ready_mask
         if not mask:
             return 0
-        ports = self._mem_ports
-        line_bytes = self._line_bytes
+        (
+            ports, line_bytes, l1_latency, sm_id, l1, lstats, sets, n_sets,
+            mshrs, prefetch_mshrs, tracker, memsys, stream, responses,
+            demand_hook, stats,
+        ) = self._issue_env
+        obs = l1.obs
         slot_rays = warp.rays
         ready_treelets = warp.ready_treelet_counts
+        warp_id = warp.warp_id
         fetch_ready = FETCH_READY
         wait_node = WAIT_NODE
-        wait_prim = WAIT_PRIM
-        node_groups: Dict[int, Tuple[int, List[RayTask]]] = {}
-        prim_groups: Dict[int, Tuple[int, List[RayTask]]] = {}
+        node_rays: Dict[int, List[RayTask]] = {}
+        # Primitive lines, ``line -> rays`` and, in first-claim order,
+        # ``(address, rays)``: made by the first ``PRIM_READY`` ray.
+        prim_rays: Optional[Dict[int, List[RayTask]]] = None
+        prim_lines = ()
+        next_prim = 0
         claimed = 0
-        claimed_mask = 0
-        claimed_rays = 0
-
-        while mask:
-            low = mask & -mask
-            mask -= low
-            ray = slot_rays[low.bit_length() - 1]
-            cursor = ray.cursor
-            if ray.state is fetch_ready:
-                address = ray.addresses[cursor]
-                line = address // line_bytes
-                group = node_groups.get(line)
-                if group is None:
-                    if claimed >= ports:
-                        continue
-                    node_groups[line] = (address, [ray])
-                    claimed += 1
-                else:
-                    group[1].append(ray)
-                ray.state = wait_node
-            else:  # PRIM_READY
-                pending = ray.prim_lines_pending
-                if not pending:
-                    continue
-                while pending:
-                    address = pending[0]
-                    line = address // line_bytes
-                    group = prim_groups.get(line)
-                    if group is None:
-                        if claimed >= ports:
-                            break
-                        prim_groups[line] = (address, [ray])
-                        claimed += 1
-                    else:
-                        group[1].append(ray)
-                    pending.pop(0)
-                    ray.prim_lines_outstanding += 1
-                if pending:
-                    continue
-                ray.state = wait_prim
-            # The claim succeeded: the ray leaves the ready set (its mask
-            # bit is cleared in the batch below).
-            claimed_mask |= low
-            claimed_rays += 1
-            if ready_treelets is not None:
-                treelet = ray.treelets[cursor]
-                count = ready_treelets[treelet] - 1
-                if count <= 0:
-                    del ready_treelets[treelet]
-                else:
-                    ready_treelets[treelet] = count
-        if claimed_mask:
-            warp.ready_mask &= ~claimed_mask
-            warp.ready_count -= claimed_rays
-
-        sm_id = self.sm_id
-        warp_id = warp.warp_id
-        l1 = self._l1
-        obs = l1.obs
-        memsys = self.memsys
-        demand_hook = self._demand_hook
-        tracker = self._tracker
-        lstats = l1.stats
-        sets = l1._sets
-        n_sets = l1._n_sets
-        mshrs = l1._mshrs
-        prefetch_mshrs = l1._prefetch_mshrs
+        kept = 0  # the ready rays the scan leaves ready
         # Hit responses and L1 -> L2 requests are both due after the L1
         # latency; the agenda bucket for that cycle is resolved on first
         # use.
-        due = cycle + self._l1_latency
+        due = cycle + l1_latency
         below = None
-        responses = self._hit_responses
-        for is_node, groups in ((True, node_groups), (False, prim_groups)):
-            for address, rays in groups.values():
-                if demand_hook is not None:
-                    demand_hook(warp_id, address, cycle)
+
+        while True:
+            is_node = False
+            while mask:
+                low = mask & -mask
+                mask -= low
+                ray = slot_rays[low.bit_length() - 1]
+                cursor = ray.cursor
+                if ray.state is fetch_ready:
+                    address = ray.addresses[cursor]
+                    line = address // line_bytes
+                    rays = node_rays.get(line)
+                    if rays is not None:
+                        rays.append(ray)
+                    elif claimed >= ports:
+                        kept |= low
+                        continue
+                    else:
+                        rays = node_rays[line] = [ray]
+                        claimed += 1
+                        is_node = True  # probe the line after this claim
+                    ray.state = wait_node
+                else:  # PRIM_READY
+                    pending = ray.prim_lines_pending
+                    if not pending:
+                        kept |= low
+                        continue
+                    if prim_rays is None:
+                        prim_rays = {}
+                        prim_lines = []
+                    while pending:
+                        address = pending[0]
+                        line = address // line_bytes
+                        rays = prim_rays.get(line)
+                        if rays is None:
+                            if claimed >= ports:
+                                break
+                            rays = prim_rays[line] = [ray]
+                            prim_lines.append((address, rays))
+                            claimed += 1
+                        else:
+                            rays.append(ray)
+                        pending.pop(0)
+                        ray.prim_lines_outstanding += 1
+                    if pending:
+                        kept |= low
+                        continue
+                    ray.state = WAIT_PRIM
+                # The claim succeeded: the ray leaves the ready set.
+                if ready_treelets is not None:
+                    ready_treelets[ray.treelets[cursor]] -= 1
+                if is_node:
+                    break
+            else:
+                # The scan is over: probe the primitive lines.
+                if next_prim == len(prim_lines):
+                    break
+                address, rays = prim_lines[next_prim]
+                next_prim += 1
                 line = address // line_bytes
-                set_map = sets[line % n_sets]
-                state = set_map.get(line)
-                record = (is_node, warp, rays, cycle, address)
-                lstats.demand_accesses += 1
-                if state is not None:
-                    # Resident hit: classify on the pre-probe state (the
-                    # tracker acts only on a first hit to a prefetched
-                    # line), then the probe's hit body.
-                    lstats.demand_hits += 1
-                    if state >= 0:
-                        tracker.on_demand_probe(line, HIT, state, None)
-                        lstats.demand_hits_on_prefetched += 1
-                        if obs is not None:
-                            l1.trace_first_hit(cycle, line, state)
-                        set_map[line] = DEMANDED
-                    set_map.move_to_end(line)
+
+            if demand_hook is not None:
+                demand_hook(warp_id, address, cycle)
+            set_map = sets[line % n_sets]
+            state = set_map.get(line)
+            record = (is_node, warp, rays, cycle, address)
+            lstats.demand_accesses += 1
+            if state is not None:
+                # Resident hit: classify on the pre-probe state (the
+                # tracker acts only on a first hit to a prefetched
+                # line), then the probe's hit body.
+                lstats.demand_hits += 1
+                if state >= 0:
+                    tracker.on_demand_probe(line, HIT, state, None)
+                    lstats.demand_hits_on_prefetched += 1
                     if obs is not None:
-                        l1.trace_access(cycle, line, "hit", False)
-                    responses.append((due, record))
-                    continue
-                waiters = mshrs.get(line)
-                if waiters is not None:
-                    # Pending hit: the record waits on the in-flight fill.
-                    owner = line in prefetch_mshrs
-                    if obs is not None:
-                        l1.trace_merge(cycle, line, owner, False)
-                    lstats.demand_pending_hits += 1
-                    if owner:
-                        # The tracker acts on a demand catching a
-                        # prefetch, which now owns the fill.
-                        tracker.on_demand_probe(line, PENDING_HIT, None, owner)
-                        lstats.demand_pending_on_prefetch += 1
-                        prefetch_mshrs.remove(line)
-                    waiters.append(record)
-                    if obs is not None:
-                        l1.trace_access(cycle, line, "pending_hit", False)
-                    continue
-                # Miss; a demand miss resolves no prefetch episode.
-                lstats.demand_misses += 1
-                mshrs[line] = [record]
+                        l1.trace_first_hit(cycle, line, state)
+                    set_map[line] = DEMANDED
+                set_map.move_to_end(line)
                 if obs is not None:
-                    l1.trace_access(cycle, line, "miss", False)
-                if memsys.uses_stream_buffers and memsys._demand_checks_stream(
-                    sm_id, address, line, cycle
-                ):
-                    continue
+                    l1.trace_access(cycle, line, "hit", False)
+                responses.append((due, record))
+                continue
+            waiters = mshrs.get(line)
+            if waiters is not None:
+                # Pending hit: the record waits on the in-flight fill.
+                owner = line in prefetch_mshrs
+                if obs is not None:
+                    l1.trace_merge(cycle, line, owner, False)
+                lstats.demand_pending_hits += 1
+                if owner:
+                    # The tracker acts on a demand catching a
+                    # prefetch, which now owns the fill.
+                    tracker.on_demand_probe(line, PENDING_HIT, None, owner)
+                    lstats.demand_pending_on_prefetch += 1
+                    prefetch_mshrs.remove(line)
+                waiters.append(record)
+                if obs is not None:
+                    l1.trace_access(cycle, line, "pending_hit", False)
+                continue
+            # Miss; a demand miss resolves no prefetch episode.
+            lstats.demand_misses += 1
+            mshrs[line] = [record]
+            if obs is not None:
+                l1.trace_access(cycle, line, "miss", False)
+            if stream and memsys._demand_checks_stream(
+                sm_id, address, line, cycle
+            ):
+                continue
+            if below is None:
+                below = memsys._agenda.get(due)
                 if below is None:
-                    below = memsys._agenda.get(due)
-                    if below is None:
-                        below = memsys._agenda[due] = []
-                        heapq.heappush(memsys.agenda_cycles, due)
-                below.append((_TO_L2_DEMAND, sm_id, address))
-        stats = self.stats
-        stats.node_fetches_issued += len(node_groups)
-        stats.primitive_fetches_issued += len(prim_groups)
+                    below = memsys._agenda[due] = []
+                    heapq.heappush(memsys.agenda_cycles, due)
+            below.append((_TO_L2_DEMAND, sm_id, address))
+
+        # Every ready ray was scanned: only the ones it kept stay ready.
+        warp.ready_mask = kept
+        warp.ready_count = bin(kept).count("1") if kept else 0
+        stats.node_fetches_issued += len(node_rays)
+        stats.primitive_fetches_issued += len(prim_lines)
         return claimed
 
     # -- response / op-unit path ---------------------------------------------

@@ -178,7 +178,7 @@ class WarpSlot:
     voter's input.  ``ready_treelet_counts`` counts issue-ready rays by
     the treelet of their *current* fetch target — the treelet
     schedulers' input (those rays benefit from the prefetched treelet
-    right now).
+    right now); a treelet's count may rest at zero.
 
     Each is kept only for its readers: ``count_votes=False`` (an RT unit
     whose prefetcher has no voter) leaves ``alive_treelet_counts`` None,

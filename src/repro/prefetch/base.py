@@ -1,18 +1,35 @@
 """Prefetcher interface shared by the treelet prefetcher and baselines.
 
-The RT unit drives prefetchers through three hooks:
+The base class owns the one prefetch queue every prefetcher uses: a
+bounded FIFO of :class:`PrefetchRequest` entries, each with the cycle
+it may issue from, plus the enqueue/issue/drop counts.  Subclasses fill
+it through :meth:`Prefetcher.enqueue`; the RT unit drains it.
 
-* :meth:`on_cycle` — once per simulated cycle (decision logic);
+The replay engine drives a prefetcher through six hooks:
+
+* :meth:`on_cycle` — decision logic, called in a unit step only when
+  the step's cycle has reached :attr:`decision_cycle` and the unit's
+  vote version differs from :attr:`decided_version` (a step where the
+  hook could not act skips the call);
 * :meth:`on_demand_issue` — whenever a demand load is issued (history
   based prefetchers such as stride/stream/MTA learn from this);
-* :meth:`pop_prefetch` — when the memory scheduler has a free port, the
-  RT unit pops one queued prefetch and issues it to L1.
+* :meth:`on_feedback` — in every step, for an adaptive prefetcher;
+* :meth:`pop_prefetch` — when the memory scheduler has a free port and
+  the queue head is released, the RT unit pops it and issues it to L1;
+* :meth:`queue_depth` — entries waiting (the timeline sampler reads it);
+* :meth:`next_activity_cycle` — when a unit with nothing to issue must
+  still be stepped for the prefetcher's sake.
+
+The unit resolves :meth:`on_cycle`, :meth:`on_demand_issue` and
+:meth:`on_feedback` once, and never calls one the subclass does not
+override.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Deque, Optional
 
 
 @dataclass
@@ -38,16 +55,44 @@ class PrefetcherStats:
 
 
 class Prefetcher:
-    """Base class: a no-op prefetcher (the baseline RT unit)."""
+    """Base class: a no-op prefetcher (the baseline RT unit), and the
+    prefetch queue its subclasses share."""
 
-    def __init__(self) -> None:
+    def __init__(self, queue_limit: int = 256) -> None:
+        if queue_limit < 1:
+            raise ValueError("queue limit must be positive")
         self.stats = PrefetcherStats()
+        self.queue_limit = queue_limit
+        #: queued prefetches, oldest first.  The RT unit holds this
+        #: deque, so it is never replaced.
+        self.queue: Deque[PrefetchRequest] = deque()
         #: the treelet the schedulers should favor; None when undefined.
         self.last_prefetched_treelet: Optional[int] = None
+        #: the earliest cycle :meth:`on_cycle` can act in ...
+        self.decision_cycle = 0
+        #: ... and the vote version it last acted on: the RT unit calls
+        #: it only when its own version differs (it is never negative).
+        self.decided_version = -2
         #: optional trace bus (repro.obs); None = tracing disabled.
         self.obs = None
         #: trace track name (the observer stamps in the SM id).
         self.obs_track = "Prefetcher"
+
+    def enqueue(
+        self,
+        address: int,
+        region: str = "node",
+        release: int = 0,
+        on_complete: Optional[Callable[[int], None]] = None,
+    ) -> bool:
+        """Queue one line prefetch, issuable from cycle ``release``;
+        a full queue drops it (counted) and returns False."""
+        if len(self.queue) >= self.queue_limit:
+            self.stats.requests_dropped += 1
+            return False
+        self.queue.append(PrefetchRequest(address, region, on_complete, release))
+        self.stats.requests_enqueued += 1
+        return True
 
     def on_cycle(self, cycle: int, warps, version: int = -1) -> None:
         """Observe the warp buffer; may enqueue prefetches.
@@ -63,17 +108,22 @@ class Prefetcher:
     def on_feedback(self, cycle: int, counts) -> None:
         """Observe the SM's cumulative prefetch-effectiveness counters.
 
-        Called once per cycle by the RT unit; adaptive prefetchers use
-        this to tune their throttling (Section 7.1's suggestion).
+        Called in every unit step for a prefetcher with an ``adaptive``
+        throttle, which uses it to tune its throttling (Section 7.1's
+        suggestion).
         """
 
     def pop_prefetch(self, cycle: int) -> Optional[PrefetchRequest]:
-        """Next prefetch to issue, or None."""
-        return None
+        """The queue head if it is released by ``cycle``, else None."""
+        queue = self.queue
+        if not queue or cycle < queue[0].release_cycle:
+            return None
+        self.stats.requests_issued += 1
+        return queue.popleft()
 
     def queue_depth(self) -> int:
         """Entries waiting to issue."""
-        return 0
+        return len(self.queue)
 
     def next_activity_cycle(self, cycle: int, version: int) -> Optional[int]:
         """Earliest cycle > ``cycle`` at which this prefetcher could act
@@ -87,7 +137,11 @@ class Prefetcher:
         Implementations must never return a value <= ``cycle``.
 
         The base rule covers every history-based prefetcher (stride,
-        stream, GHB, MTA): queued entries are poppable on the very next
-        cycle; an empty queue means fully reactive.
+        stream, GHB, MTA): the queue head's release cycle, or the next
+        cycle once it is released; an empty queue means fully reactive.
         """
-        return cycle + 1 if self.queue_depth() else None
+        queue = self.queue
+        if not queue:
+            return None
+        head = queue[0].release_cycle
+        return head if head > cycle else cycle + 1

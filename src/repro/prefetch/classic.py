@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
-from .base import Prefetcher, PrefetchRequest
+from .base import Prefetcher
 
 
 class StridePrefetcher(Prefetcher):
@@ -25,14 +25,12 @@ class StridePrefetcher(Prefetcher):
 
     def __init__(self, line_bytes: int = 128, table_size: int = 64,
                  queue_limit: int = 256) -> None:
-        super().__init__()
+        super().__init__(queue_limit)
         if table_size < 1:
             raise ValueError("table must hold at least one entry")
         self.line_bytes = line_bytes
         self.table_size = table_size
-        self.queue_limit = queue_limit
         self._table: "Dict[int, List[int]]" = {}  # key -> [last, stride, conf]
-        self._queue: Deque[PrefetchRequest] = deque()
 
     def on_demand_issue(self, warp_id: int, address: int, cycle: int) -> None:
         entry = self._table.get(warp_id)
@@ -48,27 +46,9 @@ class StridePrefetcher(Prefetcher):
         else:
             confidence = 0
         entry[0], entry[1], entry[2] = address, new_stride, confidence
-        if confidence >= 1:
-            self._push(address + new_stride)
-
-    def pop_prefetch(self, cycle: int) -> Optional[PrefetchRequest]:
-        if not self._queue:
-            return None
-        self.stats.requests_issued += 1
-        return self._queue.popleft()
-
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
-    def _push(self, target: int) -> None:
-        if target < 0:
-            return
-        if len(self._queue) >= self.queue_limit:
-            self.stats.requests_dropped += 1
-            return
-        line_addr = (target // self.line_bytes) * self.line_bytes
-        self._queue.append(PrefetchRequest(address=line_addr))
-        self.stats.requests_enqueued += 1
+        target = address + new_stride
+        if confidence >= 1 and target >= 0:
+            self.enqueue((target // self.line_bytes) * self.line_bytes)
 
 
 class StreamPrefetcher(Prefetcher):
@@ -80,36 +60,21 @@ class StreamPrefetcher(Prefetcher):
 
     def __init__(self, line_bytes: int = 128, depth: int = 2,
                  queue_limit: int = 256) -> None:
-        super().__init__()
+        super().__init__(queue_limit)
         if depth < 1:
             raise ValueError("stream depth must be positive")
         self.line_bytes = line_bytes
         self.depth = depth
-        self.queue_limit = queue_limit
-        self._queue: Deque[PrefetchRequest] = deque()
         self._recent: Deque[int] = deque(maxlen=64)
 
     def on_demand_issue(self, warp_id: int, address: int, cycle: int) -> None:
         line = address // self.line_bytes
         for step in range(1, self.depth + 1):
             target = line + step
-            if target in self._recent:
-                continue
-            if len(self._queue) >= self.queue_limit:
-                self.stats.requests_dropped += 1
-                continue
-            self._recent.append(target)
-            self._queue.append(PrefetchRequest(address=target * self.line_bytes))
-            self.stats.requests_enqueued += 1
-
-    def pop_prefetch(self, cycle: int) -> Optional[PrefetchRequest]:
-        if not self._queue:
-            return None
-        self.stats.requests_issued += 1
-        return self._queue.popleft()
-
-    def queue_depth(self) -> int:
-        return len(self._queue)
+            if target not in self._recent and self.enqueue(
+                target * self.line_bytes
+            ):
+                self._recent.append(target)
 
 
 @dataclass
@@ -130,17 +95,15 @@ class GhbPrefetcher(Prefetcher):
 
     def __init__(self, line_bytes: int = 128, history: int = 256,
                  width: int = 2, queue_limit: int = 256) -> None:
-        super().__init__()
+        super().__init__(queue_limit)
         if history < 2 or width < 1:
             raise ValueError("history >= 2 and width >= 1 required")
         self.line_bytes = line_bytes
         self.history_size = history
         self.width = width
-        self.queue_limit = queue_limit
         self._buffer: List[_GhbEntry] = []
         self._head = 0  # ring cursor
         self._index: Dict[int, int] = {}
-        self._queue: Deque[PrefetchRequest] = deque()
 
     def on_demand_issue(self, warp_id: int, address: int, cycle: int) -> None:
         line = address // self.line_bytes
@@ -166,20 +129,4 @@ class GhbPrefetcher(Prefetcher):
             follower = position + step
             if follower >= len(self._buffer):
                 break
-            target = self._buffer[follower].address
-            if len(self._queue) >= self.queue_limit:
-                self.stats.requests_dropped += 1
-                continue
-            self._queue.append(
-                PrefetchRequest(address=target * self.line_bytes)
-            )
-            self.stats.requests_enqueued += 1
-
-    def pop_prefetch(self, cycle: int) -> Optional[PrefetchRequest]:
-        if not self._queue:
-            return None
-        self.stats.requests_issued += 1
-        return self._queue.popleft()
-
-    def queue_depth(self) -> int:
-        return len(self._queue)
+            self.enqueue(self._buffer[follower].address * self.line_bytes)

@@ -10,11 +10,10 @@ that is the point of the comparison.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from typing import Dict, Optional
 
-from .base import Prefetcher, PrefetchRequest
+from .base import Prefetcher
 
 
 @dataclass
@@ -34,15 +33,13 @@ class MtaPrefetcher(Prefetcher):
         confirm: int = 1,
         queue_limit: int = 256,
     ) -> None:
-        super().__init__()
+        super().__init__(queue_limit)
         if degree < 1 or confirm < 1 or line_bytes <= 0:
             raise ValueError("degree, confirm, and line size must be positive")
         self.line_bytes = line_bytes
         self.degree = degree
         self.confirm = confirm
-        self.queue_limit = queue_limit
         self._history: Dict[int, _WarpHistory] = {}  # unbounded table
-        self._queue: Deque[PrefetchRequest] = deque()
 
     def on_demand_issue(self, warp_id: int, address: int, cycle: int) -> None:
         history = self._history.get(warp_id)
@@ -59,24 +56,10 @@ class MtaPrefetcher(Prefetcher):
             history.last_stride = stride
         history.last_address = address
 
-    def pop_prefetch(self, cycle: int) -> Optional[PrefetchRequest]:
-        if not self._queue:
-            return None
-        self.stats.requests_issued += 1
-        return self._queue.popleft()
-
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     def _emit(self, address: int, stride: int) -> None:
         self.stats.decisions += 1
         for step in range(1, self.degree + 1):
             target = address + stride * step
             if target < 0:
                 continue
-            line_addr = (target // self.line_bytes) * self.line_bytes
-            if len(self._queue) >= self.queue_limit:
-                self.stats.requests_dropped += 1
-                continue
-            self._queue.append(PrefetchRequest(address=line_addr))
-            self.stats.requests_enqueued += 1
+            self.enqueue((target // self.line_bytes) * self.line_bytes)

@@ -18,12 +18,11 @@ Mapping-table modes (Section 4.4, evaluated in Figure 14):
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 from .adaptive import AdaptiveThrottle
 from .addresses import TreeletAddressMap
-from .base import Prefetcher, PrefetchRequest
+from .base import Prefetcher
 from .heuristics import PrefetchHeuristic
 from .voter import MajorityVoter
 
@@ -39,47 +38,40 @@ class TreeletPrefetcher(Prefetcher):
         address_map: TreeletAddressMap,
         heuristic: Optional[PrefetchHeuristic] = None,
         voter: Optional[MajorityVoter] = None,
-        warp_size: int = 32,
-        warp_buffer_size: int = 16,
         mapping_mode: Optional[str] = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         adaptive: Optional[AdaptiveThrottle] = None,
     ) -> None:
-        super().__init__()
+        super().__init__(queue_limit)
         if mapping_mode not in (None, "loose", "strict"):
             raise ValueError(f"unknown mapping mode {mapping_mode!r}")
         if mapping_mode is not None and address_map.mapping_table is None:
             raise ValueError("mapping modes require a mapping table")
-        if queue_limit < 1:
-            raise ValueError("queue limit must be positive")
         self.address_map = address_map
         self.heuristic = heuristic or PrefetchHeuristic()
         #: when set, the live throttle replaces the static heuristic.
         self.adaptive = adaptive
         self.voter = voter or MajorityVoter()
-        self.max_rays = warp_size * warp_buffer_size
         self.mapping_mode = mapping_mode
-        self.queue_limit = queue_limit
-        self._queue: Deque[PrefetchRequest] = deque()
         #: premerged vote counts maintained by the owning RT unit (set
         #: right after construction); None falls back to re-merging the
         #: warps on every decision.  Identical decisions either way.
         self.vote_counts: Optional[dict] = None
-        self._next_decision_cycle = 0
-        self._last_version = -2  # warp-buffer state version last voted on
         self._strict_outstanding = 0  # Strict Wait mapping loads in flight
 
     # -- Prefetcher interface -------------------------------------------
 
     def on_cycle(self, cycle: int, warps, version: int = -1) -> None:
-        if cycle < self._next_decision_cycle:
+        # The RT unit checks the period and version gates before it
+        # calls; direct callers rely on these checks.
+        if cycle < self.decision_cycle:
             return
         if self._strict_outstanding:
             return  # Strict Wait: stalled on mapping-table loads
-        if version >= 0 and version == self._last_version:
+        if version >= 0 and version == self.decided_version:
             return  # identical warp-buffer state -> identical decision
-        self._next_decision_cycle = cycle + self.voter.period
-        self._last_version = version
+        self.decision_cycle = cycle + self.voter.period
+        self.decided_version = version
         decision = self.voter.decide(warps, cycle, counts=self.vote_counts)
         if decision is None:
             return
@@ -133,15 +125,6 @@ class TreeletPrefetcher(Prefetcher):
         if self.adaptive is not None:
             self.adaptive.on_cycle(cycle, counts)
 
-    def pop_prefetch(self, cycle: int) -> Optional[PrefetchRequest]:
-        if not self._queue or cycle < self._queue[0].release_cycle:
-            return None
-        self.stats.requests_issued += 1
-        return self._queue.popleft()
-
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     def next_activity_cycle(self, cycle: int, version: int) -> Optional[int]:
         """Self-scheduled activity: the queue head's release gate, the
         pending decision once the warp-buffer version has moved, and the
@@ -149,16 +132,17 @@ class TreeletPrefetcher(Prefetcher):
         decisions back until the table loads return (an event, so the
         RT unit is woken through the completion callback instead)."""
         nxt: Optional[int] = None
-        if self._queue:
-            head = self._queue[0].release_cycle
+        queue = self.queue
+        if queue:
+            head = queue[0].release_cycle
             nxt = head if head > cycle else cycle + 1
         if self.adaptive is not None:
             epoch = self.adaptive.next_epoch_cycle
             candidate = epoch if epoch > cycle else cycle + 1
             if nxt is None or candidate < nxt:
                 nxt = candidate
-        if not self._strict_outstanding and version != self._last_version:
-            gate = self._next_decision_cycle
+        if not self._strict_outstanding and version != self.decided_version:
+            gate = self.decision_cycle
             candidate = gate if gate > cycle else cycle + 1
             if nxt is None or candidate < nxt:
                 nxt = candidate
@@ -170,15 +154,7 @@ class TreeletPrefetcher(Prefetcher):
         self, addresses: List[int], region: str = "node", release: int = 0
     ) -> None:
         for address in addresses:
-            if len(self._queue) >= self.queue_limit:
-                self.stats.requests_dropped += 1
-                continue
-            self._queue.append(
-                PrefetchRequest(
-                    address=address, region=region, release_cycle=release
-                )
-            )
-            self.stats.requests_enqueued += 1
+            self.enqueue(address, region, release)
 
     def _enqueue_strict(
         self, treelet_id: int, lines: List[int], release: int
@@ -199,16 +175,5 @@ class TreeletPrefetcher(Prefetcher):
                 self._enqueue_lines(lines, release=release)
 
         for address in mapping:
-            if len(self._queue) >= self.queue_limit:
-                self.stats.requests_dropped += 1
+            if not self.enqueue(address, "mapping", release, table_load_done):
                 table_load_done(0)  # don't deadlock the release
-                continue
-            self._queue.append(
-                PrefetchRequest(
-                    address=address,
-                    region="mapping",
-                    on_complete=table_load_done,
-                    release_cycle=release,
-                )
-            )
-            self.stats.requests_enqueued += 1

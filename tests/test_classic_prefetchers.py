@@ -1,4 +1,5 @@
-"""Unit tests for the MTA, stride, stream, and GHB baselines."""
+"""Unit tests for the MTA, stride, stream, and GHB baselines, and the
+prefetch queue they share with the treelet prefetcher."""
 
 import pytest
 
@@ -7,7 +8,11 @@ from repro.prefetch import (
     MtaPrefetcher,
     StridePrefetcher,
     StreamPrefetcher,
+    TreeletAddressMap,
+    TreeletPrefetcher,
 )
+from repro.treelet import treelet_layout
+from test_treelet_prefetcher import StubWarp
 
 
 def drain(prefetcher):
@@ -121,3 +126,82 @@ class TestGhb:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GhbPrefetcher(history=1)
+
+
+def _treelet_feed(decomposition):
+    """Two treelet decisions into a two-entry queue."""
+    layout = treelet_layout(decomposition)
+    p = TreeletPrefetcher(
+        TreeletAddressMap(decomposition, layout, 128), queue_limit=2
+    )
+    big = sorted(decomposition.treelets, key=lambda t: -t.node_count)
+    p.on_cycle(0, [StubWarp({big[0].treelet_id: 5})], version=1)
+    p.on_cycle(100, [StubWarp({big[1].treelet_id: 5})], version=2)
+    return p
+
+
+def _history_feed(prefetcher, addresses):
+    for address in addresses:
+        prefetcher.on_demand_issue(0, address, cycle=0)
+    return prefetcher
+
+
+#: prefetcher -> (a feed that overflows its queue, the counts it gives:
+#: enqueued, dropped, then drained addresses).
+QUEUE_CASES = {
+    "mta": (lambda _d: _history_feed(
+        MtaPrefetcher(degree=2, queue_limit=3), range(0, 1280, 256)),
+        3, 3, [768, 1024, 1024]),
+    "stride": (lambda _d: _history_feed(
+        StridePrefetcher(queue_limit=2), range(0, 640, 128)),
+        2, 1, [384, 512]),
+    "stream": (lambda _d: _history_feed(
+        StreamPrefetcher(depth=2, queue_limit=3), (0, 1280, 2560)),
+        3, 3, [128, 256, 1408]),
+    "ghb": (lambda _d: _history_feed(
+        GhbPrefetcher(width=2, queue_limit=2),
+        [line * 128 for line in (0, 1, 2, 3, 0, 1, 2, 3)]),
+        2, 6, [128, 256]),
+    "treelet": (_treelet_feed, 2, 6, [0x10000000, 0x10000080]),
+}
+
+
+class TestBaseQueue:
+    """Every prefetcher queues through the base class's one bounded
+    queue: the drops and ``requests_*`` counts of an overflowing feed."""
+
+    @pytest.mark.parametrize("kind", sorted(QUEUE_CASES))
+    def test_queue_limit_drops_and_counts(self, kind, decomposition):
+        feed, enqueued, dropped, addresses = QUEUE_CASES[kind]
+        p = feed(decomposition)
+        assert p.queue_depth() == p.queue_limit == enqueued
+        assert p.stats.requests_enqueued == enqueued
+        assert p.stats.requests_dropped == dropped
+        assert p.stats.requests_issued == 0
+        assert drain_at(p, 10_000) == addresses
+        assert p.stats.requests_issued == enqueued
+        assert p.queue_depth() == 0
+        # (The treelet prefetcher last decided on vote version 2.)
+        assert p.next_activity_cycle(10_000, 2) is None
+
+    def test_stream_drops_leave_the_recent_window(self):
+        p = _history_feed(StreamPrefetcher(depth=2, queue_limit=1), (0,))
+        drain(p)
+        p.on_demand_issue(0, 0, cycle=0)  # 128 is recent, 256 was dropped
+        assert drain(p) == [256]
+        assert (p.stats.requests_enqueued, p.stats.requests_dropped) == (2, 1)
+
+    def test_queue_limit_validation(self):
+        for cls in (MtaPrefetcher, StridePrefetcher, StreamPrefetcher,
+                    GhbPrefetcher):
+            with pytest.raises(ValueError):
+                cls(queue_limit=0)
+
+
+def drain_at(prefetcher, cycle):
+    out = []
+    while True:
+        request = prefetcher.pop_prefetch(cycle)
+        if request is None:
+            return out
+        out.append(request.address)

@@ -6,9 +6,11 @@ import pytest
 from conftest import ray_task
 from repro.bvh import dfs_layout
 from repro.core.config import CacheConfig, GpuConfig
-from repro.gpusim import GpuModel, MemorySystem, RTUnit, RayState, RayTask
+from repro.gpusim import (
+    GpuModel, MemorySystem, RTUnit, RayState, RayTask, WarpSlot,
+)
 from repro.prefetch import (
-    Prefetcher, PrefetchRequest, TreeletAddressMap, TreeletPrefetcher,
+    MajorityVoter, Prefetcher, TreeletAddressMap, TreeletPrefetcher,
 )
 from repro.treelet import form_treelets, treelet_layout
 
@@ -118,23 +120,70 @@ class TestPrimitiveFlow:
         assert unit.stats.primitive_fetches_issued == 0
 
 
+class TestProbeOrder:
+    def test_node_lines_then_primitive_lines_in_claim_order(self, small_bvh):
+        """One warp, ready rays mixing PRIM_READY and FETCH_READY in slot
+        order: the L1 sees node lines in claim order, then primitive
+        lines in claim order; a later ray on a probed node line rides
+        its record; a ray skipped on full ports stays ready."""
+        layout = dfs_layout(small_bvh)
+        leaves = small_bvh.leaf_ids()
+        lines = {}
+        for node in small_bvh.nodes:
+            lines.setdefault(layout.address_of(node.node_id) // 128,
+                             node.node_id)
+        node_a, node_b, node_c = list(lines.values())[:3]
+        prim_a = ray_task([leaves[0]], small_bvh, layout)
+        fetch_a = ray_task([node_a], small_bvh, layout)
+        prim_b = ray_task([leaves[-1]], small_bvh, layout)
+        fetch_b = ray_task([node_b], small_bvh, layout)
+        fetch_a_again = ray_task([node_a], small_bvh, layout)
+        fetch_c = ray_task([node_c], small_bvh, layout)
+        rays = [prim_a, fetch_a, prim_b, fetch_b, fetch_a_again, fetch_c]
+        prim_lines = list(dict.fromkeys(
+            address // 128
+            for ray in (prim_a, prim_b) for address in ray.prims[0]
+        ))
+        # Every line but ``node_c``'s fits in the ports.
+        unit, memsys = make_unit(tiny_config(mem_ports=2 + len(prim_lines)))
+        for ray in (prim_a, prim_b):
+            ray.state = RayState.PRIM_READY
+            ray.prim_lines_pending = list(ray.prims[0])
+        # A new slot readies only its FETCH_READY rays.
+        warp = WarpSlot(0, rays, 0, count_votes=False, count_ready=False)
+        warp.ready_mask |= 1 << prim_a.slot_index | 1 << prim_b.slot_index
+        warp.ready_count += 2
+        unit.buffer.append(warp)
+
+        assert unit._issue_demand(warp, 0) == 2 + len(prim_lines)
+        l1 = memsys.l1s[0]
+        node_lines = [layout.address_of(n) // 128 for n in (node_a, node_b)]
+        assert list(l1._mshrs) == node_lines + prim_lines
+        ((_, _, riders, _, _),) = l1._mshrs[node_lines[0]]
+        assert riders == [fetch_a, fetch_a_again]
+        assert l1.stats.demand_accesses == 2 + len(prim_lines)
+        assert warp.ready_mask == 1 << fetch_c.slot_index
+        assert warp.ready_count == 1
+        assert fetch_c.state is RayState.FETCH_READY
+        memsys.drain(0)
+        assert memsys.node_demand_latency.count == 2
+        assert memsys.all_demand_latency.count == 2 + len(prim_lines)
+        assert fetch_a.state is fetch_a_again.state is RayState.TESTING
+
+
 class TestPrefetchArbitration:
     class CountingPrefetcher(Prefetcher):
-        """Emits a fixed list of prefetches; records pop cycles."""
+        """Queues a fixed list of prefetches; records pop cycles."""
 
         def __init__(self, addresses):
             super().__init__()
-            self.addresses = list(addresses)
+            for address in addresses:
+                self.enqueue(address)
             self.pop_cycles = []
 
         def pop_prefetch(self, cycle):
-            if not self.addresses:
-                return None
             self.pop_cycles.append(cycle)
-            return PrefetchRequest(address=self.addresses.pop(0))
-
-        def queue_depth(self):
-            return len(self.addresses)
+            return super().pop_prefetch(cycle)
 
     def test_at_most_one_prefetch_per_cycle(self, small_bvh):
         layout = dfs_layout(small_bvh)
@@ -163,6 +212,48 @@ class TestPrefetchArbitration:
         ])
         run(unit, memsys)
         assert prefetcher.queue_depth() == 0
+
+
+    def test_treelet_hooks_run_only_when_they_can_act(
+        self, small_bvh, decomposition
+    ):
+        """The unit pops only a released queue head, and every
+        ``on_cycle`` it makes reaches the voter."""
+        layout = treelet_layout(decomposition)
+        prefetcher = TreeletPrefetcher(
+            TreeletAddressMap(decomposition, layout, 128),
+            voter=MajorityVoter(latency=8),
+        )
+        pops, decisions, votes = [], [], []
+        pop, on_cycle, decide = (
+            prefetcher.pop_prefetch, prefetcher.on_cycle,
+            prefetcher.voter.decide,
+        )
+
+        def counted_pop(cycle):
+            queue = prefetcher.queue
+            pops.append(bool(queue) and queue[0].release_cycle <= cycle)
+            return pop(cycle)
+
+        def counted_on_cycle(cycle, warps, version=-1):
+            decisions.append(cycle)
+            on_cycle(cycle, warps, version)
+
+        def counted_decide(warps, cycle=0, counts=None):
+            votes.append(cycle)
+            return decide(warps, cycle, counts)
+
+        prefetcher.pop_prefetch = counted_pop
+        prefetcher.on_cycle = counted_on_cycle
+        prefetcher.voter.decide = counted_decide
+        unit, memsys = make_unit(prefetcher=prefetcher)
+        for paths in (leaf_paths(small_bvh)[:8], leaf_paths(small_bvh)[8:16]):
+            unit.add_warp([ray_task(p, small_bvh, layout) for p in paths])
+        cycles = run(unit, memsys)
+        assert unit.stats.prefetches_issued == len(pops) > 0
+        assert all(pops)
+        assert decisions == votes
+        assert 0 < len(decisions) < cycles
 
 
 class TestWarpBufferFlow:
@@ -314,6 +405,19 @@ class TestVoteVersion:
         (slot,) = unit.buffer
         assert slot.alive_treelet_counts is None
         assert sum(slot.ready_treelet_counts.values()) == slot.ready_count
+
+
+def leaf_paths(bvh):
+    """Every root-to-leaf path of ``bvh``, in depth-first order."""
+    paths, stack = [], [[bvh.ROOT_ID]]
+    while stack:
+        path = stack.pop()
+        node = bvh.nodes[path[-1]]
+        if node.is_leaf:
+            paths.append(path)
+        else:
+            stack.extend(path + [child] for child in node.child_ids)
+    return paths
 
 
 def interior_path(bvh):

@@ -111,8 +111,6 @@ class TestDecisionFlow:
         prefetcher = TreeletPrefetcher(
             address_map,
             heuristic=PrefetchHeuristic("popularity", threshold=0.5),
-            warp_size=32,
-            warp_buffer_size=16,
         )
         # Winner holds 5 of 12 voting rays -> ratio ~0.42 < 0.5.
         prefetcher.on_cycle(0, [StubWarp({0: 5, 1: 4, 2: 3})], version=1)

@@ -1,21 +1,29 @@
 #!/usr/bin/env python3
 """Sample where the replay engine spends its time.
 
-Builds the benchmark's replay panel (five scenes by six techniques, the
-lists of ``benchmarks/suite/workloads.py``) with every trace set warm,
-then replays it ``--passes`` times under a ``SIGPROF`` sampler and
-prints each function's share of the sampled CPU time.  A sample is
-charged to the innermost Python frame (self time), so the table shows
-where the interpreter actually runs, not who called it.
+Builds one case's replays with every trace set warm, then replays them
+``--passes`` times under a ``SIGPROF`` sampler and prints each
+function's share of the sampled CPU time.  A sample is charged to the
+innermost Python frame (self time), so the table shows where the
+interpreter actually runs, not who called it.  The cases
+(``--case``), from the lists of ``benchmarks/suite/workloads.py``:
+
+* ``panel`` — the benchmark's replay panel, five scenes by six
+  techniques;
+* ``knn`` — query-cold's PTSUNI kNN replays, baseline and
+  treelet-prefetch, at that workload's scale (``--scale default``
+  means ``q48``; ``--scale smoke`` is smoke scale, as in the
+  benchmark's smoke run).
 
 After the CPU seconds it prints the work one pass does: the visits
-replayed, the ``RTUnit.step`` calls and the agenda flushes
-(``MemorySystem._flush`` calls).  Every pass does the same work, so
-they are counted in one more, untimed pass with those two methods
-wrapped in counters.
+replayed, the ``RTUnit.step`` calls, the agenda flushes
+(``MemorySystem._flush`` calls), and the prefetcher hook calls the
+units make (``pop_prefetch``, ``on_cycle``, ``next_activity_cycle``).
+Every pass does the same work, so they are counted in one more,
+untimed pass with those methods wrapped in counters.
 
-Run:  PYTHONPATH=src python tools/profile_replay.py [--scale default]
-      [--passes 3] [--interval-ms 1] [--top 25]
+Run:  PYTHONPATH=src python tools/profile_replay.py [--case panel]
+      [--scale default] [--passes 3] [--interval-ms 1] [--top 25]
 
 ``--interval-ms 0`` turns the sampler off and only reports the CPU
 time per pass.
@@ -37,45 +45,64 @@ sys.path.insert(0, str(ROOT / "benchmarks" / "suite"))
 from repro import api  # noqa: E402
 from repro.core import pipeline  # noqa: E402
 from repro.gpusim import MemorySystem, RTUnit  # noqa: E402
-from workloads import PANEL_SCENES, PANEL_TECHNIQUES  # noqa: E402
+from repro.prefetch import Prefetcher  # noqa: E402
+from workloads import (  # noqa: E402
+    CANDIDATE, PANEL_SCENES, PANEL_TECHNIQUES, QUERY_SCALE,
+)
+
+#: case -> its replays, ``(scene, technique spec, workload)``.
+CASES = {
+    "panel": [(scene, spec, "render") for scene in PANEL_SCENES
+              for spec in PANEL_TECHNIQUES],
+    "knn": [("PTSUNI", spec, "knn") for spec in ("baseline", CANDIDATE)],
+}
+#: the prefetcher hooks whose calls a pass counts.
+HOOKS = ("pop_prefetch", "on_cycle", "next_activity_cycle")
 
 
-def replay_panel(scale) -> int:
-    """One pass: the panel's thirty replays, traces already warm;
-    returns the visits replayed."""
+def replay(runs, scale) -> int:
+    """One pass over ``runs``, traces already warm; returns the visits
+    replayed."""
     visits = 0
-    for scene in PANEL_SCENES:
-        for spec in PANEL_TECHNIQUES:
-            result = api.run(scene, spec, scale, cache=False)
-            visits += result.stats.visits_completed
+    for scene, spec, workload in runs:
+        result = api.run(scene, spec, scale, workload=workload, cache=False)
+        visits += result.stats.visits_completed
     return visits
 
 
-def count_work(scale) -> Dict[str, int]:
-    """One pass with ``RTUnit.step`` and ``MemorySystem._flush`` counted;
-    returns the pass's visits, unit steps and agenda flushes."""
+def prefetcher_classes(cls=Prefetcher):
+    """``cls`` and every subclass of it, at any depth."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from prefetcher_classes(sub)
+
+
+def count_work(runs, scale) -> Dict[str, int]:
+    """One pass with ``RTUnit.step``, ``MemorySystem._flush`` and the
+    prefetcher hooks counted; returns the pass's visits, unit steps,
+    agenda flushes and hook calls."""
     counts: Dict[str, int] = collections.Counter()
-    targets = {"steps": (RTUnit, "step"), "flushes": (MemorySystem, "_flush")}
-    originals = {
-        key: getattr(cls, name) for key, (cls, name) in targets.items()
-    }
+    targets = [("steps", RTUnit, "step"), ("flushes", MemorySystem, "_flush")]
+    # Each class that defines a hook gets its own wrapper, so the RT
+    # unit still tells an overridden hook from the base class's.
+    targets += [(name, cls, name) for name in HOOKS
+                for cls in prefetcher_classes() if name in vars(cls)]
+    originals = [vars(cls)[name] for _key, cls, name in targets]
 
-    def counted(key):
-        original = originals[key]
-
+    def counted(key, original):
         def wrapper(self, *args):
             counts[key] += 1
             return original(self, *args)
 
         return wrapper
 
-    for key, (cls, name) in targets.items():
-        setattr(cls, name, counted(key))
+    for (key, cls, name), original in zip(targets, originals):
+        setattr(cls, name, counted(key, original))
     try:
-        counts["visits"] = replay_panel(scale)
+        counts["visits"] = replay(runs, scale)
     finally:
-        for key, (cls, name) in targets.items():
-            setattr(cls, name, originals[key])
+        for (_key, cls, name), original in zip(targets, originals):
+            setattr(cls, name, original)
     return counts
 
 
@@ -94,6 +121,7 @@ def frame_key(frame) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--case", default="panel", choices=sorted(CASES))
     parser.add_argument("--scale", default="default",
                         choices=sorted(pipeline.SCALES))
     parser.add_argument("--passes", type=int, default=3)
@@ -101,13 +129,16 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=25)
     args = parser.parse_args(argv)
     scale = pipeline.SCALES[args.scale]
+    if args.case == "knn" and args.scale == "default":
+        scale = QUERY_SCALE
+    runs = CASES[args.case]
 
     pipeline.prewarm_traces(
-        [(scene, api.parse_technique(spec)) for scene in PANEL_SCENES
-         for spec in PANEL_TECHNIQUES],
+        [(scene, api.parse_technique(spec), workload)
+         for scene, spec, workload in runs],
         scale,
     )
-    replay_panel(scale)  # warm every other memo (BVHs, layouts, configs)
+    replay(runs, scale)  # warm every other memo (BVHs, layouts, configs)
 
     samples: collections.Counter = collections.Counter()
 
@@ -123,19 +154,21 @@ def main(argv=None) -> int:
     try:
         for _ in range(args.passes):
             start = time.process_time()
-            replay_panel(scale)
+            replay(runs, scale)
             per_pass.append(time.process_time() - start)
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0, 0)
 
-    print(f"scale {scale.name}: {args.passes} passes of "
-          f"{len(PANEL_SCENES) * len(PANEL_TECHNIQUES)} replays")
+    print(f"{args.case} at scale {scale.name}: {args.passes} passes of "
+          f"{len(runs)} replays")
     print("CPU s per pass: " + " ".join(f"{s:.3f}" for s in per_pass)
           + f"  (min {min(per_pass):.3f})")
-    work = count_work(scale)
+    work = count_work(runs, scale)
     print(f"work per pass: {work['visits']:,} visits, "
           f"{work['steps']:,} RTUnit.step calls, "
           f"{work['flushes']:,} agenda flushes")
+    print("prefetcher calls per pass: " + ", ".join(
+        f"{work[name]:,} {name}" for name in HOOKS))
     total = sum(samples.values())
     if not total:
         return 0

@@ -63,9 +63,8 @@ def treelet_transitions(
     trace: RayTrace, decomposition: TreeletDecomposition
 ) -> int:
     """Number of treelet-boundary crossings in one ray's visit order."""
-    treelets = [
-        decomposition.treelet_of(visit.node_id) for visit in trace.visits
-    ]
+    node_treelet = decomposition.node_treelet
+    treelets = [node_treelet[visit.node_id] for visit in trace.visits]
     return sum(1 for a, b in zip(treelets, treelets[1:]) if a != b)
 
 

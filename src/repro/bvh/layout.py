@@ -12,8 +12,8 @@ region so leaf intersection tests generate distinct demand traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -24,56 +24,39 @@ from .node import NODE_SIZE_BYTES, PRIMITIVE_SIZE_BYTES, FlatBVH
 BVH_BASE_ADDRESS = 0x1000_0000
 
 
-@dataclass
+@dataclass(eq=False)
 class NodeLayout:
     """Byte addresses for every node (and primitive) of one BVH.
 
     Attributes:
-        node_address: node id -> byte address of its 64-byte slot.
+        node_address: int64 column, node id -> byte address of its
+            64-byte slot.
         primitive_base: start of the triangle data region.
         total_node_bytes: extent of the node region including any padding
             (strided treelet layouts leave gaps).
+        node_treelet: node id -> treelet id; a treelet-aware layout
+            holds its decomposition's own column, any other -1s.
     """
 
-    node_address: Dict[int, int]
+    node_address: np.ndarray
     primitive_base: int
     total_node_bytes: int
     description: str = "dfs"
-    #: node id -> treelet id, filled in by treelet-aware layouts.
-    node_treelet: Dict[int, int] = field(default_factory=dict)
+    node_treelet: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if self.node_treelet is None:
+            self.node_treelet = np.full(len(self.node_address), -1, np.int32)
 
     def address_of(self, node_id: int) -> int:
-        return self.node_address[node_id]
+        return int(self.node_address[node_id])
 
     def primitive_address(self, primitive_id: int) -> int:
         return self.primitive_base + primitive_id * PRIMITIVE_SIZE_BYTES
 
     def treelet_of(self, node_id: int) -> int:
         """Treelet id of a node; -1 when the layout has no treelets."""
-        return self.node_treelet.get(node_id, -1)
-
-    def lookup_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense ``(address_table, treelet_table)`` indexed by node id.
-
-        Node ids from the flattened BVH are dense (``0 .. n-1``), so the
-        dict lookups above can be replaced by a single vectorized gather
-        when converting whole traces to per-ray address/treelet lists.
-        Treelet-less layouts fill the treelet table with -1, matching
-        :meth:`treelet_of`.  The tables are built once per layout and
-        cached (layouts are immutable after construction).
-        """
-        cached = self.__dict__.get("_lookup_arrays")
-        if cached is not None:
-            return cached
-        size = max(self.node_address) + 1 if self.node_address else 0
-        addresses = np.zeros(size, dtype=np.int64)
-        treelets = np.full(size, -1, dtype=np.int64)
-        for table, mapping in ((addresses, self.node_address),
-                               (treelets, self.node_treelet)):
-            table[np.fromiter(mapping, np.intp, len(mapping))] = np.fromiter(
-                mapping.values(), np.int64, len(mapping))
-        self.__dict__["_lookup_arrays"] = (addresses, treelets)
-        return addresses, treelets
+        return int(self.node_treelet[node_id])
 
 
 def dfs_layout(bvh: FlatBVH, base_address: int = BVH_BASE_ADDRESS) -> NodeLayout:
@@ -92,10 +75,10 @@ def dfs_layout(bvh: FlatBVH, base_address: int = BVH_BASE_ADDRESS) -> NodeLayout
         stack.extend(reversed(children[node_id]))
     if len(order) != len(bvh):
         raise ValueError("BVH contains unreachable nodes")
-    node_address = {
-        node_id: base_address + slot * NODE_SIZE_BYTES
-        for slot, node_id in enumerate(order)
-    }
+    node_address = np.empty(len(order), dtype=np.int64)
+    node_address[order] = base_address + NODE_SIZE_BYTES * np.arange(
+        len(order), dtype=np.int64
+    )
     total = len(order) * NODE_SIZE_BYTES
     return NodeLayout(
         node_address=node_address,

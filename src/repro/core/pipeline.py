@@ -24,11 +24,13 @@ the result instead of replaying it.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence
 
 from ..bvh import (
+    BVH_BASE_ADDRESS,
+    NODE_SIZE_BYTES,
     BuildConfig,
     FlatBVH,
     NodeLayout,
@@ -126,6 +128,16 @@ class Technique:
             raise ValueError("layout_stride applies to the treelet layout")
         if self.formation not in FORMATION_STRATEGIES:
             raise ValueError(f"unknown formation strategy {self.formation!r}")
+        if self.treelet_bytes < NODE_SIZE_BYTES:
+            raise ValueError(
+                f"treelet_bytes must fit at least one {NODE_SIZE_BYTES}-byte "
+                "node"
+            )
+        if self.layout == "treelet" and BVH_BASE_ADDRESS % self.treelet_bytes:
+            raise ValueError(
+                "the treelet layout needs a treelet_bytes that divides the "
+                f"BVH base address {BVH_BASE_ADDRESS:#x}"
+            )
         if self.adaptive and self.prefetch != "treelet":
             raise ValueError(
                 "the adaptive throttle applies to the treelet prefetcher"
@@ -523,8 +535,9 @@ def _decomposition_disk(scene_name: str, scale: Scale):
     def store(kind: str, key: str, decomposition) -> None:
         cache.store(kind, key, (
             decomposition.max_bytes,
-            decomposition.treelets,
-            decomposition.assignment,
+            decomposition.node_treelet,
+            decomposition.offsets,
+            decomposition.members,
         ))
 
     return SimpleNamespace(load=load, store=store)
@@ -653,11 +666,11 @@ def _build_layout(
             decomposition, stride_bytes=technique.layout_stride
         )
     layout = dfs_layout(bvh)
-    if decomposition is not None:
-        # Even with the stock layout, nodes know their treelet (the
-        # Figure 6 child bits); the timing model reads it off the layout.
-        layout.node_treelet = dict(decomposition.assignment)
-    return layout
+    if decomposition is None:
+        return layout
+    # Even with the stock layout, nodes know their treelet (the Figure 6
+    # child bits); the timing model reads it off the layout.
+    return replace(layout, node_treelet=decomposition.node_treelet)
 
 
 def _prefetcher_factory(
@@ -712,9 +725,8 @@ def _layout_key(scene_name: str, scale: Scale, technique: Technique) -> tuple:
 def _tree(scene_name: str, technique: Technique, scale: Scale):
     """``(bvh, decomposition, layout)`` of ``technique`` on a scene.
 
-    The layout is memoized like the tree it lays out; it is complete
-    (``node_treelet`` included) before it is stored and never mutated
-    after."""
+    The layout is memoized like the tree it lays out and never
+    mutated."""
     bvh = get_bvh(scene_name, scale)
     decomposition = (
         get_decomposition(

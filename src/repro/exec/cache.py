@@ -21,14 +21,15 @@ Bumping :data:`CACHE_SCHEMA_VERSION` therefore invalidates every entry
 at once (old versions simply stop being addressed; ``repro cache
 clear`` removes them from disk).
 
-Every entry is one pickle (protocol 5).  At schema 3 a ``bvh`` entry
+Every entry is one pickle (protocol 5).  At schema 4 a ``bvh`` entry
 is a :class:`~repro.bvh.FlatBVH` whose state is its name and column
-set (:mod:`repro.bvh.soa`), and a ``traces`` entry a
-:class:`~repro.traversal.TraceSet` whose state is its CSR columns:
-numpy arrays only, loaded without a Python object per node, triangle
-or visit.  ``rays`` entries are lists of :class:`~repro.geometry.Ray`;
-``decomposition`` entries are ``(max_bytes, treelets, assignment)``,
-without the BVH, which a load re-attaches from the memo.  A ``result``
+set (:mod:`repro.bvh.soa`), a ``traces`` entry a
+:class:`~repro.traversal.TraceSet` whose state is its CSR columns, and
+a ``decomposition`` entry ``(max_bytes, node_treelet, offsets,
+members)``, without the BVH, which a load re-attaches from the memo:
+numpy arrays and ints only, loaded without a Python object per node,
+triangle, treelet or visit.  ``rays`` entries are lists of
+:class:`~repro.geometry.Ray`.  A ``result``
 entry is a replay's :class:`~repro.core.pipeline.ExperimentResult`
 (SimStats, power, traversal and tree summaries: about 2 KB).  Its
 fingerprint also names :func:`source_digest`, a hash of the package's
@@ -57,7 +58,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 #: Bump to invalidate every previously stored artifact (schema change,
 #: serialization change, or a semantic change to any builder).
-CACHE_SCHEMA_VERSION = 3
+CACHE_SCHEMA_VERSION = 4
 
 #: Artifact kinds the pipeline spills (one subdirectory each).
 ARTIFACT_KINDS = ("bvh", "rays", "traces", "decomposition", "result")

@@ -75,8 +75,10 @@ ProgressFn = Callable[[int, int, Job, str], None]
 
 #: Visits each process's share of the missing replays must hold before
 #: a sweep fans out by default: five times the replay a warm pool job's
-#: round trip costs (~7 ms at up to ~110k visits/s on a 2-CPU host),
-#: rounded.  The derivation is in docs/execution.md.
+#: round trip cost while decompositions were objects (~7 ms at up to
+#: ~110k visits/s on a 2-CPU host), rounded.  As columns the round trip
+#: is at most ~2 ms, about an eighteenth of it.  The derivation is in
+#: docs/execution.md.
 FANOUT_SHARE_VISITS = 4_000
 
 

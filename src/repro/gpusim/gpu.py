@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from ..bvh import FlatBVH, NodeLayout
 from ..core.config import GpuConfig
 from ..prefetch.base import Prefetcher
@@ -91,13 +89,12 @@ class GpuModel:
         line_bytes = self.config.l1.line_bytes
         # One pass over the trace set's node-id column resolves each
         # visit's byte address and treelet id (a numpy gather from the
-        # layout's tables) and, through the tree's memo, its primitive
+        # layout's columns) and, through the tree's memo, its primitive
         # lines.  The four lists are the batch's visit columns: every
         # ray reads its ``[start, end)`` slice of them in place.
-        address_table, treelet_table = layout.lookup_arrays()
         node_ids = traces.node_ids
-        addresses = address_table[node_ids].tolist()
-        treelet_ids = treelet_table[node_ids]
+        addresses = layout.node_address[node_ids].tolist()
+        treelet_ids = layout.node_treelet[node_ids]
         treelets = treelet_ids.tolist()
         offsets = traces.offsets
         visited = offsets[1:] > offsets[:-1]

@@ -27,10 +27,14 @@ class TreeletAddressMap:
     ) -> None:
         if line_bytes <= 0:
             raise ValueError("line size must be positive")
-        self.decomposition = decomposition
-        self.layout = layout
         self.line_bytes = line_bytes
         self.mapping_table = mapping_table
+        # Every treelet's member lines in formation order, as Python
+        # ints: a treelet is its CSR slice of them.
+        self._offsets = decomposition.offsets.tolist()
+        self._member_lines = (
+            layout.node_address[decomposition.members] // line_bytes
+        ).tolist()
         self._line_cache: Dict[Tuple[int, int], List[int]] = {}
         self._mapping_cache: Dict[int, List[int]] = {}
 
@@ -42,21 +46,22 @@ class TreeletAddressMap:
             if fraction == 0.0:
                 return []
             raise ValueError("fraction must be in [0, 1]")
-        treelet = self.decomposition.treelet(treelet_id)
-        count = max(1, round(fraction * treelet.node_count))
+        start, end = self._offsets[treelet_id : treelet_id + 2]
+        count = max(1, round(fraction * (end - start)))
         key = (treelet_id, count)
         cached = self._line_cache.get(key)
         if cached is not None:
             return cached
-        lines = []
-        seen = set()
-        for node_id in treelet.node_ids[:count]:
-            line = self.layout.address_of(node_id) // self.line_bytes
-            if line not in seen:
-                seen.add(line)
-                lines.append(line * self.line_bytes)
+        lines = self._line_addresses(
+            self._member_lines[start : start + count]
+        )
         self._line_cache[key] = lines
         return lines
+
+    def _line_addresses(self, lines: List[int]) -> List[int]:
+        """The distinct ``lines``, in first-seen order, as addresses."""
+        line_bytes = self.line_bytes
+        return [line * line_bytes for line in dict.fromkeys(lines)]
 
     def mapping_lines(self, treelet_id: int) -> List[int]:
         """Mapping-table line addresses needed to resolve one treelet."""
@@ -65,12 +70,10 @@ class TreeletAddressMap:
         cached = self._mapping_cache.get(treelet_id)
         if cached is not None:
             return cached
-        lines = []
-        seen = set()
-        for addr in self.mapping_table.table_load_addresses(treelet_id):
-            line = addr // self.line_bytes
-            if line not in seen:
-                seen.add(line)
-                lines.append(line * self.line_bytes)
+        line_bytes = self.line_bytes
+        lines = self._line_addresses([
+            address // line_bytes for address in
+            self.mapping_table.table_load_addresses(treelet_id)
+        ])
         self._mapping_cache[treelet_id] = lines
         return lines

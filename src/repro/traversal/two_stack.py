@@ -82,7 +82,7 @@ def traverse_two_stack(
     """
     trace = RayTrace(ray_id=ray.ray_id)
     triangles: Sequence[Triangle] = bvh.triangles
-    assignment = decomposition.assignment
+    node_treelet = decomposition.node_treelet
     current_stack: List[Tuple[int, float]] = [(bvh.ROOT_ID, ray.t_min)]
     deferred = _DeferredTreelets(deferred_order)
     while current_stack or deferred:
@@ -107,14 +107,14 @@ def traverse_two_stack(
                     trace.hit = hit
                     ray.t_max = hit.t
             continue
-        treelet_id = assignment[node_id]
+        treelet_id = node_treelet[node_id]
         near_hits: List[Tuple[float, int]] = []
         for child_id in node.child_ids:
             trace.box_tests += 1
             overlap = ray_aabb_test(ray, bvh.node(child_id).bounds)
             if overlap is None:
                 continue
-            if assignment[child_id] == treelet_id:
+            if node_treelet[child_id] == treelet_id:
                 near_hits.append((overlap[0], child_id))
             else:
                 deferred.push(overlap[0], child_id)

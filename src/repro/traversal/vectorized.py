@@ -789,32 +789,6 @@ def _unit_normals(tri_rows):
     return np.stack([nx * inv, ny * inv, nz * inv], axis=1)
 
 
-def _same_treelet_flags(bvh: FlatBVH, decomposition: TreeletDecomposition):
-    """Per CSR child slot, whether the child shares its parent's
-    treelet; memoized on the decomposition (a decomposition is bound
-    to one tree, and sweeps traverse the same pair many times).
-    """
-    import numpy as np
-
-    cached = getattr(decomposition, "_packet_tables", None)
-    if cached is None:
-        mapping = decomposition.assignment
-        assignment = np.fromiter(
-            (mapping[node_id] for node_id in range(len(bvh))),
-            dtype=np.int64,
-            count=len(bvh),
-        )
-        soa = bvh.arrays
-        cached = assignment[soa.child_ids] == np.repeat(
-            assignment, soa.child_counts
-        )
-        try:
-            decomposition._packet_tables = cached
-        except AttributeError:  # e.g. __slots__; just rebuild next call
-            pass
-    return cached
-
-
 def traverse_forest_jobs(
     jobs: Sequence[
         Tuple[
@@ -863,8 +837,8 @@ def traverse_forest_jobs(
          for _, _, dec, order in jobs],
         dtype=np.int64,
     ).take(job_of_ray)
-    flags = [None if dec is None else _same_treelet_flags(bvh, dec)
-             for bvh, _, dec, _ in jobs]
+    flags = [None if dec is None else dec.child_bits()
+             for _, _, dec, _ in jobs]
     if any(row is not None for row in flags):
         # Pack each job's flags for its own tree's child slots end to
         # end; DFS jobs get all-True flags (nothing ever defers, which

@@ -3,12 +3,11 @@
 from .formation import (
     DEFAULT_TREELET_BYTES,
     FORMATION_STRATEGIES,
-    Treelet,
     TreeletDecomposition,
     form_treelets,
 )
 from .mapping import MAPPING_ENTRY_BYTES, MappingTable, build_mapping_table
-from .repack import treelet_layout, treelet_node_addresses
+from .repack import treelet_layout
 from .stats import (
     TreeletStats,
     bytes_wasted_by_slotting,
@@ -21,7 +20,6 @@ __all__ = [
     "FORMATION_STRATEGIES",
     "MAPPING_ENTRY_BYTES",
     "MappingTable",
-    "Treelet",
     "TreeletDecomposition",
     "TreeletStats",
     "bytes_wasted_by_slotting",
@@ -30,5 +28,4 @@ __all__ = [
     "build_mapping_table",
     "form_treelets",
     "treelet_layout",
-    "treelet_node_addresses",
 ]

@@ -6,7 +6,7 @@ maximum treelet size is reached.  The paper tracks progress with three
 structures — a ``pendingTreelets`` queue of treelet roots awaiting
 formation, a traversal ``stack`` of nodes still to visit within the
 current treelet, and a ``completedTreelets`` queue — which map directly
-onto ``pending``, ``frontier``, and the output list below.
+onto ``pending``, ``frontier``, and the output columns below.
 
 Because nodes are appended breadth-first, upper-level nodes always come
 first within a treelet; the PARTIAL prefetch heuristic (Section 4.2) and
@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..bvh import NODE_SIZE_BYTES, FlatBVH
 from ..bvh.soa import surface_areas
@@ -27,113 +29,110 @@ from ..bvh.soa import surface_areas
 DEFAULT_TREELET_BYTES = 512
 
 
-@dataclass(frozen=True)
-class Treelet:
-    """One formed treelet.
-
-    ``node_ids`` is in breadth-first formation order, so ``node_ids[0]`` is
-    the treelet root and earlier entries are closer to the BVH root.
-    """
-
-    treelet_id: int
-    root_id: int
-    node_ids: Tuple[int, ...]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.node_ids)
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.node_ids) * NODE_SIZE_BYTES
-
-
-@dataclass
+@dataclass(eq=False)
 class TreeletDecomposition:
-    """A complete partition of a BVH's nodes into treelets."""
+    """A complete partition of a BVH's nodes into treelets, as columns.
+
+    ``node_treelet[n]`` is node ``n``'s treelet id, and
+    ``members[offsets[i]:offsets[i + 1]]`` is treelet ``i`` in
+    breadth-first formation order: its root first, and earlier entries
+    closer to the BVH root.  The columns are the whole pickle state, so
+    a decomposition ships and stores as three arrays.
+    """
 
     bvh: FlatBVH
     max_bytes: int
-    treelets: List[Treelet]
-    assignment: Dict[int, int] = field(repr=False)
+    node_treelet: np.ndarray  # int32[n]
+    offsets: np.ndarray  # int64[treelets + 1]
+    members: np.ndarray  # int32[n]
 
     @property
     def treelet_count(self) -> int:
-        return len(self.treelets)
+        return len(self.offsets) - 1
 
     @property
     def max_nodes_per_treelet(self) -> int:
         return self.max_bytes // NODE_SIZE_BYTES
 
+    @property
+    def sizes(self) -> np.ndarray:
+        """Node count of each treelet."""
+        return np.diff(self.offsets)
+
+    @property
+    def roots(self) -> np.ndarray:
+        """Root node id of each treelet."""
+        return self.members[self.offsets[:-1]]
+
     def treelet_of(self, node_id: int) -> int:
-        return self.assignment[node_id]
+        return int(self.node_treelet[node_id])
 
     def same_treelet(self, node_a: int, node_b: int) -> bool:
-        return self.assignment[node_a] == self.assignment[node_b]
+        return bool(self.node_treelet[node_a] == self.node_treelet[node_b])
 
-    def treelet(self, treelet_id: int) -> Treelet:
-        return self.treelets[treelet_id]
+    def child_bits(self) -> np.ndarray:
+        """The Figure 6 child bits, per CSR child slot of the tree's
+        ``child_ids``: set when the child lives in its parent's treelet.
 
-    def child_same_treelet_bits(self, node_id: int) -> Tuple[bool, ...]:
-        """The Figure 6 child bits: one per child, set when the child lives
-        in the same treelet as ``node_id``.
-
-        This is the only per-node metadata the traversal algorithm needs,
-        and it fits in the node's two spare bytes.
+        This is the only per-node metadata the traversal algorithm
+        needs, and it fits in a node's two spare bytes.
         """
-        mine = self.assignment[node_id]
-        return tuple(
-            self.assignment[child_id] == mine
-            for child_id in self.bvh.child_lists()[node_id]
+        soa = self.bvh.arrays
+        return self.node_treelet[soa.child_ids] == np.repeat(
+            self.node_treelet, soa.child_counts
         )
 
     def occupancy(self) -> float:
         """Mean fraction of the maximum size that treelets actually fill."""
-        if not self.treelets:
+        if not self.treelet_count:
             return 0.0
         cap = self.max_nodes_per_treelet
-        return sum(t.node_count / cap for t in self.treelets) / len(
-            self.treelets
-        )
+        return len(self.members) / (self.treelet_count * cap)
 
     def validate(self) -> None:
         """Check decomposition invariants; raises ``ValueError``.
 
-        Invariants: the treelets partition the node set exactly; every
-        treelet respects the size cap; every treelet is connected with its
-        first entry as the root (each non-root member's parent is in the
-        same treelet); treelet roots' parents are in *different* treelets
-        (except the BVH root).
+        Invariants: the treelets partition the node set exactly and
+        agree with ``node_treelet``; every treelet is non-empty and
+        respects the size cap; every treelet is connected with its
+        first entry as the root (each non-root member's parent is in
+        the same treelet); treelet roots' parents are in *different*
+        treelets (except the BVH root).
         """
-        seen: Dict[int, int] = {}
-        parents = self.bvh.arrays.parent.tolist()
-        for treelet in self.treelets:
-            if treelet.size_bytes > self.max_bytes:
-                raise ValueError(
-                    f"treelet {treelet.treelet_id} exceeds max size"
-                )
-            if treelet.node_ids[0] != treelet.root_id:
-                raise ValueError("treelet root must be the first member")
-            members = set(treelet.node_ids)
-            for node_id in treelet.node_ids:
-                if node_id in seen:
-                    raise ValueError(f"node {node_id} in two treelets")
-                seen[node_id] = treelet.treelet_id
-                if self.assignment.get(node_id) != treelet.treelet_id:
-                    raise ValueError("assignment disagrees with membership")
-                parent = parents[node_id]
-                if node_id == treelet.root_id:
-                    if parent != -1 and self.assignment[parent] == treelet.treelet_id:
-                        raise ValueError(
-                            f"treelet {treelet.treelet_id} root's parent is "
-                            "inside the same treelet"
-                        )
-                elif parent not in members:
-                    raise ValueError(
-                        f"treelet {treelet.treelet_id} is not connected"
-                    )
-        if len(seen) != len(self.bvh):
+        n = len(self.bvh)
+        members = self.members
+        if len(members) != n or len(self.node_treelet) != n:
             raise ValueError("treelets do not cover all BVH nodes")
+        if self.offsets[0] != 0 or self.offsets[-1] != n:
+            raise ValueError("treelet offsets do not span the members")
+        sizes = self.sizes
+        for message, bad in (
+            ("is empty", sizes < 1),
+            ("exceeds max size", sizes > self.max_nodes_per_treelet),
+        ):
+            if bad.any():
+                raise ValueError(f"treelet {int(np.argmax(bad))} {message}")
+        twice = np.bincount(members, minlength=n) > 1
+        if twice.any():
+            raise ValueError(f"node {int(np.argmax(twice))} in two treelets")
+        owner = np.repeat(np.arange(self.treelet_count), sizes)
+        if (self.node_treelet[members] != owner).any():
+            raise ValueError("assignment disagrees with membership")
+        parents = self.bvh.arrays.parent[members]
+        parent_treelet = np.where(
+            parents >= 0, self.node_treelet[parents], -1
+        )
+        is_root = np.zeros(n, dtype=bool)
+        is_root[self.offsets[:-1]] = True
+        for message, bad in (
+            ("root's parent is inside the same treelet",
+             is_root & (parent_treelet == owner)),
+            ("is not connected", ~is_root & (parent_treelet != owner)),
+        ):
+            if bad.any():
+                raise ValueError(
+                    f"treelet {int(owner[np.argmax(bad)])} {message}"
+                )
 
 
 #: Available fill strategies for :func:`form_treelets`.
@@ -175,22 +174,24 @@ def form_treelets(
         surface_areas(bvh.arrays.node_lo, bvh.arrays.node_hi).tolist()
         if strategy == "sah" else None
     )
-    assignment: Dict[int, int] = {}
-    treelets: List[Treelet] = []
+    order: List[int] = []
+    offsets = [0]
     pending = deque([bvh.ROOT_ID])
     while pending:
-        root_id = pending.popleft()
-        treelet_id = len(treelets)
         members, leftover = _fill_one_treelet(
-            children, areas, root_id, max_nodes, strategy
+            children, areas, pending.popleft(), max_nodes, strategy
         )
-        for node_id in members:
-            assignment[node_id] = treelet_id
+        order.extend(members)
+        offsets.append(len(order))
         pending.extend(leftover)
-        treelets.append(Treelet(treelet_id, root_id, tuple(members)))
-    return TreeletDecomposition(
-        bvh=bvh, max_bytes=max_bytes, treelets=treelets, assignment=assignment
+    member_ids = np.array(order, dtype=np.int32)
+    bounds = np.array(offsets, dtype=np.int64)
+    node_treelet = np.full(len(bvh), -1, dtype=np.int32)
+    node_treelet[member_ids] = np.repeat(
+        np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds)
     )
+    return TreeletDecomposition(bvh, max_bytes, node_treelet, bounds,
+                                member_ids)
 
 
 def _fill_one_treelet(

@@ -60,8 +60,10 @@ class MappingTable:
         members are themselves scattered in the table, so this can span
         multiple lines.
         """
-        treelet = self.decomposition.treelet(treelet_id)
-        return [self.entry_address(node_id) for node_id in treelet.node_ids]
+        dec = self.decomposition
+        start, end = dec.offsets[treelet_id : treelet_id + 2].tolist()
+        return [self.entry_address(node_id)
+                for node_id in dec.members[start:end].tolist()]
 
 
 def build_mapping_table(

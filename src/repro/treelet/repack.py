@@ -16,7 +16,7 @@ across all partitions.
 
 from __future__ import annotations
 
-from typing import List
+import numpy as np
 
 from ..bvh import NODE_SIZE_BYTES
 from ..bvh.layout import BVH_BASE_ADDRESS, NodeLayout
@@ -41,13 +41,17 @@ def treelet_layout(
     if base_address % decomposition.max_bytes != 0:
         raise ValueError("base address must be treelet-size aligned")
     slot_bytes = decomposition.max_bytes + stride_bytes
-    node_address = {}
-    node_treelet = {}
-    for treelet in decomposition.treelets:
-        slot_base = base_address + treelet.treelet_id * slot_bytes
-        for index, node_id in enumerate(treelet.node_ids):
-            node_address[node_id] = slot_base + index * NODE_SIZE_BYTES
-            node_treelet[node_id] = treelet.treelet_id
+    # A member's address is its treelet's slot base plus its rank in
+    # the treelet, in formation order.
+    sizes = decomposition.sizes
+    owner = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    rank = np.arange(len(owner), dtype=np.int64) - np.repeat(
+        decomposition.offsets[:-1], sizes
+    )
+    node_address = np.empty(len(owner), dtype=np.int64)
+    node_address[decomposition.members] = (
+        base_address + owner * slot_bytes + rank * NODE_SIZE_BYTES
+    )
     total = decomposition.treelet_count * slot_bytes
     label = "treelet"
     if stride_bytes:
@@ -57,25 +61,5 @@ def treelet_layout(
         primitive_base=base_address + total,
         total_node_bytes=total,
         description=label,
-        node_treelet=node_treelet,
+        node_treelet=decomposition.node_treelet,
     )
-
-
-def treelet_node_addresses(
-    decomposition: TreeletDecomposition,
-    layout: NodeLayout,
-    treelet_id: int,
-    fraction: float = 1.0,
-) -> List[int]:
-    """Addresses of the first ``fraction`` of a treelet's nodes.
-
-    ``fraction=1.0`` covers the whole treelet (ALWAYS / POPULARITY
-    heuristics); smaller fractions implement the PARTIAL heuristic, which
-    prefetches from the front of the treelet because those are the
-    upper-level, most-reused nodes.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    treelet = decomposition.treelet(treelet_id)
-    count = max(1, round(fraction * treelet.node_count)) if fraction > 0 else 0
-    return [layout.address_of(node_id) for node_id in treelet.node_ids[:count]]

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+import numpy as np
+
 from ..bvh import NODE_SIZE_BYTES
 from .formation import TreeletDecomposition
 
@@ -28,36 +30,31 @@ class TreeletStats:
 
 
 def compute_treelet_stats(decomposition: TreeletDecomposition) -> TreeletStats:
-    depth = decomposition.bvh.arrays.depth.tolist()
+    depth = decomposition.bvh.arrays.depth
     cap = decomposition.max_nodes_per_treelet
-    counts = [treelet.node_count for treelet in decomposition.treelets]
-    root_depths = []
-    spans = []
-    for treelet in decomposition.treelets:
-        depths = [depth[n] for n in treelet.node_ids]
-        root_depths.append(depth[treelet.root_id])
-        spans.append(max(depths) - min(depths) + 1)
+    counts = decomposition.sizes
+    starts = decomposition.offsets[:-1]
+    member_depths = depth[decomposition.members]
+    spans = (np.maximum.reduceat(member_depths, starts)
+             - np.minimum.reduceat(member_depths, starts) + 1)
     n = len(counts)
+    total = int(counts.sum())
     return TreeletStats(
         treelet_count=n,
         max_nodes_per_treelet=cap,
-        mean_nodes=sum(counts) / n,
-        full_fraction=sum(1 for c in counts if c == cap) / n,
-        singleton_fraction=sum(1 for c in counts if c == 1) / n,
-        mean_occupancy=sum(counts) / (n * cap),
-        mean_root_depth=sum(root_depths) / n,
-        mean_depth_span=sum(spans) / n,
+        mean_nodes=total / n,
+        full_fraction=int((counts == cap).sum()) / n,
+        singleton_fraction=int((counts == 1).sum()) / n,
+        mean_occupancy=total / (n * cap),
+        mean_root_depth=int(depth[decomposition.roots].sum()) / n,
+        mean_depth_span=int(spans.sum()) / n,
     )
 
 
 def size_histogram(decomposition: TreeletDecomposition) -> Dict[int, int]:
     """Treelet node-count -> number of treelets with that count."""
-    histogram: Dict[int, int] = {}
-    for treelet in decomposition.treelets:
-        histogram[treelet.node_count] = (
-            histogram.get(treelet.node_count, 0) + 1
-        )
-    return histogram
+    sizes, counts = np.unique(decomposition.sizes, return_counts=True)
+    return dict(zip(sizes.tolist(), counts.tolist()))
 
 
 def bytes_wasted_by_slotting(decomposition: TreeletDecomposition) -> int:
@@ -67,6 +64,6 @@ def bytes_wasted_by_slotting(decomposition: TreeletDecomposition) -> int:
     occupancy; partially-filled treelets waste the tail (the effect
     behind Section 6.4.1's partition camping).
     """
-    used = sum(t.node_count for t in decomposition.treelets) * NODE_SIZE_BYTES
+    used = len(decomposition.members) * NODE_SIZE_BYTES
     total = decomposition.treelet_count * decomposition.max_bytes
     return total - used

@@ -136,6 +136,13 @@ def ray_task(node_ids, bvh, layout, line_bytes=128) -> RayTask:
     )
 
 
+def treelet_members(decomposition):
+    """Each treelet's member ids, in formation order (root first)."""
+    offsets = decomposition.offsets.tolist()
+    members = decomposition.members.tolist()
+    return [members[start:end] for start, end in zip(offsets, offsets[1:])]
+
+
 def binary_levels(tree) -> int:
     """Depth in levels of a :class:`repro.bvh.BinaryTree` (a lone root
     has 1); ids are level-ordered, so parents come before children."""

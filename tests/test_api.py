@@ -28,6 +28,8 @@ from repro.core import (
     TREELET_PREFETCH,
     TREELET_TRAVERSAL_ONLY,
     Technique,
+    build_counts,
+    reset_build_counts,
 )
 from repro.core.pipeline import _run_experiment
 from repro.obs import simstats_to_dict
@@ -227,6 +229,18 @@ class TestWireRoundTrip:
         rebuilt = RunRequest.from_dict(wire)
         assert parse_technique(rebuilt.technique).treelet_bytes == 8192
         assert rebuilt.cache is False
+
+    @pytest.mark.parametrize("spec, match", [
+        ("treelet-prefetch,treelet_bytes=32", "at least one 64-byte node"),
+        ("treelet-prefetch,treelet_bytes=192", "divides the BVH base"),
+    ])
+    def test_treelet_size_is_checked_at_parse_time(self, spec, match):
+        # Rejected with the request, before any scene or tree is built.
+        reset_build_counts()
+        with pytest.raises(ValueError, match=match):
+            RunRequest.from_dict({"scene": "WKND", "technique": spec,
+                                  "scale": "smoke"})
+        assert sum(build_counts().values()) == 0
 
     def test_sweep_request_round_trips(self):
         request = SweepRequest(technique="treelet-prefetch",

@@ -6,12 +6,15 @@ container.  A BVH survives a store/load round trip unchanged, and the
 node and triangle objects a loaded tree builds on demand are made of
 plain ``float`` components (the promise of ``repro.geometry.vec``), as
 the builder's are.  A decomposition loaded from a warm cache shares the
-memoized BVH instead of carrying a copy of it.
+memoized BVH instead of carrying a copy of it, and a decomposition and
+a node layout, stored or shipped, are numpy columns and ints: no object
+or dict per node or treelet.
 """
 
 import pickle
 import pickletools
 
+import numpy as np
 import pytest
 
 from repro.bvh import build_wide_bvh
@@ -20,9 +23,12 @@ from repro.core.pipeline import (
     DEFAULT_BRANCHING,
     DEFAULT_BUILD,
     SMOKE,
+    TREELET_PREFETCH,
+    Job,
     get_bvh,
     get_decomposition,
     get_traces,
+    replay_of,
 )
 from repro.exec import ArtifactCache, set_artifact_cache
 from repro.exec.cache import fingerprint
@@ -96,12 +102,12 @@ def test_bvh_round_trips_through_the_cache(tmp_path, smoke_bvhs, name):
     loaded.validate()
 
 
-def _pickle_globals(path):
-    """Every ``(module, name)`` a pickle file references, read off its
+def _pickle_globals(blob: bytes):
+    """Every ``(module, name)`` a pickle references, read off its
     opcodes; memoized strings are tracked so a ``STACK_GLOBAL`` whose
     module name comes from the memo still resolves."""
     found, memo, recent = set(), [], [None, None]
-    for op, arg, _ in pickletools.genops(path.read_bytes()):
+    for op, arg, _ in pickletools.genops(blob):
         if op.name in ("SHORT_BINUNICODE", "BINUNICODE", "BINUNICODE8",
                        "UNICODE"):
             recent = [recent[-1], arg]
@@ -130,7 +136,7 @@ def test_array_entries_reference_only_numpy(tmp_path, kind, container):
     cache = set_artifact_cache(tmp_path)
     get_traces("SPNZA", SMOKE, "treelet", 512)
     (path,) = (cache.version_dir / kind).rglob("*.pkl")
-    found = _pickle_globals(path)
+    found = _pickle_globals(path.read_bytes())
     assert container in found
     others = {g for g in found if g != container}
     assert others and all(
@@ -152,11 +158,57 @@ def test_warm_decomposition_shares_the_memoized_bvh(tmp_path):
     assert build_counts()["decomposition"] == 0
     assert build_counts()["bvh"] == 0
     assert warm.bvh is get_bvh("SPNZA", SMOKE)
-    assert warm.treelets == cold.treelets
-    assert warm.assignment == cold.assignment
+    for column in ("node_treelet", "offsets", "members"):
+        assert np.array_equal(getattr(warm, column), getattr(cold, column))
     assert warm.max_bytes == cold.max_bytes
     warm.validate()
-    # The entry holds treelets and assignment only, not the BVH.
+    # The entry holds the decomposition's columns only, not the BVH.
     assert _entry_bytes(cache, "decomposition") < 0.1 * _entry_bytes(
         cache, "bvh"
     )
+
+
+def _only_numpy_besides(blob: bytes, *containers):
+    """Assert a pickle references ``containers`` and otherwise numpy."""
+    found = _pickle_globals(blob)
+    assert set(containers) <= found
+    others = found - set(containers)
+    assert all(module.split(".")[0] == "numpy" for module, _ in others), others
+
+
+def test_decomposition_entry_is_columns_and_ints(tmp_path):
+    cache = set_artifact_cache(tmp_path)
+    decomposition = get_decomposition("SPNZA", SMOKE, 512)
+    (path,) = (cache.version_dir / "decomposition").rglob("*.pkl")
+    blob = path.read_bytes()
+    # A bare tuple: numpy is the only class an entry names.
+    _only_numpy_besides(blob)
+    max_bytes, *columns = pickle.loads(blob)
+    assert max_bytes == 512 and type(max_bytes) is int
+    assert [column.dtype for column in columns] == [
+        np.int32, np.int64, np.int32
+    ]
+    assert len(decomposition.offsets) == decomposition.treelet_count + 1
+
+
+def test_replay_ships_decomposition_and_layout_as_columns():
+    replay = replay_of(Job("SPNZA", TREELET_PREFETCH, SMOKE))
+    decomposition, layout = replay.decomposition, replay.layout
+    # The layout reads its treelet ids off the decomposition, uncopied.
+    assert layout.node_treelet is decomposition.node_treelet
+    _only_numpy_besides(
+        pickle.dumps(decomposition),
+        ("repro.treelet.formation", "TreeletDecomposition"),
+        ("repro.bvh.node", "FlatBVH"),
+    )
+    _only_numpy_besides(pickle.dumps(layout),
+                        ("repro.bvh.layout", "NodeLayout"))
+    for state in (vars(decomposition), vars(layout)):
+        assert all(
+            isinstance(value, (int, str, np.ndarray)) or key == "bvh"
+            for key, value in state.items()
+        ), state.keys()
+    # A shipped replay keeps the two sharing one column.
+    shipped = pickle.loads(pickle.dumps(replay))
+    assert shipped.layout.node_treelet is shipped.decomposition.node_treelet
+    assert np.array_equal(shipped.layout.node_address, layout.node_address)

@@ -1,6 +1,7 @@
 """Unit tests for the MTA, stride, stream, and GHB baselines, and the
 prefetch queue they share with the treelet prefetcher."""
 
+import numpy as np
 import pytest
 
 from repro.prefetch import (
@@ -134,9 +135,9 @@ def _treelet_feed(decomposition):
     p = TreeletPrefetcher(
         TreeletAddressMap(decomposition, layout, 128), queue_limit=2
     )
-    big = sorted(decomposition.treelets, key=lambda t: -t.node_count)
-    p.on_cycle(0, [StubWarp({big[0].treelet_id: 5})], version=1)
-    p.on_cycle(100, [StubWarp({big[1].treelet_id: 5})], version=2)
+    big = np.argsort(-decomposition.sizes, kind="stable").tolist()
+    p.on_cycle(0, [StubWarp({big[0]: 5})], version=1)
+    p.on_cycle(100, [StubWarp({big[1]: 5})], version=2)
     return p
 
 

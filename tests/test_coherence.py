@@ -10,6 +10,7 @@ from repro.analysis import (
 )
 from repro.geometry import Ray, RayKind
 from repro.traversal import NodeVisit, RayTrace
+from conftest import treelet_members
 
 
 def trace_of(node_ids, ray_id=0):
@@ -54,10 +55,10 @@ class TestTreeletTransitions:
         pytest.skip("fixture has a single treelet")
 
     def test_no_transition_within_treelet(self, decomposition):
-        treelet = max(decomposition.treelets, key=lambda t: t.node_count)
-        if treelet.node_count < 2:
+        treelet = max(treelet_members(decomposition), key=len)
+        if len(treelet) < 2:
             pytest.skip("all treelets are singletons")
-        trace = trace_of(list(treelet.node_ids))
+        trace = trace_of(treelet)
         assert treelet_transitions(trace, decomposition) == 0
 
 

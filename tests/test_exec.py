@@ -242,17 +242,17 @@ class TestPipelineSpill:
         # BVH/rays it needs) had to be rebuilt.
         assert build_counts()["traces"] == 1
 
-    def test_v2_entries_are_not_addressed_by_v3(self, tmp_path, monkeypatch):
-        # v3 stores BVHs and trace sets as column arrays; an entry
-        # written by v2 (which held object graphs) must never be loaded
-        # as a v3 one.
-        assert CACHE_SCHEMA_VERSION == 3
+    def test_v3_entries_are_not_addressed_by_v4(self, tmp_path, monkeypatch):
+        # v4 stores decompositions as column arrays; an entry written
+        # by v3 (which held Treelet objects and an assignment dict)
+        # must never be loaded as a v4 one.
+        assert CACHE_SCHEMA_VERSION == 4
         cache = set_artifact_cache(tmp_path)
         with monkeypatch.context() as patch:
-            patch.setattr("repro.exec.cache.CACHE_SCHEMA_VERSION", 2)
+            patch.setattr("repro.exec.cache.CACHE_SCHEMA_VERSION", 3)
             get_traces("WKND", SMOKE, "treelet", 512)
-        v2_entries = sum(1 for _ in (tmp_path / "v2").rglob("*.pkl"))
-        assert v2_entries == 4  # bvh, rays, decomposition, traces
+        v3_entries = sum(1 for _ in (tmp_path / "v3").rglob("*.pkl"))
+        assert v3_entries == 4  # bvh, rays, decomposition, traces
         clear_caches()
         reset_build_counts()
         get_traces("WKND", SMOKE, "treelet", 512)
@@ -261,7 +261,7 @@ class TestPipelineSpill:
         assert build_counts()["traces"] == 1
         info = cache.describe()
         assert info["entries"] == cache.entries() == 4
-        assert info["stale_entries"] == v2_entries
+        assert info["stale_entries"] == v3_entries
 
     def test_cache_off_builds_normally(self):
         get_traces("WKND", SMOKE, "dfs", 512)

@@ -5,39 +5,34 @@ import pytest
 from repro.bvh import NODE_SIZE_BYTES, build_wide_bvh
 from repro.treelet import form_treelets
 
-from conftest import make_triangles
+from conftest import make_triangles, treelet_members
 
 
 class TestFormationBasics:
     def test_partition_covers_all_nodes(self, small_bvh, decomposition):
-        covered = {
-            node_id
-            for treelet in decomposition.treelets
-            for node_id in treelet.node_ids
-        }
-        assert covered == set(range(len(small_bvh)))
+        assert sorted(decomposition.members.tolist()) == list(
+            range(len(small_bvh))
+        )
 
     def test_validate_passes(self, decomposition):
         decomposition.validate()
 
     def test_size_cap_respected(self, decomposition):
-        for treelet in decomposition.treelets:
-            assert treelet.size_bytes <= decomposition.max_bytes
+        sizes = decomposition.sizes * NODE_SIZE_BYTES
+        assert (sizes <= decomposition.max_bytes).all()
 
     def test_first_treelet_rooted_at_bvh_root(self, small_bvh, decomposition):
-        assert decomposition.treelets[0].root_id == small_bvh.ROOT_ID
+        assert decomposition.roots[0] == small_bvh.ROOT_ID
 
     def test_treelets_are_connected(self, small_bvh, decomposition):
-        for treelet in decomposition.treelets:
-            members = set(treelet.node_ids)
-            for node_id in treelet.node_ids:
-                if node_id != treelet.root_id:
-                    assert small_bvh.node(node_id).parent_id in members
+        for node_ids in treelet_members(decomposition):
+            for node_id in node_ids[1:]:
+                assert small_bvh.node(node_id).parent_id in node_ids
 
     def test_bfs_order_within_treelet(self, small_bvh, decomposition):
         """Members are ordered by non-decreasing depth (upper levels first)."""
-        for treelet in decomposition.treelets:
-            depths = [small_bvh.node(n).depth for n in treelet.node_ids]
+        for node_ids in treelet_members(decomposition):
+            depths = [small_bvh.node(n).depth for n in node_ids]
             assert depths == sorted(depths)
 
     def test_minimum_size_one_node(self, small_bvh):
@@ -61,7 +56,7 @@ class TestFormationShape:
         bvh = build_wide_bvh(make_triangles(300, seed=11), branching_factor=3)
         dec = form_treelets(bvh, 512)
         cap = dec.max_nodes_per_treelet
-        assert dec.treelets[0].node_count == cap
+        assert dec.sizes[0] == cap
 
     def test_smaller_cap_means_more_treelets(self, small_bvh):
         small = form_treelets(small_bvh, 256)
@@ -69,13 +64,15 @@ class TestFormationShape:
         assert small.treelet_count > large.treelet_count
 
     def test_child_same_treelet_bits(self, small_bvh, decomposition):
-        for node in small_bvh.nodes:
-            bits = decomposition.child_same_treelet_bits(node.node_id)
-            assert len(bits) == node.fanout
-            for bit, child_id in zip(bits, node.child_ids):
-                assert bit == decomposition.same_treelet(
-                    node.node_id, child_id
-                )
+        # One bit per CSR child slot: node by node, in child order.
+        bits = decomposition.child_bits().tolist()
+        expected = [
+            decomposition.same_treelet(node.node_id, child_id)
+            for node in small_bvh.nodes
+            for child_id in node.child_ids
+        ]
+        assert bits == expected
+        assert len(bits) == sum(node.fanout for node in small_bvh.nodes)
 
     def test_occupancy_in_unit_range(self, decomposition):
         assert 0.0 < decomposition.occupancy() <= 1.0
@@ -87,22 +84,29 @@ class TestFormationShape:
 class TestValidationCatchesCorruption:
     def test_detects_double_membership(self, small_bvh):
         dec = form_treelets(small_bvh, 512)
-        # Corrupt: duplicate one node into another treelet.
-        if dec.treelet_count >= 2:
-            from repro.treelet.formation import Treelet
+        # Corrupt: overwrite treelet 1's last member with treelet 0's
+        # root, so that node sits in two treelets.
+        assert dec.treelet_count >= 2
+        dec.members[dec.offsets[2] - 1] = dec.members[0]
+        with pytest.raises(ValueError, match="in two treelets"):
+            dec.validate()
 
-            victim = dec.treelets[1]
-            stolen = dec.treelets[0].node_ids[0]
-            dec.treelets[1] = Treelet(
-                victim.treelet_id,
-                victim.root_id,
-                victim.node_ids + (stolen,),
-            )
-            with pytest.raises(ValueError):
-                dec.validate()
+    def test_detects_disagreeing_assignment(self, small_bvh):
+        dec = form_treelets(small_bvh, 512)
+        dec.node_treelet[dec.members[-1]] = 0
+        with pytest.raises(ValueError, match="disagrees"):
+            dec.validate()
+
+    def test_detects_disconnected_treelet(self, small_bvh):
+        dec = form_treelets(small_bvh, 512)
+        # Swap treelet 0's root behind its second member: that member's
+        # parent (the BVH root) is no longer ahead of it in the treelet.
+        dec.members[[0, 1]] = dec.members[[1, 0]]
+        with pytest.raises(ValueError, match="treelet 0"):
+            dec.validate()
 
     def test_detects_oversized_treelet(self, small_bvh):
         dec = form_treelets(small_bvh, 512)
         dec.max_bytes = NODE_SIZE_BYTES  # shrink cap under existing treelets
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds max size"):
             dec.validate()

@@ -1,9 +1,11 @@
 """Unit tests for the alternative treelet formation strategies."""
 
+import numpy as np
 import pytest
 
 from repro.bvh import NODE_SIZE_BYTES
 from repro.treelet import FORMATION_STRATEGIES, form_treelets
+from conftest import treelet_members
 
 
 class TestAllStrategies:
@@ -15,15 +17,15 @@ class TestAllStrategies:
     @pytest.mark.parametrize("strategy", FORMATION_STRATEGIES)
     def test_partition_complete(self, small_bvh, strategy):
         dec = form_treelets(small_bvh, 512, strategy)
-        assert len(dec.assignment) == len(small_bvh)
+        assert sorted(dec.members.tolist()) == list(range(len(small_bvh)))
+        assert (dec.node_treelet >= 0).all()
 
     @pytest.mark.parametrize("strategy", FORMATION_STRATEGIES)
     def test_deterministic(self, small_bvh, strategy):
         a = form_treelets(small_bvh, 512, strategy)
         b = form_treelets(small_bvh, 512, strategy)
-        assert [t.node_ids for t in a.treelets] == [
-            t.node_ids for t in b.treelets
-        ]
+        for column in ("node_treelet", "offsets", "members"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_unknown_strategy_rejected(self, small_bvh):
         with pytest.raises(ValueError):
@@ -33,8 +35,8 @@ class TestAllStrategies:
 class TestStrategyShapes:
     def test_bfs_orders_by_depth(self, small_bvh):
         dec = form_treelets(small_bvh, 512, "bfs")
-        for treelet in dec.treelets:
-            depths = [small_bvh.node(n).depth for n in treelet.node_ids]
+        for node_ids in treelet_members(dec):
+            depths = [small_bvh.node(n).depth for n in node_ids]
             assert depths == sorted(depths)
 
     def test_dfs_makes_deeper_treelets(self, small_bvh):
@@ -43,8 +45,8 @@ class TestStrategyShapes:
 
         def max_span(dec):
             spans = []
-            for treelet in dec.treelets:
-                depths = [small_bvh.node(n).depth for n in treelet.node_ids]
+            for node_ids in treelet_members(dec):
+                depths = [small_bvh.node(n).depth for n in node_ids]
                 spans.append(max(depths) - min(depths))
             return max(spans)
 
@@ -61,7 +63,7 @@ class TestStrategyShapes:
         def area(dec):
             return sum(
                 small_bvh.node(n).bounds.surface_area()
-                for n in dec.treelets[0].node_ids
+                for n in treelet_members(dec)[0]
             )
 
         assert area(sah) >= area(bfs) - 1e-9

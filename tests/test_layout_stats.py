@@ -19,7 +19,7 @@ class TestDfsLayout:
 
     def test_addresses_unique_and_aligned(self, small_bvh):
         layout = dfs_layout(small_bvh)
-        addrs = list(layout.node_address.values())
+        addrs = layout.node_address.tolist()
         assert len(set(addrs)) == len(addrs)
         assert all(a % NODE_SIZE_BYTES == 0 for a in addrs)
 

@@ -137,7 +137,7 @@ class TestBvhProperties:
         bvh = build_wide_bvh(tris, BuildConfig(max_leaf_size=2))
         dec = form_treelets(bvh, 512)
         for layout in (dfs_layout(bvh), treelet_layout(dec)):
-            addresses = list(layout.node_address.values())
+            addresses = layout.node_address.tolist()
             assert len(set(addresses)) == len(bvh)
             assert all(a % NODE_SIZE_BYTES == 0 for a in addresses)
 

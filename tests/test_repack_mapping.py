@@ -4,25 +4,27 @@ import pytest
 
 from repro.bvh import NODE_SIZE_BYTES, dfs_layout
 from repro.bvh.layout import BVH_BASE_ADDRESS
+from repro.prefetch import TreeletAddressMap
 from repro.treelet import (
     MAPPING_ENTRY_BYTES,
     build_mapping_table,
     treelet_layout,
-    treelet_node_addresses,
 )
 
 
 class TestTreeletLayout:
     def test_slot_alignment(self, decomposition):
         layout = treelet_layout(decomposition)
-        for treelet in decomposition.treelets:
-            root_addr = layout.address_of(treelet.root_id)
-            assert (root_addr - BVH_BASE_ADDRESS) % decomposition.max_bytes == 0
+        root_addrs = layout.node_address[decomposition.roots]
+        assert ((root_addrs - BVH_BASE_ADDRESS)
+                % decomposition.max_bytes == 0).all()
 
     def test_members_contiguous_within_slot(self, decomposition):
         layout = treelet_layout(decomposition)
-        for treelet in decomposition.treelets:
-            addrs = [layout.address_of(n) for n in treelet.node_ids]
+        offsets = decomposition.offsets.tolist()
+        for start, end in zip(offsets, offsets[1:]):
+            members = decomposition.members[start:end].tolist()
+            addrs = [layout.address_of(n) for n in members]
             assert addrs == list(
                 range(addrs[0], addrs[0] + len(addrs) * NODE_SIZE_BYTES,
                       NODE_SIZE_BYTES)
@@ -30,11 +32,12 @@ class TestTreeletLayout:
 
     def test_all_nodes_unique_addresses(self, small_bvh, decomposition):
         layout = treelet_layout(decomposition)
-        addrs = set(layout.node_address.values())
+        addrs = set(layout.node_address.tolist())
         assert len(addrs) == len(small_bvh)
 
     def test_node_treelet_populated(self, small_bvh, decomposition):
         layout = treelet_layout(decomposition)
+        assert layout.node_treelet is decomposition.node_treelet
         for node in small_bvh.nodes:
             assert layout.treelet_of(node.node_id) == decomposition.treelet_of(
                 node.node_id
@@ -44,9 +47,9 @@ class TestTreeletLayout:
         packed = treelet_layout(decomposition, stride_bytes=0)
         strided = treelet_layout(decomposition, stride_bytes=256)
         if decomposition.treelet_count >= 2:
-            t1 = decomposition.treelets[1]
-            delta_packed = packed.address_of(t1.root_id) - BVH_BASE_ADDRESS
-            delta_strided = strided.address_of(t1.root_id) - BVH_BASE_ADDRESS
+            root = int(decomposition.roots[1])
+            delta_packed = packed.address_of(root) - BVH_BASE_ADDRESS
+            delta_strided = strided.address_of(root) - BVH_BASE_ADDRESS
             assert delta_packed == decomposition.max_bytes
             assert delta_strided == decomposition.max_bytes + 256
 
@@ -55,20 +58,26 @@ class TestTreeletLayout:
             treelet_layout(decomposition, stride_bytes=-1)
 
     def test_prefix_addresses_fraction(self, decomposition):
+        # One node a line: every member is its own prefetch line.
         layout = treelet_layout(decomposition)
-        treelet = max(decomposition.treelets, key=lambda t: t.node_count)
-        full = treelet_node_addresses(decomposition, layout,
-                                      treelet.treelet_id, 1.0)
-        half = treelet_node_addresses(decomposition, layout,
-                                      treelet.treelet_id, 0.5)
-        assert len(full) == treelet.node_count
-        assert len(half) == max(1, round(0.5 * treelet.node_count))
+        lines = TreeletAddressMap(decomposition, layout, NODE_SIZE_BYTES)
+        treelet = int(decomposition.sizes.argmax())
+        size = int(decomposition.sizes[treelet])
+        full = lines.prefetch_lines(treelet, 1.0)
+        half = lines.prefetch_lines(treelet, 0.5)
+        start = int(decomposition.offsets[treelet])
+        members = decomposition.members[start : start + size]
+        assert full == layout.node_address[members].tolist()
+        assert len(half) == max(1, round(0.5 * size))
         assert half == full[: len(half)]
+        assert lines.prefetch_lines(treelet, 0.0) == []
 
     def test_fraction_bounds_checked(self, decomposition):
         layout = treelet_layout(decomposition)
-        with pytest.raises(ValueError):
-            treelet_node_addresses(decomposition, layout, 0, 1.5)
+        lines = TreeletAddressMap(decomposition, layout, NODE_SIZE_BYTES)
+        for fraction in (1.5, -0.5):
+            with pytest.raises(ValueError):
+                lines.prefetch_lines(0, fraction)
 
 
 class TestMappingTable:
@@ -108,6 +117,9 @@ class TestMappingTable:
     def test_table_loads_cover_treelet_members(self, small_bvh, decomposition):
         layout = dfs_layout(small_bvh)
         table = build_mapping_table(decomposition, layout)
-        treelet = decomposition.treelets[0]
-        addrs = table.table_load_addresses(treelet.treelet_id)
-        assert len(addrs) == treelet.node_count
+        addrs = table.table_load_addresses(0)
+        start, end = decomposition.offsets[:2].tolist()
+        assert addrs == [
+            table.entry_address(node_id)
+            for node_id in decomposition.members[start:end].tolist()
+        ]

@@ -1,5 +1,7 @@
 """Unit tests for the treelet prefetcher and its address map."""
 
+import dataclasses
+
 import pytest
 
 from repro.bvh import dfs_layout
@@ -42,16 +44,16 @@ def drain(prefetcher, cycle=10_000):
 
 class TestAddressMap:
     def test_full_treelet_lines(self, decomposition, address_map):
-        treelet = max(decomposition.treelets, key=lambda t: t.node_count)
-        lines = address_map.prefetch_lines(treelet.treelet_id, 1.0)
+        treelet = int(decomposition.sizes.argmax())
+        lines = address_map.prefetch_lines(treelet, 1.0)
         # 8 nodes x 64B over 128B lines -> at most 4 distinct lines.
         assert 1 <= len(lines) <= 4
         assert all(addr % 128 == 0 for addr in lines)
 
     def test_fraction_prefix(self, decomposition, address_map):
-        treelet = max(decomposition.treelets, key=lambda t: t.node_count)
-        full = address_map.prefetch_lines(treelet.treelet_id, 1.0)
-        half = address_map.prefetch_lines(treelet.treelet_id, 0.5)
+        treelet = int(decomposition.sizes.argmax())
+        full = address_map.prefetch_lines(treelet, 1.0)
+        half = address_map.prefetch_lines(treelet, 0.5)
         assert half == full[: len(half)]
 
     def test_zero_fraction_empty(self, address_map):
@@ -126,24 +128,21 @@ class TestDecisionFlow:
         assert drain(prefetcher)
 
     def test_partial_prefetches_prefix(self, decomposition, address_map):
-        treelet = max(decomposition.treelets, key=lambda t: t.node_count)
-        other = min(
-            (t for t in decomposition.treelets if t is not treelet),
-            key=lambda t: t.treelet_id,
-        )
+        treelet = int(decomposition.sizes.argmax())
+        other = 1 if treelet == 0 else 0
         prefetcher = TreeletPrefetcher(
             address_map, heuristic=PrefetchHeuristic("partial")
         )
         # Winner holds half the votes -> prefetch half the treelet.
         prefetcher.on_cycle(
             0,
-            [StubWarp({treelet.treelet_id: 2, other.treelet_id: 1}),
-             StubWarp({other.treelet_id: 1})],
+            [StubWarp({treelet: 2, other: 1}),
+             StubWarp({other: 1})],
             version=1,
         )
         requests = drain(prefetcher)
-        full = address_map.prefetch_lines(treelet.treelet_id, 1.0)
-        half = address_map.prefetch_lines(treelet.treelet_id, 0.5)
+        full = address_map.prefetch_lines(treelet, 1.0)
+        half = address_map.prefetch_lines(treelet, 0.5)
         assert [r.address for r in requests] == half
         assert len(half) <= len(full)
 
@@ -209,7 +208,9 @@ class TestMappingModes:
     @pytest.fixture
     def dfs_map(self, small_bvh, decomposition):
         layout = dfs_layout(small_bvh)
-        layout.node_treelet = dict(decomposition.assignment)
+        layout = dataclasses.replace(
+            layout, node_treelet=decomposition.node_treelet
+        )
         table = build_mapping_table(decomposition, layout)
         return TreeletAddressMap(decomposition, layout, 128, table)
 

@@ -6,7 +6,10 @@ there is space, (2) lets the warp scheduler pick a warp and issues up to
 the prefetcher's queue head if a port is left over ("when the memory
 scheduler is not busy servicing demand loads") and the head is
 released, and (4) runs the prefetcher's decision logic when its period
-has passed and the warp buffer's vote state has moved.
+has passed and the warp buffer's vote state has moved.  The unit keeps
+the counts these steps read as its rays move: the buffer's issue-ready
+rays (``ready_rays``) and, for a prefetcher with a voter, its vote
+tally (:class:`~repro.prefetch.voter.VoteTally`).
 
 The replay engine (:class:`~repro.gpusim.gpu.GpuModel`) steps a unit
 only in cycles where it can act.  Box/primitive test completions and
@@ -132,9 +135,11 @@ class RTUnit:
         #: prefetcher takes feedback.
         self._demand_hook = _overridden(prefetcher, "on_demand_issue")
         self._decide = _overridden(prefetcher, "on_cycle")
+        #: the adaptive throttle, whose epochs also wake the unit, or None.
+        self._adaptive = getattr(prefetcher, "adaptive", None)
         self._feedback = (
             _overridden(prefetcher, "on_feedback")
-            if getattr(prefetcher, "adaptive", None) is not None
+            if self._adaptive is not None
             else None
         )
         self._warp_buffer_size = config.warp_buffer_size
@@ -146,17 +151,21 @@ class RTUnit:
         self._tracker = memsys.trackers[sm_id]
         self._all_latency = memsys.all_demand_latency
         self._node_latency = memsys.node_demand_latency
-        #: merged next-treelet vote counts over the buffer's warps,
-        #: maintained incrementally by the WarpSlots; the majority voter
-        #: reads this instead of re-merging per decision.  The vote
-        #: counts and ``vote_version`` are kept only for a prefetcher
-        #: with a voter, and the warps' ready-treelet counts only for
-        #: the treelet schedulers: nothing else reads them.
-        self._alive_votes: Dict[int, int] = {}
-        self._count_votes = hasattr(self.prefetcher, "vote_counts")
+        #: the buffer's issue-ready rays: the sum of its warps'
+        #: ``ready_count``, kept as rays move.
+        self.ready_rays = 0
+        #: the prefetcher's vote tally, which this unit keeps equal to
+        #: the buffer's alive next-treelet votes; only a prefetcher with
+        #: a voter has one.  The tally and ``vote_version`` are kept
+        #: only for such a prefetcher, the warps' own vote counts only
+        #: for a voter that reads them (the pseudo voter), and their
+        #: ready-treelet counts only for the treelet schedulers:
+        #: nothing else reads them.
+        self._tally = getattr(prefetcher, "tally", None)
+        self._warp_votes = (
+            self._tally is not None and prefetcher.voter.reads_warps
+        )
         self._count_ready = not self._baseline_sched
-        if self._count_votes:
-            self.prefetcher.vote_counts = self._alive_votes
         l1 = self._l1
         #: what :meth:`_issue_demand` reads, unpacked in one go.
         self._issue_env = (
@@ -180,7 +189,8 @@ class RTUnit:
         return bool(self.pending_warps) or bool(self.buffer)
 
     def ready_total(self) -> int:
-        return sum(warp.ready_count for warp in self.buffer)
+        """Issue-ready rays across the warp buffer."""
+        return self.ready_rays
 
     # -- per-cycle step -----------------------------------------------------
 
@@ -209,14 +219,15 @@ class RTUnit:
         buffer = self.buffer
         stats = self.stats
         prefetcher = self.prefetcher
+        tally = self._tally
         if self.pending_warps and len(buffer) < self._warp_buffer_size:
             rays = self.pending_warps.popleft()
             slot = WarpSlot(
                 self._next_warp_id,
                 rays,
                 cycle,
-                shared_votes=self._alive_votes,
-                count_votes=self._count_votes,
+                tally=tally,
+                count_votes=self._warp_votes,
                 count_ready=self._count_ready,
             )
             self._next_warp_id += 1
@@ -224,7 +235,8 @@ class RTUnit:
                 stats.warps_retired += 1
             else:
                 buffer.append(slot)
-                if self._count_votes:
+                self.ready_rays += slot.ready_count
+                if tally is not None:
                     self.vote_version += 1
                 if self.obs is not None:
                     self.obs.emit(
@@ -234,35 +246,39 @@ class RTUnit:
                         args=slot.trace_args(),
                     )
         issued = 0
-        if self._baseline_sched or prefetcher.last_prefetched_treelet is None:
-            # ``select_oldest``, inlined.
-            warp = None
-            for candidate in buffer:
-                if candidate.ready_count > 0:
-                    warp = candidate
-                    break
-        else:
-            warp = self._select_warp(
-                buffer, prefetcher.last_prefetched_treelet
-            )
         l1 = self._l1
-        if warp is not None and len(l1._mshrs) < l1._mshr_capacity:
-            issued = self._issue_demand(warp, cycle)
-            if issued:
-                stats.busy_cycles += 1
-        elif warp is not None:
+        if not self.ready_rays:
+            if buffer:
+                stats.stall_cycles += 1
+                if self.obs is not None:
+                    self.obs.emit(
+                        "rtunit.stall", cycle, f"RT{self.sm_id}", dur=1
+                    )
+        elif len(l1._mshrs) >= l1._mshr_capacity:
+            # Every policy picks a warp when a ray is ready, and none
+            # could issue: skip the pick.
             stats.mshr_stall_cycles += 1
             if self.obs is not None:
                 self.obs.emit(
                     "rtunit.stall", cycle, f"RT{self.sm_id}", dur=1,
                     args={"reason": "mshr"},
                 )
-        elif buffer:
-            stats.stall_cycles += 1
-            if self.obs is not None:
-                self.obs.emit(
-                    "rtunit.stall", cycle, f"RT{self.sm_id}", dur=1
+        else:
+            if (
+                self._baseline_sched
+                or prefetcher.last_prefetched_treelet is None
+            ):
+                # ``select_oldest``, inlined.
+                for warp in buffer:
+                    if warp.ready_count:
+                        break
+            else:
+                warp = self._select_warp(
+                    buffer, prefetcher.last_prefetched_treelet
                 )
+            issued = self._issue_demand(warp, cycle)
+            if issued:
+                stats.busy_cycles += 1
         null_prefetcher = self._null_prefetcher
         # Exactly the base prefetcher: its queue stays empty and its
         # hooks are empty — skip them all.  Otherwise pop a released
@@ -287,27 +303,34 @@ class RTUnit:
             ):
                 self._decide(cycle, buffer, self.vote_version)
 
-        # When to step next (see the docstring).  Warps the scheduler
-        # passed over may be ready too, so only a still-ready issuing
-        # warp spares the scan.
-        ready = warp is not None and warp.ready_count > 0
-        if not ready:
-            for warp in buffer:
-                if warp.ready_count:
-                    ready = True
-                    break
+        # When to step next (see the docstring).
+        ready = self.ready_rays > 0
         kind = 2 if ready else (1 if buffer else 0)
         if self.pending_warps and len(buffer) < self._warp_buffer_size:
             return cycle + 1, kind  # an admit can happen next cycle
         if ready and len(l1._mshrs) < l1._mshr_capacity:
             return cycle + 1, kind
-        # Base prefetcher: queue_depth() is 0, so its next_activity_cycle
-        # is always None — skip the call.
-        if not null_prefetcher:
-            wake = prefetcher.next_activity_cycle(cycle, self.vote_version)
-            if wake is not None:
-                return wake, kind
-        return NO_WAKE, kind
+        if null_prefetcher:
+            return NO_WAKE, kind
+        # The prefetcher's own next act: its queue head's release, the
+        # adaptive throttle's next epoch, and a decision once the vote
+        # state has moved (Strict Wait holds decisions until the table
+        # loads return, and a completion callback wakes the unit).
+        wake = NO_WAKE
+        queue = self._prefetch_queue
+        if queue:
+            wake = queue[0].release_cycle
+        adaptive = self._adaptive
+        if adaptive is not None and adaptive.next_epoch_cycle < wake:
+            wake = adaptive.next_epoch_cycle
+        if (
+            self._decide is not None
+            and self.vote_version != prefetcher.decided_version
+            and not prefetcher.strict_outstanding
+            and prefetcher.decision_cycle < wake
+        ):
+            wake = prefetcher.decision_cycle
+        return (wake if wake > cycle else cycle + 1), kind
 
     def _issue_prefetch(self, request, cycle: int) -> None:
         """Send the prefetcher's popped ``request`` to the memory system."""
@@ -508,7 +531,9 @@ class RTUnit:
 
         # Every ready ray was scanned: only the ones it kept stay ready.
         warp.ready_mask = kept
-        warp.ready_count = bin(kept).count("1") if kept else 0
+        ready = bin(kept).count("1") if kept else 0
+        self.ready_rays += ready - warp.ready_count
+        warp.ready_count = ready
         stats.node_fetches_issued += len(node_rays)
         stats.primitive_fetches_issued += len(prim_lines)
         return claimed
@@ -554,6 +579,7 @@ class RTUnit:
             node_lat.total_cycles += latency
             node_lat.count += 1
             ready_treelets = warp.ready_treelet_counts
+            readied = 0
             for ray in rays:
                 cursor = ray.cursor
                 lines = ray.prims[cursor]
@@ -564,12 +590,15 @@ class RTUnit:
                 ray.prim_lines_pending = list(lines)
                 ray.prim_lines_outstanding = 0
                 ray.state = PRIM_READY
-                self.must_step = True
                 # The ray rejoins the warp's ready set.
-                warp.ready_count += 1
+                readied += 1
                 warp.ready_mask |= 1 << ray.slot_index
                 if ready_treelets is not None:
                     ready_treelets[ray.treelets[cursor]] += 1
+            if readied:
+                self.must_step = True
+                warp.ready_count += readied
+                self.ready_rays += readied
             if group:
                 self._box_tests.append(
                     (cycle + self._box_latency, warp, group)
@@ -618,9 +647,11 @@ class RTUnit:
         self.must_step = True
         fetch_ready = FETCH_READY
         done_state = DONE
-        count_votes = self._count_votes
+        tally = self._tally
+        warp_votes = self._warp_votes
         count_ready = self._count_ready
         completed = 0
+        finished = 0
         for tests in (box_tests, prim_tests):
             while tests and tests[0][0] <= cycle:
                 due, warp, group = tests.popleft()
@@ -630,23 +661,27 @@ class RTUnit:
                     ray.cursor = cursor
                     if cursor >= ray.end:
                         ray.state = done_state
-                        if count_votes:
+                        finished += 1
+                        if tally is not None:
                             old_vote = ray.lookahead[cursor - 1]
-                            warp.note_ray_done(old_vote)
                             if old_vote != -1:
+                                tally.remove(old_vote)
+                                if warp_votes:
+                                    warp.note_vote_change(old_vote, -1)
                                 self.vote_version += 1
-                        else:
-                            warp.done_count += 1
+                        warp.done_count += 1
                         if warp.done_count >= len(warp.rays):
                             self._retire(warp, due)
                         continue
                     ray.state = fetch_ready
-                    if count_votes:
+                    if tally is not None:
                         lookahead = ray.lookahead
                         old_vote = lookahead[cursor - 1]
                         new_vote = lookahead[cursor]
                         if new_vote != old_vote:
-                            warp.note_vote_change(old_vote, new_vote)
+                            tally.move(old_vote, new_vote)
+                            if warp_votes:
+                                warp.note_vote_change(old_vote, new_vote)
                             self.vote_version += 1
                     # The ray rejoins the warp's ready set.
                     warp.ready_count += 1
@@ -654,6 +689,8 @@ class RTUnit:
                     if count_ready:
                         warp.ready_treelet_counts[ray.treelets[cursor]] += 1
         self.stats.visits_completed += completed
+        # Every completed ray that did not finish rejoined a ready set.
+        self.ready_rays += completed - finished
 
     def _retire(self, warp: WarpSlot, cycle: int) -> None:
         self.buffer.remove(warp)

@@ -7,7 +7,7 @@ node, run the box/primitive tests, advance.  Successive node fetches are
 treelet prefetching attacks.
 
 A :class:`WarpSlot` groups up to 32 ray tasks and maintains the treelet
-occupancy counters the majority voter and the treelet schedulers read.
+occupancy counters the pseudo voter and the treelet schedulers read.
 """
 
 from __future__ import annotations
@@ -174,16 +174,19 @@ class WarpSlot:
     """One warp-buffer entry: up to ``warp_size`` ray tasks plus counters.
 
     ``alive_treelet_counts`` counts, per treelet, unfinished rays whose
-    *lookahead* (next different) treelet is that treelet — the majority
-    voter's input.  ``ready_treelet_counts`` counts issue-ready rays by
-    the treelet of their *current* fetch target — the treelet
-    schedulers' input (those rays benefit from the prefetched treelet
-    right now); a treelet's count may rest at zero.
+    *lookahead* (next different) treelet is that treelet — the pseudo
+    voter's first-level input.  ``ready_treelet_counts`` counts
+    issue-ready rays by the treelet of their *current* fetch target —
+    the treelet schedulers' input (those rays benefit from the
+    prefetched treelet right now); a treelet's count may rest at zero.
 
     Each is kept only for its readers: ``count_votes=False`` (an RT unit
-    whose prefetcher has no voter) leaves ``alive_treelet_counts`` None,
-    and ``count_ready=False`` (the baseline scheduler) leaves
-    ``ready_treelet_counts`` None.
+    whose voter reads only the unit's merged tally, or that has no
+    voter) leaves ``alive_treelet_counts`` None, and
+    ``count_ready=False`` (the baseline scheduler) leaves
+    ``ready_treelet_counts`` None.  ``tally`` is the unit's
+    :class:`~repro.prefetch.voter.VoteTally`, which the slot's rays'
+    initial votes are added to; the unit keeps it current afterwards.
     """
 
     def __init__(
@@ -191,7 +194,7 @@ class WarpSlot:
         warp_id: int,
         rays: List[RayTask],
         entry_cycle: int,
-        shared_votes: Optional[Dict[int, int]] = None,
+        tally=None,
         count_votes: bool = True,
         count_ready: bool = True,
     ) -> None:
@@ -208,12 +211,6 @@ class WarpSlot:
         #: PRIM_READY) — always ``ready_count`` bits set.  The batched
         #: issue path iterates set bits instead of scanning the list.
         self.ready_mask = 0
-        #: optional unit-level merged vote counts this slot mirrors its
-        #: alive-count mutations into, so the majority voter reads one
-        #: dict instead of re-merging every warp per decision.  Kept
-        #: exactly equal to the sum of the buffer warps' counts (zero
-        #: entries are deleted, matching :meth:`_dec`).
-        self._shared_votes = shared_votes
         for index, ray in enumerate(rays):
             ray.slot_index = index
             state = ray.state
@@ -222,10 +219,11 @@ class WarpSlot:
                 continue
             cursor = ray.cursor
             vote = ray.lookahead[cursor]
-            if vote != -1 and alive is not None:
-                alive[vote] += 1
-                if shared_votes is not None:
-                    shared_votes[vote] = shared_votes.get(vote, 0) + 1
+            if vote != -1:
+                if alive is not None:
+                    alive[vote] += 1
+                if tally is not None:
+                    tally.add(vote)
             if state is FETCH_READY:
                 self.ready_count += 1
                 self.ready_mask |= 1 << index
@@ -248,33 +246,12 @@ class WarpSlot:
     # -- counter maintenance (called by the RT unit on transitions) ------
 
     def note_vote_change(self, old: int, new: int) -> None:
-        """The ray's lookahead treelet moved from ``old`` to ``new``."""
+        """A ray's lookahead treelet moved from ``old`` to ``new`` (``-1``:
+        no vote, as for a finished ray)."""
         if old != -1:
             self._dec(self.alive_treelet_counts, old)
         if new != -1:
             self.alive_treelet_counts[new] += 1
-        shared = self._shared_votes
-        if shared is not None:
-            if old != -1:
-                count = shared[old] - 1
-                if count <= 0:
-                    del shared[old]
-                else:
-                    shared[old] = count
-            if new != -1:
-                shared[new] = shared.get(new, 0) + 1
-
-    def note_ray_done(self, old_vote: int) -> None:
-        if old_vote != -1:
-            self._dec(self.alive_treelet_counts, old_vote)
-            shared = self._shared_votes
-            if shared is not None:
-                count = shared[old_vote] - 1
-                if count <= 0:
-                    del shared[old_vote]
-                else:
-                    shared[old_vote] = count
-        self.done_count += 1
 
     @staticmethod
     def _dec(counts: Dict[int, int], key: int) -> None:

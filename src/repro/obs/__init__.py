@@ -45,9 +45,6 @@ from .events import (
     EV_WARP_ISSUE,
     EV_WARP_RETIRE,
     TraceEvent,
-    dram_track,
-    rt_track,
-    sm_track,
 )
 from .metrics import (
     Counter,
@@ -121,16 +118,13 @@ __all__ = [
     "collect",
     "current_context",
     "deactivate",
-    "dram_track",
     "load_run_report",
     "load_spans",
     "merge_spans",
     "nearest_rank",
     "new_id",
     "prometheus_name",
-    "rt_track",
     "simstats_to_dict",
-    "sm_track",
     "span",
     "summarize_spans",
     "write_chrome_trace",

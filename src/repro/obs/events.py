@@ -64,23 +64,6 @@ ALL_EVENT_KINDS = (
     EV_VOTER_DECIDE,
 )
 
-# -- track naming -----------------------------------------------------------
-
-
-def sm_track(sm_id: int) -> str:
-    """Warp-lifecycle track for one SM."""
-    return f"SM{sm_id}"
-
-
-def rt_track(sm_id: int) -> str:
-    """Stall/prefetch track for one SM's RT unit."""
-    return f"RT{sm_id}"
-
-
-def dram_track(partition: int) -> str:
-    """Bus-occupancy track for one DRAM partition."""
-    return f"DRAM[{partition}]"
-
 
 class TraceEvent(NamedTuple):
     """One published event (immutable, cheap to create)."""

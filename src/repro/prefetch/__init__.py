@@ -12,6 +12,7 @@ from .voter import (
     MajorityVoter,
     SEQUENTIAL_AREA_UM2,
     VoterStats,
+    VoteTally,
     first_level_table_bytes,
     second_level_table_bytes,
     voter_latency_for_copies,
@@ -38,6 +39,7 @@ __all__ = [
     "TreeletAddressMap",
     "TreeletPrefetcher",
     "VoterStats",
+    "VoteTally",
     "first_level_table_bytes",
     "second_level_table_bytes",
     "voter_latency_for_copies",

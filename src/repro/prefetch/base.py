@@ -5,7 +5,7 @@ bounded FIFO of :class:`PrefetchRequest` entries, each with the cycle
 it may issue from, plus the enqueue/issue/drop counts.  Subclasses fill
 it through :meth:`Prefetcher.enqueue`; the RT unit drains it.
 
-The replay engine drives a prefetcher through six hooks:
+The replay engine drives a prefetcher through five hooks:
 
 * :meth:`on_cycle` — decision logic, called in a unit step only when
   the step's cycle has reached :attr:`decision_cycle` and the unit's
@@ -16,13 +16,15 @@ The replay engine drives a prefetcher through six hooks:
 * :meth:`on_feedback` — in every step, for an adaptive prefetcher;
 * :meth:`pop_prefetch` — when the memory scheduler has a free port and
   the queue head is released, the RT unit pops it and issues it to L1;
-* :meth:`queue_depth` — entries waiting (the timeline sampler reads it);
-* :meth:`next_activity_cycle` — when a unit with nothing to issue must
-  still be stepped for the prefetcher's sake.
+* :meth:`queue_depth` — entries waiting (the timeline sampler reads it).
 
 The unit resolves :meth:`on_cycle`, :meth:`on_demand_issue` and
 :meth:`on_feedback` once, and never calls one the subclass does not
-override.
+override.  It also computes when a unit with nothing to issue must
+still be stepped for the prefetcher's sake from the prefetcher's state:
+the queue head's release cycle, the decision gate
+(:attr:`decision_cycle`, :attr:`decided_version`,
+:attr:`strict_outstanding`) and an adaptive throttle's next epoch.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ class Prefetcher:
         #: ... and the vote version it last acted on: the RT unit calls
         #: it only when its own version differs (it is never negative).
         self.decided_version = -2
+        #: table loads :meth:`on_cycle` waits for before it decides again
+        #: (the treelet prefetcher's Strict Wait); the unit does not
+        #: wake for a decision while any is outstanding.
+        self.strict_outstanding = 0
         #: optional trace bus (repro.obs); None = tracing disabled.
         self.obs = None
         #: trace track name (the observer stamps in the SM id).
@@ -124,24 +130,3 @@ class Prefetcher:
     def queue_depth(self) -> int:
         """Entries waiting to issue."""
         return len(self.queue)
-
-    def next_activity_cycle(self, cycle: int, version: int) -> Optional[int]:
-        """Earliest cycle > ``cycle`` at which this prefetcher could act
-        on its own (pop a queued entry, make a decision, tick an epoch)
-        without any new demand/memory activity waking its RT unit.
-
-        The replay engine uses this to know when a unit with no
-        issue-ready rays still has to be stepped, so skipping cycles
-        never skips a prefetcher decision.  ``None`` means "nothing
-        scheduled" — the prefetcher only reacts to events.
-        Implementations must never return a value <= ``cycle``.
-
-        The base rule covers every history-based prefetcher (stride,
-        stream, GHB, MTA): the queue head's release cycle, or the next
-        cycle once it is released; an empty queue means fully reactive.
-        """
-        queue = self.queue
-        if not queue:
-            return None
-        head = queue[0].release_cycle
-        return head if head > cycle else cycle + 1

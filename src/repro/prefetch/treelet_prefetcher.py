@@ -1,10 +1,10 @@
 """The treelet prefetcher (Section 4.1).
 
-Each decision period the majority voter scans the warp buffer for the
-most popular next-treelet; the active heuristic decides whether (and how
-much of) that treelet to prefetch; the resulting line addresses enter
-the prefetch queue, which the RT unit drains one entry per cycle when a
-memory port is free.  The prefetcher remembers the last treelet it
+Each decision period the majority voter reads the warp buffer's vote
+tally for the most popular next-treelet; the active heuristic decides
+whether (and how much of) that treelet to prefetch; the resulting line
+addresses enter the prefetch queue, which the RT unit drains one entry
+per cycle when a memory port is free.  The prefetcher remembers the last treelet it
 prefetched and never enqueues the same treelet twice in a row.
 
 Mapping-table modes (Section 4.4, evaluated in Figure 14):
@@ -24,7 +24,7 @@ from .adaptive import AdaptiveThrottle
 from .addresses import TreeletAddressMap
 from .base import Prefetcher
 from .heuristics import PrefetchHeuristic
-from .voter import MajorityVoter
+from .voter import MajorityVoter, VoteTally
 
 #: Default bound on queued prefetch entries (hardware FIFO depth).
 DEFAULT_QUEUE_LIMIT = 128
@@ -53,11 +53,9 @@ class TreeletPrefetcher(Prefetcher):
         self.adaptive = adaptive
         self.voter = voter or MajorityVoter()
         self.mapping_mode = mapping_mode
-        #: premerged vote counts maintained by the owning RT unit (set
-        #: right after construction); None falls back to re-merging the
-        #: warps on every decision.  Identical decisions either way.
-        self.vote_counts: Optional[dict] = None
-        self._strict_outstanding = 0  # Strict Wait mapping loads in flight
+        #: the warp buffer's alive votes; the owning RT unit keeps it
+        #: current as its rays advance.
+        self.tally = VoteTally()
 
     # -- Prefetcher interface -------------------------------------------
 
@@ -66,13 +64,13 @@ class TreeletPrefetcher(Prefetcher):
         # calls; direct callers rely on these checks.
         if cycle < self.decision_cycle:
             return
-        if self._strict_outstanding:
+        if self.strict_outstanding:
             return  # Strict Wait: stalled on mapping-table loads
         if version >= 0 and version == self.decided_version:
             return  # identical warp-buffer state -> identical decision
         self.decision_cycle = cycle + self.voter.period
         self.decided_version = version
-        decision = self.voter.decide(warps, cycle, counts=self.vote_counts)
+        decision = self.voter.decide(self.tally, warps, cycle)
         if decision is None:
             return
         winner, popularity, total_votes = decision
@@ -125,29 +123,6 @@ class TreeletPrefetcher(Prefetcher):
         if self.adaptive is not None:
             self.adaptive.on_cycle(cycle, counts)
 
-    def next_activity_cycle(self, cycle: int, version: int) -> Optional[int]:
-        """Self-scheduled activity: the queue head's release gate, the
-        pending decision once the warp-buffer version has moved, and the
-        adaptive throttle's next epoch boundary.  Strict Wait mode holds
-        decisions back until the table loads return (an event, so the
-        RT unit is woken through the completion callback instead)."""
-        nxt: Optional[int] = None
-        queue = self.queue
-        if queue:
-            head = queue[0].release_cycle
-            nxt = head if head > cycle else cycle + 1
-        if self.adaptive is not None:
-            epoch = self.adaptive.next_epoch_cycle
-            candidate = epoch if epoch > cycle else cycle + 1
-            if nxt is None or candidate < nxt:
-                nxt = candidate
-        if not self._strict_outstanding and version != self.decided_version:
-            gate = self.decision_cycle
-            candidate = gate if gate > cycle else cycle + 1
-            if nxt is None or candidate < nxt:
-                nxt = candidate
-        return nxt
-
     # -- internals --------------------------------------------------------
 
     def _enqueue_lines(
@@ -165,11 +140,11 @@ class TreeletPrefetcher(Prefetcher):
         if not mapping:
             self._enqueue_lines(lines, release=release)
             return
-        self._strict_outstanding += len(mapping)
+        self.strict_outstanding += len(mapping)
 
         def table_load_done(_cycle: int) -> None:
-            self._strict_outstanding -= 1
-            if self._strict_outstanding == 0:
+            self.strict_outstanding -= 1
+            if self.strict_outstanding == 0:
                 # Table loads returning implies the voter gate elapsed
                 # long ago; the original release still applies.
                 self._enqueue_lines(lines, release=release)

@@ -16,9 +16,9 @@ overhead numbers are reproducible.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from heapq import heapify, heappop, heappush, heapreplace
+from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Bits per first-level entry: 23-bit treelet root address + 4-bit count.
 FIRST_LEVEL_ENTRY_BITS = 23 + 4
@@ -80,6 +80,94 @@ class VoterStats:
         return self.agreements / self.decisions
 
 
+class VoteTally:
+    """The warp buffer's alive next-treelet votes, kept as they change.
+
+    ``counts`` maps a treelet to the alive rays voting for it (no zero
+    entries, no ``-1`` key) and ``total`` is their sum.  A lazy max-heap
+    of ``(-count, treelet)`` entries answers :meth:`top` in amortized
+    O(log n): an increment pushes the new count, a decrement pushes
+    nothing, so every voted treelet keeps an entry whose count is at
+    least its current one, and :meth:`top` re-keys or drops stale heads
+    until the head is current.  The heap is rebuilt from ``counts``
+    when stale entries outnumber the live ones.
+    """
+
+    __slots__ = ("counts", "total", "_heap")
+
+    #: heap entries beyond twice the voted treelets that trigger a rebuild.
+    SLACK = 32
+
+    def __init__(self) -> None:
+        self.counts: Dict[int, int] = {}
+        self.total = 0
+        self._heap: List[Tuple[int, int]] = []
+
+    def add(self, treelet: int) -> None:
+        """One more alive ray votes for ``treelet``."""
+        counts = self.counts
+        count = counts.get(treelet, 0) + 1
+        counts[treelet] = count
+        self.total += 1
+        heap = self._heap
+        heappush(heap, (-count, treelet))
+        if len(heap) > 2 * len(counts) + self.SLACK:
+            self._rebuild()
+
+    def remove(self, treelet: int) -> None:
+        """One alive ray stops voting for ``treelet``."""
+        counts = self.counts
+        count = counts[treelet] - 1
+        if count:
+            counts[treelet] = count
+        else:
+            del counts[treelet]
+        self.total -= 1
+
+    def move(self, old: int, new: int) -> None:
+        """A ray's vote moves from ``old`` to ``new`` (``-1``: none):
+        :meth:`remove` then :meth:`add`, inlined, as the replay calls
+        it on every treelet change of every ray."""
+        counts = self.counts
+        if old != -1:
+            count = counts[old] - 1
+            if count:
+                counts[old] = count
+            else:
+                del counts[old]
+            self.total -= 1
+        if new != -1:
+            count = counts.get(new, 0) + 1
+            counts[new] = count
+            self.total += 1
+            heap = self._heap
+            heappush(heap, (-count, new))
+            if len(heap) > 2 * len(counts) + self.SLACK:
+                self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Drop every stale heap entry: one entry per voted treelet."""
+        heap = self._heap
+        heap[:] = [(-count, treelet) for treelet, count in self.counts.items()]
+        heapify(heap)
+
+    def top(self) -> Optional[int]:
+        """The treelet with the most votes, ties to the lowest id; None
+        when nobody votes."""
+        heap = self._heap
+        counts = self.counts
+        while heap:
+            negative, treelet = heap[0]
+            count = counts.get(treelet, 0)
+            if count == -negative:
+                return treelet
+            if count:
+                heapreplace(heap, (-count, treelet))
+            else:
+                heappop(heap)
+        return None
+
+
 class MajorityVoter:
     """Finds the most popular next-treelet across the warp buffer."""
 
@@ -101,45 +189,30 @@ class MajorityVoter:
         """Cycles between decisions (at least one)."""
         return max(1, self.latency)
 
+    @property
+    def reads_warps(self) -> bool:
+        """Whether :meth:`decide` reads per-warp vote counts (the pseudo
+        voter's first level); the full voter reads the tally only."""
+        return self.mode == "pseudo"
+
     def decide(
-        self, warps: Iterable, cycle: int = 0, counts=None
+        self, tally: VoteTally, warps: Iterable = (), cycle: int = 0
     ) -> Optional[Tuple[int, int, int]]:
         """Return ``(winner_treelet, popularity, total_votes)`` or None.
 
-        ``warps`` are :class:`~repro.gpusim.warp.WarpSlot`-likes exposing
-        ``alive_treelet_counts`` and ``winner_treelet()``.  ``popularity``
+        ``tally`` holds the warp buffer's merged votes.  ``popularity``
         is the number of warp-buffer rays headed for the winner (the
         "ones counter" output) and ``total_votes`` the number of rays
         that voted — the denominator the popularity heuristics use.
-        ``cycle`` is observational only (it timestamps trace events).
-
-        ``counts`` is an optional premerged vote-count mapping (treelet
-        -> alive rays voting for it, no ``-1`` key, no zero entries —
-        the RT unit maintains one incrementally).  When given it must
-        equal the merge over ``warps`` and replaces the per-decision
-        re-merge; the decision is identical either way.
+        ``warps`` are :class:`~repro.gpusim.warp.WarpSlot`-likes exposing
+        ``alive_treelet_counts`` and ``winner_treelet()``; only the
+        pseudo voter reads them.  ``cycle`` is observational only (it
+        timestamps trace events).
         """
-        if counts is not None:
-            if not counts:
-                return None
-            merged = counts  # read-only: never mutated here
-            total_votes = 0
-            full_winner = -1
-            best = 0
-            for treelet, count in merged.items():
-                total_votes += count
-                if count > best or (count == best and treelet < full_winner):
-                    full_winner, best = treelet, count
-        else:
-            warps = list(warps)
-            merged = Counter()
-            for warp in warps:
-                merged.update(warp.alive_treelet_counts)
-            merged.pop(-1, None)  # rays with no treelet info
-            if not merged:
-                return None
-            total_votes = sum(merged.values())
-            full_winner = min(merged, key=lambda t: (-merged[t], t))
+        full_winner = tally.top()
+        if full_winner is None:
+            return None
+        counts = tally.counts
         if self.mode == "full":
             winner = full_winner
         else:
@@ -147,19 +220,21 @@ class MajorityVoter:
             # the per-warp winners survive level one — minority treelets
             # within a warp are invisible to level two, which is exactly
             # where the pseudo voter loses accuracy vs the full majority.
-            level_two: Counter = Counter()
+            level_two: Dict[int, int] = {}
             for warp in warps:
                 warp_winner = warp.winner_treelet()
-                if warp_winner is not None and warp_winner != -1:
-                    level_two[warp_winner] += warp.alive_treelet_counts[
-                        warp_winner
-                    ]
+                if warp_winner is not None:
+                    level_two[warp_winner] = (
+                        level_two.get(warp_winner, 0)
+                        + warp.alive_treelet_counts[warp_winner]
+                    )
             if not level_two:
                 return None
             winner = min(level_two, key=lambda t: (-level_two[t], t))
         self.stats.decisions += 1
         if winner == full_winner:
             self.stats.agreements += 1
+        popularity = counts[winner]
         if self.obs is not None:
             self.obs.emit(
                 "voter.decide",
@@ -170,8 +245,8 @@ class MajorityVoter:
                     "winner": winner,
                     "full_winner": full_winner,
                     "agreed": winner == full_winner,
-                    "popularity": merged[winner],
-                    "total_votes": total_votes,
+                    "popularity": popularity,
+                    "total_votes": tally.total,
                 },
             )
-        return winner, merged[winner], total_votes
+        return winner, popularity, tally.total

@@ -31,7 +31,6 @@ from .library import (
     Scene,
     build_scene,
     frame_camera,
-    query_scene_names,
     scene_names,
     scene_registry,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "plane",
     "point_cloud_clustered",
     "point_cloud_uniform",
-    "query_scene_names",
     "room",
     "save_obj",
     "scattered",

@@ -328,11 +328,6 @@ def scene_names() -> List[str]:
     return list(ALL_SCENES)
 
 
-def query_scene_names() -> List[str]:
-    """Query-workload scene names, in registry order."""
-    return list(QUERY_SCENES)
-
-
 def scene_registry() -> List[Tuple[str, str, int]]:
     """(name, kind, triangle budget at scale=1.0) for every known scene."""
     rows = [(name, SCENE_KINDS[name], SCENE_TRIANGLE_BUDGET[name])

@@ -10,7 +10,8 @@ from repro.gpusim import (
     GpuModel, MemorySystem, RTUnit, RayState, RayTask, WarpSlot,
 )
 from repro.prefetch import (
-    MajorityVoter, Prefetcher, TreeletAddressMap, TreeletPrefetcher,
+    AdaptiveConfig, AdaptiveThrottle, MajorityVoter, Prefetcher,
+    TreeletAddressMap, TreeletPrefetcher,
 )
 from repro.treelet import form_treelets, treelet_layout
 
@@ -239,9 +240,9 @@ class TestPrefetchArbitration:
             decisions.append(cycle)
             on_cycle(cycle, warps, version)
 
-        def counted_decide(warps, cycle=0, counts=None):
+        def counted_decide(tally, warps=(), cycle=0):
             votes.append(cycle)
-            return decide(warps, cycle, counts)
+            return decide(tally, warps, cycle)
 
         prefetcher.pop_prefetch = counted_pop
         prefetcher.on_cycle = counted_on_cycle
@@ -254,6 +255,31 @@ class TestPrefetchArbitration:
         assert all(pops)
         assert decisions == votes
         assert 0 < len(decisions) < cycles
+
+
+    def test_wake_follows_the_prefetcher_state(self, decomposition):
+        """A unit with nothing to issue wakes for its prefetcher's
+        released queue head, its adaptive epoch, and a decision once
+        the votes have moved, unless Strict Wait holds decisions."""
+        layout = treelet_layout(decomposition)
+        prefetcher = TreeletPrefetcher(
+            TreeletAddressMap(decomposition, layout, 128),
+            voter=MajorityVoter(latency=8),
+            adaptive=AdaptiveThrottle(AdaptiveConfig(epoch_cycles=1000)),
+        )
+        unit, _ = make_unit(prefetcher=prefetcher)
+        # The first step decides on the empty buffer (next gate: 8).
+        assert unit.step(0) == (1000, 0)
+        assert prefetcher.decision_cycle == 8
+        prefetcher.enqueue(0x9000, release=40)
+        assert unit.step(1) == (40, 0)
+        unit.vote_version += 1  # the votes moved
+        assert unit.step(2) == (8, 0)
+        prefetcher.strict_outstanding = 1
+        assert unit.step(3) == (40, 0)
+        prefetcher.strict_outstanding = 0
+        assert unit.step(8)[0] == 40  # decided at 8, gate now 16
+        assert unit.step(40)[0] == 1000  # popped the head at 40
 
 
 class TestWarpBufferFlow:
@@ -367,7 +393,6 @@ class TestVoteVersion:
             TreeletAddressMap(decomposition, layout, 128)
         )
         unit, memsys = make_unit(prefetcher=prefetcher)
-        assert prefetcher.vote_counts is not None
         path = [0] + list(small_bvh.root.child_ids[:1])
         unit.add_warp([
             ray_task(
@@ -377,6 +402,8 @@ class TestVoteVersion:
         initial = unit.vote_version
         run(unit, memsys)
         assert unit.vote_version > initial
+        # Every ray finished, so its vote left the tally.
+        assert (prefetcher.tally.counts, prefetcher.tally.total) == ({}, 0)
 
     def test_no_voter_keeps_no_vote_state(self, small_bvh, decomposition):
         # Only a voter reads the vote counts and their version, and only

@@ -11,19 +11,24 @@ every run must conserve work and requests:
 * every issued prefetch lands in one effectiveness class;
 * every demand request gets exactly one response;
 * every warp retires, and no unit accounts more cycles than elapsed;
-* nothing is left in flight after ``run()``.
+* nothing is left in flight after ``run()``;
+* each RT unit's ready-ray count equals its warps' ready counts after
+  every step and every delivery, whatever the scheduler, and warps keep
+  their own vote counts only for the pseudo voter.
 
 Together with the golden digests in ``tests/test_replay_backend.py``
 these are the engine's reference.
 """
 
 import dataclasses
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import REPLAY_PRESETS
 from repro.core.config import CacheConfig
-from repro.core.pipeline import SMOKE, build_gpu_model
+from repro.core.pipeline import SMOKE, TREELET_PREFETCH, build_gpu_model
+from repro.gpusim import RTUnit
 
 SCENES = ("WKND", "SHIP", "CAR")
 
@@ -96,3 +101,46 @@ def test_conservation(config, scene, preset):
 
     assert not model.memsys.agenda_cycles
     assert memsys.drain_complete()
+
+
+def _check_ready_rays(unit):
+    assert unit.ready_total() == sum(w.ready_count for w in unit.buffer)
+    if unit.prefetcher.voter.mode == "full":
+        assert all(w.alive_treelet_counts is None for w in unit.buffer)
+    else:
+        assert all(w.alive_treelet_counts is not None for w in unit.buffer)
+
+
+def _checked(method):
+    def wrapper(unit, *args):
+        result = method(unit, *args)
+        _check_ready_rays(unit)
+        return result
+
+    return wrapper
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=gpu_configs(),
+    scene=st.sampled_from(SCENES),
+    scheduler=st.sampled_from(["baseline", "omr", "pmr"]),
+    voter=st.sampled_from(["full", "pseudo"]),
+)
+def test_ready_rays_match_the_warps(config, scene, scheduler, voter):
+    technique = dataclasses.replace(
+        TREELET_PREFETCH, scheduler=scheduler, voter_mode=voter
+    )
+    model, traces, _, _ = build_gpu_model(
+        scene, technique, dataclasses.replace(SMOKE, gpu=config)
+    )
+    # Steps, queued deliveries, and fills' responses.
+    with mock.patch.object(RTUnit, "step", _checked(RTUnit.step)), \
+            mock.patch.object(
+                RTUnit, "run_tests_due", _checked(RTUnit.run_tests_due)
+            ), \
+            mock.patch.object(RTUnit, "_respond", _checked(RTUnit._respond)):
+        stats = model.run()
+    assert stats.visits_completed == sum(len(t.visits) for t in traces)
+    for unit in model.units:
+        assert unit.ready_total() == 0

@@ -12,19 +12,15 @@ from repro.prefetch import (
     TreeletPrefetcher,
 )
 from repro.treelet import build_mapping_table, treelet_layout
+from test_voter import StubWarp, tally_of
 
 
-class StubWarp:
-    def __init__(self, counts):
-        self.alive_treelet_counts = dict(counts)
-
-    def winner_treelet(self):
-        if not self.alive_treelet_counts:
-            return None
-        return min(
-            self.alive_treelet_counts,
-            key=lambda t: (-self.alive_treelet_counts[t], t),
-        )
+def votes(prefetcher, *counts):
+    """Stub warps holding ``counts``, with ``prefetcher``'s tally set to
+    their merged votes, as the RT unit keeps it."""
+    warps = [StubWarp(c) for c in counts]
+    prefetcher.tally = tally_of(warps)
+    return warps
 
 
 @pytest.fixture
@@ -79,7 +75,7 @@ class TestAddressMap:
 class TestDecisionFlow:
     def test_always_prefetches_winner(self, address_map):
         prefetcher = TreeletPrefetcher(address_map)
-        prefetcher.on_cycle(0, [StubWarp({0: 5})], version=1)
+        prefetcher.on_cycle(0, votes(prefetcher, {0: 5}), version=1)
         requests = drain(prefetcher)
         assert requests
         assert prefetcher.last_prefetched_treelet == 0
@@ -88,25 +84,25 @@ class TestDecisionFlow:
 
     def test_never_same_treelet_twice_in_a_row(self, address_map):
         prefetcher = TreeletPrefetcher(address_map)
-        prefetcher.on_cycle(0, [StubWarp({0: 5})], version=1)
+        prefetcher.on_cycle(0, votes(prefetcher, {0: 5}), version=1)
         drain(prefetcher)
-        prefetcher.on_cycle(1, [StubWarp({0: 5})], version=2)
+        prefetcher.on_cycle(1, votes(prefetcher, {0: 5}), version=2)
         assert drain(prefetcher) == []
 
     def test_alternating_treelets_both_prefetched(self, address_map):
         prefetcher = TreeletPrefetcher(address_map)
-        prefetcher.on_cycle(0, [StubWarp({0: 5})], version=1)
+        prefetcher.on_cycle(0, votes(prefetcher, {0: 5}), version=1)
         first = drain(prefetcher)
-        prefetcher.on_cycle(1, [StubWarp({1: 5})], version=2)
+        prefetcher.on_cycle(1, votes(prefetcher, {1: 5}), version=2)
         second = drain(prefetcher)
         assert first and second
         assert first[0].address != second[0].address
 
     def test_version_gate_skips_recompute(self, address_map):
         prefetcher = TreeletPrefetcher(address_map)
-        prefetcher.on_cycle(0, [StubWarp({0: 5})], version=1)
+        prefetcher.on_cycle(0, votes(prefetcher, {0: 5}), version=1)
         decisions_before = prefetcher.voter.stats.decisions
-        prefetcher.on_cycle(1, [StubWarp({0: 5})], version=1)
+        prefetcher.on_cycle(1, votes(prefetcher, {0: 5}), version=1)
         assert prefetcher.voter.stats.decisions == decisions_before
 
     def test_popularity_threshold_blocks_low_ratio(self, address_map):
@@ -115,7 +111,9 @@ class TestDecisionFlow:
             heuristic=PrefetchHeuristic("popularity", threshold=0.5),
         )
         # Winner holds 5 of 12 voting rays -> ratio ~0.42 < 0.5.
-        prefetcher.on_cycle(0, [StubWarp({0: 5, 1: 4, 2: 3})], version=1)
+        prefetcher.on_cycle(
+            0, votes(prefetcher, {0: 5, 1: 4, 2: 3}), version=1
+        )
         assert drain(prefetcher) == []
 
     def test_popularity_threshold_passes_high_ratio(self, address_map):
@@ -124,7 +122,7 @@ class TestDecisionFlow:
             heuristic=PrefetchHeuristic("popularity", threshold=0.5),
         )
         # Winner holds 9 of 12 voting rays -> ratio 0.75 >= 0.5.
-        prefetcher.on_cycle(0, [StubWarp({0: 9, 1: 3})], version=1)
+        prefetcher.on_cycle(0, votes(prefetcher, {0: 9, 1: 3}), version=1)
         assert drain(prefetcher)
 
     def test_partial_prefetches_prefix(self, decomposition, address_map):
@@ -136,8 +134,7 @@ class TestDecisionFlow:
         # Winner holds half the votes -> prefetch half the treelet.
         prefetcher.on_cycle(
             0,
-            [StubWarp({treelet: 2, other: 1}),
-             StubWarp({other: 1})],
+            votes(prefetcher, {treelet: 2, other: 1}, {other: 1}),
             version=1,
         )
         requests = drain(prefetcher)
@@ -150,7 +147,7 @@ class TestDecisionFlow:
         prefetcher = TreeletPrefetcher(
             address_map, voter=MajorityVoter("full", latency=32)
         )
-        prefetcher.on_cycle(0, [StubWarp({0: 5})], version=1)
+        prefetcher.on_cycle(0, votes(prefetcher, {0: 5}), version=1)
         assert prefetcher.pop_prefetch(10) is None  # still counting
         assert prefetcher.pop_prefetch(32) is not None
 
@@ -158,12 +155,12 @@ class TestDecisionFlow:
         prefetcher = TreeletPrefetcher(
             address_map, voter=MajorityVoter("full", latency=16)
         )
-        prefetcher.on_cycle(0, [StubWarp({0: 5})], version=1)
+        prefetcher.on_cycle(0, votes(prefetcher, {0: 5}), version=1)
         # Next decision only at cycle 16, even with new state.
-        prefetcher.on_cycle(1, [StubWarp({1: 9})], version=2)
+        prefetcher.on_cycle(1, votes(prefetcher, {1: 9}), version=2)
         drain(prefetcher, cycle=100)
         assert prefetcher.last_prefetched_treelet == 0
-        prefetcher.on_cycle(16, [StubWarp({1: 9})], version=3)
+        prefetcher.on_cycle(16, votes(prefetcher, {1: 9}), version=3)
         requests = drain(prefetcher, cycle=100)
         assert prefetcher.last_prefetched_treelet == 1
         assert requests
@@ -174,10 +171,11 @@ class TestDecisionFlow:
         prefetcher = TreeletPrefetcher(
             address_map, voter=MajorityVoter("full", latency=16)
         )
-        prefetcher.on_cycle(0, [StubWarp({0: 5})], version=1)  # release 16
+        # The first decision's entries release at cycle 16.
+        prefetcher.on_cycle(0, votes(prefetcher, {0: 5}), version=1)
         # A fresh decision lands exactly when the first batch becomes
         # issueable; its entries release at 32, the old ones at 16.
-        prefetcher.on_cycle(16, [StubWarp({1: 9})], version=2)
+        prefetcher.on_cycle(16, votes(prefetcher, {1: 9}), version=2)
         first_batch = drain(prefetcher, cycle=16)
         expected = address_map.prefetch_lines(0, 1.0)
         assert [r.address for r in first_batch] == expected
@@ -190,14 +188,14 @@ class TestDecisionFlow:
         prefetcher = TreeletPrefetcher(
             address_map, voter=MajorityVoter("full", latency=8)
         )
-        prefetcher.on_cycle(4, [StubWarp({0: 5})], version=1)
+        prefetcher.on_cycle(4, votes(prefetcher, {0: 5}), version=1)
         requests = drain(prefetcher, cycle=1000)
         assert requests
         assert all(r.release_cycle == 12 for r in requests)
 
     def test_queue_limit_drops(self, decomposition, address_map):
         prefetcher = TreeletPrefetcher(address_map, queue_limit=1)
-        prefetcher.on_cycle(0, [StubWarp({0: 5})], version=1)
+        prefetcher.on_cycle(0, votes(prefetcher, {0: 5}), version=1)
         assert prefetcher.queue_depth() <= 1
         full = address_map.prefetch_lines(0, 1.0)
         if len(full) > 1:
@@ -224,7 +222,7 @@ class TestMappingModes:
 
     def test_loose_prepends_mapping_loads(self, dfs_map):
         prefetcher = TreeletPrefetcher(dfs_map, mapping_mode="loose")
-        prefetcher.on_cycle(0, [StubWarp({0: 5})], version=1)
+        prefetcher.on_cycle(0, votes(prefetcher, {0: 5}), version=1)
         requests = drain(prefetcher)
         regions = [r.region for r in requests]
         assert regions[0] == "mapping"
@@ -236,7 +234,7 @@ class TestMappingModes:
 
     def test_strict_holds_nodes_until_table_returns(self, dfs_map):
         prefetcher = TreeletPrefetcher(dfs_map, mapping_mode="strict")
-        prefetcher.on_cycle(0, [StubWarp({0: 5})], version=1)
+        prefetcher.on_cycle(0, votes(prefetcher, {0: 5}), version=1)
         mapping_requests = drain(prefetcher)
         assert all(r.region == "mapping" for r in mapping_requests)
         assert prefetcher.queue_depth() == 0  # node lines held back

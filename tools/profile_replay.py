@@ -17,10 +17,11 @@ interpreter actually runs, not who called it.  The cases
 
 After the CPU seconds it prints the work one pass does: the visits
 replayed, the ``RTUnit.step`` calls, the agenda flushes
-(``MemorySystem._flush`` calls), and the prefetcher hook calls the
-units make (``pop_prefetch``, ``on_cycle``, ``next_activity_cycle``).
-Every pass does the same work, so they are counted in one more,
-untimed pass with those methods wrapped in counters.
+(``MemorySystem._flush`` calls), the prefetcher hook calls the units
+make (``pop_prefetch``, ``on_cycle``), and the voter's decisions with
+the mean and largest number of distinct treelets in the vote tally at
+a decision.  Every pass does the same work, so they are counted in one
+more, untimed pass with those methods wrapped in counters.
 
 Run:  PYTHONPATH=src python tools/profile_replay.py [--case panel]
       [--scale default] [--passes 3] [--interval-ms 1] [--top 25]
@@ -45,7 +46,7 @@ sys.path.insert(0, str(ROOT / "benchmarks" / "suite"))
 from repro import api  # noqa: E402
 from repro.core import pipeline  # noqa: E402
 from repro.gpusim import MemorySystem, RTUnit  # noqa: E402
-from repro.prefetch import Prefetcher  # noqa: E402
+from repro.prefetch import MajorityVoter, Prefetcher  # noqa: E402
 from workloads import (  # noqa: E402
     CANDIDATE, PANEL_SCENES, PANEL_TECHNIQUES, QUERY_SCALE,
 )
@@ -57,7 +58,7 @@ CASES = {
     "knn": [("PTSUNI", spec, "knn") for spec in ("baseline", CANDIDATE)],
 }
 #: the prefetcher hooks whose calls a pass counts.
-HOOKS = ("pop_prefetch", "on_cycle", "next_activity_cycle")
+HOOKS = ("pop_prefetch", "on_cycle")
 
 
 def replay(runs, scale) -> int:
@@ -78,10 +79,22 @@ def prefetcher_classes(cls=Prefetcher):
 
 
 def count_work(runs, scale) -> Dict[str, int]:
-    """One pass with ``RTUnit.step``, ``MemorySystem._flush`` and the
-    prefetcher hooks counted; returns the pass's visits, unit steps,
-    agenda flushes and hook calls."""
+    """One pass with ``RTUnit.step``, ``MemorySystem._flush``, the
+    prefetcher hooks and the voter counted; returns the pass's visits,
+    unit steps, agenda flushes, hook calls, voter decisions, and the
+    sum and maximum of the tally's distinct treelets at a decision."""
     counts: Dict[str, int] = collections.Counter()
+    decide = MajorityVoter.decide
+
+    def counted_decide(self, tally, *args):
+        treelets = len(tally.counts)
+        counts["decisions"] += 1
+        counts["tally_treelets"] += treelets
+        counts["tally_max"] = max(counts["tally_max"], treelets)
+        decision = decide(self, tally, *args)
+        counts["winners"] += decision is not None
+        return decision
+
     targets = [("steps", RTUnit, "step"), ("flushes", MemorySystem, "_flush")]
     # Each class that defines a hook gets its own wrapper, so the RT
     # unit still tells an overridden hook from the base class's.
@@ -98,11 +111,13 @@ def count_work(runs, scale) -> Dict[str, int]:
 
     for (key, cls, name), original in zip(targets, originals):
         setattr(cls, name, counted(key, original))
+    MajorityVoter.decide = counted_decide
     try:
         counts["visits"] = replay(runs, scale)
     finally:
         for (_key, cls, name), original in zip(targets, originals):
             setattr(cls, name, original)
+        MajorityVoter.decide = decide
     return counts
 
 
@@ -169,6 +184,11 @@ def main(argv=None) -> int:
           f"{work['flushes']:,} agenda flushes")
     print("prefetcher calls per pass: " + ", ".join(
         f"{work[name]:,} {name}" for name in HOOKS))
+    decisions = work["decisions"]
+    mean = work["tally_treelets"] / decisions if decisions else 0.0
+    print(f"voter per pass: {decisions:,} decisions "
+          f"({work['winners']:,} with a winner), distinct treelets in the "
+          f"tally at a decision: mean {mean:.1f}, max {work['tally_max']}")
     total = sum(samples.values())
     if not total:
         return 0
